@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet bench metrics-smoke footprint-smoke lockfree-smoke arena-smoke load-smoke tune-smoke
+.PHONY: check build test race vet bench metrics-smoke footprint-smoke lockfree-smoke arena-smoke load-smoke tune-smoke perfbench-smoke
 
 # check is the tier-1 gate: vet, build, and the full suite under the race
 # detector.
@@ -95,3 +95,10 @@ tune-smoke:
 	$(GO) test -race ./internal/control/
 	$(GO) test -race -run 'TestTuneSmoke' ./internal/experiments/
 	$(GO) test -race -run 'TestController|TestControl' .
+
+# perfbench-smoke runs the benchmark module's own tests (perfbench/ is a
+# separate Go module, so ./... at the root does not reach it): every
+# workload at quick scale, untraced and traced, with each metric
+# BENCHMARK.json names checked present, finite, and in its unit.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...

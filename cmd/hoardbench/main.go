@@ -123,7 +123,7 @@ func allIDs() []string {
 	return append(ids,
 		"frag", "uniproc", "blowup", "blowup-shift", "footprint", "lockfree", "arena",
 		"ablate-f", "ablate-s", "ablate-k", "ablate-heaps",
-		"ablate-release", "ablate-batch", "tcache", "coherence", "contention", "cost-sensitivity")
+		"ablate-batch", "tcache", "coherence", "contention", "cost-sensitivity")
 }
 
 func runOne(id string, opts experiments.Options, of experiments.OutputFormat, progress func(string, int)) error {
@@ -147,7 +147,6 @@ func runOne(id string, opts experiments.Options, of experiments.OutputFormat, pr
 		"ablate-heaps":     experiments.AblateHeaps,
 		"tcache":           experiments.AblateTCache,
 		"ablate-batch":     experiments.AblateBatch,
-		"ablate-release":   experiments.AblateRelease,
 		"contention":       experiments.Contention,
 		"coherence":        experiments.Coherence,
 		"cost-sensitivity": experiments.CostSensitivity,

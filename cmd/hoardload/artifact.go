@@ -111,13 +111,10 @@ const (
 	smokeMallocP999NS  = 100e6 // 100ms: any malloc slower than this is a stall
 	smokeRequestP999NS = 500e6 // 500ms end-to-end on a loaded 1-core box
 	// smokeRetainRatio bounds final footprint after drain + forced release
-	// against the peak. ReleaseMemory reconciles pending remote frees and
-	// restores the invariant before trimming, so a fully drained schedule
-	// ends at the emptiness invariant's slack — a few superblocks per heap,
-	// tiny next to any real peak. Holding a quarter of the peak means the
-	// release path regressed (the pre-fix failure mode: a bulk cross-thread
-	// drain stranding everything on remote-free stacks, trim finding
-	// nothing).
+	// against the peak. Frees restore the emptiness invariant as they land,
+	// so a fully drained schedule ends at the invariant's slack — a few
+	// superblocks per heap, tiny next to any real peak. Holding a quarter of
+	// the peak means the release path regressed.
 	smokeRetainRatio = 0.25
 )
 

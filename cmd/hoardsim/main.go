@@ -161,7 +161,6 @@ func writeSimMetrics(path string, h *workload.Harness, res workload.Result, reg 
 	s.Counters["superblock_moves_total"] = st.SuperblockMoves
 	s.Counters["remote_frees_total"] = st.RemoteFrees
 	s.Counters["remote_fast_frees_total"] = st.RemoteFastFrees
-	s.Counters["remote_drains_total"] = st.RemoteDrains
 	s.Counters["lockfree_mallocs_total"] = st.LockFreeMallocs
 	s.Counters["lockfree_frees_total"] = st.LockFreeFrees
 	s.Counters["lockfree_cas_retries_total"] = st.FastPathRetries
@@ -177,13 +176,12 @@ func writeSimMetrics(path string, h *workload.Harness, res workload.Result, reg 
 		s.Counters["scavenged_bytes_total"] = hs.ScavengedBytes
 		for id, occ := range hoard.SampleHeapsQuiescent(true) {
 			s.Heaps = append(s.Heaps, metrics.HeapSample{
-				ID:           id,
-				U:            occ.U,
-				A:            occ.A,
-				Superblocks:  occ.Superblocks,
-				Decommitted:  occ.Decommitted,
-				PendingBytes: occ.PendingBytes,
-				Groups:       occ.Groups[:],
+				ID:          id,
+				U:           occ.U,
+				A:           occ.A,
+				Superblocks: occ.Superblocks,
+				Decommitted: occ.Decommitted,
+				Groups:      occ.Groups[:],
 			})
 		}
 	}

@@ -411,11 +411,9 @@ type Stats struct {
 	// RemoteFrees counts frees that crossed heaps.
 	RemoteFrees int64
 	// RemoteFastFrees counts cross-heap frees that took Hoard's lock-free
-	// remote-stack push instead of acquiring a heap lock.
+	// CAS push onto the block's superblock instead of the owner heap's
+	// lock — the cross-heap subset of LockFreeFrees.
 	RemoteFastFrees int64
-	// RemoteDrains counts batch reconciliations of remote-free stacks
-	// that recovered at least one block.
-	RemoteDrains int64
 	// BatchRefills and BatchFlushes count native MallocBatch and FreeBatch
 	// calls — each a magazine transfer served under one heap-lock
 	// acquisition (per owner group, for flushes). Zero when the policy has
@@ -426,8 +424,9 @@ type Stats struct {
 	BatchedBlocks int64
 	// LockFreeMallocs and LockFreeFrees count small-object operations
 	// served entirely by the lock-free warm paths — a CAS on the owning
-	// superblock's free-list word, no heap lock. Batch operations count
-	// each block they claim or return this way.
+	// superblock's free-list word, no heap lock. LockFreeFrees includes
+	// cross-heap frees (RemoteFastFrees is that subset). Batch operations
+	// count each block they claim or return this way.
 	LockFreeMallocs, LockFreeFrees int64
 	// FastPathRetries counts CAS retries on those warm paths — the
 	// contention the lock-free protocol absorbed instead of blocking.
@@ -457,7 +456,6 @@ func (a *Allocator) Stats() Stats {
 		SuperblockMoves:    st.SuperblockMoves,
 		RemoteFrees:        st.RemoteFrees,
 		RemoteFastFrees:    st.RemoteFastFrees,
-		RemoteDrains:       st.RemoteDrains,
 		BatchRefills:       st.BatchRefills,
 		BatchFlushes:       st.BatchFlushes,
 		BatchedBlocks:      st.BatchedBlocks,
@@ -507,18 +505,49 @@ func (a *Allocator) BackendFallbackReason() string {
 }
 
 // Close stops the background controller, scavenger, and auditor (if
-// running) and
-// releases the memory substrate: for the arena backend this unmaps its
-// virtual reservation, for the simulated backend it is a no-op. The
-// allocator must be quiescent and must not be used afterwards. Close is the
-// only way an arena's address space is returned to the OS — Go finalizers
-// cannot reclaim it.
+// running) and releases the memory substrate: for the arena backend this
+// unmaps its virtual reservation, for the simulated backend it is a no-op.
+// The allocator must be quiescent when Close is called. Afterwards NewThread
+// and every Thread operation that touches memory (Malloc, Free, their batch
+// forms, Bytes, UsableSize and the calls built on them) panic with a message
+// naming the call; Stats and Close itself keep working.
+// Close is the only way an arena's address space is returned to the OS — Go
+// finalizers cannot reclaim it.
 func (a *Allocator) Close() error {
 	a.StopController()
 	a.StopScavenger()
 	a.StopAuditor()
-	return a.impl.Space().Close()
+	err := a.impl.Space().Close()
+	if _, closed := a.impl.(closedAllocator); !closed {
+		a.impl = closedAllocator{a.impl}
+	}
+	return err
 }
+
+// closedAllocator stands in for a closed allocator's stack: every operation
+// that would touch the released substrate panics by name, at the offending
+// call, instead of faulting on unmapped memory later. Counters, the
+// substrate handle (so Close stays idempotent) and CheckIntegrity still
+// reach the retired stack.
+type closedAllocator struct{ alloc.Allocator }
+
+func (closedAllocator) NewThread(env.Env) *alloc.Thread {
+	panic("hoard: NewThread after Close")
+}
+
+func (closedAllocator) Malloc(*alloc.Thread, int) Ptr { panic("hoard: Malloc after Close") }
+
+func (closedAllocator) Free(*alloc.Thread, Ptr) { panic("hoard: Free after Close") }
+
+func (closedAllocator) MallocBatch(*alloc.Thread, int, int, []Ptr) int {
+	panic("hoard: MallocBatch after Close")
+}
+
+func (closedAllocator) FreeBatch(*alloc.Thread, []Ptr) { panic("hoard: FreeBatch after Close") }
+
+func (closedAllocator) UsableSize(Ptr) int { panic("hoard: UsableSize after Close") }
+
+func (closedAllocator) Bytes(Ptr, int) []byte { panic("hoard: Bytes after Close") }
 
 // CheckIntegrity exhaustively validates the allocator's internal
 // invariants. It requires quiescence (no concurrent operations) and is

@@ -183,12 +183,10 @@ type Stats struct {
 	// whose heap/arena owns the block (where the concept applies).
 	RemoteFrees int64
 	// RemoteFastFrees counts the subset of RemoteFrees that took the
-	// lock-free remote-stack push instead of acquiring a heap lock
-	// (Hoard only).
+	// lock-free CAS push onto the block's superblock instead of the owner
+	// heap's lock — exactly the cross-heap part of LockFreeFrees (Hoard
+	// only).
 	RemoteFastFrees int64
-	// RemoteDrains counts batch reconciliations of remote-free stacks
-	// that recovered at least one block (Hoard only).
-	RemoteDrains int64
 	// MovedLiveBlocks sums the still-allocated blocks carried by
 	// superblocks at the moment they were evicted to the global heap
 	// (Hoard only) — each becomes a future remote free.
@@ -214,9 +212,10 @@ type Stats struct {
 	// a CAS pop from an owned superblock's free list with no heap lock
 	// (Hoard only).
 	LockFreeMallocs int64
-	// LockFreeFrees counts owner-local frees that took the lock-free CAS
-	// push instead of the heap lock (Hoard only; remote lock-free frees
-	// are counted in RemoteFastFrees).
+	// LockFreeFrees counts frees that took the lock-free CAS push onto the
+	// block's superblock instead of a heap lock — owner-local and
+	// cross-heap alike; RemoteFastFrees is the cross-heap subset (Hoard
+	// only).
 	LockFreeFrees int64
 	// FastPathRetries counts CAS retries across all lock-free warm-path
 	// operations — the contention the fast paths absorb without blocking.

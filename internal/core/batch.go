@@ -22,10 +22,10 @@ import (
 // "partial" when capped by out).
 //
 // All n carves happen inside one critical section on the calling thread's
-// heap: superblock searches, drains of remote-pending stacks, and pulls from
-// the global heap (or the OS) happen in the same section, exactly as n
-// back-to-back Mallocs would do — minus n-1 lock round-trips. Accounting is
-// one sharded update for the whole batch.
+// heap: superblock searches and pulls from the global heap (or the OS)
+// happen in the same section, exactly as n back-to-back Mallocs would do —
+// minus n-1 lock round-trips. Accounting is one sharded update for the
+// whole batch.
 func (h *Hoard) MallocBatch(t *alloc.Thread, size, n int, out []alloc.Ptr) int {
 	if n > len(out) {
 		n = len(out)
@@ -88,12 +88,6 @@ func (h *Hoard) MallocBatch(t *alloc.Thread, size, n int, out []alloc.Ptr) int {
 		env.LockWith(hp.Lock, e, "batch-refill")
 		for ; got < n; got++ {
 			p, ok := hp.AllocBlock(e, class)
-			if !ok && hp.PendingHintBytes() > 0 {
-				if hp.DrainAll(e) > 0 {
-					h.remoteDrains.Add(1)
-					p, ok = hp.AllocBlock(e, class)
-				}
-			}
 			if !ok {
 				e.Charge(env.OpMallocSlow, 1)
 				// As in Malloc: recycle an owned empty superblock before
@@ -157,20 +151,19 @@ type batchGroup struct {
 
 // FreeBatch implements alloc.BatchAllocator. One page-table pass resolves
 // and groups every pointer by owning superblock (large objects are released
-// inline); then each group is dispatched by the superblock's owner at that
-// moment:
+// inline); then each group takes one of the per-block free's two paths:
 //
-//   - foreign owner: the whole group is pushed onto the superblock's remote
-//     stack with a single CAS (superblock.RemoteFreeBatch) and one
-//     pending-hint update — no lock at all;
-//   - own or global heap: every group still owned by that heap is freed
-//     under ONE acquisition of its lock, with the emptiness invariant
+//   - the lock-free path: the whole group is spliced onto its superblock's
+//     free list with one CAS (superblock.FastFreeRun), whoever owns it;
+//   - when that CAS is refused (sealed superblock, or DisableLockFree):
+//     every refused group still owned by one heap is freed under ONE
+//     acquisition of that heap's lock, with the emptiness invariant
 //     restored once at the end (looping: a batch of B frees can demand up
 //     to B evictions where a single free demands at most one).
 //
 // Ownership can change while we wait for a lock, so groups re-check under
-// the lock and unclaimed groups retry the dispatch — the batch form of the
-// per-block free protocol's re-check dance.
+// the lock and unclaimed groups retry — the batch form of the per-block
+// free protocol's re-check dance.
 func (h *Hoard) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
 	e := t.Env
 	myIdx := t.State.(*threadState).heapIdx
@@ -220,68 +213,66 @@ func (h *Hoard) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
 	}
 
 	var fastBytes int64
-	for len(groups) > 0 {
-		// Dispatch remote groups lock-free; collect the rest.
-		local := groups[:0]
+	if !h.cfg.DisableLockFree {
+		locked := groups[:0]
 		for _, g := range groups {
-			if !h.cfg.DisableLockFree {
-				// Lock-free fast path, whoever owns the superblock:
-				// splice the whole group onto its free list with one
-				// CAS. All-or-nothing — a sealed superblock (migrating,
-				// evicting, decommitting) rejects the run and falls to
-				// the remote or locked path below.
-				ok, wasEmpty, retries := g.sb.FastFreeRun(e, g.ps)
-				if retries > 0 {
-					h.fastRetries.Add(int64(retries))
-				}
-				if ok {
-					k := len(g.ps)
-					bytes := int64(k) * int64(g.sb.BlockSize())
-					h.lfFrees.Add(int64(k))
-					owner := h.heaps[g.sb.OwnerID()]
-					if owner.ID == myIdx {
-						e.Charge(env.OpFree, int64(k))
-					} else {
-						e.Charge(env.OpRemoteFree, int64(k))
-						h.remote.Add(int64(k))
-						h.remoteFast.Add(int64(k))
-					}
-					owner.HintAdd(-bytes)
-					h.acct.OnFreeN(owner.ID, k, bytes)
-					_ = wasEmpty
-					if owner.ID != 0 {
-						owner.PublishWarm(g.sb.Class(), g.sb.SelfRef())
-					}
-					switch {
-					case owner.ID == myIdx:
-						fastBytes += bytes
-					case owner.ID == 0:
-						h.globalFastFreeEpilogue(e, g.sb)
-					case owner.HintSuspectsViolation():
-						h.confirmAndRestore(e, owner)
-					}
-					continue
-				}
+			// Lock-free path, whoever owns the superblock: splice the whole
+			// group onto its free list with one CAS. All-or-nothing — a
+			// sealed superblock (migrating, evicting, decommitting) rejects
+			// the run, and the group takes the locked path below. Read the
+			// format first, while the group's live blocks pin it: once the
+			// CAS lands the superblock may empty and be reformatted.
+			class, blockSize := g.sb.Class(), g.sb.BlockSize()
+			ok, _, retries := g.sb.FastFreeRun(e, g.ps)
+			if retries > 0 {
+				h.fastRetries.Add(int64(retries))
 			}
-			id := g.sb.OwnerID()
-			if id != myIdx && id != 0 {
-				h.freeBatchRemote(e, g)
+			if !ok {
+				locked = append(locked, g)
 				continue
 			}
-			local = append(local, g)
+			k := len(g.ps)
+			bytes := int64(k) * int64(blockSize)
+			h.lfFrees.Add(int64(k))
+			owner := h.heaps[g.sb.OwnerID()]
+			if owner.ID == myIdx {
+				e.Charge(env.OpFree, int64(k))
+			} else {
+				e.Charge(env.OpRemoteFree, int64(k))
+				h.remote.Add(int64(k))
+				h.remoteFast.Add(int64(k))
+			}
+			owner.HintAdd(-bytes)
+			h.acct.OnFreeN(owner.ID, k, bytes)
+			if owner.ID == 0 {
+				g.sb.SetParkedAt(h.clock())
+				continue
+			}
+			owner.PublishWarm(class, g.sb.SelfRef())
+			if owner.ID == myIdx {
+				fastBytes += bytes
+			} else if owner.HintSuspectsViolation() {
+				h.confirmAndRestore(e, owner)
+			}
 		}
-		if len(local) == 0 {
-			break
+		groups = locked
+	}
+	for len(groups) > 0 {
+		// Take the lock of the first group's owner once and free every
+		// group that heap still owns under it. Groups whose ownership moved
+		// while we waited go around again.
+		n := len(groups)
+		hp := h.heaps[groups[0].sb.OwnerID()]
+		var nblk int
+		var bytes int64
+		groups, nblk, bytes = h.freeBatchLocked(e, hp, myIdx, groups)
+		if nblk > 0 {
+			h.acct.OnFreeN(hp.ID, nblk, bytes)
 		}
-		// Take the lock of the first local group's owner once and free
-		// every group that heap still owns under it. Groups whose
-		// ownership moved while we waited go around again.
-		id := local[0].sb.OwnerID()
-		groups = h.freeBatchLocked(e, h.heaps[id], local)
-		if len(groups) == len(local) {
-			// The lock bought us nothing (ownership raced away
-			// before we acquired it); account the wasted pass like
-			// the per-block retry does.
+		if len(groups) == n {
+			// The lock bought us nothing (ownership raced away before we
+			// acquired it); account the wasted pass like the per-block
+			// retry does.
 			e.Charge(env.OpListScan, 1)
 		}
 	}
@@ -295,70 +286,40 @@ func (h *Hoard) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
 	}
 }
 
-// freeBatchRemote pushes one owner-group onto its superblock's remote stack:
-// a single CAS for the whole group, one pending-hint update, one accounting
-// update, and the same opportunistic drain nudges as the per-block fast
-// path. Valid whatever ownership does concurrently — whichever heap owns
-// the superblock when the stack drains absorbs the frees.
-func (h *Hoard) freeBatchRemote(e env.Env, g batchGroup) {
-	nblk := len(g.ps)
-	blockSize := g.sb.BlockSize()
-	h.remote.Add(int64(nblk))
-	h.remoteFast.Add(int64(nblk))
-	pending := g.sb.RemoteFreeBatch(e, g.ps)
-	owner := h.heaps[g.sb.OwnerID()]
-	owner.NoteRemotePush(int64(nblk) * int64(blockSize))
-	h.acct.OnFreeN(owner.ID, nblk, int64(nblk)*int64(blockSize))
-	if pending >= g.sb.RemoteDrainThreshold() ||
-		owner.PendingHintBytes() >= int64(h.cfg.SuperblockSize/2) {
-		h.tryDrainOwner(e, owner)
-	}
-}
-
 // freeBatchLocked acquires hp's lock once, frees every group still owned by
 // hp, restores the emptiness invariant (once, at the end), and returns the
-// groups whose ownership had moved elsewhere. The lock is released before
-// returning; the single accounting update happens outside the critical
-// section, as on the per-block path.
-func (h *Hoard) freeBatchLocked(e env.Env, hp *heap.Heap, groups []batchGroup) (missed []batchGroup) {
-	var nblk int
-	var bytes int64
+// groups whose ownership had moved elsewhere plus the blocks and bytes it
+// freed, for the caller's single accounting update outside the critical
+// section. The lock is released before returning, also when a free panics
+// on a misused pointer. myIdx is the freeing thread's heap, for the
+// cross-heap count.
+func (h *Hoard) freeBatchLocked(e env.Env, hp *heap.Heap, myIdx int, groups []batchGroup) (missed []batchGroup, nblk int, bytes int64) {
 	env.LockWith(hp.Lock, e, "batch-free")
+	defer hp.Lock.Unlock(e)
 	for _, g := range groups {
 		if g.sb.OwnerID() != hp.ID {
 			missed = append(missed, g)
 			continue
 		}
-		if hp.FreeBlocks(e, g.sb, g.ps) > 0 {
-			h.remoteDrains.Add(1)
-		}
+		hp.FreeBlocks(e, g.sb, g.ps)
 		e.Charge(env.OpFree, int64(len(g.ps)))
 		nblk += len(g.ps)
 		bytes += int64(len(g.ps)) * int64(g.sb.BlockSize())
-		if hp.ID == 0 {
+		if hp.ID != myIdx {
 			h.remote.Add(int64(len(g.ps)))
-			if !h.releaseGlobalEmpty(e, hp, g.sb) {
-				// Still parked: this batch touched it, refresh the
-				// scavenger's cold-age stamp as the per-block path does.
-				g.sb.SetParkedAt(h.clock())
-			}
+		}
+		if hp.ID == 0 {
+			// This batch touched a parked superblock, so refresh the
+			// scavenger's cold-age stamp as the per-block path does.
+			g.sb.SetParkedAt(h.clock())
 		}
 	}
 	if hp.ID != 0 && nblk > 0 {
-		if hp.InvariantViolatedDiscounted() && hp.PendingHintBytes() > 0 {
-			if hp.DrainAll(e) > 0 {
-				h.remoteDrains.Add(1)
-			}
-		}
 		// A batch of B frees can push the heap up to B blocks past the
 		// invariant; keep evicting until it holds (or no superblock
 		// qualifies — the benign all-full capacity-waste state).
 		for hp.InvariantViolated() && h.restoreInvariant(e, hp) {
 		}
 	}
-	hp.Lock.Unlock(e)
-	if nblk > 0 {
-		h.acct.OnFreeN(hp.ID, nblk, bytes)
-	}
-	return missed
+	return missed, nblk, bytes
 }

@@ -178,10 +178,10 @@ func TestFreeBatchOwnerGroups(t *testing.T) {
 	}
 }
 
-// TestFreeBatchRemoteConcurrent pushes remote batches while the owning
-// thread allocates and frees (triggering drains in flight) — run under
-// -race, this exercises the single-CAS chain publish against concurrent
-// Swap-drains.
+// TestFreeBatchRemoteConcurrent frees cross-heap batches while the owning
+// thread allocates and frees on the same superblocks — run under -race, this
+// exercises the single-CAS run free (FastFreeRun) against the owner's
+// concurrent pops, frees, and evictions.
 func TestFreeBatchRemoteConcurrent(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	t0 := thread(h, 0)
@@ -192,14 +192,14 @@ func TestFreeBatchRemoteConcurrent(t *testing.T) {
 	ch := make(chan []alloc.Ptr, 4)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { // owner: allocates batches, hands them off, churns (drains)
+	go func() { // owner: allocates batches, hands them off, churns
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
 			out := make([]alloc.Ptr, batchSize)
 			h.MallocBatch(t0, 128, batchSize, out)
 			ch <- out
-			// Churn forces AllocBlock misses and drain attempts while
-			// the consumer's pushes are in flight.
+			// Churn forces AllocBlock misses and refills while the
+			// consumer's frees are in flight.
 			var local []alloc.Ptr
 			for i := 0; i < 40; i++ {
 				local = append(local, h.Malloc(t0, 128))

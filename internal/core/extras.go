@@ -74,8 +74,8 @@ func (h *Hoard) Describe(w io.Writer, e env.Env) {
 	st := h.Stats()
 	fmt.Fprintf(w, "hoard: S=%d f=%v K=%d heaps=%d classes=%d\n",
 		h.cfg.SuperblockSize, h.cfg.EmptyFraction, h.cfg.K, h.cfg.Heaps, h.classes.NumClasses())
-	fmt.Fprintf(w, "ops: %d mallocs (%d large), %d frees, %d remote frees (%d lock-free, %d drains)\n",
-		st.Mallocs, st.LargeMallocs, st.Frees, st.RemoteFrees, st.RemoteFastFrees, st.RemoteDrains)
+	fmt.Fprintf(w, "ops: %d mallocs (%d large), %d frees, %d remote frees (%d lock-free)\n",
+		st.Mallocs, st.LargeMallocs, st.Frees, st.RemoteFrees, st.RemoteFastFrees)
 	fmt.Fprintf(w, "batches: %d refills, %d flushes, %d blocks moved batched\n",
 		st.BatchRefills, st.BatchFlushes, st.BatchedBlocks)
 	fmt.Fprintf(w, "lock-free: %d mallocs, %d frees, %d CAS retries\n",

@@ -61,12 +61,6 @@ type Config struct {
 	// reason the released Hoard used 2P heaps). Off by default: the
 	// benchmarks' sequential ids then map round-robin.
 	HashThreads bool
-	// GlobalEmptyLimit, if positive, caps the number of superblocks the
-	// global heap retains: completely empty superblocks arriving beyond
-	// the cap are returned to the OS. Zero (the default) retains
-	// everything, matching the paper's implementation. This is an
-	// extension used by the ablation experiments.
-	GlobalEmptyLimit int
 	// DisableLockFree turns off the lock-free warm paths (DESIGN.md §11),
 	// forcing every malloc and owner-local free through the heap lock as
 	// in the paper's protocol. The zero value — warm paths on — is the
@@ -159,23 +153,7 @@ type Hoard struct {
 	// heap's shard — the shard that recorded the malloc except for blocks
 	// carried along by an evicted superblock — keeping per-shard peaks
 	// tight.
-	acct          *alloc.ShardedAccounting
-	sbMoves       atomic.Int64
-	movedLive     atomic.Int64
-	globalHits    atomic.Int64
-	osReserves    atomic.Int64
-	remote        atomic.Int64
-	remoteFast    atomic.Int64
-	remoteDrains  atomic.Int64
-	batchRefills  atomic.Int64
-	batchFlushes  atomic.Int64
-	batchedBlocks atomic.Int64
-	scavPasses    atomic.Int64
-	scavBytes     atomic.Int64
-	lfMallocs     atomic.Int64
-	lfFrees       atomic.Int64
-	fastRetries   atomic.Int64
-	localReuses   atomic.Int64
+	acct *alloc.ShardedAccounting
 
 	// backendFallback records why a requested arena backend degraded to
 	// the simulated space ("" when the requested backend was created).
@@ -186,6 +164,28 @@ type Hoard struct {
 	// scavenger's cold-age filter. Wall clock by default; SetClock installs
 	// a deterministic source (see scavenge.go).
 	clock func() int64
+
+	// Every thread's fast paths write the counters below, and every
+	// operation reads the fields above; the pad keeps those writes off the
+	// read-mostly cache lines (sharing one costs a cross-thread handoff
+	// workload about a tenth of its throughput).
+	_ [64]byte
+
+	sbMoves       atomic.Int64
+	movedLive     atomic.Int64
+	globalHits    atomic.Int64
+	osReserves    atomic.Int64
+	remote        atomic.Int64
+	remoteFast    atomic.Int64
+	batchRefills  atomic.Int64
+	batchFlushes  atomic.Int64
+	batchedBlocks atomic.Int64
+	scavPasses    atomic.Int64
+	scavBytes     atomic.Int64
+	lfMallocs     atomic.Int64
+	lfFrees       atomic.Int64
+	fastRetries   atomic.Int64
+	localReuses   atomic.Int64
 }
 
 // threadState is the per-thread state: the index of the heap the thread
@@ -318,14 +318,6 @@ func (h *Hoard) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 
 	env.LockWith(hp.Lock, e, "malloc-refill")
 	p, ok := hp.AllocBlock(e, class)
-	if !ok && hp.PendingHintBytes() > 0 {
-		// Remote frees parked on our own superblocks may satisfy the
-		// malloc without visiting the global heap or the OS.
-		if hp.DrainAll(e) > 0 {
-			h.remoteDrains.Add(1)
-			p, ok = hp.AllocBlock(e, class)
-		}
-	}
 	for !ok {
 		// Slow path. First try recycling one of this heap's own empty
 		// superblocks into the needed class — it stays off the global lock
@@ -459,7 +451,7 @@ func (h *Hoard) freeSmall(t *alloc.Thread, e env.Env, sb *superblock.Superblock,
 	// fast-path-eligible at that instant. On a seal race FastFree rolls
 	// itself back and we fall through to the locked protocol below.
 	if !h.cfg.DisableLockFree {
-		ok, wasEmpty, retries := sb.FastFree(e, p)
+		ok, _, retries := sb.FastFree(e, p)
 		if retries > 0 {
 			h.fastRetries.Add(int64(retries))
 		}
@@ -482,166 +474,63 @@ func (h *Hoard) freeSmall(t *alloc.Thread, e env.Env, sb *superblock.Superblock,
 			}
 			owner.HintAdd(-int64(blockSize))
 			h.acct.OnFree(owner.ID, blockSize)
-			_ = wasEmpty
-			if owner.ID != 0 {
-				// Feed the owner's warm ring so its next mallocs find
-				// the space this push just created without the lock.
-				// Every free publishes (PublishWarm dedups consecutive
-				// repeats): the block most likely to be wanted next is
-				// the one that just came back.
-				owner.PublishWarm(class, sb.SelfRef())
+			if owner.ID == 0 {
+				// This free touched a global-heap superblock, so it is not
+				// cold: refresh the scavenger's cold-age stamp.
+				sb.SetParkedAt(h.clock())
+				return
 			}
-			if owner.ID != 0 {
-				// The emptiness invariant is watched through the hint;
-				// a tripped hint escalates to a locked
-				// confirm-reconcile-restore pass.
-				if owner.HintSuspectsViolation() {
-					h.confirmAndRestore(e, owner)
-				}
-			} else {
-				h.globalFastFreeEpilogue(e, sb)
+			// Feed the owner's warm ring so its next mallocs find the space
+			// this push just created without the lock. Every free publishes
+			// (PublishWarm dedups consecutive repeats): the block most
+			// likely to be wanted next is the one that just came back.
+			owner.PublishWarm(class, sb.SelfRef())
+			// The emptiness invariant is watched through the hint; a
+			// tripped hint escalates to a locked confirm-reconcile-restore
+			// pass.
+			if owner.HintSuspectsViolation() {
+				h.confirmAndRestore(e, owner)
 			}
 			return
 		}
 	}
 
+	// The paper's free protocol, the same for every owner — this thread's
+	// heap, another thread's, or the global heap: lock the owner, re-check
+	// that it still owns the superblock (ownership can change while we
+	// wait), free, and restore the emptiness invariant.
 	for {
 		id := sb.OwnerID()
-		switch {
-		case id == myIdx:
-			// Our own heap: take the lock we'd take anyway and free
-			// directly. Ownership can change while we wait, so
-			// re-check after acquiring — the paper's free protocol.
-			hp := h.heaps[id]
-			env.LockWith(hp.Lock, e, "free-local")
-			if sb.OwnerID() != id {
-				hp.Lock.Unlock(e)
-				e.Charge(env.OpListScan, 1)
-				continue
-			}
-			h.freeLocked(e, hp, sb, p)
-			h.acct.OnFree(id, blockSize)
-			return
-		case id == 0:
-			// Global-heap superblock: free under the global lock so
-			// a free that empties it can trigger the
-			// GlobalEmptyLimit release immediately.
-			g := h.heaps[0]
-			env.LockWith(g.Lock, e, "free-global")
-			if sb.OwnerID() != 0 {
-				g.Lock.Unlock(e)
-				e.Charge(env.OpListScan, 1)
-				continue
-			}
+		hp := h.heaps[id]
+		env.LockWith(hp.Lock, e, "free-locked")
+		if sb.OwnerID() != id {
+			hp.Lock.Unlock(e)
+			e.Charge(env.OpListScan, 1)
+			continue
+		}
+		if id != myIdx {
 			h.remote.Add(1)
-			h.freeLocked(e, g, sb, p)
-			h.acct.OnFree(0, blockSize)
-			return
-		default:
-			// Another thread's heap: lock-free fast path. Push the
-			// block onto the superblock's remote stack — no heap
-			// lock — and leave reconciliation to the owner. The
-			// push is valid whatever ownership does concurrently:
-			// whichever heap owns the superblock when the stack is
-			// drained absorbs the free.
-			h.remote.Add(1)
-			h.remoteFast.Add(1)
-			pending := sb.RemoteFree(e, p)
-			owner := h.heaps[sb.OwnerID()]
-			owner.NoteRemotePush(int64(blockSize))
-			h.acct.OnFree(owner.ID, blockSize)
-			if pending >= sb.RemoteDrainThreshold() ||
-				owner.PendingHintBytes() >= int64(h.cfg.SuperblockSize/2) {
-				h.tryDrainOwner(e, owner)
-			}
-			return
 		}
-	}
-}
-
-// freeLocked performs a free while holding hp's lock (which it releases),
-// draining the superblock's remote stack in the same critical section and
-// restoring the emptiness invariant afterwards.
-func (h *Hoard) freeLocked(e env.Env, hp *heap.Heap, sb *superblock.Superblock, p alloc.Ptr) {
-	if hp.FreeBlock(e, sb, p) > 0 {
-		h.remoteDrains.Add(1)
-	}
-	e.Charge(env.OpFree, 1)
-
-	// GlobalEmptyLimit extension: a free that empties a global-heap
-	// superblock may return it to the OS once the global heap is over
-	// its cap. (The immediate release is one policy point; the scavenger
-	// in scavenge.go is the paced one.) Superblocks that stay parked get
-	// a fresh stamp — this free touched them, so they are not cold.
-	if hp.ID == 0 {
-		if !h.releaseGlobalEmpty(e, hp, sb) {
-			sb.SetParkedAt(h.clock())
-		}
-	}
-
-	if hp.ID != 0 {
-		// The heap's u counts remote-pending blocks as in use, so check
-		// the invariant discounted by the pending hint first; only a
-		// drain-then-exact-recheck may evict.
-		if hp.InvariantViolatedDiscounted() && hp.PendingHintBytes() > 0 {
-			if hp.DrainAll(e) > 0 {
-				h.remoteDrains.Add(1)
-			}
-		}
-		if hp.InvariantViolated() {
-			h.restoreInvariant(e, hp)
-		}
-	}
-	hp.Lock.Unlock(e)
-}
-
-// releaseGlobalEmpty applies the GlobalEmptyLimit policy to one global-heap
-// superblock the caller just freed into, under the global lock (held by the
-// caller): if the free emptied it while the global heap is over its cap,
-// return it to the OS. The superblock is sealed first and emptiness
-// re-confirmed — a stale warm Ref may pop from global-heap superblocks, and
-// Release must not race such a pop. (A free cannot un-empty it: an empty
-// superblock has no blocks out.) Reports whether the superblock was
-// released; if not it stays on the heap, unsealed.
-func (h *Hoard) releaseGlobalEmpty(e env.Env, g *heap.Heap, sb *superblock.Superblock) bool {
-	// Released() catches the loser of an emptying race: two lock-free
-	// frees can both see the superblock go empty, and both arrive here
-	// (serialized by the global lock). The first one releases; the second
-	// must see that and bail rather than release a dead superblock again.
-	if h.cfg.GlobalEmptyLimit <= 0 || sb.Released() || !sb.Empty() ||
-		g.Superblocks() <= h.cfg.GlobalEmptyLimit {
-		return false
-	}
-	sb.Seal()
-	if !sb.Empty() {
-		sb.Unseal()
-		return false
-	}
-	g.Sync(sb)
-	g.Remove(sb)
-	sb.Release(h.space)
-	e.Charge(env.OpOSAlloc, 1)
-	return true
-}
-
-// globalFastFreeEpilogue finishes a lock-free free that landed on a
-// global-heap superblock: refresh the scavenger's cold-age stamp (this free
-// touched the superblock, so it is not cold), and when the free emptied it,
-// take the global lock once to apply the GlobalEmptyLimit release policy —
-// the same policy the locked free path applies. Only the emptying
-// transition pays the lock, so warm frees into global-heap superblocks stay
-// lock-free.
-func (h *Hoard) globalFastFreeEpilogue(e env.Env, sb *superblock.Superblock) {
-	sb.SetParkedAt(h.clock())
-	if h.cfg.GlobalEmptyLimit <= 0 || !sb.Empty() {
+		h.freeLocked(e, hp, sb, p)
+		h.acct.OnFree(id, blockSize)
 		return
 	}
-	g := h.heaps[0]
-	env.LockWith(g.Lock, e, "free-global")
-	if sb.OwnerID() == 0 {
-		h.releaseGlobalEmpty(e, g, sb)
+}
+
+// freeLocked performs a free while holding hp's lock (which it releases,
+// also when the free panics on a misused pointer, so the heap stays usable),
+// then restores the emptiness invariant. A free into a global-heap
+// superblock refreshes its park stamp instead: the global heap never
+// evicts, and a superblock a free just touched is not cold.
+func (h *Hoard) freeLocked(e env.Env, hp *heap.Heap, sb *superblock.Superblock, p alloc.Ptr) {
+	defer hp.Lock.Unlock(e)
+	hp.FreeBlock(e, sb, p)
+	e.Charge(env.OpFree, 1)
+	if hp.ID == 0 {
+		sb.SetParkedAt(h.clock())
+	} else if hp.InvariantViolated() {
+		h.restoreInvariant(e, hp)
 	}
-	g.Lock.Unlock(e)
 }
 
 // restoreInvariant moves one at-least-f-empty superblock from hp (whose lock
@@ -667,17 +556,9 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 	h.movedLive.Add(int64(victim.InUse()))
 	g := h.heaps[0]
 	env.LockWith(g.Lock, e, "evict-insert")
-	if h.cfg.GlobalEmptyLimit > 0 && victim.Empty() &&
-		g.Superblocks() >= h.cfg.GlobalEmptyLimit {
-		g.Lock.Unlock(e)
-		victim.SetOwnerID(0)
-		victim.Release(h.space)
-		e.Charge(env.OpOSAlloc, 1)
-	} else {
-		g.Insert(victim)
-		victim.SetParkedAt(h.clock())
-		g.Lock.Unlock(e)
-	}
+	g.Insert(victim)
+	victim.SetParkedAt(h.clock())
+	g.Lock.Unlock(e)
 	return true
 }
 
@@ -685,8 +566,7 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 // HintSuspectsViolation, so try the heap lock (never block — the fast path's
 // point is not waiting here; whoever holds the lock runs the same check on
 // the way out), reconcile the books, and evict until the *confirmed*
-// invariant holds. The atomic-snapshot-then-lock-confirm pattern from the
-// tentpole: the hint is the snapshot, SyncAll+InvariantViolated the
+// invariant holds: the hint is the snapshot, SyncAll+InvariantViolated the
 // confirmation.
 func (h *Hoard) confirmAndRestore(e env.Env, hp *heap.Heap) {
 	if !env.TryLockWith(hp.Lock, e, "invariant-confirm") {
@@ -698,36 +578,13 @@ func (h *Hoard) confirmAndRestore(e env.Env, hp *heap.Heap) {
 	hp.Lock.Unlock(e)
 }
 
-// tryDrainOwner opportunistically reconciles a heap's remote stacks when a
-// pusher notices they have grown. It must not block — blocking would
-// reintroduce the contention the fast path removes — so it gives up if the
-// owner's lock is busy; the owner will drain on its own next locked
-// operation.
-func (h *Hoard) tryDrainOwner(e env.Env, hp *heap.Heap) {
-	if !env.TryLockWith(hp.Lock, e, "drain-nudge") {
-		return
-	}
-	if hp.DrainAll(e) > 0 {
-		h.remoteDrains.Add(1)
-	}
-	if hp.ID != 0 && hp.InvariantViolated() {
-		h.restoreInvariant(e, hp)
-	}
-	hp.Lock.Unlock(e)
-}
-
-// Reconcile drains every heap's remote-free stacks and restores the
-// emptiness invariant, bringing the allocator to the state a lock-per-free
-// protocol would have reached. Tests call it to make post-quiescence
-// assertions exact; production callers never need it.
+// Reconcile folds every heap's lock-free drift into its books and restores
+// the emptiness invariant, bringing the allocator to the state a
+// lock-per-free protocol would have reached. Tests call it to make
+// post-quiescence assertions exact; production callers never need it.
 func (h *Hoard) Reconcile(e env.Env) {
 	for _, hp := range h.heaps {
 		env.LockWith(hp.Lock, e, "reconcile")
-		if hp.DrainAll(e) > 0 {
-			h.remoteDrains.Add(1)
-		}
-		// Fold the lock-free paths' drift into the books so the invariant
-		// check below — and any quiescent assertion after us — is exact.
 		hp.SyncAll(e)
 		if hp.ID != 0 {
 			for hp.InvariantViolated() && h.restoreInvariant(e, hp) {
@@ -786,7 +643,6 @@ func (h *Hoard) Stats() alloc.Stats {
 	st.OSReserves = h.osReserves.Load()
 	st.RemoteFrees = h.remote.Load()
 	st.RemoteFastFrees = h.remoteFast.Load()
-	st.RemoteDrains = h.remoteDrains.Load()
 	st.BatchRefills = h.batchRefills.Load()
 	st.BatchFlushes = h.batchFlushes.Load()
 	st.BatchedBlocks = h.batchedBlocks.Load()
@@ -882,21 +738,17 @@ func (h *Hoard) CheckIntegrity() error {
 		}
 	}
 	// Heap-resident in-use bytes plus large objects must equal the live
-	// gauge, after discounting blocks parked on remote-free stacks (they
-	// still count as in use but were already subtracted from the live
-	// gauge when pushed). Large objects are exactly the reserved bytes not
-	// owned by heaps — reserved, not committed, because a scavenged
-	// superblock still counts S toward its heap's a while its committed
-	// bytes are gone.
-	var heapBytes, pending int64
+	// gauge. Large objects are exactly the reserved bytes not owned by
+	// heaps — reserved, not committed, because a scavenged superblock still
+	// counts S toward its heap's a while its committed bytes are gone.
+	var heapBytes int64
 	for _, hp := range h.heaps {
 		heapBytes += hp.A()
-		pending += hp.PendingBytes()
 	}
 	large := h.space.Reserved() - heapBytes
-	if got := u + large - pending; got != h.acct.Live() {
-		return fmt.Errorf("hoard: live accounting %d != heaps %d + large %d - remote-pending %d",
-			h.acct.Live(), u, large, pending)
+	if u+large != h.acct.Live() {
+		return fmt.Errorf("hoard: live accounting %d != heaps %d + large %d",
+			h.acct.Live(), u, large)
 	}
 	return nil
 }

@@ -323,28 +323,6 @@ func TestThreadHeapHashing(t *testing.T) {
 	}
 }
 
-func TestGlobalEmptyLimit(t *testing.T) {
-	h := newHoard(Config{Heaps: 1, GlobalEmptyLimit: 2})
-	th := thread(h, 0)
-	var ps []alloc.Ptr
-	for i := 0; i < 2000; i++ {
-		ps = append(ps, h.Malloc(th, 64))
-	}
-	for _, p := range ps {
-		h.Free(th, p)
-	}
-	if got := h.Space().Stats().Releases; got == 0 {
-		t.Fatal("GlobalEmptyLimit never returned superblocks to the OS")
-	}
-	_, _, g := h.HeapSnapshot(0)
-	if g > 3 {
-		t.Fatalf("global heap holds %d superblocks, want <= limit+1", g)
-	}
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{SuperblockSize: 1000}, // not power of two

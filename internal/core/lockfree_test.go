@@ -64,8 +64,8 @@ func TestLockFreeDisabledTakesNoFastPath(t *testing.T) {
 
 // TestUnifiedFastFreeCrossHeap pins the unified free list's owner-agnostic
 // side: a cross-thread free is the same CAS push as an owner-local one, so
-// it completes immediately — counted as a remote fast free, with no blocks
-// parked on the remote stack and nothing left to drain.
+// it completes immediately — counted as a remote fast free, with nothing
+// left to reconcile.
 func TestUnifiedFastFreeCrossHeap(t *testing.T) {
 	h := newHoard(Config{Heaps: 4})
 	producer := thread(h, 0) // heap 1
@@ -87,8 +87,8 @@ func TestUnifiedFastFreeCrossHeap(t *testing.T) {
 	if st.LiveBytes != 0 {
 		t.Fatalf("LiveBytes = %d after direct cross-heap frees", st.LiveBytes)
 	}
-	// Direct pushes land on the free list, not the remote stack: the heaps'
-	// live usage is zero right now, with no reconciliation step.
+	// Direct pushes land on the free list: the heaps' live usage is zero
+	// right now, with no reconciliation step.
 	var u int64
 	for i := 0; i < h.NumHeaps(); i++ {
 		hu, _, _ := h.HeapSnapshot(i)
@@ -97,17 +97,13 @@ func TestUnifiedFastFreeCrossHeap(t *testing.T) {
 	if u != 0 {
 		t.Fatalf("heap u sums to %d before any Reconcile, want 0", u)
 	}
-	if st.RemoteDrains != 0 {
-		t.Fatalf("RemoteDrains = %d, want 0 (nothing was parked)", st.RemoteDrains)
-	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestUnifiedFastFreeDoubleFree: the direct push marks the free bitmap at
-// CAS time, so a cross-thread double free is detected immediately — not at
-// some later drain.
+// CAS time, so a cross-thread double free is detected at the second Free.
 func TestUnifiedFastFreeDoubleFree(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	producer := thread(h, 0)
@@ -124,9 +120,8 @@ func TestUnifiedFastFreeDoubleFree(t *testing.T) {
 
 // TestGlobalHeapFastFree pins the zero-lock steady state on the global heap:
 // once superblocks carrying live blocks migrate there, the eventual frees of
-// those blocks must take the direct push, never the global lock (with no
-// GlobalEmptyLimit there is no emptying-transition policy to apply, so the
-// "free-global" site must stay at zero acquisitions).
+// those blocks must take the direct push, never the global lock: the
+// locked free site on the global heap must stay at zero acquisitions.
 func TestGlobalHeapFastFree(t *testing.T) {
 	clf := &env.CountingLockFactory{Inner: env.RealLockFactory{}}
 	h := New(Config{Heaps: 2}, clf)
@@ -154,8 +149,8 @@ func TestGlobalHeapFastFree(t *testing.T) {
 		t.Fatal("no free ever hit a global-heap superblock")
 	}
 	for _, s := range clf.SiteStats() {
-		if s.Label == "free-global" && s.Acquires != 0 {
-			t.Fatalf("free-global took the lock %d times; global-heap frees must be lock-free", s.Acquires)
+		if s.Lock == "hoard.heap0" && s.Label == "free-locked" && s.Acquires != 0 {
+			t.Fatalf("frees took the global lock %d times; global-heap frees must be lock-free", s.Acquires)
 		}
 	}
 	if st.LiveBytes != 0 {
@@ -181,7 +176,7 @@ func TestLockFreeStress(t *testing.T) {
 		burst   = 64
 		remotes = 2
 	)
-	h := newHoard(Config{Heaps: owners, GlobalEmptyLimit: 8})
+	h := newHoard(Config{Heaps: owners})
 	// Cross-thread traffic: owners push a slice of their blocks here, the
 	// remote freers pull and free them from foreign heaps.
 	ch := make(chan []alloc.Ptr, owners*rounds)

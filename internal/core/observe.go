@@ -15,10 +15,10 @@ import (
 // Audit checks structural integrity and the emptiness invariant heap by
 // heap, taking each heap's lock in turn, and is safe to run while other
 // threads allocate. It is CheckIntegrity minus the two pieces that need
-// quiescence: the remote-stack count comparison inside each superblock
-// (in-flight pushes make it racy) and the global live-gauge crosscheck
-// (u, committed bytes, and the live gauge cannot be read atomically across
-// heaps). e is charged for the lock traffic and list scans the audit
+// quiescence: the free-list walk and bitmap comparison inside each
+// superblock (in-flight lock-free ops move the word and the bits in separate
+// steps) and the global live-gauge crosscheck (u, committed bytes, and the
+// live gauge cannot be read atomically across heaps). e is charged for the lock traffic and list scans the audit
 // performs.
 func (h *Hoard) Audit(e env.Env) error {
 	for _, hp := range h.heaps {

@@ -1,59 +1,58 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
+	"hoardgo/internal/superblock"
 )
 
-// TestRemoteFastPathCounters: a cross-thread free to a per-processor heap
-// must take the lock-free push, and reconciliation must recover the blocks.
-// Runs with DisableLockFree so the frees exercise the remote-stack protocol
-// (push, park, owner-side drain) rather than the unified direct push — the
-// stack is the fallback for sealed superblocks, so its machinery stays
-// pinned here; TestUnifiedFastFreeCrossHeap covers the direct path.
+// TestRemoteFastPathCounters pins what the cross-heap counters mean on
+// both arms: a cross-thread free counts in RemoteFrees either way; it counts
+// in RemoteFastFrees (and LockFreeFrees) only when it landed by CAS, and
+// under DisableLockFree it takes the owner's lock instead. Either way the
+// blocks are back on their superblocks at once, with nothing left to
+// reconcile.
 func TestRemoteFastPathCounters(t *testing.T) {
-	h := newHoard(Config{Heaps: 4, DisableLockFree: true})
-	producer := thread(h, 0) // heap 1
-	consumer := thread(h, 1) // heap 2
-	var ps []alloc.Ptr
-	for i := 0; i < 50; i++ {
-		ps = append(ps, h.Malloc(producer, 64))
-	}
-	for _, p := range ps {
-		h.Free(consumer, p)
-	}
-	st := h.Stats()
-	if st.RemoteFrees != 50 {
-		t.Fatalf("RemoteFrees = %d, want 50", st.RemoteFrees)
-	}
-	if st.RemoteFastFrees != 50 {
-		t.Fatalf("RemoteFastFrees = %d, want 50 (remote frees took a lock)", st.RemoteFastFrees)
-	}
-	if st.LiveBytes != 0 {
-		t.Fatalf("LiveBytes = %d after remote frees", st.LiveBytes)
-	}
-	// Integrity holds with blocks still parked on remote stacks.
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatalf("integrity with in-flight remote frees: %v", err)
-	}
-	h.Reconcile(&env.RealEnv{})
-	if got := h.Stats().RemoteDrains; got == 0 {
-		t.Fatal("no remote drain recorded")
-	}
-	var pending int64
-	for i := 0; i < h.NumHeaps(); i++ {
-		u, _, _ := h.HeapSnapshot(i)
-		pending += u
-	}
-	if pending != 0 {
-		t.Fatalf("heap u sums to %d after Reconcile, want 0", pending)
-	}
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatal(err)
+	for _, disable := range []bool{false, true} {
+		h := newHoard(Config{Heaps: 4, DisableLockFree: disable})
+		producer := thread(h, 0) // heap 1
+		consumer := thread(h, 1) // heap 2
+		var ps []alloc.Ptr
+		for i := 0; i < 50; i++ {
+			ps = append(ps, h.Malloc(producer, 64))
+		}
+		for _, p := range ps {
+			h.Free(consumer, p)
+		}
+		st := h.Stats()
+		wantFast := int64(50)
+		if disable {
+			wantFast = 0
+		}
+		if st.RemoteFrees != 50 || st.RemoteFastFrees != wantFast || st.LockFreeFrees != wantFast {
+			t.Fatalf("DisableLockFree=%v: remote %d, remote fast %d, lock-free frees %d; want 50, %d, %d",
+				disable, st.RemoteFrees, st.RemoteFastFrees, st.LockFreeFrees, wantFast, wantFast)
+		}
+		if st.LiveBytes != 0 {
+			t.Fatalf("DisableLockFree=%v: LiveBytes = %d after remote frees", disable, st.LiveBytes)
+		}
+		var u int64
+		for i := 0; i < h.NumHeaps(); i++ {
+			hu, _, _ := h.HeapSnapshot(i)
+			u += hu
+		}
+		if u != 0 {
+			t.Fatalf("DisableLockFree=%v: heap u sums to %d before any Reconcile, want 0", disable, u)
+		}
+		if err := h.CheckIntegrity(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -69,23 +68,25 @@ func TestLocalFreeTakesNoFastPath(t *testing.T) {
 	}
 }
 
-// TestRemoteDoubleFreeDetected: a double free through the remote stack is
-// deferred to drain time but must still panic. DisableLockFree forces the
-// stack path; the unified direct push detects the duplicate immediately
-// (TestUnifiedFastFreeDoubleFree).
+// TestRemoteDoubleFreeDetected: a cross-thread double free panics at the
+// second Free on the locked fallback too (DisableLockFree), not at some
+// later reconciliation. TestUnifiedFastFreeDoubleFree covers the CAS path.
 func TestRemoteDoubleFreeDetected(t *testing.T) {
 	h := newHoard(Config{Heaps: 2, DisableLockFree: true})
 	producer := thread(h, 0)
 	consumer := thread(h, 1)
 	p := h.Malloc(producer, 64)
 	h.Free(consumer, p)
-	h.Free(consumer, p)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("double remote free not detected at reconciliation")
+		r := recover()
+		if r == nil {
+			t.Fatal("cross-thread double free not detected at the second Free")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "double free") {
+			t.Fatalf("panic %q does not name the double free", msg)
 		}
 	}()
-	h.Reconcile(&env.RealEnv{})
+	h.Free(consumer, p)
 }
 
 // TestOwnershipMigrationStress is the ownership-change race under the
@@ -162,35 +163,88 @@ func TestOwnershipMigrationStress(t *testing.T) {
 	}
 }
 
-// TestMallocMissDrainsOwnHeap: a heap whose superblocks are all "full" only
-// because of pending remote frees must satisfy the next malloc by draining,
-// not by fetching new memory.
-func TestMallocMissDrainsOwnHeap(t *testing.T) {
-	h := newHoard(Config{Heaps: 2})
-	producer := thread(h, 0)
-	consumer := thread(h, 1)
-	class, _ := h.Classes().ClassFor(64)
-	blockSize := h.Classes().Size(class)
-	perSB := h.cfg.SuperblockSize / blockSize
-	var ps []alloc.Ptr
-	for i := 0; i < perSB; i++ {
-		ps = append(ps, h.Malloc(producer, 64))
+// TestMallocReusesCrossThreadFrees: blocks another thread freed back to our
+// superblock serve our next malloc — on the CAS path and on the locked
+// fallback alike — instead of fetching new memory.
+func TestMallocReusesCrossThreadFrees(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		h := newHoard(Config{Heaps: 2, DisableLockFree: disable})
+		producer := thread(h, 0)
+		consumer := thread(h, 1)
+		class, _ := h.Classes().ClassFor(64)
+		perSB := h.cfg.SuperblockSize / h.Classes().Size(class)
+		var ps []alloc.Ptr
+		for i := 0; i < perSB; i++ {
+			ps = append(ps, h.Malloc(producer, 64))
+		}
+		reserves := h.Stats().OSReserves
+		for _, p := range ps[:4] {
+			h.Free(consumer, p)
+		}
+		q := h.Malloc(producer, 64)
+		if got := h.Stats().OSReserves; got != reserves {
+			t.Fatalf("DisableLockFree=%v: malloc reserved from the OS (%d -> %d) instead of reusing freed blocks",
+				disable, reserves, got)
+		}
+		h.Free(producer, q)
+		for _, p := range ps[4:] {
+			h.Free(producer, p)
+		}
+		if err := h.CheckIntegrity(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	reserves := h.Stats().OSReserves
-	// Free remotely, below every drain threshold trigger.
-	for _, p := range ps[:4] {
-		h.Free(consumer, p)
+}
+
+// TestSealedCrossHeapFreeTakesOwnerLock pins the fallback for a refused CAS:
+// a cross-heap free to a sealed superblock takes the owner heap's lock —
+// the paper's locked free — and the block lands on its superblock exactly
+// once.
+func TestSealedCrossHeapFreeTakesOwnerLock(t *testing.T) {
+	clf := &env.CountingLockFactory{Inner: env.RealLockFactory{}}
+	h := New(Config{Heaps: 2}, clf)
+	a := thread(h, 0) // heap 1
+	b := thread(h, 1) // heap 2
+	p := h.Malloc(a, 64)
+	keep := h.Malloc(a, 64) // keeps the superblock from emptying
+	sb, ok := superblock.FromPtr(h.Space(), p)
+	if !ok || sb.OwnerID() != 1 {
+		t.Fatalf("block not on a heap-1 superblock (ok=%v)", ok)
 	}
-	// The superblock is full minus pending; the next producer malloc must
-	// drain rather than reserve.
-	q := h.Malloc(producer, 64)
-	if got := h.Stats().OSReserves; got != reserves {
-		t.Fatalf("malloc reserved from OS (%d -> %d) instead of draining remote frees", reserves, got)
+	sb.Seal()
+	before := h.Stats()
+	h.Free(b, p)
+
+	var ownerLocks, otherFreeLocks int64
+	for _, s := range clf.SiteStats() {
+		switch {
+		case s.Lock == "hoard.heap1" && s.Label == "free-locked":
+			ownerLocks += s.Acquires
+		case s.Label == "free-locked":
+			otherFreeLocks += s.Acquires
+		}
 	}
-	h.Free(producer, q)
-	for _, p := range ps[4:] {
-		h.Free(producer, p)
+	if ownerLocks != 1 || otherFreeLocks != 0 {
+		t.Fatalf("free took heap 1's lock %d times and other heaps' %d times, want 1 and 0",
+			ownerLocks, otherFreeLocks)
 	}
+	st := h.Stats()
+	if d := st.Frees - before.Frees; d != 1 {
+		t.Fatalf("Frees moved by %d, want 1", d)
+	}
+	if d := st.RemoteFrees - before.RemoteFrees; d != 1 {
+		t.Fatalf("RemoteFrees moved by %d, want 1", d)
+	}
+	if st.RemoteFastFrees != before.RemoteFastFrees || st.LockFreeFrees != before.LockFreeFrees {
+		t.Fatal("a free refused by the seal was counted as a CAS free")
+	}
+	if sb.InUse() != 1 {
+		t.Fatalf("superblock holds %d blocks in use, want 1 (the kept block)", sb.InUse())
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	h.Free(a, keep)
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}

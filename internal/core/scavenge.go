@@ -10,11 +10,9 @@ import (
 // policy engine): entry points that decommit empty superblocks parked on the
 // global heap, in place, oldest-first. The superblocks stay owned by the
 // global heap — its a is unchanged, the emptiness machinery never notices —
-// and TakeSuper recommits them transparently when demand returns. Compare
-// the GlobalEmptyLimit immediate-free path in freeLocked: that one releases
-// the address space too and is gated by a count, while scavenging keeps the
-// reservation (so the blowup bound's accounting of superblocks held is
-// untouched) and is paced by internal/scavenge's policy.
+// and TakeSuper recommits them transparently when demand returns. The
+// reservation stays, so the blowup bound's accounting of superblocks held is
+// untouched; pacing is internal/scavenge's policy.
 
 // SetClock installs the time source used to stamp superblocks parked on the
 // global heap (the scavenger's cold-age input). The default is the wall

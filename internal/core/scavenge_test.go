@@ -136,13 +136,12 @@ func TestTryScavengeBacksOffUnderContention(t *testing.T) {
 	}
 }
 
-// TestGlobalEmptyLimitCommittedAccounting is the regression test for the
-// release-accounting satellite: superblocks returned to the OS by the
-// GlobalEmptyLimit immediate-free path must leave Stats.Committed (the
-// public footprint gauge) — releases that only bumped a counter while the
-// committed gauge kept ratcheting would make the footprint unobservable.
-func TestGlobalEmptyLimitCommittedAccounting(t *testing.T) {
-	h := newHoard(Config{Heaps: 1, GlobalEmptyLimit: 2})
+// TestReleaseMemoryCommittedAccounting: pages a forced scavenge returns to
+// the OS must leave the public footprint gauge (Committed) — a release that
+// only bumped a counter while the gauge kept ratcheting would make the
+// footprint unobservable — while the reservation and the peaks stay put.
+func TestReleaseMemoryCommittedAccounting(t *testing.T) {
+	h := newHoard(Config{Heaps: 1})
 	th := thread(h, 0)
 	ps := make([]alloc.Ptr, 2000)
 	for i := range ps {
@@ -153,19 +152,18 @@ func TestGlobalEmptyLimitCommittedAccounting(t *testing.T) {
 	for _, p := range ps {
 		h.Free(th, p)
 	}
+	reserved := h.Space().Reserved()
+	released := h.ReleaseMemory(te)
+	if released == 0 {
+		t.Fatal("ReleaseMemory returned nothing to the OS")
+	}
 	st := h.Space().Stats()
-	if st.Releases == 0 {
-		t.Fatal("GlobalEmptyLimit never returned superblocks to the OS")
-	}
-	limit := int64((h.cfg.GlobalEmptyLimit + 1 + h.cfg.K) * h.cfg.SuperblockSize)
-	if st.Committed > limit {
-		t.Fatalf("Committed = %d after all frees, want <= %d (releases must lower the gauge)", st.Committed, limit)
-	}
 	if st.Committed >= committedAtPeak {
 		t.Fatalf("Committed %d did not drop from its loaded value %d", st.Committed, committedAtPeak)
 	}
-	if st.Reserved != st.Committed {
-		t.Fatalf("reserved %d != committed %d with no scavenging active", st.Reserved, st.Committed)
+	if st.Reserved != reserved || st.Reserved-st.Committed != st.DecommittedBytes {
+		t.Fatalf("reserved %d (was %d), committed %d, decommitted %d: reserved must stay and cover both",
+			st.Reserved, reserved, st.Committed, st.DecommittedBytes)
 	}
 	if st.PeakCommitted < peakLive {
 		t.Fatalf("PeakCommitted %d below peak live bytes %d", st.PeakCommitted, peakLive)
@@ -175,9 +173,9 @@ func TestGlobalEmptyLimitCommittedAccounting(t *testing.T) {
 	}
 }
 
-// TestScavengeThenGlobalEmptyLimitRelease covers the interaction of the two
-// release policies: a decommitted superblock evicted by the immediate-free
-// path must not double-subtract its bytes.
+// TestScavengeThenEviction covers scavenging followed by cross-class reuse:
+// a decommitted superblock reinitialized through TakeSuper must not
+// double-count its bytes.
 func TestScavengeThenEviction(t *testing.T) {
 	h := newHoard(Config{Heaps: 1})
 	th := thread(h, 0)

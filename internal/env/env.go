@@ -62,11 +62,13 @@ const (
 	// OpOSAlloc is the cost of obtaining or returning memory from the
 	// simulated OS (an mmap-equivalent).
 	OpOSAlloc
-	// OpRemoteFree is the cost of the lock-free remote-free fast path: one
-	// link write plus a CAS on the superblock's remote stack head (no heap
-	// lock is taken; the matching drain is charged OpFree per block). A
-	// batched remote push charges it once per block — the link writes are
-	// real — while the single CAS is covered by the batch op below.
+	// OpRemoteFree is the cost of a cross-heap free that lands by CAS: one
+	// side-link write plus a CAS on the packed free-list word of a
+	// superblock another heap owns, with no heap lock taken. Owner-local
+	// CAS frees are charged OpFree; a cross-heap free whose CAS is refused
+	// takes the owner's lock and is charged OpFree too. A batched run
+	// charges it once per block — the link writes are real — while the
+	// single CAS is covered by the batch op below.
 	OpRemoteFree
 	// OpMallocBatch is the per-call setup cost of a batched malloc
 	// (MallocBatch): argument marshalling and the single
@@ -188,7 +190,7 @@ func (l *realLock) Unlock(Env) { l.mu.Unlock() }
 func (l *realLock) TryLock(Env) bool { return l.mu.TryLock() }
 
 // labeledLock is the optional interface a Lock may implement to receive a
-// per-call-site label (an op name like "malloc-refill" or "drain-nudge")
+// per-call-site label (an op name like "malloc-refill" or "free-locked")
 // alongside the acquisition. LockWith and TryLockWith dispatch to it when
 // present and fall back to the plain methods otherwise, so allocator code
 // can label every call site without caring which lock implementation is

@@ -107,14 +107,14 @@ func TestCountingLockSiteAttribution(t *testing.T) {
 	a.Unlock(e)
 	LockWith(a, e, "malloc-refill")
 	a.Unlock(e)
-	LockWith(a, e, "free-local")
-	if TryLockWith(a, e, "drain-nudge") {
+	LockWith(a, e, "free-locked")
+	if TryLockWith(a, e, "invariant-confirm") {
 		t.Fatal("TryLockWith succeeded on a held lock")
 	}
 	a.Unlock(e)
 	b.Lock(e) // unlabeled: attributed to the "" site
 	b.Unlock(e)
-	if !TryLockWith(b, e, "drain-nudge") {
+	if !TryLockWith(b, e, "invariant-confirm") {
 		t.Fatal("TryLockWith failed on a free lock")
 	}
 	b.Unlock(e)
@@ -128,10 +128,10 @@ func TestCountingLockSiteAttribution(t *testing.T) {
 		acquires, tryMisses int64
 	}{
 		{"heap-1", "malloc-refill", 2, 0},
-		{"heap-1", "free-local", 1, 0},
-		{"heap-1", "drain-nudge", 0, 1},
+		{"heap-1", "free-locked", 1, 0},
+		{"heap-1", "invariant-confirm", 0, 1},
 		{"heap-2", "", 1, 0},
-		{"heap-2", "drain-nudge", 1, 0},
+		{"heap-2", "invariant-confirm", 1, 0},
 	}
 	for _, c := range checks {
 		s, ok := got[[2]string{c.lock, c.label}]

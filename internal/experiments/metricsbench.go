@@ -51,18 +51,16 @@ func snapshotStack(tc *tcache.Allocator, h *core.Hoard, reg *metrics.Registry) m
 	s.Counters["peak_live_bytes"] = st.PeakLiveBytes
 	s.Counters["remote_frees_total"] = st.RemoteFrees
 	s.Counters["remote_fast_frees_total"] = st.RemoteFastFrees
-	s.Counters["remote_drains_total"] = st.RemoteDrains
 	s.Counters["batch_refills_total"] = st.BatchRefills
 	s.Counters["batch_flushes_total"] = st.BatchFlushes
 	s.Counters["superblock_moves_total"] = st.SuperblockMoves
 	for id, occ := range h.SampleHeaps(&env.RealEnv{ID: -1}, true) {
 		hs := metrics.HeapSample{
-			ID:           id,
-			U:            occ.U,
-			A:            occ.A,
-			Superblocks:  occ.Superblocks,
-			PendingBytes: occ.PendingBytes,
-			Groups:       occ.Groups[:],
+			ID:          id,
+			U:           occ.U,
+			A:           occ.A,
+			Superblocks: occ.Superblocks,
+			Groups:      occ.Groups[:],
 		}
 		for _, c := range occ.Classes {
 			hs.Classes = append(hs.Classes, metrics.ClassSample{
@@ -148,8 +146,8 @@ func CollectMetricsTimeline(workers, rounds int, interval time.Duration) (Metric
 	auditErr := auditor.Stop()
 	collector.Stop()
 
-	// Quiesce: return every magazine, reconcile remote stacks, and run the
-	// full (stricter than the auditor's) integrity check.
+	// Quiesce: return every magazine, fold lock-free drift into the books,
+	// and run the full (stricter than the auditor's) integrity check.
 	for _, th := range threads {
 		tc.FlushThread(th)
 	}

@@ -451,42 +451,6 @@ func AblateBatch(opts Options, progress func(string, int)) Table {
 	return t
 }
 
-// AblateRelease sweeps the GlobalEmptyLimit extension: how aggressively the
-// global heap returns empty superblocks to the OS. The paper's Hoard (limit
-// 0) retains everything — maximal reuse, footprint never shrinks; a small
-// cap trades OS traffic for a lower resting footprint.
-func AblateRelease(opts Options, progress func(string, int)) Table {
-	const procs = 8
-	t := Table{
-		ID: "ablate-release", Title: "A7",
-		Paper:  "global-heap release policy: footprint vs OS traffic (larson, P=8)",
-		Header: []string{"limit", "virtual ms", "peak heap", "final heap", "OS reserves", "OS releases"},
-	}
-	def, _ := FigureByID("larson")
-	run := def.Run(opts.Scale)
-	for _, limit := range []int{0, 4, 32} {
-		if progress != nil {
-			progress(fmt.Sprintf("hoard(limit=%d)", limit), procs)
-		}
-		h := workload.NewSimMaker("hoard", procs, opts.Cost,
-			hoardMaker(core.Config{GlobalEmptyLimit: limit}))
-		res := run(h, procs)
-		label := fmt.Sprintf("%d", limit)
-		if limit == 0 {
-			label = "none (paper)"
-		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%.2f", float64(res.ElapsedNS)/1e6),
-			fmtBytes(res.VM.PeakCommitted),
-			fmtBytes(res.VM.Committed),
-			fmt.Sprintf("%d", res.VM.Reserves),
-			fmt.Sprintf("%d", res.VM.Releases),
-		})
-	}
-	return t
-}
-
 // Contention reports where lock waiting concentrates (the paper's Theorem
 // 2 discussion: Hoard's worst-case contention is bounded and, away from
 // adversarial patterns, spread across per-processor heaps; a serial

@@ -91,13 +91,6 @@ type Heap struct {
 	// anyone taking the heap lock. Entries go stale the same harmless way
 	// warm does.
 	rings []warmRing
-
-	// pending is a racy hint of how many bytes sit on the remote stacks
-	// of superblocks this heap owns. Remote pushers add to it without the
-	// heap lock; DrainAll resets it. It gates drain work (skip the sweep
-	// when nothing is plausibly pending) and discounts the emptiness
-	// invariant pre-check; correctness never depends on its value.
-	pending atomic.Int64
 }
 
 // WarmRingSize is the number of free-fed warm candidates kept per size
@@ -372,46 +365,19 @@ func (h *Heap) InvariantViolated() bool {
 	return h.invariantViolatedAt(h.u)
 }
 
-// InvariantViolatedDiscounted is the pre-drain form of the invariant check:
-// it discounts u by the pending-remote-free hint, since draining can only
-// lower u. It may report a violation that a drain-then-recheck disproves
-// (the hint can over- or under-count); callers must DrainAll and consult
-// InvariantViolated before actually evicting.
-func (h *Heap) InvariantViolatedDiscounted() bool {
-	return h.invariantViolatedAt(h.discount(h.u))
-}
-
 // HintSuspectsViolation is the lock-free form: it evaluates the invariant at
-// uHint (discounted by pending remote frees, which a drain would fold in).
-// A true result is only a suspicion — the caller must take the lock, SyncAll,
-// and consult InvariantViolated before evicting. Called without the lock
-// after every fast free.
+// uHint, clamped at zero (racing fast ops can briefly drive the hint
+// negative). A true result is only a suspicion — the caller must take the
+// lock, SyncAll, and consult InvariantViolated before evicting. Called
+// without the lock after every fast free.
 func (h *Heap) HintSuspectsViolation() bool {
-	return h.invariantViolatedAt(h.discount(h.uHint.Load()))
-}
-
-func (h *Heap) discount(u int64) int64 {
-	p := h.pending.Load()
-	if p > 0 {
-		u -= p
-	}
-	if u < 0 {
-		u = 0
-	}
-	return u
+	return h.invariantViolatedAt(max(h.uHint.Load(), 0))
 }
 
 func (h *Heap) invariantViolatedAt(u int64) bool {
 	a := h.a.Load()
 	return u < a-h.k.Load()*int64(h.sbSize) && float64(u) < (1-h.EmptyFraction())*float64(a)
 }
-
-// NoteRemotePush records bytes pushed onto a remote stack of a superblock
-// this heap was observed to own. Called without the heap lock.
-func (h *Heap) NoteRemotePush(bytes int64) { h.pending.Add(bytes) }
-
-// PendingHintBytes returns the racy pending-remote-free hint.
-func (h *Heap) PendingHintBytes() int64 { return h.pending.Load() }
 
 // Insert adds a superblock (and its current contents) to the heap, taking
 // ownership. The superblock must not be on any other heap, and must be
@@ -430,12 +396,6 @@ func (h *Heap) Insert(sb *superblock.Superblock) {
 	h.a.Add(int64(h.sbSize))
 	h.addU(int64(sb.Acct) * int64(sb.BlockSize()))
 	h.nSuper++
-	// The incoming superblock may carry remote frees pushed while a
-	// previous heap owned it; fold them into this heap's hint so they are
-	// not stranded until some unrelated push.
-	if p := sb.RemotePendingBytes(); p > 0 {
-		h.pending.Add(p)
-	}
 	if !sb.Decommitted() {
 		sb.Unseal()
 	}
@@ -446,35 +406,11 @@ func (h *Heap) Insert(sb *superblock.Superblock) {
 // sealed it, and must have reconciled it (syncSuper via SyncAll) if it ever
 // took lock-free traffic — Remove subtracts the accounted count, so
 // unreconciled drift would otherwise leak into u.
-//
-// The departing superblock takes its remote-pending blocks with it (Insert
-// folds them into the receiving heap's hint), so they are subtracted from
-// this heap's hint here. Without the subtraction the source heap keeps
-// counting bytes it can never drain, which makes InvariantViolatedDiscounted
-// report spurious violations and TakeSuper run wasted full-heap drain sweeps
-// until the next DrainAll resets the hint.
 func (h *Heap) Remove(sb *superblock.Superblock) {
 	h.classes[sb.Class()].groups[sb.Group].remove(sb)
 	h.a.Add(-int64(h.sbSize))
 	h.addU(-int64(sb.Acct) * int64(sb.BlockSize()))
 	h.nSuper--
-	h.dropPendingHint(sb.RemotePendingBytes())
-}
-
-// dropPendingHint lowers the pending-remote-free hint by bytes, clamping at
-// zero: the hint is racy (pushes land without the heap lock), so a stale
-// read could otherwise drive it negative and mask genuinely pending bytes.
-func (h *Heap) dropPendingHint(bytes int64) {
-	for bytes > 0 {
-		cur := h.pending.Load()
-		next := cur - bytes
-		if next < 0 {
-			next = 0
-		}
-		if h.pending.CompareAndSwap(cur, next) {
-			return
-		}
-	}
 }
 
 // regroup moves sb to its correct fullness group after an alloc or free.
@@ -528,89 +464,31 @@ func (h *Heap) AllocBlock(e env.Env, class int) (alloc.Ptr, bool) {
 }
 
 // FreeBlock returns a block to its superblock, which must be owned by this
-// heap. Any remote frees pending on the same superblock are drained in the
-// same critical section (we already paid for the lock); the number of blocks
-// so drained is returned.
-func (h *Heap) FreeBlock(e env.Env, sb *superblock.Superblock, p alloc.Ptr) int {
+// heap.
+func (h *Heap) FreeBlock(e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
 	if sb.OwnerID() != h.ID {
 		panic(fmt.Sprintf("heap %d: FreeBlock on superblock owned by heap %d", h.ID, sb.OwnerID()))
 	}
-	drained := sb.DrainRemote(e)
 	sb.FreeBlock(e, p)
-	// Locked deltas (this free plus the drained remotes) go to the hint;
-	// syncSuper reconciles Acct against the live word, so fast-path drift
-	// can never push the accounted count negative.
-	h.uHint.Add(-int64(drained+1) * int64(sb.BlockSize()))
+	// The locked delta goes to the hint; syncSuper reconciles Acct against
+	// the live word, so fast-path drift can never push the accounted count
+	// negative.
+	h.uHint.Add(-int64(sb.BlockSize()))
 	h.syncSuper(sb)
-	return drained
 }
 
 // FreeBlocks returns a batch of blocks to one superblock, which must be
-// owned by this heap — the batch form of FreeBlock: one remote-stack drain,
-// one u update, and one regroup for the whole group. The number of remotely
-// drained blocks is returned.
-func (h *Heap) FreeBlocks(e env.Env, sb *superblock.Superblock, ps []alloc.Ptr) int {
+// owned by this heap — the batch form of FreeBlock: one u update and one
+// regroup for the whole group.
+func (h *Heap) FreeBlocks(e env.Env, sb *superblock.Superblock, ps []alloc.Ptr) {
 	if sb.OwnerID() != h.ID {
 		panic(fmt.Sprintf("heap %d: FreeBlocks on superblock owned by heap %d", h.ID, sb.OwnerID()))
 	}
-	drained := sb.DrainRemote(e)
 	for _, p := range ps {
 		sb.FreeBlock(e, p)
 	}
-	h.uHint.Add(-int64(drained+len(ps)) * int64(sb.BlockSize()))
+	h.uHint.Add(-int64(len(ps)) * int64(sb.BlockSize()))
 	h.syncSuper(sb)
-	return drained
-}
-
-// DrainSuper drains one owned superblock's remote stack, updating u and the
-// superblock's fullness group. Returns the number of blocks drained.
-func (h *Heap) DrainSuper(e env.Env, sb *superblock.Superblock) int {
-	n := sb.DrainRemote(e)
-	if n > 0 {
-		h.uHint.Add(-int64(n) * int64(sb.BlockSize()))
-	}
-	h.syncSuper(sb)
-	return n
-}
-
-// DrainClass drains the remote stacks of every owned superblock of one size
-// class. Returns the number of blocks drained.
-func (h *Heap) DrainClass(e env.Env, class int) int {
-	total := 0
-	lists := &h.classes[class].groups
-	// Draining only empties superblocks, so regroup moves them to
-	// lower-indexed groups; scanning groups in ascending order never
-	// visits a superblock twice.
-	for g := 0; g <= fullGroup; g++ {
-		for sb := lists[g].head; sb != nil; {
-			next := sb.Next
-			total += h.DrainSuper(e, sb)
-			sb = next
-		}
-	}
-	return total
-}
-
-// DrainAll drains every owned superblock's remote stack and resets the
-// pending hint. Returns the number of blocks drained.
-func (h *Heap) DrainAll(e env.Env) int {
-	total := 0
-	for c := range h.classes {
-		total += h.DrainClass(e, c)
-	}
-	h.pending.Store(0)
-	return total
-}
-
-// PendingBytes sums the remote-pending bytes across every owned superblock.
-// Exact only at quiescence (pushers may be mid-flight otherwise).
-func (h *Heap) PendingBytes() int64 {
-	var total int64
-	h.forEach(func(sb *superblock.Superblock) error {
-		total += sb.RemotePendingBytes()
-		return nil
-	})
-	return total
 }
 
 // FindEvictable returns a superblock that is at least f-empty, preferring
@@ -671,12 +549,6 @@ func (h *Heap) FindEvictable(e env.Env) *superblock.Superblock {
 // empty — superblock keeps heap ownership disjoint while still recycling
 // partial superblocks once demand exhausts the empties.
 func (h *Heap) TakeSuper(e env.Env, class, blockSize int) *superblock.Superblock {
-	// Remote frees parked on this heap's superblocks may be exactly what
-	// turns a full superblock into a usable (or empty, recyclable) one;
-	// reconcile before searching if the hint says any are pending.
-	if h.pending.Load() > 0 {
-		h.DrainAll(e)
-	}
 	lists := &h.classes[class].groups
 	// Completely empty same-class superblocks first (group 0 mixes empty
 	// and lightly-used superblocks, so scan it for a true empty).
@@ -915,9 +787,8 @@ type ClassOccupancy struct {
 // Occupancy is a heap's occupancy at one instant — the paper's u(i)/a(i)
 // plus structural detail. The caller must hold the heap lock.
 type Occupancy struct {
-	U, A         int64
-	Superblocks  int
-	PendingBytes int64
+	U, A        int64
+	Superblocks int
 	// Decommitted counts held superblocks whose pages are currently
 	// scavenged (reserved but not committed).
 	Decommitted int
@@ -933,10 +804,9 @@ type Occupancy struct {
 // enough to run from a sampler under load.
 func (h *Heap) SampleOccupancy(detail bool) Occupancy {
 	occ := Occupancy{
-		U:            h.u,
-		A:            h.a.Load(),
-		Superblocks:  h.nSuper,
-		PendingBytes: h.pending.Load(),
+		U:           h.u,
+		A:           h.a.Load(),
+		Superblocks: h.nSuper,
 	}
 	for c := range h.classes {
 		var cls ClassOccupancy

@@ -399,9 +399,12 @@ func TestTakeSuperPrefersEmptySameClass(t *testing.T) {
 	}
 }
 
-// --- Remote-free drains ---
+// --- Reconciling lock-free frees ---
 
-func TestDrainAllRebucketsAndAdjustsU(t *testing.T) {
+// TestSyncAllRebucketsAndAdjustsU: CAS frees move a superblock's live word
+// without the heap lock, so the books (u, the fullness group) lag until
+// SyncAll folds the drift in.
+func TestSyncAllRebucketsAndAdjustsU(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h := newHeap(1)
 	sb := newSuper(space, 2) // 256 blocks of 32 B
@@ -414,177 +417,60 @@ func TestDrainAllRebucketsAndAdjustsU(t *testing.T) {
 	if sb.Group != NumGroups {
 		t.Fatalf("full superblock in group %d", sb.Group)
 	}
-	// A non-owner pushes most blocks remotely: u must not move yet.
 	for _, p := range ps[:200] {
-		sb.RemoteFree(e, p)
+		if ok, _, _ := sb.FastFree(e, p); !ok {
+			t.Fatal("FastFree refused on an unsealed superblock")
+		}
+		h.HintAdd(-int64(sb.BlockSize()))
 	}
-	h.NoteRemotePush(int64(200 * sb.BlockSize()))
 	if h.U() != int64(256*sb.BlockSize()) {
-		t.Fatalf("u moved before drain: %d", h.U())
+		t.Fatalf("u moved before reconciliation: %d", h.U())
 	}
-	if !h.InvariantViolatedDiscounted() {
-		t.Fatal("discounted invariant check missed the pending frees")
+	if !h.HintSuspectsViolation() {
+		t.Fatal("hint missed the lock-free frees")
 	}
-	if n := h.DrainAll(e); n != 200 {
-		t.Fatalf("DrainAll = %d, want 200", n)
-	}
+	h.SyncAll(e)
 	if h.U() != int64(56*sb.BlockSize()) {
-		t.Fatalf("u after drain = %d, want %d", h.U(), 56*sb.BlockSize())
+		t.Fatalf("u after SyncAll = %d, want %d", h.U(), 56*sb.BlockSize())
 	}
 	if want := groupOf(sb); sb.Group != want || sb.Group == NumGroups {
-		t.Fatalf("group after drain = %d, want %d", sb.Group, want)
+		t.Fatalf("group after SyncAll = %d, want %d", sb.Group, want)
 	}
-	if h.PendingHintBytes() != 0 {
-		t.Fatalf("pending hint not cleared: %d", h.PendingHintBytes())
-	}
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFreeBlockDrainsSameSuperblock(t *testing.T) {
-	space := vmtest.NewSized(t, testS)
-	h := newHeap(1)
-	sb := newSuper(space, 1)
-	a, _ := sb.AllocBlock(e)
-	b, _ := sb.AllocBlock(e)
-	c, _ := sb.AllocBlock(e)
-	h.Insert(sb)
-	sb.RemoteFree(e, a)
-	sb.RemoteFree(e, b)
-	if drained := h.FreeBlock(e, sb, c); drained != 2 {
-		t.Fatalf("FreeBlock drained %d, want 2", drained)
-	}
-	if h.U() != 0 || sb.InUse() != 0 {
-		t.Fatalf("u=%d inUse=%d after free+drain", h.U(), sb.InUse())
+	if !h.InvariantViolated() {
+		t.Fatal("reconciled books do not show the violation the hint suspected")
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestInsertFoldsPendingIntoHint(t *testing.T) {
-	space := vmtest.NewSized(t, testS)
-	src := newHeap(1)
-	dst := newHeap(2)
-	sb := newSuper(space, 0)
-	p, _ := sb.AllocBlock(e)
-	src.Insert(sb)
-	sb.RemoteFree(e, p) // in flight while the superblock migrates
-	src.Remove(sb)
-	dst.Insert(sb)
-	if dst.PendingHintBytes() != int64(sb.BlockSize()) {
-		t.Fatalf("dst hint = %d, want %d", dst.PendingHintBytes(), sb.BlockSize())
-	}
-	if n := dst.DrainAll(e); n != 1 {
-		t.Fatalf("DrainAll on new owner = %d, want 1", n)
-	}
-	if err := dst.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTakeSuperDrainsFirst(t *testing.T) {
+// TestTakeSuperSeesFastFreedEmpty: a global-heap superblock whose blocks all
+// came back by CAS frees is empty by its live word while its books still
+// place it in a partly full group; TakeSuper must reconcile it before
+// choosing, and hand it out as the empty superblock it is.
+func TestTakeSuperSeesFastFreedEmpty(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	g := newHeap(0)
 	sb := newSuper(space, 3)
 	var ps []alloc.Ptr
-	for !sb.Full() {
+	for i := 0; i < sb.NBlocks()/2; i++ {
 		p, _ := sb.AllocBlock(e)
 		ps = append(ps, p)
 	}
 	g.Insert(sb)
-	// All blocks come back remotely: without a drain the heap looks full.
 	for _, p := range ps {
-		sb.RemoteFree(e, p)
-	}
-	g.NoteRemotePush(int64(len(ps) * sb.BlockSize()))
-	// A different class's TakeSuper must find (and Reinit) the now-empty
-	// superblock.
-	got := g.TakeSuper(e, 1, blockSizeFor(1))
-	if got != sb {
-		t.Fatalf("TakeSuper = %v, want the drained superblock", got)
-	}
-	if got.Class() != 1 {
-		t.Fatalf("class after Reinit = %d", got.Class())
-	}
-}
-
-// --- Pending-hint conservation across superblock migration ---
-
-// TestRemoveDropsPendingHint pins the eviction half of hint conservation:
-// when a superblock with pending remote frees leaves a heap, the old owner's
-// hint must shed exactly that superblock's share — before the fix Remove
-// left it behind, permanently inflating the hint and triggering pointless
-// drain sweeps on every subsequent operation.
-func TestRemoveDropsPendingHint(t *testing.T) {
-	space := vmtest.NewSized(t, testS)
-	src := newHeap(1)
-	dst := newHeap(2)
-	sb := newSuper(space, 0)
-	other := newSuper(space, 0)
-	bs := int64(sb.BlockSize())
-	take := func(s *superblock.Superblock, n int) []alloc.Ptr {
-		ps := make([]alloc.Ptr, n)
-		for i := range ps {
-			ps[i], _ = s.AllocBlock(e)
+		if ok, _, _ := sb.FastFree(e, p); !ok {
+			t.Fatal("FastFree refused on an unsealed global-heap superblock")
 		}
-		return ps
 	}
-	sbPtrs, otherPtrs := take(sb, 3), take(other, 2)
-	src.Insert(sb)
-	src.Insert(other)
-	for _, p := range sbPtrs {
-		sb.RemoteFree(e, p)
+	if sb.Group == 0 {
+		t.Fatal("books caught up without a reconciliation")
 	}
-	for _, p := range otherPtrs {
-		other.RemoteFree(e, p)
+	got := g.TakeSuper(e, 3, blockSizeFor(3))
+	if got != sb || !got.Empty() {
+		t.Fatalf("TakeSuper = %v, want the fast-freed empty superblock", got)
 	}
-	src.NoteRemotePush(5 * bs)
-	if got := src.PendingHintBytes(); got != 5*bs {
-		t.Fatalf("src hint = %d, want %d", got, 5*bs)
-	}
-	src.Remove(sb)
-	if got := src.PendingHintBytes(); got != 2*bs {
-		t.Fatalf("src hint after Remove = %d, want only other's %d", got, 2*bs)
-	}
-	dst.Insert(sb)
-	// Conservation: the migrated superblock's 3 blocks moved with it.
-	if got := dst.PendingHintBytes(); got != 3*bs {
-		t.Fatalf("dst hint = %d, want %d", got, 3*bs)
-	}
-	if total := src.PendingHintBytes() + dst.PendingHintBytes(); total != 5*bs {
-		t.Fatalf("hint not conserved across migration: %d, want %d", total, 5*bs)
-	}
-	if n := dst.DrainAll(e); n != 3 {
-		t.Fatalf("DrainAll on dst = %d, want 3", n)
-	}
-	if n := src.DrainAll(e); n != 2 {
-		t.Fatalf("DrainAll on src = %d, want 2", n)
-	}
-	if src.PendingHintBytes() != 0 || dst.PendingHintBytes() != 0 {
-		t.Fatalf("hints after drains: src=%d dst=%d", src.PendingHintBytes(), dst.PendingHintBytes())
-	}
-	if err := src.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRemoveClampsPendingHint: the hint is racy — a pusher may have CASed a
-// block onto the remote stack before its NoteRemotePush lands. Remove must
-// clamp at zero rather than drive the hint negative.
-func TestRemoveClampsPendingHint(t *testing.T) {
-	space := vmtest.NewSized(t, testS)
-	h := newHeap(1)
-	sb := newSuper(space, 0)
-	p, _ := sb.AllocBlock(e)
-	h.Insert(sb)
-	sb.RemoteFree(e, p) // pushed, but NoteRemotePush hasn't landed yet
-	h.Remove(sb)
-	if got := h.PendingHintBytes(); got != 0 {
-		t.Fatalf("hint = %d after Remove, want clamped 0", got)
+	if g.U() != 0 || g.Superblocks() != 0 {
+		t.Fatalf("global books after TakeSuper: u=%d superblocks=%d", g.U(), g.Superblocks())
 	}
 }

@@ -90,8 +90,8 @@ func TestSnapshotPrometheusLints(t *testing.T) {
 	s.Counters["mallocs_total"] = 100
 	s.Counters["live_bytes"] = 4096
 	s.Heaps = []HeapSample{
-		{ID: 0, U: 10, A: 8192, Superblocks: 1, PendingBytes: 0, Groups: []int{1, 0, 0, 0, 0}},
-		{ID: 1, U: 512, A: 16384, Superblocks: 2, PendingBytes: 64, Groups: []int{1, 1, 0, 0, 0}},
+		{ID: 0, U: 10, A: 8192, Superblocks: 1, Groups: []int{1, 0, 0, 0, 0}},
+		{ID: 1, U: 512, A: 16384, Superblocks: 2, Groups: []int{1, 1, 0, 0, 0}},
 	}
 	s.MagazineBytes = 2048
 	s.Locks = []LockStats{{Name: "hoard.heap1", Acquires: 7, Contended: 2, WaitNS: 1500, HoldNS: 9000}}

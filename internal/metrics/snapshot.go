@@ -38,8 +38,6 @@ type HeapSample struct {
 	// Decommitted is how many of those superblocks the scavenger has
 	// returned to the OS (still held, recommitted on reuse).
 	Decommitted int `json:"decommitted"`
-	// PendingBytes is the racy pending-remote-free hint.
-	PendingBytes int64 `json:"pending_bytes"`
 	// Groups is the fullness-group histogram aggregated over classes.
 	Groups []int `json:"groups"`
 	// Classes is the per-class breakdown (non-empty classes only); nil in
@@ -166,9 +164,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		writeHeapFamily(&b, "hoard_heap_decommitted_superblocks",
 			"Held superblocks currently decommitted by the scavenger.",
 			s.Heaps, func(h HeapSample) int64 { return int64(h.Decommitted) })
-		writeHeapFamily(&b, "hoard_heap_remote_pending_bytes",
-			"Racy hint of bytes parked on the heap's remote-free stacks.",
-			s.Heaps, func(h HeapSample) int64 { return h.PendingBytes })
 		const name = "hoard_heap_group_superblocks"
 		fmt.Fprintf(&b, "# HELP %s Superblocks per fullness group (last group is completely full).\n", name)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n", name)

@@ -145,8 +145,8 @@ func TestDecommitGuards(t *testing.T) {
 }
 
 func TestDecommittedReleaseAccounting(t *testing.T) {
-	// Releasing a decommitted superblock (e.g. the GlobalEmptyLimit path
-	// evicting a scavenged superblock) must not double-subtract its bytes.
+	// Releasing a decommitted superblock must not double-subtract its
+	// bytes.
 	space, sb := newSB(t, 64)
 	sb.Decommit(e)
 	sb.Release(space)

@@ -26,11 +26,10 @@ func freeBitPop(sb *Superblock) int {
 
 // TestPropertyFullnessWordConsistency drives one superblock through random
 // interleavings of every mutation the allocator performs — locked
-// alloc/free, lock-free pops (single and run), lock-free frees (single and
-// run), remote frees and drains — checking after every step that the packed
-// fullness word's used count agrees with the model's live set plus the
-// remote-pending population, and that the free bitmap complements it
-// exactly. Sequential, so the checks can be exact at every step; the
+// alloc/free, lock-free pops (single and run), and lock-free frees (single
+// and run) — checking after every step that the packed fullness word's used
+// count agrees with the model's live set, and that the free bitmap
+// complements it exactly. Sequential, so the checks can be exact at every step; the
 // concurrent variant below checks the same algebra at quiescence.
 func TestPropertyFullnessWordConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -48,7 +47,7 @@ func TestPropertyFullnessWordConsistency(t *testing.T) {
 			return p
 		}
 		for op := 0; op < 3000; op++ {
-			switch rng.Intn(8) {
+			switch rng.Intn(7) {
 			case 0, 1:
 				if p, ok := sb.AllocBlock(e); ok {
 					live = append(live, p)
@@ -85,29 +84,19 @@ func TestPropertyFullnessWordConsistency(t *testing.T) {
 						t.Fatal("FastFreeRun refused on an unsealed superblock")
 					}
 				}
-			case 7:
-				if len(live) > 0 {
-					sb.RemoteFree(e, takeLive())
-				}
-				if rng.Intn(4) == 0 {
-					sb.DrainRemote(e)
-				}
 			}
 			_, used, _, sealed := unpackWord(sb.state.Load())
 			if sealed {
 				t.Fatal("superblock became sealed mid-run")
 			}
-			want := len(live) + sb.RemotePending()
-			if used != want {
-				t.Fatalf("op %d: used = %d, want %d live + %d remote-pending",
-					op, used, len(live), sb.RemotePending())
+			if used != len(live) {
+				t.Fatalf("op %d: used = %d, want %d live", op, used, len(live))
 			}
 			if pop := freeBitPop(sb); pop != sb.nBlocks-used {
 				t.Fatalf("op %d: free bitmap population %d, want nBlocks-used = %d",
 					op, pop, sb.nBlocks-used)
 			}
 		}
-		sb.DrainRemote(e)
 		for _, p := range live {
 			sb.FreeBlock(e, p)
 		}
@@ -121,9 +110,8 @@ func TestPropertyFullnessWordConsistency(t *testing.T) {
 }
 
 // TestLockFreeConcurrentWordConsistency hammers one superblock's lock-free
-// paths from several goroutines — pops, owner-style fast frees, run frees,
-// and remote frees with a single drainer, mirroring the one-owner drain
-// discipline — then checks at quiescence that the word, the free list, and
+// paths from several goroutines — single and run pops, single and run CAS
+// frees — then checks at quiescence that the word, the free list, and
 // the bitmap agree. Run under -race this doubles as the memory-model check
 // for the CAS protocol.
 func TestLockFreeConcurrentWordConsistency(t *testing.T) {
@@ -157,7 +145,7 @@ func TestLockFreeConcurrentWordConsistency(t *testing.T) {
 			var mine []alloc.Ptr
 			scratch := make([]alloc.Ptr, 4)
 			for i := 0; i < opsEach; i++ {
-				switch rng.Intn(6) {
+				switch rng.Intn(5) {
 				case 0, 1:
 					if p, ok, _ := ref.TryPop(myEnv); ok {
 						mine = append(mine, p)
@@ -175,15 +163,13 @@ func TestLockFreeConcurrentWordConsistency(t *testing.T) {
 						}
 					}
 				case 4:
-					if len(mine) > 0 {
-						p := mine[len(mine)-1]
-						mine = mine[:len(mine)-1]
-						sb.RemoteFree(myEnv, p)
-					}
-				case 5:
-					// Goroutine 0 plays the owner: drain the remote stack.
-					if id == 0 {
-						sb.DrainRemote(myEnv)
+					if k := min(len(mine), 1+rng.Intn(4)); k > 0 {
+						run := append([]alloc.Ptr(nil), mine[len(mine)-k:]...)
+						mine = mine[:len(mine)-k]
+						if ok, _, _ := sb.FastFreeRun(myEnv, run); !ok {
+							t.Errorf("FastFreeRun refused while unsealed")
+							return
+						}
 					}
 				}
 			}
@@ -196,7 +182,6 @@ func TestLockFreeConcurrentWordConsistency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	sb.DrainRemote(e)
 	if !sb.Empty() {
 		t.Fatalf("%d blocks in use after all goroutines freed everything", sb.InUse())
 	}

@@ -20,21 +20,9 @@
 // addresses, so the simulated cost of walking the list is unchanged. A
 // per-superblock free bitmap (atomic) detects double frees and supports
 // integrity checking.
-//
-// Cross-thread frees additionally use a lock-free remote stack: a Treiber
-// stack of block indices threaded through the blocks' first four bytes,
-// with an atomic head. Non-owning threads CAS-push freed blocks onto it
-// without taking the owning heap's lock (the pushed blocks are dead, so the
-// in-block links cannot race application writes); the owner drains the whole
-// stack in one batch (under its lock) at reconciliation points, translating
-// the chain into the side array and splicing it onto the local list with one
-// word CAS. Blocks on the remote stack still count as in use — the word's
-// used field and the bitmap only change at drain time, which keeps Hoard's
-// emptiness invariant and blowup bound exact whenever they are consulted.
 package superblock
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -47,10 +35,10 @@ import (
 const DefaultSize = 8192
 
 // The packed state word: head (17 bits, idx+1 of the local free-list top,
-// 0 = empty), used (17 bits, allocated + remote-pending blocks), ver (29
-// bits, bumped on every word mutation so a CAS that succeeds proves the
-// word — and therefore the link it validated — did not change in between),
-// and sealed (1 bit, fencing the lock-free paths off the superblock).
+// 0 = empty), used (17 bits, allocated blocks), ver (29 bits, bumped on
+// every word mutation so a CAS that succeeds proves the word — and therefore
+// the link it validated — did not change in between), and sealed (1 bit,
+// fencing the lock-free paths off the superblock).
 const (
 	headBits  = 17
 	usedBits  = 17
@@ -130,17 +118,6 @@ type Superblock struct {
 	// selfRef is the current format's Ref, republished by format.
 	selfRef atomic.Pointer[Ref]
 
-	// remoteHead is the Treiber-stack head of blocks freed by non-owning
-	// threads: it holds idx+1 of the most recently pushed block (0 =
-	// empty), with links threaded through the blocks' first four bytes.
-	// Pushers only CAS-push and the owner only pops the whole stack at
-	// once (Swap to 0), so there is no ABA window. remoteCount tracks the
-	// stack's length approximately (pushes increment before the CAS lands,
-	// drains subtract); it is a hint for drain heuristics, never a
-	// correctness input.
-	remoteHead  atomic.Uint32
-	remoteCount atomic.Int32
-
 	ownerID atomic.Int32
 
 	// Acct is the owning heap's accounted in-use block count for this
@@ -201,10 +178,6 @@ func (sb *Superblock) format(class, blockSize int) {
 		panic(fmt.Sprintf("superblock: %d blocks exceed MaxBlocks %d", sb.nBlocks, MaxBlocks))
 	}
 	sb.carved = 0
-	if sb.remoteHead.Load() != 0 {
-		panic(fmt.Sprintf("superblock %#x: format with remote frees pending", sb.span.Base))
-	}
-	sb.remoteCount.Store(0)
 	for i := 0; i <= (sb.nBlocks-1)/64; i++ {
 		atomic.StoreUint64(&sb.freeBits[i], ^uint64(0))
 	}
@@ -241,9 +214,6 @@ func (sb *Superblock) Release(space vm.Backend) {
 	if n := sb.InUse(); n != 0 {
 		panic("superblock: Release with blocks in use")
 	}
-	if sb.remoteHead.Load() != 0 {
-		panic("superblock: Release with remote frees pending")
-	}
 	for {
 		w := sb.state.Load()
 		_, _, ver, _ := unpackWord(w)
@@ -255,13 +225,6 @@ func (sb *Superblock) Release(space vm.Backend) {
 	sb.span = nil
 	sb.decommitted = false
 }
-
-// Released reports whether Release already returned the superblock's span
-// to the OS. Only meaningful under the lock that serializes Release for
-// this superblock (the global heap lock, for global-heap superblocks): two
-// frees can race to observe the same emptying transition, and the loser
-// must not release twice.
-func (sb *Superblock) Released() bool { return sb.span == nil }
 
 // Seal sets the word's sealed bit, fencing every lock-free path off the
 // superblock: a fast op that loads the word sees the bit and bails, and one
@@ -309,15 +272,11 @@ func (sb *Superblock) Sealed() bool {
 // its committed bytes return to the OS until Recommit. The word is reset to
 // the pristine empty state — sealed, so any stale warm Ref is fenced out for
 // good measure (an empty head already blocks pops) — and carved returns to
-// zero. The superblock must be completely empty with no remote frees
-// pending; the caller holds the owning heap's lock. The decommit is charged
-// as an OS call.
+// zero. The superblock must be completely empty; the caller holds the
+// owning heap's lock. The decommit is charged as an OS call.
 func (sb *Superblock) Decommit(e env.Env) {
 	if n := sb.InUse(); n != 0 {
 		panic(fmt.Sprintf("superblock %#x: Decommit with %d blocks in use", sb.Base(), n))
-	}
-	if sb.remoteHead.Load() != 0 {
-		panic(fmt.Sprintf("superblock %#x: Decommit with remote frees pending", sb.Base()))
 	}
 	if sb.decommitted {
 		panic(fmt.Sprintf("superblock %#x: double Decommit", sb.Base()))
@@ -387,8 +346,7 @@ func (sb *Superblock) BlockSize() int { return sb.blockSize }
 // NBlocks returns the number of blocks the superblock holds.
 func (sb *Superblock) NBlocks() int { return sb.nBlocks }
 
-// InUse returns the number of allocated blocks (including remote-pending
-// ones), read from the live word.
+// InUse returns the number of allocated blocks, read from the live word.
 func (sb *Superblock) InUse() int {
 	_, used, _, _ := unpackWord(sb.state.Load())
 	return used
@@ -712,155 +670,6 @@ func (sb *Superblock) FastFreeRun(e env.Env, ps []alloc.Ptr) (ok, wasEmpty bool,
 	}
 }
 
-// RemoteFree pushes a block freed by a non-owning thread onto the
-// superblock's lock-free remote stack and returns the (approximate) number
-// of blocks now pending. It takes no lock: the block's link is written, then
-// the stack head is CAS-published. The block stays marked in use — the
-// bitmap, the used count, and the owning heap's statistics are updated only
-// when the owner drains. Double frees through this path are therefore
-// detected at drain time, not push time.
-func (sb *Superblock) RemoteFree(e env.Env, p alloc.Ptr) int {
-	idx := sb.indexOf(p)
-	link := sb.span.Bytes(idx*sb.blockSize, 4)
-	e.Touch(uint64(p), 4, true)
-	e.Charge(env.OpRemoteFree, 1)
-	for {
-		head := sb.remoteHead.Load()
-		binary.LittleEndian.PutUint32(link, head)
-		// The CAS's release ordering publishes the link write; the
-		// drain's Swap acquires it, so the plain byte accesses never
-		// race.
-		if sb.remoteHead.CompareAndSwap(head, uint32(idx+1)) {
-			return int(sb.remoteCount.Add(1))
-		}
-	}
-}
-
-// RemoteFreeBatch pushes every block in ps — all freed by a non-owning
-// thread — onto the remote stack with a single CAS: the blocks are chained
-// through their own link words locally, then the whole chain is published at
-// once. It returns the (approximate) number of blocks now pending. Like
-// RemoteFree it takes no lock and defers double-free detection to drain
-// time; a duplicate pointer inside one batch forms a cycle the drain's
-// bitmap walk reports as a remote double free.
-func (sb *Superblock) RemoteFreeBatch(e env.Env, ps []alloc.Ptr) int {
-	if len(ps) == 0 {
-		return sb.RemotePending()
-	}
-	// A duplicate inside one batch would be silently dropped by the chain
-	// build below (its link word is simply rewritten), so detect it here;
-	// batches are magazine-sized, so the quadratic scan is a few dozen
-	// compares. Duplicates across batches are detected at drain time, as
-	// on the per-block path.
-	for i, p := range ps {
-		for _, q := range ps[:i] {
-			if p == q {
-				panic(fmt.Sprintf("superblock %#x: double free of block %#x within one batch", sb.Base(), uint64(p)))
-			}
-		}
-	}
-	// Chain ps[0] -> ps[1] -> ... -> ps[k-1] through the blocks' link
-	// words. Each link write is a real access to the block's memory, as in
-	// the per-block path.
-	for i, p := range ps {
-		idx := sb.indexOf(p)
-		next := uint32(0)
-		if i+1 < len(ps) {
-			next = uint32(sb.indexOf(ps[i+1]) + 1)
-		}
-		binary.LittleEndian.PutUint32(sb.span.Bytes(idx*sb.blockSize, 4), next)
-		e.Touch(uint64(p), 4, true)
-	}
-	e.Charge(env.OpRemoteFree, int64(len(ps)))
-	headIdx := uint32(sb.indexOf(ps[0]) + 1)
-	tail := sb.span.Bytes(sb.indexOf(ps[len(ps)-1])*sb.blockSize, 4)
-	for {
-		head := sb.remoteHead.Load()
-		binary.LittleEndian.PutUint32(tail, head)
-		// As in RemoteFree, the CAS's release ordering publishes every
-		// link write of the chain; the drain's Swap acquires it.
-		if sb.remoteHead.CompareAndSwap(head, headIdx) {
-			return int(sb.remoteCount.Add(int32(len(ps))))
-		}
-	}
-}
-
-// DrainRemote pops the entire remote stack and splices it onto the local
-// free list: the in-block chain is translated into the side-link array, the
-// blocks' free bits are set, and the whole chain lands on the list with one
-// word CAS (tail -> old head). The caller must hold the owning heap's lock.
-// It returns the number of blocks drained (0 when the stack is empty, in
-// which case the call is a single atomic load). It panics on the deferred
-// double frees RemoteFree could not detect.
-func (sb *Superblock) DrainRemote(e env.Env) int {
-	if sb.remoteHead.Load() == 0 {
-		return 0
-	}
-	head := sb.remoteHead.Swap(0)
-	if head == 0 {
-		return 0
-	}
-	e.Charge(env.OpListScan, 1)
-	n := 0
-	tail := 0
-	for cur := int(head); cur != 0; {
-		idx := cur - 1
-		if idx < 0 || idx >= sb.carved {
-			panic(fmt.Sprintf("superblock %#x: remote stack index %d outside carved range [0,%d)", sb.Base(), idx, sb.carved))
-		}
-		if sb.isFree(idx) {
-			panic(fmt.Sprintf("superblock %#x: double free of block %d (remote)", sb.Base(), idx))
-		}
-		if n >= sb.nBlocks {
-			panic(fmt.Sprintf("superblock %#x: remote stack longer than %d blocks", sb.Base(), sb.nBlocks))
-		}
-		sb.setFree(idx)
-		n++
-		tail = idx
-		e.Touch(sb.addrOf(idx), 4, false)
-		e.Charge(env.OpFree, 1)
-		next := int(binary.LittleEndian.Uint32(sb.span.Bytes(idx*sb.blockSize, 4)))
-		if next != 0 {
-			atomic.StoreUint32(&sb.links[idx], uint32(next))
-		}
-		cur = next
-	}
-	// Splice with one CAS: tail -> old list head, the chain's head becomes
-	// the new list head, and the drained blocks leave the used count.
-	for {
-		w := sb.state.Load()
-		oldHead, used, ver, sealed := unpackWord(w)
-		atomic.StoreUint32(&sb.links[tail], uint32(oldHead))
-		if sb.state.CompareAndSwap(w, packWord(int(head), used-n, ver+1, sealed)) {
-			break
-		}
-	}
-	sb.remoteCount.Add(int32(-n))
-	return n
-}
-
-// RemotePending returns the approximate number of blocks waiting on the
-// remote stack. It is a racy hint: concurrent pushes and drains may make it
-// stale by the time the caller acts on it.
-func (sb *Superblock) RemotePending() int {
-	n := int(sb.remoteCount.Load())
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// RemoteDrainThreshold returns the pending count at which a pusher should
-// nudge the owner to drain (by trying the owner's lock): half the
-// superblock, but at least 8 blocks so tiny stacks don't thrash.
-func (sb *Superblock) RemoteDrainThreshold() int {
-	t := sb.nBlocks / 2
-	if t < 8 {
-		t = 8
-	}
-	return t
-}
-
 // Contains reports whether p points at a block boundary inside sb.
 func (sb *Superblock) Contains(p alloc.Ptr) bool {
 	a := uint64(p)
@@ -885,16 +694,6 @@ func (sb *Superblock) indexOf(p alloc.Ptr) int {
 
 func (sb *Superblock) isFree(idx int) bool {
 	return atomic.LoadUint64(&sb.freeBits[idx/64])&(1<<(idx%64)) != 0
-}
-
-func (sb *Superblock) setFree(idx int) {
-	w, b := idx/64, uint64(1)<<(idx%64)
-	for {
-		old := atomic.LoadUint64(&sb.freeBits[w])
-		if atomic.CompareAndSwapUint64(&sb.freeBits[w], old, old|b) {
-			return
-		}
-	}
 }
 
 func (sb *Superblock) testAndSetFree(idx int) bool {
@@ -931,12 +730,11 @@ func (sb *Superblock) CheckIntegrity() error {
 
 // CheckIntegrityOnline is CheckIntegrity for a superblock whose owner heap's
 // lock is held but which may be receiving concurrent lock-free traffic:
-// remote pushes, warm-path pops, and owner-local fast frees. The word is
-// checked for internal sanity and the remote chain is walked from a snapshot
-// head whose nodes are immutable once published; the free-list walk and the
-// bitmap-versus-word comparisons are skipped, because the lock-free paths
-// legitimately move the word and the bits in separate steps (bit before CAS
-// on free, CAS before bit on pop).
+// warm-path pops and CAS frees from any thread. The word is checked for
+// internal sanity; the free-list walk and the bitmap-versus-word
+// comparisons are skipped, because the lock-free paths legitimately move the
+// word and the bits in separate steps (bit before CAS on free, CAS before bit
+// on pop).
 func (sb *Superblock) CheckIntegrityOnline() error {
 	return sb.checkIntegrity(true)
 }
@@ -953,9 +751,6 @@ func (sb *Superblock) checkIntegrity(online bool) error {
 			return fmt.Errorf("superblock %#x: decommitted but used %d head %d carved %d",
 				sb.Base(), used, head, sb.carved)
 		}
-		if sb.remoteHead.Load() != 0 {
-			return fmt.Errorf("superblock %#x: decommitted with remote frees pending", sb.Base())
-		}
 		if got := sb.span.DecommittedBytes(); got != int64(sb.size) {
 			return fmt.Errorf("superblock %#x: decommitted flag set but span has %d/%d bytes dropped", sb.Base(), got, sb.size)
 		}
@@ -971,79 +766,39 @@ func (sb *Superblock) checkIntegrity(online bool) error {
 		ref.NBlocks != sb.nBlocks || ref.Base != sb.span.Base {
 		return fmt.Errorf("superblock %#x: stale self Ref", sb.Base())
 	}
-	seen := make(map[int]bool)
-	if !online {
-		listed := 0
-		for cur := head; cur != 0; {
-			idx := cur - 1
-			if idx < 0 || idx >= sb.carved {
-				return fmt.Errorf("superblock %#x: free list index %d outside carved range [0,%d)", sb.Base(), idx, sb.carved)
-			}
-			if seen[idx] {
-				return fmt.Errorf("superblock %#x: free list cycle at block %d", sb.Base(), idx)
-			}
-			if !sb.isFree(idx) {
-				return fmt.Errorf("superblock %#x: listed block %d not marked free", sb.Base(), idx)
-			}
-			seen[idx] = true
-			listed++
-			cur = int(atomic.LoadUint32(&sb.links[idx]))
-		}
-		wantListed := sb.carved - used
-		if listed != wantListed {
-			return fmt.Errorf("superblock %#x: %d blocks on free list, want %d (carved %d, used %d)",
-				sb.Base(), listed, wantListed, sb.carved, used)
-		}
-		freeBits := 0
-		for i := 0; i < sb.nBlocks; i++ {
-			if sb.isFree(i) {
-				freeBits++
-			}
-		}
-		if freeBits != sb.nBlocks-used {
-			return fmt.Errorf("superblock %#x: bitmap says %d free, counters say %d",
-				sb.Base(), freeBits, sb.nBlocks-used)
-		}
+	if online {
+		return nil
 	}
-	// Remote stack: every pending block must be a valid, currently
-	// allocated block, appear once, and match the pending counter. Pending
-	// blocks count as in use until drained.
-	remote := 0
-	rseen := make(map[int]bool)
-	for cur := int(sb.remoteHead.Load()); cur != 0; {
+	seen := make(map[int]bool)
+	listed := 0
+	for cur := head; cur != 0; {
 		idx := cur - 1
 		if idx < 0 || idx >= sb.carved {
-			return fmt.Errorf("superblock %#x: remote stack index %d outside carved range [0,%d)", sb.Base(), idx, sb.carved)
+			return fmt.Errorf("superblock %#x: free list index %d outside carved range [0,%d)", sb.Base(), idx, sb.carved)
 		}
-		if !online && sb.isFree(idx) {
-			return fmt.Errorf("superblock %#x: remote-pending block %d already marked free", sb.Base(), idx)
+		if seen[idx] {
+			return fmt.Errorf("superblock %#x: free list cycle at block %d", sb.Base(), idx)
 		}
-		if rseen[idx] || seen[idx] {
-			return fmt.Errorf("superblock %#x: block %d pushed remotely more than once", sb.Base(), idx)
+		if !sb.isFree(idx) {
+			return fmt.Errorf("superblock %#x: listed block %d not marked free", sb.Base(), idx)
 		}
-		rseen[idx] = true
-		remote++
-		if remote > sb.nBlocks {
-			return fmt.Errorf("superblock %#x: remote stack longer than %d blocks", sb.Base(), sb.nBlocks)
-		}
-		cur = int(binary.LittleEndian.Uint32(sb.span.Bytes(idx*sb.blockSize, 4)))
+		seen[idx] = true
+		listed++
+		cur = int(atomic.LoadUint32(&sb.links[idx]))
 	}
-	if got := int(sb.remoteCount.Load()); !online && got != remote {
-		return fmt.Errorf("superblock %#x: remote stack holds %d blocks, counter says %d", sb.Base(), remote, got)
+	if want := sb.carved - used; listed != want {
+		return fmt.Errorf("superblock %#x: %d blocks on free list, want %d (carved %d, used %d)",
+			sb.Base(), listed, want, sb.carved, used)
 	}
-	// used counts allocated + remote-pending blocks, so remote can never
-	// exceed it. The live word was re-read conservatively for the online
-	// case: between the walk and this load the stack can only have grown
-	// (drains need the lock this caller holds).
-	_, usedNow, _, _ := unpackWord(sb.state.Load())
-	if remote > usedNow {
-		return fmt.Errorf("superblock %#x: %d remote-pending blocks but only %d in use", sb.Base(), remote, usedNow)
+	freeBits := 0
+	for i := 0; i < sb.nBlocks; i++ {
+		if sb.isFree(i) {
+			freeBits++
+		}
+	}
+	if freeBits != sb.nBlocks-used {
+		return fmt.Errorf("superblock %#x: bitmap says %d free, counters say %d",
+			sb.Base(), freeBits, sb.nBlocks-used)
 	}
 	return nil
-}
-
-// RemotePendingBytes returns the approximate bytes waiting on the remote
-// stack (pending blocks times block size).
-func (sb *Superblock) RemotePendingBytes() int64 {
-	return int64(sb.RemotePending()) * int64(sb.blockSize)
 }

@@ -2,7 +2,6 @@ package superblock
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -266,157 +265,5 @@ func BenchmarkAllocFreePair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, _ := sb.AllocBlock(e)
 		sb.FreeBlock(e, p)
-	}
-}
-
-// --- Remote-free stack ---
-
-func TestRemoteFreePushDrainRoundTrip(t *testing.T) {
-	_, sb := newSB(t, 128)
-	var ps []alloc.Ptr
-	for i := 0; i < 10; i++ {
-		p, _ := sb.AllocBlock(e)
-		ps = append(ps, p)
-	}
-	for i, p := range ps {
-		if got := sb.RemoteFree(e, p); got != i+1 {
-			t.Fatalf("RemoteFree #%d returned pending %d", i, got)
-		}
-	}
-	// Pending blocks still count as in use until the drain.
-	if sb.InUse() != 10 {
-		t.Fatalf("InUse = %d before drain, want 10", sb.InUse())
-	}
-	if sb.RemotePending() != 10 {
-		t.Fatalf("RemotePending = %d, want 10", sb.RemotePending())
-	}
-	if err := sb.CheckIntegrity(); err != nil {
-		t.Fatalf("integrity with pending remote frees: %v", err)
-	}
-	if n := sb.DrainRemote(e); n != 10 {
-		t.Fatalf("DrainRemote = %d, want 10", n)
-	}
-	if sb.InUse() != 0 || sb.RemotePending() != 0 {
-		t.Fatalf("after drain: InUse=%d pending=%d", sb.InUse(), sb.RemotePending())
-	}
-	if err := sb.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	// The drained chain is spliced onto the local list: every block is
-	// reallocatable, LIFO from the last push.
-	p, ok := sb.AllocBlock(e)
-	if !ok || p != ps[9] {
-		t.Fatalf("realloc after drain got %#x, want %#x", uint64(p), uint64(ps[9]))
-	}
-}
-
-func TestRemoteDrainEmptyIsCheap(t *testing.T) {
-	_, sb := newSB(t, 64)
-	if n := sb.DrainRemote(e); n != 0 {
-		t.Fatalf("DrainRemote on empty stack = %d", n)
-	}
-}
-
-func TestRemoteDrainSplicePreservesLocalList(t *testing.T) {
-	_, sb := newSB(t, 256)
-	a, _ := sb.AllocBlock(e)
-	b, _ := sb.AllocBlock(e)
-	c, _ := sb.AllocBlock(e)
-	sb.FreeBlock(e, a) // local list: a
-	sb.RemoteFree(e, b)
-	sb.RemoteFree(e, c) // remote stack: c -> b
-	sb.DrainRemote(e)   // list must become c, b, a
-	want := []alloc.Ptr{c, b, a}
-	for i, w := range want {
-		p, ok := sb.AllocBlock(e)
-		if !ok || p != w {
-			t.Fatalf("alloc %d after splice got %#x, want %#x", i, uint64(p), uint64(w))
-		}
-	}
-	if err := sb.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRemoteDrainThreshold(t *testing.T) {
-	_, big := newSB(t, 2048) // 4 blocks -> floor of 8
-	if got := big.RemoteDrainThreshold(); got != 8 {
-		t.Fatalf("threshold for 4 blocks = %d, want 8", got)
-	}
-	_, small := newSB(t, 64) // 128 blocks -> half
-	if got := small.RemoteDrainThreshold(); got != 64 {
-		t.Fatalf("threshold for 128 blocks = %d, want 64", got)
-	}
-}
-
-func TestRemoteDoubleFreePanicsAtDrain(t *testing.T) {
-	_, sb := newSB(t, 128)
-	p, _ := sb.AllocBlock(e)
-	sb.RemoteFree(e, p)
-	sb.RemoteFree(e, p) // undetectable at push time
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DrainRemote did not panic on double remote free")
-		}
-	}()
-	sb.DrainRemote(e)
-}
-
-func TestReleaseWithRemotePendingPanics(t *testing.T) {
-	space, sb := newSB(t, 128)
-	p, _ := sb.AllocBlock(e)
-	sb.FreeBlock(e, p) // inUse back to 0...
-	q, _ := sb.AllocBlock(e)
-	sb.FreeBlock(e, q)
-	// ...but fake a pending push from a stale pointer (application bug).
-	sb.RemoteFree(e, q)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release with pending remote frees did not panic")
-		}
-	}()
-	sb.Release(space)
-}
-
-// TestRemoteFreeConcurrentPushersAndDrainer exercises the Treiber stack
-// under real concurrency (run with -race): several pushers free disjoint
-// blocks while a drainer repeatedly pops the whole stack.
-func TestRemoteFreeConcurrentPushersAndDrainer(t *testing.T) {
-	_, sb := newSB(t, 64)
-	n := sb.NBlocks()
-	ps := make([]alloc.Ptr, n)
-	for i := range ps {
-		ps[i], _ = sb.AllocBlock(e)
-	}
-	const pushers = 4
-	var wg sync.WaitGroup
-	for w := 0; w < pushers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			we := &env.RealEnv{ID: w + 1}
-			for i := w; i < n; i += pushers {
-				sb.RemoteFree(we, ps[i])
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	drained := 0
-	go func() {
-		defer close(done)
-		de := &env.RealEnv{ID: 99}
-		for drained < n {
-			// Drains race with pushes; the drainer owns the blocks'
-			// bookkeeping, which is single-threaded here.
-			drained += sb.DrainRemote(de)
-		}
-	}()
-	wg.Wait()
-	<-done
-	if drained != n || sb.InUse() != 0 {
-		t.Fatalf("drained %d of %d, InUse=%d", drained, n, sb.InUse())
-	}
-	if err := sb.CheckIntegrity(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -79,7 +79,6 @@ func (a *Allocator) sampleMetrics() metrics.Snapshot {
 	s.Counters["superblock_moves_total"] = st.SuperblockMoves
 	s.Counters["remote_frees_total"] = st.RemoteFrees
 	s.Counters["remote_fast_frees_total"] = st.RemoteFastFrees
-	s.Counters["remote_drains_total"] = st.RemoteDrains
 	s.Counters["batch_refills_total"] = st.BatchRefills
 	s.Counters["batch_flushes_total"] = st.BatchFlushes
 	s.Counters["batched_blocks_total"] = st.BatchedBlocks
@@ -89,12 +88,11 @@ func (a *Allocator) sampleMetrics() metrics.Snapshot {
 	if h := a.unwrap(); h != nil {
 		for _, occ := range h.SampleHeaps(&env.RealEnv{ID: -1}, true) {
 			hs := metrics.HeapSample{
-				U:            occ.U,
-				A:            occ.A,
-				Superblocks:  occ.Superblocks,
-				Decommitted:  occ.Decommitted,
-				PendingBytes: occ.PendingBytes,
-				Groups:       occ.Groups[:],
+				U:           occ.U,
+				A:           occ.A,
+				Superblocks: occ.Superblocks,
+				Decommitted: occ.Decommitted,
+				Groups:      occ.Groups[:],
 			}
 			for _, c := range occ.Classes {
 				hs.Classes = append(hs.Classes, metrics.ClassSample{
@@ -133,9 +131,9 @@ func (a *Allocator) sampleMetrics() metrics.Snapshot {
 
 // WriteMetrics writes the allocator's current state in the Prometheus text
 // exposition format: operation counters and live/footprint gauges for every
-// policy, per-heap occupancy (u, a, superblocks, fullness groups,
-// remote-pending bytes) for Hoard, magazine fill for thread-cached stacks,
-// and per-lock acquisition/contention/wait/hold counters when the allocator
+// policy, per-heap occupancy (u, a, superblocks, decommitted superblocks,
+// fullness groups) for Hoard, magazine fill for thread-cached stacks, and
+// per-lock acquisition/contention/wait/hold counters when the allocator
 // was built with Config.Metrics. Safe under load.
 func (a *Allocator) WriteMetrics(w io.Writer) error {
 	return a.sampleMetrics().WritePrometheus(w)

@@ -1,0 +1,233 @@
+package hoard
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"hoardgo/internal/superblock"
+)
+
+// misuseArms is every combination the misuse tests run: both memory
+// backends, each with the lock-free free path on (the default) and off
+// (DisableLockFree, where every free takes the owner heap's lock).
+func misuseArms(t *testing.T, run func(t *testing.T, a *Allocator)) {
+	for _, backend := range []string{"sim", "arena"} {
+		for _, locked := range []bool{false, true} {
+			name := backend + "/lockfree"
+			if locked {
+				name = backend + "/locked"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := Config{Backend: backend}
+				cfg.Hoard.DisableLockFree = locked
+				a := MustNew(cfg)
+				if a.Backend() != backend {
+					t.Skipf("backend %s unavailable: %s", backend, a.BackendFallbackReason())
+				}
+				defer a.Close()
+				run(t, a)
+			})
+		}
+	}
+}
+
+// panicIn runs fn on a goroutine of its own — a thread distinct from the
+// caller's — and returns what it panicked with (nil if it returned).
+func panicIn(fn func()) (r any) {
+	done := make(chan any)
+	go func() {
+		defer func() { done <- recover() }()
+		fn()
+	}()
+	return <-done
+}
+
+// wantPanic fails unless fn panics with a message containing one of names.
+func wantPanic(t *testing.T, what string, fn func(), names ...string) {
+	t.Helper()
+	r := panicIn(fn)
+	if r == nil {
+		t.Fatalf("%s: no panic", what)
+	}
+	msg := fmt.Sprint(r)
+	for _, n := range names {
+		if strings.Contains(msg, n) {
+			return
+		}
+	}
+	t.Fatalf("%s: panic %q names none of %q", what, msg, names)
+}
+
+func TestMisuseSameThreadDoubleFree(t *testing.T) {
+	misuseArms(t, func(t *testing.T, a *Allocator) {
+		th := a.NewThread()
+		p := th.Malloc(64)
+		th.Free(p)
+		wantPanic(t, "second Free", func() { th.Free(p) }, "double free")
+	})
+}
+
+func TestMisuseCrossThreadDoubleFree(t *testing.T) {
+	misuseArms(t, func(t *testing.T, a *Allocator) {
+		producer, consumer := a.NewThread(), a.NewThread()
+		p := producer.Malloc(64)
+		keep := producer.Malloc(64)
+		if r := panicIn(func() { consumer.Free(p) }); r != nil {
+			t.Fatalf("first cross-thread Free panicked: %v", r)
+		}
+		wantPanic(t, "second cross-thread Free", func() { consumer.Free(p) }, "double free")
+		wantPanic(t, "owner's Free after a cross-thread Free", func() { producer.Free(p) }, "double free")
+		producer.Free(keep)
+	})
+}
+
+// TestMisuseDoubleFreeAfterMigration frees blocks until their superblocks
+// move to the global heap, then frees one of them again.
+func TestMisuseDoubleFreeAfterMigration(t *testing.T) {
+	misuseArms(t, func(t *testing.T, a *Allocator) {
+		th := a.NewThread()
+		ps := make([]Ptr, 1024)
+		for i := range ps {
+			ps[i] = th.Malloc(64)
+		}
+		for _, p := range ps {
+			th.Free(p)
+		}
+		h := a.unwrap()
+		var moved Ptr
+		for _, p := range ps {
+			if sb, ok := superblock.FromPtr(h.Space(), p); ok && sb.OwnerID() == 0 {
+				moved = p
+				break
+			}
+		}
+		if moved.IsNil() {
+			t.Fatal("freeing everything moved no superblock to the global heap")
+		}
+		other := a.NewThread()
+		wantPanic(t, "Free after migration", func() { other.Free(moved) }, "double free")
+	})
+}
+
+func TestMisuseDuplicateInFreeBatch(t *testing.T) {
+	misuseArms(t, func(t *testing.T, a *Allocator) {
+		th := a.NewThread()
+		p, q := th.Malloc(64), th.Malloc(64)
+		wantPanic(t, "FreeBatch with a duplicate", func() { th.FreeBatch([]Ptr{p, q, p}) }, "double free")
+		other := a.NewThread()
+		r := other.Malloc(64)
+		wantPanic(t, "cross-thread FreeBatch with a duplicate",
+			func() { other.FreeBatch([]Ptr{r, r}) }, "double free")
+	})
+}
+
+func TestMisuseForeignPointer(t *testing.T) {
+	misuseArms(t, func(t *testing.T, a *Allocator) {
+		th := a.NewThread()
+		th.Free(th.Malloc(64))
+		wantPanic(t, "Free of a pointer never handed out", func() { th.Free(Ptr(0xdead0000)) },
+			"unknown pointer", "foreign pointer")
+	})
+}
+
+func TestMisuseInteriorPointer(t *testing.T) {
+	misuseArms(t, func(t *testing.T, a *Allocator) {
+		th := a.NewThread()
+		small := th.Malloc(64)
+		wantPanic(t, "Free inside a small block", func() { th.Free(small + 8) }, "bad block pointer")
+		large := th.Malloc(64 << 10)
+		wantPanic(t, "Free inside a large object", func() { th.Free(large + 16) }, "interior")
+		th.Free(small)
+		th.Free(large)
+	})
+}
+
+func TestMisuseAfterClose(t *testing.T) {
+	misuseArms(t, func(t *testing.T, a *Allocator) {
+		th := a.NewThread()
+		p := th.Malloc(64)
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantPanic(t, "Malloc after Close", func() { th.Malloc(64) }, "Malloc after Close")
+		wantPanic(t, "Free after Close", func() { th.Free(p) }, "Free after Close")
+		wantPanic(t, "Bytes after Close", func() { th.Bytes(p, 8) }, "Bytes after Close")
+		wantPanic(t, "MallocBatch after Close",
+			func() { th.MallocBatch(64, 4, make([]Ptr, 4)) }, "MallocBatch after Close")
+		wantPanic(t, "FreeBatch after Close", func() { th.FreeBatch([]Ptr{p}) }, "FreeBatch after Close")
+		wantPanic(t, "NewThread after Close", func() { a.NewThread() }, "NewThread after Close")
+		if st := a.Stats(); st.Mallocs != 1 {
+			t.Fatalf("Stats after Close: %d mallocs, want 1", st.Mallocs)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+	})
+}
+
+// TestLockedCrossThreadFreeStress is the handoff pattern on the paper's
+// locked protocol (DisableLockFree), on both backends: a producer mallocs
+// batches, a consumer on another heap frees them — per block and by
+// FreeBatch — so every free takes the owner heap's lock. Run under -race; at
+// quiescence the books must balance exactly and every structure must check
+// out.
+func TestLockedCrossThreadFreeStress(t *testing.T) {
+	for _, backend := range []string{"sim", "arena"} {
+		t.Run(backend, func(t *testing.T) {
+			cfg := Config{Backend: backend}
+			cfg.Hoard.DisableLockFree = true
+			a := MustNew(cfg)
+			if a.Backend() != backend {
+				t.Skipf("backend %s unavailable: %s", backend, a.BackendFallbackReason())
+			}
+			defer a.Close()
+			const rounds, batch = 300, 64
+			ch := make(chan []Ptr, 8)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				th := a.NewThread()
+				defer th.Close()
+				for ps := range ch {
+					for i, p := range ps {
+						if b := th.Bytes(p, 8); b[0] != byte(i) {
+							t.Errorf("block %d corrupted in flight", i)
+						}
+					}
+					th.Free(ps[0])
+					th.FreeBatch(ps[1 : len(ps)/2])
+					for _, p := range ps[len(ps)/2:] {
+						th.Free(p)
+					}
+				}
+			}()
+			th := a.NewThread()
+			for r := 0; r < rounds; r++ {
+				ps := make([]Ptr, batch)
+				n := th.MallocBatch(16+r%200, batch/2, ps)
+				for i := n; i < batch; i++ {
+					ps[i] = th.Malloc(16 + (r*7+i)%500)
+				}
+				for i, p := range ps {
+					th.Bytes(p, 8)[0] = byte(i)
+				}
+				ch <- ps
+			}
+			close(ch)
+			<-done
+			th.Close()
+			st := a.Stats()
+			if st.LiveBytes != 0 || st.Mallocs != st.Frees {
+				t.Fatalf("books after the run: live %d B, %d mallocs, %d frees", st.LiveBytes, st.Mallocs, st.Frees)
+			}
+			if st.RemoteFrees != rounds*batch || st.RemoteFastFrees != 0 || st.LockFreeFrees != 0 {
+				t.Fatalf("remote %d, remote fast %d, lock-free %d; want %d, 0, 0",
+					st.RemoteFrees, st.RemoteFastFrees, st.LockFreeFrees, rounds*batch)
+			}
+			if err := a.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
