@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet bench metrics-smoke footprint-smoke lockfree-smoke arena-smoke load-smoke tune-smoke perfbench-smoke
+.PHONY: check build test race vet bench metrics-smoke footprint-smoke lockfree-smoke arena-smoke load-smoke perfbench-smoke
 
 # check is the tier-1 gate: vet, build, and the full suite under the race
 # detector.
@@ -81,20 +81,6 @@ load-smoke:
 	$(GO) test -race ./internal/loadgen/
 	$(GO) test -race -run 'TestWebserverLifecycle|TestThreadClose' .
 	$(GO) test -race -run 'TestPacerWallClock|TestScavengerWallClock' ./internal/scavenge/
-
-# tune-smoke exercises the closed-loop controller end to end: the A14 ablation
-# (controller off vs on vs oracle-static, over the workload set and the
-# serving phase schedule) regenerates its artifact with the convergence
-# thresholds enforced — starting from deliberately bad knobs, the tuned arm
-# must reach the oracle's steady-state transfer rate and hold the serving
-# SLOs; then hoardload's tuned arm runs against the PR9 smoke gate, and the
-# controller rule/integration tests run under the race detector.
-tune-smoke:
-	$(GO) run ./cmd/hoardbench -tune /tmp/hoardgo-tune.json
-	$(GO) run ./cmd/hoardload -tune -smoke
-	$(GO) test -race ./internal/control/
-	$(GO) test -race -run 'TestTuneSmoke' ./internal/experiments/
-	$(GO) test -race -run 'TestController|TestControl' .
 
 # perfbench-smoke runs the benchmark module's own tests (perfbench/ is a
 # separate Go module, so ./... at the root does not reach it): every

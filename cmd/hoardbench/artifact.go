@@ -219,71 +219,6 @@ func writeLockFree(path string, opts experiments.Options, scale string, progress
 	return nil
 }
 
-// tuneArtifact is the committed self-tuning record (BENCH_PR10.json): the
-// A14 three-arm ablation — controller off (deliberately detuned statics),
-// controller on (same bad starting knobs), and oracle (the hand-tuned static
-// configuration) — on the prodcons/phaseshift/larson workload set and on the
-// hoardload serving phase schedule. Reproducible with
-// `hoardbench -tune <path>`; the convergence thresholds are enforced by this
-// writer at every scale, after the artifact is on disk so a failing run
-// still leaves the numbers to look at.
-type tuneArtifact struct {
-	Schema     string                      `json:"schema"`
-	Scale      string                      `json:"scale"`
-	Provenance experiments.Provenance      `json:"provenance"`
-	Workloads  []experiments.ControlResult `json:"workloads"`
-	Serving    experiments.TunedLoadResult `json:"serving"`
-}
-
-// writeTune runs the A14 ablation and writes the JSON record, then enforces
-// the convergence thresholds: the tuned arm must engage, land its
-// steady-state transfer traffic at the oracle arm's level (or under the
-// absolute floor), keep the serving schedule inside the PR9 tail-latency
-// SLOs, and not out-retain the oracle arm's resting footprint.
-func writeTune(path string, opts experiments.Options, scale string, progress func(string, int)) error {
-	schema := "hoardgo-bench/pr10-control/v1"
-	procs := 4
-	if opts.Scale == experiments.Full {
-		procs = 8
-	}
-	art := tuneArtifact{
-		Schema:     schema,
-		Scale:      scale,
-		Provenance: stamp(schema, scale, opts),
-		Workloads:  experiments.MeasureControl(procs, opts.Scale, progress),
-	}
-	serving, err := experiments.MeasureTunedLoad(4, 1, opts.Scale, progress)
-	if err != nil {
-		return err
-	}
-	art.Serving = serving
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s:\n", path)
-	for _, r := range art.Workloads {
-		fmt.Printf("  %-10s P=%d  transfers/op detuned %.4f -> tuned %.4f (oracle %.4f), %d decisions, footprint %.2fx oracle\n",
-			r.Workload, r.Procs, r.Detuned.TransfersPerOp, r.Tuned.TransfersPerOp,
-			r.Oracle.TransfersPerOp, r.Tuned.Decisions, r.FootprintRatioVsOracle)
-	}
-	for _, ph := range art.Serving.Tuned.Phases {
-		fmt.Printf("  serving %-14s tuned malloc p999 %dns, request p999 %dns\n",
-			ph.Name, ph.MallocP999NS, ph.RequestP999NS)
-	}
-	fmt.Printf("  serving tuned: %d decisions, final footprint %d B (%.2fx oracle)\n",
-		art.Serving.Tuned.Decisions, art.Serving.Tuned.FinalFootprint,
-		art.Serving.FootprintRatioVsOracle)
-	if err := experiments.CheckControl(art.Workloads); err != nil {
-		return err
-	}
-	return experiments.CheckTunedLoad(art.Serving)
-}
-
 // writeMetricsTimeline runs the instrumented churn scenario behind -metrics
 // and writes the timeline artifact. Any invariant-audit failure during the
 // run is a hard error.

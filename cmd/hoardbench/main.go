@@ -45,7 +45,6 @@ func run() error {
 		footTo    = flag.String("footprint", "", "run the scavenger footprint grid (workloads x release modes) and write the artifact (steady-state ratios + batch-lock guard) to this JSON file and exit")
 		lockfree  = flag.String("lockfree", "", "run the zero-lock steady-state comparison (heap-lock acquisitions per op, fast vs locked arm, plus the simulator throughput sweep) and write the artifact to this JSON file and exit; at quick scale the smoke thresholds are enforced")
 		arenaTo   = flag.String("arena", "", "run the real-memory arena comparison (pointer resolution cost, wall-clock malloc/free sweep, RSS under release policies) and write the artifact to this JSON file and exit; requires the arena backend (Linux amd64/arm64); the smoke thresholds are enforced")
-		tuneTo    = flag.String("tune", "", "run the self-tuning controller ablation (controller off vs on vs oracle-static, on the workload set and the serving phase schedule) and write the artifact to this JSON file and exit; the convergence thresholds are enforced")
 	)
 	flag.Parse()
 
@@ -95,9 +94,6 @@ func run() error {
 	}
 	if *arenaTo != "" {
 		return writeArena(*arenaTo, opts, *scaleFlag, progress)
-	}
-	if *tuneTo != "" {
-		return writeTune(*tuneTo, opts, *scaleFlag, progress)
 	}
 	ids := strings.Split(*expFlag, ",")
 	if *expFlag == "all" {

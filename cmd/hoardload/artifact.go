@@ -31,12 +31,6 @@ type engineRun struct {
 	PeakFootprintBytes  int64 `json:"peak_footprint_bytes"`
 	ReleasedBytes       int64 `json:"released_bytes"`
 	FinalFootprintBytes int64 `json:"final_footprint_bytes"`
-	// Tuned marks the self-tuning arm (-tune): the run starts from
-	// deliberately detuned knobs (f=0.05, K=0, magazines of 4) with the
-	// background controller enabled, and must still hold the same SLOs as
-	// the static runs. Controller is that arm's activity record.
-	Tuned      bool                   `json:"tuned,omitempty"`
-	Controller *hoard.ControllerStats `json:"controller,omitempty"`
 }
 
 // hostInfo records the machine the wall-clock numbers came from.
@@ -153,9 +147,6 @@ func checkSmoke(art *artifact) error {
 		}
 		if len(er.Result.Timeline) == 0 {
 			return fmt.Errorf("%s: no timeline samples", er.Backend)
-		}
-		if er.Tuned && (er.Controller == nil || er.Controller.Decisions == 0) {
-			return fmt.Errorf("%s: tuned arm ran but the controller never made a decision", er.Backend)
 		}
 	}
 	if len(art.Sweep) == 0 {

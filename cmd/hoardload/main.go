@@ -11,10 +11,6 @@
 //	hoardload [-scale quick|full] [-backends sim,arena] [-workers N] [-seed N]
 //	hoardload -artifact BENCH_PR9.json       # write the committed record
 //	hoardload -smoke                         # enforce the CI SLO thresholds
-//	hoardload -tune -smoke                   # add the self-tuning arm: the same
-//	                                         # schedule from deliberately bad
-//	                                         # knobs with the controller live,
-//	                                         # held to the same SLOs
 //
 // The request stream is deterministic under -seed; wall-clock latencies are
 // machine-dependent, which is why the artifact records the host's CPU count
@@ -29,7 +25,6 @@ import (
 	"time"
 
 	hoard "hoardgo"
-	"hoardgo/internal/core"
 	"hoardgo/internal/loadgen"
 )
 
@@ -78,7 +73,6 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "request-stream seed (keys, sizes, ordering)")
 		artifact  = flag.String("artifact", "", "write the benchmark artifact to this JSON file")
 		smoke     = flag.Bool("smoke", false, "enforce the smoke thresholds (tail-latency SLOs, drained footprint, sweep sanity) and fail on violation")
-		tune      = flag.Bool("tune", false, "add the self-tuning arm: run the schedule once more from deliberately detuned knobs (f=0.05, K=0, magazines of 4) with the background controller enabled; the smoke thresholds apply to it unchanged")
 		verbose   = flag.Bool("v", false, "print progress to stderr")
 	)
 	flag.Parse()
@@ -123,15 +117,6 @@ func run() error {
 		art.Sweep = append(art.Sweep, entries...)
 	}
 
-	if *tune {
-		progress("tuned engine on sim: controller from detuned defaults")
-		er, err := runTunedEngine(sh, *workers, *seed)
-		if err != nil {
-			return err
-		}
-		art.Engine = append(art.Engine, er)
-	}
-
 	if *smoke {
 		if err := checkSmoke(art); err != nil {
 			return fmt.Errorf("smoke thresholds: %w", err)
@@ -170,51 +155,6 @@ func runEngine(backend string, sh shape, workers int, seed int64) (engineRun, er
 	if backend == "arena" && a.Backend() != "arena" {
 		return engineRun{}, fmt.Errorf("arena backend unavailable: %s", a.BackendFallbackReason())
 	}
-	return driveEngine(a, backend, sh, workers, seed)
-}
-
-// runTunedEngine is the -tune arm: the same schedule on the sim backend, but
-// starting from deliberately bad static knobs — an aggressive empty fraction,
-// no slack, and four-block magazines — with the self-tuning controller
-// running. The smoke thresholds judge it exactly like the static arms.
-func runTunedEngine(sh shape, workers int, seed int64) (engineRun, error) {
-	a, err := hoard.New(hoard.Config{
-		Procs:               workers,
-		Backend:             "sim",
-		ThreadCacheCapacity: 4,
-		Hoard:               core.Config{EmptyFraction: 0.05, K: core.KNone},
-		Metrics:             true,
-		Scavenge: hoard.ScavengeConfig{
-			Enabled:  true,
-			Interval: 5 * time.Millisecond,
-			ColdAge:  20 * time.Millisecond,
-		},
-		Control: hoard.ControlConfig{
-			Enabled:       true,
-			Interval:      2 * time.Millisecond,
-			CooldownTicks: 2,
-			MinOpsPerTick: 32,
-		},
-	})
-	if err != nil {
-		return engineRun{}, err
-	}
-	defer a.Close()
-	er, err := driveEngine(a, "sim", sh, workers, seed)
-	if err != nil {
-		return er, err
-	}
-	cs := a.StopController()
-	er.Tuned = true
-	er.Controller = &cs
-	return er, nil
-}
-
-// driveEngine plays the schedule on an already-built allocator and collects
-// the run record. The caller keeps ownership of a (and Closes it); any
-// controller snapshot is also the caller's to take — this helper only stops
-// the scavenger, whose activity belongs in every record.
-func driveEngine(a *hoard.Allocator, backend string, sh shape, workers int, seed int64) (engineRun, error) {
 	phases := loadgen.StandardPhases(sh.Keys, sh.SizeMin, sh.SizeMax, sh.PhaseDur, sh.PeakRate)
 	res, err := loadgen.Run(loadgen.Config{
 		Allocator: a,
@@ -252,16 +192,9 @@ func driveEngine(a *hoard.Allocator, backend string, sh shape, workers int, seed
 // report prints the human summary: per phase tail latencies, then the sweep.
 func report(art *artifact) {
 	for _, er := range art.Engine {
-		label := er.Backend
-		if er.Tuned {
-			label += " (tuned)"
-		}
 		fmt.Printf("engine %s (%d workers): %d requests, %d dropped, peak footprint %d KiB, after release %d KiB\n",
-			label, er.Workers, er.Result.Requests, er.Result.Dropped,
+			er.Backend, er.Workers, er.Result.Requests, er.Result.Dropped,
 			er.PeakFootprintBytes/1024, er.FinalFootprintBytes/1024)
-		if er.Tuned && er.Controller != nil {
-			fmt.Printf("  controller: %d ticks, %d decisions\n", er.Controller.Ticks, er.Controller.Decisions)
-		}
 		for _, ph := range er.Result.Phases {
 			fmt.Printf("  %-14s %7d req  malloc p50/p99/p999 %s/%s/%s  request p50/p99/p999 %s/%s/%s\n",
 				ph.Name, ph.Requests,

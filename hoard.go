@@ -34,7 +34,6 @@ import (
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/allocators"
 	"hoardgo/internal/concurrent"
-	"hoardgo/internal/control"
 	"hoardgo/internal/core"
 	"hoardgo/internal/debugalloc"
 	"hoardgo/internal/dlheap"
@@ -124,11 +123,12 @@ type Config struct {
 	Debug           bool
 	DebugQuarantine int
 
-	// ThreadCacheCapacity, if positive, layers a per-thread block cache
+	// ThreadCacheCapacity, if nonzero, layers a per-thread block cache
 	// (in the style of Hoard's successors — tcmalloc, jemalloc) over the
 	// selected policy: lock-free malloc/free fast paths, bounded extra
 	// memory, and the documented return of passive false sharing. See
-	// the "tcache" experiment.
+	// the "tcache" experiment. It is the magazine size per size class and
+	// must be at least 2; New rejects smaller values.
 	ThreadCacheCapacity int
 
 	// Metrics instruments every internal lock with acquisition, contention,
@@ -143,11 +143,6 @@ type Config struct {
 	// of long-empty superblocks parked on the global heap to the (simulated)
 	// OS. Hoard policy only; see ScavengeConfig. Disabled by default.
 	Scavenge ScavengeConfig
-
-	// Control configures the self-tuning controller, which retunes f, K,
-	// magazine capacities, and scavenger pacing from the live metrics
-	// timeline. Hoard policy only; see ControlConfig. Disabled by default.
-	Control ControlConfig
 }
 
 // Allocator is a thread-safe explicit memory allocator.
@@ -169,12 +164,6 @@ type Allocator struct {
 	scavMu  sync.Mutex
 	scav    *scavenge.Scavenger
 	scavCfg scavenge.Config
-
-	// ctlMu guards the self-tuning controller handle (StartController /
-	// StopController); ctlCfg is the internal form of Config.Control.
-	ctlMu  sync.Mutex
-	ctl    *control.Controller
-	ctlCfg control.Config
 }
 
 // New builds an allocator from cfg.
@@ -197,6 +186,11 @@ func New(cfg Config) (*Allocator, error) {
 	default:
 		return nil, fmt.Errorf("hoard: unknown backend %q (want \"sim\" or \"arena\")", cfg.Backend)
 	}
+	// Every policy sizes its spans by Hoard.SuperblockSize; check it here so
+	// a bad size is an error from New, not a panic at the first Malloc.
+	if err := (core.Config{SuperblockSize: cfg.Hoard.SuperblockSize}).Validate(); err != nil {
+		return nil, err
+	}
 	var impl alloc.Allocator
 	switch cfg.Policy {
 	case PolicyHoard, "":
@@ -206,6 +200,9 @@ func New(cfg Config) (*Allocator, error) {
 		}
 		if hc.Backend == "" {
 			hc.Backend = cfg.Backend
+		}
+		if err := hc.Validate(); err != nil {
+			return nil, err
 		}
 		impl = core.New(hc, lf)
 	case PolicySerial:
@@ -234,7 +231,10 @@ func New(cfg Config) (*Allocator, error) {
 	default:
 		return nil, fmt.Errorf("hoard: unknown policy %q (have %v)", cfg.Policy, allocators.Names())
 	}
-	if cfg.ThreadCacheCapacity > 0 {
+	if cfg.ThreadCacheCapacity != 0 {
+		if cfg.ThreadCacheCapacity < tcache.MinCapacity {
+			return nil, fmt.Errorf("hoard: ThreadCacheCapacity %d below the minimum of %d", cfg.ThreadCacheCapacity, tcache.MinCapacity)
+		}
 		impl = tcache.New(impl, tcache.Config{Capacity: cfg.ThreadCacheCapacity})
 	}
 	if cfg.Debug {
@@ -244,18 +244,9 @@ func New(cfg Config) (*Allocator, error) {
 	if err := scavCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("hoard: %w", err)
 	}
-	ctlCfg := cfg.Control.internal()
-	if err := ctlCfg.Validate(); err != nil {
-		return nil, fmt.Errorf("hoard: %w", err)
-	}
-	a := &Allocator{impl: impl, reg: reg, scavCfg: scavCfg, ctlCfg: ctlCfg}
+	a := &Allocator{impl: impl, reg: reg, scavCfg: scavCfg}
 	if cfg.Scavenge.Enabled {
 		if err := a.StartScavenger(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Control.Enabled {
-		if err := a.StartController(); err != nil {
 			return nil, err
 		}
 	}
@@ -504,9 +495,9 @@ func (a *Allocator) BackendFallbackReason() string {
 	return ""
 }
 
-// Close stops the background controller, scavenger, and auditor (if
-// running) and releases the memory substrate: for the arena backend this
-// unmaps its virtual reservation, for the simulated backend it is a no-op.
+// Close stops the background scavenger and auditor (if running) and
+// releases the memory substrate: for the arena backend this unmaps its
+// virtual reservation, for the simulated backend it is a no-op.
 // The allocator must be quiescent when Close is called. Afterwards NewThread
 // and every Thread operation that touches memory (Malloc, Free, their batch
 // forms, Bytes, UsableSize and the calls built on them) panic with a message
@@ -514,7 +505,6 @@ func (a *Allocator) BackendFallbackReason() string {
 // Close is the only way an arena's address space is returned to the OS — Go
 // finalizers cannot reclaim it.
 func (a *Allocator) Close() error {
-	a.StopController()
 	a.StopScavenger()
 	a.StopAuditor()
 	err := a.impl.Space().Close()

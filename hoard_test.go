@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hoardgo/internal/core"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -143,12 +145,36 @@ func TestThreadIDsUnique(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBadConfig pins that New reports every invalid configuration as an
+// error — never a panic from a lower layer — and names the offending field.
 func TestBadConfig(t *testing.T) {
-	if _, err := New(Config{Policy: "bogus"}); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if _, err := New(Config{Procs: -1}); err == nil {
-		t.Fatal("negative procs accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"unknown policy", Config{Policy: "bogus"}, "policy"},
+		{"negative procs", Config{Procs: -1}, "Procs"},
+		{"empty fraction above 1", Config{Hoard: core.Config{EmptyFraction: 1.5}}, "empty fraction"},
+		{"negative empty fraction", Config{Hoard: core.Config{EmptyFraction: -0.5}}, "empty fraction"},
+		{"superblock size not a power of two", Config{Hoard: core.Config{SuperblockSize: 3000}}, "superblock size"},
+		{"baseline superblock size not a power of two", Config{Policy: PolicySerial, Hoard: core.Config{SuperblockSize: 3000}}, "superblock size"},
+		{"negative heaps", Config{Hoard: core.Config{Heaps: -1}}, "heap"},
+		{"negative K", Config{Hoard: core.Config{K: -2}}, "K"},
+		{"shrinking size classes", Config{Hoard: core.Config{SizeClassBase: 0.9}}, "size classes"},
+		{"thread cache of one", Config{ThreadCacheCapacity: 1}, "ThreadCacheCapacity"},
+		{"negative thread cache", Config{ThreadCacheCapacity: -3}, "ThreadCacheCapacity"},
+	} {
+		var err error
+		if r := panicIn(func() { _, err = New(tc.cfg) }); r != nil {
+			t.Errorf("%s: New panicked: %v", tc.name, r)
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -111,9 +111,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Validate reports the error New would panic with on c, after filling its
+// zero fields with the defaults; nil means New accepts it.
+func (c Config) Validate() error { return c.withDefaults().validate() }
+
 func (c Config) validate() error {
 	if c.SuperblockSize < vm.PageSize || c.SuperblockSize&(c.SuperblockSize-1) != 0 {
 		return fmt.Errorf("hoard: superblock size %d must be a power-of-two multiple of the %d-byte page", c.SuperblockSize, vm.PageSize)
+	}
+	if err := sizeclass.Check(c.SizeClassBase, sizeclass.Quantum, c.SuperblockSize/2); err != nil {
+		return fmt.Errorf("hoard: size classes: %w", err)
 	}
 	if c.EmptyFraction <= 0 || c.EmptyFraction >= 1 {
 		return fmt.Errorf("hoard: empty fraction %v out of (0,1)", c.EmptyFraction)
@@ -235,9 +242,6 @@ func (h *Hoard) BackendFallbackReason() string { return h.backendFallback }
 
 // Classes exposes the size-class table (used by tests and benchmarks).
 func (h *Hoard) Classes() *sizeclass.Table { return h.classes }
-
-// SuperblockSize returns S in bytes.
-func (h *Hoard) SuperblockSize() int { return h.cfg.SuperblockSize }
 
 // NewThread registers a worker. The thread's heap is chosen by hashing its
 // environment thread id over the per-processor heaps, as in the paper.
@@ -670,41 +674,6 @@ func (h *Hoard) HeapSnapshot(id int) (u, a int64, superblocks int) {
 
 // NumHeaps returns the number of heaps including the global heap.
 func (h *Hoard) NumHeaps() int { return len(h.heaps) }
-
-// EmptyFraction returns the empty fraction f currently in force. All heaps
-// share one value (SetEmptyFraction writes them all), so heap 0's copy is
-// authoritative.
-func (h *Hoard) EmptyFraction() float64 { return h.heaps[0].EmptyFraction() }
-
-// SetEmptyFraction retunes the empty fraction f on every heap. Safe to call
-// at any time from any goroutine — f parameterizes eviction policy, not
-// structural state, so concurrent malloc/free traffic simply starts seeing
-// the new value (see heap.SetEmptyFraction). Returns an error outside (0,1).
-func (h *Hoard) SetEmptyFraction(f float64) error {
-	if f <= 0 || f >= 1 {
-		return fmt.Errorf("hoard: empty fraction %v out of (0,1)", f)
-	}
-	for _, hp := range h.heaps {
-		hp.SetEmptyFraction(f)
-	}
-	return nil
-}
-
-// SlackK returns the emptiness-invariant slack K currently in force.
-func (h *Hoard) SlackK() int { return h.heaps[0].SlackK() }
-
-// SetSlackK retunes the slack K (in superblocks) on every heap. Safe to call
-// at any time from any goroutine; returns an error on negative K. Note the
-// literal value is stored — there is no KNone mapping here, 0 means 0.
-func (h *Hoard) SetSlackK(k int) error {
-	if k < 0 {
-		return fmt.Errorf("hoard: negative K %d", k)
-	}
-	for _, hp := range h.heaps {
-		hp.SetSlackK(k)
-	}
-	return nil
-}
 
 // CheckIntegrity implements alloc.Allocator. The allocator must be
 // quiescent.

@@ -334,6 +334,9 @@ func TestConfigValidation(t *testing.T) {
 		{SizeClassBase: 0.9},   // shrinking classes
 	}
 	for i, cfg := range bad {
+		if cfg.Validate() == nil {
+			t.Errorf("config %d passed Validate: %+v", i, cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -342,6 +345,35 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			New(cfg, lf)
 		}()
+	}
+}
+
+// TestStaticFKOnEveryHeap pins that f and K are construction-time settings
+// that reach every heap, the global heap 0 included, and that the free path
+// enforces them: with K = 0 there is no slack, so a per-processor heap whose
+// blocks are all freed must shed every superblock (the default K = 1 would
+// let it keep one).
+func TestStaticFKOnEveryHeap(t *testing.T) {
+	h := newHoard(Config{Heaps: 3, EmptyFraction: 0.5, K: KNone})
+	for _, hp := range h.heaps {
+		if f, k := hp.EmptyFraction(), hp.SlackK(); f != 0.5 || k != 0 {
+			t.Errorf("heap %d runs the invariant with f=%v K=%d, want f=0.5 K=0", hp.ID, f, k)
+		}
+	}
+	th := thread(h, 0)
+	var ps []alloc.Ptr
+	for i := 0; i < 1000; i++ {
+		ps = append(ps, h.Malloc(th, 64))
+	}
+	for _, p := range ps {
+		h.Free(th, p)
+	}
+	h.Reconcile(&env.RealEnv{ID: -1})
+	if u, a, _ := h.HeapSnapshot(1); u != 0 || a != 0 {
+		t.Fatalf("heap 1 holds u=%d a=%d after freeing everything under K=0, want 0/0", u, a)
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }
 

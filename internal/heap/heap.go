@@ -32,7 +32,6 @@ package heap
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"hoardgo/internal/alloc"
@@ -56,14 +55,10 @@ type Heap struct {
 	Lock env.Lock
 
 	sbSize int
-	// fEmpty holds math.Float64bits of the empty fraction f and k holds the
-	// slack K. Both are atomics so a controller (or any other goroutine) can
-	// retune them while lock-free frees consult the invariant: f and K are
-	// eviction *policy*, not structural state — a racing read merely decides
-	// whether this particular free triggers an eviction pass, and both the
-	// locked confirm path and the next free re-read the current values.
-	fEmpty  atomic.Uint64
-	k       atomic.Int64
+	// fEmpty is the empty fraction f and k the slack K of the emptiness
+	// invariant, fixed at construction.
+	fEmpty  float64
+	k       int64
 	u       int64
 	a       atomic.Int64 // bytes held in superblocks; atomic so hint checks read it lockless
 	classes []classGroups
@@ -140,45 +135,29 @@ func (l *sbList) remove(sb *superblock.Superblock) {
 // emptiness invariant; numClasses is the size-class count; lock is the
 // heap's lock (created by the caller in the appropriate environment).
 func New(id, sbSize int, fEmpty float64, k, numClasses int, lock env.Lock) *Heap {
-	h := &Heap{
+	if fEmpty <= 0 || fEmpty >= 1 {
+		panic(fmt.Sprintf("heap: empty fraction %v out of (0,1)", fEmpty))
+	}
+	if k < 0 {
+		panic(fmt.Sprintf("heap: slack K %d negative", k))
+	}
+	return &Heap{
 		ID:      id,
 		Lock:    lock,
 		sbSize:  sbSize,
+		fEmpty:  fEmpty,
+		k:       int64(k),
 		classes: make([]classGroups, numClasses),
 		warm:    make([]atomic.Pointer[superblock.Ref], numClasses),
 		rings:   make([]warmRing, numClasses),
 	}
-	h.SetEmptyFraction(fEmpty)
-	h.SetSlackK(k)
-	return h
 }
 
-// EmptyFraction returns the current empty fraction f. Lock-free.
-func (h *Heap) EmptyFraction() float64 {
-	return math.Float64frombits(h.fEmpty.Load())
-}
+// EmptyFraction returns the empty fraction f. Lock-free.
+func (h *Heap) EmptyFraction() float64 { return h.fEmpty }
 
-// SetEmptyFraction retunes the empty fraction f. Safe to call at any time
-// from any goroutine; in-flight invariant checks use whichever value they
-// read. Panics outside (0,1) — same validation as construction.
-func (h *Heap) SetEmptyFraction(f float64) {
-	if f <= 0 || f >= 1 {
-		panic(fmt.Sprintf("heap: empty fraction %v out of (0,1)", f))
-	}
-	h.fEmpty.Store(math.Float64bits(f))
-}
-
-// SlackK returns the current slack K. Lock-free.
-func (h *Heap) SlackK() int { return int(h.k.Load()) }
-
-// SetSlackK retunes the slack K. Safe to call at any time from any
-// goroutine. Panics on negative K.
-func (h *Heap) SetSlackK(k int) {
-	if k < 0 {
-		panic(fmt.Sprintf("heap: slack K %d negative", k))
-	}
-	h.k.Store(int64(k))
-}
+// SlackK returns the slack K. Lock-free.
+func (h *Heap) SlackK() int { return int(h.k) }
 
 // groupOfCount computes the fullness group for an accounted in-use count.
 func groupOfCount(used, nBlocks int) int {
@@ -376,7 +355,7 @@ func (h *Heap) HintSuspectsViolation() bool {
 
 func (h *Heap) invariantViolatedAt(u int64) bool {
 	a := h.a.Load()
-	return u < a-h.k.Load()*int64(h.sbSize) && float64(u) < (1-h.EmptyFraction())*float64(a)
+	return u < a-h.k*int64(h.sbSize) && float64(u) < (1-h.fEmpty)*float64(a)
 }
 
 // Insert adds a superblock (and its current contents) to the heap, taking
@@ -522,7 +501,7 @@ func (h *Heap) FindEvictable(e env.Env) *superblock.Superblock {
 			e.Charge(env.OpListScan, 1)
 			for sb := h.classes[c].groups[g].head; sb != nil; sb = sb.Next {
 				e.Charge(env.OpListScan, 1)
-				if sb.AtLeastEmpty(h.EmptyFraction()) {
+				if sb.AtLeastEmpty(h.fEmpty) {
 					return sb
 				}
 			}
@@ -766,7 +745,7 @@ func (h *Heap) CapacityWaste() int64 {
 // owed. The caller must hold the heap lock.
 func (h *Heap) InvariantViolatedUsable() bool {
 	a := h.a.Load() - h.CapacityWaste()
-	return h.u < a-h.k.Load()*int64(h.sbSize) && float64(h.u) < (1-h.EmptyFraction())*float64(a)
+	return h.u < a-h.k*int64(h.sbSize) && float64(h.u) < (1-h.fEmpty)*float64(a)
 }
 
 // ClassOccupancy is one size class's occupancy within a heap: superblock

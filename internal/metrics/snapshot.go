@@ -45,28 +45,6 @@ type HeapSample struct {
 	Classes []ClassSample `json:"classes,omitempty"`
 }
 
-// ControllerDecision is one knob change the self-tuning controller applied,
-// mirrored from the controller's decision ring so the metrics timeline can
-// carry the tuning history without importing internal/control.
-type ControllerDecision struct {
-	WhenNS int64   `json:"when_ns"`
-	Knob   string  `json:"knob"`
-	Old    float64 `json:"old"`
-	New    float64 `json:"new"`
-	Reason string  `json:"reason"`
-}
-
-// ControllerSample is the self-tuning controller section of a Snapshot:
-// activity counters, the knob values currently in force, and the retained
-// decision log (oldest first).
-type ControllerSample struct {
-	Ticks     int64                `json:"ticks"`
-	IdleTicks int64                `json:"idle_ticks"`
-	Decisions int64                `json:"decisions"`
-	Knobs     map[string]float64   `json:"knobs,omitempty"`
-	Log       []ControllerDecision `json:"log,omitempty"`
-}
-
 // Snapshot is one observation of an allocator: counters, per-heap occupancy,
 // magazine fill, and lock counters. Zero-valued sections are omitted from
 // export (e.g. Heaps is empty for non-Hoard policies, Locks is empty without
@@ -86,9 +64,6 @@ type Snapshot struct {
 	MagazineBytes int64 `json:"magazine_bytes"`
 	// Locks are the instrumented-lock counters.
 	Locks []LockStats `json:"locks,omitempty"`
-	// Controller is the self-tuning controller's activity; nil when no
-	// controller is running.
-	Controller *ControllerSample `json:"controller,omitempty"`
 }
 
 // NewSnapshot returns a Snapshot stamped with the current time and no
@@ -178,33 +153,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP hoard_tcache_magazine_bytes Bytes parked in per-thread magazines.\n")
 		fmt.Fprintf(&b, "# TYPE hoard_tcache_magazine_bytes gauge\n")
 		fmt.Fprintf(&b, "hoard_tcache_magazine_bytes{allocator=%q} %d\n", s.Allocator, s.MagazineBytes)
-	}
-
-	if c := s.Controller; c != nil {
-		counter := func(name, help string, v int64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n", name, help)
-			fmt.Fprintf(&b, "# TYPE %s counter\n", name)
-			fmt.Fprintf(&b, "%s{allocator=%q} %d\n", name, s.Allocator, v)
-		}
-		counter("hoard_controller_ticks_total",
-			"Self-tuning controller loop iterations.", c.Ticks)
-		counter("hoard_controller_idle_ticks_total",
-			"Controller ticks skipped for lack of allocator traffic.", c.IdleTicks)
-		counter("hoard_controller_decisions_total",
-			"Knob changes the controller applied.", c.Decisions)
-		if len(c.Knobs) > 0 {
-			knobs := make([]string, 0, len(c.Knobs))
-			for k := range c.Knobs {
-				knobs = append(knobs, k)
-			}
-			sort.Strings(knobs)
-			const name = "hoard_controller_knob"
-			fmt.Fprintf(&b, "# HELP %s Current value of a self-tuned allocator knob.\n", name)
-			fmt.Fprintf(&b, "# TYPE %s gauge\n", name)
-			for _, k := range knobs {
-				fmt.Fprintf(&b, "%s{knob=%q} %g\n", name, k, c.Knobs[k])
-			}
-		}
 	}
 
 	_, err := io.WriteString(w, b.String())

@@ -186,27 +186,6 @@ func (p *Pacer) Grant(emptyBytes, nowNS int64) int64 {
 	return grant
 }
 
-// Retune replaces the pacer's watermarks and rate in place, preserving the
-// hysteresis and token-bucket state so a mid-flight adjustment (from the
-// self-tuning controller or a manual setter) takes effect on the next Grant
-// without restarting the pacing history. Tokens above the new burst cap are
-// forfeited. Invalid combinations (low above high, negative values,
-// non-positive burst) are ignored — callers validate, and a policy engine
-// must never panic mid-run on a racy read.
-func (p *Pacer) Retune(high, low, rate, burst int64) {
-	if high < 0 || low < 0 || low > high || rate < 0 || burst <= 0 {
-		return
-	}
-	p.cfg.HighWaterBytes = high
-	p.cfg.LowWaterBytes = low
-	p.cfg.BytesPerSec = rate
-	p.cfg.BurstBytes = burst
-	if p.tokens > burst {
-		p.tokens = burst
-		p.refillRem = 0
-	}
-}
-
 // Spend consumes tokens for bytes actually released by a pass.
 func (p *Pacer) Spend(released int64) {
 	p.tokens -= released

@@ -352,90 +352,3 @@ func TestScavengerWallClockSlowDrain(t *testing.T) {
 		t.Fatalf("wakeups = %d over %v with a 1ms interval — poll loop is spinning", st.Wakeups, elapsed)
 	}
 }
-
-// TestScavengerLiveRetune is the regression test for watermarks frozen at
-// Start: the loop's pacer used to copy the config once when the goroutine
-// launched, so SetWatermarks/SetRate from the self-tuning controller (or a
-// manual caller) silently did nothing until a Stop/Start bounce. The loop
-// must re-read the knobs every tick.
-func TestScavengerLiveRetune(t *testing.T) {
-	const pool = 20 * S
-	f := &fakeTarget{empty: pool}
-	cfg := scavCfg()
-	cfg.HighWaterBytes = 2 * pool // parked bytes sit far below: never engages
-	cfg.LowWaterBytes = pool
-	s := New(f, cfg)
-	s.Start()
-	defer s.Stop()
-
-	// With the watermark above the pool nothing may be released, no matter
-	// how long the loop runs.
-	waitFor(t, "loop to run some polls", func() bool { return s.Stats().Wakeups >= 5 })
-	if empty, _, _ := f.get(); empty != pool {
-		t.Fatalf("released %d bytes below the high watermark", pool-empty)
-	}
-
-	// Lower the watermarks on the RUNNING scavenger. The next poll must
-	// see them and drain to the new low watermark without a Stop/Start.
-	if err := s.SetWatermarks(4*S, 2*S); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "drain to the retuned low watermark", func() bool {
-		empty, _, _ := f.get()
-		return empty == 2*S
-	})
-	if high, low := s.Watermarks(); high != 4*S || low != 2*S {
-		t.Fatalf("Watermarks = (%d, %d), want (%d, %d)", high, low, 4*S, 2*S)
-	}
-
-	// Retune the other direction: raise the watermark mid-run and refill
-	// the pool; the loop must go quiet again at the new thresholds.
-	if err := s.SetWatermarks(2*pool, pool); err != nil {
-		t.Fatal(err)
-	}
-	f.set(pool, false)
-	_, _, callsBefore := f.get()
-	waitFor(t, "polls after re-raise", func() bool { return s.Stats().Wakeups >= 40 })
-	if empty, _, calls := f.get(); empty != pool && calls > callsBefore {
-		t.Fatalf("released %d bytes after the watermark was raised", pool-empty)
-	}
-
-	// Invalid retunes are rejected and leave the running values alone.
-	if err := s.SetWatermarks(S, 2*S); err == nil {
-		t.Fatal("low > high accepted")
-	}
-	if err := s.SetRate(-1, S); err == nil {
-		t.Fatal("negative rate accepted")
-	}
-	if high, low := s.Watermarks(); high != 2*pool || low != pool {
-		t.Fatalf("rejected retune leaked: (%d, %d)", high, low)
-	}
-}
-
-// TestScavengerRateRetune proves a live SetRate change takes effect: a
-// crawling rate is raised mid-drain and the remaining pool must drain
-// promptly afterwards.
-func TestScavengerRateRetune(t *testing.T) {
-	const pool = 256 * S
-	f := &fakeTarget{empty: pool}
-	cfg := scavCfg()
-	cfg.BytesPerSec = 1 // effectively frozen
-	cfg.BurstBytes = S
-	s := New(f, cfg)
-	s.Start()
-	defer s.Stop()
-
-	// At 1 B/s the initial burst is all that can move.
-	waitFor(t, "initial polls", func() bool { return s.Stats().Wakeups >= 5 })
-	if empty, _, _ := f.get(); pool-empty > S {
-		t.Fatalf("released %d bytes at a 1 B/s rate", pool-empty)
-	}
-
-	if err := s.SetRate(1<<30, 1<<30); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "drain after live rate raise", func() bool {
-		empty, _, _ := f.get()
-		return empty == 2*S // scavCfg's LowWaterBytes
-	})
-}

@@ -1,7 +1,6 @@
 package scavenge
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,15 +43,6 @@ type Scavenger struct {
 	stop chan struct{}
 	done chan struct{}
 
-	// The pacing knobs live in atomics the loop re-reads every tick (via
-	// Pacer.Retune), so SetWatermarks/SetRate — from the self-tuning
-	// controller or a manual caller — take effect without Stop/Start. The
-	// pacer itself stays owned by the loop goroutine.
-	highWater atomic.Int64
-	lowWater  atomic.Int64
-	rate      atomic.Int64
-	burst     atomic.Int64
-
 	wakeups  atomic.Int64
 	passes   atomic.Int64
 	released atomic.Int64
@@ -65,46 +55,7 @@ func New(target Target, cfg Config) *Scavenger {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Scavenger{target: target, cfg: cfg.WithDefaults()}
-	s.highWater.Store(s.cfg.HighWaterBytes)
-	s.lowWater.Store(s.cfg.LowWaterBytes)
-	s.rate.Store(s.cfg.BytesPerSec)
-	s.burst.Store(s.cfg.BurstBytes)
-	return s
-}
-
-// SetWatermarks retunes the hysteresis watermarks; the loop applies them on
-// its next tick, running or not. Returns an error on a low watermark above
-// the high one or a negative value.
-func (s *Scavenger) SetWatermarks(high, low int64) error {
-	if high < 0 || low < 0 || low > high {
-		return fmt.Errorf("scavenge: bad watermarks (high %d, low %d)", high, low)
-	}
-	s.highWater.Store(high)
-	s.lowWater.Store(low)
-	return nil
-}
-
-// Watermarks returns the watermarks currently in force.
-func (s *Scavenger) Watermarks() (high, low int64) {
-	return s.highWater.Load(), s.lowWater.Load()
-}
-
-// SetRate retunes the token-bucket refill rate and burst cap; the loop
-// applies them on its next tick. Returns an error on a negative rate or
-// non-positive burst.
-func (s *Scavenger) SetRate(bytesPerSec, burstBytes int64) error {
-	if bytesPerSec < 0 || burstBytes <= 0 {
-		return fmt.Errorf("scavenge: bad rate (%d B/s, burst %d)", bytesPerSec, burstBytes)
-	}
-	s.rate.Store(bytesPerSec)
-	s.burst.Store(burstBytes)
-	return nil
-}
-
-// Rate returns the refill rate and burst cap currently in force.
-func (s *Scavenger) Rate() (bytesPerSec, burstBytes int64) {
-	return s.rate.Load(), s.burst.Load()
+	return &Scavenger{target: target, cfg: cfg.WithDefaults()}
 }
 
 // Start launches the background goroutine. Starting a running scavenger is a
@@ -173,9 +124,6 @@ func (s *Scavenger) loop(stop <-chan struct{}, done chan<- struct{}) {
 // until the next poll — the configured interval normally, doubled (up to
 // MaxBackoff) after a contended inspection or pass.
 func (s *Scavenger) tick(pacer *Pacer, delay time.Duration) time.Duration {
-	// Re-read the pacing knobs each cycle: SetWatermarks/SetRate may have
-	// retuned them since the pacer was built at Start.
-	pacer.Retune(s.highWater.Load(), s.lowWater.Load(), s.rate.Load(), s.burst.Load())
 	empty, ok := s.target.EmptyBytes()
 	if !ok {
 		s.backoffs.Add(1)

@@ -30,16 +30,31 @@ type Table struct {
 
 // New builds a table of geometric size classes with the given growth factor,
 // minimum class size min, and maximum class size max. It panics on invalid
-// parameters (base <= 1, min < Quantum, max < min, or more than 255 classes).
+// parameters (base <= 1, min < Quantum, max < min, or more than 255 classes);
+// Check reports the same conditions as an error.
 func New(base float64, min, max int) *Table {
+	t, err := build(base, min, max)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// Check returns the error New would panic with for these parameters, or nil.
+func Check(base float64, min, max int) error {
+	_, err := build(base, min, max)
+	return err
+}
+
+func build(base float64, min, max int) (*Table, error) {
 	if base <= 1.0 {
-		panic(fmt.Sprintf("sizeclass: base %v must exceed 1", base))
+		return nil, fmt.Errorf("sizeclass: base %v must exceed 1", base)
 	}
 	if min < Quantum || min%Quantum != 0 {
-		panic(fmt.Sprintf("sizeclass: min %d must be a positive multiple of %d", min, Quantum))
+		return nil, fmt.Errorf("sizeclass: min %d must be a positive multiple of %d", min, Quantum)
 	}
 	if max < min {
-		panic(fmt.Sprintf("sizeclass: max %d < min %d", max, min))
+		return nil, fmt.Errorf("sizeclass: max %d < min %d", max, min)
 	}
 	t := &Table{base: base, max: max}
 	for s := min; ; {
@@ -57,7 +72,7 @@ func New(base float64, min, max int) *Table {
 		s = next
 	}
 	if len(t.sizes) > 255 {
-		panic(fmt.Sprintf("sizeclass: %d classes exceed 255; base too close to 1", len(t.sizes)))
+		return nil, fmt.Errorf("sizeclass: %d classes exceed 255; base too close to 1", len(t.sizes))
 	}
 	t.lookup = make([]uint8, max/Quantum+1)
 	class := 0
@@ -67,7 +82,7 @@ func New(base float64, min, max int) *Table {
 		}
 		t.lookup[q] = uint8(class)
 	}
-	return t
+	return t, nil
 }
 
 func roundUp(n, q int) int { return (n + q - 1) / q * q }

@@ -52,17 +52,6 @@ type Allocator struct {
 	classes *sizeclass.Table
 	acct    alloc.Accounting
 
-	// caps holds the live per-class magazine capacity, seeded from
-	// cfg.Capacity and retunable at runtime (SetCapacity); owner threads
-	// read it on every overflow check and refill, a controller may store
-	// concurrently. capsHigh tracks each class's high-water capacity: after
-	// a shrink, other threads' magazines trim lazily (each owner's next
-	// Free to the class flushes against the new capacity), so integrity
-	// checks bound magazine length by the high-water mark, not the current
-	// capacity.
-	caps     []atomic.Int64
-	capsHigh []atomic.Int64
-
 	mu      sync.Mutex
 	threads []*threadState
 }
@@ -92,60 +81,26 @@ type threadState struct {
 	retired bool
 }
 
-// New wraps inner with thread caches.
+// MinCapacity is the smallest magazine capacity: refills and flushes move
+// Capacity/2 blocks, so anything below 2 degenerates.
+const MinCapacity = 2
+
+// New wraps inner with thread caches. It panics on a capacity below
+// MinCapacity.
 func New(inner alloc.Allocator, cfg Config) *Allocator {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = 32
 	}
-	if cfg.Capacity < 2 {
+	if cfg.Capacity < MinCapacity {
 		panic(fmt.Sprintf("tcache: capacity %d too small", cfg.Capacity))
 	}
 	if cfg.MaxCachedSize == 0 {
 		cfg.MaxCachedSize = 4096
 	}
-	a := &Allocator{
+	return &Allocator{
 		inner:   inner,
 		cfg:     cfg,
 		classes: sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, cfg.MaxCachedSize),
-	}
-	a.caps = make([]atomic.Int64, a.classes.NumClasses())
-	a.capsHigh = make([]atomic.Int64, a.classes.NumClasses())
-	for i := range a.caps {
-		a.caps[i].Store(int64(cfg.Capacity))
-		a.capsHigh[i].Store(int64(cfg.Capacity))
-	}
-	return a
-}
-
-// MinCapacity is the smallest settable per-class magazine capacity: refills
-// and flushes move Capacity/2 blocks, so anything below 2 degenerates.
-const MinCapacity = 2
-
-// NumClasses returns the number of cached size classes.
-func (a *Allocator) NumClasses() int { return a.classes.NumClasses() }
-
-// ClassSize returns the block size of a cached size class.
-func (a *Allocator) ClassSize(class int) int { return a.classes.Size(class) }
-
-// Capacity returns the live magazine capacity for one class. Lock-free.
-func (a *Allocator) Capacity(class int) int { return int(a.caps[class].Load()) }
-
-// SetCapacity retunes one class's magazine capacity, clamping below at
-// MinCapacity. Safe to call at any time from any goroutine: growth takes
-// effect on each thread's next overflow check or refill; shrink trims each
-// thread's magazine lazily on its owner's next Free to the class (flush
-// reads the current capacity). Until then over-capacity magazines are
-// legal — CheckIntegrity bounds them by the class's high-water capacity.
-func (a *Allocator) SetCapacity(class, n int) {
-	if n < MinCapacity {
-		n = MinCapacity
-	}
-	a.caps[class].Store(int64(n))
-	for {
-		high := a.capsHigh[class].Load()
-		if int64(n) <= high || a.capsHigh[class].CompareAndSwap(high, int64(n)) {
-			return
-		}
 	}
 }
 
@@ -213,7 +168,7 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 // empty so Malloc bypasses.
 func (a *Allocator) refill(ts *threadState, class int) {
 	blockSize := a.classes.Size(class)
-	n := int(a.caps[class].Load()) / 2
+	n := a.cfg.Capacity / 2
 	if cap(ts.scratch) < n {
 		ts.scratch = make([]alloc.Ptr, n)
 	}
@@ -270,7 +225,7 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	ts.mags[class] = append(ts.mags[class], p)
 	t.Env.Charge(env.OpFree, 1)
 	a.acct.OnFree(usable)
-	if len(ts.mags[class]) > int(a.caps[class].Load()) {
+	if len(ts.mags[class]) > a.cfg.Capacity {
 		a.flush(ts, class)
 	}
 }
@@ -280,10 +235,7 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 // superblock group when the inner allocator batches natively.
 func (a *Allocator) flush(ts *threadState, class int) {
 	mag := ts.mags[class]
-	keep := int(a.caps[class].Load()) / 2
-	if keep > len(mag) {
-		keep = len(mag)
-	}
+	keep := a.cfg.Capacity / 2
 	alloc.FreeBatch(a.inner, ts.inner, mag[keep:])
 	ts.mags[class] = mag[:keep]
 	a.publishMagBytes(ts)
@@ -378,10 +330,7 @@ func (a *Allocator) CheckIntegrity() error {
 	for ti, ts := range a.threads {
 		for class, mag := range ts.mags {
 			want := a.classes.Size(class)
-			// Bound by the high-water capacity: after a shrink, magazines
-			// filled under the old capacity trim lazily on their owner's
-			// next Free to the class.
-			if len(mag) > int(a.capsHigh[class].Load()) {
+			if len(mag) > a.cfg.Capacity {
 				a.mu.Unlock()
 				return fmt.Errorf("tcache: thread %d class %d magazine over capacity: %d", ti, class, len(mag))
 			}

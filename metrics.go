@@ -113,19 +113,6 @@ func (a *Allocator) sampleMetrics() metrics.Snapshot {
 	if a.reg != nil {
 		s.Locks = a.reg.LockStats()
 	}
-	if ctl := a.controller(); ctl != nil {
-		cs := ctl.Stats()
-		sample := &metrics.ControllerSample{
-			Ticks:     cs.Ticks,
-			IdleTicks: cs.IdleTicks,
-			Decisions: cs.Decisions,
-			Knobs:     cs.Knobs.Map(),
-		}
-		for _, d := range cs.Log {
-			sample.Log = append(sample.Log, metrics.ControllerDecision(d))
-		}
-		s.Controller = sample
-	}
 	return s
 }
 

@@ -137,55 +137,6 @@ func (a *Allocator) ScavengerStats() ScavengerStats {
 	}
 }
 
-// SetScavengerWatermarks retunes the scavenger's hysteresis watermarks in
-// place: the running loop applies them on its next poll, without a
-// Stop/Start. Callable before StartScavenger too (the values carry into the
-// eventual start). Errors for non-Hoard policies, a low watermark above the
-// high one, or negative values.
-func (a *Allocator) SetScavengerWatermarks(high, low int64) error {
-	s, err := a.scavHandle()
-	if err != nil {
-		return err
-	}
-	return s.SetWatermarks(high, low)
-}
-
-// SetScavengerRate retunes the scavenger's token-bucket release rate and
-// burst cap in place, applied on the loop's next poll. Errors for non-Hoard
-// policies, a negative rate, or a non-positive burst.
-func (a *Allocator) SetScavengerRate(bytesPerSec, burstBytes int64) error {
-	s, err := a.scavHandle()
-	if err != nil {
-		return err
-	}
-	return s.SetRate(bytesPerSec, burstBytes)
-}
-
-// ScavengerWatermarks returns the watermarks currently in force (from
-// config, SetScavengerWatermarks, or the self-tuning controller).
-func (a *Allocator) ScavengerWatermarks() (high, low int64, err error) {
-	s, err := a.scavHandle()
-	if err != nil {
-		return 0, 0, err
-	}
-	high, low = s.Watermarks()
-	return high, low, nil
-}
-
-// scavHandle returns the scavenger, building (but not starting) it on first
-// use so pacing knobs can be set before StartScavenger.
-func (a *Allocator) scavHandle() (*scavenge.Scavenger, error) {
-	if a.unwrap() == nil {
-		return nil, fmt.Errorf("hoard: policy %q does not support scavenging", a.impl.Name())
-	}
-	a.scavMu.Lock()
-	defer a.scavMu.Unlock()
-	if a.scav == nil {
-		a.scav = scavenge.New(scavengeTarget{a}, a.scavCfg)
-	}
-	return a.scav, nil
-}
-
 // ReleaseMemory forcibly returns every empty superblock parked on the global
 // heap to the (simulated) OS, regardless of age or pacing — the
 // malloc_trim(3) of this allocator. It blocks on the global heap's lock and
