@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet bench metrics-smoke footprint-smoke lockfree-smoke arena-smoke load-smoke perfbench-smoke
+.PHONY: check build test race vet bench metrics-smoke footprint-smoke arena-smoke load-smoke perfbench-smoke
 
 # check is the tier-1 gate: vet, build, and the full suite under the race
 # detector.
@@ -45,17 +45,6 @@ footprint-smoke:
 	$(GO) test -run 'TestFootprint' ./internal/experiments/
 	$(GO) test -race -run 'TestReleaseMemory|TestBackgroundScavenger|TestScavengerUnderProdConsChurn' .
 	$(GO) test -run 'TestDecommit|TestScavenge' ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/
-
-# lockfree-smoke exercises the zero-lock steady state end to end: a short A11
-# run regenerates the artifact and enforces the smoke thresholds (fast arm
-# under 0.25 heap-lock acquisitions per op and at least 4x fewer than the
-# locked arm, on both workloads at P=8), then the lock-free protocol tests run
-# under the race detector across every layer.
-lockfree-smoke:
-	$(GO) run ./cmd/hoardbench -lockfree /tmp/hoardgo-lockfree.json
-	$(GO) test -run 'TestLockFree|TestMeasureLockFree' ./internal/experiments/
-	$(GO) test -race -run 'TestLockFree|TestUnifiedFastFree|TestGlobalHeapFastFree|TestFastPaths|TestPropertyFullness|TestWarmRing|TestReuseEmpty|TestArmRing' \
-		./internal/core/ ./internal/superblock/ ./internal/heap/
 
 # arena-smoke exercises the real-memory arena backend end to end (Linux
 # amd64/arm64): the A12 run regenerates its artifact and enforces the smoke

@@ -263,11 +263,9 @@ func BenchmarkTCacheBatchLocks(b *testing.B) {
 
 // BenchmarkProducerConsumerContended is the contended cross-thread-free
 // pattern instrumented for lock traffic: one goroutine allocates, N others
-// free, and every heap-lock acquisition inside Hoard is counted. Before the
-// lock-free remote-free path, each of the b.N remote frees cost at least one
-// owning-heap lock acquisition (locks/op >= 2 counting the malloc); with it,
-// remote frees CAS-push and locks/op collapses toward the producer's 1.
-// fastfrac is the fraction of remote frees that avoided a lock entirely.
+// free, and every heap-lock acquisition inside the bare Hoard core is
+// counted: each malloc and each remote free takes one heap lock (locks/op
+// is about 2), the figure the magazines' batched transfers amortize.
 func BenchmarkProducerConsumerContended(b *testing.B) {
 	for _, consumers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {
@@ -293,11 +291,7 @@ func BenchmarkProducerConsumerContended(b *testing.B) {
 			close(ch)
 			wg.Wait()
 			b.StopTimer()
-			st := h.Stats()
 			b.ReportMetric(float64(clf.Acquires())/float64(b.N), "locks/op")
-			if st.RemoteFrees > 0 {
-				b.ReportMetric(float64(st.RemoteFastFrees)/float64(st.RemoteFrees), "fastfrac")
-			}
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"hoardgo/internal/experiments"
@@ -116,105 +115,6 @@ func writeFootprint(path string, opts experiments.Options, scale string, progres
 	}
 	for k, v := range art.SteadyRatios {
 		fmt.Printf("  ratio %-20s %.2f\n", k, v)
-	}
-	return nil
-}
-
-// lockfreeArtifact is the committed zero-lock-steady-state record
-// (BENCH_PR6.json): the real-environment heap-lock-acquisition comparison
-// behind the lock-free PR's acceptance criterion (fast vs locked arm, per
-// call site), and the deterministic simulator throughput sweep that guards
-// against the fast paths slowing any workload. Reproducible with
-// `hoardbench -scale full -lockfree <path>`.
-type lockfreeArtifact struct {
-	Schema     string                           `json:"schema"`
-	Scale      string                           `json:"scale"`
-	Provenance experiments.Provenance           `json:"provenance"`
-	Locks      []experiments.LockFreeLockResult `json:"locks"`
-	// Improvement maps workload name to locked-arm locks/op over fast-arm
-	// locks/op at P=8 (the acceptance criterion reads these directly).
-	Improvement map[string]float64             `json:"improvement"`
-	Sim         []experiments.LockFreeSimEntry `json:"sim"`
-	// SimRatios maps "bench/P" to fast-arm ops per virtual ms over the
-	// locked arm's — the no-workload-gets-slower guard.
-	SimRatios map[string]float64 `json:"sim_ratios"`
-}
-
-// writeLockFree runs the A11 measurements and writes the JSON record. The
-// smoke thresholds are enforced here too (quick scale is what CI runs): the
-// fast arm must stay under maxLocksPerOp on every workload and beat the
-// locked arm by minImprovement, and no simulated workload may lose more than
-// simSlack of its locked-arm throughput.
-func writeLockFree(path string, opts experiments.Options, scale string, progress func(string, int)) error {
-	const (
-		maxLocksPerOp  = 0.25
-		minImprovement = 4.0
-		simSlack       = 0.02
-	)
-	schema := "hoardgo-bench/pr6-lockfree/v1"
-	if progress != nil {
-		progress("lockfree-locks", 8)
-	}
-	var rs []experiments.LockFreeLockResult
-	var smokeErr error
-	if opts.Scale == experiments.Quick {
-		rs, smokeErr = experiments.LockFreeSmoke(maxLocksPerOp, minImprovement)
-	} else {
-		rs = experiments.MeasureLockFreeLocks(8, opts.Scale)
-	}
-	art := lockfreeArtifact{
-		Schema:      schema,
-		Scale:       scale,
-		Provenance:  stamp(schema, scale, opts),
-		Locks:       rs,
-		Improvement: map[string]float64{},
-		SimRatios:   map[string]float64{},
-	}
-	for _, r := range rs {
-		art.Improvement[r.Workload] = r.Improvement
-	}
-	if progress != nil {
-		progress("lockfree-sim", 8)
-	}
-	art.Sim = experiments.LockFreeSimResults(opts)
-	locked := map[string]float64{}
-	for _, e := range art.Sim {
-		if e.Arm == "locked" {
-			locked[fmt.Sprintf("%s/%d", e.Bench, e.Procs)] = e.OpsPerVirtualMS
-		}
-	}
-	var slowed []string
-	for _, e := range art.Sim {
-		if e.Arm != "fast" {
-			continue
-		}
-		key := fmt.Sprintf("%s/%d", e.Bench, e.Procs)
-		if base := locked[key]; base > 0 {
-			ratio := e.OpsPerVirtualMS / base
-			art.SimRatios[key] = ratio
-			if ratio < 1-simSlack {
-				slowed = append(slowed, fmt.Sprintf("%s %.3fx", key, ratio))
-			}
-		}
-	}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s:\n", path)
-	for _, r := range art.Locks {
-		fmt.Printf("  %-10s P=%d  fast %.4f locks/op vs locked %.4f  (%.1fx fewer)\n",
-			r.Workload, r.Procs, r.Fast.LocksPerOp, r.Locked.LocksPerOp, r.Improvement)
-	}
-	if smokeErr != nil {
-		return smokeErr
-	}
-	if len(slowed) > 0 {
-		return fmt.Errorf("lockfree: fast arm lost simulated throughput: %s", strings.Join(slowed, ", "))
 	}
 	return nil
 }

@@ -6,7 +6,6 @@
 //
 //	hoardbench [-exp all|<id>[,<id>...]] [-scale quick|full] [-procs 1,2,4,...] [-allocs hoard,serial,...] [-v]
 //	hoardbench -metrics timeline.json     # instrumented churn: occupancy/lock timeline + audit record
-//	hoardbench -lockfree bench.json       # A11: heap-lock acquisitions fast vs locked arm + sim throughput sweep
 //
 // Experiment ids: threadtest shbench larson active-false passive-false bem
 // barneshut (figures); catalog frag uniproc blowup footprint (tables);
@@ -43,7 +42,6 @@ func run() error {
 		artifact  = flag.String("artifact", "", "write the benchmark artifact (batch lock counts + key sim runs) to this JSON file and exit")
 		metricsTo = flag.String("metrics", "", "run the instrumented churn scenario and write the metrics timeline (occupancy samples, lock counters, audit record, Prometheus scrape) to this JSON file and exit")
 		footTo    = flag.String("footprint", "", "run the scavenger footprint grid (workloads x release modes) and write the artifact (steady-state ratios + batch-lock guard) to this JSON file and exit")
-		lockfree  = flag.String("lockfree", "", "run the zero-lock steady-state comparison (heap-lock acquisitions per op, fast vs locked arm, plus the simulator throughput sweep) and write the artifact to this JSON file and exit; at quick scale the smoke thresholds are enforced")
 		arenaTo   = flag.String("arena", "", "run the real-memory arena comparison (pointer resolution cost, wall-clock malloc/free sweep, RSS under release policies) and write the artifact to this JSON file and exit; requires the arena backend (Linux amd64/arm64); the smoke thresholds are enforced")
 	)
 	flag.Parse()
@@ -89,9 +87,6 @@ func run() error {
 	if *footTo != "" {
 		return writeFootprint(*footTo, opts, *scaleFlag, progress)
 	}
-	if *lockfree != "" {
-		return writeLockFree(*lockfree, opts, *scaleFlag, progress)
-	}
 	if *arenaTo != "" {
 		return writeArena(*arenaTo, opts, *scaleFlag, progress)
 	}
@@ -117,7 +112,7 @@ func allIDs() []string {
 		ids = append(ids, f.ID)
 	}
 	return append(ids,
-		"frag", "uniproc", "blowup", "blowup-shift", "footprint", "lockfree", "arena",
+		"frag", "uniproc", "blowup", "blowup-shift", "footprint", "arena",
 		"ablate-f", "ablate-s", "ablate-k", "ablate-heaps",
 		"ablate-batch", "tcache", "coherence", "contention", "cost-sensitivity")
 }
@@ -135,7 +130,6 @@ func runOne(id string, opts experiments.Options, of experiments.OutputFormat, pr
 		"blowup":           experiments.Blowup,
 		"blowup-shift":     experiments.BlowupShift,
 		"footprint":        experiments.Footprint,
-		"lockfree":         experiments.LockFree,
 		"arena":            experiments.Arena,
 		"ablate-f":         experiments.AblateF,
 		"ablate-s":         experiments.AblateS,

@@ -160,10 +160,8 @@ func writeSimMetrics(path string, h *workload.Harness, res workload.Result, reg 
 	s.Counters["peak_footprint_bytes"] = res.VM.PeakCommitted
 	s.Counters["superblock_moves_total"] = st.SuperblockMoves
 	s.Counters["remote_frees_total"] = st.RemoteFrees
-	s.Counters["remote_fast_frees_total"] = st.RemoteFastFrees
 	s.Counters["lockfree_mallocs_total"] = st.LockFreeMallocs
 	s.Counters["lockfree_frees_total"] = st.LockFreeFrees
-	s.Counters["lockfree_cas_retries_total"] = st.FastPathRetries
 	s.Counters["virtual_ns_total"] = res.ElapsedNS
 	// Live space accounting: the run is over, so these reflect any -scavenge
 	// pass that ran after the result was captured.

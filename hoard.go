@@ -123,12 +123,18 @@ type Config struct {
 	Debug           bool
 	DebugQuarantine int
 
-	// ThreadCacheCapacity, if nonzero, layers a per-thread block cache
-	// (in the style of Hoard's successors — tcmalloc, jemalloc) over the
-	// selected policy: lock-free malloc/free fast paths, bounded extra
-	// memory, and the documented return of passive false sharing. See
-	// the "tcache" experiment. It is the magazine size per size class and
-	// must be at least 2; New rejects smaller values.
+	// ThreadCacheCapacity sizes the per-thread block caches ("magazines",
+	// in the style of Hoard's successors — tcmalloc, jemalloc): the blocks
+	// cached per size class per thread. Malloc and free hit a magazine
+	// with no lock at all; refills and flushes move half a magazine under
+	// one heap lock. The Hoard policy always runs them, owner-aware: a
+	// block another thread's heap owns is never cached by the freeing
+	// thread but returned to its owner in batches, so Hoard's
+	// false-sharing avoidance holds; zero selects the default of 64. The
+	// other policies run without magazines unless this is set, and then
+	// re-issue a freed block to the freeing thread (see the "tcache"
+	// experiment). Nonzero values must be at least 2; New rejects smaller
+	// values. Thread.Close returns a thread's magazines.
 	ThreadCacheCapacity int
 
 	// Metrics instruments every internal lock with acquisition, contention,
@@ -148,6 +154,7 @@ type Config struct {
 // Allocator is a thread-safe explicit memory allocator.
 type Allocator struct {
 	impl    alloc.Allocator
+	name    string // the architecture name Policy reports
 	nextTID atomic.Int64
 
 	// reg holds the lock-metrics registry when Config.Metrics was set; nil
@@ -231,20 +238,27 @@ func New(cfg Config) (*Allocator, error) {
 	default:
 		return nil, fmt.Errorf("hoard: unknown policy %q (have %v)", cfg.Policy, allocators.Names())
 	}
-	if cfg.ThreadCacheCapacity != 0 {
-		if cfg.ThreadCacheCapacity < tcache.MinCapacity {
-			return nil, fmt.Errorf("hoard: ThreadCacheCapacity %d below the minimum of %d", cfg.ThreadCacheCapacity, tcache.MinCapacity)
-		}
+	if cfg.ThreadCacheCapacity != 0 && cfg.ThreadCacheCapacity < tcache.MinCapacity {
+		return nil, fmt.Errorf("hoard: ThreadCacheCapacity %d below the minimum of %d", cfg.ThreadCacheCapacity, tcache.MinCapacity)
+	}
+	// The Hoard policy's magazines are part of its protocol, so they keep
+	// its name; magazines over another policy are a named layer.
+	name := impl.Name()
+	if _, hoardPolicy := impl.(*core.Hoard); hoardPolicy || cfg.ThreadCacheCapacity != 0 {
 		impl = tcache.New(impl, tcache.Config{Capacity: cfg.ThreadCacheCapacity})
+		if !hoardPolicy {
+			name = impl.Name()
+		}
 	}
 	if cfg.Debug {
 		impl = debugalloc.New(impl, debugalloc.Config{Quarantine: cfg.DebugQuarantine})
+		name += "+debug"
 	}
 	scavCfg := cfg.Scavenge.internal()
 	if err := scavCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("hoard: %w", err)
 	}
-	a := &Allocator{impl: impl, reg: reg, scavCfg: scavCfg}
+	a := &Allocator{impl: impl, name: name, reg: reg, scavCfg: scavCfg}
 	if cfg.Scavenge.Enabled {
 		if err := a.StartScavenger(); err != nil {
 			return nil, err
@@ -263,7 +277,7 @@ func MustNew(cfg Config) *Allocator {
 }
 
 // Policy returns the allocator's architecture name.
-func (a *Allocator) Policy() Policy { return Policy(a.impl.Name()) }
+func (a *Allocator) Policy() Policy { return Policy(a.name) }
 
 // Thread is a worker's allocation handle. Create one per goroutine with
 // NewThread; a Thread must not be used from two goroutines at once (but any
@@ -314,9 +328,6 @@ func (t *Thread) Free(p Ptr) { t.a.impl.Free(t.inner, p) }
 // Realloc resizes a block, preserving min(old, new) bytes of content. A nil
 // p behaves as Malloc.
 func (t *Thread) Realloc(p Ptr, size int) Ptr {
-	if h, ok := t.a.impl.(*core.Hoard); ok {
-		return h.Realloc(t.inner, p, size)
-	}
 	if p.IsNil() {
 		return t.Malloc(size)
 	}
@@ -333,17 +344,19 @@ func (t *Thread) Realloc(p Ptr, size int) Ptr {
 
 // MallocAligned returns a block of at least size bytes whose address is a
 // multiple of align (a power of two). Only the Hoard policy implements
-// stronger-than-8-byte alignment natively; other policies fall back to the
-// page-aligned large-object path for align > 8.
+// stronger-than-8-byte alignment natively; other policies, and Hoard under
+// Debug, fall back to the page-aligned large-object path for align > 8.
 func (t *Thread) MallocAligned(size, align int) Ptr {
-	if h, ok := t.a.impl.(*core.Hoard); ok {
-		return h.MallocAligned(t.inner, size, align)
+	if tc, ok := t.a.impl.(*tcache.Allocator); ok {
+		if _, hoardPolicy := tc.Inner().(*core.Hoard); hoardPolicy {
+			return tc.MallocAligned(t.inner, size, align)
+		}
 	}
 	if align <= 8 {
 		return t.Malloc(size)
 	}
 	if align > 4096 {
-		panic(fmt.Sprintf("hoard: policy %q supports MallocAligned up to page alignment, got %d", t.a.impl.Name(), align))
+		panic(fmt.Sprintf("hoard: policy %q supports MallocAligned up to page alignment, got %d", t.a.name, align))
 	}
 	// The large-object path of every policy is page-aligned.
 	if size < 4097 {
@@ -401,10 +414,6 @@ type Stats struct {
 	SuperblockMoves int64
 	// RemoteFrees counts frees that crossed heaps.
 	RemoteFrees int64
-	// RemoteFastFrees counts cross-heap frees that took Hoard's lock-free
-	// CAS push onto the block's superblock instead of the owner heap's
-	// lock — the cross-heap subset of LockFreeFrees.
-	RemoteFastFrees int64
 	// BatchRefills and BatchFlushes count native MallocBatch and FreeBatch
 	// calls — each a magazine transfer served under one heap-lock
 	// acquisition (per owner group, for flushes). Zero when the policy has
@@ -413,14 +422,14 @@ type Stats struct {
 	// BatchedBlocks counts the blocks moved through those native batch
 	// calls, in both directions.
 	BatchedBlocks int64
-	// LockFreeMallocs and LockFreeFrees count small-object operations
-	// served entirely by the lock-free warm paths — a CAS on the owning
-	// superblock's free-list word, no heap lock. LockFreeFrees includes
-	// cross-heap frees (RemoteFastFrees is that subset). Batch operations
-	// count each block they claim or return this way.
+	// LockFreeMallocs and LockFreeFrees count operations a thread cache
+	// served with no lock at all: mallocs popped from a magazine and frees
+	// pushed onto a magazine or a remote batch, without a refill or flush
+	// in the same call.
 	LockFreeMallocs, LockFreeFrees int64
-	// FastPathRetries counts CAS retries on those warm paths — the
-	// contention the lock-free protocol absorbed instead of blocking.
+	// FastPathRetries is always 0: no allocator path retries a
+	// compare-and-swap. It stays because the benchmark (perfbench) reads
+	// it.
 	FastPathRetries int64
 	// BackendFallbacks is 1 when a requested arena backend could not be
 	// created and the allocator degraded to the simulated space; see
@@ -446,13 +455,11 @@ func (a *Allocator) Stats() Stats {
 		ScavengedBytes:     st.ScavengedBytes,
 		SuperblockMoves:    st.SuperblockMoves,
 		RemoteFrees:        st.RemoteFrees,
-		RemoteFastFrees:    st.RemoteFastFrees,
 		BatchRefills:       st.BatchRefills,
 		BatchFlushes:       st.BatchFlushes,
 		BatchedBlocks:      st.BatchedBlocks,
 		LockFreeMallocs:    st.LockFreeMallocs,
 		LockFreeFrees:      st.LockFreeFrees,
-		FastPathRetries:    st.FastPathRetries,
 		BackendFallbacks:   st.BackendFallbacks,
 	}
 }
@@ -548,11 +555,11 @@ func (a *Allocator) CheckIntegrity() error { return a.impl.CheckIntegrity() }
 // the spirit of malloc_stats). Only the Hoard policy provides a detailed
 // per-heap breakdown; other policies print their counters.
 func (a *Allocator) Describe(w io.Writer) {
-	if h, ok := a.impl.(*core.Hoard); ok {
+	if h := a.unwrap(); h != nil {
 		h.Describe(w, &env.RealEnv{})
 		return
 	}
 	st := a.Stats()
 	fmt.Fprintf(w, "%s: %d mallocs, %d frees, %d B live, %d B footprint (peak %d)\n",
-		a.impl.Name(), st.Mallocs, st.Frees, st.LiveBytes, st.FootprintBytes, st.PeakFootprintBytes)
+		a.name, st.Mallocs, st.Frees, st.LiveBytes, st.FootprintBytes, st.PeakFootprintBytes)
 }

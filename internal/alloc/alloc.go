@@ -182,11 +182,6 @@ type Stats struct {
 	// RemoteFrees counts frees performed by a thread other than the one
 	// whose heap/arena owns the block (where the concept applies).
 	RemoteFrees int64
-	// RemoteFastFrees counts the subset of RemoteFrees that took the
-	// lock-free CAS push onto the block's superblock instead of the owner
-	// heap's lock — exactly the cross-heap part of LockFreeFrees (Hoard
-	// only).
-	RemoteFastFrees int64
 	// MovedLiveBlocks sums the still-allocated blocks carried by
 	// superblocks at the moment they were evicted to the global heap
 	// (Hoard only) — each becomes a future remote free.
@@ -208,18 +203,11 @@ type Stats struct {
 	// ScavengedBytes is the cumulative byte total decommitted by the
 	// scavenger, including forced ReleaseMemory passes (Hoard only).
 	ScavengedBytes int64
-	// LockFreeMallocs counts mallocs served by the lock-free warm path —
-	// a CAS pop from an owned superblock's free list with no heap lock
-	// (Hoard only).
-	LockFreeMallocs int64
-	// LockFreeFrees counts frees that took the lock-free CAS push onto the
-	// block's superblock instead of a heap lock — owner-local and
-	// cross-heap alike; RemoteFastFrees is the cross-heap subset (Hoard
-	// only).
-	LockFreeFrees int64
-	// FastPathRetries counts CAS retries across all lock-free warm-path
-	// operations — the contention the fast paths absorb without blocking.
-	FastPathRetries int64
+	// LockFreeMallocs and LockFreeFrees count operations a thread cache
+	// served with no lock at all: mallocs popped from a magazine and frees
+	// pushed onto a magazine or a remote batch, without a refill or flush
+	// in the same call (tcache only).
+	LockFreeMallocs, LockFreeFrees int64
 	// BackendFallbacks counts vm-backend selections that degraded to the
 	// simulated space because the requested arena backend was unavailable
 	// (0 or 1 per allocator; the reason is on the allocator itself).

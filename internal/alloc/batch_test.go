@@ -103,7 +103,7 @@ func TestMergeAllocatorCounters(t *testing.T) {
 	inner := Stats{
 		Mallocs: 3, Frees: 2, LiveBytes: 999, PeakLiveBytes: 999,
 		LargeMallocs: 1, SuperblockMoves: 4, OSReserves: 5,
-		RemoteFrees: 6, RemoteFastFrees: 7,
+		RemoteFrees: 6, LockFreeMallocs: 7,
 		BatchRefills: 11, BatchFlushes: 12, BatchedBlocks: 13,
 		GlobalHeapHits: 14, MovedLiveBlocks: 15,
 	}

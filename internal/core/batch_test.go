@@ -142,8 +142,8 @@ func TestMallocBatchPartialAndSpanning(t *testing.T) {
 
 // TestFreeBatchOwnerGroups frees one batch holding blocks of two different
 // heaps, a large object, and nils: the own-heap group frees under our lock,
-// the foreign group takes the lock-free remote push, the large object is
-// released inline.
+// the foreign group under its owner's lock, the large object is released
+// inline.
 func TestFreeBatchOwnerGroups(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	t0 := thread(h, 0) // heap 1
@@ -166,10 +166,9 @@ func TestFreeBatchOwnerGroups(t *testing.T) {
 	if st.Frees != int64(len(batch)-1) {
 		t.Fatalf("Frees = %d, want %d", st.Frees, len(batch)-1)
 	}
-	if st.RemoteFastFrees != int64(foreign) {
-		t.Fatalf("RemoteFastFrees = %d, want %d (the foreign owner group)", st.RemoteFastFrees, foreign)
+	if st.RemoteFrees != int64(foreign) {
+		t.Fatalf("RemoteFrees = %d, want %d (the foreign owner group)", st.RemoteFrees, foreign)
 	}
-	h.Reconcile(&env.RealEnv{})
 	if live := h.Stats().LiveBytes; live != 0 {
 		t.Fatalf("LiveBytes = %d", live)
 	}
@@ -180,8 +179,8 @@ func TestFreeBatchOwnerGroups(t *testing.T) {
 
 // TestFreeBatchRemoteConcurrent frees cross-heap batches while the owning
 // thread allocates and frees on the same superblocks — run under -race, this
-// exercises the single-CAS run free (FastFreeRun) against the owner's
-// concurrent pops, frees, and evictions.
+// exercises the owner-lock batch free against the owner's concurrent
+// refills, frees, and evictions.
 func TestFreeBatchRemoteConcurrent(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	t0 := thread(h, 0)
@@ -216,15 +215,14 @@ func TestFreeBatchRemoteConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 
-	h.Reconcile(&env.RealEnv{})
 	if live := h.Stats().LiveBytes; live != 0 {
-		t.Fatalf("LiveBytes = %d after reconcile", live)
+		t.Fatalf("LiveBytes = %d after the run", live)
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 	st := h.Stats()
-	if st.RemoteFastFrees == 0 {
-		t.Fatal("no remote fast frees — the foreign batches never took the lock-free path")
+	if st.RemoteFrees == 0 {
+		t.Fatal("no remote frees — the foreign batches never reached their owner")
 	}
 }

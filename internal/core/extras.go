@@ -74,12 +74,10 @@ func (h *Hoard) Describe(w io.Writer, e env.Env) {
 	st := h.Stats()
 	fmt.Fprintf(w, "hoard: S=%d f=%v K=%d heaps=%d classes=%d\n",
 		h.cfg.SuperblockSize, h.cfg.EmptyFraction, h.cfg.K, h.cfg.Heaps, h.classes.NumClasses())
-	fmt.Fprintf(w, "ops: %d mallocs (%d large), %d frees, %d remote frees (%d lock-free)\n",
-		st.Mallocs, st.LargeMallocs, st.Frees, st.RemoteFrees, st.RemoteFastFrees)
+	fmt.Fprintf(w, "ops: %d mallocs (%d large), %d frees, %d remote frees\n",
+		st.Mallocs, st.LargeMallocs, st.Frees, st.RemoteFrees)
 	fmt.Fprintf(w, "batches: %d refills, %d flushes, %d blocks moved batched\n",
 		st.BatchRefills, st.BatchFlushes, st.BatchedBlocks)
-	fmt.Fprintf(w, "lock-free: %d mallocs, %d frees, %d CAS retries\n",
-		st.LockFreeMallocs, st.LockFreeFrees, st.FastPathRetries)
 	fmt.Fprintf(w, "superblocks: %d moved to global (%d live blocks carried), %d reused from global, %d from OS\n",
 		st.SuperblockMoves, st.MovedLiveBlocks, st.GlobalHeapHits, st.OSReserves)
 	fmt.Fprintf(w, "memory: %d B live (peak %d), %d B committed (peak %d)\n",

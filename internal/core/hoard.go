@@ -61,12 +61,6 @@ type Config struct {
 	// reason the released Hoard used 2P heaps). Off by default: the
 	// benchmarks' sequential ids then map round-robin.
 	HashThreads bool
-	// DisableLockFree turns off the lock-free warm paths (DESIGN.md §11),
-	// forcing every malloc and owner-local free through the heap lock as
-	// in the paper's protocol. The zero value — warm paths on — is the
-	// production configuration; the A11 experiment uses this switch as its
-	// baseline arm.
-	DisableLockFree bool
 	// Backend selects the vm substrate: "sim" (the deterministic
 	// simulated space) or "arena" (one large mmap'd reservation with real
 	// madvise decommit; Linux amd64/arm64 only). Empty defers to the
@@ -172,10 +166,9 @@ type Hoard struct {
 	// a deterministic source (see scavenge.go).
 	clock func() int64
 
-	// Every thread's fast paths write the counters below, and every
-	// operation reads the fields above; the pad keeps those writes off the
-	// read-mostly cache lines (sharing one costs a cross-thread handoff
-	// workload about a tenth of its throughput).
+	// Every thread writes the counters below, and every operation reads
+	// the fields above; the pad keeps those writes off the read-mostly
+	// cache lines.
 	_ [64]byte
 
 	sbMoves       atomic.Int64
@@ -183,15 +176,11 @@ type Hoard struct {
 	globalHits    atomic.Int64
 	osReserves    atomic.Int64
 	remote        atomic.Int64
-	remoteFast    atomic.Int64
 	batchRefills  atomic.Int64
 	batchFlushes  atomic.Int64
 	batchedBlocks atomic.Int64
 	scavPasses    atomic.Int64
 	scavBytes     atomic.Int64
-	lfMallocs     atomic.Int64
-	lfFrees       atomic.Int64
-	fastRetries   atomic.Int64
 	localReuses   atomic.Int64
 }
 
@@ -265,7 +254,8 @@ func hashTID(id int, scramble bool) int {
 	return int(uint32(id)*2654435761>>16) & 0x7fffffff
 }
 
-// Malloc implements alloc.Allocator.
+// Malloc implements alloc.Allocator: one block from the calling thread's
+// heap, under that heap's lock.
 func (h *Hoard) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	e := t.Env
 	if size > h.classes.MaxSize() {
@@ -274,104 +264,58 @@ func (h *Hoard) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	class, _ := h.classes.ClassFor(size)
 	blockSize := h.classes.Size(class)
 	hp := h.heaps[t.State.(*threadState).heapIdx]
+	env.LockWith(hp.Lock, e, "malloc")
+	p, _ := h.allocLocked(e, hp, class, blockSize, false)
+	hp.Lock.Unlock(e)
+	e.Charge(env.OpMallocFast, 1)
+	h.acct.OnMalloc(hp.ID, blockSize)
+	return p
+}
 
-	// Lock-free warm path (DESIGN.md §11): pop a warm superblock's free
-	// list with one CAS. No heap lock, no list scan — in steady state
-	// this is the whole malloc. The candidates are the Ref the locked
-	// path last allocated from, then the ring of superblocks the free
-	// fast path reported free space on; a candidate whose list is empty,
-	// whose superblock is sealed (migrating/decommitted), or whose ref is
-	// stale just fails its pop and the next one is tried. Only when every
-	// candidate fails does the malloc take the lock.
-	if !h.cfg.DisableLockFree {
-		for i := -1; i < heap.WarmRingSize; i++ {
-			var ref *superblock.Ref
-			if i < 0 {
-				ref = hp.Warm(class)
-			} else {
-				ref = hp.WarmAt(class, i)
+// allocLocked takes one block of class out of hp, whose lock the caller
+// holds. cached selects a thread-cache refill, which leaves the block's free
+// bit set (heap.AllocCached) and returns the block's superblock with it;
+// otherwise the superblock is nil.
+//
+// When hp has no free block of the class, the slow path first recycles one
+// of hp's own empty superblocks into the class: it stays off the global
+// lock and, because a(i) does not change, triggers no eviction (where a
+// global take grows a(i) and routinely starts an evict/take cycle).
+// Otherwise it pulls a superblock from the global heap, or the OS.
+func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, cached bool) (alloc.Ptr, *superblock.Superblock) {
+	for {
+		if cached {
+			if p, sb, ok := hp.AllocCached(e, class); ok {
+				return p, sb
 			}
-			if ref == nil || ref.BlockSize != blockSize {
-				continue
-			}
-			p, ok, retries := ref.TryPop(e)
-			if retries > 0 {
-				h.fastRetries.Add(int64(retries))
-			}
-			if !ok {
-				continue
-			}
-			h.lfMallocs.Add(1)
-			e.Charge(env.OpMallocFast, 1)
-			if i >= 0 {
-				// A ring candidate served; make it the first target so
-				// the next pops skip the dry refs before it.
-				hp.PromoteWarm(class, ref)
-			}
-			// Attribute to the current owner: the superblock can have
-			// migrated since this heap cached the ref. A racing
-			// migration right here misattributes one block's hint,
-			// which the owner's next SyncAll squashes; the sharded
-			// accounting is sum-exact regardless of shard.
-			owner := ref.SB.OwnerID()
-			h.heaps[owner].HintAdd(int64(blockSize))
-			h.acct.OnMalloc(owner, blockSize)
-			return p
+		} else if p, ok := hp.AllocBlock(e, class); ok {
+			return p, nil
 		}
-	}
-
-	env.LockWith(hp.Lock, e, "malloc-refill")
-	p, ok := hp.AllocBlock(e, class)
-	for !ok {
-		// Slow path. First try recycling one of this heap's own empty
-		// superblocks into the needed class — it stays off the global lock
-		// and, because a(i) does not change, triggers no eviction (where a
-		// global take grows a(i) and routinely starts an evict/take cycle).
 		e.Charge(env.OpMallocSlow, 1)
-		if sb := hp.ReuseEmpty(e, class, blockSize); sb != nil {
+		if hp.ReuseEmpty(e, class, blockSize) != nil {
 			h.localReuses.Add(1)
-			p, ok = hp.AllocBlock(e, class)
 			continue
 		}
-		// Otherwise pull a superblock from the global heap, or the OS.
 		g := h.heaps[0]
 		env.LockWith(g.Lock, e, "global-take")
 		sb := g.TakeSuper(e, class, blockSize)
 		if sb != nil {
-			// Insert (which transfers ownership) must happen before
-			// the global lock is released: a racing free that read
-			// the old owner id must block until the new owner is
-			// visible, or its ownership re-check would pass against
-			// a heap that no longer holds the superblock.
+			// Insert (which transfers ownership) must happen before the
+			// global lock is released: a racing free that read the old
+			// owner id must block until the new owner is visible, or its
+			// ownership re-check would pass against a heap that no longer
+			// holds the superblock.
 			hp.Insert(sb)
 			h.globalHits.Add(1)
 			e.Charge(env.OpSuperblockMove, 1)
 		}
 		g.Lock.Unlock(e)
-		fresh := sb == nil
-		if fresh {
+		if sb == nil {
 			e.Charge(env.OpOSAlloc, 1)
-			sb = superblock.New(h.space, h.cfg.SuperblockSize, class, blockSize)
+			hp.Insert(superblock.New(h.space, h.cfg.SuperblockSize, class, blockSize))
 			h.osReserves.Add(1)
-			hp.Insert(sb)
 		}
-		p, ok = hp.AllocBlock(e, class)
-		if !ok && fresh {
-			panic("hoard: fresh superblock has no free block")
-		}
-		// A taken superblock can arrive full — stale warm Refs pop from
-		// global-heap superblocks, so TakeSuper's books can lag the live
-		// words. Go around and take another (or fall through to the OS).
 	}
-	if !h.cfg.DisableLockFree {
-		// We paid for the lock; arm the whole warm ring with this class's
-		// partial superblocks so the next misses stay lock-free.
-		hp.ArmRing(e, class)
-	}
-	hp.Lock.Unlock(e)
-	e.Charge(env.OpMallocFast, 1)
-	h.acct.OnMalloc(hp.ID, blockSize)
-	return p
 }
 
 func (h *Hoard) mallocLarge(e env.Env, size int) alloc.Ptr {
@@ -437,76 +381,20 @@ func (h *Hoard) freeSpan(t *alloc.Thread, p alloc.Ptr, sp *vm.Span) {
 	}
 }
 
+// freeSmall is the paper's free protocol, the same for every owner — this
+// thread's heap, another thread's, or the global heap: lock the owner,
+// re-check that it still owns the superblock (ownership can change while we
+// wait), free, and restore the emptiness invariant.
 func (h *Hoard) freeSmall(t *alloc.Thread, e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
 	myIdx := t.State.(*threadState).heapIdx
+	// Read the block size while our still-live block pins the superblock's
+	// format: once the free retires the block and the lock drops, the
+	// superblock may empty and be reformatted to another class.
 	blockSize := sb.BlockSize()
-	// Read the class now, while our still-live block pins the superblock's
-	// format: once the FastFree CAS below retires the block, this free may
-	// have emptied the superblock, and a racing malloc can pull it off the
-	// empty list and reformat it to a different class mid-read.
-	class := sb.Class()
-
-	// Lock-free warm path: a free is one CAS push onto the superblock's
-	// unified free list — and a CAS push works from any thread, so the
-	// same path serves owner-local frees, cross-heap frees, and frees to
-	// global-heap superblocks; only the accounting differs. The sealed
-	// bit is the fence — eviction, heap transfer, decommit, and release
-	// all seal, so a successful CAS proves the superblock was
-	// fast-path-eligible at that instant. On a seal race FastFree rolls
-	// itself back and we fall through to the locked protocol below.
-	if !h.cfg.DisableLockFree {
-		ok, _, retries := sb.FastFree(e, p)
-		if retries > 0 {
-			h.fastRetries.Add(int64(retries))
-		}
-		if ok {
-			h.lfFrees.Add(1)
-			// Attribute to the post-CAS owner: the superblock can have
-			// migrated since the lookup. A racing migration here
-			// misattributes one block's hint, which the owner's next
-			// SyncAll squashes; the sharded accounting is sum-exact
-			// regardless of shard.
-			owner := h.heaps[sb.OwnerID()]
-			if owner.ID == myIdx {
-				e.Charge(env.OpFree, 1)
-			} else {
-				// Same CAS, but it crossed heaps: charge it as the
-				// remote-free fast path and count it as remote traffic.
-				e.Charge(env.OpRemoteFree, 1)
-				h.remote.Add(1)
-				h.remoteFast.Add(1)
-			}
-			owner.HintAdd(-int64(blockSize))
-			h.acct.OnFree(owner.ID, blockSize)
-			if owner.ID == 0 {
-				// This free touched a global-heap superblock, so it is not
-				// cold: refresh the scavenger's cold-age stamp.
-				sb.SetParkedAt(h.clock())
-				return
-			}
-			// Feed the owner's warm ring so its next mallocs find the space
-			// this push just created without the lock. Every free publishes
-			// (PublishWarm dedups consecutive repeats): the block most
-			// likely to be wanted next is the one that just came back.
-			owner.PublishWarm(class, sb.SelfRef())
-			// The emptiness invariant is watched through the hint; a
-			// tripped hint escalates to a locked confirm-reconcile-restore
-			// pass.
-			if owner.HintSuspectsViolation() {
-				h.confirmAndRestore(e, owner)
-			}
-			return
-		}
-	}
-
-	// The paper's free protocol, the same for every owner — this thread's
-	// heap, another thread's, or the global heap: lock the owner, re-check
-	// that it still owns the superblock (ownership can change while we
-	// wait), free, and restore the emptiness invariant.
 	for {
 		id := sb.OwnerID()
 		hp := h.heaps[id]
-		env.LockWith(hp.Lock, e, "free-locked")
+		env.LockWith(hp.Lock, e, "free")
 		if sb.OwnerID() != id {
 			hp.Lock.Unlock(e)
 			e.Charge(env.OpListScan, 1)
@@ -547,13 +435,6 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 	if victim == nil {
 		return false
 	}
-	// Seal first: from here no lock-free op can land on the victim (an
-	// in-flight CAS fails against the seal's version bump), so its live
-	// count is stable. Then reconcile its books — Remove subtracts the
-	// accounted count, and any unreconciled fast-path drift would leak
-	// into this heap's u forever.
-	victim.Seal()
-	hp.Sync(victim)
 	hp.Remove(victim)
 	e.Charge(env.OpSuperblockMove, 1)
 	h.sbMoves.Add(1)
@@ -566,36 +447,19 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 	return true
 }
 
-// confirmAndRestore is the hint path's slow half: a fast free saw
-// HintSuspectsViolation, so try the heap lock (never block — the fast path's
-// point is not waiting here; whoever holds the lock runs the same check on
-// the way out), reconcile the books, and evict until the *confirmed*
-// invariant holds: the hint is the snapshot, SyncAll+InvariantViolated the
-// confirmation.
-func (h *Hoard) confirmAndRestore(e env.Env, hp *heap.Heap) {
-	if !env.TryLockWith(hp.Lock, e, "invariant-confirm") {
-		return
+// ResolveFree resolves p for a free into a thread cache, with the one span
+// lookup the free needs: p's usable size, its superblock (nil for a large
+// object), and whether the calling thread's heap owns that superblock. It
+// changes nothing; the cache sets the block's free bit itself
+// (superblock.MarkCached).
+func (h *Hoard) ResolveFree(t *alloc.Thread, p alloc.Ptr) (sb *superblock.Superblock, usable int, local bool) {
+	switch owner := h.resolve("free", p).Owner.(type) {
+	case *largeObj:
+		return nil, owner.size, false
+	case *superblock.Superblock:
+		return owner, owner.BlockSize(), owner.OwnerID() == t.State.(*threadState).heapIdx
 	}
-	hp.SyncAll(e)
-	for hp.InvariantViolated() && h.restoreInvariant(e, hp) {
-	}
-	hp.Lock.Unlock(e)
-}
-
-// Reconcile folds every heap's lock-free drift into its books and restores
-// the emptiness invariant, bringing the allocator to the state a
-// lock-per-free protocol would have reached. Tests call it to make
-// post-quiescence assertions exact; production callers never need it.
-func (h *Hoard) Reconcile(e env.Env) {
-	for _, hp := range h.heaps {
-		env.LockWith(hp.Lock, e, "reconcile")
-		hp.SyncAll(e)
-		if hp.ID != 0 {
-			for hp.InvariantViolated() && h.restoreInvariant(e, hp) {
-			}
-		}
-		hp.Lock.Unlock(e)
-	}
+	panic(fmt.Sprintf("hoard: free of foreign pointer %#x", uint64(p)))
 }
 
 // UsableSize implements alloc.Allocator.
@@ -646,15 +510,11 @@ func (h *Hoard) Stats() alloc.Stats {
 	st.GlobalHeapHits = h.globalHits.Load()
 	st.OSReserves = h.osReserves.Load()
 	st.RemoteFrees = h.remote.Load()
-	st.RemoteFastFrees = h.remoteFast.Load()
 	st.BatchRefills = h.batchRefills.Load()
 	st.BatchFlushes = h.batchFlushes.Load()
 	st.BatchedBlocks = h.batchedBlocks.Load()
 	st.ScavengePasses = h.scavPasses.Load()
 	st.ScavengedBytes = h.scavBytes.Load()
-	st.LockFreeMallocs = h.lfMallocs.Load()
-	st.LockFreeFrees = h.lfFrees.Load()
-	st.FastPathRetries = h.fastRetries.Load()
 	st.LocalReuses = h.localReuses.Load()
 	if h.backendFallback != "" {
 		st.BackendFallbacks = 1
@@ -663,31 +523,46 @@ func (h *Hoard) Stats() alloc.Stats {
 }
 
 // HeapSnapshot reports (u, a, superblocks) for heap id; used by tests and
-// the blowup experiments. The caller must be quiescent. u is the live
-// figure — the accounted u plus any fast-path drift the next reconciliation
-// would fold in — so it is exact for a quiesced allocator even when the
-// lock-free paths have left the accounted books stale.
+// the blowup experiments. The caller must be quiescent.
 func (h *Hoard) HeapSnapshot(id int) (u, a int64, superblocks int) {
 	hp := h.heaps[id]
-	return hp.LiveU(), hp.A(), hp.Superblocks()
+	return hp.U(), hp.A(), hp.Superblocks()
 }
 
 // NumHeaps returns the number of heaps including the global heap.
 func (h *Hoard) NumHeaps() int { return len(h.heaps) }
 
 // CheckIntegrity implements alloc.Allocator. The allocator must be
-// quiescent.
-func (h *Hoard) CheckIntegrity() error {
+// quiescent, with no block in a thread cache.
+func (h *Hoard) CheckIntegrity() error { return h.checkIntegrity(nil) }
+
+// CheckIntegrityCached is CheckIntegrity for an allocator whose thread
+// caches hold the blocks cached: each must be a block whose free bit is set,
+// and each superblock's set bits must equal its listed, uncarved and cached
+// blocks — which proves no block is both cached and in the application's
+// hands. The allocator must be quiescent.
+func (h *Hoard) CheckIntegrityCached(cached []alloc.Ptr) error {
+	counts := make(map[*superblock.Superblock]int)
+	for _, p := range cached {
+		sb, ok := superblock.FromPtr(h.space, p)
+		if !ok || !sb.Contains(p) {
+			return fmt.Errorf("hoard: cached block %#x is not a superblock block", uint64(p))
+		}
+		if !sb.IsFreeBlock(p) {
+			return fmt.Errorf("hoard: cached block %#x is not marked free", uint64(p))
+		}
+		counts[sb]++
+	}
+	return h.checkIntegrity(counts)
+}
+
+func (h *Hoard) checkIntegrity(cached map[*superblock.Superblock]int) error {
 	var u int64
 	for _, hp := range h.heaps {
-		if err := hp.CheckIntegrity(); err != nil {
+		if err := hp.CheckIntegrityCached(cached); err != nil {
 			return err
 		}
-		// The conservation check below is against the live gauge, which
-		// tracks completed mallocs/frees — so sum the superblocks' live
-		// words, not the accounted u (the books may lag by unreconciled
-		// fast-path drift until the next SyncAll).
-		u += hp.LiveU()
+		u += hp.U()
 		// The emptiness invariant is enforced at frees; mallocs may
 		// leave a heap transiently below it, but whenever it is
 		// violated an evictable superblock must exist — unless the byte
@@ -696,11 +571,8 @@ func (h *Hoard) CheckIntegrity() error {
 		// below (1-f)*a in bytes when their class's block size does not
 		// divide S, and the free path correctly finds no victim there
 		// (see Heap.InvariantViolatedUsable, which re-checks with the
-		// waste discounted). The check reads the accounted u, so it only
-		// applies when the books are caught up with the live words —
-		// with drift outstanding, the accounted figure can sit below an
-		// invariant the hint path is already watching.
-		if hp.ID != 0 && hp.LiveU() == hp.U() && hp.InvariantViolated() &&
+		// waste discounted).
+		if hp.ID != 0 && hp.InvariantViolated() &&
 			hp.FindEvictable(&env.RealEnv{}) == nil && hp.InvariantViolatedUsable() {
 			return fmt.Errorf("hoard: heap %d violates emptiness invariant with no evictable superblock (u=%d a=%d)",
 				hp.ID, hp.U(), hp.A())

@@ -368,7 +368,6 @@ func TestStaticFKOnEveryHeap(t *testing.T) {
 	for _, p := range ps {
 		h.Free(th, p)
 	}
-	h.Reconcile(&env.RealEnv{ID: -1})
 	if u, a, _ := h.HeapSnapshot(1); u != 0 || a != 0 {
 		t.Fatalf("heap 1 holds u=%d a=%d after freeing everything under K=0, want 0/0", u, a)
 	}

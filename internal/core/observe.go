@@ -15,20 +15,16 @@ import (
 // Audit checks structural integrity and the emptiness invariant heap by
 // heap, taking each heap's lock in turn, and is safe to run while other
 // threads allocate. It is CheckIntegrity minus the two pieces that need
-// quiescence: the free-list walk and bitmap comparison inside each
-// superblock (in-flight lock-free ops move the word and the bits in separate
-// steps) and the global live-gauge crosscheck (u, committed bytes, and the
+// quiescence: the bitmap comparison inside each superblock (thread caches
+// flip the free bits of blocks they hold without a heap lock) and the
+// global live-gauge crosscheck (u, committed bytes, and the
 // live gauge cannot be read atomically across heaps). e is charged for the lock traffic and list scans the audit
 // performs.
 func (h *Hoard) Audit(e env.Env) error {
 	for _, hp := range h.heaps {
 		env.LockWith(hp.Lock, e, "audit")
 		err := hp.CheckIntegrityOnline()
-		// The invariant complaint applies only when the accounted books
-		// match the live words: lock-free traffic legitimately leaves the
-		// accounted u lagging until the next reconciliation, and the hint
-		// path is already watching the live figure.
-		if err == nil && hp.ID != 0 && hp.LiveU() == hp.U() && hp.InvariantViolated() &&
+		if err == nil && hp.ID != 0 && hp.InvariantViolated() &&
 			hp.FindEvictable(e) == nil && hp.InvariantViolatedUsable() {
 			err = fmt.Errorf("hoard: heap %d violates emptiness invariant with no evictable superblock (u=%d a=%d)",
 				hp.ID, hp.U(), hp.A())

@@ -62,14 +62,6 @@ const (
 	// OpOSAlloc is the cost of obtaining or returning memory from the
 	// simulated OS (an mmap-equivalent).
 	OpOSAlloc
-	// OpRemoteFree is the cost of a cross-heap free that lands by CAS: one
-	// side-link write plus a CAS on the packed free-list word of a
-	// superblock another heap owns, with no heap lock taken. Owner-local
-	// CAS frees are charged OpFree; a cross-heap free whose CAS is refused
-	// takes the owner's lock and is charged OpFree too. A batched run
-	// charges it once per block — the link writes are real — while the
-	// single CAS is covered by the batch op below.
-	OpRemoteFree
 	// OpMallocBatch is the per-call setup cost of a batched malloc
 	// (MallocBatch): argument marshalling and the single
 	// sharded-accounting update. Charged once per batch on top of the
@@ -78,7 +70,7 @@ const (
 	// OpFreeBatch is the per-call setup cost of a batched free
 	// (FreeBatch): the single page-table grouping pass bookkeeping and the
 	// per-owner-group accounting updates. Charged once per batch on top of
-	// the per-block OpFree/OpRemoteFree charges.
+	// the per-block OpFree charges.
 	OpFreeBatch
 	// OpWork is application-level computation, in abstract work units as
 	// charged by workloads (the cost model scales it to time).
@@ -102,8 +94,6 @@ func (k CostKind) String() string {
 		return "superblock-move"
 	case OpOSAlloc:
 		return "os-alloc"
-	case OpRemoteFree:
-		return "remote-free"
 	case OpMallocBatch:
 		return "malloc-batch"
 	case OpFreeBatch:
@@ -190,7 +180,7 @@ func (l *realLock) Unlock(Env) { l.mu.Unlock() }
 func (l *realLock) TryLock(Env) bool { return l.mu.TryLock() }
 
 // labeledLock is the optional interface a Lock may implement to receive a
-// per-call-site label (an op name like "malloc-refill" or "free-locked")
+// per-call-site label (an op name like "malloc" or "batch-free")
 // alongside the acquisition. LockWith and TryLockWith dispatch to it when
 // present and fall back to the plain methods otherwise, so allocator code
 // can label every call site without caring which lock implementation is
@@ -234,7 +224,7 @@ type SiteStat struct {
 	// wait (detected by a try-probe before blocking).
 	Contended int64
 	// TryMisses counts TryLock calls that gave up because the lock was
-	// held — the fast paths' "someone else is reconciling" signal.
+	// held — the background scavenger's "try later" signal.
 	TryMisses int64
 }
 

@@ -66,12 +66,8 @@ func MeasureBatchLocks(capacity, rounds int) BatchLockResult {
 }
 
 func measureBatchLocksArm(capacity, rounds int, noBatch bool) BatchLockVariant {
-	// Both arms disable the lock-free warm paths: the measurement isolates
-	// what *batching* saves in lock traffic, which the warm paths would
-	// otherwise hide (they take no lock on either arm — see lockfreebench.go
-	// for their own before/after).
 	clf := &env.CountingLockFactory{Inner: env.RealLockFactory{}}
-	var inner alloc.Allocator = core.New(core.Config{Heaps: 2, DisableLockFree: true}, clf)
+	var inner alloc.Allocator = core.New(core.Config{Heaps: 2}, clf)
 	if noBatch {
 		inner = alloc.NoBatch{Allocator: inner}
 	}

@@ -50,7 +50,6 @@ func snapshotStack(tc *tcache.Allocator, h *core.Hoard, reg *metrics.Registry) m
 	s.Counters["live_bytes"] = st.LiveBytes
 	s.Counters["peak_live_bytes"] = st.PeakLiveBytes
 	s.Counters["remote_frees_total"] = st.RemoteFrees
-	s.Counters["remote_fast_frees_total"] = st.RemoteFastFrees
 	s.Counters["batch_refills_total"] = st.BatchRefills
 	s.Counters["batch_flushes_total"] = st.BatchFlushes
 	s.Counters["superblock_moves_total"] = st.SuperblockMoves
@@ -146,12 +145,11 @@ func CollectMetricsTimeline(workers, rounds int, interval time.Duration) (Metric
 	auditErr := auditor.Stop()
 	collector.Stop()
 
-	// Quiesce: return every magazine, fold lock-free drift into the books,
-	// and run the full (stricter than the auditor's) integrity check.
+	// Quiesce: return every magazine and run the full (stricter than the
+	// auditor's) integrity check.
 	for _, th := range threads {
 		tc.FlushThread(th)
 	}
-	h.Reconcile(&env.RealEnv{ID: -1})
 	finalErr := tc.CheckIntegrity()
 
 	var prom strings.Builder

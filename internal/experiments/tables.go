@@ -283,7 +283,7 @@ func AblateK(opts Options, progress func(string, int)) Table {
 	t := Table{
 		ID: "ablate-k", Title: "A4b",
 		Paper:  "invariant slack K: global-heap serialization in free-heavy phases (threadtest, P=8)",
-		Header: []string{"K", "virtual ms", "remote frees", "lock-free frees", "superblock moves", "global wait ms"},
+		Header: []string{"K", "virtual ms", "remote frees", "superblock moves", "global wait ms"},
 	}
 	def, _ := FigureByID("threadtest")
 	run := def.Run(opts.Scale)
@@ -307,7 +307,6 @@ func AblateK(opts Options, progress func(string, int)) Table {
 			fmt.Sprintf("%d", shown),
 			fmt.Sprintf("%.2f", float64(res.ElapsedNS)/1e6),
 			fmt.Sprintf("%d", res.Alloc.RemoteFrees),
-			fmt.Sprintf("%d", res.Alloc.RemoteFastFrees),
 			fmt.Sprintf("%d", res.Alloc.SuperblockMoves),
 			fmt.Sprintf("%.2f", float64(globalWait)/1e6),
 		})
@@ -355,13 +354,13 @@ func tcacheMaker(capacity int) allocators.Maker {
 }
 
 // AblateTCache measures the thread-cache extension (the direction Hoard's
-// successors took): lock-free fast paths against the return of passive
-// false sharing.
+// successors took), at the default magazine capacity: lock-free fast paths,
+// and whether owner-aware magazines keep passive false sharing away.
 func AblateTCache(opts Options, progress func(string, int)) Table {
 	const procs = 8
 	t := Table{
 		ID: "tcache", Title: "A6",
-		Paper:  "thread-cache extension over Hoard (P=8): speed vs passive false sharing",
+		Paper:  "owner-aware thread caches over Hoard (P=8): speed vs passive false sharing",
 		Header: []string{"allocator", "bench", "virtual ms", "remote transfers"},
 	}
 	for _, id := range []string{"threadtest", "larson", "passive-false"} {
@@ -372,7 +371,7 @@ func AblateTCache(opts Options, progress func(string, int)) Table {
 			mk   allocators.Maker
 		}{
 			{"hoard", nil},
-			{"hoard+tcache", tcacheMaker(32)},
+			{"hoard+tcache", tcacheMaker(tcache.DefaultCapacity)},
 		} {
 			if progress != nil {
 				progress(variant.name+"/"+id, procs)
@@ -460,7 +459,7 @@ func Contention(opts Options, progress func(string, int)) Table {
 	t := Table{
 		ID: "contention", Title: "A8",
 		Paper:  "lock contention distribution (larson, P=8): total wait and its concentration",
-		Header: []string{"allocator", "virtual ms", "total wait ms", "hottest lock", "hottest share", "lock-free frees"},
+		Header: []string{"allocator", "virtual ms", "total wait ms", "hottest lock", "hottest share"},
 	}
 	def, _ := FigureByID("larson")
 	run := def.Run(opts.Scale)
@@ -489,7 +488,6 @@ func Contention(opts Options, progress func(string, int)) Table {
 			fmt.Sprintf("%.2f", float64(total)/1e6),
 			hotName,
 			share,
-			fmt.Sprintf("%d", res.Alloc.RemoteFastFrees),
 		})
 	}
 	return t

@@ -399,78 +399,90 @@ func TestTakeSuperPrefersEmptySameClass(t *testing.T) {
 	}
 }
 
-// --- Reconciling lock-free frees ---
+// --- Thread-cached blocks ---
 
-// TestSyncAllRebucketsAndAdjustsU: CAS frees move a superblock's live word
-// without the heap lock, so the books (u, the fullness group) lag until
-// SyncAll folds the drift in.
-func TestSyncAllRebucketsAndAdjustsU(t *testing.T) {
+// TestCachedBlocksCountAsInUse: a refill for a thread cache takes blocks out
+// of their superblock — u and the fullness group count them — but leaves
+// their free bits set, so the integrity check needs the cached counts to
+// balance the bitmap, and a flush returns them without touching the bits.
+func TestCachedBlocksCountAsInUse(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h := newHeap(1)
-	sb := newSuper(space, 2) // 256 blocks of 32 B
+	h.Insert(newSuper(space, 2))
 	var ps []alloc.Ptr
-	for i := 0; i < 256; i++ {
-		p, _ := sb.AllocBlock(e)
+	var sb *superblock.Superblock
+	for i := 0; i < 200; i++ {
+		p, got, ok := h.AllocCached(e, 2)
+		if !ok {
+			t.Fatal("AllocCached found no block")
+		}
+		sb = got
 		ps = append(ps, p)
 	}
-	h.Insert(sb)
-	if sb.Group != NumGroups {
-		t.Fatalf("full superblock in group %d", sb.Group)
+	if h.U() != int64(200*sb.BlockSize()) || sb.Group != groupOf(sb) {
+		t.Fatalf("u = %d, group %d after 200 cached allocs", h.U(), sb.Group)
 	}
-	for _, p := range ps[:200] {
-		if ok, _, _ := sb.FastFree(e, p); !ok {
-			t.Fatal("FastFree refused on an unsealed superblock")
-		}
-		h.HintAdd(-int64(sb.BlockSize()))
+	if !sb.IsFreeBlock(ps[0]) {
+		t.Fatal("a cached block lost its free bit")
 	}
-	if h.U() != int64(256*sb.BlockSize()) {
-		t.Fatalf("u moved before reconciliation: %d", h.U())
+	if err := h.CheckIntegrity(); err == nil {
+		t.Fatal("CheckIntegrity balanced the bitmap without the cached blocks")
 	}
-	if !h.HintSuspectsViolation() {
-		t.Fatal("hint missed the lock-free frees")
+	if err := h.CheckIntegrityCached(map[*superblock.Superblock]int{sb: 200}); err != nil {
+		t.Fatal(err)
 	}
-	h.SyncAll(e)
-	if h.U() != int64(56*sb.BlockSize()) {
-		t.Fatalf("u after SyncAll = %d, want %d", h.U(), 56*sb.BlockSize())
+	for _, p := range ps {
+		h.FreeCached(e, sb, p)
 	}
-	if want := groupOf(sb); sb.Group != want || sb.Group == NumGroups {
-		t.Fatalf("group after SyncAll = %d, want %d", sb.Group, want)
-	}
-	if !h.InvariantViolated() {
-		t.Fatal("reconciled books do not show the violation the hint suspected")
+	if h.U() != 0 || !sb.Empty() {
+		t.Fatalf("u = %d, %d in use after flushing every cached block", h.U(), sb.InUse())
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTakeSuperSeesFastFreedEmpty: a global-heap superblock whose blocks all
-// came back by CAS frees is empty by its live word while its books still
-// place it in a partly full group; TakeSuper must reconcile it before
-// choosing, and hand it out as the empty superblock it is.
-func TestTakeSuperSeesFastFreedEmpty(t *testing.T) {
+// TestReuseEmpty pins the local recycle step: an empty superblock of another
+// class is reformatted to the requested class and stays on this heap with
+// a(i) unchanged, while partial superblocks and same-class superblocks are
+// never touched.
+func TestReuseEmpty(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
-	g := newHeap(0)
-	sb := newSuper(space, 3)
-	var ps []alloc.Ptr
-	for i := 0; i < sb.NBlocks()/2; i++ {
-		p, _ := sb.AllocBlock(e)
-		ps = append(ps, p)
+	h := newHeap(1)
+	partial := newSuper(space, 3)
+	partial.AllocBlock(e)
+	empty := newSuper(space, 3)
+	h.Insert(partial)
+	h.Insert(empty)
+	aBefore := h.A()
+
+	sb := h.ReuseEmpty(e, 2, blockSizeFor(2))
+	if sb != empty {
+		t.Fatalf("reused %v, want the empty superblock", sb)
 	}
-	g.Insert(sb)
-	for _, p := range ps {
-		if ok, _, _ := sb.FastFree(e, p); !ok {
-			t.Fatal("FastFree refused on an unsealed global-heap superblock")
-		}
+	if sb.Class() != 2 || sb.BlockSize() != blockSizeFor(2) {
+		t.Fatalf("reinit to class %d size %d", sb.Class(), sb.BlockSize())
 	}
-	if sb.Group == 0 {
-		t.Fatal("books caught up without a reconciliation")
+	if sb.OwnerID() != 1 || h.A() != aBefore || h.Superblocks() != 2 {
+		t.Fatalf("ownership/accounting moved: owner=%d a=%d n=%d", sb.OwnerID(), h.A(), h.Superblocks())
 	}
-	got := g.TakeSuper(e, 3, blockSizeFor(3))
-	if got != sb || !got.Empty() {
-		t.Fatalf("TakeSuper = %v, want the fast-freed empty superblock", got)
+	if _, ok := h.AllocBlock(e, 2); !ok {
+		t.Fatal("reused superblock cannot serve its new class")
 	}
-	if g.U() != 0 || g.Superblocks() != 0 {
-		t.Fatalf("global books after TakeSuper: u=%d superblocks=%d", g.U(), g.Superblocks())
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
+
+	// Nothing else is empty: the partial class-3 superblock must not be
+	// stolen, and same-class empties are excluded by design.
+	if got := h.ReuseEmpty(e, 2, blockSizeFor(2)); got != nil {
+		t.Fatalf("second reuse returned %v, want nil", got)
+	}
+	var p alloc.Ptr
+	if q, ok := h.AllocBlock(e, 3); !ok {
+		t.Fatal("partial class-3 superblock lost its blocks")
+	} else {
+		p = q
+	}
+	h.FreeBlock(e, partial, p)
 }

@@ -36,7 +36,7 @@ type LockStats struct {
 	// wait.
 	Contended int64 `json:"contended"`
 	// TryMisses counts TryLock calls that found the lock held and gave
-	// up — the remote-free fast path's "owner busy, skip the drain nudge"
+	// up — the background scavenger's "global heap busy, try later"
 	// outcome.
 	TryMisses int64 `json:"try_misses"`
 	// WaitNS is the total wall time Lock callers spent waiting, in

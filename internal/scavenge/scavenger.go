@@ -9,8 +9,7 @@ import (
 // Target is the allocator surface the background scavenger drives. Both
 // methods are try-based: ok=false means the global heap was too contended to
 // even inspect, and the scavenger backs off exponentially — it must never
-// queue behind allocation traffic (the same reason core's remote-free path
-// uses TryLock nudges).
+// queue behind allocation traffic.
 type Target interface {
 	// EmptyBytes reports the committed bytes parked in empty superblocks
 	// on the global heap.

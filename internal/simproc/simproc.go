@@ -75,7 +75,6 @@ var DefaultCosts = CostModel{
 		env.OpListScan:       15,
 		env.OpSuperblockMove: 300,
 		env.OpOSAlloc:        3000,
-		env.OpRemoteFree:     40,
 		env.OpMallocBatch:    50,
 		env.OpFreeBatch:      50,
 		env.OpWork:           1,

@@ -224,6 +224,93 @@ func TestPropertyRandomAllocFree(t *testing.T) {
 	}
 }
 
+// TestPropertyCachedHandover drives one superblock through random
+// interleavings of every block transition the allocator performs — the
+// application's alloc and free, and a thread cache's refill, pop, free and
+// flush — against a model of where each block is, checking after every
+// step that the in-use count covers the application's and the cache's
+// blocks and that the free bitmap balances with the cached count.
+func TestPropertyCachedHandover(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 10; iter++ {
+		_, sb := newSB(t, 256) // 32 blocks: dense churn
+		var app, cache []alloc.Ptr
+		take := func(xs *[]alloc.Ptr) alloc.Ptr {
+			i := rng.Intn(len(*xs))
+			p := (*xs)[i]
+			(*xs)[i] = (*xs)[len(*xs)-1]
+			*xs = (*xs)[:len(*xs)-1]
+			return p
+		}
+		for op := 0; op < 3000; op++ {
+			switch rng.Intn(6) {
+			case 0:
+				if p, ok := sb.AllocBlock(e); ok {
+					app = append(app, p)
+				}
+			case 1:
+				if len(app) > 0 {
+					sb.FreeBlock(e, take(&app))
+				}
+			case 2:
+				if p, ok := sb.AllocCached(e); ok {
+					cache = append(cache, p)
+				}
+			case 3:
+				if len(cache) > 0 {
+					p := take(&cache)
+					sb.ClaimCached(p)
+					app = append(app, p)
+				}
+			case 4:
+				if len(app) > 0 {
+					p := take(&app)
+					sb.MarkCached(p)
+					cache = append(cache, p)
+				}
+			case 5:
+				if len(cache) > 0 {
+					sb.FreeCached(e, take(&cache))
+				}
+			}
+			if sb.InUse() != len(app)+len(cache) {
+				t.Fatalf("iter %d op %d: InUse %d, model %d in the application + %d cached",
+					iter, op, sb.InUse(), len(app), len(cache))
+			}
+			if err := sb.CheckIntegrityCached(len(cache)); err != nil {
+				t.Fatalf("iter %d op %d: %v", iter, op, err)
+			}
+		}
+	}
+}
+
+// TestCachedMisusePanics: with the bit state handed over, a free of a block
+// already in a cache is a double free, and a cache cannot hand out a block
+// the application holds.
+func TestCachedMisusePanics(t *testing.T) {
+	_, sb := newSB(t, 64)
+	cached, _ := sb.AllocCached(e)
+	held, _ := sb.AllocBlock(e)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"free of a cached block", func() { sb.FreeBlock(e, cached) }},
+		{"cache free of a cached block", func() { sb.MarkCached(cached) }},
+		{"cache pop of a held block", func() { sb.ClaimCached(held) }},
+		{"flush of a held block", func() { sb.FreeCached(e, held) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			c.fn()
+		}()
+	}
+}
+
 // TestDataIntegrity writes a distinct pattern into every allocated block and
 // verifies no block's data is disturbed by other allocations or frees.
 func TestDataIntegrity(t *testing.T) {

@@ -46,6 +46,29 @@ func TestCacheHitAvoidsInner(t *testing.T) {
 	a.Free(th, q)
 }
 
+// TestLockFreeCountsMagazineHits: LockFreeMallocs and LockFreeFrees count
+// the operations a magazine served alone; a refill or flush is a miss.
+func TestLockFreeCountsMagazineHits(t *testing.T) {
+	const capacity = 16
+	a := newOverHoard(capacity)
+	th := a.NewThread(&env.RealEnv{})
+	var ps []alloc.Ptr
+	for i := 0; i < capacity/2; i++ {
+		ps = append(ps, a.Malloc(th, 64)) // the first refills
+	}
+	for _, p := range ps {
+		a.Free(th, p)
+	}
+	for i := 0; i < capacity/2+1; i++ {
+		a.Free(th, a.Malloc(th, 128)) // the first refills
+	}
+	st := a.Stats()
+	if st.LockFreeMallocs != int64(capacity-1) || st.LockFreeFrees != int64(capacity+1) {
+		t.Fatalf("lock-free mallocs %d, frees %d; want %d, %d",
+			st.LockFreeMallocs, st.LockFreeFrees, capacity-1, capacity+1)
+	}
+}
+
 func TestRefillBatches(t *testing.T) {
 	const capacity = 16
 	a := newOverHoard(capacity)
@@ -119,29 +142,54 @@ func TestLargeBypassesCache(t *testing.T) {
 	}
 }
 
-// TestPassiveFalseSharingReturns documents the tradeoff: with a thread
-// cache, a block freed by thread B is re-issued to thread B even though
-// thread A's heap owns it — the migration Hoard's free-to-owner rule
-// prevents.
+// TestPassiveFalseSharingReturns documents the tradeoff over an allocator
+// without owners: a block freed by thread B is re-issued to thread B from
+// its magazine although thread A allocated it, so line-mates split across
+// threads again.
 func TestPassiveFalseSharingReturns(t *testing.T) {
-	a := newOverHoard(16)
+	a := New(serial.New(0, lf), Config{Capacity: 16})
 	ta := a.NewThread(&env.RealEnv{ID: 0})
 	tb := a.NewThread(&env.RealEnv{ID: 1})
 	p := a.Malloc(ta, 64)
-	a.Free(tb, p) // lands in B's magazine, not A's heap
-	q := a.Malloc(tb, 64)
-	if q != p {
+	a.Free(tb, p) // lands in B's magazine
+	if q := a.Malloc(tb, 64); q != p {
 		t.Fatalf("expected B to receive A's block from its magazine")
 	}
-	a.Free(tb, q)
-	// Without the cache, Hoard would have returned p to A's superblock:
-	bare := core.New(core.Config{Heaps: 4}, lf)
-	ba := bare.NewThread(&env.RealEnv{ID: 0})
-	bb := bare.NewThread(&env.RealEnv{ID: 1})
-	p2 := bare.Malloc(ba, 64)
-	bare.Free(bb, p2)
-	if q2 := bare.Malloc(bb, 64); q2 == p2 {
-		t.Fatal("bare Hoard unexpectedly re-issued a remotely-freed block to the freeing thread")
+}
+
+// TestOwnerAwareFreeSkipsMagazine: over Hoard, B's free of a block A's heap
+// owns goes to B's remote batch, never to B's magazine, so B never receives
+// A's block; a full remote batch flushes to the owner, where A reuses it.
+func TestOwnerAwareFreeSkipsMagazine(t *testing.T) {
+	const capacity = 16
+	a := newOverHoard(capacity)
+	ta := a.NewThread(&env.RealEnv{ID: 0}) // heap 1
+	tb := a.NewThread(&env.RealEnv{ID: 1}) // heap 2
+	var ps []alloc.Ptr
+	for i := 0; i < capacity; i++ {
+		ps = append(ps, a.Malloc(ta, 64))
+	}
+	a.Free(tb, ps[0])
+	tbs := tb.State.(*threadState)
+	if len(tbs.remote) != 1 || tbs.remote[0] != ps[0] {
+		t.Fatalf("remote batch holds %v, want A's block", tbs.remote)
+	}
+	for i := 0; i < 4*capacity; i++ {
+		if q := a.Malloc(tb, 64); q == ps[0] {
+			t.Fatal("B received A's block from its magazine")
+		}
+	}
+	for _, p := range ps[1:] {
+		a.Free(tb, p)
+	}
+	if len(tbs.remote) != 0 {
+		t.Fatalf("remote batch holds %d blocks after reaching capacity, want a flush", len(tbs.remote))
+	}
+	if st := a.Stats(); st.RemoteFrees != capacity {
+		t.Fatalf("RemoteFrees = %d, want %d", st.RemoteFrees, capacity)
+	}
+	if err := a.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -294,9 +342,6 @@ func TestConcurrentChurnAndFlush(t *testing.T) {
 	wg.Wait()
 	if got := a.Threads(); got != 0 {
 		t.Fatalf("Threads = %d after all workers flushed, want 0", got)
-	}
-	if h, ok := a.Inner().(*core.Hoard); ok {
-		h.Reconcile(&env.RealEnv{})
 	}
 	if live := a.Stats().LiveBytes; live != 0 {
 		t.Fatalf("LiveBytes = %d after churn", live)

@@ -36,7 +36,6 @@ func runAudited(t *testing.T, procs int, workload func(h *Harness)) {
 	if auditor.Passes() == 0 {
 		t.Fatal("auditor never ran during the workload")
 	}
-	hoard.Reconcile(&env.RealEnv{ID: -1})
 	if err := hoard.CheckIntegrity(); err != nil {
 		t.Fatalf("quiescent integrity after audited run: %v", err)
 	}

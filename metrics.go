@@ -56,7 +56,7 @@ func (a *Allocator) tcacheLayer() *tcache.Allocator {
 // layered, and lock counters when Config.Metrics was set. Safe to call while
 // other threads allocate; cross-heap sums are then approximate.
 func (a *Allocator) sampleMetrics() metrics.Snapshot {
-	s := metrics.NewSnapshot(a.impl.Name())
+	s := metrics.NewSnapshot(a.name)
 	st := a.Stats()
 	s.Counters["mallocs_total"] = st.Mallocs
 	s.Counters["frees_total"] = st.Frees
@@ -78,13 +78,11 @@ func (a *Allocator) sampleMetrics() metrics.Snapshot {
 	}
 	s.Counters["superblock_moves_total"] = st.SuperblockMoves
 	s.Counters["remote_frees_total"] = st.RemoteFrees
-	s.Counters["remote_fast_frees_total"] = st.RemoteFastFrees
 	s.Counters["batch_refills_total"] = st.BatchRefills
 	s.Counters["batch_flushes_total"] = st.BatchFlushes
 	s.Counters["batched_blocks_total"] = st.BatchedBlocks
 	s.Counters["lockfree_mallocs_total"] = st.LockFreeMallocs
 	s.Counters["lockfree_frees_total"] = st.LockFreeFrees
-	s.Counters["lockfree_cas_retries_total"] = st.FastPathRetries
 	if h := a.unwrap(); h != nil {
 		for _, occ := range h.SampleHeaps(&env.RealEnv{ID: -1}, true) {
 			hs := metrics.HeapSample{

@@ -91,7 +91,7 @@ func (t scavengeTarget) Scavenge(maxBytes int64, coldAge time.Duration) (int64, 
 // scavenger is already running.
 func (a *Allocator) StartScavenger() error {
 	if a.unwrap() == nil {
-		return fmt.Errorf("hoard: policy %q does not support scavenging", a.impl.Name())
+		return fmt.Errorf("hoard: policy %q does not support scavenging", a.name)
 	}
 	a.scavMu.Lock()
 	defer a.scavMu.Unlock()
@@ -142,14 +142,6 @@ func (a *Allocator) ScavengerStats() ScavengerStats {
 // malloc_trim(3) of this allocator. It blocks on the global heap's lock and
 // returns the bytes released. Non-Hoard policies release nothing.
 //
-// Before stripping the global heap it reconciles every per-processor heap's
-// pending remote frees and restores the emptiness invariant. Without that, a
-// workload whose last act is a bulk cross-thread free (a drain sweep, a
-// worker pool tearing down) leaves its blocks parked on remote-free stacks:
-// the owning heaps still count them as in use, no superblock ever reaches
-// the global heap, and trim finds nothing to release no matter how empty the
-// allocator really is.
-//
 // The memory stays reserved: addresses remain valid, and the superblocks are
 // recommitted transparently when allocation demand returns.
 func (a *Allocator) ReleaseMemory() int64 {
@@ -157,7 +149,5 @@ func (a *Allocator) ReleaseMemory() int64 {
 	if h == nil {
 		return 0
 	}
-	e := &env.RealEnv{ID: -1}
-	h.Reconcile(e)
-	return h.ReleaseMemory(e)
+	return h.ReleaseMemory(&env.RealEnv{ID: -1})
 }
