@@ -56,7 +56,7 @@ footprint-smoke:
 # tests.
 arena-smoke:
 	$(GO) run ./cmd/hoardbench -arena /tmp/hoardgo-arena.json
-	HOARDGO_BACKEND=arena $(GO) test -race ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/
+	HOARDGO_BACKEND=arena $(GO) test -race ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/ ./internal/tcache/ ./internal/serial/
 	$(GO) test -race -run 'TestArena|TestBackend|TestPublicBackend|TestPublicClose|TestMeasureResolve|TestMeasureArena' \
 		. ./internal/vm/ ./internal/core/ ./internal/experiments/
 

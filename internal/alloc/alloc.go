@@ -166,7 +166,11 @@ type Stats struct {
 	Mallocs, Frees int64
 	// LiveBytes is the usable (class-rounded) bytes currently allocated.
 	LiveBytes int64
-	// PeakLiveBytes is the high-water mark of LiveBytes.
+	// PeakLiveBytes is the high-water mark of LiveBytes. It is exact
+	// wherever one Accounting keeps the books — every baseline, and the
+	// tcache layer the public Hoard policy always runs. Only the bare
+	// core.Hoard, whose ShardedAccounting sums per-shard peaks, reports an
+	// upper bound.
 	PeakLiveBytes int64
 	// LargeMallocs counts allocations that took the large-object path.
 	LargeMallocs int64

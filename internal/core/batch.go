@@ -62,13 +62,7 @@ func (h *Hoard) mallocBatch(t *alloc.Thread, size int, out []alloc.Ptr, sbs []*s
 	blockSize := h.classes.Size(class)
 	hp := h.heaps[t.State.(*threadState).heapIdx]
 	env.LockWith(hp.Lock, e, "batch-refill")
-	for i := range out {
-		var sb *superblock.Superblock
-		out[i], sb = h.allocLocked(e, hp, class, blockSize, sbs != nil)
-		if sbs != nil {
-			sbs[i] = sb
-		}
-	}
+	h.allocLocked(e, hp, class, blockSize, out, sbs)
 	hp.Lock.Unlock(e)
 	n := len(out)
 	h.acct.OnMallocN(hp.ID, n, int64(n)*int64(blockSize))
@@ -138,17 +132,9 @@ func (h *Hoard) freeOwned(t *alloc.Thread, ps []alloc.Ptr, sbs []*superblock.Sup
 	h.batchedBlocks.Add(int64(len(ps)))
 	for len(ps) > 0 {
 		n := len(ps)
-		hp := h.heaps[sbs[0].OwnerID()]
-		var nblk int
-		var bytes int64
-		ps, sbs, nblk, bytes = h.freeOwnedLocked(e, hp, ps, sbs, cached)
-		if nblk > 0 {
-			h.acct.OnFreeN(hp.ID, nblk, bytes)
-			if hp.ID != myIdx {
-				h.remote.Add(int64(nblk))
-			}
-		}
-		if len(ps) == n {
+		rest := h.freeOwnedLocked(e, h.heaps[sbs[0].OwnerID()], myIdx, ps, sbs, cached)
+		ps, sbs = ps[:rest], sbs[:rest]
+		if rest == n {
 			// The lock bought us nothing (ownership raced away before we
 			// acquired it); account the wasted pass like the per-block
 			// retry does.
@@ -157,44 +143,40 @@ func (h *Hoard) freeOwned(t *alloc.Thread, ps []alloc.Ptr, sbs []*superblock.Sup
 	}
 }
 
-// freeOwnedLocked acquires hp's lock once, frees every block hp still owns,
-// restores the emptiness invariant (once, at the end), and returns the
-// blocks owned elsewhere, compacted to the front of ps and sbs, plus the
-// blocks and bytes it freed, for the caller's single accounting update
-// outside the critical section. The lock is released before returning, also
-// when a free panics on a misused pointer.
-func (h *Hoard) freeOwnedLocked(e env.Env, hp *heap.Heap, ps []alloc.Ptr, sbs []*superblock.Superblock, cached bool) (
-	restPs []alloc.Ptr, restSbs []*superblock.Superblock, nblk int, bytes int64) {
+// freeOwnedLocked acquires hp's lock once, frees every block hp still owns
+// (heap.FreeBatch: one regroup per touched superblock, and one clock read
+// for the park stamps when hp is the global heap), restores the emptiness
+// invariant (once, at the end), and returns the count of blocks owned
+// elsewhere, compacted to the front of ps and sbs. The freed blocks are
+// accounted in one update after the lock is released — also when a free
+// panics on a misused pointer, so the books match the heaps the blocks
+// freed before it went back to.
+func (h *Hoard) freeOwnedLocked(e env.Env, hp *heap.Heap, myIdx int, ps []alloc.Ptr, sbs []*superblock.Superblock, cached bool) int {
+	var freed heap.Freed
 	env.LockWith(hp.Lock, e, "batch-free")
-	defer hp.Lock.Unlock(e)
-	rest := 0
-	for i, p := range ps {
-		sb := sbs[i]
-		if sb.OwnerID() != hp.ID {
-			ps[rest], sbs[rest] = p, sb
-			rest++
-			continue
+	defer func() {
+		hp.Lock.Unlock(e)
+		if freed.Blocks > 0 {
+			h.acct.OnFreeN(hp.ID, freed.Blocks, freed.Bytes)
+			if hp.ID != myIdx {
+				h.remote.Add(int64(freed.Blocks))
+			}
 		}
-		if cached {
-			hp.FreeCached(e, sb, p)
-		} else {
-			hp.FreeBlock(e, sb, p)
-		}
-		nblk++
-		bytes += int64(sb.BlockSize())
-		if hp.ID == 0 {
-			// This batch touched a parked superblock, so refresh the
-			// scavenger's cold-age stamp as the per-block path does.
-			sb.SetParkedAt(h.clock())
-		}
+	}()
+	var stamp func() int64
+	if hp.ID == 0 {
+		// A batch into parked superblocks refreshes their scavenger
+		// cold-age stamps, as the per-block path does.
+		stamp = h.clock
 	}
-	e.Charge(env.OpFree, int64(nblk))
-	if hp.ID != 0 && nblk > 0 {
+	rest := hp.FreeBatch(e, ps, sbs, cached, stamp, &freed)
+	e.Charge(env.OpFree, int64(freed.Blocks))
+	if hp.ID != 0 && freed.Blocks > 0 {
 		// A batch of B frees can push the heap up to B blocks past the
 		// invariant; keep evicting until it holds (or no superblock
 		// qualifies — the benign all-full capacity-waste state).
 		for hp.InvariantViolated() && h.restoreInvariant(e, hp) {
 		}
 	}
-	return ps[:rest], sbs[:rest], nblk, bytes
+	return rest
 }

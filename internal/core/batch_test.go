@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
+	"hoardgo/internal/superblock"
 )
 
 // chargeEnv records every Charge by kind, for auditing the charging
@@ -171,6 +173,65 @@ func TestFreeBatchOwnerGroups(t *testing.T) {
 	}
 	if live := h.Stats().LiveBytes; live != 0 {
 		t.Fatalf("LiveBytes = %d", live)
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFreeBatchMixedOwnersOneClockRead frees one batch whose blocks span
+// many superblocks of several classes, owned by the freeing thread's heap,
+// another thread's heap, and the global heap: every touched superblock ends
+// in its correct list with u matching (CheckIntegrity), the remote count
+// covers every block another heap owns, and the clock is read once — for
+// the one locked pass over the global heap — however many parked blocks the
+// batch frees.
+func TestFreeBatchMixedOwnersOneClockRead(t *testing.T) {
+	// K large enough that the batch evicts nothing: eviction stamps the
+	// victim, a clock read of its own.
+	h := newHoard(Config{Heaps: 2, K: 1000})
+	reads := 0
+	h.SetClock(func() int64 { reads++; return 42 })
+	t0 := thread(h, 0) // heap 1
+	t1 := thread(h, 1) // heap 2
+	sizes := []int{16, 64, 200, 1000}
+	var batch []alloc.Ptr
+	for i := 0; i < 600; i++ {
+		batch = append(batch, h.Malloc(t0, sizes[i%len(sizes)]))
+	}
+	for i := 0; i < 200; i++ {
+		batch = append(batch, h.Malloc(t1, sizes[i%len(sizes)]))
+	}
+	foreign := 200 // heap 2's blocks, and below, the parked ones
+	// Park two of heap 1's superblocks on the global heap, live blocks and
+	// all, as an eviction would.
+	hp, g := h.heaps[1], h.heaps[0]
+	parked := map[*superblock.Superblock]bool{}
+	for _, p := range batch[:2] {
+		sb, _ := superblock.FromPtr(h.space, p)
+		hp.Remove(sb)
+		g.Insert(sb)
+		parked[sb] = true
+	}
+	for _, p := range batch[:600] {
+		if sb, _ := superblock.FromPtr(h.space, p); parked[sb] {
+			foreign++
+		}
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	reads = 0
+	h.FreeBatch(t0, batch)
+	if reads != 1 {
+		t.Fatalf("batch read the clock %d times, want once", reads)
+	}
+	for sb := range parked {
+		if sb.ParkedAt() != 42 || sb.OwnerID() != 0 {
+			t.Fatalf("parked superblock %#x: owner %d, stamp %d", sb.Base(), sb.OwnerID(), sb.ParkedAt())
+		}
+	}
+	st := h.Stats()
+	if st.RemoteFrees != int64(foreign) || st.LiveBytes != 0 {
+		t.Fatalf("RemoteFrees %d (want %d), LiveBytes %d", st.RemoteFrees, foreign, st.LiveBytes)
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)

@@ -264,32 +264,36 @@ func (h *Hoard) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	class, _ := h.classes.ClassFor(size)
 	blockSize := h.classes.Size(class)
 	hp := h.heaps[t.State.(*threadState).heapIdx]
+	var p [1]alloc.Ptr
 	env.LockWith(hp.Lock, e, "malloc")
-	p, _ := h.allocLocked(e, hp, class, blockSize, false)
+	h.allocLocked(e, hp, class, blockSize, p[:], nil)
 	hp.Lock.Unlock(e)
 	e.Charge(env.OpMallocFast, 1)
 	h.acct.OnMalloc(hp.ID, blockSize)
-	return p
+	return p[0]
 }
 
-// allocLocked takes one block of class out of hp, whose lock the caller
-// holds. cached selects a thread-cache refill, which leaves the block's free
-// bit set (heap.AllocCached) and returns the block's superblock with it;
-// otherwise the superblock is nil.
+// allocLocked fills out with blocks of class from hp, whose lock the caller
+// holds, a superblock's run at a time (heap.AllocRun): the same blocks, in
+// the same order, as len(out) single pops. A non-nil sbs selects a thread
+// cache's refill: the blocks keep their free bits set, and sbs[i] receives
+// out[i]'s superblock.
 //
 // When hp has no free block of the class, the slow path first recycles one
 // of hp's own empty superblocks into the class: it stays off the global
 // lock and, because a(i) does not change, triggers no eviction (where a
 // global take grows a(i) and routinely starts an evict/take cycle).
 // Otherwise it pulls a superblock from the global heap, or the OS.
-func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, cached bool) (alloc.Ptr, *superblock.Superblock) {
-	for {
-		if cached {
-			if p, sb, ok := hp.AllocCached(e, class); ok {
-				return p, sb
+func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out []alloc.Ptr, sbs []*superblock.Superblock) {
+	for i := 0; i < len(out); {
+		if n, sb := hp.AllocRun(e, class, out[i:], sbs != nil); n > 0 {
+			if sbs != nil {
+				for j := i; j < i+n; j++ {
+					sbs[j] = sb
+				}
 			}
-		} else if p, ok := hp.AllocBlock(e, class); ok {
-			return p, nil
+			i += n
+			continue
 		}
 		e.Charge(env.OpMallocSlow, 1)
 		if hp.ReuseEmpty(e, class, blockSize) != nil {

@@ -2,11 +2,14 @@
 //
 // A heap owns a set of superblocks, organized per size class into a small
 // number of fullness groups (doubly-linked lists bucketed by allocated
-// fraction). Allocation searches a class's groups from mostly-full to
-// mostly-empty, which both improves locality and lets nearly-empty
-// superblocks drain so they can be recycled. The heap tracks u(i), the bytes
-// in use, and a(i), the bytes held in superblocks, and exposes the paper's
-// emptiness invariant
+// fraction) plus a list of completely empty superblocks. Allocation searches
+// a class's groups from mostly-full to mostly-empty, and takes an empty
+// superblock only after them, which both improves locality and lets
+// nearly-empty superblocks drain so they can be recycled. The empty list
+// makes every "find an empty superblock" step — eviction's first choice,
+// the global heap's take, local reuse, the scavenger — one list head per
+// class. The heap tracks u(i), the bytes in use, and a(i), the bytes held
+// in superblocks, and exposes the paper's emptiness invariant
 //
 //	u(i) >= a(i) - K*S  OR  u(i) >= (1-f)*a(i)
 //
@@ -28,12 +31,21 @@ import (
 	"hoardgo/internal/superblock"
 )
 
-// NumGroups is the number of fullness groups per size class for non-full
-// superblocks; an additional group holds completely full superblocks.
+// NumGroups is the number of fullness groups per size class for partly
+// used superblocks; two more lists hold the completely full and the
+// completely empty ones.
 const NumGroups = 4
 
-// fullGroup is the group index for completely full superblocks.
-const fullGroup = NumGroups
+const (
+	// fullGroup is the list index for completely full superblocks.
+	fullGroup = NumGroups
+	// emptyGroup is the list index for completely empty superblocks.
+	emptyGroup = NumGroups + 1
+)
+
+// allocOrder is the order alloc consults a class's lists in: partly used
+// superblocks, fullest first, then the empties.
+var allocOrder = [...]int{3, 2, 1, 0, emptyGroup}
 
 // Heap is one Hoard heap (per-processor or global).
 type Heap struct {
@@ -52,10 +64,16 @@ type Heap struct {
 	a       int64 // bytes held in superblocks
 	classes []classGroups
 	nSuper  int
+
+	// touched is FreeBatch's scratch list of the superblocks a batch
+	// freed into, kept between batches so a batch allocates nothing.
+	touched []*superblock.Superblock
 }
 
+// classGroups holds one class's lists, indexed by superblock.Group: the
+// NumGroups fullness groups, fullGroup and emptyGroup.
 type classGroups struct {
-	groups [NumGroups + 1]sbList
+	groups [NumGroups + 2]sbList
 }
 
 // sbList is an intrusive doubly-linked list of superblocks.
@@ -110,10 +128,13 @@ func (h *Heap) EmptyFraction() float64 { return h.fEmpty }
 // SlackK returns the slack K.
 func (h *Heap) SlackK() int { return int(h.k) }
 
-// groupOf computes the fullness group for a superblock.
+// groupOf computes the list a superblock belongs on.
 func groupOf(sb *superblock.Superblock) int {
 	used, nBlocks := sb.InUse(), sb.NBlocks()
-	if used >= nBlocks {
+	switch {
+	case used == 0:
+		return emptyGroup
+	case used >= nBlocks:
 		return fullGroup
 	}
 	return min(used*NumGroups/nBlocks, NumGroups-1)
@@ -157,9 +178,9 @@ func (h *Heap) Remove(sb *superblock.Superblock) {
 	h.nSuper--
 }
 
-// regroup moves sb to its correct fullness group after an alloc or free.
-// Within a group, superblocks freed into the group go to the front so
-// recently-touched superblocks are reused first.
+// regroup moves sb to its correct list after an alloc or free. Within a
+// list, superblocks that move into it go to the front so recently-touched
+// superblocks are reused first.
 func (h *Heap) regroup(sb *superblock.Superblock) {
 	g := groupOf(sb)
 	if g == sb.Group {
@@ -176,76 +197,108 @@ func (h *Heap) regroup(sb *superblock.Superblock) {
 // mostly-empty as the paper prescribes. ok is false if no owned superblock
 // of the class has a free block.
 func (h *Heap) AllocBlock(e env.Env, class int) (alloc.Ptr, bool) {
-	p, _, ok := h.alloc(e, class, false)
-	return p, ok
+	var one [1]alloc.Ptr
+	n, _ := h.AllocRun(e, class, one[:], false)
+	return one[0], n == 1
 }
 
-// AllocCached is AllocBlock for a thread cache's refill: the block keeps its
-// free bit (superblock.AllocCached), and the superblock it came from is
-// returned with it.
-func (h *Heap) AllocCached(e env.Env, class int) (alloc.Ptr, *superblock.Superblock, bool) {
-	return h.alloc(e, class, true)
-}
-
-func (h *Heap) alloc(e env.Env, class int, cached bool) (alloc.Ptr, *superblock.Superblock, bool) {
+// AllocRun pops a run of up to len(out) blocks of the given class into out
+// from one superblock — the head of the fullest non-empty group, else the
+// class's first empty superblock — with one group scan, one u update and
+// one regroup. It returns the count and the superblock (0 and nil if no
+// owned superblock of the class has a free block); the count is short only
+// when the superblock fills. Calling it until out is full hands out exactly
+// the blocks, in exactly the order, that as many AllocBlock calls would:
+// the superblock a pop came from stays the head of the fullest non-empty
+// group until it fills. cached selects a thread cache's refill, which
+// leaves the blocks' free bits set (superblock.AllocRun).
+func (h *Heap) AllocRun(e env.Env, class int, out []alloc.Ptr, cached bool) (int, *superblock.Superblock) {
 	lists := &h.classes[class].groups
-	for g := NumGroups - 1; g >= 0; g-- {
+	for _, g := range allocOrder {
 		e.Charge(env.OpListScan, 1)
 		sb := lists[g].head
 		if sb == nil {
 			continue
 		}
-		var p alloc.Ptr
-		var ok bool
-		if cached {
-			p, ok = sb.AllocCached(e)
-		} else {
-			p, ok = sb.AllocBlock(e)
-		}
-		if !ok {
+		n := sb.AllocRun(e, out, cached)
+		if n == 0 {
 			panic(fmt.Sprintf("heap %d: superblock %#x in group %d is full", h.ID, sb.Base(), g))
 		}
-		h.u += int64(sb.BlockSize())
+		h.u += int64(n) * int64(sb.BlockSize())
 		h.regroup(sb)
-		return p, sb, true
+		return n, sb
 	}
-	return 0, nil, false
+	return 0, nil
 }
 
 // FreeBlock returns an application-held block to its superblock, which must
 // be owned by this heap.
 func (h *Heap) FreeBlock(e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
-	h.checkOwner("FreeBlock", sb)
+	if sb.OwnerID() != h.ID {
+		panic(fmt.Sprintf("heap %d: FreeBlock on superblock owned by heap %d", h.ID, sb.OwnerID()))
+	}
 	sb.FreeBlock(e, p)
 	h.u -= int64(sb.BlockSize())
 	h.regroup(sb)
 }
 
-// FreeCached returns a thread-cached block (free bit already set) to its
-// superblock, which must be owned by this heap.
-func (h *Heap) FreeCached(e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
-	h.checkOwner("FreeCached", sb)
-	sb.FreeCached(e, p)
-	h.u -= int64(sb.BlockSize())
-	h.regroup(sb)
+// Freed tallies the blocks and bytes a FreeBatch returned to the heap.
+type Freed struct {
+	Blocks int
+	Bytes  int64
 }
 
-// FreeBlocks returns a batch of application-held blocks to one superblock,
-// which must be owned by this heap — the batch form of FreeBlock: one u
-// update and one regroup for the whole group.
-func (h *Heap) FreeBlocks(e env.Env, sb *superblock.Superblock, ps []alloc.Ptr) {
-	h.checkOwner("FreeBlocks", sb)
-	for _, p := range ps {
-		sb.FreeBlock(e, p)
+// FreeBatch frees every block of ps whose superblock, sbs[i], this heap
+// owns, and compacts the rest — blocks whose ownership moved — to the front
+// of ps and sbs, returning their count. Each block costs one ownership
+// check and its superblock push; u is updated once, and each superblock the
+// batch touched is regrouped once (marked on first touch, an O(n) pass, not
+// a sort). A non-nil stamp is read once, after the frees, and recorded as
+// the park stamp of every touched superblock. cached selects a thread
+// cache's flush, whose blocks' free bits are already set
+// (superblock.FreeCached); otherwise the blocks are application-held.
+//
+// freed receives the tally. When a free panics on a misused pointer, the
+// blocks freed before it stay freed, accounted in u and freed, and
+// regrouped before the panic propagates, so the heap stays consistent.
+func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock, cached bool,
+	stamp func() int64, freed *Freed) (rest int) {
+	touched := h.touched
+	defer func() {
+		h.u -= freed.Bytes
+		var now int64
+		if stamp != nil && len(touched) > 0 {
+			now = stamp()
+		}
+		for _, sb := range touched {
+			sb.Touched = false
+			h.regroup(sb)
+			if stamp != nil {
+				sb.SetParkedAt(now)
+			}
+		}
+		h.touched = touched[:0]
+	}()
+	for i, p := range ps {
+		sb := sbs[i]
+		if sb.OwnerID() != h.ID {
+			ps[rest], sbs[rest] = p, sb
+			rest++
+			continue
+		}
+		if cached {
+			sb.FreeCached(e, p)
+		} else {
+			sb.FreeBlock(e, p)
+		}
+		freed.Blocks++
+		freed.Bytes += int64(sb.BlockSize())
+		if !sb.Touched {
+			sb.Touched = true
+			touched = append(touched, sb)
+		}
 	}
-	h.u -= int64(len(ps)) * int64(sb.BlockSize())
-	h.regroup(sb)
-}
-
-func (h *Heap) checkOwner(op string, sb *superblock.Superblock) {
-	if sb.OwnerID() != h.ID {
-		panic(fmt.Sprintf("heap %d: %s on superblock owned by heap %d", h.ID, op, sb.OwnerID()))
-	}
+	return rest
 }
 
 // FindEvictable returns a superblock that is at least f-empty, preferring
@@ -260,20 +313,14 @@ func (h *Heap) checkOwner(op string, sb *superblock.Superblock) {
 // candidate would routinely evict a superblock still holding up to
 // (1-f) of its blocks — whose future frees then serialize on the global
 // heap. A fully drained superblock is the right victim whenever one
-// exists.
+// exists, and the empty lists find one with one list head per class.
 func (h *Heap) FindEvictable(e env.Env) *superblock.Superblock {
-	// Cost discipline (see internal/env): one OpListScan per list head
-	// consulted plus one per superblock visited, so long group-0 lists
-	// cost what they cost instead of a flat per-class charge.
-	for c := range h.classes {
-		e.Charge(env.OpListScan, 1)
-		for sb := h.classes[c].groups[0].head; sb != nil; sb = sb.Next {
-			e.Charge(env.OpListScan, 1)
-			if sb.Empty() {
-				return sb
-			}
-		}
+	if sb := h.firstEmpty(e, -1); sb != nil {
+		return sb
 	}
+	// Cost discipline (see internal/env): one OpListScan per list head
+	// consulted plus one per superblock visited, so long group lists
+	// cost what they cost instead of a flat per-class charge.
 	for g := 0; g < NumGroups; g++ {
 		for c := range h.classes {
 			e.Charge(env.OpListScan, 1)
@@ -302,15 +349,12 @@ func (h *Heap) FindEvictable(e env.Env) *superblock.Superblock {
 // partial superblocks once demand exhausts the empties.
 func (h *Heap) TakeSuper(e env.Env, class, blockSize int) *superblock.Superblock {
 	lists := &h.classes[class].groups
-	// Completely empty same-class superblocks first (group 0 mixes empty
-	// and lightly-used superblocks, so scan it for a true empty).
-	for sb := lists[0].head; sb != nil; sb = sb.Next {
-		e.Charge(env.OpListScan, 1)
-		if sb.Empty() {
-			h.Remove(sb)
-			sb.Recommit(e)
-			return sb
-		}
+	// A completely empty same-class superblock first.
+	e.Charge(env.OpListScan, 1)
+	if sb := lists[emptyGroup].head; sb != nil {
+		h.Remove(sb)
+		sb.Recommit(e)
+		return sb
 	}
 	for g := 0; g < NumGroups; g++ {
 		e.Charge(env.OpListScan, 1)
@@ -320,8 +364,7 @@ func (h *Heap) TakeSuper(e env.Env, class, blockSize int) *superblock.Superblock
 			return sb
 		}
 	}
-	// Recycle a completely empty superblock from another class. As in
-	// FindEvictable, the scan charges per node visited, not per class.
+	// Recycle a completely empty superblock from another class.
 	if sb := h.takeEmpty(e, -1); sb != nil {
 		sb.Reinit(class, blockSize)
 		return sb
@@ -355,18 +398,24 @@ func (h *Heap) ReuseEmpty(e env.Env, class, blockSize int) *superblock.Superbloc
 // but skip, recommitted if it was scavenged (and necessarily before a
 // Reinit, whose formatter describes the restored memory), or nil.
 func (h *Heap) takeEmpty(e env.Env, skip int) *superblock.Superblock {
+	sb := h.firstEmpty(e, skip)
+	if sb != nil {
+		h.Remove(sb)
+		sb.Recommit(e)
+	}
+	return sb
+}
+
+// firstEmpty returns the head of the first class's empty list, skipping
+// class skip, or nil: one list head, one OpListScan, per class consulted.
+func (h *Heap) firstEmpty(e env.Env, skip int) *superblock.Superblock {
 	for c := range h.classes {
 		if c == skip {
 			continue
 		}
 		e.Charge(env.OpListScan, 1)
-		for sb := h.classes[c].groups[0].head; sb != nil; sb = sb.Next {
-			e.Charge(env.OpListScan, 1)
-			if sb.Empty() {
-				h.Remove(sb)
-				sb.Recommit(e)
-				return sb
-			}
+		if sb := h.classes[c].groups[emptyGroup].head; sb != nil {
+			return sb
 		}
 	}
 	return nil
@@ -374,14 +423,15 @@ func (h *Heap) takeEmpty(e env.Env, skip int) *superblock.Superblock {
 
 // EmptyCommittedBytes sums the committed bytes held by completely empty
 // superblocks — the scavengable surplus the release policy watches. Already
-// decommitted superblocks do not count. The caller holds the heap lock.
+// decommitted superblocks do not count. The walk visits the empty lists
+// only. The caller holds the heap lock.
 func (h *Heap) EmptyCommittedBytes(e env.Env) int64 {
 	var total int64
 	for c := range h.classes {
 		e.Charge(env.OpListScan, 1)
-		for sb := h.classes[c].groups[0].head; sb != nil; sb = sb.Next {
+		for sb := h.classes[c].groups[emptyGroup].head; sb != nil; sb = sb.Next {
 			e.Charge(env.OpListScan, 1)
-			if sb.Empty() && !sb.Decommitted() {
+			if !sb.Decommitted() {
 				total += int64(h.sbSize)
 			}
 		}
@@ -404,9 +454,9 @@ func (h *Heap) ScavengeEmpties(e env.Env, maxBytes int64, coldBefore int64) (int
 	var victims []*superblock.Superblock
 	for c := range h.classes {
 		e.Charge(env.OpListScan, 1)
-		for sb := h.classes[c].groups[0].head; sb != nil; sb = sb.Next {
+		for sb := h.classes[c].groups[emptyGroup].head; sb != nil; sb = sb.Next {
 			e.Charge(env.OpListScan, 1)
-			if sb.Empty() && !sb.Decommitted() && sb.ParkedAt() <= coldBefore {
+			if !sb.Decommitted() && sb.ParkedAt() <= coldBefore {
 				victims = append(victims, sb)
 			}
 		}
@@ -479,7 +529,8 @@ func (h *Heap) InvariantViolatedUsable() bool {
 
 // ClassOccupancy is one size class's occupancy within a heap: superblock
 // count, bytes in use, and the fullness-group histogram. Groups[NumGroups]
-// is the completely-full group.
+// is the completely-full group; Groups[0] counts the completely empty
+// superblocks with group 0's lightly used ones.
 type ClassOccupancy struct {
 	Class       int
 	BlockSize   int
@@ -500,7 +551,8 @@ type Occupancy struct {
 	// Decommitted counts held superblocks whose pages are currently
 	// scavenged (reserved but not committed).
 	Decommitted int
-	Groups      [NumGroups + 1]int
+	// Groups is the fullness-group histogram, as in ClassOccupancy.
+	Groups [NumGroups + 1]int
 	// Classes holds per-class detail for classes with at least one
 	// superblock; nil when detail was not requested.
 	Classes []ClassOccupancy
@@ -518,8 +570,12 @@ func (h *Heap) SampleOccupancy(detail bool) Occupancy {
 	}
 	for c := range h.classes {
 		var cls ClassOccupancy
-		for g := 0; g <= fullGroup; g++ {
-			for sb := h.classes[c].groups[g].head; sb != nil; sb = sb.Next {
+		for l := range h.classes[c].groups {
+			g := l
+			if l == emptyGroup {
+				g = 0
+			}
+			for sb := h.classes[c].groups[l].head; sb != nil; sb = sb.Next {
 				occ.Groups[g]++
 				if sb.Decommitted() {
 					occ.Decommitted++
@@ -546,10 +602,10 @@ func (h *Heap) SampleOccupancy(detail bool) Occupancy {
 	return occ
 }
 
-// forEach visits every superblock the heap holds, in class/group order.
+// forEach visits every superblock the heap holds, in class/list order.
 func (h *Heap) forEach(fn func(sb *superblock.Superblock) error) error {
 	for c := range h.classes {
-		for g := 0; g <= fullGroup; g++ {
+		for g := range h.classes[c].groups {
 			for sb := h.classes[c].groups[g].head; sb != nil; sb = sb.Next {
 				if err := fn(sb); err != nil {
 					return err
@@ -589,6 +645,9 @@ func (h *Heap) checkIntegrity(cached map[*superblock.Superblock]int, online bool
 	err := h.forEach(func(sb *superblock.Superblock) error {
 		if sb.OwnerID() != h.ID {
 			return fmt.Errorf("heap %d: holds superblock owned by %d", h.ID, sb.OwnerID())
+		}
+		if sb.Touched {
+			return fmt.Errorf("heap %d: superblock %#x still marked touched", h.ID, sb.Base())
 		}
 		if want := groupOf(sb); sb.Group != want {
 			return fmt.Errorf("heap %d: superblock %#x in group %d, want %d (%d/%d in use)",

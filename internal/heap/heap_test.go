@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -113,8 +114,8 @@ func TestRegroupOnFreeAndAlloc(t *testing.T) {
 	for _, p := range ps {
 		h.FreeBlock(e, sb, p)
 	}
-	if sb.Group != 0 {
-		t.Fatalf("empty superblock in group %d", sb.Group)
+	if sb.Group != emptyGroup {
+		t.Fatalf("empty superblock in group %d, want the empty list", sb.Group)
 	}
 	if h.U() != 0 {
 		t.Fatalf("u = %d after freeing all", h.U())
@@ -408,16 +409,11 @@ func TestTakeSuperPrefersEmptySameClass(t *testing.T) {
 func TestCachedBlocksCountAsInUse(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h := newHeap(1)
-	h.Insert(newSuper(space, 2))
-	var ps []alloc.Ptr
-	var sb *superblock.Superblock
-	for i := 0; i < 200; i++ {
-		p, got, ok := h.AllocCached(e, 2)
-		if !ok {
-			t.Fatal("AllocCached found no block")
-		}
-		sb = got
-		ps = append(ps, p)
+	sb := newSuper(space, 2)
+	h.Insert(sb)
+	ps := make([]alloc.Ptr, 200)
+	if n, got := h.AllocRun(e, 2, ps, true); n != len(ps) || got != sb {
+		t.Fatalf("cached run took %d blocks from %v, want %d from the one superblock", n, got, len(ps))
 	}
 	if h.U() != int64(200*sb.BlockSize()) || sb.Group != groupOf(sb) {
 		t.Fatalf("u = %d, group %d after 200 cached allocs", h.U(), sb.Group)
@@ -431,10 +427,15 @@ func TestCachedBlocksCountAsInUse(t *testing.T) {
 	if err := h.CheckIntegrityCached(map[*superblock.Superblock]int{sb: 200}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range ps {
-		h.FreeCached(e, sb, p)
+	var freed Freed
+	sbs := make([]*superblock.Superblock, len(ps))
+	for i := range sbs {
+		sbs[i] = sb
 	}
-	if h.U() != 0 || !sb.Empty() {
+	if rest := h.FreeBatch(e, ps, sbs, true, nil, &freed); rest != 0 || freed.Blocks != len(ps) {
+		t.Fatalf("flush left %d blocks and freed %d, want 0 and %d", rest, freed.Blocks, len(ps))
+	}
+	if h.U() != 0 || sb.InUse() != 0 {
 		t.Fatalf("u = %d, %d in use after flushing every cached block", h.U(), sb.InUse())
 	}
 	if err := h.CheckIntegrity(); err != nil {
@@ -485,4 +486,251 @@ func TestReuseEmpty(t *testing.T) {
 		p = q
 	}
 	h.FreeBlock(e, partial, p)
+}
+
+// --- Superblock-granular transfers ---
+
+// buildGroupedHeap builds a heap whose class-2 superblocks sit in every
+// list — two in the top group, one in each lower group, two empties with
+// scrambled free lists, and a full one — and returns them in creation
+// order. Calls with the same seed build identical heaps.
+func buildGroupedHeap(t *testing.T, seed int64) (*Heap, []*superblock.Superblock) {
+	space := vmtest.NewSized(t, testS)
+	h := newHeap(1)
+	rng := rand.New(rand.NewSource(seed))
+	var sbs []*superblock.Superblock
+	for _, live := range []int{200, 210, 130, 70, 10, 0, 0, 256} {
+		sb := newSuper(space, 2)
+		var ps []alloc.Ptr
+		for i := 0; i < min(live+40, sb.NBlocks()); i++ {
+			p, _ := sb.AllocBlock(e)
+			ps = append(ps, p)
+		}
+		rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+		for _, p := range ps[live:] {
+			sb.FreeBlock(e, p)
+		}
+		h.Insert(sb)
+		sbs = append(sbs, sb)
+	}
+	return h, sbs
+}
+
+// blockRef names a block by its superblock's creation ordinal and offset,
+// so blocks of two identically built heaps compare.
+type blockRef struct{ sb, off int }
+
+func refOf(t *testing.T, sbs []*superblock.Superblock, p alloc.Ptr) blockRef {
+	for i, sb := range sbs {
+		if sb.Contains(p) {
+			return blockRef{i, int(uint64(p) - sb.Base())}
+		}
+	}
+	t.Fatalf("block %#x in no superblock", uint64(p))
+	return blockRef{}
+}
+
+// TestAllocRunMatchesSinglePops: a run refill — AllocRun until the buffer
+// is full — hands out the same blocks, in the same order, as the same
+// number of single pops on an identical heap, and leaves every superblock
+// with the same count, in the same list, in the same list position.
+func TestAllocRunMatchesSinglePops(t *testing.T) {
+	for _, n := range []int{1, 37, 600, 1100} {
+		runHeap, runSBs := buildGroupedHeap(t, 5)
+		popHeap, popSBs := buildGroupedHeap(t, 5)
+		out := make([]alloc.Ptr, n)
+		for got := 0; got < n; {
+			k, sb := runHeap.AllocRun(e, 2, out[got:], true)
+			if k == 0 {
+				t.Fatalf("n=%d: run refill ran dry after %d blocks", n, got)
+			}
+			for _, p := range out[got : got+k] {
+				if !sb.Contains(p) {
+					t.Fatalf("n=%d: AllocRun reported superblock %#x for block %#x", n, sb.Base(), uint64(p))
+				}
+			}
+			got += k
+		}
+		for i := 0; i < n; i++ {
+			p, ok := popHeap.AllocBlock(e, 2)
+			if !ok {
+				t.Fatalf("n=%d: single pops ran dry after %d blocks", n, i)
+			}
+			if run, pop := refOf(t, runSBs, out[i]), refOf(t, popSBs, p); run != pop {
+				t.Fatalf("n=%d: block %d: run gave %+v, single pops %+v", n, i, run, pop)
+			}
+		}
+		if runHeap.U() != popHeap.U() {
+			t.Fatalf("n=%d: u %d after the run, %d after single pops", n, runHeap.U(), popHeap.U())
+		}
+		for g := range runHeap.classes[2].groups {
+			var runOrder, popOrder []int
+			for sb := runHeap.classes[2].groups[g].head; sb != nil; sb = sb.Next {
+				runOrder = append(runOrder, refOf(t, runSBs, alloc.Ptr(sb.Base())).sb)
+			}
+			for sb := popHeap.classes[2].groups[g].head; sb != nil; sb = sb.Next {
+				popOrder = append(popOrder, refOf(t, popSBs, alloc.Ptr(sb.Base())).sb)
+			}
+			if fmt.Sprint(runOrder) != fmt.Sprint(popOrder) {
+				t.Fatalf("n=%d: list %d holds %v after the run, %v after single pops", n, g, runOrder, popOrder)
+			}
+		}
+		if err := popHeap.CheckIntegrity(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// scanEnv counts OpListScan charges.
+type scanEnv struct {
+	env.RealEnv
+	scans int64
+}
+
+func (s *scanEnv) Charge(k env.CostKind, n int64) {
+	if k == env.OpListScan {
+		s.scans += n
+	}
+}
+
+// TestEmptySearchCostIndependentOfPartials: with one empty superblock and n
+// lightly used ones of the same class, FindEvictable, TakeSuper and
+// ReuseEmpty each find the empty one by reading list heads, so the
+// OpListScan charge is the same at n = 10 and n = 1000.
+func TestEmptySearchCostIndependentOfPartials(t *testing.T) {
+	build := func(id, n int) (*Heap, *superblock.Superblock) {
+		space := vmtest.NewSized(t, testS)
+		h := newHeap(id)
+		empty := newSuper(space, 2)
+		h.Insert(empty)
+		for i := 0; i < n; i++ {
+			sb := newSuper(space, 2)
+			sb.AllocBlock(e)
+			h.Insert(sb)
+		}
+		return h, empty
+	}
+	ops := []struct {
+		name string
+		heap int
+		run  func(h *Heap, se *scanEnv) *superblock.Superblock
+	}{
+		{"FindEvictable", 1, func(h *Heap, se *scanEnv) *superblock.Superblock { return h.FindEvictable(se) }},
+		{"TakeSuper", 0, func(h *Heap, se *scanEnv) *superblock.Superblock { return h.TakeSuper(se, 2, blockSizeFor(2)) }},
+		{"ReuseEmpty", 1, func(h *Heap, se *scanEnv) *superblock.Superblock { return h.ReuseEmpty(se, 3, blockSizeFor(3)) }},
+	}
+	for _, op := range ops {
+		var scans [2]int64
+		for i, n := range []int{10, 1000} {
+			h, empty := build(op.heap, n)
+			se := &scanEnv{}
+			if got := op.run(h, se); got != empty {
+				t.Fatalf("%s at n=%d did not pick the empty superblock", op.name, n)
+			}
+			scans[i] = se.scans
+		}
+		if scans[0] != scans[1] {
+			t.Errorf("%s charged %d list scans at n=10, %d at n=1000", op.name, scans[0], scans[1])
+		}
+	}
+}
+
+// TestFreeBatchRegroupsTouchedOnce frees a batch spanning many superblocks,
+// some owned by another heap: the foreign blocks come back compacted, every
+// touched superblock ends in its correct list with u matching, the stamp
+// is read once, and every touched superblock carries its reading.
+func TestFreeBatchRegroupsTouchedOnce(t *testing.T) {
+	space := vmtest.NewSized(t, testS)
+	h, other := newHeap(0), newHeap(2)
+	var ps []alloc.Ptr
+	var sbs, mine []*superblock.Superblock
+	for i := 0; i < 12; i++ {
+		sb := newSuper(space, 2)
+		hp := h
+		if i%3 == 2 {
+			hp = other
+		} else {
+			mine = append(mine, sb)
+		}
+		// Free all of some superblocks' blocks, some of others', so the
+		// batch leaves superblocks in the empty list and in groups.
+		n := 8 + 20*i
+		for j := 0; j < n; j++ {
+			p, _ := sb.AllocBlock(e)
+			if j < n-(i%2)*5 {
+				ps = append(ps, p)
+				sbs = append(sbs, sb)
+			}
+		}
+		hp.Insert(sb)
+	}
+	rand.New(rand.NewSource(9)).Shuffle(len(ps), func(i, j int) {
+		ps[i], ps[j] = ps[j], ps[i]
+		sbs[i], sbs[j] = sbs[j], sbs[i]
+	})
+	foreign := 0
+	for _, sb := range sbs {
+		if sb.OwnerID() != h.ID {
+			foreign++
+		}
+	}
+	reads := 0
+	stamp := func() int64 { reads++; return 777 }
+	var freed Freed
+	rest := h.FreeBatch(e, ps, sbs, false, stamp, &freed)
+	if rest != foreign || freed.Blocks != len(ps)-foreign {
+		t.Fatalf("FreeBatch left %d and freed %d, want %d and %d", rest, freed.Blocks, foreign, len(ps)-foreign)
+	}
+	for i := 0; i < rest; i++ {
+		if sbs[i].OwnerID() != other.ID {
+			t.Fatalf("compacted block %d belongs to heap %d", i, sbs[i].OwnerID())
+		}
+	}
+	if reads != 1 {
+		t.Fatalf("stamp read %d times, want once", reads)
+	}
+	for _, sb := range mine {
+		if sb.ParkedAt() != 777 {
+			t.Fatalf("touched superblock %#x stamped %d", sb.Base(), sb.ParkedAt())
+		}
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	if freed.Bytes != int64(freed.Blocks*blockSizeFor(2)) {
+		t.Fatalf("freed %d bytes for %d blocks", freed.Bytes, freed.Blocks)
+	}
+}
+
+// TestFreeBatchPanicKeepsHeapConsistent: a duplicate in a batch panics as
+// a double free, and the blocks freed before it are in u, in freed, and in
+// their superblocks' correct lists when the panic reaches the caller.
+func TestFreeBatchPanicKeepsHeapConsistent(t *testing.T) {
+	space := vmtest.NewSized(t, testS)
+	h := newHeap(1)
+	a, b := newSuper(space, 2), newSuper(space, 3)
+	h.Insert(a)
+	h.Insert(b)
+	p, _ := h.AllocBlock(e, 2)
+	q, _ := h.AllocBlock(e, 3)
+	r, _ := h.AllocBlock(e, 3)
+	var freed Freed
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("duplicate in FreeBatch did not panic")
+			}
+		}()
+		h.FreeBatch(e, []alloc.Ptr{p, q, p, r},
+			[]*superblock.Superblock{a, b, a, b}, false, nil, &freed)
+	}()
+	if freed.Blocks != 2 || freed.Bytes != int64(blockSizeFor(2)+blockSizeFor(3)) {
+		t.Fatalf("freed %+v before the panic, want p and q", freed)
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Group != emptyGroup {
+		t.Fatalf("emptied superblock in list %d", a.Group)
+	}
 }

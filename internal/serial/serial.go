@@ -116,14 +116,20 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 		e.Charge(env.OpOSAlloc, 1)
 		e.Charge(env.OpFree, 1)
 	case *superblock.Superblock:
-		a.h.Lock.Lock(e)
-		a.h.FreeBlock(e, owner, p)
-		a.h.Lock.Unlock(e)
+		a.freeSmall(e, owner, p)
 		e.Charge(env.OpFree, 1)
 		a.acct.OnFree(owner.BlockSize())
 	default:
 		panic(fmt.Sprintf("serial: free of foreign pointer %#x", uint64(p)))
 	}
+}
+
+// freeSmall frees one block under the heap lock, which it releases also
+// when the free panics on a misused pointer, so the heap stays usable.
+func (a *Allocator) freeSmall(e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
+	a.h.Lock.Lock(e)
+	defer a.h.Lock.Unlock(e)
+	a.h.FreeBlock(e, sb, p)
 }
 
 // MallocBatch implements alloc.BatchAllocator: up to n same-size blocks
@@ -148,16 +154,14 @@ func (a *Allocator) MallocBatch(t *alloc.Thread, size, n int, out []alloc.Ptr) i
 	class, _ := a.classes.ClassFor(size)
 	blockSize := a.classes.Size(class)
 	a.h.Lock.Lock(e)
-	for got := 0; got < n; got++ {
-		p, ok := a.h.AllocBlock(e, class)
-		if !ok {
+	for got := 0; got < n; {
+		k, _ := a.h.AllocRun(e, class, out[got:n], false)
+		if k == 0 {
 			e.Charge(env.OpMallocSlow, 1)
 			e.Charge(env.OpOSAlloc, 1)
-			sb := superblock.New(a.space, a.sbSize, class, blockSize)
-			a.h.Insert(sb)
-			p, _ = a.h.AllocBlock(e, class)
+			a.h.Insert(superblock.New(a.space, a.sbSize, class, blockSize))
 		}
-		out[got] = p
+		got += k
 	}
 	a.h.Lock.Unlock(e)
 	e.Charge(env.OpMallocBatch, 1)
@@ -168,16 +172,16 @@ func (a *Allocator) MallocBatch(t *alloc.Thread, size, n int, out []alloc.Ptr) i
 	return n
 }
 
-// FreeBatch implements alloc.BatchAllocator: one page-table pass groups the
-// pointers by superblock (large objects are released inline), then every
-// group is freed under ONE acquisition of the heap lock via heap.FreeBlocks.
+// FreeBatch implements alloc.BatchAllocator: one page-table pass resolves
+// the pointers (large objects are released inline), then every small block
+// is freed under ONE acquisition of the heap lock via heap.FreeBatch, which
+// regroups each touched superblock once. When a free panics on a misused
+// pointer, the blocks freed before it are accounted and the lock released
+// before the panic propagates.
 func (a *Allocator) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
 	e := t.Env
-	type group struct {
-		sb *superblock.Superblock
-		ps []alloc.Ptr
-	}
-	var groups []group
+	small := make([]alloc.Ptr, 0, len(ps))
+	sbs := make([]*superblock.Superblock, 0, len(ps))
 	for _, p := range ps {
 		if p.IsNil() {
 			continue
@@ -196,38 +200,29 @@ func (a *Allocator) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
 			e.Charge(env.OpOSAlloc, 1)
 			e.Charge(env.OpFree, 1)
 		case *superblock.Superblock:
-			found := false
-			for i := range groups {
-				if groups[i].sb == owner {
-					groups[i].ps = append(groups[i].ps, p)
-					found = true
-					break
-				}
-			}
-			if !found {
-				groups = append(groups, group{sb: owner, ps: []alloc.Ptr{p}})
-			}
+			small = append(small, p)
+			sbs = append(sbs, owner)
 		default:
 			panic(fmt.Sprintf("serial: free of foreign pointer %#x", uint64(p)))
 		}
 	}
 	e.Charge(env.OpFreeBatch, 1)
 	a.batchFlushes.Add(1)
-	if len(groups) == 0 {
+	if len(small) == 0 {
 		return
 	}
-	var nblk int
-	var bytes int64
+	var freed heap.Freed
 	a.h.Lock.Lock(e)
-	for _, g := range groups {
-		a.h.FreeBlocks(e, g.sb, g.ps)
-		e.Charge(env.OpFree, int64(len(g.ps)))
-		nblk += len(g.ps)
-		bytes += int64(len(g.ps)) * int64(g.sb.BlockSize())
+	defer func() {
+		e.Charge(env.OpFree, int64(freed.Blocks))
+		a.h.Lock.Unlock(e)
+		a.acct.OnFreeN(freed.Blocks, freed.Bytes)
+		a.batchedBlocks.Add(int64(freed.Blocks))
+	}()
+	// The one heap owns every superblock, so no block is left over.
+	if rest := a.h.FreeBatch(e, small, sbs, false, nil, &freed); rest != 0 {
+		panic(fmt.Sprintf("serial: %d batch-freed blocks in superblocks the heap does not own", rest))
 	}
-	a.h.Lock.Unlock(e)
-	a.acct.OnFreeN(nblk, bytes)
-	a.batchedBlocks.Add(int64(nblk))
 }
 
 // UsableSize implements alloc.Allocator.

@@ -68,10 +68,12 @@ type Superblock struct {
 	parkedAt    int64
 
 	// Next and Prev link the superblock into its heap's fullness-group
-	// list for its size class. Group is the list it is currently on.
-	// All three are managed exclusively by the owning heap.
+	// list for its size class. Group is the list it is currently on, and
+	// Touched marks it during a batch free so it is regrouped once. All
+	// four are managed exclusively by the owning heap.
 	Next, Prev *Superblock
 	Group      int
+	Touched    bool
 }
 
 // New reserves a fresh size-byte, size-aligned span from space and formats
@@ -223,9 +225,6 @@ func (sb *Superblock) Capacity() int { return sb.nBlocks * sb.blockSize }
 // Full reports whether every block is out.
 func (sb *Superblock) Full() bool { return sb.used == sb.nBlocks }
 
-// Empty reports whether no block is out.
-func (sb *Superblock) Empty() bool { return sb.used == 0 }
-
 // Fullness returns the allocated fraction in [0,1].
 func (sb *Superblock) Fullness() float64 {
 	return float64(sb.used) / float64(sb.nBlocks)
@@ -281,18 +280,12 @@ func (sb *Superblock) push(e env.Env, idx int) {
 	sb.used--
 }
 
-// AllocBlock allocates a block to the application: it pops one and clears
-// its free bit. ok is false when the superblock is full. The caller holds
-// the owning heap's lock.
+// AllocBlock allocates a block to the application: a run of one. ok is
+// false when the superblock is full. The caller holds the owning heap's lock.
 func (sb *Superblock) AllocBlock(e env.Env) (p alloc.Ptr, ok bool) {
-	idx, ok := sb.pop(e)
-	if !ok {
-		return 0, false
-	}
-	if !sb.testAndClearFree(idx) {
-		panic(fmt.Sprintf("superblock %#x: free-list/bitmap mismatch at block %d", sb.Base(), idx))
-	}
-	return alloc.Ptr(sb.addrOf(idx)), true
+	var one [1]alloc.Ptr
+	n := sb.AllocRun(e, one[:], false)
+	return one[0], n == 1
 }
 
 // FreeBlock returns an application-held block to the free list. It panics
@@ -307,19 +300,26 @@ func (sb *Superblock) FreeBlock(e env.Env, p alloc.Ptr) {
 	sb.push(e, idx)
 }
 
-// AllocCached pops a block for a thread cache. Its free bit stays set: the
-// block moves from the free list to the cache without ever being in the
-// application's hands, and the cache clears the bit when it hands the block
-// out (ClaimCached). The caller holds the owning heap's lock.
-func (sb *Superblock) AllocCached(e env.Env) (p alloc.Ptr, ok bool) {
-	idx, ok := sb.pop(e)
-	if !ok {
-		return 0, false
+// AllocRun pops up to len(out) blocks into out, in the order single pops
+// would take them, and returns how many it took (fewer only when the
+// superblock fills). cached selects a thread cache's refill: the blocks keep
+// their free bits, since they move from the free list to the cache without
+// ever being in the application's hands, and the cache clears each bit when
+// it hands the block out (ClaimCached). Otherwise each block's free bit is
+// cleared, as for a block handed to the application. The caller holds the
+// owning heap's lock.
+func (sb *Superblock) AllocRun(e env.Env, out []alloc.Ptr, cached bool) int {
+	for i := range out {
+		idx, ok := sb.pop(e)
+		if !ok {
+			return i
+		}
+		if cached && !sb.isFree(idx) || !cached && !sb.testAndClearFree(idx) {
+			panic(fmt.Sprintf("superblock %#x: free-list/bitmap mismatch at block %d", sb.Base(), idx))
+		}
+		out[i] = alloc.Ptr(sb.addrOf(idx))
 	}
-	if !sb.isFree(idx) {
-		panic(fmt.Sprintf("superblock %#x: free-list/bitmap mismatch at block %d", sb.Base(), idx))
-	}
-	return alloc.Ptr(sb.addrOf(idx)), true
+	return len(out)
 }
 
 // FreeCached returns a thread-cached block to the free list. The cache

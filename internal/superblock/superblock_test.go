@@ -117,8 +117,8 @@ func TestFullnessAndEmptiness(t *testing.T) {
 	for _, p := range ps {
 		sb.FreeBlock(e, p)
 	}
-	if !sb.Empty() {
-		t.Fatal("not Empty after freeing all")
+	if sb.InUse() != 0 {
+		t.Fatal("blocks still in use after freeing all")
 	}
 }
 
@@ -127,7 +127,7 @@ func TestReinitAcrossClasses(t *testing.T) {
 	p, _ := sb.AllocBlock(e)
 	sb.FreeBlock(e, p)
 	sb.Reinit(7, 512)
-	if sb.BlockSize() != 512 || sb.Class() != 7 || !sb.Empty() {
+	if sb.BlockSize() != 512 || sb.Class() != 7 || sb.InUse() != 0 {
 		t.Fatalf("Reinit state: class=%d bs=%d inUse=%d", sb.Class(), sb.BlockSize(), sb.InUse())
 	}
 	n := 0
@@ -226,8 +226,8 @@ func TestPropertyRandomAllocFree(t *testing.T) {
 
 // TestPropertyCachedHandover drives one superblock through random
 // interleavings of every block transition the allocator performs — the
-// application's alloc and free, and a thread cache's refill, pop, free and
-// flush — against a model of where each block is, checking after every
+// application's alloc (one block or a run) and free, and a thread cache's
+// run refill, pop, free and flush — against a model of where each block is, checking after every
 // step that the in-use count covers the application's and the cache's
 // blocks and that the free bitmap balances with the cached count.
 func TestPropertyCachedHandover(t *testing.T) {
@@ -243,19 +243,21 @@ func TestPropertyCachedHandover(t *testing.T) {
 			return p
 		}
 		for op := 0; op < 3000; op++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				if p, ok := sb.AllocBlock(e); ok {
 					app = append(app, p)
 				}
+			case 6:
+				run := make([]alloc.Ptr, 1+rng.Intn(4))
+				app = append(app, run[:sb.AllocRun(e, run, false)]...)
 			case 1:
 				if len(app) > 0 {
 					sb.FreeBlock(e, take(&app))
 				}
 			case 2:
-				if p, ok := sb.AllocCached(e); ok {
-					cache = append(cache, p)
-				}
+				run := make([]alloc.Ptr, 1+rng.Intn(4))
+				cache = append(cache, run[:sb.AllocRun(e, run, true)]...)
 			case 3:
 				if len(cache) > 0 {
 					p := take(&cache)
@@ -289,7 +291,9 @@ func TestPropertyCachedHandover(t *testing.T) {
 // the application holds.
 func TestCachedMisusePanics(t *testing.T) {
 	_, sb := newSB(t, 64)
-	cached, _ := sb.AllocCached(e)
+	var run [1]alloc.Ptr
+	sb.AllocRun(e, run[:], true)
+	cached := run[0]
 	held, _ := sb.AllocBlock(e)
 	for _, c := range []struct {
 		name string

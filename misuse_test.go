@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"hoardgo/internal/superblock"
 )
@@ -172,16 +173,54 @@ func TestMisuseDoubleFreeOfBlockInAnotherMagazine(t *testing.T) {
 	})
 }
 
+// TestMisuseDuplicateInFreeBatch: a duplicate inside one FreeBatch panics
+// at the call, and the blocks freed before it are accounted and regrouped
+// before the panic propagates, so the allocator stays intact.
 func TestMisuseDuplicateInFreeBatch(t *testing.T) {
 	misuseArms(t, func(t *testing.T, a *Allocator) {
 		th := a.NewThread()
 		p, q := th.Malloc(64), th.Malloc(64)
 		wantPanic(t, "FreeBatch with a duplicate", func() { th.FreeBatch([]Ptr{p, q, p}) }, "double free")
+		if err := a.CheckIntegrity(); err != nil {
+			t.Fatalf("after the FreeBatch panic: %v", err)
+		}
 		other := a.NewThread()
 		r := other.Malloc(64)
 		wantPanic(t, "cross-thread FreeBatch with a duplicate",
 			func() { other.FreeBatch([]Ptr{r, r}) }, "double free")
+		if err := a.CheckIntegrity(); err != nil {
+			t.Fatalf("after the cross-thread FreeBatch panic: %v", err)
+		}
 	})
+}
+
+// TestMisuseDuplicateInFreeBatchSerial: on the serial policy, whose one
+// heap lock every operation takes, a FreeBatch that panics on a duplicate
+// releases that lock, so the next Malloc returns, and leaves the books
+// intact.
+func TestMisuseDuplicateInFreeBatchSerial(t *testing.T) {
+	a := MustNew(Config{Policy: PolicySerial})
+	defer a.Close()
+	th := a.NewThread()
+	p, q := th.Malloc(64), th.Malloc(64)
+	wantPanic(t, "serial FreeBatch with a duplicate", func() { th.FreeBatch([]Ptr{p, q, p}) }, "double free")
+	done := make(chan Ptr)
+	go func() { done <- th.Malloc(64) }()
+	select {
+	case r := <-done:
+		th.Free(r)
+	case <-time.After(10 * time.Second):
+		t.Fatal("Malloc after the panicking FreeBatch did not return: the heap lock is still held")
+	}
+	wantPanic(t, "serial Free of a freed block", func() { th.Free(p) }, "double free")
+	r := th.Malloc(64) // the lock is free again after a panicking Free too
+	th.Free(r)
+	if err := a.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.LiveBytes != 0 || st.Mallocs != st.Frees {
+		t.Fatalf("after freeing everything: %d live bytes, %d mallocs, %d frees", st.LiveBytes, st.Mallocs, st.Frees)
+	}
 }
 
 func TestMisuseForeignPointer(t *testing.T) {
