@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check build test race vet bench metrics-smoke footprint-smoke arena-smoke load-smoke perfbench-smoke
+.PHONY: check build test race race-bench vet bench metrics-smoke footprint-smoke arena-smoke load-smoke perfbench-smoke
 
-# check is the tier-1 gate: vet, build, and the full suite under the race
-# detector.
-check: vet build race
+# check is the tier-1 gate: vet, build, the full suite under the race
+# detector, and the public-API microbenchmarks under it too.
+check: vet build race race-bench
 
 vet:
 	$(GO) vet ./...
@@ -17,6 +17,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-bench runs the malloc/free microbenchmarks under the race detector for
+# 200 iterations each. The race suite runs no benchmarks, and
+# BenchmarkMallocFreeParallel is where several goroutines take the magazine
+# hit path at once.
+race-bench:
+	$(GO) test -race -run '^$$' -bench 'MallocFree' -benchtime 200x .
 
 # Figure benchmarks are full deterministic simulations; run each once. The
 # key batching benches (threadtest/larson figures, the contended

@@ -149,6 +149,40 @@ func BenchmarkTableBlowup(b *testing.B) {
 
 // Real-goroutine microbenchmarks of the public API (wall-clock ns/op).
 
+// sinkSlot holds one goroutine's last buffer in the Go-baseline arms, so the
+// compiler must heap-allocate the buffer, as a real program's would be. The
+// padding keeps each goroutine's slot off other goroutines' cache lines.
+type sinkSlot struct {
+	b []byte
+	_ [104]byte
+}
+
+var (
+	sinkMu sync.Mutex
+	sinks  []*sinkSlot
+)
+
+func newSink() *sinkSlot {
+	s := new(sinkSlot)
+	sinkMu.Lock()
+	sinks = append(sinks, s)
+	sinkMu.Unlock()
+	return s
+}
+
+var pool64 = sync.Pool{New: func() any { return new([64]byte) }}
+
+// goArms are what a Go program would use instead of an allocator for a
+// 64-byte buffer: a fresh slice under the garbage collector, and a
+// sync.Pool of buffers.
+var goArms = []struct {
+	name string
+	op   func(s *sinkSlot)
+}{
+	{"go-make", func(s *sinkSlot) { s.b = make([]byte, 64) }},
+	{"sync-pool", func(*sinkSlot) { pool64.Put(pool64.Get()) }},
+}
+
 func BenchmarkMallocFree(b *testing.B) {
 	for _, name := range allocators.Names() {
 		b.Run(name, func(b *testing.B) {
@@ -157,6 +191,14 @@ func BenchmarkMallocFree(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t.Free(t.Malloc(64))
+			}
+		})
+	}
+	for _, arm := range goArms {
+		b.Run(arm.name, func(b *testing.B) {
+			s := newSink()
+			for i := 0; i < b.N; i++ {
+				arm.op(s)
 			}
 		})
 	}
@@ -186,6 +228,16 @@ func BenchmarkMallocFreeParallel(b *testing.B) {
 				t := a.NewThread()
 				for pb.Next() {
 					t.Free(t.Malloc(64))
+				}
+			})
+		})
+	}
+	for _, arm := range goArms {
+		b.Run(arm.name, func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				s := newSink()
+				for pb.Next() {
+					arm.op(s)
 				}
 			})
 		})

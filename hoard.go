@@ -393,8 +393,12 @@ func (t *Thread) UsableSize(p Ptr) int { return t.a.impl.UsableSize(p) }
 type Stats struct {
 	// Mallocs and Frees count completed operations.
 	Mallocs, Frees int64
-	// LiveBytes is the usable bytes currently allocated; PeakLiveBytes
-	// its high-water mark.
+	// LiveBytes is the usable bytes currently allocated. PeakLiveBytes is
+	// its high-water mark, exact for the baseline policies. Under thread
+	// caches (the Hoard policy, or ThreadCacheCapacity) it is an upper
+	// bound: the high-water mark of live plus cached bytes, which exceeds
+	// the true peak by at most the bytes cached at that moment — per
+	// thread, at most the magazine and remote-batch bound of DESIGN.md §11.
 	LiveBytes, PeakLiveBytes int64
 	// FootprintBytes is the physical memory currently held from the
 	// (simulated) OS — committed bytes; PeakFootprintBytes its high-water

@@ -167,10 +167,14 @@ type Stats struct {
 	// LiveBytes is the usable (class-rounded) bytes currently allocated.
 	LiveBytes int64
 	// PeakLiveBytes is the high-water mark of LiveBytes. It is exact
-	// wherever one Accounting keeps the books — every baseline, and the
-	// tcache layer the public Hoard policy always runs. Only the bare
-	// core.Hoard, whose ShardedAccounting sums per-shard peaks, reports an
-	// upper bound.
+	// wherever one Accounting keeps the books: every baseline. The other
+	// layers report an upper bound. The bare core.Hoard sums per-shard peaks
+	// (ShardedAccounting). The tcache layer, which the public Hoard policy
+	// always runs, reports the high-water mark of the bytes it holds from
+	// the inner allocator: application live plus cached. That is at least
+	// the true peak, and exceeds it by at most the bytes cached at the peak,
+	// itself at most the per-thread magazine bound (DESIGN.md §11) per
+	// thread.
 	PeakLiveBytes int64
 	// LargeMallocs counts allocations that took the large-object path.
 	LargeMallocs int64

@@ -21,6 +21,7 @@ package superblock
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"hoardgo/internal/alloc"
@@ -41,10 +42,13 @@ const DefaultSize = 8192
 // it after, since ownership can change while waiting).
 type Superblock struct {
 	span      *vm.Span
-	size      int // S
+	base      uint64 // span.Base, cached for blockIndex
+	size      int    // S
 	class     int
 	blockSize int
 	nBlocks   int
+	// recip is ceil(2^64/blockSize): blockIndex divides by multiplying by it.
+	recip uint64
 
 	head   int // idx+1 of the free list's top block, 0 = empty list
 	used   int // blocks out of the superblock: allocated or thread-cached
@@ -85,6 +89,7 @@ func New(space vm.Backend, size, class, blockSize int) *Superblock {
 	}
 	sb := &Superblock{size: size}
 	sb.span = space.Reserve(size, size, sb)
+	sb.base = sb.span.Base
 	sb.format(class, blockSize)
 	return sb
 }
@@ -93,11 +98,12 @@ func New(space vm.Backend, size, class, blockSize int) *Superblock {
 // with no blocks out.
 func (sb *Superblock) format(class, blockSize int) {
 	if sb.decommitted {
-		panic(fmt.Sprintf("superblock %#x: format while decommitted (missing Recommit)", sb.span.Base))
+		panic(fmt.Sprintf("superblock %#x: format while decommitted (missing Recommit)", sb.base))
 	}
 	sb.class = class
 	sb.blockSize = blockSize
 	sb.nBlocks = sb.size / blockSize
+	sb.recip = ^uint64(0)/uint64(blockSize) + 1
 	if cap(sb.links) < sb.nBlocks {
 		sb.links = make([]uint32, sb.nBlocks)
 		sb.freeBits = make([]uint64, (sb.nBlocks+63)/64)
@@ -244,7 +250,7 @@ func (sb *Superblock) OwnerID() int { return int(sb.ownerID.Load()) }
 func (sb *Superblock) SetOwnerID(id int) { sb.ownerID.Store(int32(id)) }
 
 // Base returns the simulated address of the superblock's first byte.
-func (sb *Superblock) Base() uint64 { return sb.span.Base }
+func (sb *Superblock) Base() uint64 { return sb.base }
 
 // pop takes a block out of the superblock, preferring recently freed blocks
 // (LIFO) for locality, then carving never-used blocks. ok is false when the
@@ -377,30 +383,35 @@ func (sb *Superblock) FastFree(e env.Env, p alloc.Ptr) (ok, wasEmpty bool, retri
 
 // Contains reports whether p points at a block boundary inside sb.
 func (sb *Superblock) Contains(p alloc.Ptr) bool {
-	a := uint64(p)
-	if a < sb.span.Base || a >= sb.span.End() {
-		return false
-	}
-	return (a-sb.span.Base)%uint64(sb.blockSize) == 0 &&
-		int(a-sb.span.Base)/sb.blockSize < sb.nBlocks
+	_, ok := sb.blockIndex(p)
+	return ok
 }
 
 func (sb *Superblock) addrOf(idx int) uint64 {
-	return sb.span.Base + uint64(idx*sb.blockSize)
+	return sb.base + uint64(idx*sb.blockSize)
 }
 
 // indexOf returns p's block index, panicking unless p is a block boundary
-// inside sb. One 32-bit division serves both the index and the boundary
-// check; it runs on every magazine operation.
+// inside sb. It runs on every magazine operation.
 func (sb *Superblock) indexOf(p alloc.Ptr) int {
-	off := uint64(p) - sb.span.Base // wraps past size when p < Base
-	if off < uint64(sb.size) {
-		idx := uint32(off) / uint32(sb.blockSize)
-		if idx*uint32(sb.blockSize) == uint32(off) && int(idx) < sb.nBlocks {
-			return int(idx)
-		}
+	if idx, ok := sb.blockIndex(p); ok {
+		return idx
 	}
 	panic(fmt.Sprintf("superblock %#x: bad block pointer %#x", sb.Base(), uint64(p)))
+}
+
+// blockIndex returns p's block index, and whether p is a block boundary
+// inside sb. It divides without a divide instruction: for off < 2^32 (S is
+// far below 4 GiB), the high word of recip*off is exactly off/blockSize
+// (Lemire, Kaser & Kurz, "Faster remainder by direct computation", 2019).
+// The multiply-back is the boundary check.
+func (sb *Superblock) blockIndex(p alloc.Ptr) (int, bool) {
+	off := uint64(p) - sb.base // wraps past size when p < base
+	if off >= uint64(sb.size) {
+		return 0, false
+	}
+	idx, _ := bits.Mul64(sb.recip, off)
+	return int(idx), idx*uint64(sb.blockSize) == off && idx < uint64(sb.nBlocks)
 }
 
 func (sb *Superblock) isFree(idx int) bool {

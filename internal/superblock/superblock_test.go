@@ -7,6 +7,7 @@ import (
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
+	"hoardgo/internal/sizeclass"
 	"hoardgo/internal/vm"
 	"hoardgo/internal/vm/vmtest"
 )
@@ -356,5 +357,50 @@ func BenchmarkAllocFreePair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, _ := sb.AllocBlock(e)
 		sb.FreeBlock(e, p)
+	}
+}
+
+// TestBlockIndexMatchesDivision checks blockIndex's reciprocal division
+// against integer division exhaustively: every class of the size-class table,
+// at the default S and at a larger one, every offset below S — same index,
+// same boundary verdict. Misaligned, interior and out-of-range pointers must
+// still panic in indexOf.
+func TestBlockIndexMatchesDivision(t *testing.T) {
+	for _, size := range []int{DefaultSize, 64 << 10} {
+		space := vmtest.NewSized(t, size)
+		classes := sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, size/2)
+		for class, blockSize := range classes.Sizes() {
+			sb := New(space, size, class, blockSize)
+			base := sb.Base()
+			for off := 0; off < size; off++ {
+				idx, ok := sb.blockIndex(alloc.Ptr(base + uint64(off)))
+				wantOK := off%blockSize == 0 && off/blockSize < sb.NBlocks()
+				if ok != wantOK || ok && idx != off/blockSize {
+					t.Fatalf("S=%d block %d offset %d: blockIndex = %d, %v; want %d, %v",
+						size, blockSize, off, idx, ok, off/blockSize, wantOK)
+				}
+			}
+			bad := []uint64{
+				base + 1,                              // misaligned
+				base + uint64(sb.NBlocks()*blockSize), // past the last block
+				base + uint64(size),                   // past the span
+				base - 8,                              // below the span
+				base + uint64(sb.NBlocks()-1)*uint64(blockSize) + 4, // misaligned, last block
+			}
+			if blockSize > 8 {
+				bad = append(bad, base+uint64(blockSize)+8) // interior, 8-aligned
+			}
+			for _, p := range bad {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("S=%d block %d: indexOf(%#x) did not panic (base %#x)", size, blockSize, p, base)
+						}
+					}()
+					sb.indexOf(alloc.Ptr(p))
+				}()
+			}
+			sb.Release(space)
+		}
 	}
 }

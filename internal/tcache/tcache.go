@@ -22,6 +22,12 @@
 // cached block carries its superblock, so no magazine operation looks a
 // block up.
 //
+// A hit touches only the calling thread's own memory and the block's free
+// bit: each thread keeps its own books (per-class operation counters that
+// only it writes), which Stats sums. The shared counters change only at
+// refills, flushes and bypass operations, which go to the inner allocator
+// anyway.
+//
 // The cache trades bounded extra memory for its lock-free fast paths: at
 // most Capacity blocks per class, plus a remote batch of Capacity blocks,
 // per thread (reported as CachedBytes). Cached blocks count as in use to
@@ -35,6 +41,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
@@ -83,16 +90,58 @@ type Allocator struct {
 	owned   ownerAware // inner, when it is owner-aware; nil otherwise
 	cfg     Config
 	classes *sizeclass.Table
-	acct    alloc.Accounting
 
-	// mallocMisses and freeMisses count the operations the caches did not
-	// serve alone: a refill or flush in the same call, or a bypass. Every
-	// other operation is a lock-free hit. Misses are counted rather than
-	// hits because they are rare.
-	mallocMisses, freeMisses atomic.Int64
+	// bypass keeps the books of the operations the magazines do not serve:
+	// oversize, aligned and retired-thread mallocs and frees, and blocks
+	// whose inner size class does not round-trip through ours.
+	bypass alloc.Accounting
+
+	// held is the bytes taken from the inner allocator and not yet returned
+	// — application live plus cached — and peak its high-water mark, which
+	// Stats reports as PeakLiveBytes. Both change only at transfers and
+	// bypass operations: a hit moves a block between a cache and the
+	// application, which leaves held unchanged.
+	held, peak atomic.Int64
 
 	mu      sync.Mutex
 	threads []*threadState
+	retired totals // the books of flushed threads
+}
+
+// counts is a pair of operation counters. Only the owning thread writes
+// them; Stats reads them concurrently.
+type counts struct{ mallocs, frees atomic.Int64 }
+
+// booksPad is the padding, in counts, on each side of a thread's books: 128
+// bytes, two cache lines, so no other thread's data shares a line with them
+// even under adjacent-line prefetch.
+const booksPad = 128 / int(unsafe.Sizeof(counts{}))
+
+// newBooks returns a thread's per-class hit counters and its miss counters,
+// carved from one padded allocation.
+func newBooks(classes int) (hits []counts, misses *counts) {
+	b := make([]counts, booksPad+classes+1+booksPad)
+	return b[booksPad : booksPad+classes], &b[booksPad+classes]
+}
+
+// totals is a sum of thread books.
+type totals struct {
+	mallocs, frees, live     int64
+	mallocMisses, freeMisses int64
+}
+
+// add adds ts's books to t.
+func (t *totals) add(ts *threadState, classes *sizeclass.Table) {
+	// Misses first: each is counted after its hit, so the hits read after
+	// them are at least as many.
+	t.mallocMisses += ts.misses.mallocs.Load()
+	t.freeMisses += ts.misses.frees.Load()
+	for c := range ts.hits {
+		m, f := ts.hits[c].mallocs.Load(), ts.hits[c].frees.Load()
+		t.mallocs += m
+		t.frees += f
+		t.live += int64(classes.Size(c)) * (m - f)
+	}
 }
 
 // threadState holds one thread's magazines and its inner-allocator handle.
@@ -108,6 +157,13 @@ type threadState struct {
 	// flushed to their owners. Owner-aware inner allocators only.
 	remote    []alloc.Ptr
 	remoteSBs []*superblock.Superblock
+
+	// hits[c] counts the mallocs and frees of class c the magazines and the
+	// remote batch served; misses counts those among them that refilled or
+	// flushed in the same call. Each is one Add by this thread per
+	// operation, on memory no other thread writes (newBooks).
+	hits   []counts
+	misses *counts
 
 	// scratch and scratchSBs are the refill staging buffers, reused across
 	// underflows so a steady-state refill performs no Go allocation.
@@ -171,6 +227,7 @@ func (a *Allocator) NewThread(e env.Env) *alloc.Thread {
 		mags:  make([][]alloc.Ptr, a.classes.NumClasses()),
 		sbs:   make([][]*superblock.Superblock, a.classes.NumClasses()),
 	}
+	ts.hits, ts.misses = newBooks(a.classes.NumClasses())
 	a.mu.Lock()
 	a.threads = append(a.threads, ts)
 	a.mu.Unlock()
@@ -188,12 +245,11 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	ts := t.State.(*threadState)
 	class, ok := a.classFor(size)
 	if !ok || ts.retired {
-		a.mallocMisses.Add(1)
 		return a.mallocInner(ts, size)
 	}
 	n := len(ts.mags[class])
-	if n == 0 {
-		a.mallocMisses.Add(1)
+	refilled := n == 0
+	if refilled {
 		a.refill(ts, class)
 		if n = len(ts.mags[class]); n == 0 {
 			// The inner allocator's size classes don't round-trip
@@ -208,15 +264,34 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 		sb.ClaimCached(p)
 	}
 	t.Env.Charge(env.OpMallocFast, 1)
-	a.acct.OnMalloc(a.classes.Size(class))
+	ts.hits[class].mallocs.Add(1)
+	if refilled {
+		ts.misses.mallocs.Add(1)
+	}
 	return p
 }
 
+// mallocInner is a bypass malloc, booked on the shared counters.
 func (a *Allocator) mallocInner(ts *threadState, size int) alloc.Ptr {
 	p := a.inner.Malloc(ts.inner, size)
-	a.acct.OnMalloc(a.inner.UsableSize(p))
+	a.onBypassMalloc(a.inner.UsableSize(p))
 	return p
 }
+
+func (a *Allocator) onBypassMalloc(usable int) {
+	a.bypass.OnMalloc(usable)
+	a.take(int64(usable))
+}
+
+// take records bytes taken from the inner allocator, raising the peak.
+func (a *Allocator) take(bytes int64) {
+	v := a.held.Add(bytes)
+	for p := a.peak.Load(); v > p && !a.peak.CompareAndSwap(p, v); p = a.peak.Load() {
+	}
+}
+
+// give records bytes returned to the inner allocator.
+func (a *Allocator) give(bytes int64) { a.held.Add(-bytes) }
 
 // MallocAligned returns a block of at least size bytes whose address is a
 // multiple of align from the inner allocator's native aligned path, which it
@@ -230,9 +305,8 @@ func (a *Allocator) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
 		panic(fmt.Sprintf("tcache: %s has no aligned malloc", a.inner.Name()))
 	}
 	ts := t.State.(*threadState)
-	a.mallocMisses.Add(1)
 	p := inner.MallocAligned(ts.inner, size, align)
-	a.acct.OnMalloc(a.inner.UsableSize(p))
+	a.onBypassMalloc(a.inner.UsableSize(p))
 	return p
 }
 
@@ -259,7 +333,7 @@ func (a *Allocator) refill(ts *threadState, class int) {
 	// Mismatched blocks (inner size classes that don't round-trip through
 	// ours) are compacted to the front of buf and freed back; cacheable
 	// ones go on the magazine. No allocation either way.
-	bad := 0
+	bad, kept := 0, 0
 	for i, p := range buf[:got] {
 		var usable int
 		if a.owned != nil {
@@ -275,7 +349,11 @@ func (a *Allocator) refill(ts *threadState, class int) {
 		}
 		ts.mags[class] = append(ts.mags[class], p)
 		ts.sbs[class] = append(ts.sbs[class], sbs[i])
+		kept++
 	}
+	// The mismatched blocks never leave this call, so only the kept ones
+	// count as held.
+	a.take(int64(kept) * int64(blockSize))
 	if bad > 0 {
 		a.freeInner(ts, buf[:bad], sbs[:bad])
 	}
@@ -335,9 +413,9 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	if !ok || a.classes.Size(class) != usable || ts.retired || (a.owned != nil && sb == nil) {
 		// Bypass sizes, and blocks whose inner class doesn't round-trip
 		// through our table, go straight down.
-		a.freeMisses.Add(1)
 		a.inner.Free(ts.inner, p)
-		a.acct.OnFree(usable)
+		a.bypass.OnFree(usable)
+		a.give(int64(usable))
 		return
 	}
 	if sb != nil {
@@ -345,21 +423,21 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 		sb.MarkCached(p)
 	}
 	t.Env.Charge(env.OpFree, 1)
-	a.acct.OnFree(usable)
+	ts.hits[class].frees.Add(1)
 	if !local {
 		ts.remote = append(ts.remote, p)
 		ts.remoteSBs = append(ts.remoteSBs, sb)
 		if len(ts.remote) >= a.cfg.Capacity {
-			a.freeMisses.Add(1)
 			a.flushRemote(ts)
+			ts.misses.frees.Add(1)
 		}
 		return
 	}
 	ts.mags[class] = append(ts.mags[class], p)
 	ts.sbs[class] = append(ts.sbs[class], sb)
 	if len(ts.mags[class]) > a.cfg.Capacity {
-		a.freeMisses.Add(1)
 		a.flush(ts, class)
+		ts.misses.frees.Add(1)
 	}
 }
 
@@ -368,15 +446,28 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 // allocator batches natively.
 func (a *Allocator) flush(ts *threadState, class int) {
 	keep := a.cfg.Capacity / 2
+	a.flushMagazine(ts, class, keep)
+	a.publishMagBytes(ts)
+}
+
+// flushMagazine returns the blocks of class's magazine past keep to the
+// inner allocator.
+func (a *Allocator) flushMagazine(ts *threadState, class, keep int) {
+	n := len(ts.mags[class]) - keep
 	a.freeInner(ts, ts.mags[class][keep:], ts.sbs[class][keep:])
 	ts.mags[class], ts.sbs[class] = ts.mags[class][:keep], ts.sbs[class][:keep]
-	a.publishMagBytes(ts)
+	a.give(int64(n) * int64(a.classes.Size(class)))
 }
 
 // flushRemote returns the whole remote batch to the blocks' owners.
 func (a *Allocator) flushRemote(ts *threadState) {
+	var bytes int64
+	for _, sb := range ts.remoteSBs {
+		bytes += int64(sb.BlockSize())
+	}
 	a.owned.FreeCached(ts.inner, ts.remote, ts.remoteSBs)
 	ts.remote, ts.remoteSBs = ts.remote[:0], ts.remoteSBs[:0]
+	a.give(bytes)
 	a.publishMagBytes(ts)
 }
 
@@ -385,12 +476,12 @@ func (a *Allocator) flushRemote(ts *threadState) {
 // tcmalloc. The handle remains usable afterwards (stray late operations
 // bypass the magazines), but the thread no longer contributes to
 // CachedBytes, CheckIntegrity, or Threads, and its state can be collected
-// once the caller drops the handle.
+// once the caller drops the handle. Its books fold into the retired totals.
 func (a *Allocator) FlushThread(t *alloc.Thread) {
 	ts := t.State.(*threadState)
 	for class, mag := range ts.mags {
 		if len(mag) > 0 {
-			a.freeInner(ts, mag, ts.sbs[class])
+			a.flushMagazine(ts, class, 0)
 		}
 		ts.mags[class], ts.sbs[class] = nil, nil
 	}
@@ -404,6 +495,7 @@ func (a *Allocator) FlushThread(t *alloc.Thread) {
 	for i, s := range a.threads {
 		if s == ts {
 			a.threads = append(a.threads[:i], a.threads[i+1:]...)
+			a.retired.add(ts, a.classes)
 			break
 		}
 	}
@@ -454,22 +546,37 @@ func (a *Allocator) MagazineBytes() int64 {
 // Stats implements alloc.Allocator, reporting application-level operation
 // and live-byte counters (cached blocks count as free) and the caches'
 // lock-free operation counts over the inner allocator's mechanism counters.
+// It sums the bypass books, the retired totals and every live thread's
+// books: Mallocs and Frees never decrease between calls, and they and
+// LiveBytes are exact at quiescence. PeakLiveBytes is the high-water mark of
+// held bytes, application live plus cached: at least the true peak, and
+// above it by at most the bytes cached at the peak.
 func (a *Allocator) Stats() alloc.Stats {
 	var st alloc.Stats
-	a.acct.Fill(&st)
+	a.bypass.Fill(&st)
+	a.mu.Lock()
+	t := a.retired
+	for _, ts := range a.threads {
+		t.add(ts, a.classes)
+	}
+	a.mu.Unlock()
+	st.Mallocs += t.mallocs
+	st.Frees += t.frees
+	st.LiveBytes += t.live
+	st.PeakLiveBytes = a.peak.Load()
 	alloc.MergeAllocatorCounters(&st, a.inner.Stats())
-	st.LockFreeMallocs = max(st.Mallocs-a.mallocMisses.Load(), 0)
-	st.LockFreeFrees = max(st.Frees-a.freeMisses.Load(), 0)
+	st.LockFreeMallocs = t.mallocs - t.mallocMisses
+	st.LockFreeFrees = t.frees - t.freeMisses
 	return st
 }
 
 // CheckIntegrity implements alloc.Allocator: magazines must hold distinct,
 // correctly-sized blocks, each with its superblock when the inner allocator
 // is owner-aware; the inner allocator's live bytes must equal application
-// live bytes plus cached bytes; and the inner allocator must itself be
-// intact — over an owner-aware allocator with every cached block counted,
-// which proves each one's free bit is set and none is also in the
-// application's hands. Requires quiescence.
+// live bytes plus cached bytes, and the held bytes behind PeakLiveBytes; and
+// the inner allocator must itself be intact — over an owner-aware allocator
+// with every cached block counted, which proves each one's free bit is set
+// and none is also in the application's hands. Requires quiescence.
 func (a *Allocator) CheckIntegrity() error {
 	cached, err := a.cachedBlocks()
 	if err != nil {
@@ -479,8 +586,12 @@ func (a *Allocator) CheckIntegrity() error {
 	for _, p := range cached {
 		cachedBytes += int64(a.inner.UsableSize(p))
 	}
-	if innerLive := a.inner.Stats().LiveBytes; innerLive != a.acct.Live()+cachedBytes {
-		return fmt.Errorf("tcache: inner live %d != app live %d + cached %d", innerLive, a.acct.Live(), cachedBytes)
+	innerLive, live := a.inner.Stats().LiveBytes, a.Stats().LiveBytes
+	if innerLive != live+cachedBytes {
+		return fmt.Errorf("tcache: inner live %d != app live %d + cached %d", innerLive, live, cachedBytes)
+	}
+	if held := a.held.Load(); held != innerLive {
+		return fmt.Errorf("tcache: held %d != inner live %d", held, innerLive)
 	}
 	if a.owned != nil {
 		return a.owned.CheckIntegrityCached(cached)
