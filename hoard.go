@@ -124,17 +124,21 @@ type Config struct {
 	DebugQuarantine int
 
 	// ThreadCacheCapacity sizes the per-thread block caches ("magazines",
-	// in the style of Hoard's successors — tcmalloc, jemalloc): the blocks
-	// cached per size class per thread. Malloc and free hit a magazine
-	// with no lock at all; refills and flushes move half a magazine under
-	// one heap lock. The Hoard policy always runs them, owner-aware: a
-	// block another thread's heap owns is never cached by the freeing
-	// thread but returned to its owner in batches, so Hoard's
-	// false-sharing avoidance holds; zero selects the default of 64. The
-	// other policies run without magazines unless this is set, and then
-	// re-issue a freed block to the freeing thread (see the "tcache"
-	// experiment). Nonzero values must be at least 2; New rejects smaller
-	// values. Thread.Close returns a thread's magazines.
+	// in the style of Hoard's successors — tcmalloc, jemalloc): the most
+	// blocks cached per size class per thread. A fixed 32 KiB byte budget
+	// caps the larger classes lower — clamp(32768/size, 2, capacity)
+	// blocks, 8 of 4 KiB at the default — and a thread's batch of frees
+	// bound for other heaps flushes at capacity blocks or 32 KiB: at most
+	// about 0.58 MB cached per thread at the default (Describe prints the
+	// bound). Malloc and free hit a magazine with no lock at all; refills
+	// and flushes move half a class's cap under one heap lock. The Hoard
+	// policy always runs them, owner-aware: a block another thread's heap
+	// owns is never cached by the freeing thread but returned to its owner
+	// in batches, so Hoard's false-sharing avoidance holds; zero selects
+	// the default of 64. The other policies run without magazines unless
+	// this is set, and then re-issue a freed block to the freeing thread
+	// (see the "tcache" experiment). Nonzero values must be at least 2; New
+	// rejects smaller values. Thread.Close returns a thread's magazines.
 	ThreadCacheCapacity int
 
 	// Metrics instruments every internal lock with acquisition, contention,
@@ -397,8 +401,10 @@ type Stats struct {
 	// its high-water mark, exact for the baseline policies. Under thread
 	// caches (the Hoard policy, or ThreadCacheCapacity) it is an upper
 	// bound: the high-water mark of live plus cached bytes, which exceeds
-	// the true peak by at most the bytes cached at that moment — per
-	// thread, at most the magazine and remote-batch bound of DESIGN.md §11.
+	// the true peak by at most the bytes cached at that moment. Per thread
+	// that is at most cap+1 blocks of each size class, plus 32 KiB of
+	// remote batch and one block (DESIGN.md §11): about 0.6 MB at the
+	// default capacity.
 	LiveBytes, PeakLiveBytes int64
 	// FootprintBytes is the physical memory currently held from the
 	// (simulated) OS — committed bytes; PeakFootprintBytes its high-water
@@ -557,13 +563,19 @@ func (a *Allocator) CheckIntegrity() error { return a.impl.CheckIntegrity() }
 
 // Describe writes a human-readable snapshot of the allocator's state (in
 // the spirit of malloc_stats). Only the Hoard policy provides a detailed
-// per-heap breakdown; other policies print their counters.
+// per-heap breakdown; other policies print their counters. Under thread
+// caches a last line gives the magazines: the size classes whose cap the
+// 32 KiB byte budget lowers below ThreadCacheCapacity, the per-thread bound
+// in bytes, and MagazineBytes.
 func (a *Allocator) Describe(w io.Writer) {
 	if h := a.unwrap(); h != nil {
 		h.Describe(w, &env.RealEnv{})
-		return
+	} else {
+		st := a.Stats()
+		fmt.Fprintf(w, "%s: %d mallocs, %d frees, %d B live, %d B footprint (peak %d)\n",
+			a.name, st.Mallocs, st.Frees, st.LiveBytes, st.FootprintBytes, st.PeakFootprintBytes)
 	}
-	st := a.Stats()
-	fmt.Fprintf(w, "%s: %d mallocs, %d frees, %d B live, %d B footprint (peak %d)\n",
-		a.name, st.Mallocs, st.Frees, st.LiveBytes, st.FootprintBytes, st.PeakFootprintBytes)
+	if tc := a.tcacheLayer(); tc != nil {
+		tc.Describe(w)
+	}
 }

@@ -230,6 +230,10 @@ func TestDescribePublic(t *testing.T) {
 		if sb.Len() == 0 {
 			t.Fatalf("%s: empty Describe output", pol)
 		}
+		// Only the Hoard policy runs magazines by default.
+		if got, want := strings.Contains(sb.String(), "magazines: 64 blocks per class; byte-capped 560 B:58,"), pol == PolicyHoard; got != want {
+			t.Fatalf("%s: magazines line present %v, want %v:\n%s", pol, got, want, sb.String())
+		}
 		th.Free(p)
 	}
 }

@@ -183,17 +183,20 @@ func TestBooksUnderConcurrentStats(t *testing.T) {
 
 // TestPeakBound checks PeakLiveBytes against a driver's own exact peak: it
 // is never below the true peak, and exceeds it by at most the bytes the
-// threads can hold cached — per thread, Capacity+1 blocks per magazine (a
-// free pushes before it flushes) and a remote batch of Capacity blocks —
-// plus, with concurrent threads, one block each in flight between the
-// allocator and the driver's count.
+// threads can hold cached — per thread, cap[c]+1 blocks of each class it
+// uses (a free pushes before it flushes), and a remote batch just short of
+// classBudget plus the block whose push flushes it — plus, with concurrent
+// threads, one block each in flight between the allocator and the driver's
+// count. The 2048 B class is byte-capped at 16 of the 64 blocks.
 func TestPeakBound(t *testing.T) {
-	const capacity = 16
-	sizes := []int{64, 256}
-	slack := func(threads int, inFlight int) int64 {
-		perThread := capacity*sizes[len(sizes)-1] + inFlight*sizes[len(sizes)-1]
+	const capacity = DefaultCapacity
+	sizes := []int{64, 256, 2048}
+	slack := func(a *Allocator, threads int, inFlight int) int64 {
+		largest := sizes[len(sizes)-1]
+		perThread := classBudget + largest + inFlight*largest
 		for _, s := range sizes {
-			perThread += (capacity + 1) * s
+			c, _ := a.classFor(s)
+			perThread += (a.caps[c] + 1) * s
 		}
 		return int64(threads * perThread)
 	}
@@ -231,7 +234,7 @@ func TestPeakBound(t *testing.T) {
 			held[j] = held[len(held)-1]
 			held = held[:len(held)-1]
 		}
-		check(t, a, peak, slack(1, 0))
+		check(t, a, peak, slack(a, 1, 0))
 	})
 
 	// Every free in the pair is remote, so the consumer's own books show
@@ -260,6 +263,6 @@ func TestPeakBound(t *testing.T) {
 		}
 		close(ch)
 		<-done
-		check(t, a, peak.Load(), slack(2, 1))
+		check(t, a, peak.Load(), slack(a, 2, 1))
 	})
 }

@@ -28,10 +28,14 @@
 // refills, flushes and bypass operations, which go to the inner allocator
 // anyway.
 //
-// The cache trades bounded extra memory for its lock-free fast paths: at
-// most Capacity blocks per class, plus a remote batch of Capacity blocks,
-// per thread (reported as CachedBytes). Cached blocks count as in use to
-// the inner allocator's emptiness invariant until a flush returns them.
+// The cache trades bounded extra memory for its lock-free fast paths. Each
+// class's magazine holds at most Capacity blocks and at most 32 KiB
+// (classBudget; a class over 16 KiB still keeps MinCapacity blocks), and
+// the remote batch flushes at Capacity blocks or 32 KiB, whichever comes
+// first. At the default capacity a quiescent thread caches at most
+// 580,568 B (ThreadBound; the current fill is CachedBytes). Cached blocks
+// count as in use to the inner allocator's emptiness invariant until a
+// flush returns them.
 // Over allocators without owners (serial and the other baselines) a freed
 // block enters the freeing thread's magazine whoever allocated it, so
 // line-mates can split across threads: passive false sharing returns.
@@ -39,6 +43,7 @@ package tcache
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -52,9 +57,11 @@ import (
 
 // Config parameterizes the cache.
 type Config struct {
-	// Capacity is the maximum blocks cached per size class per thread, and
-	// the size of the remote batch (0 selects DefaultCapacity). A flush
-	// returns half the magazine.
+	// Capacity is the most blocks a thread caches per size class, and the
+	// most its remote batch holds (0 selects DefaultCapacity). The 32 KiB
+	// classBudget caps the larger classes and the remote batch lower: class
+	// c caches at most clamp(classBudget/size(c), MinCapacity, Capacity)
+	// blocks. A refill brings, and a flush returns, half a class's cap.
 	Capacity int
 	// MaxCachedSize is the largest block size worth caching (0 selects
 	// 4096, the default allocators' largest class). Larger blocks bypass
@@ -64,6 +71,14 @@ type Config struct {
 
 // DefaultCapacity is the magazine capacity a zero Config.Capacity selects.
 const DefaultCapacity = 64
+
+// classBudget is the byte budget of one class's magazine and of the remote
+// batch, as tcmalloc sizes its per-class batches: a class of size s caches
+// at most clamp(classBudget/s, MinCapacity, Capacity) blocks. At 32 KiB the
+// classes up to 512 B keep the full 64 blocks and a 4 KiB class holds 8.
+// Smaller budgets cut the footprint further but cost throughput in extra
+// transfers; DESIGN.md §11 has the sweep that chose it.
+const classBudget = 32 << 10
 
 // ownerAware is the inner-allocator side of owner-aware magazines;
 // core.Hoard implements it. New type-asserts it once.
@@ -90,6 +105,7 @@ type Allocator struct {
 	owned   ownerAware // inner, when it is owner-aware; nil otherwise
 	cfg     Config
 	classes *sizeclass.Table
+	caps    []int // caps[c] is class c's magazine capacity in blocks
 
 	// bypass keeps the books of the operations the magazines do not serve:
 	// oversize, aligned and retired-thread mallocs and frees, and blocks
@@ -157,6 +173,9 @@ type threadState struct {
 	// flushed to their owners. Owner-aware inner allocators only.
 	remote    []alloc.Ptr
 	remoteSBs []*superblock.Superblock
+	// remoteBytes is the byte total of the remote batch. Only the owning
+	// thread reads or writes it.
+	remoteBytes int
 
 	// hits[c] counts the mallocs and frees of class c the magazines and the
 	// remote batch served; misses counts those among them that refilled or
@@ -174,7 +193,7 @@ type threadState struct {
 	// thread writes it, and only at transfer boundaries (refill, flush,
 	// thread retirement) — a per-op atomic update would tax every cached
 	// push and pop — so a concurrent sampler sees a value that lags the
-	// true fill by at most half a magazine per class, plus the remote
+	// true fill by at most half a class's cap per class, plus the remote
 	// batch. CachedBytes is the exact quiescent equivalent.
 	magBytes atomic.Int64
 
@@ -186,8 +205,9 @@ type threadState struct {
 	retired bool
 }
 
-// MinCapacity is the smallest magazine capacity: refills and flushes move
-// Capacity/2 blocks, so anything below 2 degenerates.
+// MinCapacity is the smallest magazine capacity, of Config.Capacity and of
+// every class's cap: refills and flushes move half a cap, so anything below
+// 2 degenerates.
 const MinCapacity = 2
 
 // New wraps inner with thread caches. It panics on a capacity below
@@ -203,12 +223,44 @@ func New(inner alloc.Allocator, cfg Config) *Allocator {
 		cfg.MaxCachedSize = 4096
 	}
 	owned, _ := inner.(ownerAware)
+	classes := sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, cfg.MaxCachedSize)
+	caps := make([]int, classes.NumClasses())
+	for c := range caps {
+		caps[c] = min(max(classBudget/classes.Size(c), MinCapacity), cfg.Capacity)
+	}
 	return &Allocator{
 		inner:   inner,
 		owned:   owned,
 		cfg:     cfg,
-		classes: sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, cfg.MaxCachedSize),
+		classes: classes,
+		caps:    caps,
 	}
+}
+
+// ThreadBound bounds the bytes one quiescent thread can hold cached: every
+// magazine full to its cap, plus classBudget, which the remote batch stays
+// below. A free can exceed it for the length of the call, by one block
+// pushed before its flush.
+func (a *Allocator) ThreadBound() int64 {
+	var total int64
+	for c, n := range a.caps {
+		total += int64(n) * int64(a.classes.Size(c))
+	}
+	return total + classBudget
+}
+
+// Describe writes one line on the magazines: the class caps below Capacity,
+// the per-thread bound, and the current MagazineBytes.
+func (a *Allocator) Describe(w io.Writer) {
+	fmt.Fprintf(w, "magazines: %d blocks per class", a.cfg.Capacity)
+	sep := "; byte-capped"
+	for c, n := range a.caps {
+		if n != a.cfg.Capacity {
+			fmt.Fprintf(w, "%s %d B:%d", sep, a.classes.Size(c), n)
+			sep = ","
+		}
+	}
+	fmt.Fprintf(w, "; per-thread bound %d B; cached %d B\n", a.ThreadBound(), a.MagazineBytes())
 }
 
 // Name implements alloc.Allocator.
@@ -310,15 +362,15 @@ func (a *Allocator) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
 	return p
 }
 
-// refill fills half a magazine from the inner allocator with one batch call
-// — a single heap-lock acquisition when the inner allocator batches
+// refill fills half a class's cap from the inner allocator with one batch
+// call — a single heap-lock acquisition when the inner allocator batches
 // natively. Only blocks whose inner usable size exactly matches our class
 // size are cacheable — otherwise the magazine's byte accounting (and Free's
 // round-trip check) would drift; mismatches are freed straight back, and an
 // all-mismatch refill leaves the magazine empty so Malloc bypasses.
 func (a *Allocator) refill(ts *threadState, class int) {
 	blockSize := a.classes.Size(class)
-	n := a.cfg.Capacity / 2
+	n := a.caps[class] / 2
 	if cap(ts.scratch) < n {
 		ts.scratch = make([]alloc.Ptr, n)
 		ts.scratchSBs = make([]*superblock.Superblock, n)
@@ -387,10 +439,7 @@ func (a *Allocator) cachedBytes(ts *threadState) int64 {
 	for class, mag := range ts.mags {
 		total += int64(len(mag)) * int64(a.classes.Size(class))
 	}
-	for _, sb := range ts.remoteSBs {
-		total += int64(sb.BlockSize())
-	}
-	return total
+	return total + int64(ts.remoteBytes)
 }
 
 // Free implements alloc.Allocator. The block lands in the freeing thread's
@@ -427,7 +476,8 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	if !local {
 		ts.remote = append(ts.remote, p)
 		ts.remoteSBs = append(ts.remoteSBs, sb)
-		if len(ts.remote) >= a.cfg.Capacity {
+		ts.remoteBytes += usable
+		if len(ts.remote) >= a.cfg.Capacity || ts.remoteBytes >= classBudget {
 			a.flushRemote(ts)
 			ts.misses.frees.Add(1)
 		}
@@ -435,18 +485,17 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	}
 	ts.mags[class] = append(ts.mags[class], p)
 	ts.sbs[class] = append(ts.sbs[class], sb)
-	if len(ts.mags[class]) > a.cfg.Capacity {
+	if len(ts.mags[class]) > a.caps[class] {
 		a.flush(ts, class)
 		ts.misses.frees.Add(1)
 	}
 }
 
-// flush returns half the magazine to the inner allocator with one batch
-// call — a single heap-lock acquisition per owner heap when the inner
-// allocator batches natively.
+// flush returns the magazine to half its class's cap with one batch call —
+// a single heap-lock acquisition per owner heap when the inner allocator
+// batches natively.
 func (a *Allocator) flush(ts *threadState, class int) {
-	keep := a.cfg.Capacity / 2
-	a.flushMagazine(ts, class, keep)
+	a.flushMagazine(ts, class, a.caps[class]/2)
 	a.publishMagBytes(ts)
 }
 
@@ -461,13 +510,10 @@ func (a *Allocator) flushMagazine(ts *threadState, class, keep int) {
 
 // flushRemote returns the whole remote batch to the blocks' owners.
 func (a *Allocator) flushRemote(ts *threadState) {
-	var bytes int64
-	for _, sb := range ts.remoteSBs {
-		bytes += int64(sb.BlockSize())
-	}
 	a.owned.FreeCached(ts.inner, ts.remote, ts.remoteSBs)
 	ts.remote, ts.remoteSBs = ts.remote[:0], ts.remoteSBs[:0]
-	a.give(bytes)
+	a.give(int64(ts.remoteBytes))
+	ts.remoteBytes = 0
 	a.publishMagBytes(ts)
 }
 
@@ -530,7 +576,7 @@ func (a *Allocator) CachedBytes() int64 {
 // MagazineBytes is the metrics-sampler view of cache fill: a sum of every
 // registered thread's cache-byte gauge, safe to read while owner threads
 // keep pushing and popping. Each gauge is published at transfer boundaries
-// only, so the sum lags true fill by at most half a magazine per class,
+// only, so the sum lags true fill by at most half a class's cap per class,
 // plus the remote batch, per thread; CachedBytes is the exact (quiescent)
 // equivalent.
 func (a *Allocator) MagazineBytes() int64 {
@@ -622,8 +668,8 @@ func (a *Allocator) cachedBlocks() ([]alloc.Ptr, error) {
 	for ti, ts := range a.threads {
 		for class, mag := range ts.mags {
 			want := a.classes.Size(class)
-			if len(mag) > a.cfg.Capacity {
-				return nil, fmt.Errorf("tcache: thread %d class %d magazine over capacity: %d", ti, class, len(mag))
+			if len(mag) > a.caps[class] {
+				return nil, fmt.Errorf("tcache: thread %d class %d magazine over its cap of %d: %d", ti, class, a.caps[class], len(mag))
 			}
 			if len(ts.sbs[class]) != len(mag) {
 				return nil, fmt.Errorf("tcache: thread %d class %d: %d blocks but %d superblocks", ti, class, len(mag), len(ts.sbs[class]))
@@ -637,14 +683,19 @@ func (a *Allocator) cachedBlocks() ([]alloc.Ptr, error) {
 				}
 			}
 		}
-		if len(ts.remote) >= a.cfg.Capacity || len(ts.remoteSBs) != len(ts.remote) {
-			return nil, fmt.Errorf("tcache: thread %d remote batch holds %d blocks and %d superblocks (capacity %d)",
-				ti, len(ts.remote), len(ts.remoteSBs), a.cfg.Capacity)
+		if len(ts.remote) >= a.cfg.Capacity || len(ts.remoteSBs) != len(ts.remote) || ts.remoteBytes >= classBudget {
+			return nil, fmt.Errorf("tcache: thread %d remote batch holds %d blocks, %d superblocks and %d B (limits %d blocks, %d B)",
+				ti, len(ts.remote), len(ts.remoteSBs), ts.remoteBytes, a.cfg.Capacity, classBudget)
 		}
+		remoteBytes := 0
 		for i, p := range ts.remote {
 			if err := add(p, ts.remoteSBs[i]); err != nil {
 				return nil, err
 			}
+			remoteBytes += a.inner.UsableSize(p)
+		}
+		if remoteBytes != ts.remoteBytes {
+			return nil, fmt.Errorf("tcache: thread %d remote batch holds %d B, its count says %d", ti, remoteBytes, ts.remoteBytes)
 		}
 	}
 	return cached, nil
