@@ -1,16 +1,16 @@
-// Command hoardbench regenerates the paper's evaluation: every figure
-// (F1-F7), every table (T1-T4), and the ablations (A1-A5), on the
-// deterministic simulated multiprocessor.
+// Command hoardbench regenerates the paper's evaluation on the
+// deterministic simulated multiprocessor: every figure (F1-F7), every table
+// (T1-T4b), and the ablations and extensions (A1-A10, A12), printed as text,
+// CSV or Markdown. results_full.txt is `hoardbench -scale full`.
 //
 // Usage:
 //
-//	hoardbench [-exp all|<id>[,<id>...]] [-scale quick|full] [-procs 1,2,4,...] [-allocs hoard,serial,...] [-v]
-//	hoardbench -metrics timeline.json     # instrumented churn: occupancy/lock timeline + audit record
+//	hoardbench [-exp all|<id>[,<id>...]] [-scale quick|full] [-procs 1,2,4,...] [-allocs hoard,serial,...] [-format text|csv|md] [-v]
 //
 // Experiment ids: threadtest shbench larson active-false passive-false bem
-// barneshut (figures); catalog frag uniproc blowup footprint (tables);
-// ablate-f ablate-s ablate-k ablate-heaps coherence cost-sensitivity
-// (ablations).
+// barneshut (figures); catalog frag uniproc blowup blowup-shift (tables);
+// footprint arena ablate-f ablate-s ablate-k ablate-heaps ablate-batch
+// tcache coherence contention cost-sensitivity (ablations and extensions).
 package main
 
 import (
@@ -39,10 +39,6 @@ func run() error {
 		allocFlag = flag.String("allocs", "", "allocators to compare, e.g. hoard,serial")
 		verbose   = flag.Bool("v", false, "print progress to stderr")
 		format    = flag.String("format", "text", "output format: text, csv, or md")
-		artifact  = flag.String("artifact", "", "write the benchmark artifact (batch lock counts + key sim runs) to this JSON file and exit")
-		metricsTo = flag.String("metrics", "", "run the instrumented churn scenario and write the metrics timeline (occupancy samples, lock counters, audit record, Prometheus scrape) to this JSON file and exit")
-		footTo    = flag.String("footprint", "", "run the scavenger footprint grid (workloads x release modes) and write the artifact (steady-state ratios + batch-lock guard) to this JSON file and exit")
-		arenaTo   = flag.String("arena", "", "run the real-memory arena comparison (pointer resolution cost, wall-clock malloc/free sweep, RSS under release policies) and write the artifact to this JSON file and exit; requires the arena backend (Linux amd64/arm64); the smoke thresholds are enforced")
 	)
 	flag.Parse()
 
@@ -77,18 +73,6 @@ func run() error {
 	of, err := experiments.ParseFormat(*format)
 	if err != nil {
 		return err
-	}
-	if *artifact != "" {
-		return writeArtifact(*artifact, opts, *scaleFlag, progress)
-	}
-	if *metricsTo != "" {
-		return writeMetricsTimeline(*metricsTo, scale)
-	}
-	if *footTo != "" {
-		return writeFootprint(*footTo, opts, *scaleFlag, progress)
-	}
-	if *arenaTo != "" {
-		return writeArena(*arenaTo, opts, *scaleFlag, progress)
 	}
 	ids := strings.Split(*expFlag, ",")
 	if *expFlag == "all" {

@@ -10,8 +10,8 @@
 // heaps), and the allocator itself is closed at the end (stopping the
 // scavenger and unmapping the arena reservation when -backend arena).
 // With -metrics ADDR the allocator's Prometheus endpoint is served live,
-// so the run can be scraped while it works; cmd/hoardload drives this same
-// serving pipeline under shaped traffic with latency SLOs.
+// so the run can be scraped while it works. lifecycle_test.go runs this
+// same pattern as a regression test.
 package main
 
 import (

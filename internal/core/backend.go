@@ -15,7 +15,7 @@ var newArenaBackend = vm.NewArena
 
 // envBackend reads the HOARDGO_BACKEND environment variable once. Setting
 // it to "arena" runs every allocator whose Config does not pin a backend on
-// real memory — this is how `make arena-smoke` drives the existing test
+// real memory — this is how `make race-arena` drives the existing test
 // suite over the arena.
 var envBackend = sync.OnceValue(func() string { return os.Getenv("HOARDGO_BACKEND") })
 

@@ -14,7 +14,7 @@ import (
 // no HOARDGO_BACKEND override) means the deterministic simulated space.
 func TestBackendDefaultIsSim(t *testing.T) {
 	if envBackend() != "" {
-		// The whole-suite override (make arena-smoke) is in effect; the
+		// The whole-suite override (make race-arena) is in effect; the
 		// zero config intentionally follows it.
 		t.Skipf("HOARDGO_BACKEND=%q overrides the default", envBackend())
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -24,29 +25,27 @@ import (
 // a thread sweep, sim versus arena; (c) the RSS-over-time trajectory of a
 // churn workload under the release policies, with /proc/self/statm as
 // ground truth that madvise(MADV_DONTNEED) actually returns pages.
-// cmd/hoardbench serializes all three into the committed BENCH_PR7.json.
+// `hoardbench -exp arena` renders all three as the A12 table.
 
 // arenaSpanSize is the superblock size the experiment reserves through both
 // backends.
 const arenaSpanSize = 8192
 
-// ResolveEntry is one backend's resolution measurement.
-type ResolveEntry struct {
-	Backend string `json:"backend"`
+// resolveEntry is one backend's resolution measurement.
+type resolveEntry struct {
+	Backend string
 	// Spans is the live span population the index holds.
-	Spans int `json:"spans"`
-	// Lookups is how many random resolutions were timed.
-	Lookups int64 `json:"lookups"`
+	Spans int
 	// NSPerLookup is wall nanoseconds per resolution.
-	NSPerLookup float64 `json:"ns_per_lookup"`
+	NSPerLookup float64
 }
 
-// ResolveResult compares pointer→span resolution cost across backends.
-type ResolveResult struct {
-	Entries []ResolveEntry `json:"entries"`
-	// Speedup is sim ns/lookup over arena ns/lookup — the acceptance
-	// criterion requires >= 2 at a cache-hostile population.
-	Speedup float64 `json:"speedup"`
+// resolveResult compares pointer→span resolution cost across backends.
+type resolveResult struct {
+	Entries []resolveEntry
+	// Speedup is sim ns/lookup over arena ns/lookup, at a cache-hostile
+	// population.
+	Speedup float64
 }
 
 // resolveSpans sizes the span population: large enough that the sim page
@@ -62,7 +61,7 @@ func resolveSpans(scale Scale) int {
 // measureResolveBackend reserves spans superblocks and times random interior
 // resolutions through the Backend interface (the same indirection the free
 // path pays).
-func measureResolveBackend(be vm.Backend, spans int, lookups int64) ResolveEntry {
+func measureResolveBackend(be vm.Backend, spans int, lookups int64) resolveEntry {
 	sps := make([]*vm.Span, spans)
 	bases := make([]uint64, spans)
 	for i := range sps {
@@ -95,17 +94,16 @@ func measureResolveBackend(be vm.Backend, spans int, lookups int64) ResolveEntry
 	for _, sp := range sps {
 		be.Release(sp)
 	}
-	return ResolveEntry{
+	return resolveEntry{
 		Backend:     be.Name(),
 		Spans:       spans,
-		Lookups:     lookups,
 		NSPerLookup: float64(elapsed.Nanoseconds()) / float64(lookups),
 	}
 }
 
-// MeasureResolve times pointer→span resolution on both backends. It errors
+// measureResolve times pointer→span resolution on both backends. It errors
 // where the arena backend is unavailable.
-func MeasureResolve(scale Scale) (ResolveResult, error) {
+func measureResolve(scale Scale) (resolveResult, error) {
 	spans := resolveSpans(scale)
 	lookups := int64(1 << 23)
 	if scale == Full {
@@ -117,29 +115,28 @@ func MeasureResolve(scale Scale) (ResolveResult, error) {
 		LargeRegionBytes: 16 << 20,
 	})
 	if err != nil {
-		return ResolveResult{}, fmt.Errorf("arena backend unavailable: %w", err)
+		return resolveResult{}, fmt.Errorf("arena backend unavailable: %w", err)
 	}
 	defer arena.Close()
 
-	var res ResolveResult
+	var res resolveResult
 	sim := measureResolveBackend(vm.New(), spans, lookups)
 	ar := measureResolveBackend(arena, spans, lookups)
-	res.Entries = []ResolveEntry{sim, ar}
+	res.Entries = []resolveEntry{sim, ar}
 	if ar.NSPerLookup > 0 {
 		res.Speedup = sim.NSPerLookup / ar.NSPerLookup
 	}
 	return res, nil
 }
 
-// ArenaThroughputEntry is one (backend x procs) cell of the wall-clock
+// arenaThroughputEntry is one (backend x procs) cell of the wall-clock
 // malloc/free sweep.
-type ArenaThroughputEntry struct {
-	Backend string `json:"backend"`
-	Procs   int    `json:"procs"`
-	Ops     int64  `json:"ops"`
-	// ElapsedNS is wall time; OpsPerMS the throughput.
-	ElapsedNS int64   `json:"elapsed_ns"`
-	OpsPerMS  float64 `json:"ops_per_ms"`
+type arenaThroughputEntry struct {
+	Backend string
+	Procs   int
+	Ops     int64
+	// OpsPerMS is the wall-clock throughput.
+	OpsPerMS float64
 }
 
 // arenaProcs sweeps powers of two up to NumCPU, always including NumCPU.
@@ -152,12 +149,12 @@ func arenaProcs() []int {
 	return append(out, n)
 }
 
-// MeasureArenaThroughput runs Larson (remote-heavy malloc/free on real
+// measureArenaThroughput runs Larson (remote-heavy malloc/free on real
 // goroutines, every object written) on both backends across the thread
-// sweep. Wall-clock numbers are machine-dependent; the artifact records
-// them per backend so the sim-vs-arena ratio is still meaningful.
-func MeasureArenaThroughput(scale Scale) ([]ArenaThroughputEntry, error) {
-	var out []ArenaThroughputEntry
+// sweep. Wall-clock numbers are machine-dependent; the table records them
+// per backend so the sim-vs-arena ratio is still meaningful.
+func measureArenaThroughput(scale Scale) ([]arenaThroughputEntry, error) {
+	var out []arenaThroughputEntry
 	for _, backend := range []string{"sim", "arena"} {
 		for _, procs := range arenaProcs() {
 			var hh *core.Hoard
@@ -178,11 +175,10 @@ func MeasureArenaThroughput(scale Scale) ([]ArenaThroughputEntry, error) {
 				return nil, fmt.Errorf("arena throughput: integrity on %s/P=%d: %w", backend, procs, err)
 			}
 			hh.Space().Close()
-			e := ArenaThroughputEntry{
-				Backend:   backend,
-				Procs:     procs,
-				Ops:       res.Ops,
-				ElapsedNS: res.ElapsedNS,
+			e := arenaThroughputEntry{
+				Backend: backend,
+				Procs:   procs,
+				Ops:     res.Ops,
 			}
 			if res.ElapsedNS > 0 {
 				e.OpsPerMS = float64(res.Ops) / (float64(res.ElapsedNS) / 1e6)
@@ -193,27 +189,22 @@ func MeasureArenaThroughput(scale Scale) ([]ArenaThroughputEntry, error) {
 	return out, nil
 }
 
-// ArenaRSSEntry is one release mode's RSS trajectory on the arena backend.
-type ArenaRSSEntry struct {
+// arenaRSSEntry is one release mode's RSS trajectory on the arena backend.
+type arenaRSSEntry struct {
 	// Mode is "off" (retain), "scavenge" (paced), or "forced" (drain every
-	// round); Backend is always "arena" — the point is real pages.
-	Mode    string `json:"mode"`
-	Backend string `json:"backend"`
-	Rounds  int    `json:"rounds"`
-	// BaselineRSS is the process RSS before the allocator existed;
-	// PeakDelta and FinalDelta are the peak and end-of-run growth over it.
-	BaselineRSS int64 `json:"baseline_rss"`
-	PeakDelta   int64 `json:"peak_delta"`
-	FinalDelta  int64 `json:"final_delta"`
-	// Samples is the per-round RSS delta over baseline, measured after
-	// each round's frees and release policy ran.
-	Samples []int64 `json:"samples"`
+	// round).
+	Mode string
+	// PeakDelta is the highest RSS growth over the arm's baseline, read
+	// with the working set live; FinalDelta the growth after the last
+	// round's frees and release policy ran.
+	PeakDelta  int64
+	FinalDelta int64
 	// ScavengePasses and ScavengedBytes count the release activity;
 	// DecommittedBytes is the allocator's own accounting at the end, to
 	// cross-check against the OS-observed drop.
-	ScavengePasses   int64 `json:"scavenge_passes"`
-	ScavengedBytes   int64 `json:"scavenged_bytes"`
-	DecommittedBytes int64 `json:"decommitted_bytes"`
+	ScavengePasses   int64
+	ScavengedBytes   int64
+	DecommittedBytes int64
 }
 
 // arenaRSSShape sizes the churn: workers each allocate blocks of ~1 KiB,
@@ -226,16 +217,16 @@ func arenaRSSShape(scale Scale) (workers, blocks, rounds int) {
 	return 4, 4096, 6
 }
 
-// MeasureArenaRSS drives the churn workload on the arena under each release
+// measureArenaRSS drives the churn workload on the arena under each release
 // policy and records the real RSS trajectory. Requires the arena backend
 // and /proc/self/statm.
-func MeasureArenaRSS(scale Scale) ([]ArenaRSSEntry, error) {
+func measureArenaRSS(scale Scale) ([]arenaRSSEntry, error) {
 	if _, err := scavenge.ReadRSS(); err != nil {
 		return nil, fmt.Errorf("no RSS source: %w", err)
 	}
 	workers, blocks, rounds := arenaRSSShape(scale)
-	var out []ArenaRSSEntry
-	for _, mode := range FootprintModes() {
+	var out []arenaRSSEntry
+	for _, mode := range footprintModes() {
 		e, err := runArenaRSS(mode, workers, blocks, rounds)
 		if err != nil {
 			return nil, err
@@ -250,15 +241,19 @@ const arenaBlockSize = 1024
 // runArenaRSS is one mode's run. Each round every worker allocates its
 // blocks, writes them, and frees them all; then the release policy runs and
 // the process RSS is sampled.
-func runArenaRSS(mode string, workers, blocks, rounds int) (ArenaRSSEntry, error) {
-	runtime.GC()
+func runArenaRSS(mode string, workers, blocks, rounds int) (arenaRSSEntry, error) {
+	// FreeOSMemory, not a bare GC: it returns the Go heap's free pages
+	// to the OS before the baseline read, so the runtime's background
+	// scavenger cannot shrink RSS during the arm and drive the deltas
+	// below zero.
+	debug.FreeOSMemory()
 	baseline, err := scavenge.ReadRSS()
 	if err != nil {
-		return ArenaRSSEntry{}, err
+		return arenaRSSEntry{}, err
 	}
 	h := core.New(core.Config{Heaps: 2 * workers, Backend: "arena"}, env.RealLockFactory{})
 	if h.Backend() != "arena" {
-		return ArenaRSSEntry{}, fmt.Errorf("arena backend unavailable: %s", h.BackendFallbackReason())
+		return arenaRSSEntry{}, fmt.Errorf("arena backend unavailable: %s", h.BackendFallbackReason())
 	}
 	defer h.Space().Close()
 
@@ -279,7 +274,7 @@ func runArenaRSS(mode string, workers, blocks, rounds int) (ArenaRSSEntry, error
 		ths[i] = h.NewThread(envs[i])
 	}
 
-	entry := ArenaRSSEntry{Mode: mode, Backend: "arena", Rounds: rounds, BaselineRSS: baseline}
+	entry := arenaRSSEntry{Mode: mode}
 	ptrs := make([][]alloc.Ptr, workers)
 	for i := range ptrs {
 		ptrs[i] = make([]alloc.Ptr, blocks)
@@ -332,19 +327,16 @@ func runArenaRSS(mode string, workers, blocks, rounds int) (ArenaRSSEntry, error
 		// Trough: everything freed and the release policy has run.
 		rss, err := scavenge.ReadRSS()
 		if err != nil {
-			return ArenaRSSEntry{}, err
+			return arenaRSSEntry{}, err
 		}
-		entry.Samples = append(entry.Samples, rss-baseline)
-	}
-	if len(entry.Samples) > 0 {
-		entry.FinalDelta = entry.Samples[len(entry.Samples)-1]
+		entry.FinalDelta = rss - baseline
 	}
 	st := h.Stats()
 	entry.ScavengePasses = st.ScavengePasses
 	entry.ScavengedBytes = st.ScavengedBytes
 	entry.DecommittedBytes = h.Space().Stats().DecommittedBytes
 	if err := h.CheckIntegrity(); err != nil {
-		return ArenaRSSEntry{}, fmt.Errorf("arena rss: integrity under %s: %w", mode, err)
+		return arenaRSSEntry{}, fmt.Errorf("arena rss: integrity under %s: %w", mode, err)
 	}
 	return entry, nil
 }
@@ -361,7 +353,7 @@ func Arena(opts Options, progress func(string, int)) Table {
 	if progress != nil {
 		progress("hoard/arena(resolve)", 1)
 	}
-	res, err := MeasureResolve(opts.Scale)
+	res, err := measureResolve(opts.Scale)
 	if err != nil {
 		t.Rows = append(t.Rows, []string{"resolve", "-", "skipped", err.Error()})
 		return t
@@ -376,7 +368,7 @@ func Arena(opts Options, progress func(string, int)) Table {
 	if progress != nil {
 		progress("hoard/arena(throughput)", runtime.NumCPU())
 	}
-	tps, err := MeasureArenaThroughput(opts.Scale)
+	tps, err := measureArenaThroughput(opts.Scale)
 	if err != nil {
 		t.Rows = append(t.Rows, []string{"throughput", "-", "skipped", err.Error()})
 	}
@@ -390,7 +382,7 @@ func Arena(opts Options, progress func(string, int)) Table {
 	if progress != nil {
 		progress("hoard/arena(rss)", 4)
 	}
-	rss, err := MeasureArenaRSS(opts.Scale)
+	rss, err := measureArenaRSS(opts.Scale)
 	if err != nil {
 		t.Rows = append(t.Rows, []string{"rss", "-", "skipped", err.Error()})
 	}

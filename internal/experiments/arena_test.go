@@ -6,6 +6,9 @@ import (
 	"hoardgo/internal/vm"
 )
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 func requireArena(t *testing.T) {
 	t.Helper()
 	a, err := vm.NewArena(vm.ArenaOptions{SlotRegionBytes: 16 << 20, LargeRegionBytes: 16 << 20})
@@ -20,7 +23,7 @@ func TestMeasureResolve(t *testing.T) {
 		t.Skip("wall-clock measurement")
 	}
 	requireArena(t)
-	res, err := MeasureResolve(Quick)
+	res, err := measureResolve(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +37,8 @@ func TestMeasureResolve(t *testing.T) {
 	}
 	t.Logf("sim %.2f ns vs arena %.2f ns: %.2fx",
 		res.Entries[0].NSPerLookup, res.Entries[1].NSPerLookup, res.Speedup)
-	// The committed-artifact threshold is 2x; the unit test only insists
-	// the arithmetic path is not slower, to stay robust on noisy CI boxes.
+	// Only insist the arithmetic path is not slower: the ratio is wall
+	// clock, and shared CI machines are noisy (it reads 2-8x on 2 vCPUs).
 	if res.Speedup < 1 {
 		t.Fatalf("arena resolution slower than page table: %.2fx", res.Speedup)
 	}
@@ -46,7 +49,7 @@ func TestMeasureArenaThroughput(t *testing.T) {
 		t.Skip("wall-clock measurement")
 	}
 	requireArena(t)
-	tps, err := MeasureArenaThroughput(Quick)
+	tps, err := measureArenaThroughput(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +70,11 @@ func TestMeasureArenaRSS(t *testing.T) {
 		t.Skip("wall-clock measurement")
 	}
 	requireArena(t)
-	entries, err := MeasureArenaRSS(Quick)
+	entries, err := measureArenaRSS(Quick)
 	if err != nil {
 		t.Skipf("rss measurement unavailable: %v", err)
 	}
-	byMode := map[string]ArenaRSSEntry{}
+	byMode := map[string]arenaRSSEntry{}
 	for _, e := range entries {
 		byMode[e.Mode] = e
 		t.Logf("%-8s peak %d final %d scavenges %d decommitted %d",
@@ -84,10 +87,34 @@ func TestMeasureArenaRSS(t *testing.T) {
 	if byMode["off"].ScavengePasses != 0 {
 		t.Fatal("off mode scavenged")
 	}
-	// The real-pages criterion (enforced strictly in the artifact writer):
-	// forced release must show up in the OS's RSS accounting.
 	if forced.PeakDelta > 0 && forced.FinalDelta >= forced.PeakDelta {
 		t.Fatalf("forced release did not lower RSS: peak %d, final %d",
 			forced.PeakDelta, forced.FinalDelta)
+	}
+	if raceEnabled {
+		// The race detector's shadow memory is part of the process RSS,
+		// and the detector frees it on its own schedule: after
+		// TestMeasureResolve's garbage, ~1 GB left mid-arm and drove the
+		// retain arm's deltas far below zero. The deltas would measure
+		// the detector, not the allocator.
+		t.Skip("RSS deltas include the race detector's shadow memory")
+	}
+	// Real pages: every arm's written working set shows up in the OS's
+	// RSS, forced release hands most of it back, and the paced scavenger
+	// ends below the retain-everything arm.
+	workers, blocks, _ := arenaRSSShape(Quick)
+	written := int64(workers * blocks * arenaBlockSize)
+	for _, mode := range footprintModes() {
+		if e := byMode[mode]; e.PeakDelta < written {
+			t.Errorf("%s: RSS peak delta %d B, want >= the %d B written", mode, e.PeakDelta, written)
+		}
+	}
+	if float64(forced.FinalDelta) >= 0.8*float64(forced.PeakDelta) {
+		t.Errorf("forced release ended at %d B over a %d B peak, want < 0.8x",
+			forced.FinalDelta, forced.PeakDelta)
+	}
+	if scav, off := byMode["scavenge"], byMode["off"]; scav.FinalDelta >= off.FinalDelta {
+		t.Errorf("paced scavenger ended at %d B, not below the retain arm's %d B",
+			scav.FinalDelta, off.FinalDelta)
 	}
 }

@@ -26,37 +26,36 @@ const footprintRoundNS = int64(1e6)
 // footprintS is the superblock size the thresholds are tuned for.
 const footprintS = int64(8192)
 
-// FootprintEntry is one workload x mode measurement.
-type FootprintEntry struct {
+// footprintEntry is one workload x mode measurement.
+type footprintEntry struct {
 	// Workload is "prodcons" or "phaseshift"; Mode is "off" (retain
 	// everything), "scavenge" (paced background policy), or "forced"
 	// (decommit all empties every round).
-	Workload string `json:"workload"`
-	Mode     string `json:"mode"`
-	// Procs and Rounds shape the run.
-	Procs  int `json:"procs"`
-	Rounds int `json:"rounds"`
+	Workload string
+	Mode     string
+	// Rounds is the run's length.
+	Rounds int
 	// PeakCommitted is the run's high-water committed bytes.
-	PeakCommitted int64 `json:"peak_committed"`
+	PeakCommitted int64
 	// SteadyCommitted is the mean committed bytes over the last quarter of
 	// rounds — the resting footprint the mode converges to.
-	SteadyCommitted int64 `json:"steady_committed"`
+	SteadyCommitted int64
 	// FinalCommitted, FinalReserved and FinalDecommitted are the
 	// accounting at the end of the run (reserved - committed =
 	// decommitted).
-	FinalCommitted   int64 `json:"final_committed"`
-	FinalReserved    int64 `json:"final_reserved"`
-	FinalDecommitted int64 `json:"final_decommitted"`
+	FinalCommitted   int64
+	FinalReserved    int64
+	FinalDecommitted int64
 	// ScavengePasses and ScavengedBytes count the scavenge activity.
-	ScavengePasses int64 `json:"scavenge_passes"`
-	ScavengedBytes int64 `json:"scavenged_bytes"`
+	ScavengePasses int64
+	ScavengedBytes int64
 	// ElapsedNS is the run's virtual time — the throughput guard: the
 	// scavenger must not slow the workload measurably.
-	ElapsedNS int64 `json:"elapsed_ns"`
+	ElapsedNS int64
 }
 
-// FootprintModes lists the release policies the experiment compares.
-func FootprintModes() []string { return []string{"off", "scavenge", "forced"} }
+// footprintModes lists the release policies the experiment compares.
+func footprintModes() []string { return []string{"off", "scavenge", "forced"} }
 
 // footprintPolicy drives one release policy from a workload's AfterRound
 // hook, in virtual time.
@@ -115,7 +114,7 @@ func steadyMean(series []int64) int64 {
 }
 
 // runFootprint executes one workload under one release mode.
-func runFootprint(opts Options, workloadName, mode string) FootprintEntry {
+func runFootprint(opts Options, workloadName, mode string) footprintEntry {
 	var hh *core.Hoard
 	mk := func(procs int, lf env.LockFactory) alloc.Allocator {
 		hh = core.New(core.Config{Heaps: 2 * procs}, lf)
@@ -147,10 +146,9 @@ func runFootprint(opts Options, workloadName, mode string) FootprintEntry {
 		panic(fmt.Sprintf("experiments: unknown footprint workload %q", workloadName))
 	}
 
-	return FootprintEntry{
+	return footprintEntry{
 		Workload:         workloadName,
 		Mode:             mode,
-		Procs:            procs,
 		Rounds:           len(series),
 		PeakCommitted:    res.VM.PeakCommitted,
 		SteadyCommitted:  steadyMean(series),
@@ -163,11 +161,11 @@ func runFootprint(opts Options, workloadName, mode string) FootprintEntry {
 	}
 }
 
-// FootprintResults runs the full workload x mode grid.
-func FootprintResults(opts Options, progress func(string, int)) []FootprintEntry {
-	var out []FootprintEntry
+// footprintResults runs the full workload x mode grid.
+func footprintResults(opts Options, progress func(string, int)) []footprintEntry {
+	var out []footprintEntry
 	for _, wl := range []string{"prodcons", "phaseshift"} {
-		for _, mode := range FootprintModes() {
+		for _, mode := range footprintModes() {
 			if progress != nil {
 				procs := 4
 				if wl == "phaseshift" {
@@ -188,7 +186,7 @@ func Footprint(opts Options, progress func(string, int)) Table {
 		Paper:  "page-level reclamation: steady-state committed memory by release policy",
 		Header: []string{"workload", "mode", "peak heap", "steady heap", "final heap", "decommitted", "scavenges", "virtual ms"},
 	}
-	for _, e := range FootprintResults(opts, progress) {
+	for _, e := range footprintResults(opts, progress) {
 		t.Rows = append(t.Rows, []string{
 			e.Workload,
 			e.Mode,

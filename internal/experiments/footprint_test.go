@@ -3,14 +3,14 @@ package experiments
 import "testing"
 
 func TestFootprintResults(t *testing.T) {
-	entries := FootprintResults(Defaults(Quick), nil)
-	if len(entries) != 2*len(FootprintModes()) {
-		t.Fatalf("got %d entries, want %d", len(entries), 2*len(FootprintModes()))
+	entries := footprintResults(Defaults(Quick), nil)
+	if len(entries) != 2*len(footprintModes()) {
+		t.Fatalf("got %d entries, want %d", len(entries), 2*len(footprintModes()))
 	}
-	byMode := map[string]map[string]FootprintEntry{}
+	byMode := map[string]map[string]footprintEntry{}
 	for _, e := range entries {
 		if byMode[e.Workload] == nil {
-			byMode[e.Workload] = map[string]FootprintEntry{}
+			byMode[e.Workload] = map[string]footprintEntry{}
 		}
 		byMode[e.Workload][e.Mode] = e
 
@@ -55,7 +55,7 @@ func TestFootprintTableShape(t *testing.T) {
 	if tbl.ID != "footprint" {
 		t.Fatalf("table ID %q", tbl.ID)
 	}
-	if len(tbl.Rows) != 2*len(FootprintModes()) {
+	if len(tbl.Rows) != 2*len(footprintModes()) {
 		t.Fatalf("%d rows", len(tbl.Rows))
 	}
 	for _, row := range tbl.Rows {

@@ -11,8 +11,8 @@ import (
 // (version 0.0.4) — enough structure checking that a scrape of WriteMetrics
 // output would be accepted by a real Prometheus server: valid metric and
 // label names, parseable values, HELP/TYPE headers preceding each family's
-// samples, and no family interleaving. The metrics-smoke CI target runs it
-// over hoardbench's -metrics artifact.
+// samples, and no family interleaving. The root package's tests run it over
+// scrapes taken at rest and mid-churn.
 
 var (
 	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)

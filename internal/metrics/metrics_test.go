@@ -140,40 +140,6 @@ func TestLintRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestCollectorRing(t *testing.T) {
-	n := 0
-	c := NewCollector(3, func() Snapshot {
-		n++
-		s := NewSnapshot("x")
-		s.Counters["n"] = int64(n)
-		return s
-	})
-	for i := 0; i < 5; i++ {
-		c.Sample()
-	}
-	got := c.Snapshots()
-	if len(got) != 3 {
-		t.Fatalf("%d snapshots retained, want 3", len(got))
-	}
-	for i, s := range got {
-		if want := int64(3 + i); s.Counters["n"] != want {
-			t.Fatalf("snapshot %d has n=%d, want %d (oldest evicted first)", i, s.Counters["n"], want)
-		}
-	}
-}
-
-func TestCollectorBackground(t *testing.T) {
-	c := NewCollector(64, func() Snapshot { return NewSnapshot("x") })
-	c.Start(time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
-	c.Stop()
-	if got := len(c.Snapshots()); got < 2 {
-		t.Fatalf("background collector took %d samples, want >= 2", got)
-	}
-	// Stop is idempotent and Sample still works after.
-	c.Stop()
-}
-
 func TestAuditor(t *testing.T) {
 	var fail bool
 	boom := errors.New("boom")

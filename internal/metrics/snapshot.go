@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -173,103 +172,4 @@ func writeHeapFamily(b *strings.Builder, name, help string, heaps []HeapSample, 
 	for _, h := range heaps {
 		fmt.Fprintf(b, "%s{heap=\"%d\"} %d\n", name, h.ID, get(h))
 	}
-}
-
-// Collector samples an allocator into a bounded ring buffer, either on
-// demand (Sample) or periodically on a background goroutine (Start/Stop).
-// The sampling callback is provided by whoever wires the collector to an
-// allocator; it must be safe to call concurrently with allocation.
-type Collector struct {
-	sample   func() Snapshot
-	capacity int
-
-	mu   sync.Mutex
-	ring []Snapshot
-	next int // ring write cursor once full
-	full bool
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewCollector creates a collector retaining the last capacity snapshots
-// (minimum 1).
-func NewCollector(capacity int, sample func() Snapshot) *Collector {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Collector{sample: sample, capacity: capacity}
-}
-
-// Sample takes one snapshot now, records it, and returns it.
-func (c *Collector) Sample() Snapshot {
-	s := c.sample()
-	c.mu.Lock()
-	if len(c.ring) < c.capacity {
-		c.ring = append(c.ring, s)
-	} else {
-		c.ring[c.next] = s
-		c.next = (c.next + 1) % c.capacity
-		c.full = true
-	}
-	c.mu.Unlock()
-	return s
-}
-
-// Start samples every interval on a background goroutine until Stop. It
-// panics if the collector is already running.
-func (c *Collector) Start(interval time.Duration) {
-	if interval <= 0 {
-		panic(fmt.Sprintf("metrics: collector interval %v", interval))
-	}
-	c.mu.Lock()
-	if c.stop != nil {
-		c.mu.Unlock()
-		panic("metrics: collector already running")
-	}
-	c.stop = make(chan struct{})
-	c.done = make(chan struct{})
-	stop, done := c.stop, c.done
-	c.mu.Unlock()
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				c.Sample()
-			}
-		}
-	}()
-}
-
-// Stop halts the background sampler (no-op if not running) and takes one
-// final snapshot.
-func (c *Collector) Stop() {
-	c.mu.Lock()
-	stop, done := c.stop, c.done
-	c.stop, c.done = nil, nil
-	c.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-	c.Sample()
-}
-
-// Snapshots returns the retained snapshots in chronological order.
-func (c *Collector) Snapshots() []Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Snapshot, 0, len(c.ring))
-	if c.full {
-		out = append(out, c.ring[c.next:]...)
-		out = append(out, c.ring[:c.next]...)
-	} else {
-		out = append(out, c.ring...)
-	}
-	return out
 }

@@ -273,6 +273,56 @@ func TestFallbackShim(t *testing.T) {
 	}
 }
 
+// TestBatchCutsHeapLocks: native batch transfers must cut heap-lock
+// acquisitions at least 5x against the per-block shims behind alloc.NoBatch.
+// Each round mallocs a burst of 2*capacity blocks, which defeats the
+// magazine, then frees them all, so every round refills and flushes. One
+// thread on real locks: the counts are exactly the protocol's. With capacity
+// 32 a transfer moves 16 blocks under one lock, so ~10x is expected.
+func TestBatchCutsHeapLocks(t *testing.T) {
+	const capacity, rounds = 32, 50
+	run := func(noBatch bool) (locks int64, st alloc.Stats) {
+		clf := &env.CountingLockFactory{Inner: lf}
+		var inner alloc.Allocator = core.New(core.Config{Heaps: 2}, clf)
+		if noBatch {
+			inner = alloc.NoBatch{Allocator: inner}
+		}
+		a := New(inner, Config{Capacity: capacity})
+		th := a.NewThread(&env.RealEnv{})
+		ptrs := make([]alloc.Ptr, 2*capacity)
+		for r := 0; r < rounds; r++ {
+			for i := range ptrs {
+				ptrs[i] = a.Malloc(th, 64)
+			}
+			for _, p := range ptrs {
+				a.Free(th, p)
+			}
+		}
+		locks, st = clf.Acquires(), a.Stats()
+		a.FlushThread(th)
+		if err := a.CheckIntegrity(); err != nil {
+			t.Fatal(err)
+		}
+		return locks, st
+	}
+	batchLocks, batch := run(false)
+	perBlockLocks, perBlock := run(true)
+	if batch.Mallocs != rounds*2*capacity || perBlock.Mallocs != batch.Mallocs || perBlock.Frees != batch.Frees {
+		t.Fatalf("arms did unequal work: %d/%d vs %d/%d mallocs/frees",
+			batch.Mallocs, batch.Frees, perBlock.Mallocs, perBlock.Frees)
+	}
+	if batch.BatchRefills == 0 || batch.BatchFlushes == 0 {
+		t.Fatalf("batch arm never took the native path: %+v", batch)
+	}
+	if perBlock.BatchRefills != 0 || perBlock.BatchFlushes != 0 {
+		t.Fatalf("per-block arm reported native batch transfers: %+v", perBlock)
+	}
+	if ratio := float64(perBlockLocks) / float64(batchLocks); ratio < 5 {
+		t.Fatalf("batching cut heap locks %.2fx, want >= 5x (%d batch vs %d per-block)",
+			ratio, batchLocks, perBlockLocks)
+	}
+}
+
 func TestFlushThreadDeregisters(t *testing.T) {
 	a := newOverHoard(16)
 	t0 := a.NewThread(&env.RealEnv{ID: 0})

@@ -1,7 +1,7 @@
 // Package vmtest constructs vm backends for tests. The suites that exercise
 // allocator logic (superblock, heap, core) build their backing store through
 // New, so setting HOARDGO_BACKEND=arena runs the very same tests over real
-// mmap'd memory — that is how `make arena-smoke` gives the arena backend
+// mmap'd memory — that is how `make race-arena` gives the arena backend
 // full protocol coverage without duplicating a single test.
 package vmtest
 

@@ -189,8 +189,8 @@ func (a *Allocator) StopAuditor() (passes, failures int64, err error) {
 
 // LintMetrics validates Prometheus exposition text (as produced by
 // WriteMetrics) and returns the first format problem, or nil. Exported so
-// the metrics-smoke CI check can lint benchmark artifacts without importing
-// internal packages.
+// a service's own tests can lint their scrapes without importing internal
+// packages.
 func LintMetrics(text string) error { return metrics.LintPrometheus(text) }
 
 // MetricsHandler returns an http.Handler that serves WriteMetrics in the

@@ -2,11 +2,14 @@ package hoard
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -182,49 +185,92 @@ func TestMetricsHandler(t *testing.T) {
 	}
 }
 
+// TestAuditUnderLoad audits and scrapes the allocator while goroutines churn
+// through the public API, on both backends. Every audit must pass, every
+// mid-churn scrape of MetricsHandler must lint as Prometheus text while heap
+// occupancy and lock counters change underfoot, and the final scrape must
+// count every malloc exactly.
 func TestAuditUnderLoad(t *testing.T) {
-	a := MustNew(Config{Procs: 4, Metrics: true})
-	if err := a.Audit(); err != nil {
-		t.Fatalf("audit of idle allocator: %v", err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := a.NewThread()
-			var ps []Ptr
-			for {
-				select {
-				case <-stop:
-					for _, p := range ps {
-						th.Free(p)
-					}
-					return
-				default:
+	for _, backend := range []string{"sim", "arena"} {
+		t.Run(backend, func(t *testing.T) {
+			a := MustNew(Config{Procs: 4, Metrics: true, Backend: backend})
+			defer a.Close()
+			if backend == "arena" && a.Backend() != "arena" {
+				t.Skipf("arena backend unavailable: %s", a.BackendFallbackReason())
+			}
+			srv := httptest.NewServer(a.MetricsHandler())
+			defer srv.Close()
+			scrape := func() string {
+				t.Helper()
+				resp, err := http.Get(srv.URL)
+				if err != nil {
+					t.Fatalf("scrape: %v", err)
 				}
-				ps = append(ps, th.Malloc(32+len(ps)%900))
-				if len(ps) > 400 {
-					for _, p := range ps {
-						th.Free(p)
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatalf("scrape read: %v", err)
+				}
+				if err := LintMetrics(string(body)); err != nil {
+					t.Fatalf("scrape failed lint: %v\n%s", err, body)
+				}
+				return string(body)
+			}
+			if err := a.Audit(); err != nil {
+				t.Fatalf("audit of idle allocator: %v", err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+			defer halt() // runs before a.Close if a check fails mid-churn
+			var mallocs atomic.Int64
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					th := a.NewThread()
+					defer th.Close()
+					var ps []Ptr
+					for {
+						select {
+						case <-stop:
+							for _, p := range ps {
+								th.Free(p)
+							}
+							return
+						default:
+						}
+						ps = append(ps, th.Malloc(32+len(ps)%900))
+						mallocs.Add(1)
+						if len(ps) > 400 {
+							for _, p := range ps {
+								th.Free(p)
+							}
+							ps = ps[:0]
+						}
 					}
-					ps = ps[:0]
+				}()
+			}
+			for mallocs.Load() < 1000 {
+				runtime.Gosched() // let the churn get going
+			}
+			for i := 0; i < 20; i++ {
+				if err := a.Audit(); err != nil {
+					t.Fatalf("audit %d under load: %v", i, err)
+				}
+				if i%5 == 0 {
+					scrape()
 				}
 			}
-		}()
-	}
-	for i := 0; i < 20; i++ {
-		if err := a.Audit(); err != nil {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("audit %d under load: %v", i, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if err := a.CheckIntegrity(); err != nil {
-		t.Fatal(err)
+			halt()
+			if err := a.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("hoard_mallocs_total{allocator=\"hoard\"} %d\n", mallocs.Load())
+			if body := scrape(); !strings.Contains(body, want) {
+				t.Fatalf("final scrape lacks %q:\n%s", want, body)
+			}
+		})
 	}
 }
 
