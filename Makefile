@@ -35,7 +35,7 @@ race-bench:
 
 # Figure benchmarks are full deterministic simulations; run each once. The
 # key batching benches run here: the threadtest/larson figures, the contended
-# producer-consumer probe, and the tcache batch-locks comparison.
+# producer-consumer probe, and the tcache batch-locks probe.
 bench:
 	$(GO) test -benchtime=1x \
 		-bench='FigThreadtest|FigLarson|ProducerConsumerContended|TCacheBatchLocks' .

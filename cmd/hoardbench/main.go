@@ -1,6 +1,6 @@
 // Command hoardbench regenerates the paper's evaluation on the
 // deterministic simulated multiprocessor: every figure (F1-F7), every table
-// (T1-T4b), and the ablations and extensions (A1-A10, A12), printed as text,
+// (T1-T4b), and the ablations and extensions (A1-A8, A10, A12), printed as text,
 // CSV or Markdown. results_full.txt is `hoardbench -scale full`.
 //
 // Usage:
@@ -9,8 +9,8 @@
 //
 // Experiment ids: threadtest shbench larson active-false passive-false bem
 // barneshut (figures); catalog frag uniproc blowup blowup-shift (tables);
-// footprint arena ablate-f ablate-s ablate-k ablate-heaps ablate-batch
-// tcache coherence contention cost-sensitivity (ablations and extensions).
+// footprint arena ablate-f ablate-s ablate-k ablate-heaps tcache coherence
+// contention cost-sensitivity (ablations and extensions).
 package main
 
 import (
@@ -98,7 +98,7 @@ func allIDs() []string {
 	return append(ids,
 		"frag", "uniproc", "blowup", "blowup-shift", "footprint", "arena",
 		"ablate-f", "ablate-s", "ablate-k", "ablate-heaps",
-		"ablate-batch", "tcache", "coherence", "contention", "cost-sensitivity")
+		"tcache", "coherence", "contention", "cost-sensitivity")
 }
 
 func runOne(id string, opts experiments.Options, of experiments.OutputFormat, progress func(string, int)) error {
@@ -120,7 +120,6 @@ func runOne(id string, opts experiments.Options, of experiments.OutputFormat, pr
 		"ablate-k":         experiments.AblateK,
 		"ablate-heaps":     experiments.AblateHeaps,
 		"tcache":           experiments.AblateTCache,
-		"ablate-batch":     experiments.AblateBatch,
 		"contention":       experiments.Contention,
 		"coherence":        experiments.Coherence,
 		"cost-sensitivity": experiments.CostSensitivity,

@@ -36,7 +36,7 @@ func main() {
 	backend := flag.String("backend", "", "memory substrate: sim or arena (hoard policy only; empty = HOARDGO_BACKEND or sim)")
 	workers := flag.Int("workers", 4, "worker goroutines")
 	requests := flag.Int("requests", 50000, "total requests")
-	tcache := flag.Int("tcache", 0, "per-thread magazine capacity (0 = no thread cache)")
+	tcache := flag.Int("tcache", 0, "per-thread magazine capacity, hoard policy only (0 = the default of 64)")
 	metricsAddr := flag.String("metrics", "", "serve the allocator's /metrics endpoint on this address while running")
 	flag.Parse()
 

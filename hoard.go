@@ -135,10 +135,9 @@ type Config struct {
 	// policy always runs them, owner-aware: a block another thread's heap
 	// owns is never cached by the freeing thread but returned to its owner
 	// in batches, so Hoard's false-sharing avoidance holds; zero selects
-	// the default of 64. The other policies run without magazines unless
-	// this is set, and then re-issue a freed block to the freeing thread
-	// (see the "tcache" experiment). Nonzero values must be at least 2; New
-	// rejects smaller values. Thread.Close returns a thread's magazines.
+	// the default of 64. Nonzero values must be at least 2, and apply to
+	// the Hoard policy only: New rejects smaller values, and any nonzero
+	// value on another policy. Thread.Close returns a thread's magazines.
 	ThreadCacheCapacity int
 
 	// Metrics instruments every internal lock with acquisition, contention,
@@ -202,6 +201,9 @@ func New(cfg Config) (*Allocator, error) {
 	if err := (core.Config{SuperblockSize: cfg.Hoard.SuperblockSize}).Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.ThreadCacheCapacity != 0 && cfg.ThreadCacheCapacity < tcache.MinCapacity {
+		return nil, fmt.Errorf("hoard: ThreadCacheCapacity %d below the minimum of %d", cfg.ThreadCacheCapacity, tcache.MinCapacity)
+	}
 	var impl alloc.Allocator
 	switch cfg.Policy {
 	case PolicyHoard, "":
@@ -242,18 +244,14 @@ func New(cfg Config) (*Allocator, error) {
 	default:
 		return nil, fmt.Errorf("hoard: unknown policy %q (have %v)", cfg.Policy, allocators.Names())
 	}
-	if cfg.ThreadCacheCapacity != 0 && cfg.ThreadCacheCapacity < tcache.MinCapacity {
-		return nil, fmt.Errorf("hoard: ThreadCacheCapacity %d below the minimum of %d", cfg.ThreadCacheCapacity, tcache.MinCapacity)
+	// The Hoard policy's magazines are part of its protocol; no other
+	// policy has them.
+	if h, hoardPolicy := impl.(*core.Hoard); hoardPolicy {
+		impl = tcache.New(h, tcache.Config{Capacity: cfg.ThreadCacheCapacity})
+	} else if cfg.ThreadCacheCapacity != 0 {
+		return nil, fmt.Errorf("hoard: ThreadCacheCapacity applies to the Hoard policy only, not %q", cfg.Policy)
 	}
-	// The Hoard policy's magazines are part of its protocol, so they keep
-	// its name; magazines over another policy are a named layer.
 	name := impl.Name()
-	if _, hoardPolicy := impl.(*core.Hoard); hoardPolicy || cfg.ThreadCacheCapacity != 0 {
-		impl = tcache.New(impl, tcache.Config{Capacity: cfg.ThreadCacheCapacity})
-		if !hoardPolicy {
-			name = impl.Name()
-		}
-	}
 	if cfg.Debug {
 		impl = debugalloc.New(impl, debugalloc.Config{Quarantine: cfg.DebugQuarantine})
 		name += "+debug"
@@ -352,9 +350,7 @@ func (t *Thread) Realloc(p Ptr, size int) Ptr {
 // Debug, fall back to the page-aligned large-object path for align > 8.
 func (t *Thread) MallocAligned(size, align int) Ptr {
 	if tc, ok := t.a.impl.(*tcache.Allocator); ok {
-		if _, hoardPolicy := tc.Inner().(*core.Hoard); hoardPolicy {
-			return tc.MallocAligned(t.inner, size, align)
-		}
+		return tc.MallocAligned(t.inner, size, align)
 	}
 	if align <= 8 {
 		return t.Malloc(size)
@@ -370,19 +366,27 @@ func (t *Thread) MallocAligned(size, align int) Ptr {
 }
 
 // MallocBatch allocates up to n blocks of at least size bytes each into
-// out[:n] and returns the number obtained. Policies with a native batch path
-// (Hoard, serial) serve the whole batch under a single heap-lock
-// acquisition; others fall back to per-block Mallocs. The tcache layer uses
-// the same machinery for its magazine refills.
+// out[:n] and returns the number obtained, min(n, len(out)). It is a plain
+// loop over Malloc. On the Hoard policy most of those calls are magazine
+// pops, and a magazine refill already takes half a class's cap under one
+// heap lock.
 func (t *Thread) MallocBatch(size, n int, out []Ptr) int {
-	return alloc.MallocBatch(t.a.impl, t.inner, size, n, out)
+	t.a.checkOpen("MallocBatch")
+	n = max(0, min(n, len(out)))
+	for i := range out[:n] {
+		out[i] = t.Malloc(size)
+	}
+	return n
 }
 
-// FreeBatch releases every block in ps (nil entries are skipped). Policies
-// with a native batch path group the pointers by owner and take each owner's
-// lock once per group; others fall back to per-block Frees.
+// FreeBatch releases every block in ps (nil entries are skipped). It is a
+// plain loop over Free; on the Hoard policy the magazines and the remote
+// batch group the blocks by owner heap on their way back.
 func (t *Thread) FreeBatch(ps []Ptr) {
-	alloc.FreeBatch(t.a.impl, t.inner, ps)
+	t.a.checkOpen("FreeBatch")
+	for _, p := range ps {
+		t.Free(p)
+	}
 }
 
 // Bytes returns a writable view of n bytes of a live block. The view stays
@@ -398,13 +402,12 @@ type Stats struct {
 	// Mallocs and Frees count completed operations.
 	Mallocs, Frees int64
 	// LiveBytes is the usable bytes currently allocated. PeakLiveBytes is
-	// its high-water mark, exact for the baseline policies. Under thread
-	// caches (the Hoard policy, or ThreadCacheCapacity) it is an upper
-	// bound: the high-water mark of live plus cached bytes, which exceeds
-	// the true peak by at most the bytes cached at that moment. Per thread
-	// that is at most cap+1 blocks of each size class, plus 32 KiB of
-	// remote batch and one block (DESIGN.md §11): about 0.6 MB at the
-	// default capacity.
+	// its high-water mark, exact for the baseline policies. Under the Hoard
+	// policy's thread caches it is an upper bound: the high-water mark of
+	// live plus cached bytes, which exceeds the true peak by at most the
+	// bytes cached at that moment. Per thread that is at most cap+1 blocks
+	// of each size class, plus 32 KiB of remote batch and one block
+	// (DESIGN.md §11): about 0.6 MB at the default capacity.
 	LiveBytes, PeakLiveBytes int64
 	// FootprintBytes is the physical memory currently held from the
 	// (simulated) OS — committed bytes; PeakFootprintBytes its high-water
@@ -424,13 +427,13 @@ type Stats struct {
 	SuperblockMoves int64
 	// RemoteFrees counts frees that crossed heaps.
 	RemoteFrees int64
-	// BatchRefills and BatchFlushes count native MallocBatch and FreeBatch
-	// calls — each a magazine transfer served under one heap-lock
-	// acquisition (per owner group, for flushes). Zero when the policy has
-	// no native batch path.
+	// BatchRefills and BatchFlushes count the Hoard policy's magazine
+	// transfers: refills, and flushes of magazines and remote batches, each
+	// served under one heap-lock acquisition (per owner group, for
+	// flushes). Zero on the other policies.
 	BatchRefills, BatchFlushes int64
-	// BatchedBlocks counts the blocks moved through those native batch
-	// calls, in both directions.
+	// BatchedBlocks counts the blocks those transfers moved, in both
+	// directions.
 	BatchedBlocks int64
 	// LockFreeMallocs and LockFreeFrees count operations a thread cache
 	// served with no lock at all: mallocs popped from a magazine and frees
@@ -475,7 +478,7 @@ func (a *Allocator) Stats() Stats {
 }
 
 // CachedBytes reports the bytes currently stranded in per-thread magazines
-// when the allocator was built with ThreadCacheCapacity, and 0 otherwise.
+// under the Hoard policy, and 0 on the other policies.
 // It requires quiescence for an exact answer. A drained workload whose
 // workers all called Thread.Close reports 0 — the lifecycle regression
 // tests and the load engine assert exactly that.
@@ -546,15 +549,17 @@ func (closedAllocator) Malloc(*alloc.Thread, int) Ptr { panic("hoard: Malloc aft
 
 func (closedAllocator) Free(*alloc.Thread, Ptr) { panic("hoard: Free after Close") }
 
-func (closedAllocator) MallocBatch(*alloc.Thread, int, int, []Ptr) int {
-	panic("hoard: MallocBatch after Close")
-}
-
-func (closedAllocator) FreeBatch(*alloc.Thread, []Ptr) { panic("hoard: FreeBatch after Close") }
-
 func (closedAllocator) UsableSize(Ptr) int { panic("hoard: UsableSize after Close") }
 
 func (closedAllocator) Bytes(Ptr, int) []byte { panic("hoard: Bytes after Close") }
+
+// checkOpen panics, naming op, when the allocator has been closed: the
+// batch calls check before their loops, so an empty batch panics too.
+func (a *Allocator) checkOpen(op string) {
+	if _, closed := a.impl.(closedAllocator); closed {
+		panic("hoard: " + op + " after Close")
+	}
+}
 
 // CheckIntegrity exhaustively validates the allocator's internal
 // invariants. It requires quiescence (no concurrent operations) and is
@@ -563,8 +568,8 @@ func (a *Allocator) CheckIntegrity() error { return a.impl.CheckIntegrity() }
 
 // Describe writes a human-readable snapshot of the allocator's state (in
 // the spirit of malloc_stats). Only the Hoard policy provides a detailed
-// per-heap breakdown; other policies print their counters. Under thread
-// caches a last line gives the magazines: the size classes whose cap the
+// per-heap breakdown; other policies print their counters. Under the Hoard
+// policy a last line gives the magazines: the size classes whose cap the
 // 32 KiB byte budget lowers below ThreadCacheCapacity, the per-thread bound
 // in bytes, and MagazineBytes.
 func (a *Allocator) Describe(w io.Writer) {

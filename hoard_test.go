@@ -163,6 +163,7 @@ func TestBadConfig(t *testing.T) {
 		{"negative K", Config{Hoard: core.Config{K: -2}}, "K"},
 		{"shrinking size classes", Config{Hoard: core.Config{SizeClassBase: 0.9}}, "size classes"},
 		{"thread cache of one", Config{ThreadCacheCapacity: 1}, "ThreadCacheCapacity"},
+		{"thread cache on a baseline", Config{Policy: PolicySerial, ThreadCacheCapacity: 16}, "ThreadCacheCapacity"},
 		{"negative thread cache", Config{ThreadCacheCapacity: -3}, "ThreadCacheCapacity"},
 	} {
 		var err error

@@ -2,17 +2,19 @@
 // reproduction: the simulated pointer type, per-thread handles, the common
 // Allocator interface, and usage accounting.
 //
-// Six allocators implement Allocator, mirroring the paper's full taxonomy
-// (§2 of DESIGN.md), plus one layered extension:
+// Seven allocators implement Allocator, mirroring the paper's full taxonomy
+// (§2 of DESIGN.md) plus a dlmalloc-style heap, and two layers wrap them:
 //
 //   - internal/core:       Hoard (the paper's contribution)
 //   - internal/serial:     single-lock serial heap ("Solaris malloc"-like)
 //   - internal/concurrent: single heap, per-size-class locks (Iyengar-like)
+//   - internal/dlheap:     boundary-tag coalescing heap under one lock (dlmalloc-like)
 //   - internal/private:    pure private heaps (Cilk/STL-like)
 //   - internal/ownership:  private heaps with ownership (Ptmalloc/MTmalloc-like)
 //   - internal/threshold:  private heaps with thresholds (DYNIX-like)
-//   - internal/tcache:     per-thread magazines over any of the above
-//     (the tcmalloc direction; an extension experiment)
+//   - internal/tcache:     Hoard's per-thread magazines, over core only
+//   - internal/debugalloc: canaries, poisoning and a free quarantine, over any
+//     of the above
 package alloc
 
 import (
@@ -44,7 +46,7 @@ type Thread struct {
 	State any
 }
 
-// Allocator is the interface all five allocators implement.
+// Allocator is the interface every allocator and layer implements.
 type Allocator interface {
 	// Name returns a short identifier ("hoard", "serial", ...) used in
 	// benchmark output.
@@ -87,28 +89,8 @@ type Allocator interface {
 	CheckIntegrity() error
 }
 
-// BatchAllocator is optionally implemented by allocators that can transfer
-// several blocks of one size class per lock acquisition. The package-level
-// MallocBatch and FreeBatch helpers dispatch to the native implementation
-// when present and fall back to per-block Malloc/Free otherwise, so callers
-// (the tcache magazine layer, batch-aware applications) work against any
-// Allocator.
-type BatchAllocator interface {
-	// MallocBatch allocates up to n blocks of at least size bytes each
-	// into out[:n] and returns the number obtained (all the allocators
-	// here always obtain n; the count exists for future allocators with a
-	// real exhaustion mode). n must not exceed len(out). Implementations
-	// acquire their heap lock once per batch, not once per block.
-	MallocBatch(t *Thread, size, n int, out []Ptr) int
-
-	// FreeBatch releases every block in ps. Nil pointers are skipped.
-	// Implementations group the pointers by owner and take each owner's
-	// lock once per group, not once per block.
-	FreeBatch(t *Thread, ps []Ptr)
-}
-
 // ThreadFlusher is optionally implemented by layered allocators that strand
-// per-thread state (tcache magazines, the debug quarantine). FlushThread
+// per-thread state (Hoard's tcache magazines, the debug quarantine). FlushThread
 // returns every block the layer holds on t's behalf to the inner allocator
 // and deregisters the thread — the thread-exit hook of a C allocator. The
 // handle must remain usable afterwards (late stray operations bypass the
@@ -126,38 +108,6 @@ func FlushThread(a Allocator, t *Thread) {
 		f.FlushThread(t)
 	}
 }
-
-// MallocBatch allocates up to n blocks of at least size bytes each into
-// out[:n], using a's native batch path when it implements BatchAllocator and
-// per-block Mallocs otherwise. It returns the number of blocks obtained.
-func MallocBatch(a Allocator, t *Thread, size, n int, out []Ptr) int {
-	if b, ok := a.(BatchAllocator); ok {
-		return b.MallocBatch(t, size, n, out)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = a.Malloc(t, size)
-	}
-	return n
-}
-
-// FreeBatch releases every block in ps, using a's native batch path when it
-// implements BatchAllocator and per-block Frees otherwise.
-func FreeBatch(a Allocator, t *Thread, ps []Ptr) {
-	if b, ok := a.(BatchAllocator); ok {
-		b.FreeBatch(t, ps)
-		return
-	}
-	for _, p := range ps {
-		a.Free(t, p)
-	}
-}
-
-// NoBatch hides an allocator's native batch implementation: the embedded
-// interface promotes only the Allocator methods, so a type assertion to
-// BatchAllocator fails and the package-level batch helpers fall back to the
-// per-block path. Experiments and tests use it to ablate exactly where
-// batching's win comes from.
-type NoBatch struct{ Allocator }
 
 // Stats is a snapshot of allocator activity. Fields that do not apply to a
 // given allocator are zero.
@@ -194,16 +144,15 @@ type Stats struct {
 	// superblocks at the moment they were evicted to the global heap
 	// (Hoard only) — each becomes a future remote free.
 	MovedLiveBlocks int64
-	// BatchRefills counts native MallocBatch calls (one magazine refill,
-	// when driven by the tcache layer) served under a single heap-lock
-	// acquisition.
+	// BatchRefills counts magazine refills (core.Hoard.MallocCached), each
+	// served under a single heap-lock acquisition (Hoard only).
 	BatchRefills int64
-	// BatchFlushes counts native FreeBatch calls (one magazine flush, when
-	// driven by the tcache layer); each takes one lock per owner group
-	// rather than one per block.
+	// BatchFlushes counts magazine and remote-batch flushes
+	// (core.Hoard.FreeCached); each takes one lock per owner group rather
+	// than one per block (Hoard only).
 	BatchFlushes int64
-	// BatchedBlocks counts blocks transferred through the native batch
-	// paths, in both directions. Zero when only the per-block fallback ran.
+	// BatchedBlocks counts blocks moved by those refills and flushes, in
+	// both directions (Hoard only).
 	BatchedBlocks int64
 	// ScavengePasses counts scavenge passes that released at least one
 	// superblock's pages back to the OS (Hoard only).
@@ -264,30 +213,10 @@ func (a *Accounting) OnMalloc(n int) {
 	}
 }
 
-// OnMallocN records n allocations totalling bytes usable bytes in one
-// update: one counter add and one high-water check for the whole batch.
-func (a *Accounting) OnMallocN(n int, bytes int64) {
-	a.mallocs.Add(int64(n))
-	v := a.live.Add(bytes)
-	for {
-		p := a.peak.Load()
-		if v <= p || a.peak.CompareAndSwap(p, v) {
-			return
-		}
-	}
-}
-
 // OnFree records a deallocation of usable size n.
 func (a *Accounting) OnFree(n int) {
 	a.frees.Add(1)
 	a.live.Add(int64(-n))
-}
-
-// OnFreeN records n deallocations totalling bytes usable bytes in one
-// update.
-func (a *Accounting) OnFreeN(n int, bytes int64) {
-	a.frees.Add(int64(n))
-	a.live.Add(-bytes)
 }
 
 // OnLarge records that an allocation took the large-object path.

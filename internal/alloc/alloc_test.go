@@ -58,3 +58,22 @@ func TestShardedAccountingConcurrent(t *testing.T) {
 		t.Fatalf("after concurrent ops: %+v", st)
 	}
 }
+
+func TestMergeAllocatorCounters(t *testing.T) {
+	app := Stats{Mallocs: 10, Frees: 9, LiveBytes: 100, PeakLiveBytes: 200}
+	inner := Stats{
+		Mallocs: 3, Frees: 2, LiveBytes: 999, PeakLiveBytes: 999,
+		LargeMallocs: 1, SuperblockMoves: 4, OSReserves: 5,
+		RemoteFrees: 6, LockFreeMallocs: 7,
+		BatchRefills: 11, BatchFlushes: 12, BatchedBlocks: 13,
+		GlobalHeapHits: 14, MovedLiveBlocks: 15,
+	}
+	st := app
+	MergeAllocatorCounters(&st, inner)
+	want := inner
+	want.Mallocs, want.Frees = app.Mallocs, app.Frees
+	want.LiveBytes, want.PeakLiveBytes = app.LiveBytes, app.PeakLiveBytes
+	if st != want {
+		t.Fatalf("merged = %+v, want %+v", st, want)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
@@ -21,6 +22,28 @@ func (c *chargeEnv) Charge(k env.CostKind, n int64) { c.counts[k] += n }
 func (c *chargeEnv) Touch(uint64, int, bool)        {}
 func (c *chargeEnv) ThreadID() int                  { return c.id }
 func (c *chargeEnv) reset()                         { c.counts = [env.NumCostKinds]int64{} }
+
+// refill is a thread cache's refill of n blocks of size: the blocks, their
+// free bits still set, and their superblocks.
+func refill(t *testing.T, h *Hoard, th *alloc.Thread, size, n int) ([]alloc.Ptr, []*superblock.Superblock) {
+	t.Helper()
+	out, sbs := make([]alloc.Ptr, n), make([]*superblock.Superblock, n)
+	if got := h.MallocCached(th, size, n, out, sbs); got != n {
+		t.Fatalf("MallocCached = %d, want %d", got, n)
+	}
+	return out, sbs
+}
+
+// cache sets the free bit of every application-held block of ps, as a
+// thread cache's free does, and returns their superblocks.
+func cache(h *Hoard, ps []alloc.Ptr) []*superblock.Superblock {
+	sbs := make([]*superblock.Superblock, len(ps))
+	for i, p := range ps {
+		sbs[i], _ = superblock.FromPtr(h.space, p)
+		sbs[i].MarkCached(p)
+	}
+	return sbs
+}
 
 // TestChargingDiscipline asserts the surcharge semantics: every small malloc
 // charges OpMallocFast exactly once; a slow-path malloc charges OpMallocSlow
@@ -61,50 +84,41 @@ func TestChargingDiscipline(t *testing.T) {
 
 	// A batch keeps the per-block charges and adds one batch op per call.
 	ce.reset()
-	out := make([]alloc.Ptr, 8)
-	n := h.MallocBatch(th, 100, 8, out)
-	if n != 8 {
-		t.Fatalf("MallocBatch = %d, want 8", n)
-	}
+	out, sbs := refill(t, h, th, 100, 8)
 	if got := ce.counts[env.OpMallocBatch]; got != 1 {
-		t.Fatalf("MallocBatch charged OpMallocBatch %d times, want 1", got)
+		t.Fatalf("MallocCached charged OpMallocBatch %d times, want 1", got)
 	}
 	if got := ce.counts[env.OpMallocFast]; got != 8 {
-		t.Fatalf("MallocBatch(8) charged OpMallocFast %d times, want 8", got)
+		t.Fatalf("MallocCached(8) charged OpMallocFast %d times, want 8", got)
 	}
 	ce.reset()
-	h.FreeBatch(th, out)
+	h.FreeCached(th, out, sbs)
 	if got := ce.counts[env.OpFreeBatch]; got != 1 {
-		t.Fatalf("FreeBatch charged OpFreeBatch %d times, want 1", got)
+		t.Fatalf("FreeCached charged OpFreeBatch %d times, want 1", got)
 	}
 	if got := ce.counts[env.OpFree]; got != 8 {
-		t.Fatalf("FreeBatch(8) charged OpFree %d times, want 8", got)
+		t.Fatalf("FreeCached(8) charged OpFree %d times, want 8", got)
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestMallocBatchPartialAndSpanning refills a batch far larger than one
+// superblock's capacity: the single critical section must pull several
+// superblocks from the OS, and the flush of them all must leave the
+// emptiness invariant restored.
 func TestMallocBatchPartialAndSpanning(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	th := thread(h, 0)
 
-	// n capped by len(out).
-	small := make([]alloc.Ptr, 3)
-	if n := h.MallocBatch(th, 64, 10, small); n != 3 {
-		t.Fatalf("MallocBatch capped = %d, want 3", n)
-	}
-	h.FreeBatch(th, small)
+	small, smallSBs := refill(t, h, th, 64, 3)
+	h.FreeCached(th, small, smallSBs)
 
-	// A batch far larger than one superblock's capacity: the single
-	// critical section must pull multiple superblocks from the OS.
 	const want = 200
-	out := make([]alloc.Ptr, want)
-	if n := h.MallocBatch(th, 1000, want, out); n != want {
-		t.Fatalf("MallocBatch = %d, want %d", n, want)
-	}
+	out, sbs := refill(t, h, th, 1000, want)
 	seen := make(map[alloc.Ptr]bool, want)
-	for _, p := range out {
+	for i, p := range out {
 		if p.IsNil() || seen[p] {
 			t.Fatalf("nil or duplicate pointer %#x in batch", uint64(p))
 		}
@@ -112,6 +126,12 @@ func TestMallocBatchPartialAndSpanning(t *testing.T) {
 		if us := h.UsableSize(p); us < 1000 {
 			t.Fatalf("UsableSize = %d, want >= 1000", us)
 		}
+		if sb, _ := superblock.FromPtr(h.space, p); sb != sbs[i] || !sb.IsFreeBlock(p) {
+			t.Fatalf("block %#x: superblock %p (got %p), free bit %v", uint64(p), sb, sbs[i], sb.IsFreeBlock(p))
+		}
+	}
+	if err := h.CheckIntegrityCached(out); err != nil {
+		t.Fatal(err)
 	}
 	st := h.Stats()
 	// BatchedBlocks counts both directions: 3 refilled + 3 flushed + 200.
@@ -125,7 +145,7 @@ func TestMallocBatchPartialAndSpanning(t *testing.T) {
 	// The batch free of all of them must leave the emptiness invariant
 	// restored even though it demands many evictions (the per-block path
 	// would have evicted one per free).
-	h.FreeBatch(th, out)
+	h.FreeCached(th, out, sbs)
 	hp := h.heaps[th.State.(*threadState).heapIdx]
 	if hp.InvariantViolated() {
 		t.Fatalf("emptiness invariant violated after batch free: u=%d a=%d", hp.U(), hp.A())
@@ -142,10 +162,9 @@ func TestMallocBatchPartialAndSpanning(t *testing.T) {
 	}
 }
 
-// TestFreeBatchOwnerGroups frees one batch holding blocks of two different
-// heaps, a large object, and nils: the own-heap group frees under our lock,
-// the foreign group under its owner's lock, the large object is released
-// inline.
+// TestFreeBatchOwnerGroups flushes one batch holding blocks of two
+// different heaps: the own-heap group frees under our lock, the foreign
+// group under its owner's lock.
 func TestFreeBatchOwnerGroups(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	t0 := thread(h, 0) // heap 1
@@ -160,16 +179,17 @@ func TestFreeBatchOwnerGroups(t *testing.T) {
 		batch = append(batch, h.Malloc(t1, 64))
 		foreign++
 	}
-	batch = append(batch, h.Malloc(t0, h.classes.MaxSize()+1)) // large
-	batch = append(batch, 0)                                   // nil: skipped
 
-	h.FreeBatch(t0, batch)
+	h.FreeCached(t0, batch, cache(h, batch))
 	st := h.Stats()
-	if st.Frees != int64(len(batch)-1) {
-		t.Fatalf("Frees = %d, want %d", st.Frees, len(batch)-1)
+	if st.Frees != int64(len(batch)) {
+		t.Fatalf("Frees = %d, want %d", st.Frees, len(batch))
 	}
 	if st.RemoteFrees != int64(foreign) {
 		t.Fatalf("RemoteFrees = %d, want %d (the foreign owner group)", st.RemoteFrees, foreign)
+	}
+	if st.BatchFlushes != 1 {
+		t.Fatalf("BatchFlushes = %d, want 1", st.BatchFlushes)
 	}
 	if live := h.Stats().LiveBytes; live != 0 {
 		t.Fatalf("LiveBytes = %d", live)
@@ -179,7 +199,7 @@ func TestFreeBatchOwnerGroups(t *testing.T) {
 	}
 }
 
-// TestFreeBatchMixedOwnersOneClockRead frees one batch whose blocks span
+// TestFreeBatchMixedOwnersOneClockRead flushes one batch whose blocks span
 // many superblocks of several classes, owned by the freeing thread's heap,
 // another thread's heap, and the global heap: every touched superblock ends
 // in its correct list with u matching (CheckIntegrity), the remote count
@@ -219,8 +239,9 @@ func TestFreeBatchMixedOwnersOneClockRead(t *testing.T) {
 		}
 	}
 	rand.New(rand.NewSource(3)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	sbs := cache(h, batch)
 	reads = 0
-	h.FreeBatch(t0, batch)
+	h.FreeCached(t0, batch, sbs)
 	if reads != 1 {
 		t.Fatalf("batch read the clock %d times, want once", reads)
 	}
@@ -238,8 +259,8 @@ func TestFreeBatchMixedOwnersOneClockRead(t *testing.T) {
 	}
 }
 
-// TestFreeBatchRemoteConcurrent frees cross-heap batches while the owning
-// thread allocates and frees on the same superblocks — run under -race, this
+// TestFreeBatchRemoteConcurrent flushes cross-heap batches while the owning
+// thread refills and flushes on the same superblocks — run under -race, this
 // exercises the owner-lock batch free against the owner's concurrent
 // refills, frees, and evictions.
 func TestFreeBatchRemoteConcurrent(t *testing.T) {
@@ -249,29 +270,33 @@ func TestFreeBatchRemoteConcurrent(t *testing.T) {
 
 	const rounds = 60
 	const batchSize = 24
-	ch := make(chan []alloc.Ptr, 4)
+	type batch struct {
+		ps  []alloc.Ptr
+		sbs []*superblock.Superblock
+	}
+	ch := make(chan batch, 4)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { // owner: allocates batches, hands them off, churns
+	go func() { // owner: refills batches, hands them off, churns
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
-			out := make([]alloc.Ptr, batchSize)
-			h.MallocBatch(t0, 128, batchSize, out)
-			ch <- out
+			out, sbs := make([]alloc.Ptr, batchSize), make([]*superblock.Superblock, batchSize)
+			h.MallocCached(t0, 128, batchSize, out, sbs)
+			ch <- batch{out, sbs}
 			// Churn forces AllocBlock misses and refills while the
 			// consumer's frees are in flight.
 			var local []alloc.Ptr
 			for i := 0; i < 40; i++ {
 				local = append(local, h.Malloc(t0, 128))
 			}
-			h.FreeBatch(t0, local)
+			h.FreeCached(t0, local, cache(h, local))
 		}
 		close(ch)
 	}()
-	go func() { // consumer: batch-frees foreign blocks
+	go func() { // consumer: flushes foreign blocks, as a remote batch does
 		defer wg.Done()
-		for ps := range ch {
-			h.FreeBatch(t1, ps)
+		for b := range ch {
+			h.FreeCached(t1, b.ps, b.sbs)
 		}
 	}()
 	wg.Wait()
@@ -285,5 +310,41 @@ func TestFreeBatchRemoteConcurrent(t *testing.T) {
 	st := h.Stats()
 	if st.RemoteFrees == 0 {
 		t.Fatal("no remote frees — the foreign batches never reached their owner")
+	}
+}
+
+// TestFreeBatchPanicSafety: a flush that meets a block the application
+// still holds, its free bit clear, panics at the call; the blocks freed
+// before it are accounted and the heap lock released before the panic
+// propagates, so the allocator stays usable and intact.
+func TestFreeBatchPanicSafety(t *testing.T) {
+	h := newHoard(Config{Heaps: 2})
+	th := thread(h, 0)
+	ps := []alloc.Ptr{h.Malloc(th, 64), h.Malloc(th, 64), h.Malloc(th, 64)}
+	sbs := cache(h, ps[:2])
+	held, _ := superblock.FromPtr(h.space, ps[2])
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("flush of an application-held block did not panic")
+			}
+		}()
+		h.FreeCached(th, ps, append(sbs, held))
+	}()
+	if st := h.Stats(); st.Frees != 2 || st.LiveBytes != int64(held.BlockSize()) {
+		t.Fatalf("after the panic: %d frees, %d live bytes; want 2 and %d", st.Frees, st.LiveBytes, held.BlockSize())
+	}
+	done := make(chan struct{})
+	go func() {
+		h.Free(th, ps[2])
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Free after the panicking flush did not return: the heap lock is still held")
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -62,15 +62,15 @@ const (
 	// OpOSAlloc is the cost of obtaining or returning memory from the
 	// simulated OS (an mmap-equivalent).
 	OpOSAlloc
-	// OpMallocBatch is the per-call setup cost of a batched malloc
-	// (MallocBatch): argument marshalling and the single
-	// sharded-accounting update. Charged once per batch on top of the
-	// per-block OpMallocFast charges.
+	// OpMallocBatch is the per-call setup cost of a batched malloc (a
+	// magazine refill, core.Hoard.MallocCached): argument marshalling and
+	// the single sharded-accounting update. Charged once per batch on top
+	// of the per-block OpMallocFast charges.
 	OpMallocBatch
-	// OpFreeBatch is the per-call setup cost of a batched free
-	// (FreeBatch): the single page-table grouping pass bookkeeping and the
-	// per-owner-group accounting updates. Charged once per batch on top of
-	// the per-block OpFree charges.
+	// OpFreeBatch is the per-call setup cost of a batched free (a magazine
+	// or remote-batch flush, core.Hoard.FreeCached): the owner-grouping
+	// bookkeeping and the per-owner-group accounting updates. Charged once
+	// per batch on top of the per-block OpFree charges.
 	OpFreeBatch
 	// OpWork is application-level computation, in abstract work units as
 	// charged by workloads (the cost model scales it to time).

@@ -100,7 +100,6 @@ func TestTablesRun(t *testing.T) {
 		{"ablate-k", AblateK, 4},
 		{"ablate-heaps", AblateHeaps, 3},
 		{"tcache", AblateTCache, 6},
-		{"ablate-batch", AblateBatch, 8},
 		{"contention", Contention, 3},
 		{"cost-sensitivity", CostSensitivity, 5},
 	}

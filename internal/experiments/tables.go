@@ -8,7 +8,6 @@ import (
 	"hoardgo/internal/allocators"
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
-	"hoardgo/internal/serial"
 	"hoardgo/internal/tcache"
 	"hoardgo/internal/workload"
 )
@@ -382,68 +381,6 @@ func AblateTCache(opts Options, progress func(string, int)) Table {
 				variant.name, id,
 				fmt.Sprintf("%.2f", float64(res.ElapsedNS)/1e6),
 				fmt.Sprintf("%d", res.Cache.RemoteTransfers),
-			})
-		}
-	}
-	return t
-}
-
-// batchTCacheMaker layers a thread cache over a base allocator, optionally
-// hiding the base's native batch path behind alloc.NoBatch so every magazine
-// refill and flush degrades to per-block calls — the ablation's control arm.
-func batchTCacheMaker(base string, capacity int, noBatch bool) allocators.Maker {
-	return func(procs int, lf env.LockFactory) alloc.Allocator {
-		var inner alloc.Allocator
-		switch base {
-		case "serial":
-			inner = serial.New(0, lf)
-		default:
-			inner = core.New(core.Config{Heaps: 2 * procs}, lf)
-		}
-		if noBatch {
-			inner = alloc.NoBatch{Allocator: inner}
-		}
-		return tcache.New(inner, tcache.Config{Capacity: capacity})
-	}
-}
-
-// AblateBatch isolates the batched block transfer (MallocBatch/FreeBatch):
-// the same tcache-over-allocator stack with the native batch path enabled
-// versus hidden behind alloc.NoBatch, so refills and flushes take one heap
-// lock per transfer versus one per block. The batch counters confirm which
-// path ran (the per-block arm reports zeros).
-func AblateBatch(opts Options, progress func(string, int)) Table {
-	const procs = 8
-	t := Table{
-		ID: "ablate-batch", Title: "A9",
-		Paper:  "batched magazine transfer vs per-block (tcache capacity 32, P=8)",
-		Header: []string{"allocator", "bench", "virtual ms", "batch refills", "batch flushes", "batched blocks"},
-	}
-	for _, id := range []string{"threadtest", "larson"} {
-		def, _ := FigureByID(id)
-		run := def.Run(opts.Scale)
-		for _, variant := range []struct {
-			name    string
-			base    string
-			noBatch bool
-		}{
-			{"hoard+tcache (batch)", "hoard", false},
-			{"hoard+tcache (per-block)", "hoard", true},
-			{"serial+tcache (batch)", "serial", false},
-			{"serial+tcache (per-block)", "serial", true},
-		} {
-			if progress != nil {
-				progress(variant.name+"/"+id, procs)
-			}
-			h := workload.NewSimMaker("hoard", procs, opts.Cost,
-				batchTCacheMaker(variant.base, 32, variant.noBatch))
-			res := run(h, procs)
-			t.Rows = append(t.Rows, []string{
-				variant.name, id,
-				fmt.Sprintf("%.2f", float64(res.ElapsedNS)/1e6),
-				fmt.Sprintf("%d", res.Alloc.BatchRefills),
-				fmt.Sprintf("%d", res.Alloc.BatchFlushes),
-				fmt.Sprintf("%d", res.Alloc.BatchedBlocks),
 			})
 		}
 	}

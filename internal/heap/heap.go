@@ -254,14 +254,13 @@ type Freed struct {
 // check and its superblock push; u is updated once, and each superblock the
 // batch touched is regrouped once (marked on first touch, an O(n) pass, not
 // a sort). A non-nil stamp is read once, after the frees, and recorded as
-// the park stamp of every touched superblock. cached selects a thread
-// cache's flush, whose blocks' free bits are already set
-// (superblock.FreeCached); otherwise the blocks are application-held.
+// the park stamp of every touched superblock. The blocks come from a thread
+// cache's flush, so their free bits are already set (superblock.FreeCached).
 //
 // freed receives the tally. When a free panics on a misused pointer, the
 // blocks freed before it stay freed, accounted in u and freed, and
 // regrouped before the panic propagates, so the heap stays consistent.
-func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock, cached bool,
+func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock,
 	stamp func() int64, freed *Freed) (rest int) {
 	touched := h.touched
 	defer func() {
@@ -286,11 +285,7 @@ func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock
 			rest++
 			continue
 		}
-		if cached {
-			sb.FreeCached(e, p)
-		} else {
-			sb.FreeBlock(e, p)
-		}
+		sb.FreeCached(e, p)
 		freed.Blocks++
 		freed.Bytes += int64(sb.BlockSize())
 		if !sb.Touched {

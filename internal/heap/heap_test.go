@@ -432,7 +432,7 @@ func TestCachedBlocksCountAsInUse(t *testing.T) {
 	for i := range sbs {
 		sbs[i] = sb
 	}
-	if rest := h.FreeBatch(e, ps, sbs, true, nil, &freed); rest != 0 || freed.Blocks != len(ps) {
+	if rest := h.FreeBatch(e, ps, sbs, nil, &freed); rest != 0 || freed.Blocks != len(ps) {
 		t.Fatalf("flush left %d blocks and freed %d, want 0 and %d", rest, freed.Blocks, len(ps))
 	}
 	if h.U() != 0 || sb.InUse() != 0 {
@@ -658,6 +658,7 @@ func TestFreeBatchRegroupsTouchedOnce(t *testing.T) {
 		for j := 0; j < n; j++ {
 			p, _ := sb.AllocBlock(e)
 			if j < n-(i%2)*5 {
+				sb.MarkCached(p) // a thread cache takes it back
 				ps = append(ps, p)
 				sbs = append(sbs, sb)
 			}
@@ -677,7 +678,7 @@ func TestFreeBatchRegroupsTouchedOnce(t *testing.T) {
 	reads := 0
 	stamp := func() int64 { reads++; return 777 }
 	var freed Freed
-	rest := h.FreeBatch(e, ps, sbs, false, stamp, &freed)
+	rest := h.FreeBatch(e, ps, sbs, stamp, &freed)
 	if rest != foreign || freed.Blocks != len(ps)-foreign {
 		t.Fatalf("FreeBatch left %d and freed %d, want %d and %d", rest, freed.Blocks, foreign, len(ps)-foreign)
 	}
@@ -702,9 +703,10 @@ func TestFreeBatchRegroupsTouchedOnce(t *testing.T) {
 	}
 }
 
-// TestFreeBatchPanicKeepsHeapConsistent: a duplicate in a batch panics as
-// a double free, and the blocks freed before it are in u, in freed, and in
-// their superblocks' correct lists when the panic reaches the caller.
+// TestFreeBatchPanicKeepsHeapConsistent: a block the application still
+// holds, its free bit clear, panics in a flush, and the blocks freed before
+// it are in u, in freed, and in their superblocks' correct lists when the
+// panic reaches the caller.
 func TestFreeBatchPanicKeepsHeapConsistent(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h := newHeap(1)
@@ -714,20 +716,28 @@ func TestFreeBatchPanicKeepsHeapConsistent(t *testing.T) {
 	p, _ := h.AllocBlock(e, 2)
 	q, _ := h.AllocBlock(e, 3)
 	r, _ := h.AllocBlock(e, 3)
+	held, _ := h.AllocBlock(e, 3)
+	for _, c := range []struct {
+		sb *superblock.Superblock
+		p  alloc.Ptr
+	}{{a, p}, {b, q}, {b, r}} {
+		c.sb.MarkCached(c.p)
+	}
 	var freed Freed
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("duplicate in FreeBatch did not panic")
+				t.Fatal("a held block in FreeBatch did not panic")
 			}
 		}()
-		h.FreeBatch(e, []alloc.Ptr{p, q, p, r},
-			[]*superblock.Superblock{a, b, a, b}, false, nil, &freed)
+		h.FreeBatch(e, []alloc.Ptr{p, q, held, r},
+			[]*superblock.Superblock{a, b, b, b}, nil, &freed)
 	}()
 	if freed.Blocks != 2 || freed.Bytes != int64(blockSizeFor(2)+blockSizeFor(3)) {
 		t.Fatalf("freed %+v before the panic, want p and q", freed)
 	}
-	if err := h.CheckIntegrity(); err != nil {
+	// r, after the panic, is still in the cache.
+	if err := h.CheckIntegrityCached(map[*superblock.Superblock]int{b: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Group != emptyGroup {

@@ -12,7 +12,6 @@ package serial
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
@@ -29,13 +28,7 @@ type Allocator struct {
 	sbSize  int
 	h       *heap.Heap
 	acct    alloc.Accounting
-
-	batchRefills  atomic.Int64
-	batchFlushes  atomic.Int64
-	batchedBlocks atomic.Int64
 }
-
-type largeObj struct{ size int }
 
 // New creates a serial allocator with superblock size sbSize (0 selects the
 // default 8 KiB).
@@ -70,14 +63,7 @@ func (a *Allocator) NewThread(e env.Env) *alloc.Thread {
 func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	e := t.Env
 	if size > a.classes.MaxSize() {
-		lo := &largeObj{}
-		sp := a.space.Reserve(size, vm.PageSize, lo)
-		lo.size = sp.Len
-		e.Charge(env.OpOSAlloc, 1)
-		e.Charge(env.OpMallocSlow, 1)
-		a.acct.OnLarge()
-		a.acct.OnMalloc(sp.Len)
-		return alloc.Ptr(sp.Base)
+		return alloc.MallocLarge(a.space, &a.acct, e, size)
 	}
 	class, _ := a.classes.ClassFor(size)
 	blockSize := a.classes.Size(class)
@@ -107,14 +93,8 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 		panic(fmt.Sprintf("serial: free of unknown pointer %#x", uint64(p)))
 	}
 	switch owner := sp.Owner.(type) {
-	case *largeObj:
-		if uint64(p) != sp.Base {
-			panic(fmt.Sprintf("serial: free of interior large-object pointer %#x", uint64(p)))
-		}
-		a.acct.OnFree(owner.size)
-		a.space.Release(sp)
-		e.Charge(env.OpOSAlloc, 1)
-		e.Charge(env.OpFree, 1)
+	case *alloc.LargeObj:
+		alloc.FreeLarge(a.space, &a.acct, e, "serial", sp, p)
 	case *superblock.Superblock:
 		a.freeSmall(e, owner, p)
 		e.Charge(env.OpFree, 1)
@@ -132,99 +112,6 @@ func (a *Allocator) freeSmall(e env.Env, sb *superblock.Superblock, p alloc.Ptr)
 	a.h.FreeBlock(e, sb, p)
 }
 
-// MallocBatch implements alloc.BatchAllocator: up to n same-size blocks
-// carved under ONE acquisition of the single heap lock. On a serial
-// allocator this is where batching pays the most — every thread's every
-// operation serializes on that lock, so a magazine refill that used to take
-// it Capacity/2 times now takes it once.
-func (a *Allocator) MallocBatch(t *alloc.Thread, size, n int, out []alloc.Ptr) int {
-	if n > len(out) {
-		n = len(out)
-	}
-	if n <= 0 {
-		return 0
-	}
-	e := t.Env
-	if size > a.classes.MaxSize() {
-		for i := 0; i < n; i++ {
-			out[i] = a.Malloc(t, size)
-		}
-		return n
-	}
-	class, _ := a.classes.ClassFor(size)
-	blockSize := a.classes.Size(class)
-	a.h.Lock.Lock(e)
-	for got := 0; got < n; {
-		k, _ := a.h.AllocRun(e, class, out[got:n], false)
-		if k == 0 {
-			e.Charge(env.OpMallocSlow, 1)
-			e.Charge(env.OpOSAlloc, 1)
-			a.h.Insert(superblock.New(a.space, a.sbSize, class, blockSize))
-		}
-		got += k
-	}
-	a.h.Lock.Unlock(e)
-	e.Charge(env.OpMallocBatch, 1)
-	e.Charge(env.OpMallocFast, int64(n))
-	a.acct.OnMallocN(n, int64(n)*int64(blockSize))
-	a.batchRefills.Add(1)
-	a.batchedBlocks.Add(int64(n))
-	return n
-}
-
-// FreeBatch implements alloc.BatchAllocator: one page-table pass resolves
-// the pointers (large objects are released inline), then every small block
-// is freed under ONE acquisition of the heap lock via heap.FreeBatch, which
-// regroups each touched superblock once. When a free panics on a misused
-// pointer, the blocks freed before it are accounted and the lock released
-// before the panic propagates.
-func (a *Allocator) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
-	e := t.Env
-	small := make([]alloc.Ptr, 0, len(ps))
-	sbs := make([]*superblock.Superblock, 0, len(ps))
-	for _, p := range ps {
-		if p.IsNil() {
-			continue
-		}
-		sp := a.space.Lookup(uint64(p))
-		if sp == nil {
-			panic(fmt.Sprintf("serial: free of unknown pointer %#x", uint64(p)))
-		}
-		switch owner := sp.Owner.(type) {
-		case *largeObj:
-			if uint64(p) != sp.Base {
-				panic(fmt.Sprintf("serial: free of interior large-object pointer %#x", uint64(p)))
-			}
-			a.acct.OnFree(owner.size)
-			a.space.Release(sp)
-			e.Charge(env.OpOSAlloc, 1)
-			e.Charge(env.OpFree, 1)
-		case *superblock.Superblock:
-			small = append(small, p)
-			sbs = append(sbs, owner)
-		default:
-			panic(fmt.Sprintf("serial: free of foreign pointer %#x", uint64(p)))
-		}
-	}
-	e.Charge(env.OpFreeBatch, 1)
-	a.batchFlushes.Add(1)
-	if len(small) == 0 {
-		return
-	}
-	var freed heap.Freed
-	a.h.Lock.Lock(e)
-	defer func() {
-		e.Charge(env.OpFree, int64(freed.Blocks))
-		a.h.Lock.Unlock(e)
-		a.acct.OnFreeN(freed.Blocks, freed.Bytes)
-		a.batchedBlocks.Add(int64(freed.Blocks))
-	}()
-	// The one heap owns every superblock, so no block is left over.
-	if rest := a.h.FreeBatch(e, small, sbs, false, nil, &freed); rest != 0 {
-		panic(fmt.Sprintf("serial: %d batch-freed blocks in superblocks the heap does not own", rest))
-	}
-}
-
 // UsableSize implements alloc.Allocator.
 func (a *Allocator) UsableSize(p alloc.Ptr) int {
 	sp := a.space.Lookup(uint64(p))
@@ -232,8 +119,8 @@ func (a *Allocator) UsableSize(p alloc.Ptr) int {
 		panic(fmt.Sprintf("serial: UsableSize of unknown pointer %#x", uint64(p)))
 	}
 	switch owner := sp.Owner.(type) {
-	case *largeObj:
-		return owner.size
+	case *alloc.LargeObj:
+		return owner.Size
 	case *superblock.Superblock:
 		return owner.BlockSize()
 	}
@@ -253,9 +140,6 @@ func (a *Allocator) Stats() alloc.Stats {
 	var st alloc.Stats
 	a.acct.Fill(&st)
 	st.OSReserves = a.space.Stats().Reserves
-	st.BatchRefills = a.batchRefills.Load()
-	st.BatchFlushes = a.batchFlushes.Load()
-	st.BatchedBlocks = a.batchedBlocks.Load()
 	return st
 }
 

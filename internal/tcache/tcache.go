@@ -1,44 +1,37 @@
-// Package tcache layers bounded per-thread block caches ("magazines") on
-// top of any allocator — the design direction Hoard's successors took
-// (Hoard 3.x's thread caches, tcmalloc's thread caches, jemalloc's tcache).
+// Package tcache is Hoard's per-thread block caches ("magazines") — the
+// design direction Hoard's successors took (Hoard 3.x's thread caches,
+// tcmalloc's thread caches, jemalloc's tcache) — layered over core.Hoard.
 //
 // Malloc first pops the calling thread's magazine for the size class, with
 // no lock at all; free pushes onto it. Overflow flushes half the magazine
-// to the inner allocator (real frees, respecting its ownership discipline);
-// underflow refills a batch (real mallocs). Refills and flushes go through
-// batch calls, so an inner allocator implementing alloc.BatchAllocator
-// (Hoard, serial) serves each half-magazine transfer under a single
-// heap-lock acquisition; other allocators transparently fall back to
-// per-block calls.
+// back to Hoard; underflow refills half of it. Each transfer is one of
+// Hoard's cached batch calls (core.Hoard.MallocCached and FreeCached), served
+// under a single heap-lock acquisition per owner heap.
 //
-// Over Hoard the magazines are owner-aware (DESIGN.md §11). A free whose
-// superblock another heap owns never enters the freeing thread's magazines:
-// it goes to a per-thread remote batch, flushed to the owners when full —
-// the paper's free-to-owner rule, so passive false sharing stays away. And
-// the superblock's free bit stays authoritative: a cached block has its bit
-// set, a pop clears it, and a free sets it, so a double free panics at the
-// call even when the first free went no further than a cache. Refills and
-// flushes hand the bit state over inside Hoard's own batch calls, and every
+// The magazines are owner-aware (DESIGN.md §11). A free whose superblock
+// another heap owns never enters the freeing thread's magazines: it goes to
+// a per-thread remote batch, flushed to the owners when full — the paper's
+// free-to-owner rule, so passive false sharing stays away. And the
+// superblock's free bit stays authoritative: a cached block has its bit set,
+// a pop clears it, and a free sets it, so a double free panics at the call
+// even when the first free went no further than a cache. Refills and flushes
+// hand the bit state over inside Hoard's cached batch calls, and every
 // cached block carries its superblock, so no magazine operation looks a
 // block up.
 //
 // A hit touches only the calling thread's own memory and the block's free
 // bit: each thread keeps its own books (per-class operation counters that
 // only it writes), which Stats sums. The shared counters change only at
-// refills, flushes and bypass operations, which go to the inner allocator
-// anyway.
+// refills, flushes and bypass operations, which go to Hoard anyway.
 //
-// The cache trades bounded extra memory for its lock-free fast paths. Each
-// class's magazine holds at most Capacity blocks and at most 32 KiB
-// (classBudget; a class over 16 KiB still keeps MinCapacity blocks), and
-// the remote batch flushes at Capacity blocks or 32 KiB, whichever comes
-// first. At the default capacity a quiescent thread caches at most
-// 580,568 B (ThreadBound; the current fill is CachedBytes). Cached blocks
-// count as in use to the inner allocator's emptiness invariant until a
-// flush returns them.
-// Over allocators without owners (serial and the other baselines) a freed
-// block enters the freeing thread's magazine whoever allocated it, so
-// line-mates can split across threads: passive false sharing returns.
+// The cache trades bounded extra memory for its lock-free fast paths. Hoard's
+// size classes up to maxCachedSize are cached; larger blocks bypass the
+// magazines. Each class's magazine holds at most Capacity blocks and at most
+// 32 KiB (classBudget; a class over 16 KiB still keeps MinCapacity blocks),
+// and the remote batch flushes at Capacity blocks or 32 KiB, whichever comes
+// first. At the default capacity a quiescent thread caches at most 580,568 B
+// (ThreadBound; the current fill is CachedBytes). Cached blocks count as in
+// use to Hoard's emptiness invariant until a flush returns them.
 package tcache
 
 import (
@@ -49,6 +42,7 @@ import (
 	"unsafe"
 
 	"hoardgo/internal/alloc"
+	"hoardgo/internal/core"
 	"hoardgo/internal/env"
 	"hoardgo/internal/sizeclass"
 	"hoardgo/internal/superblock"
@@ -63,10 +57,6 @@ type Config struct {
 	// c caches at most clamp(classBudget/size(c), MinCapacity, Capacity)
 	// blocks. A refill brings, and a flush returns, half a class's cap.
 	Capacity int
-	// MaxCachedSize is the largest block size worth caching (0 selects
-	// 4096, the default allocators' largest class). Larger blocks bypass
-	// the cache entirely.
-	MaxCachedSize int
 }
 
 // DefaultCapacity is the magazine capacity a zero Config.Capacity selects.
@@ -80,41 +70,27 @@ const DefaultCapacity = 64
 // transfers; DESIGN.md §11 has the sweep that chose it.
 const classBudget = 32 << 10
 
-// ownerAware is the inner-allocator side of owner-aware magazines;
-// core.Hoard implements it. New type-asserts it once.
-type ownerAware interface {
-	// ResolveFree looks p up once for a free: its usable size, its
-	// superblock (nil for a large object), and whether the calling
-	// thread's heap owns that superblock.
-	ResolveFree(t *alloc.Thread, p alloc.Ptr) (sb *superblock.Superblock, usable int, local bool)
-	// MallocCached is MallocBatch for a refill: the blocks keep their free
-	// bits set, and sbs[i] receives out[i]'s superblock.
-	MallocCached(t *alloc.Thread, size, n int, out []alloc.Ptr, sbs []*superblock.Superblock) int
-	// FreeCached is FreeBatch for a flush of cached blocks, whose free
-	// bits are set; sbs[i] is ps[i]'s superblock. Both slices are
-	// scratch space to it.
-	FreeCached(t *alloc.Thread, ps []alloc.Ptr, sbs []*superblock.Superblock)
-	// CheckIntegrityCached is CheckIntegrity with the cached blocks
-	// counted.
-	CheckIntegrityCached(cached []alloc.Ptr) error
-}
+// maxCachedSize is the largest block size the magazines cache: every class
+// of Hoard's default table, whose largest is S/2 = 4096 B. Classes above it
+// (a larger SuperblockSize) bypass the magazines.
+const maxCachedSize = 4096
 
-// Allocator wraps an inner allocator with per-thread magazines.
+// Allocator wraps a Hoard allocator with per-thread magazines.
 type Allocator struct {
-	inner   alloc.Allocator
-	owned   ownerAware // inner, when it is owner-aware; nil otherwise
+	inner   *core.Hoard
 	cfg     Config
-	classes *sizeclass.Table
-	caps    []int // caps[c] is class c's magazine capacity in blocks
+	classes *sizeclass.Table // Hoard's size classes
+	// caps[c] is class c's magazine capacity in blocks; only the classes
+	// up to maxCachedSize have one.
+	caps []int
 
 	// bypass keeps the books of the operations the magazines do not serve:
-	// oversize, aligned and retired-thread mallocs and frees, and blocks
-	// whose inner size class does not round-trip through ours.
+	// oversize, aligned and retired-thread mallocs and frees.
 	bypass alloc.Accounting
 
-	// held is the bytes taken from the inner allocator and not yet returned
-	// — application live plus cached — and peak its high-water mark, which
-	// Stats reports as PeakLiveBytes. Both change only at transfers and
+	// held is the bytes taken from Hoard and not yet returned — application
+	// live plus cached — and peak its high-water mark, which Stats reports
+	// as PeakLiveBytes. Both change only at transfers and
 	// bypass operations: a hit moves a block between a cache and the
 	// application, which leaves held unchanged.
 	held, peak atomic.Int64
@@ -160,17 +136,16 @@ func (t *totals) add(ts *threadState, classes *sizeclass.Table) {
 	}
 }
 
-// threadState holds one thread's magazines and its inner-allocator handle.
+// threadState holds one thread's magazines and its Hoard handle.
 type threadState struct {
 	inner *alloc.Thread
 	mags  [][]alloc.Ptr // per class
-	// sbs parallels mags over an owner-aware inner allocator: sbs[c][i] is
-	// the superblock of mags[c][i]. Its entries are nil otherwise.
+	// sbs parallels mags: sbs[c][i] is the superblock of mags[c][i].
 	sbs [][]*superblock.Superblock
 
 	// remote and remoteSBs are the remote batch: freed blocks whose
 	// superblock another heap owns, and their superblocks, waiting to be
-	// flushed to their owners. Owner-aware inner allocators only.
+	// flushed to their owners.
 	remote    []alloc.Ptr
 	remoteSBs []*superblock.Superblock
 	// remoteBytes is the byte total of the remote batch. Only the owning
@@ -212,25 +187,20 @@ const MinCapacity = 2
 
 // New wraps inner with thread caches. It panics on a capacity below
 // MinCapacity.
-func New(inner alloc.Allocator, cfg Config) *Allocator {
+func New(inner *core.Hoard, cfg Config) *Allocator {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = DefaultCapacity
 	}
 	if cfg.Capacity < MinCapacity {
 		panic(fmt.Sprintf("tcache: capacity %d too small", cfg.Capacity))
 	}
-	if cfg.MaxCachedSize == 0 {
-		cfg.MaxCachedSize = 4096
-	}
-	owned, _ := inner.(ownerAware)
-	classes := sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, cfg.MaxCachedSize)
-	caps := make([]int, classes.NumClasses())
-	for c := range caps {
-		caps[c] = min(max(classBudget/classes.Size(c), MinCapacity), cfg.Capacity)
+	classes := inner.Classes()
+	var caps []int
+	for c := 0; c < classes.NumClasses() && classes.Size(c) <= maxCachedSize; c++ {
+		caps = append(caps, min(max(classBudget/classes.Size(c), MinCapacity), cfg.Capacity))
 	}
 	return &Allocator{
 		inner:   inner,
-		owned:   owned,
 		cfg:     cfg,
 		classes: classes,
 		caps:    caps,
@@ -263,23 +233,24 @@ func (a *Allocator) Describe(w io.Writer) {
 	fmt.Fprintf(w, "; per-thread bound %d B; cached %d B\n", a.ThreadBound(), a.MagazineBytes())
 }
 
-// Name implements alloc.Allocator.
-func (a *Allocator) Name() string { return a.inner.Name() + "+tcache" }
+// Name implements alloc.Allocator. The magazines are part of Hoard's
+// protocol, so the stack keeps Hoard's name.
+func (a *Allocator) Name() string { return a.inner.Name() }
 
 // Space implements alloc.Allocator.
 func (a *Allocator) Space() vm.Backend { return a.inner.Space() }
 
-// Inner returns the wrapped allocator.
-func (a *Allocator) Inner() alloc.Allocator { return a.inner }
+// Inner returns the wrapped Hoard allocator.
+func (a *Allocator) Inner() *core.Hoard { return a.inner }
 
 // NewThread implements alloc.Allocator.
 func (a *Allocator) NewThread(e env.Env) *alloc.Thread {
 	ts := &threadState{
 		inner: a.inner.NewThread(e),
-		mags:  make([][]alloc.Ptr, a.classes.NumClasses()),
-		sbs:   make([][]*superblock.Superblock, a.classes.NumClasses()),
+		mags:  make([][]alloc.Ptr, len(a.caps)),
+		sbs:   make([][]*superblock.Superblock, len(a.caps)),
 	}
-	ts.hits, ts.misses = newBooks(a.classes.NumClasses())
+	ts.hits, ts.misses = newBooks(len(a.caps))
 	a.mu.Lock()
 	a.threads = append(a.threads, ts)
 	a.mu.Unlock()
@@ -289,7 +260,8 @@ func (a *Allocator) NewThread(e env.Env) *alloc.Thread {
 // classFor returns the magazine slot for a request size, or ok=false if the
 // size bypasses the cache.
 func (a *Allocator) classFor(size int) (int, bool) {
-	return a.classes.ClassFor(size)
+	c, ok := a.classes.ClassFor(size)
+	return c, ok && c < len(a.caps)
 }
 
 // Malloc implements alloc.Allocator.
@@ -303,18 +275,12 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	refilled := n == 0
 	if refilled {
 		a.refill(ts, class)
-		if n = len(ts.mags[class]); n == 0 {
-			// The inner allocator's size classes don't round-trip
-			// through ours (non-default parameters): bypass.
-			return a.mallocInner(ts, size)
-		}
+		n = len(ts.mags[class])
 	}
 	n--
 	p, sb := ts.mags[class][n], ts.sbs[class][n]
 	ts.mags[class], ts.sbs[class] = ts.mags[class][:n], ts.sbs[class][:n]
-	if sb != nil {
-		sb.ClaimCached(p)
-	}
+	sb.ClaimCached(p)
 	t.Env.Charge(env.OpMallocFast, 1)
 	ts.hits[class].mallocs.Add(1)
 	if refilled {
@@ -335,39 +301,28 @@ func (a *Allocator) onBypassMalloc(usable int) {
 	a.take(int64(usable))
 }
 
-// take records bytes taken from the inner allocator, raising the peak.
+// take records bytes taken from Hoard, raising the peak.
 func (a *Allocator) take(bytes int64) {
 	v := a.held.Add(bytes)
 	for p := a.peak.Load(); v > p && !a.peak.CompareAndSwap(p, v); p = a.peak.Load() {
 	}
 }
 
-// give records bytes returned to the inner allocator.
+// give records bytes returned to Hoard.
 func (a *Allocator) give(bytes int64) { a.held.Add(-bytes) }
 
 // MallocAligned returns a block of at least size bytes whose address is a
-// multiple of align from the inner allocator's native aligned path, which it
-// must have (Hoard does). The block bypasses the magazines on the way out;
-// its free is an ordinary one.
+// multiple of align from Hoard's aligned path. The block bypasses the
+// magazines on the way out; its free is an ordinary one.
 func (a *Allocator) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
-	inner, ok := a.inner.(interface {
-		MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr
-	})
-	if !ok {
-		panic(fmt.Sprintf("tcache: %s has no aligned malloc", a.inner.Name()))
-	}
 	ts := t.State.(*threadState)
-	p := inner.MallocAligned(ts.inner, size, align)
+	p := a.inner.MallocAligned(ts.inner, size, align)
 	a.onBypassMalloc(a.inner.UsableSize(p))
 	return p
 }
 
-// refill fills half a class's cap from the inner allocator with one batch
-// call — a single heap-lock acquisition when the inner allocator batches
-// natively. Only blocks whose inner usable size exactly matches our class
-// size are cacheable — otherwise the magazine's byte accounting (and Free's
-// round-trip check) would drift; mismatches are freed straight back, and an
-// all-mismatch refill leaves the magazine empty so Malloc bypasses.
+// refill fills half a class's cap from Hoard under one heap-lock
+// acquisition (core.Hoard.MallocCached).
 func (a *Allocator) refill(ts *threadState, class int) {
 	blockSize := a.classes.Size(class)
 	n := a.caps[class] / 2
@@ -375,51 +330,11 @@ func (a *Allocator) refill(ts *threadState, class int) {
 		ts.scratch = make([]alloc.Ptr, n)
 		ts.scratchSBs = make([]*superblock.Superblock, n)
 	}
-	buf, sbs := ts.scratch[:n], ts.scratchSBs[:n]
-	var got int
-	if a.owned != nil {
-		got = a.owned.MallocCached(ts.inner, blockSize, n, buf, sbs)
-	} else {
-		got = alloc.MallocBatch(a.inner, ts.inner, blockSize, n, buf)
-	}
-	// Mismatched blocks (inner size classes that don't round-trip through
-	// ours) are compacted to the front of buf and freed back; cacheable
-	// ones go on the magazine. No allocation either way.
-	bad, kept := 0, 0
-	for i, p := range buf[:got] {
-		var usable int
-		if a.owned != nil {
-			usable = sbs[i].BlockSize()
-		} else {
-			sbs[i] = nil
-			usable = a.inner.UsableSize(p)
-		}
-		if usable != blockSize {
-			buf[bad], sbs[bad] = p, sbs[i]
-			bad++
-			continue
-		}
-		ts.mags[class] = append(ts.mags[class], p)
-		ts.sbs[class] = append(ts.sbs[class], sbs[i])
-		kept++
-	}
-	// The mismatched blocks never leave this call, so only the kept ones
-	// count as held.
-	a.take(int64(kept) * int64(blockSize))
-	if bad > 0 {
-		a.freeInner(ts, buf[:bad], sbs[:bad])
-	}
+	got := a.inner.MallocCached(ts.inner, blockSize, n, ts.scratch, ts.scratchSBs)
+	ts.mags[class] = append(ts.mags[class], ts.scratch[:got]...)
+	ts.sbs[class] = append(ts.sbs[class], ts.scratchSBs[:got]...)
+	a.take(int64(got) * int64(blockSize))
 	a.publishMagBytes(ts)
-}
-
-// freeInner returns cached blocks to the inner allocator with one batch
-// call: FreeCached over an owner-aware allocator, FreeBatch otherwise.
-func (a *Allocator) freeInner(ts *threadState, ps []alloc.Ptr, sbs []*superblock.Superblock) {
-	if a.owned != nil {
-		a.owned.FreeCached(ts.inner, ps, sbs)
-	} else {
-		alloc.FreeBatch(a.inner, ts.inner, ps)
-	}
 }
 
 // publishMagBytes recomputes ts's cache fill from the magazine lengths and
@@ -443,34 +358,24 @@ func (a *Allocator) cachedBytes(ts *threadState) int64 {
 }
 
 // Free implements alloc.Allocator. The block lands in the freeing thread's
-// magazine — over an owner-aware inner allocator only if the thread's heap
-// owns it; a block another heap owns goes to the remote batch instead.
+// magazine if the thread's heap owns it; a block another heap owns goes to
+// the remote batch instead.
 func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	if p.IsNil() {
 		return
 	}
 	ts := t.State.(*threadState)
-	var sb *superblock.Superblock
-	var usable int
-	local := true
-	if a.owned != nil {
-		sb, usable, local = a.owned.ResolveFree(ts.inner, p)
-	} else {
-		usable = a.inner.UsableSize(p)
-	}
-	class, ok := a.classFor(usable)
-	if !ok || a.classes.Size(class) != usable || ts.retired || (a.owned != nil && sb == nil) {
-		// Bypass sizes, and blocks whose inner class doesn't round-trip
-		// through our table, go straight down.
+	sb, usable, local := a.inner.ResolveFree(ts.inner, p)
+	if sb == nil || sb.Class() >= len(a.caps) || ts.retired {
+		// Large and uncached sizes go straight down.
 		a.inner.Free(ts.inner, p)
 		a.bypass.OnFree(usable)
 		a.give(int64(usable))
 		return
 	}
-	if sb != nil {
-		// Panics on a double free, before anything else changes.
-		sb.MarkCached(p)
-	}
+	class := sb.Class()
+	// Panics on a double free, before anything else changes.
+	sb.MarkCached(p)
 	t.Env.Charge(env.OpFree, 1)
 	ts.hits[class].frees.Add(1)
 	if !local {
@@ -491,38 +396,37 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	}
 }
 
-// flush returns the magazine to half its class's cap with one batch call —
-// a single heap-lock acquisition per owner heap when the inner allocator
-// batches natively.
+// flush returns the magazine to half its class's cap with one batch call: a
+// single heap-lock acquisition per owner heap.
 func (a *Allocator) flush(ts *threadState, class int) {
 	a.flushMagazine(ts, class, a.caps[class]/2)
 	a.publishMagBytes(ts)
 }
 
-// flushMagazine returns the blocks of class's magazine past keep to the
-// inner allocator.
+// flushMagazine returns the blocks of class's magazine past keep to Hoard
+// (core.Hoard.FreeCached).
 func (a *Allocator) flushMagazine(ts *threadState, class, keep int) {
 	n := len(ts.mags[class]) - keep
-	a.freeInner(ts, ts.mags[class][keep:], ts.sbs[class][keep:])
+	a.inner.FreeCached(ts.inner, ts.mags[class][keep:], ts.sbs[class][keep:])
 	ts.mags[class], ts.sbs[class] = ts.mags[class][:keep], ts.sbs[class][:keep]
 	a.give(int64(n) * int64(a.classes.Size(class)))
 }
 
 // flushRemote returns the whole remote batch to the blocks' owners.
 func (a *Allocator) flushRemote(ts *threadState) {
-	a.owned.FreeCached(ts.inner, ts.remote, ts.remoteSBs)
+	a.inner.FreeCached(ts.inner, ts.remote, ts.remoteSBs)
 	ts.remote, ts.remoteSBs = ts.remote[:0], ts.remoteSBs[:0]
 	a.give(int64(ts.remoteBytes))
 	ts.remoteBytes = 0
 	a.publishMagBytes(ts)
 }
 
-// FlushThread returns every magazine and the remote batch of t to the inner
-// allocator and deregisters the thread — what a thread-exit hook does in
-// tcmalloc. The handle remains usable afterwards (stray late operations
-// bypass the magazines), but the thread no longer contributes to
-// CachedBytes, CheckIntegrity, or Threads, and its state can be collected
-// once the caller drops the handle. Its books fold into the retired totals.
+// FlushThread returns every magazine and the remote batch of t to Hoard and
+// deregisters the thread — what a thread-exit hook does in tcmalloc. The
+// handle remains usable afterwards (stray late operations bypass the
+// magazines), but the thread no longer contributes to CachedBytes,
+// CheckIntegrity, or Threads, and its state can be collected once the
+// caller drops the handle. Its books fold into the retired totals.
 func (a *Allocator) FlushThread(t *alloc.Thread) {
 	ts := t.State.(*threadState)
 	for class, mag := range ts.mags {
@@ -591,7 +495,7 @@ func (a *Allocator) MagazineBytes() int64 {
 
 // Stats implements alloc.Allocator, reporting application-level operation
 // and live-byte counters (cached blocks count as free) and the caches'
-// lock-free operation counts over the inner allocator's mechanism counters.
+// lock-free operation counts over Hoard's mechanism counters.
 // It sums the bypass books, the retired totals and every live thread's
 // books: Mallocs and Frees never decrease between calls, and they and
 // LiveBytes are exact at quiescence. PeakLiveBytes is the high-water mark of
@@ -617,12 +521,11 @@ func (a *Allocator) Stats() alloc.Stats {
 }
 
 // CheckIntegrity implements alloc.Allocator: magazines must hold distinct,
-// correctly-sized blocks, each with its superblock when the inner allocator
-// is owner-aware; the inner allocator's live bytes must equal application
-// live bytes plus cached bytes, and the held bytes behind PeakLiveBytes; and
-// the inner allocator must itself be intact — over an owner-aware allocator
-// with every cached block counted, which proves each one's free bit is set
-// and none is also in the application's hands. Requires quiescence.
+// correctly-sized blocks, each with its superblock; Hoard's live bytes must
+// equal application live bytes plus cached bytes, and the held bytes behind
+// PeakLiveBytes; and Hoard must itself be intact with every cached block
+// counted, which proves each one's free bit is set and none is also in the
+// application's hands. Requires quiescence.
 func (a *Allocator) CheckIntegrity() error {
 	cached, err := a.cachedBlocks()
 	if err != nil {
@@ -639,10 +542,7 @@ func (a *Allocator) CheckIntegrity() error {
 	if held := a.held.Load(); held != innerLive {
 		return fmt.Errorf("tcache: held %d != inner live %d", held, innerLive)
 	}
-	if a.owned != nil {
-		return a.owned.CheckIntegrityCached(cached)
-	}
-	return a.inner.CheckIntegrity()
+	return a.inner.CheckIntegrityCached(cached)
 }
 
 // cachedBlocks checks the shape of every registered thread's magazines and
@@ -657,10 +557,8 @@ func (a *Allocator) cachedBlocks() ([]alloc.Ptr, error) {
 			return fmt.Errorf("tcache: block %#x cached twice", uint64(p))
 		}
 		seen[p] = true
-		if a.owned != nil {
-			if got, ok := superblock.FromPtr(a.inner.Space(), p); !ok || got != sb {
-				return fmt.Errorf("tcache: cached block %#x filed under the wrong superblock", uint64(p))
-			}
+		if got, ok := superblock.FromPtr(a.inner.Space(), p); !ok || got != sb {
+			return fmt.Errorf("tcache: cached block %#x filed under the wrong superblock", uint64(p))
 		}
 		cached = append(cached, p)
 		return nil

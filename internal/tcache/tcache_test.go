@@ -8,7 +8,6 @@ import (
 	"hoardgo/internal/alloctest"
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
-	"hoardgo/internal/serial"
 )
 
 var lf = env.RealLockFactory{}
@@ -22,12 +21,6 @@ func newOverHoard(capacity int) *Allocator {
 // application's view.
 func TestConformanceOverHoard(t *testing.T) {
 	alloctest.Run(t, func() alloc.Allocator { return newOverHoard(16) })
-}
-
-func TestConformanceOverSerial(t *testing.T) {
-	alloctest.Run(t, func() alloc.Allocator {
-		return New(serial.New(0, lf), Config{Capacity: 16})
-	})
 }
 
 func TestCacheHitAvoidsInner(t *testing.T) {
@@ -142,18 +135,25 @@ func TestLargeBypassesCache(t *testing.T) {
 	}
 }
 
-// TestPassiveFalseSharingReturns documents the tradeoff over an allocator
-// without owners: a block freed by thread B is re-issued to thread B from
-// its magazine although thread A allocated it, so line-mates split across
-// threads again.
-func TestPassiveFalseSharingReturns(t *testing.T) {
-	a := New(serial.New(0, lf), Config{Capacity: 16})
-	ta := a.NewThread(&env.RealEnv{ID: 0})
-	tb := a.NewThread(&env.RealEnv{ID: 1})
-	p := a.Malloc(ta, 64)
-	a.Free(tb, p) // lands in B's magazine
-	if q := a.Malloc(tb, 64); q != p {
-		t.Fatalf("expected B to receive A's block from its magazine")
+// TestUncachedClassesBypass: over 16 KiB superblocks Hoard's classes run to
+// 8 KiB; the magazines cache Hoard's classes up to maxCachedSize, and the
+// larger ones bypass them.
+func TestUncachedClassesBypass(t *testing.T) {
+	a := New(core.New(core.Config{Heaps: 4, SuperblockSize: 16 << 10}, lf), Config{})
+	if n := len(a.caps); n == a.classes.NumClasses() || a.classes.Size(n-1) > maxCachedSize {
+		t.Fatalf("%d of %d classes cached, the largest %d B", n, a.classes.NumClasses(), a.classes.Size(n-1))
+	}
+	th := a.NewThread(&env.RealEnv{})
+	a.Free(th, a.Malloc(th, 8000))
+	if got := a.CachedBytes(); got != 0 {
+		t.Fatalf("an 8000 B block was cached: %d bytes", got)
+	}
+	a.Free(th, a.Malloc(th, 2000))
+	if got := a.CachedBytes(); got == 0 {
+		t.Fatal("a 2000 B block bypassed the magazines")
+	}
+	if err := a.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestBadCapacityPanics(t *testing.T) {
 			t.Fatal("capacity 1 accepted")
 		}
 	}()
-	New(serial.New(0, lf), Config{Capacity: 1})
+	New(core.New(core.Config{Heaps: 4}, lf), Config{Capacity: 1})
 }
 
 func BenchmarkCachedMallocFree(b *testing.B) {
@@ -242,84 +242,46 @@ func TestRefillUsesNativeBatch(t *testing.T) {
 		a.Free(th, p)
 	}
 	if st := a.Stats(); st.BatchFlushes == 0 {
-		t.Fatal("magazine overflow never took the native FreeBatch path")
+		t.Fatal("magazine overflow never flushed a batch")
 	}
 }
 
-// TestFallbackShim runs the cache over an inner allocator whose native batch
-// path is hidden by alloc.NoBatch: everything must still work through the
-// generic per-block shims, and the batch counters must honestly stay zero.
-func TestFallbackShim(t *testing.T) {
-	const capacity = 16
-	a := New(alloc.NoBatch{Allocator: core.New(core.Config{Heaps: 4}, lf)}, Config{Capacity: capacity})
-	th := a.NewThread(&env.RealEnv{})
-	var ps []alloc.Ptr
-	for i := 0; i < 3*capacity; i++ {
-		ps = append(ps, a.Malloc(th, 64))
-	}
-	for _, p := range ps {
-		a.Free(th, p)
-	}
-	a.FlushThread(th)
-	st := a.Stats()
-	if st.BatchRefills != 0 || st.BatchFlushes != 0 || st.BatchedBlocks != 0 {
-		t.Fatalf("fallback path reported batch counters: %+v", st)
-	}
-	if st.Mallocs != int64(3*capacity) || st.Frees != int64(3*capacity) {
-		t.Fatalf("ops lost through the shim: %+v", st)
-	}
-	if err := a.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBatchCutsHeapLocks: native batch transfers must cut heap-lock
-// acquisitions at least 5x against the per-block shims behind alloc.NoBatch.
-// Each round mallocs a burst of 2*capacity blocks, which defeats the
-// magazine, then frees them all, so every round refills and flushes. One
-// thread on real locks: the counts are exactly the protocol's. With capacity
-// 32 a transfer moves 16 blocks under one lock, so ~10x is expected.
+// TestBatchCutsHeapLocks: a magazine transfer takes one heap lock, however
+// many blocks it moves. Each round mallocs a burst of 2*capacity blocks,
+// which defeats the magazine, then frees them all, so every round refills
+// and flushes. One thread on real locks: every heap-lock acquisition but at
+// most two (the superblock supply) is a refill's or a flush's. With
+// capacity 32 a transfer moves 16 blocks; 6,400 operations take 277 locks
+// for 143 refills and 133 flushes, where one lock per block took 4,550.
 func TestBatchCutsHeapLocks(t *testing.T) {
 	const capacity, rounds = 32, 50
-	run := func(noBatch bool) (locks int64, st alloc.Stats) {
-		clf := &env.CountingLockFactory{Inner: lf}
-		var inner alloc.Allocator = core.New(core.Config{Heaps: 2}, clf)
-		if noBatch {
-			inner = alloc.NoBatch{Allocator: inner}
+	clf := &env.CountingLockFactory{Inner: lf}
+	a := New(core.New(core.Config{Heaps: 2}, clf), Config{Capacity: capacity})
+	th := a.NewThread(&env.RealEnv{})
+	ptrs := make([]alloc.Ptr, 2*capacity)
+	for r := 0; r < rounds; r++ {
+		for i := range ptrs {
+			ptrs[i] = a.Malloc(th, 64)
 		}
-		a := New(inner, Config{Capacity: capacity})
-		th := a.NewThread(&env.RealEnv{})
-		ptrs := make([]alloc.Ptr, 2*capacity)
-		for r := 0; r < rounds; r++ {
-			for i := range ptrs {
-				ptrs[i] = a.Malloc(th, 64)
-			}
-			for _, p := range ptrs {
-				a.Free(th, p)
-			}
+		for _, p := range ptrs {
+			a.Free(th, p)
 		}
-		locks, st = clf.Acquires(), a.Stats()
-		a.FlushThread(th)
-		if err := a.CheckIntegrity(); err != nil {
-			t.Fatal(err)
-		}
-		return locks, st
 	}
-	batchLocks, batch := run(false)
-	perBlockLocks, perBlock := run(true)
-	if batch.Mallocs != rounds*2*capacity || perBlock.Mallocs != batch.Mallocs || perBlock.Frees != batch.Frees {
-		t.Fatalf("arms did unequal work: %d/%d vs %d/%d mallocs/frees",
-			batch.Mallocs, batch.Frees, perBlock.Mallocs, perBlock.Frees)
+	locks, st := clf.Acquires(), a.Stats()
+	t.Logf("%d heap locks for %d refills and %d flushes", locks, st.BatchRefills, st.BatchFlushes)
+	if st.Mallocs != rounds*2*capacity || st.Frees != st.Mallocs {
+		t.Fatalf("%d mallocs and %d frees, want %d each", st.Mallocs, st.Frees, rounds*2*capacity)
 	}
-	if batch.BatchRefills == 0 || batch.BatchFlushes == 0 {
-		t.Fatalf("batch arm never took the native path: %+v", batch)
+	if st.BatchRefills == 0 || st.BatchFlushes == 0 {
+		t.Fatalf("no refill or no flush: %+v", st)
 	}
-	if perBlock.BatchRefills != 0 || perBlock.BatchFlushes != 0 {
-		t.Fatalf("per-block arm reported native batch transfers: %+v", perBlock)
+	if transfers := st.BatchRefills + st.BatchFlushes; locks > transfers+2 {
+		t.Fatalf("%d heap locks for %d refills and %d flushes, want at most %d",
+			locks, st.BatchRefills, st.BatchFlushes, transfers+2)
 	}
-	if ratio := float64(perBlockLocks) / float64(batchLocks); ratio < 5 {
-		t.Fatalf("batching cut heap locks %.2fx, want >= 5x (%d batch vs %d per-block)",
-			ratio, batchLocks, perBlockLocks)
+	a.FlushThread(th)
+	if err := a.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -374,17 +336,9 @@ func TestConcurrentChurnAndFlush(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					ps = append(ps, a.Malloc(th, 16+(i%5)*32))
 				}
-				// Free a third per-block, the rest through the generic
-				// batch shim (which lands in the magazines and flushes).
-				var rest []alloc.Ptr
-				for i, p := range ps {
-					if i%3 == 0 {
-						a.Free(th, p)
-					} else {
-						rest = append(rest, p)
-					}
+				for _, p := range ps {
+					a.Free(th, p)
 				}
-				alloc.FreeBatch(a, th, rest)
 				a.FlushThread(th)
 			}
 		}(w)
