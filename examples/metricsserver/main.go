@@ -1,10 +1,11 @@
 // Metricsserver is a live Prometheus scrape target: a handful of worker
-// goroutines churn allocations in producer-consumer rounds while the
-// background scavenger trims the global heap, and the allocator's metrics —
-// footprint vs reserved, decommitted bytes, scavenge passes, per-heap
+// goroutines churn allocations in phased rounds while a 50 ms time.Ticker
+// calls ReleaseMemory to trim the global heap, and the allocator's metrics —
+// footprint vs reserved, decommitted bytes, release passes, per-heap
 // occupancy — are served on /metrics for `curl` or a real Prometheus to
 // watch. Point a scraper at it and graph hoard_footprint_bytes against
-// hoard_reserved_bytes to see the scavenger breathe.
+// hoard_reserved_bytes to see the footprint breathe. At exit it prints how
+// many trims released memory and how many bytes they returned.
 //
 //	go run ./examples/metricsserver -addr :8080 &
 //	watch -n1 'curl -s localhost:8080/metrics | grep -E "footprint|decommitted"'
@@ -27,15 +28,7 @@ func main() {
 	duration := flag.Duration("duration", 0, "stop after this long (0 = run forever)")
 	flag.Parse()
 
-	a := hoard.MustNew(hoard.Config{
-		Procs:   *workers,
-		Metrics: true,
-		Scavenge: hoard.ScavengeConfig{
-			Enabled:  true,
-			ColdAge:  250 * time.Millisecond,
-			Interval: 50 * time.Millisecond,
-		},
-	})
+	a := hoard.MustNew(hoard.Config{Procs: *workers, Metrics: true})
 
 	http.Handle("/metrics", a.MetricsHandler())
 	go func() { log.Fatal(http.ListenAndServe(*addr, nil)) }()
@@ -43,17 +36,35 @@ func main() {
 
 	// Phased churn: each worker builds up a working set, holds it, then
 	// drops it — so the global heap oscillates between loaded and empty and
-	// the scavenger has something to do.
+	// the trimmer has something to do.
 	stop := make(chan struct{})
 	if *duration > 0 {
 		time.AfterFunc(*duration, func() { close(stop) })
 	}
+
+	// Periodic trimming: every 50 ms, return the empty superblocks parked
+	// on the global heap to the OS.
+	trimDone := make(chan struct{})
+	go func() {
+		defer close(trimDone)
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				a.ReleaseMemory()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < *workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			th := a.NewThread()
+			defer th.Close()
 			ps := make([]hoard.Ptr, 0, 4096)
 			for {
 				select {
@@ -79,11 +90,10 @@ func main() {
 		}(w)
 	}
 	wg.Wait()
+	<-trimDone
 
-	st := a.StopScavenger()
-	fmt.Printf("scavenger: %d passes, %d bytes released, %d backoffs\n",
-		st.Passes, st.ReleasedBytes, st.Backoffs)
 	s := a.Stats()
+	fmt.Printf("trims: %d released memory, %d bytes in all\n", s.ScavengeOps, s.ScavengedBytes)
 	fmt.Printf("final: footprint %d B, reserved %d B, decommitted %d B\n",
 		s.FootprintBytes, s.ReservedBytes, s.DecommittedBytes)
 }

@@ -8,7 +8,7 @@
 // The lifecycle here is the reference for real servers: every worker closes
 // its Thread on exit (flushing any magazine-cached blocks back to the
 // heaps), and the allocator itself is closed at the end (stopping the
-// scavenger and unmapping the arena reservation when -backend arena).
+// auditor and unmapping the arena reservation when -backend arena).
 // With -metrics ADDR the allocator's Prometheus endpoint is served live,
 // so the run can be scraped while it works. lifecycle_test.go runs this
 // same pattern as a regression test.

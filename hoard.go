@@ -41,7 +41,6 @@ import (
 	"hoardgo/internal/metrics"
 	"hoardgo/internal/ownership"
 	"hoardgo/internal/private"
-	"hoardgo/internal/scavenge"
 	"hoardgo/internal/serial"
 	"hoardgo/internal/tcache"
 	"hoardgo/internal/threshold"
@@ -147,11 +146,6 @@ type Config struct {
 	// reads and a few uncontended atomic adds. Occupancy sampling and the
 	// auditor work either way — this flag only controls lock counters.
 	Metrics bool
-
-	// Scavenge configures the background scavenger, which returns the pages
-	// of long-empty superblocks parked on the global heap to the (simulated)
-	// OS. Hoard policy only; see ScavengeConfig. Disabled by default.
-	Scavenge ScavengeConfig
 }
 
 // Allocator is a thread-safe explicit memory allocator.
@@ -168,12 +162,6 @@ type Allocator struct {
 	// StopAuditor).
 	auditorMu sync.Mutex
 	auditor   *metrics.Auditor
-
-	// scavMu guards the background scavenger handle (StartScavenger /
-	// StopScavenger); scavCfg is the internal form of Config.Scavenge.
-	scavMu  sync.Mutex
-	scav    *scavenge.Scavenger
-	scavCfg scavenge.Config
 }
 
 // New builds an allocator from cfg.
@@ -256,17 +244,7 @@ func New(cfg Config) (*Allocator, error) {
 		impl = debugalloc.New(impl, debugalloc.Config{Quarantine: cfg.DebugQuarantine})
 		name += "+debug"
 	}
-	scavCfg := cfg.Scavenge.internal()
-	if err := scavCfg.Validate(); err != nil {
-		return nil, fmt.Errorf("hoard: %w", err)
-	}
-	a := &Allocator{impl: impl, name: name, reg: reg, scavCfg: scavCfg}
-	if cfg.Scavenge.Enabled {
-		if err := a.StartScavenger(); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
+	return &Allocator{impl: impl, name: name, reg: reg}, nil
 }
 
 // MustNew is New for static configurations; it panics on error.
@@ -417,11 +395,12 @@ type Stats struct {
 	// pages included; PeakReservedBytes its high-water mark. Reserved
 	// minus footprint is exactly DecommittedBytes.
 	ReservedBytes, PeakReservedBytes int64
-	// DecommittedBytes is the bytes currently decommitted by the
-	// scavenger: reserved but returned to the OS, repopulated on demand.
+	// DecommittedBytes is the bytes currently decommitted by
+	// ReleaseMemory: reserved but returned to the OS, repopulated on
+	// demand.
 	DecommittedBytes int64
-	// ScavengeOps counts scavenge passes that released at least one byte
-	// (background and forced); ScavengedBytes the bytes they released.
+	// ScavengeOps counts ReleaseMemory calls that released at least one
+	// byte; ScavengedBytes the bytes they released.
 	ScavengeOps, ScavengedBytes int64
 	// SuperblockMoves counts Hoard's transfers to/from the global heap.
 	SuperblockMoves int64
@@ -481,7 +460,7 @@ func (a *Allocator) Stats() Stats {
 // under the Hoard policy, and 0 on the other policies.
 // It requires quiescence for an exact answer. A drained workload whose
 // workers all called Thread.Close reports 0 — the lifecycle regression
-// tests and the load engine assert exactly that.
+// tests assert exactly that.
 func (a *Allocator) CachedBytes() int64 {
 	if tc := a.tcacheLayer(); tc != nil {
 		return tc.CachedBytes()
@@ -515,17 +494,33 @@ func (a *Allocator) BackendFallbackReason() string {
 	return ""
 }
 
-// Close stops the background scavenger and auditor (if running) and
-// releases the memory substrate: for the arena backend this unmaps its
-// virtual reservation, for the simulated backend it is a no-op.
-// The allocator must be quiescent when Close is called. Afterwards NewThread
-// and every Thread operation that touches memory (Malloc, Free, their batch
-// forms, Bytes, UsableSize and the calls built on them) panic with a message
-// naming the call; Stats and Close itself keep working.
+// ReleaseMemory returns every empty superblock parked on the global heap to
+// the (simulated) OS — the malloc_trim(3) of this allocator. It blocks on
+// the global heap's lock and returns the bytes released. Non-Hoard policies
+// release nothing. A caller that wants periodic trimming calls it from a
+// time.Ticker (see examples/metricsserver).
+//
+// The memory stays reserved: addresses remain valid, and the superblocks are
+// recommitted transparently when allocation demand returns.
+func (a *Allocator) ReleaseMemory() int64 {
+	a.checkOpen("ReleaseMemory")
+	h := a.unwrap()
+	if h == nil {
+		return 0
+	}
+	return h.ReleaseMemory(&env.RealEnv{ID: -1})
+}
+
+// Close stops the background auditor (if running) and releases the memory
+// substrate: for the arena backend this unmaps its virtual reservation, for
+// the simulated backend it is a no-op.
+// The allocator must be quiescent when Close is called. Afterwards NewThread,
+// ReleaseMemory and every Thread operation that touches memory (Malloc,
+// Free, their batch forms, Bytes, UsableSize and the calls built on them)
+// panic with a message naming the call; Stats and Close itself keep working.
 // Close is the only way an arena's address space is returned to the OS — Go
 // finalizers cannot reclaim it.
 func (a *Allocator) Close() error {
-	a.StopScavenger()
 	a.StopAuditor()
 	err := a.impl.Space().Close()
 	if _, closed := a.impl.(closedAllocator); !closed {

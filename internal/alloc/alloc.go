@@ -154,11 +154,11 @@ type Stats struct {
 	// BatchedBlocks counts blocks moved by those refills and flushes, in
 	// both directions (Hoard only).
 	BatchedBlocks int64
-	// ScavengePasses counts scavenge passes that released at least one
-	// superblock's pages back to the OS (Hoard only).
+	// ScavengePasses counts ReleaseMemory passes that released at least
+	// one superblock's pages back to the OS (Hoard only).
 	ScavengePasses int64
-	// ScavengedBytes is the cumulative byte total decommitted by the
-	// scavenger, including forced ReleaseMemory passes (Hoard only).
+	// ScavengedBytes is the cumulative byte total those passes decommitted
+	// (Hoard only).
 	ScavengedBytes int64
 	// LockFreeMallocs and LockFreeFrees count operations a thread cache
 	// served with no lock at all: mallocs popped from a magazine and frees

@@ -78,10 +78,9 @@ func (h *Hoard) FreeCached(t *alloc.Thread, ps []alloc.Ptr, sbs []*superblock.Su
 }
 
 // freeOwnedLocked acquires hp's lock once, frees every block hp still owns
-// (heap.FreeBatch: one regroup per touched superblock, and one clock read
-// for the park stamps when hp is the global heap), restores the emptiness
-// invariant (once, at the end), and returns the count of blocks owned
-// elsewhere, compacted to the front of ps and sbs. The freed blocks are
+// (heap.FreeBatch: one regroup per touched superblock), restores the
+// emptiness invariant (once, at the end), and returns the count of blocks
+// owned elsewhere, compacted to the front of ps and sbs. The freed blocks are
 // accounted in one update after the lock is released — also when a free
 // panics on a misused pointer, so the books match the heaps the blocks
 // freed before it went back to.
@@ -97,13 +96,7 @@ func (h *Hoard) freeOwnedLocked(e env.Env, hp *heap.Heap, myIdx int, ps []alloc.
 			}
 		}
 	}()
-	var stamp func() int64
-	if hp.ID == 0 {
-		// A batch into parked superblocks refreshes their scavenger
-		// cold-age stamps, as the per-block path does.
-		stamp = h.clock
-	}
-	rest := hp.FreeBatch(e, ps, sbs, stamp, &freed)
+	rest := hp.FreeBatch(e, ps, sbs, &freed)
 	e.Charge(env.OpFree, int64(freed.Blocks))
 	if hp.ID != 0 && freed.Blocks > 0 {
 		// A batch of B frees can push the heap up to B blocks past the

@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
@@ -161,11 +160,6 @@ type Hoard struct {
 	// Set once in New, before the allocator is shared.
 	backendFallback string
 
-	// clock stamps superblocks parked on the global heap, feeding the
-	// scavenger's cold-age filter. Wall clock by default; SetClock installs
-	// a deterministic source (see scavenge.go).
-	clock func() int64
-
 	// Every thread writes the counters below, and every operation reads
 	// the fields above; the pad keeps those writes off the read-mostly
 	// cache lines.
@@ -203,7 +197,6 @@ func New(cfg Config, lf env.LockFactory) *Hoard {
 		space:   space,
 		classes: sizeclass.New(cfg.SizeClassBase, sizeclass.Quantum, cfg.SuperblockSize/2),
 		acct:    alloc.NewSharded(cfg.Heaps + 1),
-		clock:   func() int64 { return time.Now().UnixNano() },
 	}
 	h.backendFallback = fallback
 	h.heaps = make([]*heap.Heap, cfg.Heaps+1)
@@ -415,16 +408,12 @@ func (h *Hoard) freeSmall(t *alloc.Thread, e env.Env, sb *superblock.Superblock,
 
 // freeLocked performs a free while holding hp's lock (which it releases,
 // also when the free panics on a misused pointer, so the heap stays usable),
-// then restores the emptiness invariant. A free into a global-heap
-// superblock refreshes its park stamp instead: the global heap never
-// evicts, and a superblock a free just touched is not cold.
+// then restores the emptiness invariant. The global heap never evicts.
 func (h *Hoard) freeLocked(e env.Env, hp *heap.Heap, sb *superblock.Superblock, p alloc.Ptr) {
 	defer hp.Lock.Unlock(e)
 	hp.FreeBlock(e, sb, p)
 	e.Charge(env.OpFree, 1)
-	if hp.ID == 0 {
-		sb.SetParkedAt(h.clock())
-	} else if hp.InvariantViolated() {
+	if hp.ID != 0 && hp.InvariantViolated() {
 		h.restoreInvariant(e, hp)
 	}
 }
@@ -446,7 +435,6 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 	g := h.heaps[0]
 	env.LockWith(g.Lock, e, "evict-insert")
 	g.Insert(victim)
-	victim.SetParkedAt(h.clock())
 	g.Lock.Unlock(e)
 	return true
 }

@@ -26,7 +26,9 @@ func TestScavengeGlobalRoundTrip(t *testing.T) {
 	th := thread(h, 0)
 	churnToGlobal(h, th, 2000, 64)
 
-	empty := h.GlobalEmptyBytes(te)
+	// Nothing is live, so every superblock parked on the global heap is
+	// empty.
+	empty := h.heaps[0].A()
 	if empty == 0 {
 		t.Fatal("no empty superblocks parked on the global heap after churn")
 	}
@@ -46,8 +48,8 @@ func TestScavengeGlobalRoundTrip(t *testing.T) {
 	if st.Reserved < st.Committed {
 		t.Fatalf("reserved %d < committed %d", st.Reserved, st.Committed)
 	}
-	if got := h.GlobalEmptyBytes(te); got != 0 {
-		t.Fatalf("GlobalEmptyBytes after full scavenge = %d, want 0", got)
+	if got := h.ReleaseMemory(te); got != 0 {
+		t.Fatalf("second ReleaseMemory released %d, want 0", got)
 	}
 	if s := h.Stats(); s.ScavengePasses != 1 || s.ScavengedBytes != released {
 		t.Fatalf("ScavengePasses %d ScavengedBytes %d, want 1 / %d", s.ScavengePasses, s.ScavengedBytes, released)
@@ -82,57 +84,6 @@ func TestScavengeGlobalRoundTrip(t *testing.T) {
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScavengeColdAgeAndPacing(t *testing.T) {
-	h := newHoard(Config{Heaps: 1})
-	var now int64
-	h.SetClock(func() int64 { return now })
-	th := thread(h, 0)
-
-	now = 1000
-	churnToGlobal(h, th, 2000, 64)
-	parked := h.GlobalEmptyBytes(te)
-	if parked < 3*int64(h.cfg.SuperblockSize) {
-		t.Fatalf("only %d bytes parked; test needs at least 3 superblocks", parked)
-	}
-
-	// Nothing is 500ns cold yet.
-	if got := h.ScavengeGlobal(te, 1<<40, 500); got != 0 {
-		t.Fatalf("scavenged %d bytes before anything went cold", got)
-	}
-	// Advance the clock: everything is cold, but the byte budget caps the
-	// pass at one superblock.
-	now += 1000
-	if got := h.ScavengeGlobal(te, 1, 500); got != int64(h.cfg.SuperblockSize) {
-		t.Fatalf("budgeted scavenge released %d, want one superblock %d", got, h.cfg.SuperblockSize)
-	}
-	// The rest goes on the next unbudgeted pass.
-	if got := h.ScavengeGlobal(te, 1<<40, 500); got != parked-int64(h.cfg.SuperblockSize) {
-		t.Fatalf("second pass released %d, want %d", got, parked-int64(h.cfg.SuperblockSize))
-	}
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTryScavengeBacksOffUnderContention(t *testing.T) {
-	h := newHoard(Config{Heaps: 1})
-	th := thread(h, 0)
-	churnToGlobal(h, th, 500, 64)
-
-	g := h.heaps[0]
-	g.Lock.Lock(te)
-	if _, ok := h.TryScavengeGlobal(te, 1<<40, 0); ok {
-		t.Fatal("TryScavengeGlobal claimed success while the global lock was held")
-	}
-	if _, ok := h.TryGlobalEmptyBytes(te); ok {
-		t.Fatal("TryGlobalEmptyBytes claimed success while the global lock was held")
-	}
-	g.Lock.Unlock(te)
-	if _, ok := h.TryScavengeGlobal(te, 1<<40, 0); !ok {
-		t.Fatal("TryScavengeGlobal failed with the lock free")
 	}
 }
 

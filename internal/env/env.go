@@ -181,13 +181,11 @@ func (l *realLock) TryLock(Env) bool { return l.mu.TryLock() }
 
 // labeledLock is the optional interface a Lock may implement to receive a
 // per-call-site label (an op name like "malloc" or "batch-free")
-// alongside the acquisition. LockWith and TryLockWith dispatch to it when
-// present and fall back to the plain methods otherwise, so allocator code
-// can label every call site without caring which lock implementation is
-// underneath.
+// alongside the acquisition. LockWith dispatches to it when present and
+// falls back to the plain Lock otherwise, so allocator code can label every
+// call site without caring which lock implementation is underneath.
 type labeledLock interface {
 	LockL(e Env, label string)
-	TryLockL(e Env, label string) bool
 }
 
 // LockWith acquires l, attributing the acquisition to the call-site label
@@ -199,16 +197,6 @@ func LockWith(l Lock, e Env, label string) {
 		return
 	}
 	l.Lock(e)
-}
-
-// TryLockWith is LockWith for TryLock: a miss is attributed to the label
-// too, which is what distinguishes "gave up without waiting" from "waited"
-// in the per-site tables.
-func TryLockWith(l Lock, e Env, label string) bool {
-	if ll, ok := l.(labeledLock); ok {
-		return ll.TryLockL(e, label)
-	}
-	return l.TryLock(e)
 }
 
 // SiteStat is one (lock, call-site label) cell of a CountingLockFactory's
@@ -224,7 +212,7 @@ type SiteStat struct {
 	// wait (detected by a try-probe before blocking).
 	Contended int64
 	// TryMisses counts TryLock calls that gave up because the lock was
-	// held — the background scavenger's "try later" signal.
+	// held.
 	TryMisses int64
 }
 
@@ -364,10 +352,9 @@ func (l *countingLock) LockL(e Env, label string) {
 
 func (l *countingLock) Unlock(e Env) { l.inner.Unlock(e) }
 
-func (l *countingLock) TryLock(e Env) bool { return l.TryLockL(e, "") }
-
-func (l *countingLock) TryLockL(e Env, label string) bool {
-	s := l.site(label)
+// TryLock is attributed to the unlabeled site.
+func (l *countingLock) TryLock(e Env) bool {
+	s := l.site("")
 	if !l.inner.TryLock(e) {
 		s.tryMisses.Add(1)
 		return false

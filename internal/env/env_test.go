@@ -101,21 +101,21 @@ func TestCountingLockSiteAttribution(t *testing.T) {
 	a := f.NewLock("heap-1")
 	b := f.NewLock("heap-2")
 
-	// Two labeled sites on one lock, one on the other, plus an unlabeled
-	// acquisition and a try-miss per site kind.
+	// Two labeled sites on one lock, one on the other, plus unlabeled
+	// acquisitions and a try-miss, which land on the "" site.
 	LockWith(a, e, "malloc-refill")
 	a.Unlock(e)
 	LockWith(a, e, "malloc-refill")
 	a.Unlock(e)
 	LockWith(a, e, "free-locked")
-	if TryLockWith(a, e, "invariant-confirm") {
-		t.Fatal("TryLockWith succeeded on a held lock")
+	if a.TryLock(e) {
+		t.Fatal("TryLock succeeded on a held lock")
 	}
 	a.Unlock(e)
 	b.Lock(e) // unlabeled: attributed to the "" site
 	b.Unlock(e)
-	if !TryLockWith(b, e, "invariant-confirm") {
-		t.Fatal("TryLockWith failed on a free lock")
+	if !b.TryLock(e) {
+		t.Fatal("TryLock failed on a free lock")
 	}
 	b.Unlock(e)
 
@@ -129,9 +129,8 @@ func TestCountingLockSiteAttribution(t *testing.T) {
 	}{
 		{"heap-1", "malloc-refill", 2, 0},
 		{"heap-1", "free-locked", 1, 0},
-		{"heap-1", "invariant-confirm", 0, 1},
-		{"heap-2", "", 1, 0},
-		{"heap-2", "invariant-confirm", 1, 0},
+		{"heap-1", "", 0, 1},
+		{"heap-2", "", 2, 0},
 	}
 	for _, c := range checks {
 		s, ok := got[[2]string{c.lock, c.label}]

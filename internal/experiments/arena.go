@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
-	"hoardgo/internal/scavenge"
 	"hoardgo/internal/vm"
 	"hoardgo/internal/workload"
 )
@@ -23,7 +21,7 @@ import (
 // two-level page table, at a span population large enough that the index
 // does not hide in cache; (b) malloc/free throughput on real memory across
 // a thread sweep, sim versus arena; (c) the RSS-over-time trajectory of a
-// churn workload under the release policies, with /proc/self/statm as
+// churn workload with and without ReleaseMemory, with /proc/self/statm as
 // ground truth that madvise(MADV_DONTNEED) actually returns pages.
 // `hoardbench -exp arena` renders all three as the A12 table.
 
@@ -191,8 +189,7 @@ func measureArenaThroughput(scale Scale) ([]arenaThroughputEntry, error) {
 
 // arenaRSSEntry is one release mode's RSS trajectory on the arena backend.
 type arenaRSSEntry struct {
-	// Mode is "off" (retain), "scavenge" (paced), or "forced" (drain every
-	// round).
+	// Mode is "off" (retain) or "forced" (release every round).
 	Mode string
 	// PeakDelta is the highest RSS growth over the arm's baseline, read
 	// with the working set live; FinalDelta the growth after the last
@@ -221,7 +218,7 @@ func arenaRSSShape(scale Scale) (workers, blocks, rounds int) {
 // policy and records the real RSS trajectory. Requires the arena backend
 // and /proc/self/statm.
 func measureArenaRSS(scale Scale) ([]arenaRSSEntry, error) {
-	if _, err := scavenge.ReadRSS(); err != nil {
+	if _, err := vm.ReadRSS(); err != nil {
 		return nil, fmt.Errorf("no RSS source: %w", err)
 	}
 	workers, blocks, rounds := arenaRSSShape(scale)
@@ -247,7 +244,7 @@ func runArenaRSS(mode string, workers, blocks, rounds int) (arenaRSSEntry, error
 	// scavenger cannot shrink RSS during the arm and drive the deltas
 	// below zero.
 	debug.FreeOSMemory()
-	baseline, err := scavenge.ReadRSS()
+	baseline, err := vm.ReadRSS()
 	if err != nil {
 		return arenaRSSEntry{}, err
 	}
@@ -256,16 +253,6 @@ func runArenaRSS(mode string, workers, blocks, rounds int) (arenaRSSEntry, error
 		return arenaRSSEntry{}, fmt.Errorf("arena backend unavailable: %s", h.BackendFallbackReason())
 	}
 	defer h.Space().Close()
-
-	// The paced arm: generous bandwidth but a real token bucket, so it
-	// trails the forced arm within a run yet converges well below "off".
-	pacer := scavenge.NewPacer(scavenge.Config{
-		HighWaterBytes: 64 * arenaSpanSize,
-		LowWaterBytes:  8 * arenaSpanSize,
-		BytesPerSec:    512 << 20,
-		BurstBytes:     16 << 20,
-	})
-	scavEnv := &env.RealEnv{ID: -1}
 
 	ths := make([]*alloc.Thread, workers)
 	envs := make([]*env.RealEnv, workers)
@@ -303,7 +290,7 @@ func runArenaRSS(mode string, workers, blocks, rounds int) (arenaRSSEntry, error
 			}
 		})
 		// Peak: the whole working set is live and written.
-		if rss, err := scavenge.ReadRSS(); err == nil {
+		if rss, err := vm.ReadRSS(); err == nil {
 			entry.PeakDelta = max(entry.PeakDelta, rss-baseline)
 		}
 		parallel(func(w int) {
@@ -312,20 +299,11 @@ func runArenaRSS(mode string, workers, blocks, rounds int) (arenaRSSEntry, error
 				h.Free(th, myPtrs[i])
 			}
 		})
-		switch mode {
-		case "forced":
-			h.ScavengeGlobal(scavEnv, math.MaxInt64, 0)
-		case "scavenge":
-			// Let this round's parked empties turn cold, then release
-			// whatever the bucket grants.
-			time.Sleep(15 * time.Millisecond)
-			empty := h.GlobalEmptyBytes(scavEnv)
-			if grant := pacer.Grant(empty, time.Now().UnixNano()); grant > 0 {
-				pacer.Spend(h.ScavengeGlobal(scavEnv, grant, int64(10*time.Millisecond)))
-			}
+		if mode == "forced" {
+			h.ReleaseMemory(&env.RealEnv{ID: -1})
 		}
 		// Trough: everything freed and the release policy has run.
-		rss, err := scavenge.ReadRSS()
+		rss, err := vm.ReadRSS()
 		if err != nil {
 			return arenaRSSEntry{}, err
 		}

@@ -2,35 +2,22 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
-	"hoardgo/internal/scavenge"
 	"hoardgo/internal/workload"
 )
 
 // The footprint experiments measure what the paper's evaluation does not:
 // the committed-memory trajectory of Hoard under the blowup workloads when
 // empty superblocks parked on the global heap are (a) retained forever (the
-// paper's policy), (b) trimmed by the paced scavenger, or (c) forcibly
-// decommitted after every round. The runs share one virtual clock — each
-// workload round advances it by footprintRoundNS — so the scavenger's
-// cold-age and token-bucket behavior is deterministic.
-
-// footprintRoundNS is one workload round in virtual nanoseconds.
-const footprintRoundNS = int64(1e6)
-
-// footprintS is the superblock size the thresholds are tuned for.
-const footprintS = int64(8192)
+// paper's policy) or (b) released by ReleaseMemory after every round.
 
 // footprintEntry is one workload x mode measurement.
 type footprintEntry struct {
 	// Workload is "prodcons" or "phaseshift"; Mode is "off" (retain
-	// everything), "scavenge" (paced background policy), or "forced"
-	// (decommit all empties every round).
+	// everything) or "forced" (release all empties every round).
 	Workload string
 	Mode     string
 	// Rounds is the run's length.
@@ -46,58 +33,24 @@ type footprintEntry struct {
 	FinalCommitted   int64
 	FinalReserved    int64
 	FinalDecommitted int64
-	// ScavengePasses and ScavengedBytes count the scavenge activity.
+	// ScavengePasses and ScavengedBytes count the release activity.
 	ScavengePasses int64
 	ScavengedBytes int64
-	// ElapsedNS is the run's virtual time — the throughput guard: the
-	// scavenger must not slow the workload measurably.
+	// ElapsedNS is the run's virtual time — the throughput guard: release
+	// must not slow the workload measurably.
 	ElapsedNS int64
 }
 
 // footprintModes lists the release policies the experiment compares.
-func footprintModes() []string { return []string{"off", "scavenge", "forced"} }
+func footprintModes() []string { return []string{"off", "forced"} }
 
-// footprintPolicy drives one release policy from a workload's AfterRound
-// hook, in virtual time.
-type footprintPolicy struct {
-	mode  string
-	hoard *core.Hoard
-	vnow  *atomic.Int64
-	pacer *scavenge.Pacer
-}
-
-func newFootprintPolicy(mode string, h *core.Hoard) *footprintPolicy {
-	p := &footprintPolicy{mode: mode, hoard: h, vnow: new(atomic.Int64)}
-	h.SetClock(p.vnow.Load)
-	if mode == "scavenge" {
-		// Watermarks sized to the workloads' few-superblock surpluses:
-		// engage above two empty superblocks, keep one as warm reserve.
-		p.pacer = scavenge.NewPacer(scavenge.Config{
-			HighWaterBytes: 2 * footprintS,
-			LowWaterBytes:  footprintS,
-			BytesPerSec:    64 << 20, // 64 KiB per virtual millisecond-round
-			BurstBytes:     8 * footprintS,
-		})
+// releaseHook is the workloads' AfterRound hook for mode: nil for "off",
+// and a ReleaseMemory of h for "forced".
+func releaseHook(mode string, h *core.Hoard) func(env.Env, int) {
+	if mode != "forced" {
+		return nil
 	}
-	return p
-}
-
-// afterRound advances the virtual clock past round r and applies the policy.
-// Superblocks parked during round r carry stamp r*footprintRoundNS, so a
-// cold age of one round makes this round's parkings eligible while the token
-// bucket still paces how fast they actually go.
-func (p *footprintPolicy) afterRound(e env.Env, r int) {
-	now := int64(r+1) * footprintRoundNS
-	p.vnow.Store(now)
-	switch p.mode {
-	case "forced":
-		p.hoard.ScavengeGlobal(e, math.MaxInt64, 0)
-	case "scavenge":
-		empty := p.hoard.GlobalEmptyBytes(e)
-		if grant := p.pacer.Grant(empty, now); grant > 0 {
-			p.pacer.Spend(p.hoard.ScavengeGlobal(e, grant, footprintRoundNS))
-		}
-	}
+	return func(e env.Env, _ int) { h.ReleaseMemory(e) }
 }
 
 // steadyMean averages the last quarter of a committed-bytes series.
@@ -132,15 +85,13 @@ func runFootprint(opts Options, workloadName, mode string) footprintEntry {
 			cfg.Rounds, cfg.Batch = 20, 400
 		}
 		h := workload.NewSimMaker("hoard", procs, opts.Cost, mk)
-		pol := newFootprintPolicy(mode, hh)
-		cfg.AfterRound = pol.afterRound
+		cfg.AfterRound = releaseHook(mode, hh)
 		res, series = workload.ProdCons(h, cfg)
 	case "phaseshift":
 		procs = 8
 		cfg := workload.DefaultPhaseShift(procs)
 		h := workload.NewSimMaker("hoard", procs, opts.Cost, mk)
-		pol := newFootprintPolicy(mode, hh)
-		cfg.AfterRound = pol.afterRound
+		cfg.AfterRound = releaseHook(mode, hh)
 		res, series = workload.PhaseShift(h, cfg)
 	default:
 		panic(fmt.Sprintf("experiments: unknown footprint workload %q", workloadName))
@@ -179,7 +130,7 @@ func footprintResults(opts Options, progress func(string, int)) []footprintEntry
 	return out
 }
 
-// Footprint renders the scavenger footprint comparison as a table.
+// Footprint renders the release-policy footprint comparison as a table.
 func Footprint(opts Options, progress func(string, int)) Table {
 	t := Table{
 		ID: "footprint", Title: "A10",

@@ -7,7 +7,7 @@
 // superblock only after them, which both improves locality and lets
 // nearly-empty superblocks drain so they can be recycled. The empty list
 // makes every "find an empty superblock" step — eviction's first choice,
-// the global heap's take, local reuse, the scavenger — one list head per
+// the global heap's take, local reuse, page release — one list head per
 // class. The heap tracks u(i), the bytes in use, and a(i), the bytes held
 // in superblocks, and exposes the paper's emptiness invariant
 //
@@ -253,28 +253,19 @@ type Freed struct {
 // of ps and sbs, returning their count. Each block costs one ownership
 // check and its superblock push; u is updated once, and each superblock the
 // batch touched is regrouped once (marked on first touch, an O(n) pass, not
-// a sort). A non-nil stamp is read once, after the frees, and recorded as
-// the park stamp of every touched superblock. The blocks come from a thread
-// cache's flush, so their free bits are already set (superblock.FreeCached).
+// a sort). The blocks come from a thread cache's flush, so their free bits
+// are already set (superblock.FreeCached).
 //
 // freed receives the tally. When a free panics on a misused pointer, the
 // blocks freed before it stay freed, accounted in u and freed, and
 // regrouped before the panic propagates, so the heap stays consistent.
-func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock,
-	stamp func() int64, freed *Freed) (rest int) {
+func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock, freed *Freed) (rest int) {
 	touched := h.touched
 	defer func() {
 		h.u -= freed.Bytes
-		var now int64
-		if stamp != nil && len(touched) > 0 {
-			now = stamp()
-		}
 		for _, sb := range touched {
 			sb.Touched = false
 			h.regroup(sb)
-			if stamp != nil {
-				sb.SetParkedAt(now)
-			}
 		}
 		h.touched = touched[:0]
 	}()
@@ -416,66 +407,23 @@ func (h *Heap) firstEmpty(e env.Env, skip int) *superblock.Superblock {
 	return nil
 }
 
-// EmptyCommittedBytes sums the committed bytes held by completely empty
-// superblocks — the scavengable surplus the release policy watches. Already
-// decommitted superblocks do not count. The walk visits the empty lists
-// only. The caller holds the heap lock.
-func (h *Heap) EmptyCommittedBytes(e env.Env) int64 {
-	var total int64
+// ScavengeEmpties decommits every completely empty, still-committed
+// superblock in place and returns the bytes released. The superblocks stay
+// on the heap; TakeSuper recommits them transparently on reuse. The caller
+// holds the heap lock.
+func (h *Heap) ScavengeEmpties(e env.Env) int64 {
+	var released int64
 	for c := range h.classes {
 		e.Charge(env.OpListScan, 1)
 		for sb := h.classes[c].groups[emptyGroup].head; sb != nil; sb = sb.Next {
 			e.Charge(env.OpListScan, 1)
 			if !sb.Decommitted() {
-				total += int64(h.sbSize)
+				sb.Decommit(e)
+				released += int64(h.sbSize)
 			}
 		}
 	}
-	return total
-}
-
-// ScavengeEmpties decommits completely empty, still-committed superblocks in
-// place — oldest park stamp first — until at least maxBytes have been
-// released or no eligible victim remains. A superblock is eligible if it is
-// empty, committed, and was last parked at or before coldBefore (pass the
-// current clock to disable the cold-age filter, math.MaxInt64 to scavenge
-// regardless of stamps). The superblocks stay on the heap; TakeSuper
-// recommits them transparently on reuse. Returns the bytes released and the
-// number of superblocks decommitted. The caller holds the heap lock.
-func (h *Heap) ScavengeEmpties(e env.Env, maxBytes int64, coldBefore int64) (int64, int) {
-	if maxBytes <= 0 {
-		return 0, 0
-	}
-	var victims []*superblock.Superblock
-	for c := range h.classes {
-		e.Charge(env.OpListScan, 1)
-		for sb := h.classes[c].groups[emptyGroup].head; sb != nil; sb = sb.Next {
-			e.Charge(env.OpListScan, 1)
-			if !sb.Decommitted() && sb.ParkedAt() <= coldBefore {
-				victims = append(victims, sb)
-			}
-		}
-	}
-	// Oldest first: the longer a superblock has sat idle, the less likely
-	// the next malloc burst wants it back (and the cheaper the decommit is
-	// relative to its remaining lifetime). Insertion sort — victim lists
-	// are short and the heap lock is held.
-	for i := 1; i < len(victims); i++ {
-		for j := i; j > 0 && victims[j-1].ParkedAt() > victims[j].ParkedAt(); j-- {
-			victims[j-1], victims[j] = victims[j], victims[j-1]
-		}
-	}
-	var released int64
-	n := 0
-	for _, sb := range victims {
-		if released >= maxBytes {
-			break
-		}
-		sb.Decommit(e)
-		released += int64(h.sbSize)
-		n++
-	}
-	return released, n
+	return released
 }
 
 // AllFull reports whether every held superblock is completely full — the

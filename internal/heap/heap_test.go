@@ -432,7 +432,7 @@ func TestCachedBlocksCountAsInUse(t *testing.T) {
 	for i := range sbs {
 		sbs[i] = sb
 	}
-	if rest := h.FreeBatch(e, ps, sbs, nil, &freed); rest != 0 || freed.Blocks != len(ps) {
+	if rest := h.FreeBatch(e, ps, sbs, &freed); rest != 0 || freed.Blocks != len(ps) {
 		t.Fatalf("flush left %d blocks and freed %d, want 0 and %d", rest, freed.Blocks, len(ps))
 	}
 	if h.U() != 0 || sb.InUse() != 0 {
@@ -637,20 +637,17 @@ func TestEmptySearchCostIndependentOfPartials(t *testing.T) {
 
 // TestFreeBatchRegroupsTouchedOnce frees a batch spanning many superblocks,
 // some owned by another heap: the foreign blocks come back compacted, every
-// touched superblock ends in its correct list with u matching, the stamp
-// is read once, and every touched superblock carries its reading.
+// touched superblock ends in its correct list with u matching.
 func TestFreeBatchRegroupsTouchedOnce(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h, other := newHeap(0), newHeap(2)
 	var ps []alloc.Ptr
-	var sbs, mine []*superblock.Superblock
+	var sbs []*superblock.Superblock
 	for i := 0; i < 12; i++ {
 		sb := newSuper(space, 2)
 		hp := h
 		if i%3 == 2 {
 			hp = other
-		} else {
-			mine = append(mine, sb)
 		}
 		// Free all of some superblocks' blocks, some of others', so the
 		// batch leaves superblocks in the empty list and in groups.
@@ -675,24 +672,14 @@ func TestFreeBatchRegroupsTouchedOnce(t *testing.T) {
 			foreign++
 		}
 	}
-	reads := 0
-	stamp := func() int64 { reads++; return 777 }
 	var freed Freed
-	rest := h.FreeBatch(e, ps, sbs, stamp, &freed)
+	rest := h.FreeBatch(e, ps, sbs, &freed)
 	if rest != foreign || freed.Blocks != len(ps)-foreign {
 		t.Fatalf("FreeBatch left %d and freed %d, want %d and %d", rest, freed.Blocks, foreign, len(ps)-foreign)
 	}
 	for i := 0; i < rest; i++ {
 		if sbs[i].OwnerID() != other.ID {
 			t.Fatalf("compacted block %d belongs to heap %d", i, sbs[i].OwnerID())
-		}
-	}
-	if reads != 1 {
-		t.Fatalf("stamp read %d times, want once", reads)
-	}
-	for _, sb := range mine {
-		if sb.ParkedAt() != 777 {
-			t.Fatalf("touched superblock %#x stamped %d", sb.Base(), sb.ParkedAt())
 		}
 	}
 	if err := h.CheckIntegrity(); err != nil {
@@ -731,7 +718,7 @@ func TestFreeBatchPanicKeepsHeapConsistent(t *testing.T) {
 			}
 		}()
 		h.FreeBatch(e, []alloc.Ptr{p, q, held, r},
-			[]*superblock.Superblock{a, b, b, b}, nil, &freed)
+			[]*superblock.Superblock{a, b, b, b}, &freed)
 	}()
 	if freed.Blocks != 2 || freed.Bytes != int64(blockSizeFor(2)+blockSizeFor(3)) {
 		t.Fatalf("freed %+v before the panic, want p and q", freed)

@@ -1,7 +1,6 @@
 package heap
 
 import (
-	"math"
 	"testing"
 
 	"hoardgo/internal/superblock"
@@ -9,60 +8,46 @@ import (
 	"hoardgo/internal/vm/vmtest"
 )
 
-// parkEmpty inserts n empty superblocks of the given class with ascending
-// park stamps stamp0, stamp0+1, ...
-func parkEmpty(h *Heap, space vm.Backend, class, n int, stamp0 int64) []*superblock.Superblock {
+// parkEmpty inserts n empty superblocks of the given class.
+func parkEmpty(h *Heap, space vm.Backend, class, n int) []*superblock.Superblock {
 	sbs := make([]*superblock.Superblock, n)
 	for i := range sbs {
-		sb := newSuper(space, class)
-		sb.SetParkedAt(stamp0 + int64(i))
-		h.Insert(sb)
-		sbs[i] = sb
+		sbs[i] = newSuper(space, class)
+		h.Insert(sbs[i])
 	}
 	return sbs
 }
 
-func TestScavengeEmptiesOldestFirst(t *testing.T) {
+// TestScavengeEmptiesReleasesAll: one pass decommits every empty committed
+// superblock, a second finds nothing left, and the superblocks stay held —
+// a and the superblock count are untouched.
+func TestScavengeEmptiesReleasesAll(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h := newHeap(0)
-	sbs := parkEmpty(h, space, 2, 4, 10) // stamps 10, 11, 12, 13
-	released, n := h.ScavengeEmpties(e, 2*testS, math.MaxInt64)
-	if released != 2*testS || n != 2 {
-		t.Fatalf("released %d bytes / %d superblocks, want %d / 2", released, n, 2*testS)
+	sbs := append(parkEmpty(h, space, 2, 3), parkEmpty(h, space, 4, 1)...)
+	if released := h.ScavengeEmpties(e); released != 4*testS {
+		t.Fatalf("released %d bytes, want %d", released, 4*testS)
 	}
-	if !sbs[0].Decommitted() || !sbs[1].Decommitted() {
-		t.Fatal("oldest two superblocks not decommitted")
+	for _, sb := range sbs {
+		if !sb.Decommitted() {
+			t.Fatalf("superblock %#x still committed", sb.Base())
+		}
 	}
-	if sbs[2].Decommitted() || sbs[3].Decommitted() {
-		t.Fatal("newest superblocks decommitted — victim order wrong")
+	if got := space.Committed(); got != 0 {
+		t.Fatalf("Committed = %d, want 0", got)
 	}
-	if got := space.Committed(); got != 2*testS {
-		t.Fatalf("Committed = %d, want %d", got, 2*testS)
-	}
-	// a/u accounting is untouched: the superblocks are still held.
 	if h.A() != 4*testS || h.Superblocks() != 4 {
 		t.Fatalf("a=%d n=%d changed by scavenge", h.A(), h.Superblocks())
 	}
-	occ := h.SampleOccupancy(false)
-	if occ.Decommitted != 2 {
-		t.Fatalf("occupancy Decommitted = %d, want 2", occ.Decommitted)
+	if occ := h.SampleOccupancy(false); occ.Decommitted != 4 {
+		t.Fatalf("occupancy Decommitted = %d, want 4", occ.Decommitted)
+	}
+	// Already decommitted superblocks are not released twice.
+	if rel := h.ScavengeEmpties(e); rel != 0 {
+		t.Fatalf("second pass released %d bytes, want 0", rel)
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScavengeEmptiesColdAge(t *testing.T) {
-	space := vmtest.NewSized(t, testS)
-	h := newHeap(0)
-	parkEmpty(h, space, 1, 3, 100) // stamps 100, 101, 102
-	released, n := h.ScavengeEmpties(e, 100*testS, 101)
-	if n != 2 || released != 2*testS {
-		t.Fatalf("scavenged %d superblocks (%d bytes), want the 2 with stamp <= 101", n, released)
-	}
-	// Nothing else is cold enough.
-	if _, n := h.ScavengeEmpties(e, 100*testS, 101); n != 0 {
-		t.Fatalf("second pass scavenged %d, want 0", n)
 	}
 }
 
@@ -74,32 +59,19 @@ func TestScavengeSkipsNonEmpty(t *testing.T) {
 	if _, ok := h.AllocBlock(e, 2); !ok {
 		t.Fatal("AllocBlock failed")
 	}
-	if rel, n := h.ScavengeEmpties(e, 100*testS, math.MaxInt64); n != 0 || rel != 0 {
+	if rel := h.ScavengeEmpties(e); rel != 0 {
 		t.Fatalf("scavenged a non-empty superblock (%d bytes)", rel)
 	}
-	if got := h.EmptyCommittedBytes(e); got != 0 {
-		t.Fatalf("EmptyCommittedBytes = %d, want 0", got)
-	}
-}
-
-func TestEmptyCommittedBytesExcludesDecommitted(t *testing.T) {
-	space := vmtest.NewSized(t, testS)
-	h := newHeap(0)
-	parkEmpty(h, space, 3, 3, 0)
-	if got := h.EmptyCommittedBytes(e); got != 3*testS {
-		t.Fatalf("EmptyCommittedBytes = %d, want %d", got, 3*testS)
-	}
-	h.ScavengeEmpties(e, testS, math.MaxInt64)
-	if got := h.EmptyCommittedBytes(e); got != 2*testS {
-		t.Fatalf("EmptyCommittedBytes after scavenge = %d, want %d", got, 2*testS)
+	if sb.Decommitted() || space.Committed() != testS {
+		t.Fatalf("non-empty superblock decommitted: committed %d", space.Committed())
 	}
 }
 
 func TestTakeSuperRecommitsSameClass(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h := newHeap(0)
-	parkEmpty(h, space, 2, 1, 0)
-	h.ScavengeEmpties(e, testS, math.MaxInt64)
+	parkEmpty(h, space, 2, 1)
+	h.ScavengeEmpties(e)
 	if got := space.Committed(); got != 0 {
 		t.Fatalf("Committed = %d, want 0", got)
 	}
@@ -122,8 +94,8 @@ func TestTakeSuperRecommitsSameClass(t *testing.T) {
 func TestTakeSuperRecommitsCrossClass(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h := newHeap(0)
-	parkEmpty(h, space, 5, 1, 0)
-	h.ScavengeEmpties(e, testS, math.MaxInt64)
+	parkEmpty(h, space, 5, 1)
+	h.ScavengeEmpties(e)
 	// Different class: TakeSuper must recommit before Reinit.
 	sb := h.TakeSuper(e, 1, blockSizeFor(1))
 	if sb == nil {

@@ -35,9 +35,7 @@ type LockStats struct {
 	// Contended counts Lock calls that found the lock held and had to
 	// wait.
 	Contended int64 `json:"contended"`
-	// TryMisses counts TryLock calls that found the lock held and gave
-	// up — the background scavenger's "global heap busy, try later"
-	// outcome.
+	// TryMisses counts TryLock calls that found the lock held and gave up.
 	TryMisses int64 `json:"try_misses"`
 	// WaitNS is the total wall time Lock callers spent waiting, in
 	// nanoseconds.

@@ -34,7 +34,7 @@ type HeapSample struct {
 	A int64 `json:"a"`
 	// Superblocks is the number of superblocks held.
 	Superblocks int `json:"superblocks"`
-	// Decommitted is how many of those superblocks the scavenger has
+	// Decommitted is how many of those superblocks ReleaseMemory has
 	// returned to the OS (still held, recommitted on reuse).
 	Decommitted int `json:"decommitted"`
 	// Groups is the fullness-group histogram aggregated over classes.
@@ -136,7 +136,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			"Superblocks held by the heap.",
 			s.Heaps, func(h HeapSample) int64 { return int64(h.Superblocks) })
 		writeHeapFamily(&b, "hoard_heap_decommitted_superblocks",
-			"Held superblocks currently decommitted by the scavenger.",
+			"Held superblocks currently decommitted by ReleaseMemory.",
 			s.Heaps, func(h HeapSample) int64 { return int64(h.Decommitted) })
 		const name = "hoard_heap_group_superblocks"
 		fmt.Fprintf(&b, "# HELP %s Superblocks per fullness group (last group is completely full).\n", name)

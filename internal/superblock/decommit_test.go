@@ -160,14 +160,3 @@ func TestDecommittedReleaseAccounting(t *testing.T) {
 		t.Fatal("AllocBlock on recycled span failed")
 	}
 }
-
-func TestParkStamp(t *testing.T) {
-	_, sb := newSB(t, 64)
-	if sb.ParkedAt() != 0 {
-		t.Fatalf("fresh ParkedAt = %d, want 0", sb.ParkedAt())
-	}
-	sb.SetParkedAt(42)
-	if sb.ParkedAt() != 42 {
-		t.Fatalf("ParkedAt = %d, want 42", sb.ParkedAt())
-	}
-}

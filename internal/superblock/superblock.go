@@ -66,10 +66,7 @@ type Superblock struct {
 	ownerID atomic.Int32
 
 	// decommitted is true while the span's pages are dropped (scavenged).
-	// parkedAt is the clock reading when the superblock last went idle on
-	// the global heap; the scavenger's cold-age filter compares against it.
 	decommitted bool
-	parkedAt    int64
 
 	// Next and Prev link the superblock into its heap's fullness-group
 	// list for its size class. Group is the list it is currently on, and
@@ -184,14 +181,6 @@ func (sb *Superblock) Recommit(e env.Env) {
 
 // Decommitted reports whether the superblock's pages are currently dropped.
 func (sb *Superblock) Decommitted() bool { return sb.decommitted }
-
-// ParkedAt returns the clock reading recorded by SetParkedAt, the scavenger's
-// cold-age input. Zero means never stamped.
-func (sb *Superblock) ParkedAt() int64 { return sb.parkedAt }
-
-// SetParkedAt records when the superblock last went idle on (or was last
-// touched while on) the global heap. The caller holds the owning heap's lock.
-func (sb *Superblock) SetParkedAt(ns int64) { sb.parkedAt = ns }
 
 // FromPtr resolves a block pointer to its superblock via the address space's
 // page map, the moral equivalent of the paper's per-block header. ok is

@@ -35,7 +35,7 @@ const (
 // The reservation is mapped PROT_NONE with MAP_NORESERVE, so it consumes
 // address space only. Reserve commits its span with mprotect(PROT_READ|
 // PROT_WRITE) — physical pages arrive on first touch — and Span.Decommit
-// issues a real madvise(MADV_DONTNEED), so pages the scavenger releases
+// issues a real madvise(MADV_DONTNEED), so pages ReleaseMemory releases
 // genuinely leave the process RSS and read back as zeros if re-touched.
 //
 // Resolution is address arithmetic: a span address in the slot region

@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"testing"
-
-	"hoardgo/internal/scavenge"
-)
+import "testing"
 
 // testArena builds a small arena, skipping on platforms without one.
 func testArena(t *testing.T, opts ArenaOptions) Backend {
@@ -127,7 +123,7 @@ func TestArenaLargeSpans(t *testing.T) {
 	a.Release(wide)
 }
 
-// TestArenaRSSReturn is the backend-level ground truth for the scavenger:
+// TestArenaRSSReturn is the backend-level ground truth for page release:
 // touching committed pages raises the process RSS, Decommit's madvise
 // genuinely gives the pages back to the OS, and the freed range reads zero
 // afterwards. Measured via /proc/self/statm, not simulated accounting.
@@ -135,7 +131,7 @@ func TestArenaRSSReturn(t *testing.T) {
 	const size = 64 << 20
 	a := testArena(t, ArenaOptions{LargeRegionBytes: size})
 
-	before, err := scavenge.ReadRSS()
+	before, err := ReadRSS()
 	if err != nil {
 		t.Skipf("no RSS source: %v", err)
 	}
@@ -144,7 +140,7 @@ func TestArenaRSSReturn(t *testing.T) {
 	for i := 0; i < len(data); i += PageSize {
 		data[i] = 1
 	}
-	touched, err := scavenge.ReadRSS()
+	touched, err := ReadRSS()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +148,7 @@ func TestArenaRSSReturn(t *testing.T) {
 		t.Fatalf("RSS grew only %d bytes after touching %d", grew, size)
 	}
 	sp.Decommit(0, size)
-	after, err := scavenge.ReadRSS()
+	after, err := ReadRSS()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@
 // the backing of a page range madvise(DONTNEED)-style while keeping the
 // addresses reserved, and Recommit backs them again. Peak committed is what
 // the paper's fragmentation and blowup experiments measure; the
-// reserved/committed gap is what the scavenger returns to the OS.
+// reserved/committed gap is what ReleaseMemory returns to the OS.
 package vm
 
 import (

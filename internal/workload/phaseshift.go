@@ -23,7 +23,7 @@ type PhaseShiftConfig struct {
 	LiveObjects, ObjSize int
 	// AfterRound, if set, runs on the phase's owning thread after its frees
 	// and before the phase's committed-memory sample; the footprint
-	// experiments hook a scavenge pass here.
+	// experiments run ReleaseMemory here.
 	AfterRound func(e env.Env, phase int)
 }
 

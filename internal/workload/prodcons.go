@@ -24,7 +24,7 @@ type ProdConsConfig struct {
 	// AfterRound, if set, runs on thread 0 after each round's frees have
 	// completed (all threads are between barriers) and before the round's
 	// committed-memory sample — the hook the footprint experiments use to
-	// drive a scavenge pass in virtual time.
+	// run ReleaseMemory in virtual time.
 	AfterRound func(e env.Env, round int)
 }
 

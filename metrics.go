@@ -72,10 +72,6 @@ func (a *Allocator) sampleMetrics() metrics.Snapshot {
 	sp := a.impl.Space().Stats()
 	s.Counters["decommits_total"] = sp.Decommits
 	s.Counters["recommits_total"] = sp.Recommits
-	if ss := a.ScavengerStats(); ss.Wakeups > 0 {
-		s.Counters["scavenger_wakeups_total"] = ss.Wakeups
-		s.Counters["scavenger_backoffs_total"] = ss.Backoffs
-	}
 	s.Counters["superblock_moves_total"] = st.SuperblockMoves
 	s.Counters["remote_frees_total"] = st.RemoteFrees
 	s.Counters["batch_refills_total"] = st.BatchRefills

@@ -258,6 +258,7 @@ func TestMisuseAfterClose(t *testing.T) {
 			func() { th.MallocBatch(64, 4, make([]Ptr, 4)) }, "MallocBatch after Close")
 		wantPanic(t, "FreeBatch after Close", func() { th.FreeBatch([]Ptr{p}) }, "FreeBatch after Close")
 		wantPanic(t, "NewThread after Close", func() { a.NewThread() }, "NewThread after Close")
+		wantPanic(t, "ReleaseMemory after Close", func() { a.ReleaseMemory() }, "ReleaseMemory after Close")
 		if st := a.Stats(); st.Mallocs != 1 {
 			t.Fatalf("Stats after Close: %d mallocs, want 1", st.Mallocs)
 		}
