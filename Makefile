@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: check build test race race-arena race-bench vet bench perfbench-smoke
+.PHONY: check fmt build test race race-arena race-bench vet bench perfbench-smoke
 
-# check is the tier-1 gate: vet, build, the full suite under the race
-# detector, the allocator protocol suites under it again on the arena
+# check is the tier-1 gate: formatting, vet, build, the full suite under the
+# race detector, the allocator protocol suites under it again on the arena
 # backend, and the public-API microbenchmarks under it too.
-check: vet build race race-arena race-bench
+check: fmt vet build race race-arena race-bench
+
+# fmt fails when gofmt would reformat any file, and lists them.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -2,6 +2,7 @@ package hoard_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	hoard "hoardgo"
@@ -89,4 +90,70 @@ func ExampleThread_Realloc() {
 	t.Free(p)
 	// Output:
 	// abcd
+}
+
+// Memory debugging: Config{Debug: true} wraps the allocator with canaries,
+// poisoning and a free quarantine. Three classic heap crimes are each
+// caught at the offending call; a clean program passes untouched.
+func Example_debug() {
+	catch := func(crime string, f func()) {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			// Keep the cause; drop the block address and the details.
+			if i := strings.IndexAny(msg, "(0"); i > 0 {
+				msg = strings.TrimSpace(msg[:i])
+			}
+			fmt.Printf("%-16s caught: %s\n", crime, msg)
+		}()
+		f()
+	}
+
+	// A view one byte past the requested size is refused.
+	catch("buffer overflow", func() {
+		a := hoard.MustNew(hoard.Config{Debug: true})
+		defer a.Close()
+		t := a.NewThread()
+		p := t.Malloc(32)
+		t.Bytes(p, 33)[32] = 0xFF
+	})
+	catch("double free", func() {
+		a := hoard.MustNew(hoard.Config{Debug: true})
+		defer a.Close()
+		t := a.NewThread()
+		p := t.Malloc(64)
+		t.Free(p)
+		t.Free(p)
+	})
+	// The freed block is poisoned and quarantined; the scribble is found
+	// when the block leaves quarantine.
+	catch("use after free", func() {
+		a := hoard.MustNew(hoard.Config{Debug: true, DebugQuarantine: 4})
+		defer a.Close()
+		t := a.NewThread()
+		p := t.Malloc(64)
+		buf := t.Bytes(p, 64)
+		t.Free(p)
+		buf[10] = 0x42
+		for i := 0; i < 8; i++ {
+			t.Free(t.Malloc(64))
+		}
+	})
+
+	a := hoard.MustNew(hoard.Config{Debug: true})
+	defer a.Close()
+	t := a.NewThread()
+	ps := make([]hoard.Ptr, 1000)
+	for i := range ps {
+		ps[i] = t.Malloc(1 + i%200)
+		t.Bytes(ps[i], 1)[0] = byte(i)
+	}
+	for _, p := range ps {
+		t.Free(p)
+	}
+	fmt.Println("clean program:", a.CheckIntegrity(), a.Stats().LiveBytes)
+	// Output:
+	// buffer overflow  caught: debugalloc: Bytes
+	// double free      caught: debugalloc: free of unknown or already-freed pointer
+	// use after free   caught: debugalloc: use-after-free write on block
+	// clean program: <nil> 0
 }

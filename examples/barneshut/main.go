@@ -7,10 +7,13 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 	"sync"
 	"time"
 
@@ -168,13 +171,27 @@ func (w *world) freeTree(p hoard.Ptr) {
 }
 
 func main() {
-	bodies := flag.Int("bodies", 4000, "body count")
-	steps := flag.Int("steps", 4, "timesteps")
-	workers := flag.Int("workers", 4, "worker goroutines")
-	theta := flag.Float64("theta", 0.5, "opening angle")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "barneshut:", err)
+		os.Exit(1)
+	}
+}
 
-	a := hoard.MustNew(hoard.Config{Procs: *workers})
+func run(args []string, out io.Writer) (err error) {
+	fs := flag.NewFlagSet("barneshut", flag.ContinueOnError)
+	bodies := fs.Int("bodies", 4000, "body count")
+	steps := fs.Int("steps", 4, "timesteps")
+	workers := fs.Int("workers", 4, "worker goroutines")
+	theta := fs.Float64("theta", 0.5, "opening angle")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	a, err := hoard.New(hoard.Config{Procs: *workers})
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, a.Close()) }()
 	n := *bodies
 	pos := make([][2]float64, n)
 	vel := make([][2]float64, n)
@@ -235,6 +252,7 @@ func main() {
 		}
 		for wi, w := range worlds {
 			w.freeTree(roots[wi])
+			w.t.Close()
 			totalNodes += w.nodeAllocs
 		}
 	}
@@ -247,16 +265,17 @@ func main() {
 		ke += 0.5 * mass[i] * (vel[i][0]*vel[i][0] + vel[i][1]*vel[i][1])
 	}
 	st := a.Stats()
-	fmt.Printf("simulated %d bodies x %d steps with %d workers in %v\n",
+	fmt.Fprintf(out, "simulated %d bodies x %d steps with %d workers in %v\n",
 		n, *steps, *workers, elapsed.Round(time.Millisecond))
-	fmt.Printf("centroid (%.4f, %.4f), kinetic energy %.6f\n", cx/float64(n), cy/float64(n), ke)
-	fmt.Printf("tree nodes allocated %d (freed every step); allocator: %d mallocs, %d frees, %d B live\n",
+	fmt.Fprintf(out, "centroid (%.4f, %.4f), kinetic energy %.6f\n", cx/float64(n), cy/float64(n), ke)
+	fmt.Fprintf(out, "tree nodes allocated %d (freed every step); allocator: %d mallocs, %d frees, %d B live\n",
 		totalNodes, st.Mallocs, st.Frees, st.LiveBytes)
 	if st.LiveBytes != 0 {
-		panic("leak: tree nodes outlived their step")
+		return fmt.Errorf("leak: %d bytes of tree nodes outlived their step", st.LiveBytes)
 	}
 	if err := a.CheckIntegrity(); err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Println("integrity check passed")
+	fmt.Fprintln(out, "integrity check passed")
+	return nil
 }

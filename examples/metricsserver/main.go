@@ -12,10 +12,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"net"
 	"net/http"
+	"os"
 	"sync"
 	"time"
 
@@ -23,16 +26,43 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "localhost:8080", "listen address for /metrics")
-	workers := flag.Int("workers", 4, "churn goroutines")
-	duration := flag.Duration("duration", 0, "stop after this long (0 = run forever)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "metricsserver:", err)
+		os.Exit(1)
+	}
+}
 
-	a := hoard.MustNew(hoard.Config{Procs: *workers, Metrics: true})
+func run(args []string, out io.Writer) (err error) {
+	fs := flag.NewFlagSet("metricsserver", flag.ContinueOnError)
+	addr := fs.String("addr", "localhost:8080", "listen address for /metrics")
+	workers := fs.Int("workers", 4, "churn goroutines")
+	duration := fs.Duration("duration", 0, "stop after this long (0 = run forever)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	http.Handle("/metrics", a.MetricsHandler())
-	go func() { log.Fatal(http.ListenAndServe(*addr, nil)) }()
-	fmt.Printf("serving metrics on http://%s/metrics\n", *addr)
+	a, err := hoard.New(hoard.Config{Procs: *workers, Metrics: true})
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, a.Close()) }()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", a.MetricsHandler())
+	srv := &http.Server{Handler: mux}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		if e := <-served; !errors.Is(e, http.ErrServerClosed) {
+			err = errors.Join(err, e)
+		}
+	}()
+	fmt.Fprintf(out, "serving metrics on http://%s/metrics\n", ln.Addr())
 
 	// Phased churn: each worker builds up a working set, holds it, then
 	// drops it — so the global heap oscillates between loaded and empty and
@@ -40,6 +70,15 @@ func main() {
 	stop := make(chan struct{})
 	if *duration > 0 {
 		time.AfterFunc(*duration, func() { close(stop) })
+	}
+	// pause sleeps for d and reports whether the run should go on.
+	pause := func(d time.Duration) bool {
+		select {
+		case <-stop:
+			return false
+		case <-time.After(d):
+			return true
+		}
 	}
 
 	// Periodic trimming: every 50 ms, return the empty superblocks parked
@@ -67,25 +106,19 @@ func main() {
 			defer th.Close()
 			ps := make([]hoard.Ptr, 0, 4096)
 			for {
-				select {
-				case <-stop:
-					for _, p := range ps {
-						th.Free(p)
-					}
-					return
-				default:
-				}
 				for i := 0; i < 4096; i++ {
 					p := th.Malloc(64 + i%960)
 					th.Bytes(p, 8)[0] = byte(w)
 					ps = append(ps, p)
 				}
-				time.Sleep(200 * time.Millisecond)
+				held := pause(200 * time.Millisecond)
 				for _, p := range ps {
 					th.Free(p)
 				}
 				ps = ps[:0]
-				time.Sleep(800 * time.Millisecond)
+				if !held || !pause(800*time.Millisecond) {
+					return
+				}
 			}
 		}(w)
 	}
@@ -93,7 +126,11 @@ func main() {
 	<-trimDone
 
 	s := a.Stats()
-	fmt.Printf("trims: %d released memory, %d bytes in all\n", s.ScavengeOps, s.ScavengedBytes)
-	fmt.Printf("final: footprint %d B, reserved %d B, decommitted %d B\n",
+	fmt.Fprintf(out, "trims: %d released memory, %d bytes in all\n", s.ScavengeOps, s.ScavengedBytes)
+	fmt.Fprintf(out, "final: footprint %d B, reserved %d B, decommitted %d B\n",
 		s.FootprintBytes, s.ReservedBytes, s.DecommittedBytes)
+	if s.LiveBytes != 0 {
+		return fmt.Errorf("leak: %d live bytes after the workers stopped", s.LiveBytes)
+	}
+	return nil
 }

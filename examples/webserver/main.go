@@ -15,11 +15,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
+	"os"
 	"sync"
 	"time"
 
@@ -32,33 +35,54 @@ type request struct {
 }
 
 func main() {
-	policy := flag.String("policy", "hoard", "allocator policy: hoard serial private ownership threshold")
-	backend := flag.String("backend", "", "memory substrate: sim or arena (hoard policy only; empty = HOARDGO_BACKEND or sim)")
-	workers := flag.Int("workers", 4, "worker goroutines")
-	requests := flag.Int("requests", 50000, "total requests")
-	tcache := flag.Int("tcache", 0, "per-thread magazine capacity, hoard policy only (0 = the default of 64)")
-	metricsAddr := flag.String("metrics", "", "serve the allocator's /metrics endpoint on this address while running")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "webserver:", err)
+		os.Exit(1)
+	}
+}
 
-	a := hoard.MustNew(hoard.Config{
+func run(args []string, out io.Writer) (err error) {
+	fs := flag.NewFlagSet("webserver", flag.ContinueOnError)
+	policy := fs.String("policy", "hoard", "allocator policy: hoard serial private ownership threshold")
+	backend := fs.String("backend", "", "memory substrate: sim or arena (hoard policy only; empty = HOARDGO_BACKEND or sim)")
+	workers := fs.Int("workers", 4, "worker goroutines")
+	requests := fs.Int("requests", 50000, "total requests")
+	tcache := fs.Int("tcache", 0, "per-thread magazine capacity, hoard policy only (0 = the default of 64)")
+	metricsAddr := fs.String("metrics", "", "serve the allocator's /metrics endpoint on this address while running")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	a, err := hoard.New(hoard.Config{
 		Policy:              hoard.Policy(*policy),
 		Backend:             *backend,
 		Procs:               *workers,
 		ThreadCacheCapacity: *tcache,
 	})
+	if err != nil {
+		return err
+	}
 	// Close is the only way an arena reservation is unmapped; it also stops
 	// the background goroutines. Every exit path must run it.
-	defer func() {
-		if err := a.Close(); err != nil {
-			panic(err)
-		}
-	}()
+	defer func() { err = errors.Join(err, a.Close()) }()
 
 	if *metricsAddr != "" {
+		ln, lerr := net.Listen("tcp", *metricsAddr)
+		if lerr != nil {
+			return lerr
+		}
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", a.MetricsHandler())
-		go func() { log.Fatal(http.ListenAndServe(*metricsAddr, mux)) }()
-		fmt.Printf("metrics on http://%s/metrics\n", *metricsAddr)
+		srv := &http.Server{Handler: mux}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		defer func() {
+			srv.Close()
+			if e := <-served; !errors.Is(e, http.ErrServerClosed) {
+				err = errors.Join(err, e)
+			}
+		}()
+		fmt.Fprintf(out, "metrics on http://%s/metrics\n", ln.Addr())
 	}
 
 	queue := make(chan request, 256)
@@ -113,22 +137,23 @@ func main() {
 	elapsed := time.Since(start)
 
 	st := a.Stats()
-	fmt.Printf("policy      %s (backend %s)\n", *policy, a.Backend())
-	fmt.Printf("requests    %d via %d workers in %v (%.0f req/s)\n",
+	fmt.Fprintf(out, "policy      %s (backend %s)\n", *policy, a.Backend())
+	fmt.Fprintf(out, "requests    %d via %d workers in %v (%.0f req/s)\n",
 		*requests, *workers, elapsed.Round(time.Millisecond),
 		float64(*requests)/elapsed.Seconds())
-	fmt.Printf("allocator   %d mallocs, %d frees, %d remote frees\n",
+	fmt.Fprintf(out, "allocator   %d mallocs, %d frees, %d remote frees\n",
 		st.Mallocs, st.Frees, st.RemoteFrees)
-	fmt.Printf("memory      %d B live, %d B cached, peak footprint %d KiB\n",
+	fmt.Fprintf(out, "memory      %d B live, %d B cached, peak footprint %d KiB\n",
 		st.LiveBytes, a.CachedBytes(), st.PeakFootprintBytes/1024)
 	if st.LiveBytes != 0 {
-		panic("leak: live bytes after all requests completed")
+		return fmt.Errorf("leak: %d live bytes after all requests completed", st.LiveBytes)
 	}
 	if c := a.CachedBytes(); c != 0 {
-		panic(fmt.Sprintf("leak: %d bytes stranded in thread magazines after drain", c))
+		return fmt.Errorf("leak: %d bytes stranded in thread magazines after drain", c)
 	}
 	if err := a.CheckIntegrity(); err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Println("integrity check passed")
+	fmt.Fprintln(out, "integrity check passed")
+	return nil
 }

@@ -295,6 +295,7 @@ func (t *Thread) Malloc(size int) Ptr { return t.a.impl.Malloc(t.inner, size) }
 
 // Calloc returns a zeroed block of at least size bytes.
 func (t *Thread) Calloc(size int) Ptr {
+	t.a.checkOpen("Calloc")
 	p := t.Malloc(size)
 	clear(t.a.impl.Bytes(p, size))
 	return p
@@ -308,6 +309,7 @@ func (t *Thread) Free(p Ptr) { t.a.impl.Free(t.inner, p) }
 // Realloc resizes a block, preserving min(old, new) bytes of content. A nil
 // p behaves as Malloc.
 func (t *Thread) Realloc(p Ptr, size int) Ptr {
+	t.a.checkOpen("Realloc")
 	if p.IsNil() {
 		return t.Malloc(size)
 	}
@@ -327,6 +329,7 @@ func (t *Thread) Realloc(p Ptr, size int) Ptr {
 // stronger-than-8-byte alignment natively; other policies, and Hoard under
 // Debug, fall back to the page-aligned large-object path for align > 8.
 func (t *Thread) MallocAligned(size, align int) Ptr {
+	t.a.checkOpen("MallocAligned")
 	if tc, ok := t.a.impl.(*tcache.Allocator); ok {
 		return tc.MallocAligned(t.inner, size, align)
 	}
@@ -548,8 +551,9 @@ func (closedAllocator) UsableSize(Ptr) int { panic("hoard: UsableSize after Clos
 
 func (closedAllocator) Bytes(Ptr, int) []byte { panic("hoard: Bytes after Close") }
 
-// checkOpen panics, naming op, when the allocator has been closed: the
-// batch calls check before their loops, so an empty batch panics too.
+// checkOpen panics, naming op, when the allocator has been closed. The
+// calls built on Malloc, Free, UsableSize and Bytes check first, so the
+// panic names the call that was made and an empty batch panics too.
 func (a *Allocator) checkOpen(op string) {
 	if _, closed := a.impl.(closedAllocator); closed {
 		panic("hoard: " + op + " after Close")

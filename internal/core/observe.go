@@ -50,14 +50,3 @@ func (h *Hoard) SampleHeaps(e env.Env, detail bool) []heap.Occupancy {
 	}
 	return out
 }
-
-// SampleHeapsQuiescent is SampleHeaps without the locks, for an allocator
-// that has gone quiet — e.g. after a simulator run, whose locks cannot be
-// taken from outside the simulation.
-func (h *Hoard) SampleHeapsQuiescent(detail bool) []heap.Occupancy {
-	out := make([]heap.Occupancy, len(h.heaps))
-	for i, hp := range h.heaps {
-		out[i] = hp.SampleOccupancy(detail)
-	}
-	return out
-}

@@ -2,8 +2,8 @@ package core
 
 import "hoardgo/internal/env"
 
-// This file is the core side of page release: entry points that decommit
-// every empty superblock parked on the global heap, in place. The
+// This file is the core side of page release: the entry point that
+// decommits every empty superblock parked on the global heap, in place. The
 // superblocks stay owned by the global heap — its a is unchanged, the
 // emptiness machinery never notices — and TakeSuper recommits them
 // transparently when demand returns. The reservation stays, so the blowup
@@ -15,24 +15,11 @@ import "hoardgo/internal/env"
 func (h *Hoard) ReleaseMemory(e env.Env) int64 {
 	g := h.heaps[0]
 	env.LockWith(g.Lock, e, "scavenge")
-	n := h.scavengeLocked(e)
-	g.Lock.Unlock(e)
-	return n
-}
-
-// ScavengeQuiescent is ReleaseMemory without the lock, for an allocator that
-// has gone quiet — e.g. after a simulator run, whose locks cannot be taken
-// from outside the simulation (cf. SampleHeapsQuiescent).
-func (h *Hoard) ScavengeQuiescent() int64 {
-	return h.scavengeLocked(&env.RealEnv{})
-}
-
-// scavengeLocked runs one release pass with the global lock held.
-func (h *Hoard) scavengeLocked(e env.Env) int64 {
-	released := h.heaps[0].ScavengeEmpties(e)
+	released := g.ScavengeEmpties(e)
 	if released > 0 {
 		h.scavPasses.Add(1)
 		h.scavBytes.Add(released)
 	}
+	g.Lock.Unlock(e)
 	return released
 }

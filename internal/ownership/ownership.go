@@ -211,15 +211,6 @@ func (a *Allocator) Stats() alloc.Stats {
 	return st
 }
 
-// ArenaSnapshot reports (u, a) for one arena; used by the blowup experiment.
-func (a *Allocator) ArenaSnapshot(id int) (u, held int64) {
-	ar := a.arenas[id]
-	return ar.h.U(), ar.h.A()
-}
-
-// NumArenas returns the arena count.
-func (a *Allocator) NumArenas() int { return len(a.arenas) }
-
 // CheckIntegrity implements alloc.Allocator.
 func (a *Allocator) CheckIntegrity() error {
 	var u int64

@@ -294,51 +294,6 @@ func TestLockMigrationCost(t *testing.T) {
 	}
 }
 
-func TestGate(t *testing.T) {
-	w := NewWorld(3, DefaultCosts)
-	g := w.NewGate()
-	var waiterTime, lateTime int64
-	w.SpawnOn(0, func(e env.Env) { // setter
-		e.Charge(env.OpWork, 5000)
-		g.Set(e)
-	})
-	w.SpawnOn(1, func(e env.Env) { // early waiter
-		e.Charge(env.OpWork, 100)
-		g.Wait(e)
-		waiterTime = e.(*Env).Time()
-	})
-	w.SpawnOn(2, func(e env.Env) { // late waiter: gate already set
-		e.Charge(env.OpWork, 9000)
-		g.Wait(e)
-		lateTime = e.(*Env).Time()
-	})
-	w.Run()
-	if want := int64(5000) + DefaultCosts.BarrierCost; waiterTime != want {
-		t.Fatalf("early waiter resumed at %d, want %d", waiterTime, want)
-	}
-	if lateTime != 9000 {
-		t.Fatalf("late waiter delayed: %d, want 9000", lateTime)
-	}
-	if !g.IsSet() {
-		t.Fatal("gate not set")
-	}
-}
-
-func TestGateDoubleSetPanics(t *testing.T) {
-	w := NewWorld(1, DefaultCosts)
-	g := w.NewGate()
-	w.Spawn(func(e env.Env) {
-		g.Set(e)
-		g.Set(e)
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Set did not panic")
-		}
-	}()
-	w.Run()
-}
-
 func TestRunTwicePanics(t *testing.T) {
 	w := NewWorld(1, DefaultCosts)
 	w.Spawn(func(e env.Env) {})

@@ -1,6 +1,6 @@
 // Package vmtest constructs vm backends for tests. The suites that exercise
 // allocator logic (superblock, heap, core) build their backing store through
-// New, so setting HOARDGO_BACKEND=arena runs the very same tests over real
+// NewSized, so setting HOARDGO_BACKEND=arena runs the very same tests over real
 // mmap'd memory — that is how `make race-arena` gives the arena backend
 // full protocol coverage without duplicating a single test.
 package vmtest
@@ -23,18 +23,14 @@ func testArenaOptions(spanSize int) vm.ArenaOptions {
 	}
 }
 
-// New returns the backend selected by HOARDGO_BACKEND: the simulated space
-// by default, the arena when set to "arena" (skipping the test on platforms
-// without one). Cleanup closes the backend. Tests that assert
+// NewSized returns the backend selected by HOARDGO_BACKEND: the simulated
+// space by default, the arena when set to "arena" (skipping the test on
+// platforms without one). spanSize is the arena span size (the superblock
+// size the test uses), so superblock-sized reserves land in the
+// arithmetic-resolution slot region just as they do in production; zero
+// means the default S. Cleanup closes the backend. Tests that assert
 // simulated-backend specifics — poison bytes, deterministic base addresses
 // — should call vm.New directly instead.
-func New(tb testing.TB) vm.Backend {
-	return NewSized(tb, 0)
-}
-
-// NewSized is New with an explicit arena span size (the superblock size the
-// test uses), so superblock-sized reserves land in the arithmetic-resolution
-// slot region just as they do in production. Zero means the default S.
 func NewSized(tb testing.TB, spanSize int) vm.Backend {
 	if os.Getenv("HOARDGO_BACKEND") == "arena" {
 		return NewArena(tb, spanSize)
@@ -55,11 +51,4 @@ func NewArena(tb testing.TB, spanSize int) vm.Backend {
 		}
 	})
 	return be
-}
-
-// Each runs fn as a subtest once per available backend ("sim" always,
-// "arena" where supported), for property suites that must hold on both.
-func Each(t *testing.T, fn func(t *testing.T, be vm.Backend)) {
-	t.Run("sim", func(t *testing.T) { fn(t, vm.New()) })
-	t.Run("arena", func(t *testing.T) { fn(t, NewArena(t, 0)) })
 }

@@ -143,9 +143,6 @@ func NewRealMaker(allocName string, procs int, mk allocators.Maker) *Harness {
 // Allocator exposes the harness's allocator (for result inspection).
 func (h *Harness) Allocator() alloc.Allocator { return h.alloc }
 
-// World exposes the simulated world, or nil in real mode.
-func (h *Harness) World() *simproc.World { return h.world }
-
 // OnAlloc records sz requested bytes becoming live; workloads call it after
 // each malloc so Result.MaxLive reflects the program's true demand.
 func (h *Harness) OnAlloc(sz int) { h.requested.OnMalloc(sz) }

@@ -257,6 +257,10 @@ func TestMisuseAfterClose(t *testing.T) {
 		wantPanic(t, "MallocBatch after Close",
 			func() { th.MallocBatch(64, 4, make([]Ptr, 4)) }, "MallocBatch after Close")
 		wantPanic(t, "FreeBatch after Close", func() { th.FreeBatch([]Ptr{p}) }, "FreeBatch after Close")
+		wantPanic(t, "Calloc after Close", func() { th.Calloc(64) }, "Calloc after Close")
+		wantPanic(t, "Realloc after Close", func() { th.Realloc(p, 128) }, "Realloc after Close")
+		wantPanic(t, "MallocAligned after Close",
+			func() { th.MallocAligned(64, 8192) }, "MallocAligned after Close")
 		wantPanic(t, "NewThread after Close", func() { a.NewThread() }, "NewThread after Close")
 		wantPanic(t, "ReleaseMemory after Close", func() { a.ReleaseMemory() }, "ReleaseMemory after Close")
 		if st := a.Stats(); st.Mallocs != 1 {
