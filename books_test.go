@@ -3,6 +3,9 @@ package hoard
 import (
 	"io"
 	"math/rand"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,4 +111,93 @@ func TestStatsUnderChurn(t *testing.T) {
 	}
 	drain.Close()
 	check("drained")
+}
+
+// runHandoff runs a 2-goroutine producer/consumer on a: the producer mallocs
+// batches of 64 blocks of 16..2048 B and sends them over a channel that
+// holds 64 batches, the consumer frees them, and both close their threads.
+func runHandoff(a *Allocator, batches int) {
+	ch := make(chan []Ptr, 64)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		th := a.NewThread()
+		defer th.Close()
+		rng := rand.New(rand.NewSource(1))
+		for b := 0; b < batches; b++ {
+			batch := make([]Ptr, 64)
+			for i := range batch {
+				batch[i] = th.Malloc(16 + rng.Intn(2048-16+1))
+			}
+			ch <- batch
+		}
+		close(ch)
+	}()
+	go func() {
+		defer wg.Done()
+		th := a.NewThread()
+		defer th.Close()
+		for batch := range ch {
+			for _, p := range batch {
+				th.Free(p)
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+// TestDescribePeakIsStatsPeak: after a producer/consumer run, the peak live
+// bytes Describe prints is Stats().PeakLiveBytes — one set of books, not a
+// sum of per-heap high-water marks — and no more than the peak footprint.
+func TestDescribePeakIsStatsPeak(t *testing.T) {
+	a := MustNew(Config{})
+	defer a.Close()
+	runHandoff(a, 2000)
+	st := a.Stats()
+	if st.Mallocs != 2000*64 || st.Frees != st.Mallocs || st.LiveBytes != 0 {
+		t.Fatalf("after the run: %d mallocs, %d frees, %d B live", st.Mallocs, st.Frees, st.LiveBytes)
+	}
+	var b strings.Builder
+	a.Describe(&b)
+	m := regexp.MustCompile(`B live \(peak (\d+)\)`).FindAllStringSubmatch(b.String(), -1)
+	if len(m) != 1 {
+		t.Fatalf("Describe prints %d live peaks, want 1:\n%s", len(m), b.String())
+	}
+	if peak, _ := strconv.ParseInt(m[0][1], 10, 64); peak != st.PeakLiveBytes {
+		t.Fatalf("Describe prints peak live %d, Stats().PeakLiveBytes is %d", peak, st.PeakLiveBytes)
+	}
+	if st.PeakLiveBytes <= 0 || st.PeakLiveBytes > st.PeakFootprintBytes {
+		t.Fatalf("PeakLiveBytes %d not in (0, PeakFootprintBytes %d]", st.PeakLiveBytes, st.PeakFootprintBytes)
+	}
+	if err := a.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGlobalHeapHitsPublic: the superblocks a producer/consumer run takes
+// back from the global heap show in the public Stats and the metrics scrape,
+// beside the evictions that put them there.
+func TestGlobalHeapHitsPublic(t *testing.T) {
+	a := MustNew(Config{})
+	defer a.Close()
+	runHandoff(a, 2000)
+	st, core := a.Stats(), a.unwrap().Stats()
+	if st.GlobalHeapHits != core.GlobalHeapHits || st.GlobalHeapHits == 0 {
+		t.Fatalf("public GlobalHeapHits %d, core's %d; want equal and > 0", st.GlobalHeapHits, core.GlobalHeapHits)
+	}
+	if st.SuperblockMoves != core.SuperblockMoves {
+		t.Fatalf("public SuperblockMoves %d, core's %d", st.SuperblockMoves, core.SuperblockMoves)
+	}
+	var b strings.Builder
+	if err := a.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := LintMetrics(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	want := `hoard_global_heap_hits_total{allocator="hoard"} ` + strconv.FormatInt(st.GlobalHeapHits, 10)
+	if !strings.Contains(b.String(), want+"\n") {
+		t.Fatalf("scrape lacks %q", want)
+	}
 }

@@ -384,11 +384,12 @@ type Stats struct {
 	Mallocs, Frees int64
 	// LiveBytes is the usable bytes currently allocated. PeakLiveBytes is
 	// its high-water mark, exact for the baseline policies. Under the Hoard
-	// policy's thread caches it is an upper bound: the high-water mark of
-	// live plus cached bytes, which exceeds the true peak by at most the
-	// bytes cached at that moment. Per thread that is at most cap+1 blocks
-	// of each size class, plus 32 KiB of remote batch and one block
-	// (DESIGN.md §11): about 0.6 MB at the default capacity.
+	// policy's thread caches it is an upper bound: the exact high-water mark
+	// of the bytes Hoard has handed to the caches and the application, live
+	// plus cached, which exceeds the true peak by at most the bytes cached
+	// at that moment. Per thread that is at most cap+1 blocks of each size
+	// class, plus 32 KiB of remote batch and one block (DESIGN.md §11):
+	// about 0.6 MB at the default capacity.
 	LiveBytes, PeakLiveBytes int64
 	// FootprintBytes is the physical memory currently held from the
 	// (simulated) OS — committed bytes; PeakFootprintBytes its high-water
@@ -405,8 +406,12 @@ type Stats struct {
 	// ScavengeOps counts ReleaseMemory calls that released at least one
 	// byte; ScavengedBytes the bytes they released.
 	ScavengeOps, ScavengedBytes int64
-	// SuperblockMoves counts Hoard's transfers to/from the global heap.
+	// SuperblockMoves counts superblocks Hoard evicted from a per-processor
+	// heap to the global heap to restore the emptiness invariant.
 	SuperblockMoves int64
+	// GlobalHeapHits counts superblocks a per-processor heap took back from
+	// the global heap: the other direction of the same round trip.
+	GlobalHeapHits int64
 	// RemoteFrees counts frees that crossed heaps.
 	RemoteFrees int64
 	// BatchRefills and BatchFlushes count the Hoard policy's magazine
@@ -449,6 +454,7 @@ func (a *Allocator) Stats() Stats {
 		ScavengeOps:        st.ScavengePasses,
 		ScavengedBytes:     st.ScavengedBytes,
 		SuperblockMoves:    st.SuperblockMoves,
+		GlobalHeapHits:     st.GlobalHeapHits,
 		RemoteFrees:        st.RemoteFrees,
 		BatchRefills:       st.BatchRefills,
 		BatchFlushes:       st.BatchFlushes,
@@ -566,18 +572,18 @@ func (a *Allocator) checkOpen(op string) {
 func (a *Allocator) CheckIntegrity() error { return a.impl.CheckIntegrity() }
 
 // Describe writes a human-readable snapshot of the allocator's state (in
-// the spirit of malloc_stats). Only the Hoard policy provides a detailed
-// per-heap breakdown; other policies print their counters. Under the Hoard
-// policy a last line gives the magazines: the size classes whose cap the
-// 32 KiB byte budget lowers below ThreadCacheCapacity, the per-thread bound
-// in bytes, and MagazineBytes.
+// the spirit of malloc_stats). Its first line is the Stats books of every
+// policy: mallocs, frees, live bytes and PeakLiveBytes, footprint and its
+// peak. The Hoard policy adds its configuration, transfer and superblock
+// counters and a per-heap breakdown, and a last line on the magazines: the
+// size classes whose cap the 32 KiB byte budget lowers below
+// ThreadCacheCapacity, the per-thread bound in bytes, and MagazineBytes.
 func (a *Allocator) Describe(w io.Writer) {
+	st := a.Stats()
+	fmt.Fprintf(w, "%s: %d mallocs, %d frees, %d B live (peak %d), %d B footprint (peak %d)\n",
+		a.name, st.Mallocs, st.Frees, st.LiveBytes, st.PeakLiveBytes, st.FootprintBytes, st.PeakFootprintBytes)
 	if h := a.unwrap(); h != nil {
 		h.Describe(w, &env.RealEnv{})
-	} else {
-		st := a.Stats()
-		fmt.Fprintf(w, "%s: %d mallocs, %d frees, %d B live, %d B footprint (peak %d)\n",
-			a.name, st.Mallocs, st.Frees, st.LiveBytes, st.FootprintBytes, st.PeakFootprintBytes)
 	}
 	if tc := a.tcacheLayer(); tc != nil {
 		tc.Describe(w)

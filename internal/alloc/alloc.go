@@ -116,23 +116,22 @@ type Stats struct {
 	Mallocs, Frees int64
 	// LiveBytes is the usable (class-rounded) bytes currently allocated.
 	LiveBytes int64
-	// PeakLiveBytes is the high-water mark of LiveBytes. It is exact
-	// wherever one Accounting keeps the books: every baseline. The other
-	// layers report an upper bound. The bare core.Hoard sums per-shard peaks
-	// (ShardedAccounting). The tcache layer, which the public Hoard policy
-	// always runs, reports the high-water mark of the bytes it holds from
-	// the inner allocator: application live plus cached. That is at least
-	// the true peak, and exceeds it by at most the bytes cached at the peak,
-	// itself at most the per-thread magazine bound (DESIGN.md §11) per
-	// thread.
+	// PeakLiveBytes is the high-water mark of LiveBytes, exact wherever one
+	// Accounting keeps the books: every baseline and the bare core.Hoard.
+	// The tcache layer, which the public Hoard policy always runs, reports
+	// its core's mark: the bytes the magazines hold from Hoard, application
+	// live plus cached. That is at least the true peak, and exceeds it by at
+	// most the bytes cached at the peak, itself at most the per-thread
+	// magazine bound (DESIGN.md §11) per thread.
 	PeakLiveBytes int64
 	// LargeMallocs counts allocations that took the large-object path.
 	LargeMallocs int64
-	// SuperblockMoves counts superblock transfers between per-processor
-	// heaps and the global heap (Hoard only).
+	// SuperblockMoves counts superblocks evicted from a per-processor heap
+	// to the global heap to restore the emptiness invariant (Hoard only).
+	// The opposite direction is GlobalHeapHits.
 	SuperblockMoves int64
-	// GlobalHeapHits counts mallocs satisfied by reusing a superblock
-	// from the global heap (Hoard only).
+	// GlobalHeapHits counts superblocks a per-processor heap took back
+	// from the global heap on a malloc miss (Hoard only).
 	GlobalHeapHits int64
 	// OSReserves counts superblock/span requests that reached the
 	// simulated OS.
@@ -183,7 +182,8 @@ type Stats struct {
 // debugalloc) report their own application-level activity but must pass the
 // wrapped allocator's machinery counters through; because this helper copies
 // the whole struct and restores the application fields, counters added to
-// Stats later propagate without touching the wrappers.
+// Stats later propagate without touching the wrappers. A layer that reports
+// the inner peak (tcache) sets PeakLiveBytes itself.
 func MergeAllocatorCounters(dst *Stats, inner Stats) {
 	app := *dst
 	*dst = inner
@@ -202,9 +202,13 @@ type Accounting struct {
 }
 
 // OnMalloc records an allocation of usable size n.
-func (a *Accounting) OnMalloc(n int) {
-	a.mallocs.Add(1)
-	v := a.live.Add(int64(n))
+func (a *Accounting) OnMalloc(n int) { a.OnMallocN(1, int64(n)) }
+
+// OnMallocN records n allocations totalling bytes usable bytes in a single
+// update — the batch paths' amortized accounting.
+func (a *Accounting) OnMallocN(n int, bytes int64) {
+	a.mallocs.Add(int64(n))
+	v := a.live.Add(bytes)
 	for {
 		p := a.peak.Load()
 		if v <= p || a.peak.CompareAndSwap(p, v) {
@@ -214,9 +218,13 @@ func (a *Accounting) OnMalloc(n int) {
 }
 
 // OnFree records a deallocation of usable size n.
-func (a *Accounting) OnFree(n int) {
-	a.frees.Add(1)
-	a.live.Add(int64(-n))
+func (a *Accounting) OnFree(n int) { a.OnFreeN(1, int64(n)) }
+
+// OnFreeN records n deallocations totalling bytes usable bytes in a single
+// update.
+func (a *Accounting) OnFreeN(n int, bytes int64) {
+	a.frees.Add(int64(n))
+	a.live.Add(-bytes)
 }
 
 // OnLarge records that an allocation took the large-object path.
@@ -233,110 +241,3 @@ func (a *Accounting) Fill(st *Stats) {
 
 // Live returns the current live usable bytes.
 func (a *Accounting) Live() int64 { return a.live.Load() }
-
-// ResetPeak lowers the live-bytes high-water mark to the current value.
-func (a *Accounting) ResetPeak() { a.peak.Store(a.live.Load()) }
-
-// ShardedAccounting is Accounting with its hot counters split across
-// cache-line-padded shards so threads on different heaps stop bouncing the
-// same cache lines on every malloc and free. Callers pick a shard per
-// operation (Hoard uses the heap index); Fill and Live aggregate.
-//
-// PeakLiveBytes becomes an upper bound: each shard tracks its own
-// high-water mark and Fill sums them, and per-shard peaks need not occur
-// simultaneously. LiveBytes, Mallocs, and Frees remain exact at quiescence.
-type ShardedAccounting struct {
-	shards []acctShard
-}
-
-type acctShard struct {
-	mallocs atomic.Int64
-	frees   atomic.Int64
-	live    atomic.Int64
-	peak    atomic.Int64
-	large   atomic.Int64
-	_       [88]byte // pad to 128 bytes: separate cache-line pair per shard
-}
-
-// NewSharded creates accounting with n shards (at least 1).
-func NewSharded(n int) *ShardedAccounting {
-	if n < 1 {
-		n = 1
-	}
-	return &ShardedAccounting{shards: make([]acctShard, n)}
-}
-
-func (a *ShardedAccounting) shard(i int) *acctShard {
-	if i < 0 {
-		i = -i
-	}
-	return &a.shards[i%len(a.shards)]
-}
-
-// OnMalloc records an allocation of usable size n against one shard.
-func (a *ShardedAccounting) OnMalloc(shard, n int) {
-	s := a.shard(shard)
-	s.mallocs.Add(1)
-	v := s.live.Add(int64(n))
-	for {
-		p := s.peak.Load()
-		if v <= p || s.peak.CompareAndSwap(p, v) {
-			return
-		}
-	}
-}
-
-// OnMallocN records n allocations totalling bytes usable bytes against one
-// shard in a single update — the batch paths' amortized accounting.
-func (a *ShardedAccounting) OnMallocN(shard, n int, bytes int64) {
-	s := a.shard(shard)
-	s.mallocs.Add(int64(n))
-	v := s.live.Add(bytes)
-	for {
-		p := s.peak.Load()
-		if v <= p || s.peak.CompareAndSwap(p, v) {
-			return
-		}
-	}
-}
-
-// OnFree records a deallocation of usable size n against one shard. The
-// shard need not match the one that recorded the malloc; per-shard live
-// gauges can go negative, only the sum is meaningful.
-func (a *ShardedAccounting) OnFree(shard, n int) {
-	s := a.shard(shard)
-	s.frees.Add(1)
-	s.live.Add(int64(-n))
-}
-
-// OnFreeN records n deallocations totalling bytes usable bytes against one
-// shard in a single update.
-func (a *ShardedAccounting) OnFreeN(shard, n int, bytes int64) {
-	s := a.shard(shard)
-	s.frees.Add(int64(n))
-	s.live.Add(-bytes)
-}
-
-// OnLarge records that an allocation took the large-object path.
-func (a *ShardedAccounting) OnLarge(shard int) { a.shard(shard).large.Add(1) }
-
-// Fill populates the common fields of st by summing all shards.
-func (a *ShardedAccounting) Fill(st *Stats) {
-	for i := range a.shards {
-		s := &a.shards[i]
-		st.Mallocs += s.mallocs.Load()
-		st.Frees += s.frees.Load()
-		st.LiveBytes += s.live.Load()
-		st.PeakLiveBytes += s.peak.Load()
-		st.LargeMallocs += s.large.Load()
-	}
-}
-
-// Live returns the current live usable bytes summed across shards.
-func (a *ShardedAccounting) Live() int64 {
-	var v int64
-	for i := range a.shards {
-		v += a.shards[i].live.Load()
-	}
-	return v
-}

@@ -5,56 +5,44 @@ import (
 	"testing"
 )
 
-func TestShardedAccountingAggregates(t *testing.T) {
-	a := NewSharded(4)
-	a.OnMalloc(1, 100)
-	a.OnMalloc(2, 50)
-	a.OnFree(2, 50) // freed against the shard that allocated
-	a.OnFree(3, 60) // cross-shard free: shard 3 goes negative
-	a.OnMalloc(3, 60)
-	a.OnLarge(0)
+// TestAccountingBatches: a batch update counts n operations and moves the
+// live bytes once, and the peak is the exact high-water mark.
+func TestAccountingBatches(t *testing.T) {
+	var a Accounting
+	a.OnMallocN(3, 300)
+	a.OnFree(100)
+	a.OnMalloc(50)
+	a.OnFreeN(2, 250)
+	a.OnLarge()
 	var st Stats
 	a.Fill(&st)
-	if st.Mallocs != 3 || st.Frees != 2 || st.LargeMallocs != 1 {
-		t.Fatalf("counts: %+v", st)
-	}
-	if st.LiveBytes != 100 || a.Live() != 100 {
-		t.Fatalf("LiveBytes = %d / %d, want 100", st.LiveBytes, a.Live())
-	}
-	// Summed per-shard peaks are an upper bound on the true peak.
-	if st.PeakLiveBytes < 100 {
-		t.Fatalf("PeakLiveBytes = %d below true peak", st.PeakLiveBytes)
+	want := Stats{Mallocs: 4, Frees: 3, LiveBytes: 0, PeakLiveBytes: 300, LargeMallocs: 1}
+	if st != want || a.Live() != 0 {
+		t.Fatalf("books = %+v (Live %d), want %+v", st, a.Live(), want)
 	}
 }
 
-func TestShardedAccountingShardClamp(t *testing.T) {
-	a := NewSharded(2)
-	a.OnMalloc(7, 8) // 7 % 2 -> shard 1
-	a.OnFree(-3, 8)  // negative ids must not panic
-	if got := a.Live(); got != 0 {
-		t.Fatalf("Live = %d, want 0", got)
-	}
-}
-
-func TestShardedAccountingConcurrent(t *testing.T) {
-	a := NewSharded(8)
-	const workers = 8
-	const each = 5000
+// TestAccountingConcurrent: concurrent updates leave exact counts, and the
+// peak never exceeds what the workers could hold at once.
+func TestAccountingConcurrent(t *testing.T) {
+	var a Accounting
+	const workers, each = 8, 5000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				a.OnMalloc(w, 16)
-				a.OnFree(w, 16)
+				a.OnMalloc(16)
+				a.OnFree(16)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	var st Stats
 	a.Fill(&st)
-	if st.Mallocs != workers*each || st.Frees != workers*each || st.LiveBytes != 0 {
+	if st.Mallocs != workers*each || st.Frees != workers*each || st.LiveBytes != 0 ||
+		st.PeakLiveBytes < 16 || st.PeakLiveBytes > workers*16 {
 		t.Fatalf("after concurrent ops: %+v", st)
 	}
 }

@@ -23,8 +23,8 @@ import (
 //
 // Superblock searches and pulls from the global heap (or the OS) happen in
 // the same critical section, exactly as n back-to-back Mallocs would do —
-// minus n-1 lock round-trips. Accounting is one sharded update for the
-// whole batch.
+// minus n-1 lock round-trips. Accounting is one update for the whole
+// batch.
 func (h *Hoard) MallocCached(t *alloc.Thread, size, n int, out []alloc.Ptr, sbs []*superblock.Superblock) int {
 	if n <= 0 {
 		return 0
@@ -36,7 +36,7 @@ func (h *Hoard) MallocCached(t *alloc.Thread, size, n int, out []alloc.Ptr, sbs 
 	env.LockWith(hp.Lock, e, "batch-refill")
 	h.allocLocked(e, hp, class, blockSize, out[:n], sbs[:n])
 	hp.Lock.Unlock(e)
-	h.acct.OnMallocN(hp.ID, n, int64(n)*int64(blockSize))
+	h.acct.OnMallocN(n, int64(n)*int64(blockSize))
 	// Per-block bookkeeping really happened; the batch op is a surcharge
 	// for marshalling (see the charging discipline in internal/env).
 	e.Charge(env.OpMallocBatch, 1)
@@ -90,7 +90,7 @@ func (h *Hoard) freeOwnedLocked(e env.Env, hp *heap.Heap, myIdx int, ps []alloc.
 	defer func() {
 		hp.Lock.Unlock(e)
 		if freed.Blocks > 0 {
-			h.acct.OnFreeN(hp.ID, freed.Blocks, freed.Bytes)
+			h.acct.OnFreeN(freed.Blocks, freed.Bytes)
 			if hp.ID != myIdx {
 				h.remote.Add(int64(freed.Blocks))
 			}

@@ -72,16 +72,16 @@ func TestDescribeAndHeaps(t *testing.T) {
 			t.Fatalf("Describe output missing %q:\n%s", want, out)
 		}
 	}
-	infos := h.Heaps(e)
-	if len(infos) != 4 {
-		t.Fatalf("Heaps returned %d entries, want 4", len(infos))
+	occs := h.SampleHeaps(e, false)
+	if len(occs) != 4 {
+		t.Fatalf("SampleHeaps returned %d entries, want 4", len(occs))
 	}
-	if infos[0].ID != 0 {
-		t.Fatalf("first heap id %d, want global", infos[0].ID)
+	if occs[0].Superblocks != 0 {
+		t.Fatalf("global heap holds %d superblocks, want 0", occs[0].Superblocks)
 	}
 	var totalU int64
-	for _, hi := range infos {
-		totalU += hi.U
+	for _, occ := range occs {
+		totalU += occ.U
 	}
 	if want := h.Stats().LiveBytes; totalU != want {
 		t.Fatalf("sum of heap u = %d, live = %d", totalU, want)

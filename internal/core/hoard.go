@@ -132,12 +132,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// largeObj is the span tag for objects larger than S/2, which bypass
-// superblocks and go straight to the (simulated) OS, as in the paper.
-type largeObj struct {
-	size int // usable bytes (page-rounded reservation length)
-}
-
 // Hoard is the allocator. All methods are safe for concurrent use by
 // distinct Threads.
 type Hoard struct {
@@ -146,14 +140,6 @@ type Hoard struct {
 	classes *sizeclass.Table
 	// heaps[0] is the global heap; heaps[1..cfg.Heaps] are per-processor.
 	heaps []*heap.Heap
-
-	// acct is sharded by heap index (shard 0 doubles as the large-object
-	// shard) so concurrent threads don't bounce one set of counter cache
-	// lines on every operation. Frees are recorded against the owning
-	// heap's shard — the shard that recorded the malloc except for blocks
-	// carried along by an evicted superblock — keeping per-shard peaks
-	// tight.
-	acct *alloc.ShardedAccounting
 
 	// backendFallback records why a requested arena backend degraded to
 	// the simulated space ("" when the requested backend was created).
@@ -164,6 +150,13 @@ type Hoard struct {
 	// the fields above; the pad keeps those writes off the read-mostly
 	// cache lines.
 	_ [64]byte
+
+	// acct keeps the books of the blocks Hoard has handed out, large
+	// objects included: one update per operation, per refill and per
+	// owner group of a flush. Under the magazines it changes only at
+	// transfers and bypass operations, and its peak is the exact
+	// high-water mark of the bytes the caches and the application hold.
+	acct alloc.Accounting
 
 	sbMoves       atomic.Int64
 	movedLive     atomic.Int64
@@ -196,7 +189,6 @@ func New(cfg Config, lf env.LockFactory) *Hoard {
 		cfg:     cfg,
 		space:   space,
 		classes: sizeclass.New(cfg.SizeClassBase, sizeclass.Quantum, cfg.SuperblockSize/2),
-		acct:    alloc.NewSharded(cfg.Heaps + 1),
 	}
 	h.backendFallback = fallback
 	h.heaps = make([]*heap.Heap, cfg.Heaps+1)
@@ -262,7 +254,7 @@ func (h *Hoard) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	h.allocLocked(e, hp, class, blockSize, p[:], nil)
 	hp.Lock.Unlock(e)
 	e.Charge(env.OpMallocFast, 1)
-	h.acct.OnMalloc(hp.ID, blockSize)
+	h.acct.OnMalloc(blockSize)
 	return p[0]
 }
 
@@ -316,15 +308,8 @@ func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out 
 }
 
 func (h *Hoard) mallocLarge(e env.Env, size int) alloc.Ptr {
-	lo := &largeObj{}
-	sp := h.space.Reserve(size, vm.PageSize, lo)
-	lo.size = sp.Len
-	e.Charge(env.OpOSAlloc, 1)
-	e.Charge(env.OpMallocSlow, 1)
 	h.osReserves.Add(1)
-	h.acct.OnLarge(0)
-	h.acct.OnMalloc(0, sp.Len)
-	return alloc.Ptr(sp.Base)
+	return alloc.MallocLarge(h.space, &h.acct, e, size)
 }
 
 // resolve is the one pointer→span resolution on the free path: a single
@@ -342,8 +327,8 @@ func (h *Hoard) resolve(op string, p alloc.Ptr) *vm.Span {
 // usableOf reads a resolved block's usable size.
 func usableOf(op string, p alloc.Ptr, sp *vm.Span) int {
 	switch owner := sp.Owner.(type) {
-	case *largeObj:
-		return owner.size
+	case *alloc.LargeObj:
+		return owner.Size
 	case *superblock.Superblock:
 		return owner.BlockSize()
 	}
@@ -363,14 +348,8 @@ func (h *Hoard) Free(t *alloc.Thread, p alloc.Ptr) {
 func (h *Hoard) freeSpan(t *alloc.Thread, p alloc.Ptr, sp *vm.Span) {
 	e := t.Env
 	switch owner := sp.Owner.(type) {
-	case *largeObj:
-		if uint64(p) != sp.Base {
-			panic(fmt.Sprintf("hoard: free of interior large-object pointer %#x", uint64(p)))
-		}
-		h.acct.OnFree(0, owner.size)
-		h.space.Release(sp)
-		e.Charge(env.OpOSAlloc, 1)
-		e.Charge(env.OpFree, 1)
+	case *alloc.LargeObj:
+		alloc.FreeLarge(h.space, &h.acct, e, "hoard", sp, p)
 	case *superblock.Superblock:
 		h.freeSmall(t, e, owner, p)
 	default:
@@ -401,7 +380,7 @@ func (h *Hoard) freeSmall(t *alloc.Thread, e env.Env, sb *superblock.Superblock,
 			h.remote.Add(1)
 		}
 		h.freeLocked(e, hp, sb, p)
-		h.acct.OnFree(id, blockSize)
+		h.acct.OnFree(blockSize)
 		return
 	}
 }
@@ -446,8 +425,8 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 // (superblock.MarkCached).
 func (h *Hoard) ResolveFree(t *alloc.Thread, p alloc.Ptr) (sb *superblock.Superblock, usable int, local bool) {
 	switch owner := h.resolve("free", p).Owner.(type) {
-	case *largeObj:
-		return nil, owner.size, false
+	case *alloc.LargeObj:
+		return nil, owner.Size, false
 	case *superblock.Superblock:
 		return owner, owner.BlockSize(), owner.OwnerID() == t.State.(*threadState).heapIdx
 	}

@@ -227,3 +227,40 @@ func TestMallocReusesCrossThreadFrees(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPeakLiveExactAcrossHeaps: two threads on different heaps hand batches
+// over — one mallocs, the other frees — for k rounds. The frees evict
+// superblocks that still carry live blocks and the mallocs take them back,
+// so blocks are freed on a different heap than the one that handed them
+// out; Stats().PeakLiveBytes stays the exact peak the test counts, one batch.
+func TestPeakLiveExactAcrossHeaps(t *testing.T) {
+	h := newHoard(Config{Heaps: 4})
+	producer := thread(h, 0) // heap 1
+	consumer := thread(h, 1) // heap 2
+	rng := rand.New(rand.NewSource(1))
+	const rounds, batch = 50, 256
+	var live, peak int64
+	ps := make([]alloc.Ptr, batch)
+	for r := 0; r < rounds; r++ {
+		for i := range ps {
+			ps[i] = h.Malloc(producer, 16+rng.Intn(2048-16+1))
+			live += int64(h.UsableSize(ps[i]))
+		}
+		peak = max(peak, live)
+		for _, p := range ps {
+			live -= int64(h.UsableSize(p))
+			h.Free(consumer, p)
+		}
+	}
+	st := h.Stats()
+	if st.SuperblockMoves == 0 || st.GlobalHeapHits == 0 {
+		t.Fatalf("%d evictions and %d global takes; the run must cycle superblocks through the global heap",
+			st.SuperblockMoves, st.GlobalHeapHits)
+	}
+	if st.LiveBytes != 0 || st.PeakLiveBytes != peak {
+		t.Fatalf("LiveBytes %d, PeakLiveBytes %d; want 0 and the counted peak %d", st.LiveBytes, st.PeakLiveBytes, peak)
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -64,7 +64,7 @@ const (
 	OpOSAlloc
 	// OpMallocBatch is the per-call setup cost of a batched malloc (a
 	// magazine refill, core.Hoard.MallocCached): argument marshalling and
-	// the single sharded-accounting update. Charged once per batch on top
+	// the single accounting update. Charged once per batch on top
 	// of the per-block OpMallocFast charges.
 	OpMallocBatch
 	// OpFreeBatch is the per-call setup cost of a batched free (a magazine

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
@@ -32,8 +31,6 @@ type spanTag struct {
 	blockSize int
 	carved    int
 }
-
-type largeObj struct{ size int }
 
 // threadState is one thread's private heap.
 type threadState struct {
@@ -53,7 +50,6 @@ type Allocator struct {
 	classes *sizeclass.Table
 	sbSize  int
 	acct    alloc.Accounting
-	largeLv atomic.Int64
 
 	mu      sync.Mutex
 	threads []*threadState
@@ -98,15 +94,7 @@ func (a *Allocator) NewThread(e env.Env) *alloc.Thread {
 func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	e := t.Env
 	if size > a.classes.MaxSize() {
-		lo := &largeObj{}
-		sp := a.space.Reserve(size, vm.PageSize, lo)
-		lo.size = sp.Len
-		e.Charge(env.OpOSAlloc, 1)
-		e.Charge(env.OpMallocSlow, 1)
-		a.largeLv.Add(int64(sp.Len))
-		a.acct.OnLarge()
-		a.acct.OnMalloc(sp.Len)
-		return alloc.Ptr(sp.Base)
+		return alloc.MallocLarge(a.space, &a.acct, e, size)
 	}
 	ts := t.State.(*threadState)
 	class, _ := a.classes.ClassFor(size)
@@ -154,15 +142,8 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 		panic(fmt.Sprintf("private: free of unknown pointer %#x", uint64(p)))
 	}
 	switch owner := sp.Owner.(type) {
-	case *largeObj:
-		if uint64(p) != sp.Base {
-			panic(fmt.Sprintf("private: free of interior large-object pointer %#x", uint64(p)))
-		}
-		a.largeLv.Add(int64(-owner.size))
-		a.acct.OnFree(owner.size)
-		a.space.Release(sp)
-		e.Charge(env.OpOSAlloc, 1)
-		e.Charge(env.OpFree, 1)
+	case *alloc.LargeObj:
+		alloc.FreeLarge(a.space, &a.acct, e, "private", sp, p)
 	case *spanTag:
 		if (uint64(p)-sp.Base)%uint64(owner.blockSize) != 0 {
 			panic(fmt.Sprintf("private: free of misaligned pointer %#x", uint64(p)))
@@ -187,8 +168,8 @@ func (a *Allocator) UsableSize(p alloc.Ptr) int {
 		panic(fmt.Sprintf("private: UsableSize of unknown pointer %#x", uint64(p)))
 	}
 	switch owner := sp.Owner.(type) {
-	case *largeObj:
-		return owner.size
+	case *alloc.LargeObj:
+		return owner.Size
 	case *spanTag:
 		return owner.blockSize
 	}
@@ -228,7 +209,8 @@ func (a *Allocator) FreeListBytes() int64 {
 
 // CheckIntegrity implements alloc.Allocator. It walks every thread's free
 // lists validating membership, then cross-checks the live-byte gauge:
-// live = carved - free-listed + large. Requires quiescence.
+// live = carved - free-listed + large, where large objects are exactly the
+// reserved bytes no carving span holds. Requires quiescence.
 func (a *Allocator) CheckIntegrity() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -259,18 +241,20 @@ func (a *Allocator) CheckIntegrity() error {
 			freeBytes += int64(n) * int64(a.classes.Size(c))
 		}
 	}
-	var carvedBytes int64
+	var carvedBytes, spanBytes int64
 	for _, sp := range a.spans {
 		tag := sp.Owner.(*spanTag)
 		if tag.carved < 0 || tag.carved*tag.blockSize > sp.Len {
 			return fmt.Errorf("private: span %#x carved %d blocks of %d bytes, exceeds span", sp.Base, tag.carved, tag.blockSize)
 		}
 		carvedBytes += int64(tag.carved) * int64(tag.blockSize)
+		spanBytes += int64(sp.Len)
 	}
-	live := carvedBytes - freeBytes + a.largeLv.Load()
+	large := a.space.Reserved() - spanBytes
+	live := carvedBytes - freeBytes + large
 	if got := a.acct.Live(); got != live {
 		return fmt.Errorf("private: live gauge %d, span accounting %d (carved %d, free %d, large %d)",
-			got, live, carvedBytes, freeBytes, a.largeLv.Load())
+			got, live, carvedBytes, freeBytes, large)
 	}
 	return nil
 }

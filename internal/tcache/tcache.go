@@ -88,13 +88,6 @@ type Allocator struct {
 	// oversize, aligned and retired-thread mallocs and frees.
 	bypass alloc.Accounting
 
-	// held is the bytes taken from Hoard and not yet returned — application
-	// live plus cached — and peak its high-water mark, which Stats reports
-	// as PeakLiveBytes. Both change only at transfers and
-	// bypass operations: a hit moves a block between a cache and the
-	// application, which leaves held unchanged.
-	held, peak atomic.Int64
-
 	mu      sync.Mutex
 	threads []*threadState
 	retired totals // the books of flushed threads
@@ -292,24 +285,9 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 // mallocInner is a bypass malloc, booked on the shared counters.
 func (a *Allocator) mallocInner(ts *threadState, size int) alloc.Ptr {
 	p := a.inner.Malloc(ts.inner, size)
-	a.onBypassMalloc(a.inner.UsableSize(p))
+	a.bypass.OnMalloc(a.inner.UsableSize(p))
 	return p
 }
-
-func (a *Allocator) onBypassMalloc(usable int) {
-	a.bypass.OnMalloc(usable)
-	a.take(int64(usable))
-}
-
-// take records bytes taken from Hoard, raising the peak.
-func (a *Allocator) take(bytes int64) {
-	v := a.held.Add(bytes)
-	for p := a.peak.Load(); v > p && !a.peak.CompareAndSwap(p, v); p = a.peak.Load() {
-	}
-}
-
-// give records bytes returned to Hoard.
-func (a *Allocator) give(bytes int64) { a.held.Add(-bytes) }
 
 // MallocAligned returns a block of at least size bytes whose address is a
 // multiple of align from Hoard's aligned path. The block bypasses the
@@ -317,7 +295,7 @@ func (a *Allocator) give(bytes int64) { a.held.Add(-bytes) }
 func (a *Allocator) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
 	ts := t.State.(*threadState)
 	p := a.inner.MallocAligned(ts.inner, size, align)
-	a.onBypassMalloc(a.inner.UsableSize(p))
+	a.bypass.OnMalloc(a.inner.UsableSize(p))
 	return p
 }
 
@@ -333,7 +311,6 @@ func (a *Allocator) refill(ts *threadState, class int) {
 	got := a.inner.MallocCached(ts.inner, blockSize, n, ts.scratch, ts.scratchSBs)
 	ts.mags[class] = append(ts.mags[class], ts.scratch[:got]...)
 	ts.sbs[class] = append(ts.sbs[class], ts.scratchSBs[:got]...)
-	a.take(int64(got) * int64(blockSize))
 	a.publishMagBytes(ts)
 }
 
@@ -370,7 +347,6 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 		// Large and uncached sizes go straight down.
 		a.inner.Free(ts.inner, p)
 		a.bypass.OnFree(usable)
-		a.give(int64(usable))
 		return
 	}
 	class := sb.Class()
@@ -406,17 +382,14 @@ func (a *Allocator) flush(ts *threadState, class int) {
 // flushMagazine returns the blocks of class's magazine past keep to Hoard
 // (core.Hoard.FreeCached).
 func (a *Allocator) flushMagazine(ts *threadState, class, keep int) {
-	n := len(ts.mags[class]) - keep
 	a.inner.FreeCached(ts.inner, ts.mags[class][keep:], ts.sbs[class][keep:])
 	ts.mags[class], ts.sbs[class] = ts.mags[class][:keep], ts.sbs[class][:keep]
-	a.give(int64(n) * int64(a.classes.Size(class)))
 }
 
 // flushRemote returns the whole remote batch to the blocks' owners.
 func (a *Allocator) flushRemote(ts *threadState) {
 	a.inner.FreeCached(ts.inner, ts.remote, ts.remoteSBs)
 	ts.remote, ts.remoteSBs = ts.remote[:0], ts.remoteSBs[:0]
-	a.give(int64(ts.remoteBytes))
 	ts.remoteBytes = 0
 	a.publishMagBytes(ts)
 }
@@ -498,9 +471,10 @@ func (a *Allocator) MagazineBytes() int64 {
 // lock-free operation counts over Hoard's mechanism counters.
 // It sums the bypass books, the retired totals and every live thread's
 // books: Mallocs and Frees never decrease between calls, and they and
-// LiveBytes are exact at quiescence. PeakLiveBytes is the high-water mark of
-// held bytes, application live plus cached: at least the true peak, and
-// above it by at most the bytes cached at the peak.
+// LiveBytes are exact at quiescence. PeakLiveBytes is Hoard's: the
+// high-water mark of the bytes taken from it, application live plus cached.
+// That is at least the true peak, and above it by at most the bytes cached
+// at the peak.
 func (a *Allocator) Stats() alloc.Stats {
 	var st alloc.Stats
 	a.bypass.Fill(&st)
@@ -513,8 +487,9 @@ func (a *Allocator) Stats() alloc.Stats {
 	st.Mallocs += t.mallocs
 	st.Frees += t.frees
 	st.LiveBytes += t.live
-	st.PeakLiveBytes = a.peak.Load()
-	alloc.MergeAllocatorCounters(&st, a.inner.Stats())
+	inner := a.inner.Stats()
+	st.PeakLiveBytes = inner.PeakLiveBytes
+	alloc.MergeAllocatorCounters(&st, inner)
 	st.LockFreeMallocs = t.mallocs - t.mallocMisses
 	st.LockFreeFrees = t.frees - t.freeMisses
 	return st
@@ -522,10 +497,9 @@ func (a *Allocator) Stats() alloc.Stats {
 
 // CheckIntegrity implements alloc.Allocator: magazines must hold distinct,
 // correctly-sized blocks, each with its superblock; Hoard's live bytes must
-// equal application live bytes plus cached bytes, and the held bytes behind
-// PeakLiveBytes; and Hoard must itself be intact with every cached block
-// counted, which proves each one's free bit is set and none is also in the
-// application's hands. Requires quiescence.
+// equal application live bytes plus cached bytes; and Hoard must itself be
+// intact with every cached block counted, which proves each one's free bit
+// is set and none is also in the application's hands. Requires quiescence.
 func (a *Allocator) CheckIntegrity() error {
 	cached, err := a.cachedBlocks()
 	if err != nil {
@@ -538,9 +512,6 @@ func (a *Allocator) CheckIntegrity() error {
 	innerLive, live := a.inner.Stats().LiveBytes, a.Stats().LiveBytes
 	if innerLive != live+cachedBytes {
 		return fmt.Errorf("tcache: inner live %d != app live %d + cached %d", innerLive, live, cachedBytes)
-	}
-	if held := a.held.Load(); held != innerLive {
-		return fmt.Errorf("tcache: held %d != inner live %d", held, innerLive)
 	}
 	return a.inner.CheckIntegrityCached(cached)
 }

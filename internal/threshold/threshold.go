@@ -61,7 +61,6 @@ type Allocator struct {
 	classes *sizeclass.Table
 	pools   []*classPool
 	acct    alloc.Accounting
-	largeLv atomic.Int64
 	spills  atomic.Int64
 	refills atomic.Int64
 
@@ -125,7 +124,6 @@ func (a *Allocator) setLink(e env.Env, p, next alloc.Ptr) {
 func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	e := t.Env
 	if size > a.classes.MaxSize() {
-		a.largeLv.Add(int64(roundPages(size)))
 		return alloc.MallocLarge(a.space, &a.acct, e, size)
 	}
 	ts := t.State.(*threadState)
@@ -142,8 +140,6 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	a.acct.OnMalloc(blockSize)
 	return p
 }
-
-func roundPages(n int) int { return (n + vm.PageSize - 1) &^ (vm.PageSize - 1) }
 
 // refill moves up to Watermark blocks from the class's global pool (carving
 // new spans as needed) onto the calling thread's cache.
@@ -195,7 +191,6 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	}
 	switch owner := sp.Owner.(type) {
 	case *alloc.LargeObj:
-		a.largeLv.Add(int64(-owner.Size))
 		alloc.FreeLarge(a.space, &a.acct, e, "threshold", sp, p)
 	case *spanTag:
 		if (uint64(p)-sp.Base)%uint64(owner.blockSize) != 0 {
@@ -314,15 +309,17 @@ func (a *Allocator) CheckIntegrity() error {
 			return err
 		}
 	}
-	var carvedBytes int64
+	var carvedBytes, spanBytes int64
 	for _, sp := range a.spans {
 		tag := sp.Owner.(*spanTag)
 		if tag.carved < 0 || tag.carved*tag.blockSize > sp.Len {
 			return fmt.Errorf("threshold: span %#x over-carved", sp.Base)
 		}
 		carvedBytes += int64(tag.carved) * int64(tag.blockSize)
+		spanBytes += int64(sp.Len)
 	}
-	live := carvedBytes - freeBytes + a.largeLv.Load()
+	// Large objects are exactly the reserved bytes no carving span holds.
+	live := carvedBytes - freeBytes + a.space.Reserved() - spanBytes
 	if got := a.acct.Live(); got != live {
 		return fmt.Errorf("threshold: live gauge %d, span accounting %d", got, live)
 	}

@@ -73,6 +73,7 @@ func (a *Allocator) sampleMetrics() metrics.Snapshot {
 	s.Counters["decommits_total"] = sp.Decommits
 	s.Counters["recommits_total"] = sp.Recommits
 	s.Counters["superblock_moves_total"] = st.SuperblockMoves
+	s.Counters["global_heap_hits_total"] = st.GlobalHeapHits
 	s.Counters["remote_frees_total"] = st.RemoteFrees
 	s.Counters["batch_refills_total"] = st.BatchRefills
 	s.Counters["batch_flushes_total"] = st.BatchFlushes
