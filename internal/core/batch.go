@@ -16,8 +16,8 @@ import (
 
 // MallocCached fills out[:n] with blocks of the given small size for a
 // thread cache's refill, under one acquisition of the calling thread's heap
-// lock, and returns n. The blocks keep their free bits set, since they go to
-// a cache and not to the application, and sbs[i] receives out[i]'s
+// lock, and returns n. The blocks stay marked free, since they go to a cache
+// and not to the application, and sbs[i] receives out[i]'s
 // superblock, so the cache never looks a block up. n must not exceed
 // cap(out) or cap(sbs).
 //
@@ -46,8 +46,8 @@ func (h *Hoard) MallocCached(t *alloc.Thread, size, n int, out []alloc.Ptr, sbs 
 	return n
 }
 
-// FreeCached frees a thread cache's flush (DESIGN.md §11): every block's
-// free bit is already set (superblock.MarkCached), and sbs[i] is ps[i]'s
+// FreeCached frees a thread cache's flush (DESIGN.md §11): every block is
+// already marked free (superblock.MarkCached), and sbs[i] is ps[i]'s
 // superblock, so the flush looks nothing up. ps and sbs are used as scratch
 // space.
 //

@@ -261,7 +261,7 @@ func (h *Hoard) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 // allocLocked fills out with blocks of class from hp, whose lock the caller
 // holds, a superblock's run at a time (heap.AllocRun): the same blocks, in
 // the same order, as len(out) single pops. A non-nil sbs selects a thread
-// cache's refill: the blocks keep their free bits set, and sbs[i] receives
+// cache's refill: the blocks stay marked free, and sbs[i] receives
 // out[i]'s superblock.
 //
 // When hp has no free block of the class, the slow path first recycles one
@@ -421,7 +421,7 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 // ResolveFree resolves p for a free into a thread cache, with the one span
 // lookup the free needs: p's usable size, its superblock (nil for a large
 // object), and whether the calling thread's heap owns that superblock. It
-// changes nothing; the cache sets the block's free bit itself
+// changes nothing; the cache marks the block free itself
 // (superblock.MarkCached).
 func (h *Hoard) ResolveFree(t *alloc.Thread, p alloc.Ptr) (sb *superblock.Superblock, usable int, local bool) {
 	switch owner := h.resolve("free", p).Owner.(type) {
@@ -508,9 +508,9 @@ func (h *Hoard) NumHeaps() int { return len(h.heaps) }
 func (h *Hoard) CheckIntegrity() error { return h.checkIntegrity(nil) }
 
 // CheckIntegrityCached is CheckIntegrity for an allocator whose thread
-// caches hold the blocks cached: each must be a block whose free bit is set,
-// and each superblock's set bits must equal its listed, uncarved and cached
-// blocks — which proves no block is both cached and in the application's
+// caches hold the blocks cached: each must be a block marked free, and each
+// superblock's free blocks must be exactly its listed, uncarved and cached
+// ones — which proves no block is both cached and in the application's
 // hands. The allocator must be quiescent.
 func (h *Hoard) CheckIntegrityCached(cached []alloc.Ptr) error {
 	counts := make(map[*superblock.Superblock]int)

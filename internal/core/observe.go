@@ -14,12 +14,14 @@ import (
 
 // Audit checks structural integrity and the emptiness invariant heap by
 // heap, taking each heap's lock in turn, and is safe to run while other
-// threads allocate. It is CheckIntegrity minus the two pieces that need
-// quiescence: the bitmap comparison inside each superblock (thread caches
-// flip the free bits of blocks they hold without a heap lock) and the
-// global live-gauge crosscheck (u, committed bytes, and the
-// live gauge cannot be read atomically across heaps). e is charged for the lock traffic and list scans the audit
-// performs.
+// threads allocate. It reads only the free states of listed blocks, which
+// only the heap lock's holder writes. It is CheckIntegrity minus the two
+// pieces that need quiescence: the count of each superblock's free states
+// against its counters (thread caches and the application change the states
+// of the blocks they hold without a heap lock) and the global live-gauge
+// crosscheck (u, committed bytes, and the live gauge cannot be read
+// atomically across heaps). e is charged for the lock traffic and list
+// scans the audit performs.
 func (h *Hoard) Audit(e env.Env) error {
 	for _, hp := range h.heaps {
 		env.LockWith(hp.Lock, e, "audit")

@@ -211,7 +211,7 @@ func (h *Heap) AllocBlock(e env.Env, class int) (alloc.Ptr, bool) {
 // the blocks, in exactly the order, that as many AllocBlock calls would:
 // the superblock a pop came from stays the head of the fullest non-empty
 // group until it fills. cached selects a thread cache's refill, which
-// leaves the blocks' free bits set (superblock.AllocRun).
+// leaves the blocks marked free (superblock.AllocRun).
 func (h *Heap) AllocRun(e env.Env, class int, out []alloc.Ptr, cached bool) (int, *superblock.Superblock) {
 	lists := &h.classes[class].groups
 	for _, g := range allocOrder {
@@ -253,8 +253,8 @@ type Freed struct {
 // of ps and sbs, returning their count. Each block costs one ownership
 // check and its superblock push; u is updated once, and each superblock the
 // batch touched is regrouped once (marked on first touch, an O(n) pass, not
-// a sort). The blocks come from a thread cache's flush, so their free bits
-// are already set (superblock.FreeCached).
+// a sort). The blocks come from a thread cache's flush, so they are already
+// marked free (superblock.FreeCached).
 //
 // freed receives the tally. When a free panics on a misused pointer, the
 // blocks freed before it stay freed, accounted in u and freed, and
@@ -576,8 +576,9 @@ func (h *Heap) CheckIntegrityCached(cached map[*superblock.Superblock]int) error
 // CheckIntegrityOnline is CheckIntegrity for a heap whose lock the caller
 // holds while other threads keep allocating elsewhere. All heap bookkeeping
 // is consistent under the lock; the only concession to concurrency is using
-// the superblocks' online check, which tolerates thread caches flipping the
-// free bits of blocks they hold.
+// the superblocks' online check, which reads only the free states of listed
+// blocks: thread caches and the application change the states of the blocks
+// they hold without the lock.
 func (h *Heap) CheckIntegrityOnline() error {
 	return h.checkIntegrity(nil, true)
 }

@@ -22,6 +22,15 @@
 // order determined solely by virtual time and thread ids: the same program
 // produces bit-identical schedules, times, and statistics on every run.
 //
+// # Interleaving exploration
+//
+// SetChooser replaces the time-ordered pick with a Chooser and makes every
+// env hook (Charge, Touch, and each lock operation) a switch point, so the
+// real code under test is interleaved at each hook in an order the Chooser
+// alone decides. RandomChooser picks uniformly among the ready threads from
+// a seed: one seed, one schedule, and a test that runs many seeds explores
+// many interleavings of the same program.
+//
 // # Processor model
 //
 // Threads are bound to one of P virtual CPUs (round-robin by id unless
@@ -35,6 +44,7 @@ package simproc
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"hoardgo/internal/cachesim"
 	"hoardgo/internal/env"
@@ -144,6 +154,39 @@ type World struct {
 	panicVal any
 
 	locks []*simLock
+
+	// chooser, if set, picks the next thread in place of the time order;
+	// ready is its reused argument.
+	chooser Chooser
+	ready   []int
+}
+
+// A Chooser decides which thread runs at each switch point of a World run
+// under SetChooser.
+type Chooser interface {
+	// Choose returns one of ready, the ids of the ready threads in
+	// ascending order (never empty).
+	Choose(ready []int) int
+}
+
+// SetChooser makes c pick the thread to run at every switch point, and
+// makes every env hook a switch point. Virtual time still advances, but it
+// no longer orders the schedule. Call it before Run.
+func (w *World) SetChooser(c Chooser) {
+	if w.started {
+		panic("simproc: SetChooser after Run")
+	}
+	w.chooser = c
+}
+
+type randomChooser struct{ rng *rand.Rand }
+
+func (c randomChooser) Choose(ready []int) int { return ready[c.rng.Intn(len(ready))] }
+
+// RandomChooser returns a Chooser that picks uniformly among the ready
+// threads, from a generator seeded with seed.
+func RandomChooser(seed int64) Chooser {
+	return randomChooser{rand.New(rand.NewSource(seed))}
 }
 
 // NewWorld creates a simulator with the given number of processors.
@@ -263,7 +306,11 @@ func (w *World) Run() int64 {
 			break
 		}
 		t.time = w.effTime(t)
-		t.deadline = w.nextDeadline(t)
+		if w.chooser != nil {
+			t.deadline = math.MinInt64 // every hook yields
+		} else {
+			t.deadline = w.nextDeadline(t)
+		}
 		t.state = stateRunning
 		w.running = t
 		t.resume <- struct{}{}
@@ -299,8 +346,25 @@ func (w *World) Run() int64 {
 	return makespan
 }
 
-// pick returns the runnable thread with the smallest (effective time, id).
+// pick returns the thread to run next: the chooser's pick among the ready
+// threads, or by default the one with the smallest (effective time, id).
 func (w *World) pick() *thread {
+	if w.chooser != nil {
+		w.ready = w.ready[:0]
+		for _, t := range w.threads {
+			if t.state == stateReady {
+				w.ready = append(w.ready, t.id)
+			}
+		}
+		if len(w.ready) == 0 {
+			return nil
+		}
+		id := w.chooser.Choose(w.ready)
+		if id < 0 || id >= len(w.threads) || w.threads[id].state != stateReady {
+			panic(fmt.Sprintf("simproc: chooser picked thread %d, not one of %v", id, w.ready))
+		}
+		return w.threads[id]
+	}
 	var best *thread
 	var bestEff int64 = math.MaxInt64
 	for _, t := range w.threads {

@@ -1,6 +1,7 @@
 package simproc
 
 import (
+	"fmt"
 	"testing"
 
 	"hoardgo/internal/env"
@@ -390,3 +391,82 @@ func TestManyThreadsFewCPUs(t *testing.T) {
 		t.Fatalf("makespan %d below physical minimum", a)
 	}
 }
+
+// chooserRun runs threads threads of steps read-modify-write increments of
+// one shared counter under RandomChooser(seed), each step split by a Charge,
+// under a lock if locked. It returns the final count and the order in which
+// the threads took their steps.
+func chooserRun(seed int64, threads, steps int, locked bool) (count int, order []int) {
+	w := NewWorld(2, DefaultCosts)
+	w.SetChooser(RandomChooser(seed))
+	l := w.NewLock("counter")
+	for i := 0; i < threads; i++ {
+		w.Spawn(func(e env.Env) {
+			for j := 0; j < steps; j++ {
+				if locked {
+					l.Lock(e)
+				}
+				v := count
+				e.Charge(env.OpWork, 1)
+				count = v + 1
+				order = append(order, e.ThreadID())
+				if locked {
+					l.Unlock(e)
+				}
+			}
+		})
+	}
+	w.Run()
+	return count, order
+}
+
+// TestRandomChooserReproducible: one seed gives one schedule, and different
+// seeds give different ones.
+func TestRandomChooserReproducible(t *testing.T) {
+	distinct := make(map[string]bool)
+	for seed := int64(0); seed < 20; seed++ {
+		_, a := chooserRun(seed, 3, 10, false)
+		_, b := chooserRun(seed, 3, 10, false)
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("seed %d: schedules %v and %v", seed, a, b)
+		}
+		distinct[fmt.Sprint(a)] = true
+	}
+	if len(distinct) < 10 {
+		t.Fatalf("20 seeds gave only %d distinct schedules", len(distinct))
+	}
+}
+
+// TestRandomChooserSwitchesAtEveryHook: with a switch point at every Charge,
+// some seed interleaves two unlocked increments and loses an update, and
+// under the lock no seed does.
+func TestRandomChooserSwitchesAtEveryHook(t *testing.T) {
+	lost := 0
+	for seed := int64(0); seed < 50; seed++ {
+		if n, _ := chooserRun(seed, 2, 10, false); n < 20 {
+			lost++
+		}
+		if n, _ := chooserRun(seed, 2, 10, true); n != 20 {
+			t.Fatalf("seed %d: %d increments under the lock, want 20", seed, n)
+		}
+	}
+	if lost == 0 {
+		t.Fatal("no seed interleaved the unlocked increments")
+	}
+}
+
+func TestChooserMustPickAReadyThread(t *testing.T) {
+	w := NewWorld(1, DefaultCosts)
+	w.SetChooser(chooseFunc(func([]int) int { return 7 }))
+	w.Spawn(func(e env.Env) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a chooser's pick of no ready thread was accepted")
+		}
+	}()
+	w.Run()
+}
+
+type chooseFunc func([]int) int
+
+func (f chooseFunc) Choose(ready []int) int { return f(ready) }

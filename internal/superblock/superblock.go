@@ -12,11 +12,13 @@
 // its counters change only under the owning heap's lock. The links live in
 // a side array, not in block memory, so every byte of a block belongs to
 // the application; the cache-model Touch charges stay on the block
-// addresses, so the simulated cost of walking the list is the same. A
-// per-superblock free bitmap (atomic) detects double frees and supports
-// integrity checking. Its bit for a block is set whenever the application
-// does not hold the block — also while a thread cache holds it (DESIGN.md
-// §11), which is how a double free into a cache still fails at the call.
+// addresses, so the simulated cost of walking the list is the same. The
+// same array holds each block's free state, which detects double frees and
+// supports integrity checking: a block's entry is the reserved value held
+// while the application holds it, and anything else while it is free —
+// listed, uncarved, or in a thread cache (DESIGN.md §11), which is how a
+// double free into a cache still fails at the call. Only a block's holder
+// writes its entry, with plain loads and stores.
 package superblock
 
 import (
@@ -34,12 +36,15 @@ const DefaultSize = 8192
 
 // Superblock manages one S-byte span of blocks of a single size class.
 //
-// Locking: everything except the free bitmap, ownerID and the format
-// fields read by a freeing thread is protected by the owning heap's lock.
-// The free bitmap is atomic because a thread cache flips the bit of a block
-// it holds without that lock (MarkCached, ClaimCached); ownerID is atomic
-// because the free path must read it before taking that lock (and re-check
-// it after, since ownership can change while waiting).
+// Locking: everything except the free states of blocks out of the
+// superblock, ownerID and the format fields read by a freeing thread is
+// protected by the owning heap's lock. A block out of the superblock has one
+// holder, the application or a thread cache, and only it reads or writes
+// the block's state, without that lock (MarkCached, ClaimCached); every
+// hand-off of a block, to or from the heap or between threads, already
+// carries a happens-before edge. ownerID is atomic because the free path
+// must read it before taking that lock (and re-check it after, since
+// ownership can change while waiting).
 type Superblock struct {
 	span      *vm.Span
 	base      uint64 // span.Base, cached for blockIndex
@@ -54,14 +59,14 @@ type Superblock struct {
 	used   int // blocks out of the superblock: allocated or thread-cached
 	carved int // blocks at index >= carved have never been allocated
 
-	// links is the free list's side array: links[i] holds the idx+1 of the
-	// block after free block i (0 = end of list). Keeping the links out of
-	// block memory leaves every byte of a block to the application.
+	// links holds each block's free state: held while the application
+	// holds block i, and any other value while it is free. For a listed
+	// block that value is the idx+1 of the block after it (0 = end of
+	// list); an uncarved or thread-cached block keeps a stale one. No entry
+	// is held while used is 0, so a reformat need not rewrite the array.
+	// Keeping the links out of block memory leaves every byte of a block to
+	// the application.
 	links []uint32
-
-	// freeBits has bit i set while block i is not in the application's
-	// hands: listed, uncarved, or held by a thread cache. Atomic.
-	freeBits []uint64
 
 	ownerID atomic.Int32
 
@@ -76,6 +81,10 @@ type Superblock struct {
 	Group      int
 	Touched    bool
 }
+
+// held is the links entry of a block in the application's hands; no link
+// (an idx+1 at most nBlocks) takes this value.
+const held = ^uint32(0)
 
 // New reserves a fresh size-byte, size-aligned span from space and formats
 // it as a superblock of the given class and block size. blockSize must be a
@@ -103,13 +112,8 @@ func (sb *Superblock) format(class, blockSize int) {
 	sb.recip = ^uint64(0)/uint64(blockSize) + 1
 	if cap(sb.links) < sb.nBlocks {
 		sb.links = make([]uint32, sb.nBlocks)
-		sb.freeBits = make([]uint64, (sb.nBlocks+63)/64)
 	}
 	sb.links = sb.links[:sb.nBlocks]
-	sb.freeBits = sb.freeBits[:(sb.nBlocks+63)/64]
-	for i := range sb.freeBits {
-		atomic.StoreUint64(&sb.freeBits[i], ^uint64(0))
-	}
 	sb.head, sb.used, sb.carved = 0, 0, 0
 }
 
@@ -263,8 +267,9 @@ func (sb *Superblock) pop(e env.Env) (idx int, ok bool) {
 	return idx, true
 }
 
-// push returns block idx to the free list. The caller holds the owning
-// heap's lock and has set the block's free bit.
+// push returns block idx to the free list, overwriting its free state with
+// its link. The caller holds the owning heap's lock and has checked that the
+// block came back from its holder.
 func (sb *Superblock) push(e env.Env, idx int) {
 	// The Touch models writing the block's link, dirtying the block's
 	// cache line in the freeing thread's cache — the other half of the
@@ -289,7 +294,7 @@ func (sb *Superblock) AllocBlock(e env.Env) (p alloc.Ptr, ok bool) {
 // owning heap's lock.
 func (sb *Superblock) FreeBlock(e env.Env, p alloc.Ptr) {
 	idx := sb.indexOf(p)
-	if !sb.testAndSetFree(idx) {
+	if sb.links[idx] != held {
 		panic(fmt.Sprintf("superblock %#x: double free of block %d (%#x)", sb.Base(), idx, uint64(p)))
 	}
 	sb.push(e, idx)
@@ -297,59 +302,64 @@ func (sb *Superblock) FreeBlock(e env.Env, p alloc.Ptr) {
 
 // AllocRun pops up to len(out) blocks into out, in the order single pops
 // would take them, and returns how many it took (fewer only when the
-// superblock fills). cached selects a thread cache's refill: the blocks keep
-// their free bits, since they move from the free list to the cache without
-// ever being in the application's hands, and the cache clears each bit when
-// it hands the block out (ClaimCached). Otherwise each block's free bit is
-// cleared, as for a block handed to the application. The caller holds the
-// owning heap's lock.
+// superblock fills). cached selects a thread cache's refill: the blocks stay
+// free, since they move from the free list to the cache without ever being
+// in the application's hands, and the cache marks each one held when it
+// hands the block out (ClaimCached). Otherwise each block is marked held, as
+// a block handed to the application. The caller holds the owning heap's
+// lock.
 func (sb *Superblock) AllocRun(e env.Env, out []alloc.Ptr, cached bool) int {
 	for i := range out {
 		idx, ok := sb.pop(e)
 		if !ok {
 			return i
 		}
-		if cached && !sb.isFree(idx) || !cached && !sb.testAndClearFree(idx) {
-			panic(fmt.Sprintf("superblock %#x: free-list/bitmap mismatch at block %d", sb.Base(), idx))
+		if sb.links[idx] == held {
+			panic(fmt.Sprintf("superblock %#x: free-list/state mismatch at block %d", sb.Base(), idx))
+		}
+		if !cached {
+			sb.links[idx] = held
 		}
 		out[i] = alloc.Ptr(sb.addrOf(idx))
 	}
 	return len(out)
 }
 
-// FreeCached returns a thread-cached block to the free list. The cache
-// already set its free bit (MarkCached), so the bit must be set; a clear bit
-// means the block left the cache twice. The caller holds the owning heap's
-// lock.
+// FreeCached returns a thread-cached block to the free list. A cached block
+// is free (MarkCached), so a held one means the block left the cache twice.
+// The caller holds the owning heap's lock.
 func (sb *Superblock) FreeCached(e env.Env, p alloc.Ptr) {
 	idx := sb.indexOf(p)
-	if !sb.isFree(idx) {
+	if sb.links[idx] == held {
 		panic(fmt.Sprintf("superblock %#x: cached block %d (%#x) is not marked free", sb.Base(), idx, uint64(p)))
 	}
 	sb.push(e, idx)
 }
 
-// MarkCached sets the free bit of an application-held block as a thread
-// cache takes it back, without the owning heap's lock. It panics on a bad
-// pointer and on a double free — a block already listed, uncarved, or in a
-// cache — so a double free fails at the call even when the first free went
-// no further than a cache.
+// MarkCached marks an application-held block free as a thread cache takes
+// it back, with a plain load and store and without the owning heap's lock.
+// It panics on a bad pointer and on a double free — a block already listed,
+// uncarved, or in a cache — so a double free fails at the call even when the
+// first free went no further than a cache. Two frees of one block that are
+// not ordered by happens-before are a data race, as in any allocator.
 func (sb *Superblock) MarkCached(p alloc.Ptr) {
 	idx := sb.indexOf(p)
-	if !sb.testAndSetFree(idx) {
+	if sb.links[idx] != held {
 		panic(fmt.Sprintf("superblock %#x: double free of block %d (%#x)", sb.Base(), idx, uint64(p)))
 	}
+	sb.links[idx] = 0
 }
 
-// ClaimCached clears the free bit of a thread-cached block as the cache
-// hands it to the application, without the owning heap's lock. A clear bit
-// means the block is already in the application's hands, and it panics
+// ClaimCached marks a thread-cached block held as the cache hands it to the
+// application, with a plain load and store and without the owning heap's
+// lock. A held block is already in the application's hands, and it panics
 // rather than hand the block out twice.
 func (sb *Superblock) ClaimCached(p alloc.Ptr) {
 	idx := sb.indexOf(p)
-	if !sb.testAndClearFree(idx) {
+	if sb.links[idx] == held {
 		panic(fmt.Sprintf("superblock %#x: cached block %d (%#x) handed out twice", sb.Base(), idx, uint64(p)))
 	}
+	sb.links[idx] = held
 }
 
 // TryPop is AllocBlock behind the signature the benchmark's superblock
@@ -403,41 +413,12 @@ func (sb *Superblock) blockIndex(p alloc.Ptr) (int, bool) {
 	return int(idx), idx*uint64(sb.blockSize) == off && idx < uint64(sb.nBlocks)
 }
 
-func (sb *Superblock) isFree(idx int) bool {
-	return atomic.LoadUint64(&sb.freeBits[idx/64])&(1<<(idx%64)) != 0
-}
+// IsFreeBlock reports whether p is free: listed, uncarved, or thread-cached.
+// p must be a block of sb, and the caller must be ordered after p's last
+// holder (a quiescent check).
+func (sb *Superblock) IsFreeBlock(p alloc.Ptr) bool { return sb.links[sb.indexOf(p)] != held }
 
-// IsFreeBlock reports whether p's free bit is set: the block is listed,
-// uncarved, or thread-cached. p must be a block of sb.
-func (sb *Superblock) IsFreeBlock(p alloc.Ptr) bool { return sb.isFree(sb.indexOf(p)) }
-
-func (sb *Superblock) testAndSetFree(idx int) bool {
-	w, b := idx/64, uint64(1)<<(idx%64)
-	for {
-		old := atomic.LoadUint64(&sb.freeBits[w])
-		if old&b != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(&sb.freeBits[w], old, old|b) {
-			return true
-		}
-	}
-}
-
-func (sb *Superblock) testAndClearFree(idx int) bool {
-	w, b := idx/64, uint64(1)<<(idx%64)
-	for {
-		old := atomic.LoadUint64(&sb.freeBits[w])
-		if old&b == 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(&sb.freeBits[w], old, old&^b) {
-			return true
-		}
-	}
-}
-
-// CheckIntegrity validates the free list, bitmap, and counters of a
+// CheckIntegrity validates the free list, free states, and counters of a
 // superblock none of whose blocks is thread-cached. The superblock must be
 // quiescent.
 func (sb *Superblock) CheckIntegrity() error {
@@ -445,17 +426,17 @@ func (sb *Superblock) CheckIntegrity() error {
 }
 
 // CheckIntegrityCached is CheckIntegrity for a superblock of which cached
-// blocks sit in thread caches: its set free bits must equal its listed,
-// uncarved and cached blocks. The superblock must be quiescent.
+// blocks sit in thread caches: its free blocks must be exactly its listed,
+// uncarved and cached ones. The superblock must be quiescent.
 func (sb *Superblock) CheckIntegrityCached(cached int) error {
 	return sb.checkIntegrity(cached, false)
 }
 
 // CheckIntegrityOnline is CheckIntegrity for a superblock whose owner heap's
-// lock is held while thread caches elsewhere may flip the free bits of
-// blocks they hold. The free list is checked in full; the bitmap-versus-
-// counter comparison is skipped, because the number of cached blocks is
-// not known under one lock.
+// lock is held while the holders of its other blocks, thread caches and the
+// application, may change their states. It reads only the states of listed
+// blocks, which only the lock holder writes: the free list is checked in
+// full, and the count of free states against the counters is skipped.
 func (sb *Superblock) CheckIntegrityOnline() error {
 	return sb.checkIntegrity(0, true)
 }
@@ -493,7 +474,7 @@ func (sb *Superblock) checkIntegrity(cached int, online bool) error {
 		if seen[idx] {
 			return fmt.Errorf("superblock %#x: free list cycle at block %d", sb.Base(), idx)
 		}
-		if !sb.isFree(idx) {
+		if sb.links[idx] == held {
 			return fmt.Errorf("superblock %#x: listed block %d not marked free", sb.Base(), idx)
 		}
 		seen[idx] = true
@@ -507,15 +488,15 @@ func (sb *Superblock) checkIntegrity(cached int, online bool) error {
 	if online {
 		return nil
 	}
-	freeBits := 0
-	for i := 0; i < sb.nBlocks; i++ {
-		if sb.isFree(i) {
-			freeBits++
+	free := 0
+	for _, state := range sb.links {
+		if state != held {
+			free++
 		}
 	}
-	if want := sb.nBlocks - used + cached; freeBits != want {
-		return fmt.Errorf("superblock %#x: bitmap says %d free, want %d (%d listed or uncarved, %d cached)",
-			sb.Base(), freeBits, want, sb.nBlocks-used, cached)
+	if want := sb.nBlocks - used + cached; free != want {
+		return fmt.Errorf("superblock %#x: %d blocks marked free, want %d (%d listed or uncarved, %d cached)",
+			sb.Base(), free, want, sb.nBlocks-used, cached)
 	}
 	return nil
 }

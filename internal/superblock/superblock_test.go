@@ -360,6 +360,20 @@ func BenchmarkAllocFreePair(b *testing.B) {
 	}
 }
 
+// BenchmarkClaimMark times a magazine hit's state flips: a ClaimCached and
+// MarkCached pair on one cached block.
+func BenchmarkClaimMark(b *testing.B) {
+	_, sb := newSB(b, 64)
+	var run [1]alloc.Ptr
+	sb.AllocRun(e, run[:], true)
+	p := run[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sb.ClaimCached(p)
+		sb.MarkCached(p)
+	}
+}
+
 // TestBlockIndexMatchesDivision checks blockIndex's reciprocal division
 // against integer division exhaustively: every class of the size-class table,
 // at the default S and at a larger one, every offset below S — same index,

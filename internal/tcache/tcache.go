@@ -11,16 +11,18 @@
 // The magazines are owner-aware (DESIGN.md §11). A free whose superblock
 // another heap owns never enters the freeing thread's magazines: it goes to
 // a per-thread remote batch, flushed to the owners when full — the paper's
-// free-to-owner rule, so passive false sharing stays away. And the
-// superblock's free bit stays authoritative: a cached block has its bit set,
-// a pop clears it, and a free sets it, so a double free panics at the call
-// even when the first free went no further than a cache. Refills and flushes
-// hand the bit state over inside Hoard's cached batch calls, and every
-// cached block carries its superblock, so no magazine operation looks a
-// block up.
+// free-to-owner rule, so passive false sharing stays away. And the block's
+// free state in its superblock stays authoritative: a cached block is marked
+// free, a pop marks it held, and a free marks it free again, so a double
+// free panics at the call even when the first free went no further than a
+// cache. Only the thread holding a block touches its state, so each flip is
+// a plain load, compare and store; two frees of one block that the program
+// does not order are a data race (DESIGN.md §11). Refills and flushes hand
+// the state over inside Hoard's cached batch calls, and every cached block
+// carries its superblock, so no magazine operation looks a block up.
 //
 // A hit touches only the calling thread's own memory and the block's free
-// bit: each thread keeps its own books (per-class operation counters that
+// state: each thread keeps its own books (per-class operation counters that
 // only it writes), which Stats sums. The shared counters change only at
 // refills, flushes and bypass operations, which go to Hoard anyway.
 //
@@ -498,8 +500,8 @@ func (a *Allocator) Stats() alloc.Stats {
 // CheckIntegrity implements alloc.Allocator: magazines must hold distinct,
 // correctly-sized blocks, each with its superblock; Hoard's live bytes must
 // equal application live bytes plus cached bytes; and Hoard must itself be
-// intact with every cached block counted, which proves each one's free bit
-// is set and none is also in the application's hands. Requires quiescence.
+// intact with every cached block counted, which proves each one is marked
+// free and none is also in the application's hands. Requires quiescence.
 func (a *Allocator) CheckIntegrity() error {
 	cached, err := a.cachedBlocks()
 	if err != nil {

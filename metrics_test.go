@@ -274,6 +274,100 @@ func TestAuditUnderLoad(t *testing.T) {
 	}
 }
 
+// TestHandoffUnderAudit runs producer/consumer pairs through the public API
+// on both backends: each producer mallocs 64-block batches of 16..2048 B and
+// tags every block, and its consumer checks the tags and frees the whole
+// batch, so every free is of another goroutine's block. Audit,
+// ReleaseMemory and metrics scrapes run all the while. Under -race this
+// checks the happens-before argument behind the plain free states: a
+// block's state passes from producer to consumer through the channel, and
+// the audit reads only listed blocks, under their heap's lock. At the end
+// the allocator must be intact and its books exact.
+func TestHandoffUnderAudit(t *testing.T) {
+	const pairs, batches, batch = 2, 150, 64
+	for _, backend := range []string{"sim", "arena"} {
+		t.Run(backend, func(t *testing.T) {
+			a := MustNew(Config{Procs: 2, Metrics: true, Backend: backend})
+			defer a.Close()
+			if backend == "arena" && a.Backend() != "arena" {
+				t.Skipf("arena backend unavailable: %s", a.BackendFallbackReason())
+			}
+			var wg sync.WaitGroup
+			var bad atomic.Int64
+			for i := 0; i < pairs; i++ {
+				// Up to 4 batches in flight per pair, 256 blocks, so a
+				// producer runs ahead of its consumer as in perfbench's
+				// handoff.
+				ch := make(chan []Ptr, 4)
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					defer close(ch)
+					th := a.NewThread()
+					defer th.Close()
+					for b := 0; b < batches; b++ {
+						ps := make([]Ptr, batch)
+						for j := range ps {
+							n := 16 + (b*batch+j)*37%2033
+							ps[j] = th.Malloc(n)
+							th.Bytes(ps[j], 1)[0] = byte(j)
+						}
+						ch <- ps
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					th := a.NewThread()
+					defer th.Close()
+					for ps := range ch {
+						for j, p := range ps {
+							if th.Bytes(p, 1)[0] != byte(j) {
+								bad.Add(1)
+							}
+							th.Free(p)
+						}
+					}
+				}()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				if err := a.Audit(); err != nil {
+					t.Errorf("audit under load: %v", err)
+					<-done
+					return
+				}
+				a.ReleaseMemory()
+				var b strings.Builder
+				if err := a.WriteMetrics(&b); err != nil {
+					t.Fatal(err)
+				}
+				if err := LintMetrics(b.String()); err != nil {
+					t.Fatalf("scrape under load failed lint: %v", err)
+				}
+			}
+			if n := bad.Load(); n != 0 {
+				t.Fatalf("%d blocks lost their tag between producer and consumer", n)
+			}
+			if err := a.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+			st := a.Stats()
+			if want := int64(pairs * batches * batch); st.Mallocs != want || st.Frees != want || st.LiveBytes != 0 {
+				t.Fatalf("books: %d mallocs, %d frees, %d B live; want %d, %d, 0", st.Mallocs, st.Frees, st.LiveBytes, want, want)
+			}
+			if st.RemoteFrees == 0 {
+				t.Fatal("no free crossed heaps")
+			}
+		})
+	}
+}
+
 func TestBackgroundAuditor(t *testing.T) {
 	a := MustNew(Config{Procs: 2})
 	if err := a.StartAuditor(time.Millisecond); err != nil {
