@@ -36,7 +36,7 @@ race:
 # (HOARDGO_BACKEND flips the zero-config default; on a platform without the
 # arena the allocators fall back to sim and the suites still run).
 race-arena:
-	HOARDGO_BACKEND=arena $(GO) test -race . ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/ ./internal/tcache/ ./internal/serial/
+	HOARDGO_BACKEND=arena $(GO) test -race . ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/ ./internal/tcache/ ./internal/lockedheap/
 
 # race-bench runs the malloc/free microbenchmarks under the race detector for
 # 200 iterations each. The race suite runs no benchmarks, and

@@ -33,17 +33,11 @@ import (
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/allocators"
-	"hoardgo/internal/concurrent"
 	"hoardgo/internal/core"
 	"hoardgo/internal/debugalloc"
-	"hoardgo/internal/dlheap"
 	"hoardgo/internal/env"
 	"hoardgo/internal/metrics"
-	"hoardgo/internal/ownership"
-	"hoardgo/internal/private"
-	"hoardgo/internal/serial"
 	"hoardgo/internal/tcache"
-	"hoardgo/internal/threshold"
 )
 
 // Ptr is an address in the allocator's simulated address space. The zero
@@ -82,7 +76,10 @@ const (
 )
 
 // Config configures an Allocator. The zero value builds a Hoard allocator
-// with the paper's parameters.
+// with the paper's parameters. Every other policy is built exactly as the
+// benchmarks build it, with its fixed parameters (8 KiB superblocks, two
+// ownership arenas per processor, arena stealing on): of the tuning fields
+// only Procs, Debug and Metrics apply to it.
 type Config struct {
 	// Policy selects the allocator architecture; empty means PolicyHoard.
 	Policy Policy
@@ -91,9 +88,10 @@ type Config struct {
 	// ownership's arena count). Zero means 8.
 	Procs int
 
-	// Hoard tunes the Hoard policy in detail; ignored by other policies.
-	// Zero fields select the paper's parameters (S=8 KiB, f=1/4, K=1,
-	// b=1.2, 2*Procs heaps).
+	// Hoard tunes the Hoard policy in detail; ignored by other policies,
+	// though New rejects an invalid SuperblockSize under any policy. Zero
+	// fields select the paper's parameters (S=8 KiB, f=1/4, K=1, b=1.2,
+	// 2*Procs heaps).
 	Hoard core.Config
 
 	// Backend selects the Hoard policy's memory substrate: "sim" (the
@@ -106,13 +104,6 @@ type Config struct {
 	// record that. Shorthand for Hoard.Backend; ignored by other policies,
 	// which always use the simulated space.
 	Backend string
-
-	// OwnershipArenas and OwnershipSteal tune the ownership policy.
-	OwnershipArenas int
-	OwnershipSteal  bool
-
-	// ThresholdWatermark tunes the threshold policy's batch size.
-	ThresholdWatermark int
 
 	// Debug wraps the allocator with memory-debugging machinery: guard
 	// canaries around every block (overflow/underflow panics), poisoning
@@ -184,8 +175,9 @@ func New(cfg Config) (*Allocator, error) {
 	default:
 		return nil, fmt.Errorf("hoard: unknown backend %q (want \"sim\" or \"arena\")", cfg.Backend)
 	}
-	// Every policy sizes its spans by Hoard.SuperblockSize; check it here so
-	// a bad size is an error from New, not a panic at the first Malloc.
+	// Only the Hoard policy uses Hoard.SuperblockSize, but a bad size is an
+	// error under every policy, so a config's validity does not hang on its
+	// policy.
 	if err := (core.Config{SuperblockSize: cfg.Hoard.SuperblockSize}).Validate(); err != nil {
 		return nil, err
 	}
@@ -193,8 +185,7 @@ func New(cfg Config) (*Allocator, error) {
 		return nil, fmt.Errorf("hoard: ThreadCacheCapacity %d below the minimum of %d", cfg.ThreadCacheCapacity, tcache.MinCapacity)
 	}
 	var impl alloc.Allocator
-	switch cfg.Policy {
-	case PolicyHoard, "":
+	if cfg.Policy == PolicyHoard || cfg.Policy == "" {
 		hc := cfg.Hoard
 		if hc.Heaps == 0 {
 			hc.Heaps = 2 * procs
@@ -206,31 +197,11 @@ func New(cfg Config) (*Allocator, error) {
 			return nil, err
 		}
 		impl = core.New(hc, lf)
-	case PolicySerial:
-		impl = serial.New(cfg.Hoard.SuperblockSize, lf)
-	case PolicyConcurrent:
-		impl = concurrent.New(cfg.Hoard.SuperblockSize, lf)
-	case PolicyDLHeap:
-		impl = dlheap.New(lf)
-	case PolicyPrivate:
-		impl = private.New(cfg.Hoard.SuperblockSize, lf)
-	case PolicyOwnership:
-		arenas := cfg.OwnershipArenas
-		if arenas == 0 {
-			arenas = 2 * procs
+	} else {
+		var err error
+		if impl, err = allocators.Make(string(cfg.Policy), procs, lf); err != nil {
+			return nil, fmt.Errorf("hoard: unknown policy %q (have %v)", cfg.Policy, allocators.Names())
 		}
-		impl = ownership.New(ownership.Config{
-			SuperblockSize: cfg.Hoard.SuperblockSize,
-			Arenas:         arenas,
-			Steal:          cfg.OwnershipSteal,
-		}, lf)
-	case PolicyThreshold:
-		impl = threshold.New(threshold.Config{
-			SuperblockSize: cfg.Hoard.SuperblockSize,
-			Watermark:      cfg.ThresholdWatermark,
-		}, lf)
-	default:
-		return nil, fmt.Errorf("hoard: unknown policy %q (have %v)", cfg.Policy, allocators.Names())
 	}
 	// The Hoard policy's magazines are part of its protocol; no other
 	// policy has them.
@@ -301,9 +272,12 @@ func (t *Thread) Calloc(size int) Ptr {
 	return p
 }
 
-// Free releases a block. Freeing the nil Ptr is a no-op; double frees and
-// foreign pointers panic, as memory corruption in a real allocator is not
-// recoverable.
+// Free releases a block. Freeing the nil Ptr is a no-op; foreign pointers
+// panic, as memory corruption in a real allocator is not recoverable, and so
+// do double frees, except of small blocks on PolicyPrivate and
+// PolicyThreshold: like the Cilk/STL and DYNIX allocators they stand for,
+// those push a freed small block on a free list without checking it, and a
+// double free corrupts the list.
 func (t *Thread) Free(p Ptr) { t.a.impl.Free(t.inner, p) }
 
 // Realloc resizes a block, preserving min(old, new) bytes of content. A nil

@@ -84,6 +84,9 @@ func TestReallocAllPolicies(t *testing.T) {
 			if string(th.Bytes(p, 4)) != "abcd" {
 				t.Fatal("realloc lost contents")
 			}
+			if q := th.Realloc(p, 2900); q != p {
+				t.Fatal("shrinking realloc within the usable size moved the block")
+			}
 			p = th.Realloc(p, 8)
 			if string(th.Bytes(p, 4)) != "abcd" {
 				t.Fatal("shrinking realloc lost contents")

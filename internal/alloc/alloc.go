@@ -6,11 +6,12 @@
 // (§2 of DESIGN.md) plus a dlmalloc-style heap, and two layers wrap them:
 //
 //   - internal/core:       Hoard (the paper's contribution)
-//   - internal/serial:     single-lock serial heap ("Solaris malloc"-like)
-//   - internal/concurrent: single heap, per-size-class locks (Iyengar-like)
+//   - internal/lockedheap: three allocators over one set of locked heaps:
+//     serial (one heap, one lock; "Solaris malloc"-like), concurrent (a
+//     heap and lock per size class; Iyengar-like) and ownership (private
+//     heaps with ownership; Ptmalloc/MTmalloc-like)
 //   - internal/dlheap:     boundary-tag coalescing heap under one lock (dlmalloc-like)
 //   - internal/private:    pure private heaps (Cilk/STL-like)
-//   - internal/ownership:  private heaps with ownership (Ptmalloc/MTmalloc-like)
 //   - internal/threshold:  private heaps with thresholds (DYNIX-like)
 //   - internal/tcache:     Hoard's per-thread magazines, over core only
 //   - internal/debugalloc: canaries, poisoning and a free quarantine, over any
@@ -65,7 +66,9 @@ type Allocator interface {
 	// Free releases a block previously returned by Malloc on the same
 	// allocator. Freeing from a different thread than the allocating one
 	// is allowed (that is the whole point of the paper). Freeing nil is
-	// a no-op; double frees and foreign pointers panic.
+	// a no-op; foreign pointers panic, and so do double frees on every
+	// allocator except private and threshold, which push a freed small
+	// block on a free list without checking it, as Cilk/STL and DYNIX do.
 	Free(t *Thread, p Ptr)
 
 	// UsableSize returns the usable byte count of a live block.

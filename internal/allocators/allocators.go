@@ -1,6 +1,9 @@
 // Package allocators is the registry mapping allocator names to
-// constructors, used by the benchmark harness, the CLI tools, and the
-// examples. The six names cover the paper's full taxonomy plus Hoard itself.
+// constructors, used by hoard.New, the benchmark harness, the CLI tools and
+// the examples. Its seven names are Hoard itself, the five rows of the
+// paper's taxonomy (serial, concurrent, private, ownership, threshold) and a
+// dlmalloc-style heap; each entry is the one definition of that allocator's
+// defaults.
 package allocators
 
 import (
@@ -8,13 +11,11 @@ import (
 	"sort"
 
 	"hoardgo/internal/alloc"
-	"hoardgo/internal/concurrent"
 	"hoardgo/internal/core"
 	"hoardgo/internal/dlheap"
 	"hoardgo/internal/env"
-	"hoardgo/internal/ownership"
+	"hoardgo/internal/lockedheap"
 	"hoardgo/internal/private"
-	"hoardgo/internal/serial"
 	"hoardgo/internal/threshold"
 )
 
@@ -31,11 +32,11 @@ var registry = map[string]Maker{
 	// Concurrent single heap: per-size-class locks, no per-processor
 	// ownership (the taxonomy's "concurrent single heap" row).
 	"concurrent": func(procs int, lf env.LockFactory) alloc.Allocator {
-		return concurrent.New(0, lf)
+		return lockedheap.NewConcurrent(lf)
 	},
 	// Serial single-heap allocator (the paper's Solaris malloc stand-in).
 	"serial": func(procs int, lf env.LockFactory) alloc.Allocator {
-		return serial.New(0, lf)
+		return lockedheap.NewSerial(lf)
 	},
 	// Doug Lea-style serial allocator: boundary-tag coalescing under one
 	// lock (the dlmalloc design ptmalloc wrapped with arenas).
@@ -44,11 +45,12 @@ var registry = map[string]Maker{
 	},
 	// Pure private heaps (Cilk/STL stand-in).
 	"private": func(procs int, lf env.LockFactory) alloc.Allocator {
-		return private.New(0, lf)
+		return private.New(lf)
 	},
-	// Private heaps with ownership (Ptmalloc stand-in: arena stealing on).
+	// Private heaps with ownership (Ptmalloc stand-in): two arenas per
+	// processor, with arena stealing.
 	"ownership": func(procs int, lf env.LockFactory) alloc.Allocator {
-		return ownership.New(ownership.Config{Arenas: 2 * procs, Steal: true}, lf)
+		return lockedheap.NewOwnership(2*procs, lf)
 	},
 	// Private heaps with thresholds (DYNIX / Vee & Hsu stand-in).
 	"threshold": func(procs int, lf env.LockFactory) alloc.Allocator {

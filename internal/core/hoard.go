@@ -340,13 +340,8 @@ func (h *Hoard) Free(t *alloc.Thread, p alloc.Ptr) {
 	if p.IsNil() {
 		return
 	}
-	h.freeSpan(t, p, h.resolve("free", p))
-}
-
-// freeSpan completes a free whose pointer is already resolved, so callers
-// that needed the span themselves (Realloc) don't pay a second resolution.
-func (h *Hoard) freeSpan(t *alloc.Thread, p alloc.Ptr, sp *vm.Span) {
 	e := t.Env
+	sp := h.resolve("free", p)
 	switch owner := sp.Owner.(type) {
 	case *alloc.LargeObj:
 		alloc.FreeLarge(h.space, &h.acct, e, "hoard", sp, p)
@@ -446,30 +441,6 @@ func (h *Hoard) Bytes(p alloc.Ptr, n int) []byte {
 		panic(fmt.Sprintf("hoard: Bytes(%#x, %d) exceeds usable size %d", uint64(p), n, usable))
 	}
 	return sp.Bytes(int(uint64(p)-sp.Base), n)
-}
-
-// Realloc returns a block of at least size bytes with the first
-// min(size, UsableSize(p)) bytes of p's contents, freeing p. Realloc(nil,
-// size) behaves as Malloc; growth within the current block's usable size is
-// free. The old block is resolved exactly once — the span feeds the size
-// check, the copy, and the free (the pre-refactor path resolved it three
-// times via UsableSize, Bytes, and Free).
-func (h *Hoard) Realloc(t *alloc.Thread, p alloc.Ptr, size int) alloc.Ptr {
-	if p.IsNil() {
-		return h.Malloc(t, size)
-	}
-	sp := h.resolve("realloc", p)
-	old := usableOf("realloc", p, sp)
-	if size <= old && size > old/2 {
-		return p
-	}
-	np := h.Malloc(t, size)
-	n := min(old, size)
-	copy(h.Bytes(np, n), sp.Bytes(int(uint64(p)-sp.Base), n))
-	t.Env.Touch(uint64(p), n, false)
-	t.Env.Touch(uint64(np), n, true)
-	h.freeSpan(t, p, sp)
-	return np
 }
 
 // Stats implements alloc.Allocator.

@@ -273,38 +273,6 @@ func TestBlowupBound(t *testing.T) {
 	}
 }
 
-func TestRealloc(t *testing.T) {
-	h := newHoard(Config{})
-	th := thread(h, 0)
-	p := h.Malloc(th, 16)
-	buf := h.Bytes(p, 16)
-	for i := range buf {
-		buf[i] = byte(i + 1)
-	}
-	p2 := h.Realloc(th, p, 4000)
-	buf2 := h.Bytes(p2, 16)
-	for i := range buf2 {
-		if buf2[i] != byte(i+1) {
-			t.Fatalf("realloc lost data at %d", i)
-		}
-	}
-	p3 := h.Realloc(th, p2, 100000) // to large path
-	buf3 := h.Bytes(p3, 16)
-	for i := range buf3 {
-		if buf3[i] != byte(i+1) {
-			t.Fatalf("realloc-to-large lost data at %d", i)
-		}
-	}
-	if same := h.Realloc(th, p3, 99000); same != p3 {
-		t.Fatal("shrinking realloc within usable size should return same pointer")
-	}
-	h.Free(th, h.Realloc(th, 0, 32)) // realloc(nil) == malloc
-	h.Free(th, p3)
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestThreadHeapHashing(t *testing.T) {
 	h := newHoard(Config{Heaps: 4})
 	used := map[int]bool{}
@@ -376,7 +344,7 @@ func TestStaticFKOnEveryHeap(t *testing.T) {
 	}
 }
 
-// TestPropertyRandomMix runs randomized malloc/free/realloc mixes against a
+// TestPropertyRandomMix runs randomized malloc/free mixes against a
 // shadow model with data verification and a final integrity check.
 func TestPropertyRandomMix(t *testing.T) {
 	f := func(seed int64) bool {
@@ -404,29 +372,6 @@ func TestPropertyRandomMix(t *testing.T) {
 					buf[i] = tag
 				}
 				live = append(live, obj{p, sz, tag})
-			case rng.Intn(5) == 0: // realloc
-				i := rng.Intn(len(live))
-				o := &live[i]
-				buf := h.Bytes(o.p, o.sz)
-				for j := range buf {
-					if buf[j] != o.tag {
-						return false
-					}
-				}
-				nsz := 1 + rng.Intn(6000)
-				o.p = h.Realloc(th, o.p, nsz)
-				keep := min(o.sz, nsz)
-				buf = h.Bytes(o.p, keep)
-				for j := range buf {
-					if buf[j] != o.tag {
-						return false
-					}
-				}
-				o.sz = keep
-				nb := h.Bytes(o.p, keep)
-				for j := range nb {
-					nb[j] = o.tag
-				}
 			default:
 				i := rng.Intn(len(live))
 				o := live[i]

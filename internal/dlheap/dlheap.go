@@ -271,7 +271,17 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	if c < sp.Base || (uint64(p)-sp.Base-headerSize)%8 != 0 {
 		panic(fmt.Sprintf("dlheap: free of misaligned pointer %#x", uint64(p)))
 	}
+	a.freeChunk(e, sp, c, p)
+	e.Charge(env.OpFree, 1)
+	e.Charge(env.OpListScan, 2) // boundary-tag inspection of both neighbors
+}
+
+// freeChunk coalesces chunk c with its free neighbors and rebins it under
+// the heap lock, which it releases also when the free panics on a double
+// free, so the heap stays usable.
+func (a *Allocator) freeChunk(e env.Env, sp *vm.Span, c uint64, p alloc.Ptr) {
 	a.lock.Lock(e)
+	defer a.lock.Unlock(e)
 	if !a.chunkInUse(c) {
 		panic(fmt.Sprintf("dlheap: double free of %#x", uint64(p)))
 	}
@@ -298,9 +308,6 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	a.setHeader(c, size, false)
 	a.fixNextPrev(e, c, size)
 	a.pushBin(e, c)
-	a.lock.Unlock(e)
-	e.Charge(env.OpFree, 1)
-	e.Charge(env.OpListScan, 2) // boundary-tag inspection of both neighbors
 }
 
 // UsableSize implements alloc.Allocator.

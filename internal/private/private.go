@@ -48,7 +48,6 @@ type carveState struct {
 type Allocator struct {
 	space   vm.Backend
 	classes *sizeclass.Table
-	sbSize  int
 	acct    alloc.Accounting
 
 	mu      sync.Mutex
@@ -56,17 +55,13 @@ type Allocator struct {
 	spans   []*vm.Span
 }
 
-// New creates a pure-private-heaps allocator. sbSize is the span size used
-// for carving (0 selects 8 KiB, matching the other allocators).
-func New(sbSize int, lf env.LockFactory) *Allocator {
+// New creates a pure-private-heaps allocator. It carves blocks from 8 KiB
+// spans, matching the other allocators' superblocks.
+func New(lf env.LockFactory) *Allocator {
 	_ = lf // no locks on malloc/free: the defining property of pure private heaps
-	if sbSize == 0 {
-		sbSize = superblock.DefaultSize
-	}
 	return &Allocator{
 		space:   vm.New(),
-		classes: sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, sbSize/2),
-		sbSize:  sbSize,
+		classes: sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, superblock.DefaultSize/2),
 	}
 }
 
@@ -114,7 +109,7 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 		if cs.span == nil || cs.off+blockSize > cs.span.Len {
 			e.Charge(env.OpMallocSlow, 1)
 			e.Charge(env.OpOSAlloc, 1)
-			cs.span = a.space.Reserve(a.sbSize, a.sbSize, &spanTag{class: class, blockSize: blockSize})
+			cs.span = a.space.Reserve(superblock.DefaultSize, superblock.DefaultSize, &spanTag{class: class, blockSize: blockSize})
 			cs.off = 0
 			a.mu.Lock()
 			a.spans = append(a.spans, cs.span)

@@ -10,7 +10,7 @@ import (
 
 func TestConformance(t *testing.T) {
 	alloctest.Run(t, func() alloc.Allocator {
-		return New(0, env.RealLockFactory{})
+		return New(env.RealLockFactory{})
 	})
 }
 
@@ -19,7 +19,7 @@ func TestConformance(t *testing.T) {
 // consumer's lists and committed memory grows linearly with rounds even
 // though the program's live set is constant.
 func TestUnboundedBlowup(t *testing.T) {
-	a := New(0, env.RealLockFactory{})
+	a := New(env.RealLockFactory{})
 	producer := a.NewThread(&env.RealEnv{ID: 0})
 	consumer := a.NewThread(&env.RealEnv{ID: 1})
 	const batch = 100
@@ -54,7 +54,7 @@ func TestUnboundedBlowup(t *testing.T) {
 // TestSelfFreeingReuses checks the flip side: a thread that frees its own
 // memory reuses it, so single-threaded usage stays bounded.
 func TestSelfFreeingReuses(t *testing.T) {
-	a := New(0, env.RealLockFactory{})
+	a := New(env.RealLockFactory{})
 	th := a.NewThread(&env.RealEnv{})
 	for r := 0; r < 100; r++ {
 		ps := make([]alloc.Ptr, 100)
@@ -72,7 +72,7 @@ func TestSelfFreeingReuses(t *testing.T) {
 }
 
 func TestFreeListLIFO(t *testing.T) {
-	a := New(0, env.RealLockFactory{})
+	a := New(env.RealLockFactory{})
 	th := a.NewThread(&env.RealEnv{})
 	p := a.Malloc(th, 64)
 	q := a.Malloc(th, 64)

@@ -27,8 +27,6 @@ import (
 
 // Config parameterizes the threshold allocator.
 type Config struct {
-	// SuperblockSize is the carving span size (0 selects 8 KiB).
-	SuperblockSize int
 	// Watermark is the batch size Lo: refills fetch up to Lo blocks and
 	// spills trigger at 2*Lo, returning Lo blocks (0 selects 32).
 	Watermark int
@@ -71,9 +69,6 @@ type Allocator struct {
 
 // New creates a threshold allocator.
 func New(cfg Config, lf env.LockFactory) *Allocator {
-	if cfg.SuperblockSize == 0 {
-		cfg.SuperblockSize = superblock.DefaultSize
-	}
 	if cfg.Watermark == 0 {
 		cfg.Watermark = 32
 	}
@@ -83,7 +78,7 @@ func New(cfg Config, lf env.LockFactory) *Allocator {
 	a := &Allocator{
 		cfg:     cfg,
 		space:   vm.New(),
-		classes: sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, cfg.SuperblockSize/2),
+		classes: sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, superblock.DefaultSize/2),
 	}
 	a.pools = make([]*classPool, a.classes.NumClasses())
 	for i := range a.pools {
@@ -158,7 +153,7 @@ func (a *Allocator) refill(e env.Env, ts *threadState, class, blockSize int) {
 		} else {
 			if pool.carve == nil || pool.off+blockSize > pool.carve.Len {
 				e.Charge(env.OpOSAlloc, 1)
-				pool.carve = a.space.Reserve(a.cfg.SuperblockSize, a.cfg.SuperblockSize,
+				pool.carve = a.space.Reserve(superblock.DefaultSize, superblock.DefaultSize,
 					&spanTag{class: class, blockSize: blockSize})
 				pool.off = 0
 				a.mu.Lock()

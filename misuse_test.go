@@ -194,32 +194,36 @@ func TestMisuseDuplicateInFreeBatch(t *testing.T) {
 	})
 }
 
-// TestMisuseDuplicateInFreeBatchSerial: on the serial policy, whose one
-// heap lock every operation takes, a FreeBatch that panics on a duplicate
+// TestMisuseDuplicateInFreeBatchLocked: on each baseline whose malloc and
+// free take a heap lock, a FreeBatch or Free that panics on a double free
 // releases that lock, so the next Malloc returns, and leaves the books
 // intact.
-func TestMisuseDuplicateInFreeBatchSerial(t *testing.T) {
-	a := MustNew(Config{Policy: PolicySerial})
-	defer a.Close()
-	th := a.NewThread()
-	p, q := th.Malloc(64), th.Malloc(64)
-	wantPanic(t, "serial FreeBatch with a duplicate", func() { th.FreeBatch([]Ptr{p, q, p}) }, "double free")
-	done := make(chan Ptr)
-	go func() { done <- th.Malloc(64) }()
-	select {
-	case r := <-done:
-		th.Free(r)
-	case <-time.After(10 * time.Second):
-		t.Fatal("Malloc after the panicking FreeBatch did not return: the heap lock is still held")
-	}
-	wantPanic(t, "serial Free of a freed block", func() { th.Free(p) }, "double free")
-	r := th.Malloc(64) // the lock is free again after a panicking Free too
-	th.Free(r)
-	if err := a.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	if st := a.Stats(); st.LiveBytes != 0 || st.Mallocs != st.Frees {
-		t.Fatalf("after freeing everything: %d live bytes, %d mallocs, %d frees", st.LiveBytes, st.Mallocs, st.Frees)
+func TestMisuseDuplicateInFreeBatchLocked(t *testing.T) {
+	for _, pol := range []Policy{PolicySerial, PolicyConcurrent, PolicyOwnership, PolicyDLHeap} {
+		t.Run(string(pol), func(t *testing.T) {
+			a := MustNew(Config{Policy: pol})
+			defer a.Close()
+			th := a.NewThread()
+			p, q := th.Malloc(64), th.Malloc(64)
+			wantPanic(t, "FreeBatch with a duplicate", func() { th.FreeBatch([]Ptr{p, q, p}) }, "double free")
+			done := make(chan Ptr)
+			go func() { done <- th.Malloc(64) }()
+			select {
+			case r := <-done:
+				th.Free(r)
+			case <-time.After(10 * time.Second):
+				t.Fatal("Malloc after the panicking FreeBatch did not return: the heap lock is still held")
+			}
+			wantPanic(t, "Free of a freed block", func() { th.Free(p) }, "double free")
+			r := th.Malloc(64) // the lock is free again after a panicking Free too
+			th.Free(r)
+			if err := a.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+			if st := a.Stats(); st.LiveBytes != 0 || st.Mallocs != st.Frees {
+				t.Fatalf("after freeing everything: %d live bytes, %d mallocs, %d frees", st.LiveBytes, st.Mallocs, st.Frees)
+			}
+		})
 	}
 }
 
