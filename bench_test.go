@@ -16,6 +16,7 @@ package hoard_test
 //
 // cmd/hoardbench prints the same experiments as full sweep tables.
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -199,6 +200,50 @@ func BenchmarkMallocFree(b *testing.B) {
 			s := newSink()
 			for i := 0; i < b.N; i++ {
 				arm.op(s)
+			}
+		})
+	}
+}
+
+// goTouchArms are goArms that also write an 8-byte stamp into the buffer,
+// as BenchmarkMallocFreeTouch's allocator arms do through Bytes.
+var goTouchArms = []struct {
+	name string
+	op   func(s *sinkSlot, stamp uint64)
+}{
+	{"go-make", func(s *sinkSlot, stamp uint64) {
+		s.b = make([]byte, 64)
+		binary.LittleEndian.PutUint64(s.b, stamp)
+	}},
+	{"sync-pool", func(_ *sinkSlot, stamp uint64) {
+		buf := pool64.Get().(*[64]byte)
+		binary.LittleEndian.PutUint64(buf[:], stamp)
+		pool64.Put(buf)
+	}},
+}
+
+// BenchmarkMallocFreeTouch is BenchmarkMallocFree with an 8-byte stamp
+// written into each block through Bytes before it is freed. A block that is
+// never written hides what a store costs right after the allocator's own
+// stores, such as a locked instruction that must wait for them to drain.
+func BenchmarkMallocFreeTouch(b *testing.B) {
+	for _, name := range allocators.Names() {
+		b.Run(name, func(b *testing.B) {
+			a := hoard.MustNew(hoard.Config{Policy: hoard.Policy(name), Procs: 4})
+			t := a.NewThread()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := t.Malloc(64)
+				binary.LittleEndian.PutUint64(t.Bytes(p, 8), uint64(i))
+				t.Free(p)
+			}
+		})
+	}
+	for _, arm := range goTouchArms {
+		b.Run(arm.name, func(b *testing.B) {
+			s := newSink()
+			for i := 0; i < b.N; i++ {
+				arm.op(s, uint64(i))
 			}
 		})
 	}

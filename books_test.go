@@ -12,10 +12,11 @@ import (
 )
 
 // TestStatsUnderChurn drives the default configuration, whose thread caches
-// keep per-thread books, while a sampler calls Stats and WriteMetrics in a
-// loop and one worker closes its thread mid-run, then carries on through the
-// bypass. Sampled Mallocs and Frees never decrease; at quiescence they and
-// LiveBytes are exact, and the integrity check passes.
+// keep per-thread books, while a sampler calls SampleStats and WriteMetrics
+// in a loop and one worker closes its thread mid-run, then carries on
+// through the bypass. Sampled Mallocs and Frees never decrease; at
+// quiescence they and LiveBytes are exact, and the integrity check passes;
+// once every thread is closed SampleStats equals Stats.
 func TestStatsUnderChurn(t *testing.T) {
 	a := MustNew(Config{})
 	defer a.Close()
@@ -36,7 +37,7 @@ func TestStatsUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			st := a.Stats()
+			st := a.SampleStats()
 			if st.Mallocs < last.Mallocs || st.Frees < last.Frees {
 				sampleErr <- "sampled Mallocs or Frees went down"
 				return
@@ -51,12 +52,14 @@ func TestStatsUnderChurn(t *testing.T) {
 
 	var mallocs, frees, live atomic.Int64
 	kept := make([][]Ptr, workers)
+	ths := make([]*Thread, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			th := a.NewThread()
+			ths[w] = th
 			rng := rand.New(rand.NewSource(int64(w)))
 			var mine []Ptr
 			for i := 0; i < ops; i++ {
@@ -111,6 +114,12 @@ func TestStatsUnderChurn(t *testing.T) {
 	}
 	drain.Close()
 	check("drained")
+	for _, th := range ths {
+		th.Close()
+	}
+	if sample, exact := a.SampleStats(), a.Stats(); sample != exact {
+		t.Fatalf("every thread closed: SampleStats %+v != Stats %+v", sample, exact)
+	}
 }
 
 // runHandoff runs a 2-goroutine producer/consumer on a: the producer mallocs

@@ -352,7 +352,9 @@ func (t *Thread) Bytes(p Ptr, n int) []byte { return t.a.impl.Bytes(p, n) }
 // requested size, rounded up to its size class).
 func (t *Thread) UsableSize(p Ptr) int { return t.a.impl.UsableSize(p) }
 
-// Stats is a snapshot of allocator activity.
+// Stats is a snapshot of allocator activity. Allocator.Stats takes an exact
+// one, which must not run concurrently with allocation; Allocator.SampleStats
+// takes one under load, whose operation counts may trail.
 type Stats struct {
 	// Mallocs and Frees count completed operations.
 	Mallocs, Frees int64
@@ -411,9 +413,32 @@ type Stats struct {
 	BackendFallbacks int64
 }
 
-// Stats returns a snapshot of the allocator's counters.
-func (a *Allocator) Stats() Stats {
-	st := a.impl.Stats()
+// Stats returns a snapshot of the allocator's counters. Mallocs, Frees and
+// LiveBytes are exact once every counted operation happens-before the call,
+// threads still open included: a goroutine that joins its workers (a
+// sync.WaitGroup, a channel receive) may call it without closing them.
+// Under the Hoard policy each thread counts its magazine hits in memory only
+// it writes, so a Stats call concurrent with allocation is a data race,
+// which the race detector reports. Callers under load use SampleStats,
+// WriteMetrics or WriteMetricsJSON.
+func (a *Allocator) Stats() Stats { return a.stats(a.impl.Stats()) }
+
+// SampleStats is the view of Stats for callers running under load: safe to
+// call while other threads allocate. It reads only the counts threads have
+// published. Mallocs and Frees never decrease between calls. Under the Hoard
+// policy each open thread's counts trail its true counts by fewer than 32
+// magazine hits per size class and direction. At the default 29 size
+// classes that is at most 899 mallocs and 899 frees per open thread, and
+// LiveBytes is off by at most 31 × 24,928 B = 772,768 B per open thread
+// either way (24,928 B is the sum of the class sizes). A thread also
+// publishes at every magazine refill and flush, so the lag is usually
+// smaller. Once every thread has closed it equals Stats. On the other
+// policies it is Stats.
+func (a *Allocator) SampleStats() Stats { return a.stats(alloc.SampleStats(a.impl)) }
+
+// stats completes a snapshot of the allocator stack's counters with the
+// address space's.
+func (a *Allocator) stats(st alloc.Stats) Stats {
 	sp := a.impl.Space().Stats()
 	return Stats{
 		Mallocs:            st.Mallocs,
@@ -552,6 +577,10 @@ func (a *Allocator) CheckIntegrity() error { return a.impl.CheckIntegrity() }
 // counters and a per-heap breakdown, and a last line on the magazines: the
 // size classes whose cap the 32 KiB byte budget lowers below
 // ThreadCacheCapacity, the per-thread bound in bytes, and MagazineBytes.
+// Its books come from Stats, with the same contract: exact once every
+// counted operation happens-before the call, and a data race, which -race
+// reports, when called concurrently with allocation. Under load, use
+// WriteMetrics.
 func (a *Allocator) Describe(w io.Writer) {
 	st := a.Stats()
 	fmt.Fprintf(w, "%s: %d mallocs, %d frees, %d B live (peak %d), %d B footprint (peak %d)\n",

@@ -112,6 +112,26 @@ func FlushThread(a Allocator, t *Thread) {
 	}
 }
 
+// StatsSampler is implemented by layers whose Stats is exact but must not
+// run concurrently with the operations it counts (Hoard's tcache, whose
+// threads keep plain per-thread counts). SampleStats is the view for callers
+// under load: safe to call at any time, Mallocs and Frees never decrease
+// between calls, and they trail the exact counts by a bounded amount. The
+// package-level SampleStats helper dispatches to it when present.
+type StatsSampler interface {
+	SampleStats() Stats
+}
+
+// SampleStats returns a's under-load view of its counters: its SampleStats
+// when a implements StatsSampler, and Stats otherwise, which every other
+// allocator keeps in atomics that are safe to read at any time.
+func SampleStats(a Allocator) Stats {
+	if s, ok := a.(StatsSampler); ok {
+		return s.SampleStats()
+	}
+	return a.Stats()
+}
+
 // Stats is a snapshot of allocator activity. Fields that do not apply to a
 // given allocator are zero.
 type Stats struct {

@@ -413,17 +413,21 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 	return true
 }
 
+// HeapIndex returns the index of the heap t allocates from, for a thread
+// cache to keep beside its own state and pass to ResolveFree.
+func (h *Hoard) HeapIndex(t *alloc.Thread) int { return t.State.(*threadState).heapIdx }
+
 // ResolveFree resolves p for a free into a thread cache, with the one span
 // lookup the free needs: p's usable size, its superblock (nil for a large
-// object), and whether the calling thread's heap owns that superblock. It
-// changes nothing; the cache marks the block free itself
-// (superblock.MarkCached).
-func (h *Hoard) ResolveFree(t *alloc.Thread, p alloc.Ptr) (sb *superblock.Superblock, usable int, local bool) {
+// object), and whether heap heapIdx (the freeing thread's, from HeapIndex)
+// owns that superblock. It changes nothing; the cache marks the block free
+// itself (superblock.MarkCached).
+func (h *Hoard) ResolveFree(heapIdx int, p alloc.Ptr) (sb *superblock.Superblock, usable int, local bool) {
 	switch owner := h.resolve("free", p).Owner.(type) {
 	case *alloc.LargeObj:
 		return nil, owner.Size, false
 	case *superblock.Superblock:
-		return owner, owner.BlockSize(), owner.OwnerID() == t.State.(*threadState).heapIdx
+		return owner, owner.BlockSize(), owner.OwnerID() == heapIdx
 	}
 	panic(fmt.Sprintf("hoard: free of foreign pointer %#x", uint64(p)))
 }

@@ -233,6 +233,16 @@ func (a *Allocator) Stats() alloc.Stats {
 	return st
 }
 
+// SampleStats implements alloc.StatsSampler: Stats over the inner
+// allocator's under-load view. The application's books here are atomic, so
+// only the inner counters can trail.
+func (a *Allocator) SampleStats() alloc.Stats {
+	var st alloc.Stats
+	a.acct.Fill(&st)
+	alloc.MergeAllocatorCounters(&st, alloc.SampleStats(a.inner))
+	return st
+}
+
 // LiveBlocks returns the current allocation count — a leak report
 // primitive.
 func (a *Allocator) LiveBlocks() int {

@@ -61,10 +61,11 @@ func TestBooksScripted(t *testing.T) {
 }
 
 // TestBooksUnderConcurrentStats churns several threads — some frees remote,
-// some sizes bypassing the cache — while another goroutine samples Stats, and
-// one thread retires mid-run and carries on through the bypass. Every sample's
-// Mallocs and Frees must be non-decreasing; at quiescence the counts and
-// LiveBytes must be exact and the integrity check must pass.
+// some sizes bypassing the cache — while another goroutine samples
+// SampleStats, and one thread retires mid-run and carries on through the
+// bypass. Every sample's Mallocs and Frees must be non-decreasing; at
+// quiescence the counts and LiveBytes must be exact and the integrity check
+// must pass, and once every thread has flushed SampleStats must equal Stats.
 func TestBooksUnderConcurrentStats(t *testing.T) {
 	a := newOverHoard(16)
 	const workers, ops = 4, 20000
@@ -85,7 +86,7 @@ func TestBooksUnderConcurrentStats(t *testing.T) {
 				return
 			default:
 			}
-			st := a.Stats()
+			st := a.SampleStats()
 			if st.Mallocs < last.Mallocs || st.Frees < last.Frees {
 				sampled <- fmt.Errorf("counts went down: mallocs %d -> %d, frees %d -> %d",
 					last.Mallocs, st.Mallocs, last.Frees, st.Frees)
@@ -105,12 +106,14 @@ func TestBooksUnderConcurrentStats(t *testing.T) {
 	}
 	var mallocs, frees, live atomic.Int64
 	kept := make([][]alloc.Ptr, workers)
+	ths := make([]*alloc.Thread, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			th := a.NewThread(&env.RealEnv{ID: w})
+			ths[w] = th
 			rng := rand.New(rand.NewSource(int64(w)))
 			var mine []alloc.Ptr
 			free := func(p alloc.Ptr) {
@@ -179,6 +182,12 @@ func TestBooksUnderConcurrentStats(t *testing.T) {
 		}
 	}
 	check("drained")
+	for _, th := range append(ths, drain) {
+		a.FlushThread(th)
+	}
+	if sample, exact := a.SampleStats(), a.Stats(); sample != exact {
+		t.Fatalf("every thread flushed: SampleStats %+v != Stats %+v", sample, exact)
+	}
 }
 
 // TestPeakBound checks PeakLiveBytes against a driver's own exact peak: it
@@ -265,4 +274,136 @@ func TestPeakBound(t *testing.T) {
 		<-done
 		check(t, a, peak.Load(), slack(a, 2, 1))
 	})
+}
+
+// TestPublicationPoints pins when a thread's hits reach SampleStats. Each
+// class counts up to publishEvery-1 hits per direction unpublished; the
+// publishEvery-th hit, a refill, a magazine flush, a remote-batch flush and
+// FlushThread each publish them. Stats is exact at every step. Capacity 8:
+// refills bring 4 blocks, a flush leaves 4, and the remote batch flushes
+// at 8.
+func TestPublicationPoints(t *testing.T) {
+	const capacity, size = 8, 64
+	a := newOverHoard(capacity)
+	ta := a.NewThread(&env.RealEnv{ID: 0}) // heap 1
+	tb := a.NewThread(&env.RealEnv{ID: 1}) // heap 2
+	class, _ := a.classFor(size)
+	mag := &ta.State.(*threadState).mags[class]
+	var mallocs, frees int64
+	var held []alloc.Ptr
+	malloc := func() {
+		held = append(held, a.Malloc(ta, size))
+		mallocs++
+	}
+	free := func(th *alloc.Thread) {
+		p := held[len(held)-1]
+		held = held[:len(held)-1]
+		a.Free(th, p)
+		frees++
+	}
+	// expect checks Stats against the driver's counts, and that SampleStats
+	// trails it by exactly mallocLag mallocs and freeLag frees.
+	expect := func(step string, mallocLag, freeLag int64) {
+		t.Helper()
+		st, sample := a.Stats(), a.SampleStats()
+		if st.Mallocs != mallocs || st.Frees != frees || st.LiveBytes != size*(mallocs-frees) {
+			t.Fatalf("%s: Stats counts %d mallocs, %d frees, %d B live; the driver made %d, %d, %d B",
+				step, st.Mallocs, st.Frees, st.LiveBytes, mallocs, frees, size*(mallocs-frees))
+		}
+		if st.Mallocs-sample.Mallocs != mallocLag || st.Frees-sample.Frees != freeLag ||
+			st.LiveBytes-sample.LiveBytes != size*(mallocLag-freeLag) {
+			t.Fatalf("%s: SampleStats trails by %d mallocs, %d frees, %d B live; want %d, %d, %d B", step,
+				st.Mallocs-sample.Mallocs, st.Frees-sample.Frees, st.LiveBytes-sample.LiveBytes,
+				mallocLag, freeLag, size*(mallocLag-freeLag))
+		}
+	}
+	transfers := func() (refills, flushes int64) {
+		st := a.Inner().Stats()
+		return st.BatchRefills, st.BatchFlushes
+	}
+
+	malloc()
+	expect("first malloc, which refills", 0, 0)
+	// Hit pairs: each free pushes the block the next malloc pops. The
+	// publishEvery-th hit in either direction publishes both.
+	for i := int64(1); i < publishEvery; i++ {
+		free(ta)
+		malloc()
+		expect(fmt.Sprintf("%d free-malloc pairs", i), i, i)
+	}
+	free(ta)
+	expect("the publishEvery-th free", 0, 0)
+	for i := int64(1); i < publishEvery; i++ {
+		malloc()
+		free(ta)
+		expect(fmt.Sprintf("%d malloc-free pairs", i), i, i)
+	}
+	malloc()
+	expect("the publishEvery-th malloc", 0, 0)
+
+	// Refills: empty the magazine with hits, then one more malloc refills.
+	for range 4 {
+		lag := int64(0)
+		for len(mag.ptrs) > 0 {
+			malloc()
+			lag++
+			expect("a malloc that empties the magazine", lag, 0)
+		}
+		r0, _ := transfers()
+		malloc()
+		if r1, _ := transfers(); r1 != r0+1 {
+			t.Fatalf("the malloc of an empty magazine made %d refills, want 1", r1-r0)
+		}
+		expect("a refill", 0, 0)
+	}
+
+	// A magazine flush: fill the magazine to its cap, then push past it.
+	lag := int64(0)
+	for len(mag.ptrs) < capacity {
+		free(ta)
+		lag++
+		expect("a free into the magazine", 0, lag)
+	}
+	_, f0 := transfers()
+	free(ta)
+	if _, f1 := transfers(); f1 != f0+1 {
+		t.Fatalf("the free past the cap made %d flushes, want 1", f1-f0)
+	}
+	expect("a magazine flush", 0, 0)
+
+	// A remote-batch flush: tb frees ta's blocks into its remote batch.
+	for len(held) < capacity || len(mag.ptrs) > 0 {
+		malloc()
+	}
+	malloc()
+	expect("the refill before the remote frees", 0, 0)
+	for lag := int64(1); lag < capacity; lag++ {
+		free(tb)
+		expect("a remote free", 0, lag)
+	}
+	_, f0 = transfers()
+	free(tb)
+	if _, f1 := transfers(); f1 != f0+1 {
+		t.Fatalf("the remote free that fills the batch made %d flushes, want 1", f1-f0)
+	}
+	expect("a remote-batch flush", 0, 0)
+
+	// FlushThread publishes whatever its thread still counts.
+	malloc()
+	free(ta)
+	malloc()
+	expect("before FlushThread", 2, 1)
+	a.FlushThread(ta)
+	expect("FlushThread", 0, 0)
+	for len(held) > 0 {
+		free(ta) // a retired thread's frees bypass the magazines
+	}
+	a.FlushThread(tb)
+	expect("every thread flushed", 0, 0)
+	if sample, exact := a.SampleStats(), a.Stats(); sample != exact {
+		t.Fatalf("every thread flushed: SampleStats %+v != Stats %+v", sample, exact)
+	}
+	if err := a.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -3,6 +3,7 @@ package tcache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,21 +22,28 @@ import (
 // mallocs that bypass the magazines; ReleaseMemory; and, in some runs, a
 // FlushThread after which its handle bypasses the magazines too. Every free
 // that leaves the block in the thread's own magazine or remote batch is
-// followed by a second free of it, which must panic at the call. After each
-// schedule no block may have been live twice, and at quiescence
-// CheckIntegrity must pass and Stats must count exactly the operations
-// performed.
+// followed by a second free of it, which must panic at the call. A fourth
+// thread samples SampleStats at each of its switch points: its Mallocs and
+// Frees must never decrease and never exceed the operations the threads have
+// completed. Thread 0 never retires and ends holding unpublished hits. After
+// each schedule no block may have been live twice, and at quiescence, with
+// those threads still open, CheckIntegrity must pass and Stats must count
+// exactly the operations performed.
 func TestInterleavedScenario(t *testing.T) {
-	probes := 0
+	probes, samples := 0, 0
 	for seed := int64(0); seed < 200; seed++ {
-		n, err := runScenario(seed)
+		s, err := runScenario(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		probes += n
+		probes += s.probes
+		samples += s.samples
 	}
 	if probes == 0 {
 		t.Fatal("no schedule probed a double free")
+	}
+	if samples == 0 {
+		t.Fatal("no schedule sampled SampleStats")
 	}
 }
 
@@ -54,21 +62,26 @@ type scenario struct {
 	mallocs, frees int64
 	// probes counts the double frees that panicked at the call.
 	probes int
+	// running counts the threads still performing operations; samples
+	// counts the sampler's samples.
+	running, samples int
 }
 
-// runScenario runs one schedule and returns how many double frees it probed.
-func runScenario(seed int64) (probes int, err error) {
+// runScenario runs one schedule and returns its final state.
+func runScenario(seed int64) (_ *scenario, err error) {
 	w := simproc.NewWorld(3, simproc.DefaultCosts)
 	w.SetChooser(simproc.RandomChooser(seed))
 	s := &scenario{
-		a:    New(core.New(core.Config{Heaps: 2, Backend: "sim"}, w), Config{Capacity: 4}),
-		live: make(map[alloc.Ptr]bool),
+		a:       New(core.New(core.Config{Heaps: 2, Backend: "sim"}, w), Config{Capacity: 4}),
+		live:    make(map[alloc.Ptr]bool),
+		running: 3,
 	}
 	end := w.NewBarrier(3)
 	for id := int64(0); id < 3; id++ {
 		rng := rand.New(rand.NewSource(seed*3 + id))
 		w.Spawn(func(e env.Env) { s.thread(e, rng, end) })
 	}
+	w.Spawn(s.sample)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%v", r)
@@ -76,25 +89,50 @@ func runScenario(seed int64) (probes int, err error) {
 	}()
 	w.Run()
 	if len(s.live) != 0 {
-		return 0, fmt.Errorf("%d blocks still live after every thread freed its own", len(s.live))
+		return nil, fmt.Errorf("%d blocks still live after every thread freed its own", len(s.live))
 	}
 	if err := s.a.CheckIntegrity(); err != nil {
-		return 0, err
+		return nil, err
 	}
 	st := s.a.Stats()
 	if st.Mallocs != s.mallocs || st.Frees != s.frees || st.LiveBytes != 0 {
-		return 0, fmt.Errorf("stats say %d mallocs, %d frees, %d B live; the threads made %d mallocs and %d frees",
+		return nil, fmt.Errorf("stats say %d mallocs, %d frees, %d B live; the threads made %d mallocs and %d frees",
 			st.Mallocs, st.Frees, st.LiveBytes, s.mallocs, s.frees)
 	}
-	return s.probes, nil
+	if sample := s.a.SampleStats(); sample.Mallocs+sample.Frees == st.Mallocs+st.Frees {
+		return nil, fmt.Errorf("no thread ended with unpublished hits")
+	}
+	return s, nil
+}
+
+// sample is the sampler thread's program: SampleStats at every switch point
+// until the other threads are done.
+func (s *scenario) sample(e env.Env) {
+	var last alloc.Stats
+	for s.running > 0 {
+		st := s.a.SampleStats()
+		if st.Mallocs < last.Mallocs || st.Frees < last.Frees {
+			panic(fmt.Sprintf("sampled counts went down: mallocs %d -> %d, frees %d -> %d",
+				last.Mallocs, st.Mallocs, last.Frees, st.Frees))
+		}
+		if st.Mallocs > s.mallocs || st.Frees > s.frees {
+			panic(fmt.Sprintf("sampled %d mallocs and %d frees; the threads have completed %d and %d",
+				st.Mallocs, st.Frees, s.mallocs, s.frees))
+		}
+		last = st
+		s.samples++
+		e.Charge(env.OpListScan, 1)
+	}
 }
 
 // thread is one simulated thread's program. At the end every thread frees
-// the blocks it holds, and after a barrier thread 0 frees the mailbox.
+// the blocks it holds, and after a barrier thread 0 frees the mailbox and
+// makes hit pairs until it holds unpublished hits.
 func (s *scenario) thread(e env.Env, rng *rand.Rand, end *simproc.Barrier) {
+	defer func() { s.running-- }()
 	th := s.a.NewThread(e)
 	flushAt := -1
-	if rng.Intn(2) == 0 {
+	if rng.Intn(2) == 0 && e.ThreadID() != 0 {
 		flushAt = rng.Intn(scenarioOps)
 	}
 	var mine []alloc.Ptr
@@ -132,7 +170,19 @@ func (s *scenario) thread(e env.Env, rng *rand.Rand, end *simproc.Barrier) {
 			s.free(th, p)
 		}
 		s.mailbox = nil
+		for unpublished(th.State.(*threadState)) == 0 {
+			s.free(th, s.malloc(th, 8))
+		}
 	}
+}
+
+// unpublished returns the hits ts has not yet published.
+func unpublished(ts *threadState) int {
+	n := 0
+	for _, m := range ts.mags {
+		n += m.mallocs + m.frees
+	}
+	return n
 }
 
 func (s *scenario) malloc(th *alloc.Thread, size int) alloc.Ptr {
@@ -174,14 +224,12 @@ func (s *scenario) probeDoubleFree(th *alloc.Thread, p alloc.Ptr) {
 
 // cachedBy reports whether p is in ts's magazines or remote batch.
 func cachedBy(ts *threadState, p alloc.Ptr) bool {
-	for _, mag := range append(ts.mags, ts.remote) {
-		for _, q := range mag {
-			if q == p {
-				return true
-			}
+	for _, m := range ts.mags {
+		if slices.Contains(m.ptrs, p) {
+			return true
 		}
 	}
-	return false
+	return slices.Contains(ts.remote, p)
 }
 
 // take removes and returns a random element of *xs.

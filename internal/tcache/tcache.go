@@ -22,9 +22,17 @@
 // carries its superblock, so no magazine operation looks a block up.
 //
 // A hit touches only the calling thread's own memory and the block's free
-// state: each thread keeps its own books (per-class operation counters that
-// only it writes), which Stats sums. The shared counters change only at
-// refills, flushes and bypass operations, which go to Hoard anyway.
+// state, and runs no locked instruction. Each thread counts its hits per
+// class in plain fields that only it writes, and adds them to its published
+// books (atomics a sampler may read) at each refill or flush of the class
+// and after every publishEvery hits. So Stats, which adds every live
+// thread's unpublished counts to the published ones, is exact once every
+// counted operation happens-before the call, and running it concurrently
+// with a thread's operations is a data race. SampleStats reads the published
+// books only: safe under load, never decreasing, and trailing each live
+// thread by fewer than publishEvery hits per class and direction. The shared
+// counters change only at refills, flushes and bypass operations, which go
+// to Hoard anyway.
 //
 // The cache trades bounded extra memory for its lock-free fast paths. Hoard's
 // size classes up to maxCachedSize are cached; larger blocks bypass the
@@ -95,8 +103,14 @@ type Allocator struct {
 	retired totals // the books of flushed threads
 }
 
-// counts is a pair of operation counters. Only the owning thread writes
-// them; Stats reads them concurrently.
+// publishEvery is how many hits in one direction a thread's class may count
+// before it publishes them; refills and flushes publish sooner. Between
+// publications a live thread's published books trail its true counts by
+// fewer than publishEvery mallocs and publishEvery frees per class.
+const publishEvery = 32
+
+// counts is a pair of published operation counters. Only the owning thread
+// writes them, at publications; SampleStats reads them concurrently.
 type counts struct{ mallocs, frees atomic.Int64 }
 
 // booksPad is the padding, in counts, on each side of a thread's books: 128
@@ -117,26 +131,43 @@ type totals struct {
 	mallocMisses, freeMisses int64
 }
 
-// add adds ts's books to t.
-func (t *totals) add(ts *threadState, classes *sizeclass.Table) {
-	// Misses first: each is counted after its hit, so the hits read after
-	// them are at least as many.
+// add adds ts's published books to t and, when unpublished is set, its
+// unpublished hits too. Only the owning thread, or a caller every counted
+// operation of ts happens-before, may ask for the unpublished hits.
+func (t *totals) add(ts *threadState, classes *sizeclass.Table, unpublished bool) {
+	// Misses first: each is published after its hit, so the hits read
+	// after them are at least as many.
 	t.mallocMisses += ts.misses.mallocs.Load()
 	t.freeMisses += ts.misses.frees.Load()
 	for c := range ts.hits {
 		m, f := ts.hits[c].mallocs.Load(), ts.hits[c].frees.Load()
+		if unpublished {
+			m += int64(ts.mags[c].mallocs)
+			f += int64(ts.mags[c].frees)
+		}
 		t.mallocs += m
 		t.frees += f
 		t.live += int64(classes.Size(c)) * (m - f)
 	}
 }
 
+// magazine is one size class's cache in one thread, and its hits since the
+// last publication. Only the owning thread touches it.
+type magazine struct {
+	ptrs []alloc.Ptr
+	// sbs parallels ptrs: sbs[i] is the superblock of ptrs[i].
+	sbs []*superblock.Superblock
+	// mallocs and frees count the class's hits not yet published to the
+	// thread's books.
+	mallocs, frees int
+}
+
 // threadState holds one thread's magazines and its Hoard handle.
 type threadState struct {
 	inner *alloc.Thread
-	mags  [][]alloc.Ptr // per class
-	// sbs parallels mags: sbs[c][i] is the superblock of mags[c][i].
-	sbs [][]*superblock.Superblock
+	// heap is inner's heap index (core.Hoard.HeapIndex).
+	heap int
+	mags []magazine // per class
 
 	// remote and remoteSBs are the remote batch: freed blocks whose
 	// superblock another heap owns, and their superblocks, waiting to be
@@ -147,17 +178,12 @@ type threadState struct {
 	// thread reads or writes it.
 	remoteBytes int
 
-	// hits[c] counts the mallocs and frees of class c the magazines and the
-	// remote batch served; misses counts those among them that refilled or
-	// flushed in the same call. Each is one Add by this thread per
-	// operation, on memory no other thread writes (newBooks).
+	// hits[c] is the published count of the mallocs and frees of class c
+	// the magazines and the remote batch served (publish); misses counts
+	// those among them that refilled or flushed in the same call, one Add
+	// per such call. Only this thread writes them (newBooks).
 	hits   []counts
 	misses *counts
-
-	// scratch and scratchSBs are the refill staging buffers, reused across
-	// underflows so a steady-state refill performs no Go allocation.
-	scratch    []alloc.Ptr
-	scratchSBs []*superblock.Superblock
 
 	// magBytes is the sampler-visible cache-fill gauge. Only the owning
 	// thread writes it, and only at transfer boundaries (refill, flush,
@@ -238,12 +264,24 @@ func (a *Allocator) Space() vm.Backend { return a.inner.Space() }
 // Inner returns the wrapped Hoard allocator.
 func (a *Allocator) Inner() *core.Hoard { return a.inner }
 
-// NewThread implements alloc.Allocator.
+// NewThread implements alloc.Allocator. Each magazine is sized once, to
+// its class's cap + 1 (a free pushes before it flushes), from one backing
+// array per thread, so neither a push nor a refill ever grows it.
 func (a *Allocator) NewThread(e env.Env) *alloc.Thread {
+	inner := a.inner.NewThread(e)
 	ts := &threadState{
-		inner: a.inner.NewThread(e),
-		mags:  make([][]alloc.Ptr, len(a.caps)),
-		sbs:   make([][]*superblock.Superblock, len(a.caps)),
+		inner: inner,
+		heap:  a.inner.HeapIndex(inner),
+		mags:  make([]magazine, len(a.caps)),
+	}
+	slots := 0
+	for _, n := range a.caps {
+		slots += n + 1
+	}
+	ptrs, sbs := make([]alloc.Ptr, slots), make([]*superblock.Superblock, slots)
+	for c, n := range a.caps {
+		ts.mags[c].ptrs, ptrs = ptrs[:0:n+1], ptrs[n+1:]
+		ts.mags[c].sbs, sbs = sbs[:0:n+1], sbs[n+1:]
 	}
 	ts.hits, ts.misses = newBooks(len(a.caps))
 	a.mu.Lock()
@@ -266,22 +304,52 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	if !ok || ts.retired {
 		return a.mallocInner(ts, size)
 	}
-	n := len(ts.mags[class])
+	m := &ts.mags[class]
+	n := len(m.ptrs)
 	refilled := n == 0
 	if refilled {
 		a.refill(ts, class)
-		n = len(ts.mags[class])
+		n = len(m.ptrs)
 	}
 	n--
-	p, sb := ts.mags[class][n], ts.sbs[class][n]
-	ts.mags[class], ts.sbs[class] = ts.mags[class][:n], ts.sbs[class][:n]
+	p, sb := m.ptrs[n], m.sbs[n]
+	m.ptrs, m.sbs = m.ptrs[:n], m.sbs[:n]
 	sb.ClaimCached(p)
 	t.Env.Charge(env.OpMallocFast, 1)
-	ts.hits[class].mallocs.Add(1)
+	// Counted after the call's last switch point, so a published malloc
+	// has returned.
+	m.mallocs++
 	if refilled {
+		ts.publish(class)
 		ts.misses.mallocs.Add(1)
+	} else if m.mallocs >= publishEvery {
+		ts.publish(class)
 	}
 	return p
+}
+
+// publish adds class's unpublished hits to ts's books. Only the owning
+// thread calls it. It stays out of line so the hit path carries no locked
+// instruction.
+//
+//go:noinline
+func (ts *threadState) publish(class int) {
+	m := &ts.mags[class]
+	if m.mallocs != 0 {
+		ts.hits[class].mallocs.Add(int64(m.mallocs))
+		m.mallocs = 0
+	}
+	if m.frees != 0 {
+		ts.hits[class].frees.Add(int64(m.frees))
+		m.frees = 0
+	}
+}
+
+// publishAll publishes every class's unpublished hits.
+func (ts *threadState) publishAll() {
+	for class := range ts.mags {
+		ts.publish(class)
+	}
 }
 
 // mallocInner is a bypass malloc, booked on the shared counters.
@@ -301,18 +369,14 @@ func (a *Allocator) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
 	return p
 }
 
-// refill fills half a class's cap from Hoard under one heap-lock
-// acquisition (core.Hoard.MallocCached).
+// refill fills class's empty magazine to half its cap from Hoard under one
+// heap-lock acquisition (core.Hoard.MallocCached), which writes the blocks
+// straight into the magazine.
 func (a *Allocator) refill(ts *threadState, class int) {
-	blockSize := a.classes.Size(class)
-	n := a.caps[class] / 2
-	if cap(ts.scratch) < n {
-		ts.scratch = make([]alloc.Ptr, n)
-		ts.scratchSBs = make([]*superblock.Superblock, n)
-	}
-	got := a.inner.MallocCached(ts.inner, blockSize, n, ts.scratch, ts.scratchSBs)
-	ts.mags[class] = append(ts.mags[class], ts.scratch[:got]...)
-	ts.sbs[class] = append(ts.sbs[class], ts.scratchSBs[:got]...)
+	m := &ts.mags[class]
+	got := a.inner.MallocCached(ts.inner, a.classes.Size(class), a.caps[class]/2,
+		m.ptrs[:cap(m.ptrs)], m.sbs[:cap(m.sbs)])
+	m.ptrs, m.sbs = m.ptrs[:got], m.sbs[:got]
 	a.publishMagBytes(ts)
 }
 
@@ -330,8 +394,8 @@ func (a *Allocator) publishMagBytes(ts *threadState) {
 // call it.
 func (a *Allocator) cachedBytes(ts *threadState) int64 {
 	var total int64
-	for class, mag := range ts.mags {
-		total += int64(len(mag)) * int64(a.classes.Size(class))
+	for class := range ts.mags {
+		total += int64(len(ts.mags[class].ptrs)) * int64(a.classes.Size(class))
 	}
 	return total + int64(ts.remoteBytes)
 }
@@ -344,7 +408,7 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 		return
 	}
 	ts := t.State.(*threadState)
-	sb, usable, local := a.inner.ResolveFree(ts.inner, p)
+	sb, usable, local := a.inner.ResolveFree(ts.heap, p)
 	if sb == nil || sb.Class() >= len(a.caps) || ts.retired {
 		// Large and uncached sizes go straight down.
 		a.inner.Free(ts.inner, p)
@@ -355,7 +419,10 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	// Panics on a double free, before anything else changes.
 	sb.MarkCached(p)
 	t.Env.Charge(env.OpFree, 1)
-	ts.hits[class].frees.Add(1)
+	// A flush below publishes after its own last switch point, so a
+	// published free has returned.
+	m := &ts.mags[class]
+	m.frees++
 	if !local {
 		ts.remote = append(ts.remote, p)
 		ts.remoteSBs = append(ts.remoteSBs, sb)
@@ -363,36 +430,45 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 		if len(ts.remote) >= a.cfg.Capacity || ts.remoteBytes >= classBudget {
 			a.flushRemote(ts)
 			ts.misses.frees.Add(1)
+		} else if m.frees >= publishEvery {
+			ts.publish(class)
 		}
 		return
 	}
-	ts.mags[class] = append(ts.mags[class], p)
-	ts.sbs[class] = append(ts.sbs[class], sb)
-	if len(ts.mags[class]) > a.caps[class] {
+	m.ptrs = append(m.ptrs, p)
+	m.sbs = append(m.sbs, sb)
+	if len(m.ptrs) > a.caps[class] {
 		a.flush(ts, class)
 		ts.misses.frees.Add(1)
+	} else if m.frees >= publishEvery {
+		ts.publish(class)
 	}
 }
 
-// flush returns the magazine to half its class's cap with one batch call: a
-// single heap-lock acquisition per owner heap.
+// flush returns the magazine to half its class's cap with one batch call (a
+// single heap-lock acquisition per owner heap), then publishes the class's
+// hits.
 func (a *Allocator) flush(ts *threadState, class int) {
 	a.flushMagazine(ts, class, a.caps[class]/2)
+	ts.publish(class)
 	a.publishMagBytes(ts)
 }
 
 // flushMagazine returns the blocks of class's magazine past keep to Hoard
 // (core.Hoard.FreeCached).
 func (a *Allocator) flushMagazine(ts *threadState, class, keep int) {
-	a.inner.FreeCached(ts.inner, ts.mags[class][keep:], ts.sbs[class][keep:])
-	ts.mags[class], ts.sbs[class] = ts.mags[class][:keep], ts.sbs[class][:keep]
+	m := &ts.mags[class]
+	a.inner.FreeCached(ts.inner, m.ptrs[keep:], m.sbs[keep:])
+	m.ptrs, m.sbs = m.ptrs[:keep], m.sbs[:keep]
 }
 
-// flushRemote returns the whole remote batch to the blocks' owners.
+// flushRemote returns the whole remote batch to the blocks' owners, then
+// publishes every class's hits, since the batch mixes classes.
 func (a *Allocator) flushRemote(ts *threadState) {
 	a.inner.FreeCached(ts.inner, ts.remote, ts.remoteSBs)
 	ts.remote, ts.remoteSBs = ts.remote[:0], ts.remoteSBs[:0]
 	ts.remoteBytes = 0
+	ts.publishAll()
 	a.publishMagBytes(ts)
 }
 
@@ -401,26 +477,29 @@ func (a *Allocator) flushRemote(ts *threadState) {
 // handle remains usable afterwards (stray late operations bypass the
 // magazines), but the thread no longer contributes to CachedBytes,
 // CheckIntegrity, or Threads, and its state can be collected once the
-// caller drops the handle. Its books fold into the retired totals.
+// caller drops the handle. Its books, every hit published, fold into the
+// retired totals.
 func (a *Allocator) FlushThread(t *alloc.Thread) {
 	ts := t.State.(*threadState)
-	for class, mag := range ts.mags {
-		if len(mag) > 0 {
+	for class := range ts.mags {
+		m := &ts.mags[class]
+		if len(m.ptrs) > 0 {
 			a.flushMagazine(ts, class, 0)
 		}
-		ts.mags[class], ts.sbs[class] = nil, nil
+		m.ptrs, m.sbs = nil, nil
 	}
 	if len(ts.remote) > 0 {
 		a.flushRemote(ts)
 	}
 	ts.remote, ts.remoteSBs = nil, nil
+	ts.publishAll()
 	ts.magBytes.Store(0)
 	ts.retired = true
 	a.mu.Lock()
 	for i, s := range a.threads {
 		if s == ts {
 			a.threads = append(a.threads[:i], a.threads[i+1:]...)
-			a.retired.add(ts, a.classes)
+			a.retired.add(ts, a.classes, false)
 			break
 		}
 	}
@@ -472,18 +551,33 @@ func (a *Allocator) MagazineBytes() int64 {
 // and live-byte counters (cached blocks count as free) and the caches'
 // lock-free operation counts over Hoard's mechanism counters.
 // It sums the bypass books, the retired totals and every live thread's
-// books: Mallocs and Frees never decrease between calls, and they and
-// LiveBytes are exact at quiescence. PeakLiveBytes is Hoard's: the
-// high-water mark of the bytes taken from it, application live plus cached.
-// That is at least the true peak, and above it by at most the bytes cached
-// at the peak.
-func (a *Allocator) Stats() alloc.Stats {
+// books, published and unpublished. Mallocs, Frees and LiveBytes are exact
+// once every counted operation happens-before the call, live threads
+// included; Stats reads memory only the owning threads write, so a call
+// concurrent with their operations is a data race. Callers under load use
+// SampleStats. PeakLiveBytes is Hoard's: the high-water mark of the bytes
+// taken from it, application live plus cached. That is at least the true
+// peak, and above it by at most the bytes cached at the peak.
+func (a *Allocator) Stats() alloc.Stats { return a.stats(true) }
+
+// SampleStats implements alloc.StatsSampler: Stats from the published books
+// only, safe to call while threads allocate. Mallocs and Frees never
+// decrease between calls. Each live thread's counts trail its true counts by
+// fewer than publishEvery hits per class and direction, so Mallocs and
+// Frees each trail by fewer than publishEvery × classes hits per thread and
+// LiveBytes by less than publishEvery × the sum of the cached class sizes
+// per thread either way. Once every thread has flushed, it equals Stats.
+func (a *Allocator) SampleStats() alloc.Stats { return a.stats(false) }
+
+// stats is Stats, with the live threads' unpublished hits when unpublished
+// is set.
+func (a *Allocator) stats(unpublished bool) alloc.Stats {
 	var st alloc.Stats
 	a.bypass.Fill(&st)
 	a.mu.Lock()
 	t := a.retired
 	for _, ts := range a.threads {
-		t.add(ts, a.classes)
+		t.add(ts, a.classes, unpublished)
 	}
 	a.mu.Unlock()
 	st.Mallocs += t.mallocs
@@ -537,16 +631,16 @@ func (a *Allocator) cachedBlocks() ([]alloc.Ptr, error) {
 		return nil
 	}
 	for ti, ts := range a.threads {
-		for class, mag := range ts.mags {
+		for class, m := range ts.mags {
 			want := a.classes.Size(class)
-			if len(mag) > a.caps[class] {
-				return nil, fmt.Errorf("tcache: thread %d class %d magazine over its cap of %d: %d", ti, class, a.caps[class], len(mag))
+			if len(m.ptrs) > a.caps[class] {
+				return nil, fmt.Errorf("tcache: thread %d class %d magazine over its cap of %d: %d", ti, class, a.caps[class], len(m.ptrs))
 			}
-			if len(ts.sbs[class]) != len(mag) {
-				return nil, fmt.Errorf("tcache: thread %d class %d: %d blocks but %d superblocks", ti, class, len(mag), len(ts.sbs[class]))
+			if len(m.sbs) != len(m.ptrs) {
+				return nil, fmt.Errorf("tcache: thread %d class %d: %d blocks but %d superblocks", ti, class, len(m.ptrs), len(m.sbs))
 			}
-			for i, p := range mag {
-				if err := add(p, ts.sbs[class][i]); err != nil {
+			for i, p := range m.ptrs {
+				if err := add(p, m.sbs[i]); err != nil {
 					return nil, err
 				}
 				if got := a.inner.UsableSize(p); got != want {

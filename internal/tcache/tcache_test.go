@@ -8,6 +8,7 @@ import (
 	"hoardgo/internal/alloctest"
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
+	"hoardgo/internal/superblock"
 )
 
 var lf = env.RealLockFactory{}
@@ -93,7 +94,7 @@ func TestFlushAtCapacity(t *testing.T) {
 	}
 	ts := th.State.(*threadState)
 	class, _ := a.classFor(64)
-	if got := len(ts.mags[class]); got > capacity {
+	if got := len(ts.mags[class].ptrs); got > capacity {
 		t.Fatalf("magazine holds %d > capacity %d", got, capacity)
 	}
 	if innerFrees := a.Inner().Stats().Frees; innerFrees == 0 {
@@ -199,7 +200,9 @@ func TestIntegrityCatchesDoubleCache(t *testing.T) {
 	p := a.Malloc(th, 64)
 	ts := th.State.(*threadState)
 	class, _ := a.classFor(64)
-	ts.mags[class] = append(ts.mags[class], p, p) // corrupt deliberately
+	m := &ts.mags[class]
+	sb, _ := superblock.FromPtr(a.inner.Space(), p)
+	m.ptrs, m.sbs = append(m.ptrs, p, p), append(m.sbs, sb, sb) // corrupt deliberately
 	if err := a.CheckIntegrity(); err == nil {
 		t.Fatal("integrity missed a double-cached block")
 	}
@@ -355,8 +358,8 @@ func TestConcurrentChurnAndFlush(t *testing.T) {
 	}
 }
 
-// TestRefillSteadyStateAllocFree pins down the scratch-buffer contract:
-// once the magazine slice and staging buffer have grown, an
+// TestRefillSteadyStateAllocFree pins down the sized-once contract: a
+// refill writes straight into the magazine NewThread sized, so an
 // underflow-refill-drain cycle performs no Go allocation at all.
 func TestRefillSteadyStateAllocFree(t *testing.T) {
 	const capacity = 32
@@ -376,7 +379,7 @@ func TestRefillSteadyStateAllocFree(t *testing.T) {
 			a.inner.Free(ts.inner, p)
 		}
 	}
-	cycle() // warm up: grow the magazine slice and scratch buffer once
+	cycle() // warm up: the first refill reserves a superblock
 	if got := testing.AllocsPerRun(50, cycle); got != 0 {
 		t.Fatalf("steady-state refill cycle allocates %.1f times per run, want 0", got)
 	}
@@ -418,9 +421,8 @@ func TestMagazineBytesTracksCachedBytes(t *testing.T) {
 	}
 }
 
-// BenchmarkRefillCycle measures the underflow path; run with -benchmem (the
-// benchmark reports allocations) to see the scratch buffer keeping the
-// steady-state refill allocation-free.
+// BenchmarkRefillCycle measures the underflow path; it reports allocations,
+// which the sized-once magazines keep at zero.
 func BenchmarkRefillCycle(b *testing.B) {
 	const capacity = 64
 	a := newOverHoard(capacity)

@@ -54,10 +54,11 @@ func (a *Allocator) tcacheLayer() *tcache.Allocator {
 // sampleMetrics builds one observation of the allocator: counters for every
 // policy, per-heap occupancy for Hoard, magazine fill when a thread cache is
 // layered, and lock counters when Config.Metrics was set. Safe to call while
-// other threads allocate; cross-heap sums are then approximate.
+// other threads allocate; its counters are then SampleStats' and its
+// cross-heap sums approximate.
 func (a *Allocator) sampleMetrics() metrics.Snapshot {
 	s := metrics.NewSnapshot(a.name)
-	st := a.Stats()
+	st := a.SampleStats()
 	s.Counters["mallocs_total"] = st.Mallocs
 	s.Counters["frees_total"] = st.Frees
 	s.Counters["live_bytes"] = st.LiveBytes

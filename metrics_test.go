@@ -170,10 +170,12 @@ func TestMetricsHandler(t *testing.T) {
 			t.Fatalf("missing family %q in scrape:\n%s", want, body)
 		}
 	}
-	// Scrapes sample live: a second one sees the frees below.
+	// Scrapes sample live, from the counts threads have published: once the
+	// thread has closed, a second one counts the frees below exactly.
 	for _, p := range ps {
 		th.Free(p)
 	}
+	th.Close()
 	resp2, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
