@@ -27,7 +27,6 @@ import (
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
 	"hoardgo/internal/experiments"
-	"hoardgo/internal/tcache"
 	"hoardgo/internal/workload"
 )
 
@@ -184,11 +183,40 @@ var goArms = []struct {
 	{"sync-pool", func(*sinkSlot) { pool64.Put(pool64.Get()) }},
 }
 
-func BenchmarkMallocFree(b *testing.B) {
+// policyArm is one allocator arm of the malloc/free benchmarks.
+type policyArm struct {
+	name string
+	cfg  hoard.Config
+}
+
+// singleArms are the allocator arms of the one-goroutine malloc/free
+// benchmarks: every policy on the default backend, which is the simulated
+// space unless HOARDGO_BACKEND says otherwise, and hoard-arena, the Hoard
+// policy on the arena backend, whose address-arithmetic span resolution the
+// end-to-end benchmark (perfbench) runs on.
+func singleArms() []policyArm {
+	var arms []policyArm
 	for _, name := range allocators.Names() {
-		b.Run(name, func(b *testing.B) {
-			a := hoard.MustNew(hoard.Config{Policy: hoard.Policy(name), Procs: 4})
-			t := a.NewThread()
+		arms = append(arms, policyArm{name, hoard.Config{Policy: hoard.Policy(name), Procs: 4}})
+	}
+	return append(arms, policyArm{"hoard-arena", hoard.Config{Backend: "arena", Procs: 4}})
+}
+
+// newArm builds an arm's allocator, closed when the benchmark ends. An arm
+// that asks for the arena is skipped where the arena is unavailable.
+func newArm(b *testing.B, cfg hoard.Config) *hoard.Allocator {
+	a := hoard.MustNew(cfg)
+	b.Cleanup(func() { a.Close() })
+	if cfg.Backend != "" && a.Backend() != cfg.Backend {
+		b.Skipf("backend %s unavailable: %s", cfg.Backend, a.BackendFallbackReason())
+	}
+	return a
+}
+
+func BenchmarkMallocFree(b *testing.B) {
+	for _, arm := range singleArms() {
+		b.Run(arm.name, func(b *testing.B) {
+			t := newArm(b, arm.cfg).NewThread()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t.Free(t.Malloc(64))
@@ -227,10 +255,9 @@ var goTouchArms = []struct {
 // never written hides what a store costs right after the allocator's own
 // stores, such as a locked instruction that must wait for them to drain.
 func BenchmarkMallocFreeTouch(b *testing.B) {
-	for _, name := range allocators.Names() {
-		b.Run(name, func(b *testing.B) {
-			a := hoard.MustNew(hoard.Config{Policy: hoard.Policy(name), Procs: 4})
-			t := a.NewThread()
+	for _, arm := range singleArms() {
+		b.Run(arm.name, func(b *testing.B) {
+			t := newArm(b, arm.cfg).NewThread()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := t.Malloc(64)
@@ -324,7 +351,7 @@ func BenchmarkTCacheBatchLocks(b *testing.B) {
 	const capacity = 32
 	b.Run("batch", func(b *testing.B) {
 		clf := &env.CountingLockFactory{Inner: env.RealLockFactory{}}
-		a := tcache.New(core.New(core.Config{Heaps: 2}, clf), tcache.Config{Capacity: capacity})
+		a := core.New(core.Config{Heaps: 2, Magazines: capacity}, clf)
 		th := a.NewThread(&env.RealEnv{})
 		ptrs := make([]alloc.Ptr, 2*capacity)
 		b.ResetTimer()

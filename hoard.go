@@ -37,7 +37,6 @@ import (
 	"hoardgo/internal/debugalloc"
 	"hoardgo/internal/env"
 	"hoardgo/internal/metrics"
-	"hoardgo/internal/tcache"
 )
 
 // Ptr is an address in the allocator's simulated address space. The zero
@@ -141,7 +140,13 @@ type Config struct {
 
 // Allocator is a thread-safe explicit memory allocator.
 type Allocator struct {
-	impl    alloc.Allocator
+	impl alloc.Allocator
+	// hoard is impl when it is the Hoard policy's core, with no debug
+	// layer over it: its threads' operations are then direct calls.
+	hoard *core.Hoard
+	// closed is set by Close; every operation that touches memory checks
+	// it first.
+	closed  bool
 	name    string // the architecture name Policy reports
 	nextTID atomic.Int64
 
@@ -181,12 +186,21 @@ func New(cfg Config) (*Allocator, error) {
 	if err := (core.Config{SuperblockSize: cfg.Hoard.SuperblockSize}).Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ThreadCacheCapacity != 0 && cfg.ThreadCacheCapacity < tcache.MinCapacity {
-		return nil, fmt.Errorf("hoard: ThreadCacheCapacity %d below the minimum of %d", cfg.ThreadCacheCapacity, tcache.MinCapacity)
+	if cfg.ThreadCacheCapacity != 0 && cfg.ThreadCacheCapacity < core.MinCapacity {
+		return nil, fmt.Errorf("hoard: ThreadCacheCapacity %d below the minimum of %d", cfg.ThreadCacheCapacity, core.MinCapacity)
 	}
-	var impl alloc.Allocator
+	a := &Allocator{reg: reg}
 	if cfg.Policy == PolicyHoard || cfg.Policy == "" {
+		// The magazines are part of the Hoard policy's protocol, sized by
+		// ThreadCacheCapacity alone.
 		hc := cfg.Hoard
+		if hc.Magazines != 0 {
+			return nil, fmt.Errorf("hoard: Hoard.Magazines must be zero; the magazine capacity is ThreadCacheCapacity")
+		}
+		hc.Magazines = cfg.ThreadCacheCapacity
+		if hc.Magazines == 0 {
+			hc.Magazines = core.DefaultCapacity
+		}
 		if hc.Heaps == 0 {
 			hc.Heaps = 2 * procs
 		}
@@ -196,26 +210,24 @@ func New(cfg Config) (*Allocator, error) {
 		if err := hc.Validate(); err != nil {
 			return nil, err
 		}
-		impl = core.New(hc, lf)
+		a.hoard = core.New(hc, lf)
+		a.impl = a.hoard
 	} else {
+		if cfg.ThreadCacheCapacity != 0 {
+			return nil, fmt.Errorf("hoard: ThreadCacheCapacity applies to the Hoard policy only, not %q", cfg.Policy)
+		}
 		var err error
-		if impl, err = allocators.Make(string(cfg.Policy), procs, lf); err != nil {
+		if a.impl, err = allocators.Make(string(cfg.Policy), procs, lf); err != nil {
 			return nil, fmt.Errorf("hoard: unknown policy %q (have %v)", cfg.Policy, allocators.Names())
 		}
 	}
-	// The Hoard policy's magazines are part of its protocol; no other
-	// policy has them.
-	if h, hoardPolicy := impl.(*core.Hoard); hoardPolicy {
-		impl = tcache.New(h, tcache.Config{Capacity: cfg.ThreadCacheCapacity})
-	} else if cfg.ThreadCacheCapacity != 0 {
-		return nil, fmt.Errorf("hoard: ThreadCacheCapacity applies to the Hoard policy only, not %q", cfg.Policy)
-	}
-	name := impl.Name()
+	a.name = a.impl.Name()
 	if cfg.Debug {
-		impl = debugalloc.New(impl, debugalloc.Config{Quarantine: cfg.DebugQuarantine})
-		name += "+debug"
+		a.impl = debugalloc.New(a.impl, debugalloc.Config{Quarantine: cfg.DebugQuarantine})
+		a.hoard = nil
+		a.name += "+debug"
 	}
-	return &Allocator{impl: impl, name: name, reg: reg}, nil
+	return a, nil
 }
 
 // MustNew is New for static configurations; it panics on error.
@@ -236,39 +248,57 @@ func (a *Allocator) Policy() Policy { return Policy(a.name) }
 type Thread struct {
 	a     *Allocator
 	inner *alloc.Thread
+	// state is the Hoard core's state of the thread when the allocator's
+	// hoard is set, and nil otherwise.
+	state *core.ThreadState
 }
 
 // NewThread registers a worker and returns its handle. Safe for concurrent
 // use.
 func (a *Allocator) NewThread() *Thread {
+	a.checkOpen("NewThread")
 	id := int(a.nextTID.Add(1) - 1)
-	return &Thread{a: a, inner: a.impl.NewThread(&env.RealEnv{ID: id})}
+	t := &Thread{a: a, inner: a.impl.NewThread(&env.RealEnv{ID: id})}
+	if a.hoard != nil {
+		t.state = t.inner.State.(*core.ThreadState)
+	}
+	return t
 }
 
 // ID returns the thread's registration index.
 func (t *Thread) ID() int { return t.inner.ID }
 
-// Close retires the thread: blocks cached on its behalf by layered
-// allocators return to the underlying heaps (thread-cache magazines are
-// batch-freed, debug-quarantined frees complete) and the thread is
-// deregistered. It is what a thread-exit hook does in a C allocator — a
+// Close retires the thread: blocks cached on its behalf return to the
+// underlying heaps (thread-cache magazines are batch-freed,
+// debug-quarantined frees complete) and the thread is deregistered. It is what a thread-exit hook does in a C allocator — a
 // worker goroutine should Close its Thread before exiting, or its magazine
 // blocks stay stranded: invisible to the emptiness invariant, never
 // scavenged, counted by CachedBytes forever. The handle remains usable
 // afterwards (stray late operations bypass the caches), so Close is safe to
 // call before the last cross-thread free of this thread's blocks has
-// happened. For stacks with no per-thread caching layer Close is a no-op.
-func (t *Thread) Close() { alloc.FlushThread(t.a.impl, t.inner) }
+// happened. For stacks with no per-thread caching Close is a no-op, and so
+// it is once the Allocator is closed.
+func (t *Thread) Close() {
+	if !t.a.closed {
+		alloc.FlushThread(t.a.impl, t.inner)
+	}
+}
 
 // Malloc returns a block of at least size bytes. Malloc(0) returns a valid
 // minimal block.
-func (t *Thread) Malloc(size int) Ptr { return t.a.impl.Malloc(t.inner, size) }
+func (t *Thread) Malloc(size int) Ptr {
+	t.a.checkOpen("Malloc")
+	if t.state != nil {
+		return t.state.Malloc(size)
+	}
+	return t.a.impl.Malloc(t.inner, size)
+}
 
 // Calloc returns a zeroed block of at least size bytes.
 func (t *Thread) Calloc(size int) Ptr {
 	t.a.checkOpen("Calloc")
 	p := t.Malloc(size)
-	clear(t.a.impl.Bytes(p, size))
+	clear(t.Bytes(p, size))
 	return p
 }
 
@@ -278,7 +308,14 @@ func (t *Thread) Calloc(size int) Ptr {
 // PolicyThreshold: like the Cilk/STL and DYNIX allocators they stand for,
 // those push a freed small block on a free list without checking it, and a
 // double free corrupts the list.
-func (t *Thread) Free(p Ptr) { t.a.impl.Free(t.inner, p) }
+func (t *Thread) Free(p Ptr) {
+	t.a.checkOpen("Free")
+	if t.state != nil {
+		t.state.Free(p)
+		return
+	}
+	t.a.impl.Free(t.inner, p)
+}
 
 // Realloc resizes a block, preserving min(old, new) bytes of content. A nil
 // p behaves as Malloc.
@@ -287,13 +324,13 @@ func (t *Thread) Realloc(p Ptr, size int) Ptr {
 	if p.IsNil() {
 		return t.Malloc(size)
 	}
-	old := t.a.impl.UsableSize(p)
+	old := t.UsableSize(p)
 	if size <= old && size > old/2 {
 		return p
 	}
 	np := t.Malloc(size)
 	n := min(old, size)
-	copy(t.a.impl.Bytes(np, n), t.a.impl.Bytes(p, n))
+	copy(t.Bytes(np, n), t.Bytes(p, n))
 	t.Free(p)
 	return np
 }
@@ -304,8 +341,8 @@ func (t *Thread) Realloc(p Ptr, size int) Ptr {
 // Debug, fall back to the page-aligned large-object path for align > 8.
 func (t *Thread) MallocAligned(size, align int) Ptr {
 	t.a.checkOpen("MallocAligned")
-	if tc, ok := t.a.impl.(*tcache.Allocator); ok {
-		return tc.MallocAligned(t.inner, size, align)
+	if h := t.a.hoard; h != nil {
+		return h.MallocAligned(t.inner, size, align)
 	}
 	if align <= 8 {
 		return t.Malloc(size)
@@ -346,11 +383,23 @@ func (t *Thread) FreeBatch(ps []Ptr) {
 
 // Bytes returns a writable view of n bytes of a live block. The view stays
 // valid until the block is freed.
-func (t *Thread) Bytes(p Ptr, n int) []byte { return t.a.impl.Bytes(p, n) }
+func (t *Thread) Bytes(p Ptr, n int) []byte {
+	t.a.checkOpen("Bytes")
+	if h := t.a.hoard; h != nil {
+		return h.Bytes(p, n)
+	}
+	return t.a.impl.Bytes(p, n)
+}
 
 // UsableSize returns the usable capacity of a live block (at least the
 // requested size, rounded up to its size class).
-func (t *Thread) UsableSize(p Ptr) int { return t.a.impl.UsableSize(p) }
+func (t *Thread) UsableSize(p Ptr) int {
+	t.a.checkOpen("UsableSize")
+	if h := t.a.hoard; h != nil {
+		return h.UsableSize(p)
+	}
+	return t.a.impl.UsableSize(p)
+}
 
 // Stats is a snapshot of allocator activity. Allocator.Stats takes an exact
 // one, which must not run concurrently with allocation; Allocator.SampleStats
@@ -470,8 +519,8 @@ func (a *Allocator) stats(st alloc.Stats) Stats {
 // workers all called Thread.Close reports 0 — the lifecycle regression
 // tests assert exactly that.
 func (a *Allocator) CachedBytes() int64 {
-	if tc := a.tcacheLayer(); tc != nil {
-		return tc.CachedBytes()
+	if h := a.unwrap(); h != nil {
+		return h.CachedBytes()
 	}
 	return 0
 }
@@ -482,8 +531,8 @@ func (a *Allocator) CachedBytes() int64 {
 // quiescence). It lags true fill by at most half a magazine per size class
 // per thread. Samplers and metrics scrapes use this form.
 func (a *Allocator) MagazineBytes() int64 {
-	if tc := a.tcacheLayer(); tc != nil {
-		return tc.MagazineBytes()
+	if h := a.unwrap(); h != nil {
+		return h.MagazineBytes()
 	}
 	return 0
 }
@@ -530,37 +579,16 @@ func (a *Allocator) ReleaseMemory() int64 {
 // finalizers cannot reclaim it.
 func (a *Allocator) Close() error {
 	a.StopAuditor()
-	err := a.impl.Space().Close()
-	if _, closed := a.impl.(closedAllocator); !closed {
-		a.impl = closedAllocator{a.impl}
-	}
-	return err
+	a.closed = true
+	return a.impl.Space().Close()
 }
 
-// closedAllocator stands in for a closed allocator's stack: every operation
-// that would touch the released substrate panics by name, at the offending
-// call, instead of faulting on unmapped memory later. Counters, the
-// substrate handle (so Close stays idempotent) and CheckIntegrity still
-// reach the retired stack.
-type closedAllocator struct{ alloc.Allocator }
-
-func (closedAllocator) NewThread(env.Env) *alloc.Thread {
-	panic("hoard: NewThread after Close")
-}
-
-func (closedAllocator) Malloc(*alloc.Thread, int) Ptr { panic("hoard: Malloc after Close") }
-
-func (closedAllocator) Free(*alloc.Thread, Ptr) { panic("hoard: Free after Close") }
-
-func (closedAllocator) UsableSize(Ptr) int { panic("hoard: UsableSize after Close") }
-
-func (closedAllocator) Bytes(Ptr, int) []byte { panic("hoard: Bytes after Close") }
-
-// checkOpen panics, naming op, when the allocator has been closed. The
-// calls built on Malloc, Free, UsableSize and Bytes check first, so the
-// panic names the call that was made and an empty batch panics too.
+// checkOpen panics, naming op, when the allocator has been closed, instead
+// of letting op fault on unmapped memory later. Every call that touches
+// memory checks first, so the panic names the call that was made and an
+// empty batch panics too.
 func (a *Allocator) checkOpen(op string) {
-	if _, closed := a.impl.(closedAllocator); closed {
+	if a.closed {
 		panic("hoard: " + op + " after Close")
 	}
 }
@@ -587,8 +615,5 @@ func (a *Allocator) Describe(w io.Writer) {
 		a.name, st.Mallocs, st.Frees, st.LiveBytes, st.PeakLiveBytes, st.FootprintBytes, st.PeakFootprintBytes)
 	if h := a.unwrap(); h != nil {
 		h.Describe(w, &env.RealEnv{})
-	}
-	if tc := a.tcacheLayer(); tc != nil {
-		tc.Describe(w)
 	}
 }

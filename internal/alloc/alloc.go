@@ -3,9 +3,10 @@
 // Allocator interface, and usage accounting.
 //
 // Seven allocators implement Allocator, mirroring the paper's full taxonomy
-// (§2 of DESIGN.md) plus a dlmalloc-style heap, and two layers wrap them:
+// (§2 of DESIGN.md) plus a dlmalloc-style heap, and one layer wraps them:
 //
-//   - internal/core:       Hoard (the paper's contribution)
+//   - internal/core:       Hoard (the paper's contribution), with optional
+//     per-thread magazines
 //   - internal/lockedheap: three allocators over one set of locked heaps:
 //     serial (one heap, one lock; "Solaris malloc"-like), concurrent (a
 //     heap and lock per size class; Iyengar-like) and ownership (private
@@ -13,7 +14,6 @@
 //   - internal/dlheap:     boundary-tag coalescing heap under one lock (dlmalloc-like)
 //   - internal/private:    pure private heaps (Cilk/STL-like)
 //   - internal/threshold:  private heaps with thresholds (DYNIX-like)
-//   - internal/tcache:     Hoard's per-thread magazines, over core only
 //   - internal/debugalloc: canaries, poisoning and a free quarantine, over any
 //     of the above
 package alloc
@@ -93,7 +93,7 @@ type Allocator interface {
 }
 
 // ThreadFlusher is optionally implemented by layered allocators that strand
-// per-thread state (Hoard's tcache magazines, the debug quarantine). FlushThread
+// per-thread state (Hoard's magazines, the debug quarantine). FlushThread
 // returns every block the layer holds on t's behalf to the inner allocator
 // and deregisters the thread — the thread-exit hook of a C allocator. The
 // handle must remain usable afterwards (late stray operations bypass the
@@ -113,7 +113,7 @@ func FlushThread(a Allocator, t *Thread) {
 }
 
 // StatsSampler is implemented by layers whose Stats is exact but must not
-// run concurrently with the operations it counts (Hoard's tcache, whose
+// run concurrently with the operations it counts (Hoard's magazines, whose
 // threads keep plain per-thread counts). SampleStats is the view for callers
 // under load: safe to call at any time, Mallocs and Frees never decrease
 // between calls, and they trail the exact counts by a bounded amount. The
@@ -141,9 +141,9 @@ type Stats struct {
 	LiveBytes int64
 	// PeakLiveBytes is the high-water mark of LiveBytes, exact wherever one
 	// Accounting keeps the books: every baseline and the bare core.Hoard.
-	// The tcache layer, which the public Hoard policy always runs, reports
-	// its core's mark: the bytes the magazines hold from Hoard, application
-	// live plus cached. That is at least the true peak, and exceeds it by at
+	// Hoard with its magazines, which the public Hoard policy always runs,
+	// reports the core's mark of the bytes it handed out, application live
+	// plus cached. That is at least the true peak, and exceeds it by at
 	// most the bytes cached at the peak, itself at most the per-thread
 	// magazine bound (DESIGN.md §11) per thread.
 	PeakLiveBytes int64
@@ -166,12 +166,11 @@ type Stats struct {
 	// superblocks at the moment they were evicted to the global heap
 	// (Hoard only) — each becomes a future remote free.
 	MovedLiveBlocks int64
-	// BatchRefills counts magazine refills (core.Hoard.MallocCached), each
-	// served under a single heap-lock acquisition (Hoard only).
+	// BatchRefills counts magazine refills, each served under a single
+	// heap-lock acquisition (Hoard only).
 	BatchRefills int64
-	// BatchFlushes counts magazine and remote-batch flushes
-	// (core.Hoard.FreeCached); each takes one lock per owner group rather
-	// than one per block (Hoard only).
+	// BatchFlushes counts magazine and remote-batch flushes; each takes one
+	// lock per owner group rather than one per block (Hoard only).
 	BatchFlushes int64
 	// BatchedBlocks counts blocks moved by those refills and flushes, in
 	// both directions (Hoard only).
@@ -185,7 +184,7 @@ type Stats struct {
 	// LockFreeMallocs and LockFreeFrees count operations a thread cache
 	// served with no lock at all: mallocs popped from a magazine and frees
 	// pushed onto a magazine or a remote batch, without a refill or flush
-	// in the same call (tcache only).
+	// in the same call (Hoard's magazines only).
 	LockFreeMallocs, LockFreeFrees int64
 	// BackendFallbacks counts vm-backend selections that degraded to the
 	// simulated space because the requested arena backend was unavailable
@@ -201,12 +200,11 @@ type Stats struct {
 
 // MergeAllocatorCounters overwrites every allocator-internal counter in dst
 // with inner's values while preserving dst's application-view gauges —
-// Mallocs, Frees, LiveBytes, and PeakLiveBytes. Layering allocators (tcache,
-// debugalloc) report their own application-level activity but must pass the
+// Mallocs, Frees, LiveBytes, and PeakLiveBytes. A layering allocator
+// (debugalloc) reports its own application-level activity but must pass the
 // wrapped allocator's machinery counters through; because this helper copies
 // the whole struct and restores the application fields, counters added to
-// Stats later propagate without touching the wrappers. A layer that reports
-// the inner peak (tcache) sets PeakLiveBytes itself.
+// Stats later propagate without touching the wrapper.
 func MergeAllocatorCounters(dst *Stats, inner Stats) {
 	app := *dst
 	*dst = inner

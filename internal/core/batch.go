@@ -7,32 +7,30 @@ import (
 	"hoardgo/internal/superblock"
 )
 
-// This file implements Hoard's batch transfers for the thread cache
-// (internal/tcache, DESIGN.md §8 and §11). A refill or flush amortizes the
+// This file implements Hoard's batch transfers for the magazines
+// (magazine.go, DESIGN.md §8 and §11). A refill or flush amortizes the
 // dominant per-operation cost — the per-processor heap lock — over a
-// magazine's worth of blocks: MallocCached carves up to n blocks under ONE
-// heap-lock acquisition, and FreeCached frees each owner heap's blocks under
+// magazine's worth of blocks: mallocCached carves up to n blocks under ONE
+// heap-lock acquisition, and freeCached frees each owner heap's blocks under
 // one acquisition of that heap's lock.
 
-// MallocCached fills out[:n] with blocks of the given small size for a
-// thread cache's refill, under one acquisition of the calling thread's heap
-// lock, and returns n. The blocks stay marked free, since they go to a cache
-// and not to the application, and sbs[i] receives out[i]'s
-// superblock, so the cache never looks a block up. n must not exceed
-// cap(out) or cap(sbs).
+// mallocCached fills out[:n] with blocks of class for a magazine refill,
+// under one acquisition of ts's heap lock, and returns n. The blocks stay
+// marked free, since they go to a magazine and not to the application, and
+// sbs[i] receives out[i]'s superblock, so the magazine never looks a block
+// up. n must not exceed cap(out) or cap(sbs).
 //
 // Superblock searches and pulls from the global heap (or the OS) happen in
 // the same critical section, exactly as n back-to-back Mallocs would do —
 // minus n-1 lock round-trips. Accounting is one update for the whole
 // batch.
-func (h *Hoard) MallocCached(t *alloc.Thread, size, n int, out []alloc.Ptr, sbs []*superblock.Superblock) int {
+func (h *Hoard) mallocCached(ts *ThreadState, class, n int, out []alloc.Ptr, sbs []*superblock.Superblock) int {
 	if n <= 0 {
 		return 0
 	}
-	e := t.Env
-	class, _ := h.classes.ClassFor(size)
+	e := ts.e
 	blockSize := h.classes.Size(class)
-	hp := h.heaps[t.State.(*threadState).heapIdx]
+	hp := h.heaps[ts.heapIdx]
 	env.LockWith(hp.Lock, e, "batch-refill")
 	h.allocLocked(e, hp, class, blockSize, out[:n], sbs[:n])
 	hp.Lock.Unlock(e)
@@ -46,10 +44,10 @@ func (h *Hoard) MallocCached(t *alloc.Thread, size, n int, out []alloc.Ptr, sbs 
 	return n
 }
 
-// FreeCached frees a thread cache's flush (DESIGN.md §11): every block is
-// already marked free (superblock.MarkCached), and sbs[i] is ps[i]'s
-// superblock, so the flush looks nothing up. ps and sbs are used as scratch
-// space.
+// freeCached frees a magazine's or remote batch's flush (DESIGN.md §11):
+// every block is already marked free (superblock.MarkCached), and sbs[i] is
+// ps[i]'s superblock, so the flush looks nothing up. ps and sbs are used as
+// scratch space.
 //
 // It frees the blocks owner by owner: it takes the lock of the first
 // block's owner once, frees every block that heap still owns, and goes
@@ -57,10 +55,9 @@ func (h *Hoard) MallocCached(t *alloc.Thread, size, n int, out []alloc.Ptr, sbs 
 // form of the per-block free protocol's re-check dance. Each pass restores
 // the emptiness invariant once, at the end (looping: a batch of B frees can
 // demand up to B evictions where a single free demands at most one).
-func (h *Hoard) FreeCached(t *alloc.Thread, ps []alloc.Ptr, sbs []*superblock.Superblock) {
+func (h *Hoard) freeCached(ts *ThreadState, ps []alloc.Ptr, sbs []*superblock.Superblock) {
 	sbs = sbs[:len(ps)]
-	e := t.Env
-	myIdx := t.State.(*threadState).heapIdx
+	e, myIdx := ts.e, ts.heapIdx
 	e.Charge(env.OpFreeBatch, 1)
 	h.batchFlushes.Add(1)
 	h.batchedBlocks.Add(int64(len(ps)))

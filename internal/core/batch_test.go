@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -28,10 +29,26 @@ func (c *chargeEnv) reset()                         { c.counts = [env.NumCostKin
 func refill(t *testing.T, h *Hoard, th *alloc.Thread, size, n int) ([]alloc.Ptr, []*superblock.Superblock) {
 	t.Helper()
 	out, sbs := make([]alloc.Ptr, n), make([]*superblock.Superblock, n)
-	if got := h.MallocCached(th, size, n, out, sbs); got != n {
-		t.Fatalf("MallocCached = %d, want %d", got, n)
+	class, _ := h.classes.ClassFor(size)
+	if got := h.mallocCached(th.State.(*ThreadState), class, n, out, sbs); got != n {
+		t.Fatalf("mallocCached = %d, want %d", got, n)
 	}
 	return out, sbs
+}
+
+// checkCached is CheckIntegrity for a core whose caller holds the blocks
+// cached: each must be a block marked free, and each superblock's free
+// blocks must be exactly its listed, uncarved and cached ones.
+func checkCached(h *Hoard, cached []alloc.Ptr) error {
+	counts := make(map[*superblock.Superblock]int)
+	for _, p := range cached {
+		sb, ok := superblock.FromPtr(h.space, p)
+		if !ok || !sb.Contains(p) || !sb.IsFreeBlock(p) {
+			return fmt.Errorf("cached block %#x is not a free superblock block", uint64(p))
+		}
+		counts[sb]++
+	}
+	return h.checkIntegrity(counts)
 }
 
 // cache sets the free bit of every application-held block of ps, as a
@@ -86,18 +103,18 @@ func TestChargingDiscipline(t *testing.T) {
 	ce.reset()
 	out, sbs := refill(t, h, th, 100, 8)
 	if got := ce.counts[env.OpMallocBatch]; got != 1 {
-		t.Fatalf("MallocCached charged OpMallocBatch %d times, want 1", got)
+		t.Fatalf("mallocCached charged OpMallocBatch %d times, want 1", got)
 	}
 	if got := ce.counts[env.OpMallocFast]; got != 8 {
-		t.Fatalf("MallocCached(8) charged OpMallocFast %d times, want 8", got)
+		t.Fatalf("mallocCached(8) charged OpMallocFast %d times, want 8", got)
 	}
 	ce.reset()
-	h.FreeCached(th, out, sbs)
+	h.freeCached(th.State.(*ThreadState), out, sbs)
 	if got := ce.counts[env.OpFreeBatch]; got != 1 {
-		t.Fatalf("FreeCached charged OpFreeBatch %d times, want 1", got)
+		t.Fatalf("freeCached charged OpFreeBatch %d times, want 1", got)
 	}
 	if got := ce.counts[env.OpFree]; got != 8 {
-		t.Fatalf("FreeCached(8) charged OpFree %d times, want 8", got)
+		t.Fatalf("freeCached(8) charged OpFree %d times, want 8", got)
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
@@ -113,7 +130,7 @@ func TestMallocBatchPartialAndSpanning(t *testing.T) {
 	th := thread(h, 0)
 
 	small, smallSBs := refill(t, h, th, 64, 3)
-	h.FreeCached(th, small, smallSBs)
+	h.freeCached(th.State.(*ThreadState), small, smallSBs)
 
 	const want = 200
 	out, sbs := refill(t, h, th, 1000, want)
@@ -130,7 +147,7 @@ func TestMallocBatchPartialAndSpanning(t *testing.T) {
 			t.Fatalf("block %#x: superblock %p (got %p), free bit %v", uint64(p), sb, sbs[i], sb.IsFreeBlock(p))
 		}
 	}
-	if err := h.CheckIntegrityCached(out); err != nil {
+	if err := checkCached(h, out); err != nil {
 		t.Fatal(err)
 	}
 	st := h.Stats()
@@ -145,8 +162,8 @@ func TestMallocBatchPartialAndSpanning(t *testing.T) {
 	// The batch free of all of them must leave the emptiness invariant
 	// restored even though it demands many evictions (the per-block path
 	// would have evicted one per free).
-	h.FreeCached(th, out, sbs)
-	hp := h.heaps[th.State.(*threadState).heapIdx]
+	h.freeCached(th.State.(*ThreadState), out, sbs)
+	hp := h.heaps[th.State.(*ThreadState).heapIdx]
 	if hp.InvariantViolated() {
 		t.Fatalf("emptiness invariant violated after batch free: u=%d a=%d", hp.U(), hp.A())
 	}
@@ -180,7 +197,7 @@ func TestFreeBatchOwnerGroups(t *testing.T) {
 		foreign++
 	}
 
-	h.FreeCached(t0, batch, cache(h, batch))
+	h.freeCached(t0.State.(*ThreadState), batch, cache(h, batch))
 	st := h.Stats()
 	if st.Frees != int64(len(batch)) {
 		t.Fatalf("Frees = %d, want %d", st.Frees, len(batch))
@@ -236,7 +253,7 @@ func TestFreeBatchMixedOwners(t *testing.T) {
 	}
 	rand.New(rand.NewSource(3)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 	sbs := cache(h, batch)
-	h.FreeCached(t0, batch, sbs)
+	h.freeCached(t0.State.(*ThreadState), batch, sbs)
 	for sb := range parked {
 		if sb.OwnerID() != 0 {
 			t.Fatalf("parked superblock %#x: owner %d", sb.Base(), sb.OwnerID())
@@ -257,6 +274,7 @@ func TestFreeBatchMixedOwners(t *testing.T) {
 // refills, frees, and evictions.
 func TestFreeBatchRemoteConcurrent(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
+	class128, _ := h.classes.ClassFor(128)
 	t0 := thread(h, 0)
 	t1 := thread(h, 1)
 
@@ -273,7 +291,7 @@ func TestFreeBatchRemoteConcurrent(t *testing.T) {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
 			out, sbs := make([]alloc.Ptr, batchSize), make([]*superblock.Superblock, batchSize)
-			h.MallocCached(t0, 128, batchSize, out, sbs)
+			h.mallocCached(t0.State.(*ThreadState), class128, batchSize, out, sbs)
 			ch <- batch{out, sbs}
 			// Churn forces AllocBlock misses and refills while the
 			// consumer's frees are in flight.
@@ -281,14 +299,14 @@ func TestFreeBatchRemoteConcurrent(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				local = append(local, h.Malloc(t0, 128))
 			}
-			h.FreeCached(t0, local, cache(h, local))
+			h.freeCached(t0.State.(*ThreadState), local, cache(h, local))
 		}
 		close(ch)
 	}()
 	go func() { // consumer: flushes foreign blocks, as a remote batch does
 		defer wg.Done()
 		for b := range ch {
-			h.FreeCached(t1, b.ps, b.sbs)
+			h.freeCached(t1.State.(*ThreadState), b.ps, b.sbs)
 		}
 	}()
 	wg.Wait()
@@ -321,7 +339,7 @@ func TestFreeBatchPanicSafety(t *testing.T) {
 				t.Fatal("flush of an application-held block did not panic")
 			}
 		}()
-		h.FreeCached(th, ps, append(sbs, held))
+		h.freeCached(th.State.(*ThreadState), ps, append(sbs, held))
 	}()
 	if st := h.Stats(); st.Frees != 2 || st.LiveBytes != int64(held.BlockSize()) {
 		t.Fatalf("after the panic: %d frees, %d live bytes; want 2 and %d", st.Frees, st.LiveBytes, held.BlockSize())

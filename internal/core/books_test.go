@@ -1,4 +1,4 @@
-package tcache
+package core
 
 import (
 	"fmt"
@@ -200,7 +200,7 @@ func TestBooksUnderConcurrentStats(t *testing.T) {
 func TestPeakBound(t *testing.T) {
 	const capacity = DefaultCapacity
 	sizes := []int{64, 256, 2048}
-	slack := func(a *Allocator, threads int, inFlight int) int64 {
+	slack := func(a *Hoard, threads int, inFlight int) int64 {
 		largest := sizes[len(sizes)-1]
 		perThread := classBudget + largest + inFlight*largest
 		for _, s := range sizes {
@@ -209,7 +209,7 @@ func TestPeakBound(t *testing.T) {
 		}
 		return int64(threads * perThread)
 	}
-	check := func(t *testing.T, a *Allocator, driverPeak, slack int64) {
+	check := func(t *testing.T, a *Hoard, driverPeak, slack int64) {
 		t.Helper()
 		peak := a.Stats().PeakLiveBytes
 		if peak < driverPeak || peak > driverPeak+slack {
@@ -288,7 +288,7 @@ func TestPublicationPoints(t *testing.T) {
 	ta := a.NewThread(&env.RealEnv{ID: 0}) // heap 1
 	tb := a.NewThread(&env.RealEnv{ID: 1}) // heap 2
 	class, _ := a.classFor(size)
-	mag := &ta.State.(*threadState).mags[class]
+	mag := &ta.State.(*ThreadState).mags[class]
 	var mallocs, frees int64
 	var held []alloc.Ptr
 	malloc := func() {
@@ -318,7 +318,7 @@ func TestPublicationPoints(t *testing.T) {
 		}
 	}
 	transfers := func() (refills, flushes int64) {
-		st := a.Inner().Stats()
+		st := a.heldStats()
 		return st.BatchRefills, st.BatchFlushes
 	}
 

@@ -17,19 +17,23 @@ import (
 // no such class fall through to the page-aligned large-object path, which
 // satisfies any align up to the page size. Larger alignments reserve an
 // aligned span directly.
+//
+// The block bypasses the magazines on the way out; its free is an ordinary
+// one.
 func (h *Hoard) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
 	if align <= 0 || align&(align-1) != 0 {
 		panic(fmt.Sprintf("hoard: MallocAligned align %d not a power of two", align))
 	}
+	ts := t.State.(*ThreadState)
 	if align <= sizeclassQuantumAlign {
-		return h.Malloc(t, size)
+		return h.mallocLocked(ts, size)
 	}
 	if align <= h.classes.MaxSize() {
 		// Smallest class that fits and whose block size keeps alignment.
 		if class, ok := h.classes.ClassFor(size); ok {
 			for c := class; c < h.classes.NumClasses(); c++ {
 				if h.classes.Size(c)%align == 0 {
-					return h.Malloc(t, h.classes.Size(c))
+					return h.mallocLocked(ts, h.classes.Size(c))
 				}
 			}
 		}
@@ -39,7 +43,7 @@ func (h *Hoard) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
 		if size <= h.classes.MaxSize() {
 			size = h.classes.MaxSize() + 1 // force the large path
 		}
-		return h.Malloc(t, size)
+		return h.mallocLocked(ts, size)
 	}
 	// Oversized alignment: reserve an aligned span.
 	lo := &alloc.LargeObj{}
@@ -49,6 +53,9 @@ func (h *Hoard) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
 	h.osReserves.Add(1)
 	h.acct.OnLarge()
 	h.acct.OnMalloc(sp.Len)
+	if h.caps != nil {
+		h.bypass.OnMalloc(sp.Len)
+	}
 	return alloc.Ptr(sp.Base)
 }
 
@@ -56,14 +63,15 @@ func (h *Hoard) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
 const sizeclassQuantumAlign = 8
 
 // Describe writes a human-readable snapshot of the allocator — its
-// configuration, transfer and superblock counters, and per-heap usage — in
-// the spirit of malloc_stats(3). The application's books (operations, live
+// configuration, transfer and superblock counters, per-heap usage, and a
+// last line on the magazines when they are on — in the spirit of
+// malloc_stats(3). The application's books (operations, live
 // and peak bytes) belong to the layer that serves the application, which
 // prints them. Describe takes every heap lock briefly and may run
 // concurrently with allocation (numbers are per-heap consistent, not
 // globally atomic).
 func (h *Hoard) Describe(w io.Writer, e env.Env) {
-	st := h.Stats()
+	st := h.heldStats()
 	fmt.Fprintf(w, "hoard: S=%d f=%v K=%d heaps=%d classes=%d\n",
 		h.cfg.SuperblockSize, h.cfg.EmptyFraction, h.cfg.K, h.cfg.Heaps, h.classes.NumClasses())
 	fmt.Fprintf(w, "batches: %d refills, %d flushes, %d blocks moved batched\n",
@@ -85,5 +93,8 @@ func (h *Hoard) Describe(w io.Writer, e env.Env) {
 		}
 		fmt.Fprintf(w, "  %-8s u=%-10d a=%-10d superblocks=%-5d utilization=%.2f\n",
 			name, occ.U, occ.A, occ.Superblocks, util)
+	}
+	if h.caps != nil {
+		h.describeMagazines(w)
 	}
 }

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"hoardgo/internal/alloc"
@@ -67,6 +68,12 @@ type Config struct {
 	// requested arena that cannot be created degrades to the simulated
 	// space — see Stats.BackendFallbacks and BackendFallbackReason.
 	Backend string
+	// Magazines turns on the per-thread magazines (magazine.go) and sets
+	// their capacity: the most blocks a thread caches per size class, and
+	// the most its remote batch holds. Zero leaves them off: the bare
+	// paper core, every malloc and free under a heap lock. Nonzero values
+	// must be at least MinCapacity.
+	Magazines int
 }
 
 // KNone requests a literal K of zero (no slack) in Config.K.
@@ -129,17 +136,26 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("hoard: unknown backend %q (want \"sim\" or \"arena\")", c.Backend)
 	}
+	if c.Magazines != 0 && c.Magazines < MinCapacity {
+		return fmt.Errorf("hoard: magazine capacity %d below the minimum of %d", c.Magazines, MinCapacity)
+	}
 	return nil
 }
 
 // Hoard is the allocator. All methods are safe for concurrent use by
 // distinct Threads.
 type Hoard struct {
-	cfg     Config
-	space   vm.Backend
+	cfg   Config
+	space vm.Backend
+	// slots is space's slot table: the arena's resolves a superblock
+	// pointer by address arithmetic, and the simulated space has none.
+	slots   vm.Slots
 	classes *sizeclass.Table
 	// heaps[0] is the global heap; heaps[1..cfg.Heaps] are per-processor.
 	heaps []*heap.Heap
+	// caps[c] is class c's magazine capacity in blocks; only the classes
+	// up to maxCachedSize have one. Nil when the magazines are off.
+	caps []int
 
 	// backendFallback records why a requested arena backend degraded to
 	// the simulated space ("" when the requested backend was created).
@@ -169,12 +185,28 @@ type Hoard struct {
 	scavPasses    atomic.Int64
 	scavBytes     atomic.Int64
 	localReuses   atomic.Int64
+
+	// The magazines' books (magazine.go). bypass keeps the books of the
+	// operations the magazines do not serve: oversize, aligned and
+	// retired-thread mallocs and frees.
+	bypass  alloc.Accounting
+	mu      sync.Mutex
+	threads []*ThreadState // the threads with magazines, not yet flushed
+	retired totals         // the books of flushed threads
 }
 
-// threadState is the per-thread state: the index of the heap the thread
-// allocates from.
-type threadState struct {
+// ThreadState is one thread's state: the heap it allocates from and, when
+// the magazines are on, its magazines, its remote batch and its books
+// (magazine.go). Only its thread uses it.
+type ThreadState struct {
+	h *Hoard
+	e env.Env
+	// sim is e when it charges costs (a simulated thread), and nil when e
+	// is a real-time environment, whose charges are no-ops. The magazine
+	// hit paths charge through it only.
+	sim     env.Env
 	heapIdx int
+	magazines
 }
 
 // New creates a Hoard allocator over its own simulated address space, with
@@ -188,9 +220,13 @@ func New(cfg Config, lf env.LockFactory) *Hoard {
 	h := &Hoard{
 		cfg:     cfg,
 		space:   space,
+		slots:   vm.SlotsOf(space),
 		classes: sizeclass.New(cfg.SizeClassBase, sizeclass.Quantum, cfg.SuperblockSize/2),
 	}
 	h.backendFallback = fallback
+	if cfg.Magazines != 0 {
+		h.caps = classCaps(h.classes, cfg.Magazines)
+	}
 	h.heaps = make([]*heap.Heap, cfg.Heaps+1)
 	for i := range h.heaps {
 		name := fmt.Sprintf("hoard.heap%d", i)
@@ -218,15 +254,18 @@ func (h *Hoard) BackendFallbackReason() string { return h.backendFallback }
 func (h *Hoard) Classes() *sizeclass.Table { return h.classes }
 
 // NewThread registers a worker. The thread's heap is chosen by hashing its
-// environment thread id over the per-processor heaps, as in the paper.
+// environment thread id over the per-processor heaps, as in the paper. The
+// handle's State is its *ThreadState.
 func (h *Hoard) NewThread(e env.Env) *alloc.Thread {
 	id := e.ThreadID()
-	slot := hashTID(id, h.cfg.HashThreads)
-	return &alloc.Thread{
-		ID:    id,
-		Env:   e,
-		State: &threadState{heapIdx: 1 + slot%h.cfg.Heaps},
+	ts := &ThreadState{h: h, e: e, heapIdx: 1 + hashTID(id, h.cfg.HashThreads)%h.cfg.Heaps}
+	if _, real := e.(*env.RealEnv); !real {
+		ts.sim = e
 	}
+	if h.caps != nil {
+		h.addMagazines(ts)
+	}
+	return &alloc.Thread{ID: id, Env: e, State: ts}
 }
 
 // hashTID maps a thread id to a heap slot. Small sequential ids (the common
@@ -239,22 +278,37 @@ func hashTID(id int, scramble bool) int {
 	return int(uint32(id)*2654435761>>16) & 0x7fffffff
 }
 
-// Malloc implements alloc.Allocator: one block from the calling thread's
-// heap, under that heap's lock.
+// Malloc implements alloc.Allocator (ThreadState.Malloc).
 func (h *Hoard) Malloc(t *alloc.Thread, size int) alloc.Ptr {
-	e := t.Env
-	if size > h.classes.MaxSize() {
-		return h.mallocLarge(e, size)
+	return t.State.(*ThreadState).Malloc(size)
+}
+
+// mallocLocked is the paper's malloc: one block from ts's heap, under that
+// heap's lock, or a large object from the OS. It serves every malloc of the
+// bare core, and under the magazines the ones they do not serve, which it
+// books as bypass operations.
+func (h *Hoard) mallocLocked(ts *ThreadState, size int) alloc.Ptr {
+	e := ts.e
+	class, ok := h.classes.ClassFor(size)
+	if !ok {
+		h.osReserves.Add(1)
+		p := alloc.MallocLarge(h.space, &h.acct, e, size)
+		if h.caps != nil {
+			h.bypass.OnMalloc(h.UsableSize(p))
+		}
+		return p
 	}
-	class, _ := h.classes.ClassFor(size)
 	blockSize := h.classes.Size(class)
-	hp := h.heaps[t.State.(*threadState).heapIdx]
+	hp := h.heaps[ts.heapIdx]
 	var p [1]alloc.Ptr
 	env.LockWith(hp.Lock, e, "malloc")
 	h.allocLocked(e, hp, class, blockSize, p[:], nil)
 	hp.Lock.Unlock(e)
 	e.Charge(env.OpMallocFast, 1)
 	h.acct.OnMalloc(blockSize)
+	if h.caps != nil {
+		h.bypass.OnMalloc(blockSize)
+	}
 	return p[0]
 }
 
@@ -307,48 +361,49 @@ func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out 
 	}
 }
 
-func (h *Hoard) mallocLarge(e env.Env, size int) alloc.Ptr {
-	h.osReserves.Add(1)
-	return alloc.MallocLarge(h.space, &h.acct, e, size)
-}
-
-// resolve is the one pointer→span resolution on the free path: a single
-// backend Lookup (page-table walk on sim, address arithmetic on the arena)
-// whose result every consumer passes down instead of re-resolving.
+// resolve is the one pointer→span resolution of an operation: the slot
+// table's address arithmetic for an arena superblock, otherwise a backend
+// Lookup (a page-table walk on sim, a large-object page on the arena).
+// Every consumer passes its result down instead of re-resolving.
 // BenchmarkResolveFree pins its cost per backend.
 func (h *Hoard) resolve(op string, p alloc.Ptr) *vm.Span {
-	sp := h.space.Lookup(uint64(p))
+	sp := h.slots.Lookup(uint64(p))
 	if sp == nil {
-		panic(fmt.Sprintf("hoard: %s of unknown pointer %#x", op, uint64(p)))
+		if sp = h.space.Lookup(uint64(p)); sp == nil {
+			panic(fmt.Sprintf("hoard: %s of unknown pointer %#x", op, uint64(p)))
+		}
 	}
 	return sp
 }
 
 // usableOf reads a resolved block's usable size.
 func usableOf(op string, p alloc.Ptr, sp *vm.Span) int {
-	switch owner := sp.Owner.(type) {
-	case *alloc.LargeObj:
-		return owner.Size
-	case *superblock.Superblock:
-		return owner.BlockSize()
+	if sb, ok := sp.Owner.(*superblock.Superblock); ok {
+		return sb.BlockSize()
 	}
-	panic(fmt.Sprintf("hoard: %s of foreign pointer %#x", op, uint64(p)))
+	return largeSize(op, p, sp)
 }
 
-// Free implements alloc.Allocator.
-func (h *Hoard) Free(t *alloc.Thread, p alloc.Ptr) {
-	if p.IsNil() {
-		return
+// largeSize returns the size of the large object a resolved span holds,
+// and panics if it holds none.
+func largeSize(op string, p alloc.Ptr, sp *vm.Span) int {
+	lo, ok := sp.Owner.(*alloc.LargeObj)
+	if !ok {
+		panic(fmt.Sprintf("hoard: %s of foreign pointer %#x", op, uint64(p)))
 	}
-	e := t.Env
-	sp := h.resolve("free", p)
-	switch owner := sp.Owner.(type) {
-	case *alloc.LargeObj:
-		alloc.FreeLarge(h.space, &h.acct, e, "hoard", sp, p)
-	case *superblock.Superblock:
-		h.freeSmall(t, e, owner, p)
-	default:
-		panic(fmt.Sprintf("hoard: free of foreign pointer %#x", uint64(p)))
+	return lo.Size
+}
+
+// Free implements alloc.Allocator (ThreadState.Free).
+func (h *Hoard) Free(t *alloc.Thread, p alloc.Ptr) { t.State.(*ThreadState).Free(p) }
+
+// freeLarge returns a resolved large object to the OS, booked as a bypass
+// operation under the magazines.
+func (h *Hoard) freeLarge(ts *ThreadState, sp *vm.Span, p alloc.Ptr) {
+	size := largeSize("free", p, sp)
+	alloc.FreeLarge(h.space, &h.acct, ts.e, "hoard", sp, p)
+	if h.caps != nil {
+		h.bypass.OnFree(size)
 	}
 }
 
@@ -356,8 +411,10 @@ func (h *Hoard) Free(t *alloc.Thread, p alloc.Ptr) {
 // thread's heap, another thread's, or the global heap: lock the owner,
 // re-check that it still owns the superblock (ownership can change while we
 // wait), free, and restore the emptiness invariant.
-func (h *Hoard) freeSmall(t *alloc.Thread, e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
-	myIdx := t.State.(*threadState).heapIdx
+// Under the magazines it serves the frees they do not, which it books as
+// bypass operations.
+func (h *Hoard) freeSmall(ts *ThreadState, sb *superblock.Superblock, p alloc.Ptr) {
+	e := ts.e
 	// Read the block size while our still-live block pins the superblock's
 	// format: once the free retires the block and the lock drops, the
 	// superblock may empty and be reformatted to another class.
@@ -371,11 +428,14 @@ func (h *Hoard) freeSmall(t *alloc.Thread, e env.Env, sb *superblock.Superblock,
 			e.Charge(env.OpListScan, 1)
 			continue
 		}
-		if id != myIdx {
+		if id != ts.heapIdx {
 			h.remote.Add(1)
 		}
 		h.freeLocked(e, hp, sb, p)
 		h.acct.OnFree(blockSize)
+		if h.caps != nil {
+			h.bypass.OnFree(blockSize)
+		}
 		return
 	}
 }
@@ -413,25 +473,6 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 	return true
 }
 
-// HeapIndex returns the index of the heap t allocates from, for a thread
-// cache to keep beside its own state and pass to ResolveFree.
-func (h *Hoard) HeapIndex(t *alloc.Thread) int { return t.State.(*threadState).heapIdx }
-
-// ResolveFree resolves p for a free into a thread cache, with the one span
-// lookup the free needs: p's usable size, its superblock (nil for a large
-// object), and whether heap heapIdx (the freeing thread's, from HeapIndex)
-// owns that superblock. It changes nothing; the cache marks the block free
-// itself (superblock.MarkCached).
-func (h *Hoard) ResolveFree(heapIdx int, p alloc.Ptr) (sb *superblock.Superblock, usable int, local bool) {
-	switch owner := h.resolve("free", p).Owner.(type) {
-	case *alloc.LargeObj:
-		return nil, owner.Size, false
-	case *superblock.Superblock:
-		return owner, owner.BlockSize(), owner.OwnerID() == heapIdx
-	}
-	panic(fmt.Sprintf("hoard: free of foreign pointer %#x", uint64(p)))
-}
-
 // UsableSize implements alloc.Allocator.
 func (h *Hoard) UsableSize(p alloc.Ptr) int {
 	return usableOf("UsableSize", p, h.resolve("UsableSize", p))
@@ -447,8 +488,9 @@ func (h *Hoard) Bytes(p alloc.Ptr, n int) []byte {
 	return sp.Bytes(int(uint64(p)-sp.Base), n)
 }
 
-// Stats implements alloc.Allocator.
-func (h *Hoard) Stats() alloc.Stats {
+// heldStats is the core's books of the blocks it has handed out, to the
+// application and to the magazines, with the mechanism counters.
+func (h *Hoard) heldStats() alloc.Stats {
 	var st alloc.Stats
 	h.acct.Fill(&st)
 	st.SuperblockMoves = h.sbMoves.Load()
@@ -479,27 +521,23 @@ func (h *Hoard) HeapSnapshot(id int) (u, a int64, superblocks int) {
 func (h *Hoard) NumHeaps() int { return len(h.heaps) }
 
 // CheckIntegrity implements alloc.Allocator. The allocator must be
-// quiescent, with no block in a thread cache.
-func (h *Hoard) CheckIntegrity() error { return h.checkIntegrity(nil) }
-
-// CheckIntegrityCached is CheckIntegrity for an allocator whose thread
-// caches hold the blocks cached: each must be a block marked free, and each
-// superblock's free blocks must be exactly its listed, uncarved and cached
-// ones — which proves no block is both cached and in the application's
-// hands. The allocator must be quiescent.
-func (h *Hoard) CheckIntegrityCached(cached []alloc.Ptr) error {
-	counts := make(map[*superblock.Superblock]int)
-	for _, p := range cached {
-		sb, ok := superblock.FromPtr(h.space, p)
-		if !ok || !sb.Contains(p) {
-			return fmt.Errorf("hoard: cached block %#x is not a superblock block", uint64(p))
-		}
-		if !sb.IsFreeBlock(p) {
-			return fmt.Errorf("hoard: cached block %#x is not marked free", uint64(p))
-		}
-		counts[sb]++
+// quiescent. Under the magazines every cached block must be a distinct
+// block marked free, filed under its superblock, on a magazine within its
+// cap or in a remote batch within its limits; the core's live bytes must be
+// the application's plus the cached ones; and each superblock's free blocks
+// must be exactly its listed, uncarved and cached ones, which proves no
+// block is both cached and in the application's hands.
+func (h *Hoard) CheckIntegrity() error {
+	cached, cachedBytes, err := h.cachedBlocks()
+	if err != nil {
+		return err
 	}
-	return h.checkIntegrity(counts)
+	if h.caps != nil {
+		if held, live := h.acct.Live(), h.Stats().LiveBytes; held != live+cachedBytes {
+			return fmt.Errorf("hoard: held live %d != app live %d + cached %d", held, live, cachedBytes)
+		}
+	}
+	return h.checkIntegrity(cached)
 }
 
 func (h *Hoard) checkIntegrity(cached map[*superblock.Superblock]int) error {

@@ -278,13 +278,13 @@ func TestThreadHeapHashing(t *testing.T) {
 	used := map[int]bool{}
 	for id := 0; id < 4; id++ {
 		th := thread(h, id)
-		used[th.State.(*threadState).heapIdx] = true
+		used[th.State.(*ThreadState).heapIdx] = true
 	}
 	if len(used) != 4 {
 		t.Fatalf("4 sequential threads mapped to %d heaps, want 4", len(used))
 	}
 	for id := 0; id < 100; id++ {
-		idx := h.NewThread(&env.RealEnv{ID: id * 1000003}).State.(*threadState).heapIdx
+		idx := h.NewThread(&env.RealEnv{ID: id * 1000003}).State.(*ThreadState).heapIdx
 		if idx < 1 || idx > 4 {
 			t.Fatalf("heap index %d out of range", idx)
 		}

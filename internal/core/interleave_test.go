@@ -1,4 +1,4 @@
-package tcache
+package core
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hoardgo/internal/alloc"
-	"hoardgo/internal/core"
 	"hoardgo/internal/env"
 	"hoardgo/internal/simproc"
 )
@@ -53,7 +52,7 @@ const scenarioOps = 60
 // scenario is the state the simulated threads share. Only one of them runs
 // at a time, so it needs no lock.
 type scenario struct {
-	a *Allocator
+	a *Hoard
 	// live holds every block the application holds.
 	live map[alloc.Ptr]bool
 	// mailbox holds live blocks one thread handed over for any thread to
@@ -72,7 +71,7 @@ func runScenario(seed int64) (_ *scenario, err error) {
 	w := simproc.NewWorld(3, simproc.DefaultCosts)
 	w.SetChooser(simproc.RandomChooser(seed))
 	s := &scenario{
-		a:       New(core.New(core.Config{Heaps: 2, Backend: "sim"}, w), Config{Capacity: 4}),
+		a:       New(Config{Heaps: 2, Backend: "sim", Magazines: 4}, w),
 		live:    make(map[alloc.Ptr]bool),
 		running: 3,
 	}
@@ -155,7 +154,7 @@ func (s *scenario) thread(e env.Env, rng *rand.Rand, end *simproc.Barrier) {
 				s.free(th, take(rng, &s.mailbox))
 			}
 		default:
-			s.a.inner.ReleaseMemory(e)
+			s.a.ReleaseMemory(e)
 		}
 		if op == flushAt {
 			s.a.FlushThread(th)
@@ -170,14 +169,14 @@ func (s *scenario) thread(e env.Env, rng *rand.Rand, end *simproc.Barrier) {
 			s.free(th, p)
 		}
 		s.mailbox = nil
-		for unpublished(th.State.(*threadState)) == 0 {
+		for unpublished(th.State.(*ThreadState)) == 0 {
 			s.free(th, s.malloc(th, 8))
 		}
 	}
 }
 
 // unpublished returns the hits ts has not yet published.
-func unpublished(ts *threadState) int {
+func unpublished(ts *ThreadState) int {
 	n := 0
 	for _, m := range ts.mags {
 		n += m.mallocs + m.frees
@@ -208,8 +207,8 @@ func (s *scenario) free(th *alloc.Thread, p alloc.Ptr) {
 // or remote batch, where no other thread can take it, and requires the
 // double-free panic at that call.
 func (s *scenario) probeDoubleFree(th *alloc.Thread, p alloc.Ptr) {
-	ts := th.State.(*threadState)
-	if ts.retired || !cachedBy(ts, p) {
+	ts := th.State.(*ThreadState)
+	if ts.mags == nil || !cachedBy(ts, p) {
 		return
 	}
 	defer func() {
@@ -223,7 +222,7 @@ func (s *scenario) probeDoubleFree(th *alloc.Thread, p alloc.Ptr) {
 }
 
 // cachedBy reports whether p is in ts's magazines or remote batch.
-func cachedBy(ts *threadState, p alloc.Ptr) bool {
+func cachedBy(ts *ThreadState, p alloc.Ptr) bool {
 	for _, m := range ts.mags {
 		if slices.Contains(m.ptrs, p) {
 			return true

@@ -1,4 +1,4 @@
-package tcache
+package core
 
 import (
 	"math/rand"
@@ -75,7 +75,7 @@ func TestRemoteBatchFlushesAtByteBudget(t *testing.T) {
 		ps = append(ps, a.Malloc(ta, 4096))
 	}
 	before := a.Stats()
-	tbs := tb.State.(*threadState)
+	tbs := tb.State.(*ThreadState)
 	for i, p := range ps {
 		a.Free(tb, p)
 		if want := (i + 1) % 8; len(tbs.remote) != want {
@@ -154,7 +154,7 @@ func TestIntegrityCatchesOverfullRemoteBatch(t *testing.T) {
 	if err := a.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	tbs := tb.State.(*threadState)
+	tbs := tb.State.(*ThreadState)
 	tbs.remoteBytes = classBudget // corrupt deliberately
 	if err := a.CheckIntegrity(); err == nil || !strings.Contains(err.Error(), "remote batch") {
 		t.Fatalf("integrity accepted a remote batch at its byte budget: %v", err)
@@ -164,7 +164,7 @@ func TestIntegrityCatchesOverfullRemoteBatch(t *testing.T) {
 func TestDescribeMagazines(t *testing.T) {
 	a := newOverHoard(DefaultCapacity)
 	var b strings.Builder
-	a.Describe(&b)
+	a.Describe(&b, &env.RealEnv{})
 	for _, want := range []string{"64 blocks per class", "560 B:58", "2048 B:16", "4096 B:8", "per-thread bound 580568 B", "cached 0 B"} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("Describe = %q, missing %q", b.String(), want)

@@ -1,4 +1,4 @@
-package tcache
+package core
 
 import (
 	"sync"
@@ -6,15 +6,26 @@ import (
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/alloctest"
-	"hoardgo/internal/core"
 	"hoardgo/internal/env"
 	"hoardgo/internal/superblock"
 )
 
-var lf = env.RealLockFactory{}
+func newOverHoard(capacity int) *Hoard {
+	return New(Config{Heaps: 4, Magazines: capacity}, lf)
+}
 
-func newOverHoard(capacity int) *Allocator {
-	return New(core.New(core.Config{Heaps: 4}, lf), Config{Capacity: capacity})
+// classFor returns the magazine slot for a request size, or ok=false if the
+// size bypasses the magazines.
+func (h *Hoard) classFor(size int) (int, bool) {
+	c, ok := h.classes.ClassFor(size)
+	return c, ok && c < len(h.caps)
+}
+
+// Threads reports the number of threads with magazines not yet flushed.
+func (h *Hoard) Threads() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.threads)
 }
 
 // Conformance note: the suite's "LiveBytes == 0 after frees" checks observe
@@ -28,13 +39,13 @@ func TestCacheHitAvoidsInner(t *testing.T) {
 	a := newOverHoard(32)
 	th := a.NewThread(&env.RealEnv{})
 	p := a.Malloc(th, 64)
-	innerMallocs := a.Inner().Stats().Mallocs
+	innerMallocs := a.heldStats().Mallocs
 	a.Free(th, p) // into magazine
 	q := a.Malloc(th, 64)
 	if q != p {
 		t.Fatalf("cache did not return the freed block: %#x vs %#x", uint64(q), uint64(p))
 	}
-	if got := a.Inner().Stats().Mallocs; got != innerMallocs {
+	if got := a.heldStats().Mallocs; got != innerMallocs {
 		t.Fatalf("cache hit reached the inner allocator (%d -> %d mallocs)", innerMallocs, got)
 	}
 	a.Free(th, q)
@@ -69,14 +80,14 @@ func TestRefillBatches(t *testing.T) {
 	th := a.NewThread(&env.RealEnv{})
 	a.Malloc(th, 64)
 	// One refill fetched Capacity/2 blocks from the inner allocator.
-	if got := a.Inner().Stats().Mallocs; got != capacity/2 {
+	if got := a.heldStats().Mallocs; got != capacity/2 {
 		t.Fatalf("inner mallocs = %d, want one batch of %d", got, capacity/2)
 	}
 	// The next Capacity/2-1 mallocs are free hits.
 	for i := 0; i < capacity/2-1; i++ {
 		a.Malloc(th, 64)
 	}
-	if got := a.Inner().Stats().Mallocs; got != capacity/2 {
+	if got := a.heldStats().Mallocs; got != capacity/2 {
 		t.Fatalf("inner mallocs grew to %d during cached phase", got)
 	}
 }
@@ -92,12 +103,12 @@ func TestFlushAtCapacity(t *testing.T) {
 	for _, p := range ps {
 		a.Free(th, p)
 	}
-	ts := th.State.(*threadState)
+	ts := th.State.(*ThreadState)
 	class, _ := a.classFor(64)
 	if got := len(ts.mags[class].ptrs); got > capacity {
 		t.Fatalf("magazine holds %d > capacity %d", got, capacity)
 	}
-	if innerFrees := a.Inner().Stats().Frees; innerFrees == 0 {
+	if innerFrees := a.heldStats().Frees; innerFrees == 0 {
 		t.Fatal("no flush reached the inner allocator")
 	}
 	if err := a.CheckIntegrity(); err != nil {
@@ -118,7 +129,7 @@ func TestCachedBytesAndFlushThread(t *testing.T) {
 	if got := a.CachedBytes(); got != 0 {
 		t.Fatalf("CachedBytes = %d after FlushThread", got)
 	}
-	if got := a.Inner().Stats().LiveBytes; got != 0 {
+	if got := a.heldStats().LiveBytes; got != 0 {
 		t.Fatalf("inner LiveBytes = %d after full flush", got)
 	}
 	if err := a.CheckIntegrity(); err != nil {
@@ -140,7 +151,7 @@ func TestLargeBypassesCache(t *testing.T) {
 // 8 KiB; the magazines cache Hoard's classes up to maxCachedSize, and the
 // larger ones bypass them.
 func TestUncachedClassesBypass(t *testing.T) {
-	a := New(core.New(core.Config{Heaps: 4, SuperblockSize: 16 << 10}, lf), Config{})
+	a := New(Config{Heaps: 4, SuperblockSize: 16 << 10, Magazines: DefaultCapacity}, lf)
 	if n := len(a.caps); n == a.classes.NumClasses() || a.classes.Size(n-1) > maxCachedSize {
 		t.Fatalf("%d of %d classes cached, the largest %d B", n, a.classes.NumClasses(), a.classes.Size(n-1))
 	}
@@ -171,7 +182,7 @@ func TestOwnerAwareFreeSkipsMagazine(t *testing.T) {
 		ps = append(ps, a.Malloc(ta, 64))
 	}
 	a.Free(tb, ps[0])
-	tbs := tb.State.(*threadState)
+	tbs := tb.State.(*ThreadState)
 	if len(tbs.remote) != 1 || tbs.remote[0] != ps[0] {
 		t.Fatalf("remote batch holds %v, want A's block", tbs.remote)
 	}
@@ -198,10 +209,10 @@ func TestIntegrityCatchesDoubleCache(t *testing.T) {
 	a := newOverHoard(16)
 	th := a.NewThread(&env.RealEnv{})
 	p := a.Malloc(th, 64)
-	ts := th.State.(*threadState)
+	ts := th.State.(*ThreadState)
 	class, _ := a.classFor(64)
 	m := &ts.mags[class]
-	sb, _ := superblock.FromPtr(a.inner.Space(), p)
+	sb, _ := superblock.FromPtr(a.Space(), p)
 	m.ptrs, m.sbs = append(m.ptrs, p, p), append(m.sbs, sb, sb) // corrupt deliberately
 	if err := a.CheckIntegrity(); err == nil {
 		t.Fatal("integrity missed a double-cached block")
@@ -214,7 +225,7 @@ func TestBadCapacityPanics(t *testing.T) {
 			t.Fatal("capacity 1 accepted")
 		}
 	}()
-	New(core.New(core.Config{Heaps: 4}, lf), Config{Capacity: 1})
+	New(Config{Heaps: 4, Magazines: 1}, lf)
 }
 
 func BenchmarkCachedMallocFree(b *testing.B) {
@@ -259,7 +270,7 @@ func TestRefillUsesNativeBatch(t *testing.T) {
 func TestBatchCutsHeapLocks(t *testing.T) {
 	const capacity, rounds = 32, 50
 	clf := &env.CountingLockFactory{Inner: lf}
-	a := New(core.New(core.Config{Heaps: 2}, clf), Config{Capacity: capacity})
+	a := New(Config{Heaps: 2, Magazines: capacity}, clf)
 	th := a.NewThread(&env.RealEnv{})
 	ptrs := make([]alloc.Ptr, 2*capacity)
 	for r := 0; r < rounds; r++ {
@@ -365,7 +376,7 @@ func TestRefillSteadyStateAllocFree(t *testing.T) {
 	const capacity = 32
 	a := newOverHoard(capacity)
 	th := a.NewThread(&env.RealEnv{})
-	ts := th.State.(*threadState)
+	ts := th.State.(*ThreadState)
 	buf := make([]alloc.Ptr, capacity/2)
 	cycle := func() {
 		// Drain the magazine: the first Malloc underflows and refills
@@ -373,10 +384,11 @@ func TestRefillSteadyStateAllocFree(t *testing.T) {
 		for i := range buf {
 			buf[i] = a.Malloc(th, 64)
 		}
-		// Return the blocks to the inner allocator directly so the next
-		// cycle's refill pulls them back — steady state, no growth.
+		// Return the blocks to their heap directly so the next cycle's
+		// refill pulls them back — steady state, no growth.
 		for _, p := range buf {
-			a.inner.Free(ts.inner, p)
+			sb, _ := superblock.FromPtr(a.Space(), p)
+			a.freeSmall(ts, sb, p)
 		}
 	}
 	cycle() // warm up: the first refill reserves a superblock
@@ -427,7 +439,7 @@ func BenchmarkRefillCycle(b *testing.B) {
 	const capacity = 64
 	a := newOverHoard(capacity)
 	th := a.NewThread(&env.RealEnv{})
-	ts := th.State.(*threadState)
+	ts := th.State.(*ThreadState)
 	buf := make([]alloc.Ptr, capacity/2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -436,7 +448,8 @@ func BenchmarkRefillCycle(b *testing.B) {
 			buf[j] = a.Malloc(th, 64)
 		}
 		for _, p := range buf {
-			a.inner.Free(ts.inner, p)
+			sb, _ := superblock.FromPtr(a.Space(), p)
+			a.freeSmall(ts, sb, p)
 		}
 	}
 }

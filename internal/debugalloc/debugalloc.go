@@ -166,10 +166,10 @@ func (a *Allocator) releaseFromQuarantine(t *alloc.Thread, it quarItem) {
 
 // FlushThread implements alloc.ThreadFlusher: the quarantine's delayed
 // frees complete (poison-checked) and the flush propagates to the inner
-// allocator's layer state (tcache magazines, when layered below). The
-// quarantine is allocator-global rather than per-thread, so flushing any
-// one thread drains all of it — acceptable at thread exit, where the goal
-// is that no retired thread strands memory.
+// allocator's per-thread state (Hoard's magazines, when layered over
+// Hoard). The quarantine is allocator-global rather than per-thread, so
+// flushing any one thread drains all of it — acceptable at thread exit,
+// where the goal is that no retired thread strands memory.
 func (a *Allocator) FlushThread(t *alloc.Thread) {
 	a.FlushQuarantine(t)
 	alloc.FlushThread(a.inner, t)

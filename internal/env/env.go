@@ -63,12 +63,12 @@ const (
 	// simulated OS (an mmap-equivalent).
 	OpOSAlloc
 	// OpMallocBatch is the per-call setup cost of a batched malloc (a
-	// magazine refill, core.Hoard.MallocCached): argument marshalling and
+	// magazine refill in internal/core): argument marshalling and
 	// the single accounting update. Charged once per batch on top
 	// of the per-block OpMallocFast charges.
 	OpMallocBatch
 	// OpFreeBatch is the per-call setup cost of a batched free (a magazine
-	// or remote-batch flush, core.Hoard.FreeCached): the owner-grouping
+	// or remote-batch flush in internal/core): the owner-grouping
 	// bookkeeping and the per-owner-group accounting updates. Charged once
 	// per batch on top of the per-block OpFree charges.
 	OpFreeBatch

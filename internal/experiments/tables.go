@@ -8,7 +8,6 @@ import (
 	"hoardgo/internal/allocators"
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
-	"hoardgo/internal/tcache"
 	"hoardgo/internal/workload"
 )
 
@@ -345,13 +344,6 @@ func AblateHeaps(opts Options, progress func(string, int)) Table {
 	return t
 }
 
-// tcacheMaker layers a thread cache over Hoard.
-func tcacheMaker(capacity int) allocators.Maker {
-	return func(procs int, lf env.LockFactory) alloc.Allocator {
-		return tcache.New(core.New(core.Config{Heaps: 2 * procs}, lf), tcache.Config{Capacity: capacity})
-	}
-}
-
 // AblateTCache measures the thread-cache extension (the direction Hoard's
 // successors took), at the default magazine capacity: lock-free fast paths,
 // and whether owner-aware magazines keep passive false sharing away.
@@ -370,7 +362,7 @@ func AblateTCache(opts Options, progress func(string, int)) Table {
 			mk   allocators.Maker
 		}{
 			{"hoard", nil},
-			{"hoard+tcache", tcacheMaker(tcache.DefaultCapacity)},
+			{"hoard+tcache", hoardMaker(core.Config{Magazines: core.DefaultCapacity})},
 		} {
 			if progress != nil {
 				progress(variant.name+"/"+id, procs)

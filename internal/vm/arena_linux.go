@@ -58,16 +58,15 @@ type Arena struct {
 
 	mem []byte // the raw reservation; unmapped by Close
 
-	base      uint64 // SpanSize-aligned start of the slot region
-	slotLen   uint64 // byte length of the slot region
-	spanSize  int
-	spanShift uint
-	nSlots    int
+	// Slots is the slot region, its start SpanSize-aligned, with one
+	// span pointer per slot.
+	Slots
+	spanSize int
+	nSlots   int
 
 	largeBase uint64
 	largeEnd  uint64
 
-	slots      []atomic.Pointer[Span] // one per slot
 	largePages []atomic.Pointer[Span] // one per page of the large region
 
 	nextSlot  int
@@ -132,11 +131,13 @@ func NewArena(opts ArenaOptions) (Backend, error) {
 	raw := uint64(uintptr(unsafe.Pointer(&mem[0])))
 	base := (raw + uint64(ss) - 1) &^ (uint64(ss) - 1)
 	a := &Arena{
-		mem:       mem,
-		base:      base,
-		slotLen:   uint64(o.SlotRegionBytes),
+		mem: mem,
+		Slots: Slots{
+			base:      base,
+			slotLen:   uint64(o.SlotRegionBytes),
+			spanShift: uint(bits.TrailingZeros64(uint64(o.SpanSize))),
+		},
 		spanSize:  o.SpanSize,
-		spanShift: uint(bits.TrailingZeros64(uint64(o.SpanSize))),
 		nSlots:    int(o.SlotRegionBytes / ss),
 		largeBase: base + uint64(o.SlotRegionBytes),
 		largeEnd:  base + uint64(o.SlotRegionBytes) + uint64(o.LargeRegionBytes),
@@ -418,6 +419,9 @@ func (a *Arena) Lookup(addr uint64) *Span {
 	}
 	return nil
 }
+
+// slotTable returns the slot table, for SlotsOf.
+func (a *Arena) slotTable() Slots { return a.Slots }
 
 // Bytes returns a view of n bytes of backing memory at addr, panicking if
 // the range is not fully inside one live span.

@@ -70,6 +70,37 @@ type Backend interface {
 	Close() error
 }
 
+// Slots is a backend's superblock slot table: a region of equal,
+// SpanSize-aligned slots, each holding at most one span of exactly the slot
+// size. Lookup resolves an address in the region with one subtract, one
+// shift and one atomic load, and no interface call. The arena has one; the
+// zero Slots, which every other backend reports, resolves nothing.
+type Slots struct {
+	base      uint64 // start of the slot region
+	slotLen   uint64 // byte length of the slot region
+	spanShift uint   // log2 of the slot size
+	slots     []atomic.Pointer[Span]
+}
+
+// Lookup returns the live span in addr's slot, or nil when addr lies outside
+// the slot region or its slot is empty. A nil result settles nothing: the
+// caller asks the backend's Lookup, which resolves every other span.
+func (s *Slots) Lookup(addr uint64) *Span {
+	if off := addr - s.base; off < s.slotLen {
+		return s.slots[off>>s.spanShift].Load()
+	}
+	return nil
+}
+
+// SlotsOf returns b's slot table, or the zero Slots if b has none. The
+// table stays valid until b is closed.
+func SlotsOf(b Backend) Slots {
+	if a, ok := b.(interface{ slotTable() Slots }); ok {
+		return a.slotTable()
+	}
+	return Slots{}
+}
+
 // ErrArenaUnsupported is returned by NewArena on platforms without the
 // mmap-based arena implementation (everything but linux/amd64 and
 // linux/arm64).

@@ -10,7 +10,6 @@ import (
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
 	"hoardgo/internal/simproc"
-	"hoardgo/internal/tcache"
 	"hoardgo/internal/workload"
 )
 
@@ -34,7 +33,7 @@ func goldenStats(st alloc.Stats) string {
 // hoardGoldens holds the figures the bare Hoard core ("hoard", the
 // registry's) and Hoard under its default owner-aware magazines
 // ("hoard+tcache") produced while the magazines were a separate layer over
-// the core.
+// the core, before they moved into it.
 var hoardGoldens = map[string]hoardGolden{
 	"larson/hoard":               {4530171, 434176, 11040, "m=4800 f=4800 live=0 peak=119512 large=0 moves=2363 global=2314 os=53 remote=3124 moved=17943 refills=0 flushes=0 batched=0 hitm=0 hitf=0 reuse=0", map[string]int64{"hoard.heap0": 7036, "hoard.heap1": 1853, "hoard.heap2": 1822, "hoard.heap3": 1862, "hoard.heap4": 1842}},
 	"larson/hoard+tcache":        {1319552, 786432, 2262, "m=4800 f=4800 live=0 peak=398272 large=0 moves=129 global=53 os=96 remote=1831 moved=2265 refills=98 flushes=29 batched=4977 hitm=4702 hitf=4771 reuse=0", map[string]int64{"hoard.heap0": 304, "hoard.heap1": 43, "hoard.heap2": 39, "hoard.heap3": 41, "hoard.heap4": 40}},
@@ -48,7 +47,7 @@ var hoardGoldens = map[string]hoardGolden{
 var hoardVariants = map[string]allocators.Maker{
 	"hoard": nil,
 	"hoard+tcache": func(procs int, lf env.LockFactory) alloc.Allocator {
-		return tcache.New(core.New(core.Config{Heaps: 2 * procs}, lf), tcache.Config{Capacity: tcache.DefaultCapacity})
+		return core.New(core.Config{Heaps: 2 * procs, Magazines: core.DefaultCapacity}, lf)
 	},
 }
 

@@ -10,7 +10,6 @@ import (
 	"hoardgo/internal/debugalloc"
 	"hoardgo/internal/env"
 	"hoardgo/internal/metrics"
-	"hoardgo/internal/tcache"
 )
 
 // This file is the public face of the observability layer (internal/metrics):
@@ -18,37 +17,15 @@ import (
 // lock contention, plus the on-demand and background invariant audit. See
 // DESIGN.md §9.
 
-// unwrap peels the debug and thread-cache layers off the allocator stack and
-// returns the Hoard core, or nil for other policies.
+// unwrap peels the debug layer off the allocator stack and returns the
+// Hoard core, or nil for other policies.
 func (a *Allocator) unwrap() *core.Hoard {
 	impl := a.impl
-	for {
-		switch v := impl.(type) {
-		case *core.Hoard:
-			return v
-		case *debugalloc.Allocator:
-			impl = v.Inner()
-		case *tcache.Allocator:
-			impl = v.Inner()
-		default:
-			return nil
-		}
+	if d, ok := impl.(*debugalloc.Allocator); ok {
+		impl = d.Inner()
 	}
-}
-
-// tcacheLayer returns the thread-cache layer of the allocator stack, or nil.
-func (a *Allocator) tcacheLayer() *tcache.Allocator {
-	impl := a.impl
-	for {
-		switch v := impl.(type) {
-		case *tcache.Allocator:
-			return v
-		case *debugalloc.Allocator:
-			impl = v.Inner()
-		default:
-			return nil
-		}
-	}
+	h, _ := impl.(*core.Hoard)
+	return h
 }
 
 // sampleMetrics builds one observation of the allocator: counters for every
@@ -102,9 +79,7 @@ func (a *Allocator) sampleMetrics() metrics.Snapshot {
 			hs.ID = len(s.Heaps)
 			s.Heaps = append(s.Heaps, hs)
 		}
-	}
-	if tc := a.tcacheLayer(); tc != nil {
-		s.MagazineBytes = tc.MagazineBytes()
+		s.MagazineBytes = h.MagazineBytes()
 	}
 	if a.reg != nil {
 		s.Locks = a.reg.LockStats()

@@ -6,14 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"hoardgo/internal/core"
+	"hoardgo/internal/env"
 	"hoardgo/internal/superblock"
 )
 
 // misuseArms runs a misuse case on both memory backends, each on two
 // protocols: "lockfree" is the default configuration — the paper's locked
 // heaps under owner-aware magazines, whose hits take no lock — and "locked"
-// is the paper's locked heaps alone, the magazine layer stripped, so every
-// malloc and free takes a heap lock.
+// is the paper's locked heaps alone, a core with its magazines off, so
+// every malloc and free takes a heap lock.
 func misuseArms(t *testing.T, run func(t *testing.T, a *Allocator)) {
 	for _, backend := range []string{"sim", "arena"} {
 		for _, locked := range []bool{false, true} {
@@ -26,10 +28,13 @@ func misuseArms(t *testing.T, run func(t *testing.T, a *Allocator)) {
 				if a.Backend() != backend {
 					t.Skipf("backend %s unavailable: %s", backend, a.BackendFallbackReason())
 				}
-				defer a.Close()
 				if locked {
-					a.impl = a.tcacheLayer().Inner()
+					a.Close()
+					a = &Allocator{name: a.name}
+					a.hoard = core.New(core.Config{Heaps: 16, Backend: backend}, env.RealLockFactory{})
+					a.impl = a.hoard
 				}
+				defer a.Close()
 				run(t, a)
 			})
 		}
@@ -258,6 +263,7 @@ func TestMisuseAfterClose(t *testing.T) {
 		wantPanic(t, "Malloc after Close", func() { th.Malloc(64) }, "Malloc after Close")
 		wantPanic(t, "Free after Close", func() { th.Free(p) }, "Free after Close")
 		wantPanic(t, "Bytes after Close", func() { th.Bytes(p, 8) }, "Bytes after Close")
+		wantPanic(t, "UsableSize after Close", func() { th.UsableSize(p) }, "UsableSize after Close")
 		wantPanic(t, "MallocBatch after Close",
 			func() { th.MallocBatch(64, 4, make([]Ptr, 4)) }, "MallocBatch after Close")
 		wantPanic(t, "FreeBatch after Close", func() { th.FreeBatch([]Ptr{p}) }, "FreeBatch after Close")
