@@ -365,7 +365,8 @@ func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out 
 // table's address arithmetic for an arena superblock, otherwise a backend
 // Lookup (a page-table walk on sim, a large-object page on the arena).
 // Every consumer passes its result down instead of re-resolving.
-// BenchmarkResolveFree pins its cost per backend.
+// BenchmarkResolveFree pins its cost per backend. The hit paths try the
+// slot table themselves first, since a call costs more than the arithmetic.
 func (h *Hoard) resolve(op string, p alloc.Ptr) *vm.Span {
 	sp := h.slots.Lookup(uint64(p))
 	if sp == nil {
@@ -374,14 +375,6 @@ func (h *Hoard) resolve(op string, p alloc.Ptr) *vm.Span {
 		}
 	}
 	return sp
-}
-
-// usableOf reads a resolved block's usable size.
-func usableOf(op string, p alloc.Ptr, sp *vm.Span) int {
-	if sb, ok := sp.Owner.(*superblock.Superblock); ok {
-		return sb.BlockSize()
-	}
-	return largeSize(op, p, sp)
 }
 
 // largeSize returns the size of the large object a resolved span holds,
@@ -475,14 +468,30 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 
 // UsableSize implements alloc.Allocator.
 func (h *Hoard) UsableSize(p alloc.Ptr) int {
-	return usableOf("UsableSize", p, h.resolve("UsableSize", p))
+	sp := h.slots.Lookup(uint64(p))
+	if sp == nil {
+		sp = h.resolve("UsableSize", p)
+	}
+	if sb, ok := sp.Owner.(*superblock.Superblock); ok {
+		return sb.BlockSize()
+	}
+	return largeSize("UsableSize", p, sp)
 }
 
 // Bytes implements alloc.Allocator. One resolution serves both the
 // usable-size validation and the byte view.
 func (h *Hoard) Bytes(p alloc.Ptr, n int) []byte {
-	sp := h.resolve("Bytes", p)
-	if usable := usableOf("Bytes", p, sp); n > usable {
+	sp := h.slots.Lookup(uint64(p))
+	if sp == nil {
+		sp = h.resolve("Bytes", p)
+	}
+	usable := 0
+	if sb, ok := sp.Owner.(*superblock.Superblock); ok {
+		usable = sb.BlockSize()
+	} else {
+		usable = largeSize("Bytes", p, sp)
+	}
+	if n > usable {
 		panic(fmt.Sprintf("hoard: Bytes(%#x, %d) exceeds usable size %d", uint64(p), n, usable))
 	}
 	return sp.Bytes(int(uint64(p)-sp.Base), n)

@@ -245,7 +245,10 @@ func (ts *ThreadState) Free(p alloc.Ptr) {
 		return
 	}
 	h := ts.h
-	sp := h.resolve("free", p)
+	sp := h.slots.Lookup(uint64(p))
+	if sp == nil {
+		sp = h.resolve("free", p)
+	}
 	sb, ok := sp.Owner.(*superblock.Superblock)
 	if !ok {
 		h.freeLarge(ts, sp, p)
@@ -379,9 +382,6 @@ func (h *Hoard) flushRemote(ts *ThreadState) {
 // nothing.
 func (h *Hoard) FlushThread(t *alloc.Thread) {
 	ts := t.State.(*ThreadState)
-	if ts.mags == nil {
-		return
-	}
 	for class := range ts.mags {
 		if len(ts.mags[class].ptrs) > 0 {
 			h.flushMagazine(ts, class, 0)

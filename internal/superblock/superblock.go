@@ -345,7 +345,7 @@ func (sb *Superblock) FreeCached(e env.Env, p alloc.Ptr) {
 func (sb *Superblock) MarkCached(p alloc.Ptr) {
 	idx := sb.indexOf(p)
 	if sb.links[idx] != held {
-		panic(fmt.Sprintf("superblock %#x: double free of block %d (%#x)", sb.Base(), idx, uint64(p)))
+		panic(misuse{"superblock %#x: double free of block %d (%#x)", sb.base, idx, p})
 	}
 	sb.links[idx] = 0
 }
@@ -357,7 +357,7 @@ func (sb *Superblock) MarkCached(p alloc.Ptr) {
 func (sb *Superblock) ClaimCached(p alloc.Ptr) {
 	idx := sb.indexOf(p)
 	if sb.links[idx] == held {
-		panic(fmt.Sprintf("superblock %#x: cached block %d (%#x) handed out twice", sb.Base(), idx, uint64(p)))
+		panic(misuse{"superblock %#x: cached block %d (%#x) handed out twice", sb.base, idx, p})
 	}
 	sb.links[idx] = held
 }
@@ -393,11 +393,25 @@ func (sb *Superblock) addrOf(idx int) uint64 {
 // indexOf returns p's block index, panicking unless p is a block boundary
 // inside sb. It runs on every magazine operation.
 func (sb *Superblock) indexOf(p alloc.Ptr) int {
-	if idx, ok := sb.blockIndex(p); ok {
-		return idx
+	idx, ok := sb.blockIndex(p)
+	if !ok {
+		panic(misuse{"superblock %#x: bad block pointer %[3]#x", sb.base, idx, p})
 	}
-	panic(fmt.Sprintf("superblock %#x: bad block pointer %#x", sb.Base(), uint64(p)))
+	return idx
 }
+
+// misuse is the panic value of a misused block pointer. It formats its
+// message, from the superblock's base, the block index and the pointer,
+// only when the panic is printed, which leaves indexOf cheap enough to
+// inline into the magazine paths.
+type misuse struct {
+	format string
+	base   uint64
+	idx    int
+	p      alloc.Ptr
+}
+
+func (m misuse) Error() string { return fmt.Sprintf(m.format, m.base, m.idx, uint64(m.p)) }
 
 // blockIndex returns p's block index, and whether p is a block boundary
 // inside sb. It divides without a divide instruction: for off < 2^32 (S is
