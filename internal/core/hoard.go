@@ -403,9 +403,8 @@ func (h *Hoard) freeLarge(ts *ThreadState, sp *vm.Span, p alloc.Ptr) {
 // freeSmall is the paper's free protocol, the same for every owner — this
 // thread's heap, another thread's, or the global heap: lock the owner,
 // re-check that it still owns the superblock (ownership can change while we
-// wait), free, and restore the emptiness invariant.
-// Under the magazines it serves the frees they do not, which it books as
-// bypass operations.
+// wait), free, and restore the emptiness invariant. Under the magazines it
+// serves the frees they do not, which it books as bypass operations.
 func (h *Hoard) freeSmall(ts *ThreadState, sb *superblock.Superblock, p alloc.Ptr) {
 	e := ts.e
 	// Read the block size while our still-live block pins the superblock's
