@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -41,29 +40,6 @@ func TestClassCaps(t *testing.T) {
 	}
 }
 
-// TestCachedBytesWithinByteBound: a thread that mallocs and then frees 64
-// blocks of every class caches at most Σ cap[c] · size(c). Without the byte
-// caps it would hold all 64 blocks of every class, 1,595,392 B.
-func TestCachedBytesWithinByteBound(t *testing.T) {
-	a := newOverHoard(DefaultCapacity)
-	th := a.NewThread(&env.RealEnv{})
-	for c := range a.classes.NumClasses() {
-		var ps []alloc.Ptr
-		for range 64 {
-			ps = append(ps, a.Malloc(th, a.classes.Size(c)))
-		}
-		for _, p := range ps {
-			a.Free(th, p)
-		}
-	}
-	if got := a.CachedBytes(); got > magazineBound {
-		t.Fatalf("CachedBytes = %d after freeing 64 blocks of every class, want <= %d", got, magazineBound)
-	}
-	if err := a.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRemoteBatchFlushesAtByteBudget: a remote batch of 4 KiB blocks flushes
 // on reaching 32 KiB, at 8 blocks, long before its 64-block capacity.
 func TestRemoteBatchFlushesAtByteBudget(t *testing.T) {
@@ -94,54 +70,6 @@ func TestRemoteBatchFlushesAtByteBudget(t *testing.T) {
 	}
 }
 
-// TestByteCapChurn churns every class on three threads, a third of the frees
-// remote, and checks integrity — which enforces each class's cap and the
-// remote batch's block and byte limits — after every phase.
-func TestByteCapChurn(t *testing.T) {
-	for _, capacity := range []int{2, 16, 64} {
-		a := newOverHoard(capacity)
-		var ths []*alloc.Thread
-		for id := range 3 {
-			ths = append(ths, a.NewThread(&env.RealEnv{ID: id}))
-		}
-		rng := rand.New(rand.NewSource(int64(capacity)))
-		held := make([][]alloc.Ptr, len(ths))
-		for phase := range 6 {
-			for range 3000 {
-				w := rng.Intn(len(ths))
-				if len(held[w]) == 0 || rng.Intn(2) == 0 {
-					size := a.classes.Size(rng.Intn(a.classes.NumClasses()))
-					held[w] = append(held[w], a.Malloc(ths[w], size))
-					continue
-				}
-				j := rng.Intn(len(held[w]))
-				p := held[w][j]
-				held[w][j] = held[w][len(held[w])-1]
-				held[w] = held[w][:len(held[w])-1]
-				if rng.Intn(3) == 0 {
-					w = (w + 1) % len(ths)
-				}
-				a.Free(ths[w], p)
-			}
-			if err := a.CheckIntegrity(); err != nil {
-				t.Fatalf("capacity %d, phase %d: %v", capacity, phase, err)
-			}
-		}
-		for w, ps := range held {
-			for _, p := range ps {
-				a.Free(ths[(w+1)%len(ths)], p)
-			}
-			a.FlushThread(ths[w])
-		}
-		if st := a.Stats(); st.LiveBytes != 0 || a.CachedBytes() != 0 {
-			t.Fatalf("capacity %d: live %d, cached %d after draining", capacity, st.LiveBytes, a.CachedBytes())
-		}
-		if err := a.CheckIntegrity(); err != nil {
-			t.Fatalf("capacity %d, drained: %v", capacity, err)
-		}
-	}
-}
-
 // TestIntegrityCatchesOverfullRemoteBatch: a remote batch at its byte budget
 // must have flushed, so integrity rejects one that holds it.
 func TestIntegrityCatchesOverfullRemoteBatch(t *testing.T) {
@@ -158,19 +86,5 @@ func TestIntegrityCatchesOverfullRemoteBatch(t *testing.T) {
 	tbs.remoteBytes = classBudget // corrupt deliberately
 	if err := a.CheckIntegrity(); err == nil || !strings.Contains(err.Error(), "remote batch") {
 		t.Fatalf("integrity accepted a remote batch at its byte budget: %v", err)
-	}
-}
-
-func TestDescribeMagazines(t *testing.T) {
-	a := newOverHoard(DefaultCapacity)
-	var b strings.Builder
-	a.Describe(&b, &env.RealEnv{})
-	for _, want := range []string{"64 blocks per class", "560 B:58", "2048 B:16", "4096 B:8", "per-thread bound 580568 B", "cached 0 B"} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("Describe = %q, missing %q", b.String(), want)
-		}
-	}
-	if strings.Contains(b.String(), " 464 B:") {
-		t.Errorf("Describe = %q lists a class at the full capacity", b.String())
 	}
 }
