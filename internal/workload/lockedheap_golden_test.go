@@ -2,16 +2,17 @@ package workload_test
 
 import (
 	"maps"
+	"strings"
 	"testing"
 
 	"hoardgo/internal/simproc"
 	"hoardgo/internal/workload"
 )
 
-// lockedGolden is one simulator run of a locked-heap baseline: virtual
-// time, peak committed bytes, cache-line transfers between CPUs, and the
+// baselineGolden is one simulator run of a paper baseline: virtual time,
+// peak committed bytes, cache-line transfers between CPUs, and the
 // acquisitions of each lock that was taken, by lock name.
-type lockedGolden struct {
+type baselineGolden struct {
 	elapsedNS, peakCommitted, remoteTransfers int64
 	acquires                                  map[string]int64
 }
@@ -19,7 +20,7 @@ type lockedGolden struct {
 // lockedGoldens holds the figures the serial, concurrent and ownership
 // baselines produced as three separate packages, before they became three
 // heap-choice rules over one allocator.
-var lockedGoldens = map[string]lockedGolden{
+var lockedGoldens = map[string]baselineGolden{
 	"larson/serial": {4764425, 253952, 19722, map[string]int64{"serial.heap": 9600}},
 	"larson/concurrent": {2814250, 253952, 19306, map[string]int64{
 		"concurrent.class1": 118, "concurrent.class2": 160, "concurrent.class3": 156,
@@ -38,46 +39,58 @@ var lockedGoldens = map[string]lockedGolden{
 		"ownership.arena3": 2000}},
 }
 
-// TestLockedHeapGolden runs threadtest and larson at a small fixed size on
-// four simulated processors over each locked-heap baseline. The simulator
-// is deterministic, so every figure must match exactly: a changed charge,
-// touch or lock call shows up as a changed number. Larson's ownership run
-// contends, so arena stealing is covered too (arena4 is only ever stolen).
-func TestLockedHeapGolden(t *testing.T) {
-	const procs = 4
-	runs := map[string]func(h *workload.Harness) workload.Result{
-		"threadtest": func(h *workload.Harness) workload.Result {
-			return workload.Threadtest(h, workload.ThreadtestConfig{Threads: procs, Iterations: 2, Objects: 2000, ObjSize: 8})
-		},
-		"larson": func(h *workload.Harness) workload.Result {
-			return workload.Larson(h, workload.LarsonConfig{Threads: procs, Rounds: 3, OpsPerRound: 400,
-				SlotsPerWindow: 100, MinSize: 10, MaxSize: 500, Seed: 1})
-		},
-	}
-	for bench, run := range runs {
-		for _, name := range []string{"serial", "concurrent", "ownership"} {
-			t.Run(bench+"/"+name, func(t *testing.T) {
-				want := lockedGoldens[bench+"/"+name]
-				res := run(workload.NewSim(name, procs, simproc.DefaultCosts))
-				if res.ElapsedNS != want.elapsedNS {
-					t.Errorf("ElapsedNS %d, want %d", res.ElapsedNS, want.elapsedNS)
+// goldenProcs is the simulated processor count of every golden run.
+const goldenProcs = 4
+
+// goldenRuns are the small fixed-size workloads the baseline goldens pin,
+// by name. Larson contends, so ownership's arena stealing is covered;
+// prodcons frees every block on a thread that did not allocate it, which
+// strands memory under pure private heaps and spills under thresholds.
+var goldenRuns = map[string]func(h *workload.Harness) workload.Result{
+	"threadtest": func(h *workload.Harness) workload.Result {
+		return workload.Threadtest(h, workload.ThreadtestConfig{Threads: goldenProcs, Iterations: 2, Objects: 2000, ObjSize: 8})
+	},
+	"larson": func(h *workload.Harness) workload.Result {
+		return workload.Larson(h, workload.LarsonConfig{Threads: goldenProcs, Rounds: 3, OpsPerRound: 400,
+			SlotsPerWindow: 100, MinSize: 10, MaxSize: 500, Seed: 1})
+	},
+	"prodcons": func(h *workload.Harness) workload.Result {
+		res, _ := workload.ProdCons(h, workload.ProdConsConfig{Threads: goldenProcs, Rounds: 5, Batch: 300, ObjSize: 64})
+		return res
+	},
+}
+
+// runBaselineGoldens runs each golden's workload, named "run/allocator",
+// on goldenProcs simulated processors over the registry's allocator. The
+// simulator is deterministic, so every figure must match exactly: a
+// changed charge, touch or lock call shows up as a changed number.
+func runBaselineGoldens(t *testing.T, goldens map[string]baselineGolden) {
+	for key, want := range goldens {
+		bench, name, _ := strings.Cut(key, "/")
+		t.Run(key, func(t *testing.T) {
+			res := goldenRuns[bench](workload.NewSim(name, goldenProcs, simproc.DefaultCosts))
+			if res.ElapsedNS != want.elapsedNS {
+				t.Errorf("ElapsedNS %d, want %d", res.ElapsedNS, want.elapsedNS)
+			}
+			if res.VM.PeakCommitted != want.peakCommitted {
+				t.Errorf("PeakCommitted %d, want %d", res.VM.PeakCommitted, want.peakCommitted)
+			}
+			if res.Cache.RemoteTransfers != want.remoteTransfers {
+				t.Errorf("RemoteTransfers %d, want %d", res.Cache.RemoteTransfers, want.remoteTransfers)
+			}
+			acquires := map[string]int64{}
+			for _, l := range res.Locks {
+				if l.Acquires != 0 {
+					acquires[l.Name] = l.Acquires
 				}
-				if res.VM.PeakCommitted != want.peakCommitted {
-					t.Errorf("PeakCommitted %d, want %d", res.VM.PeakCommitted, want.peakCommitted)
-				}
-				if res.Cache.RemoteTransfers != want.remoteTransfers {
-					t.Errorf("RemoteTransfers %d, want %d", res.Cache.RemoteTransfers, want.remoteTransfers)
-				}
-				acquires := map[string]int64{}
-				for _, l := range res.Locks {
-					if l.Acquires != 0 {
-						acquires[l.Name] = l.Acquires
-					}
-				}
-				if !maps.Equal(acquires, want.acquires) {
-					t.Errorf("lock acquisitions %v, want %v", acquires, want.acquires)
-				}
-			})
-		}
+			}
+			if !maps.Equal(acquires, want.acquires) {
+				t.Errorf("lock acquisitions %v, want %v", acquires, want.acquires)
+			}
+		})
 	}
 }
+
+// TestLockedHeapGolden pins threadtest and larson over each locked-heap
+// baseline.
+func TestLockedHeapGolden(t *testing.T) { runBaselineGoldens(t, lockedGoldens) }
