@@ -395,7 +395,7 @@ func (sb *Superblock) addrOf(idx int) uint64 {
 func (sb *Superblock) indexOf(p alloc.Ptr) int {
 	idx, ok := sb.blockIndex(p)
 	if !ok {
-		panic(misuse{"superblock %#x: bad block pointer %[3]#x", sb.base, idx, p})
+		panic(misuse{"superblock %#x: bad block pointer %#[3]x", sb.base, idx, p})
 	}
 	return idx
 }

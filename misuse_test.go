@@ -245,7 +245,8 @@ func TestMisuseInteriorPointer(t *testing.T) {
 	misuseArms(t, func(t *testing.T, a *Allocator) {
 		th := a.NewThread()
 		small := th.Malloc(64)
-		wantPanic(t, "Free inside a small block", func() { th.Free(small + 8) }, "bad block pointer")
+		wantPanic(t, "Free inside a small block", func() { th.Free(small + 8) },
+			fmt.Sprintf("bad block pointer %#x", uint64(small+8)))
 		large := th.Malloc(64 << 10)
 		wantPanic(t, "Free inside a large object", func() { th.Free(large + 16) }, "interior")
 		th.Free(small)
