@@ -302,12 +302,14 @@ func (t *Thread) Calloc(size int) Ptr {
 	return p
 }
 
-// Free releases a block. Freeing the nil Ptr is a no-op; foreign pointers
-// panic, as memory corruption in a real allocator is not recoverable, and so
-// do double frees, except of small blocks on PolicyPrivate and
-// PolicyThreshold: like the Cilk/STL and DYNIX allocators they stand for,
-// those push a freed small block on a free list without checking it, and a
-// double free corrupts the list.
+// Free releases a block. Freeing the nil Ptr is a no-op; foreign and
+// interior pointers panic, as memory corruption in a real allocator is not
+// recoverable, and so do double frees, except of small blocks on
+// PolicyPrivate and PolicyThreshold: like the Cilk/STL and DYNIX allocators
+// they stand for, those push a freed small block on a free list without
+// checking its state. They panic on a pointer that names no whole block of
+// a span, but a small double free, or a free of a block inside a span that
+// was never handed out, goes onto the list and corrupts it.
 func (t *Thread) Free(p Ptr) {
 	t.a.checkOpen("Free")
 	if t.state != nil {

@@ -12,8 +12,9 @@
 //     heap and lock per size class; Iyengar-like) and ownership (private
 //     heaps with ownership; Ptmalloc/MTmalloc-like)
 //   - internal/dlheap:     boundary-tag coalescing heap under one lock (dlmalloc-like)
-//   - internal/private:    pure private heaps (Cilk/STL-like)
-//   - internal/threshold:  private heaps with thresholds (DYNIX-like)
+//   - internal/privateheap: two allocators over per-thread free lists that
+//     take every free: private (pure private heaps; Cilk/STL-like) and
+//     threshold (private heaps with thresholds; DYNIX-like)
 //   - internal/debugalloc: canaries, poisoning and a free quarantine, over any
 //     of the above
 package alloc
@@ -66,9 +67,12 @@ type Allocator interface {
 	// Free releases a block previously returned by Malloc on the same
 	// allocator. Freeing from a different thread than the allocating one
 	// is allowed (that is the whole point of the paper). Freeing nil is
-	// a no-op; foreign pointers panic, and so do double frees on every
-	// allocator except private and threshold, which push a freed small
-	// block on a free list without checking it, as Cilk/STL and DYNIX do.
+	// a no-op; foreign pointers panic, and so do interior pointers and
+	// double frees on every allocator except private and threshold. Those
+	// two push a freed small block on a free list without checking its
+	// state, as Cilk/STL and DYNIX do: they panic only on a pointer that
+	// names no whole block of a span, and miss small double frees and
+	// frees of blocks inside a span that were never handed out.
 	Free(t *Thread, p Ptr)
 
 	// UsableSize returns the usable byte count of a live block.

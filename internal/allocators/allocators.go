@@ -2,8 +2,9 @@
 // constructors, used by hoard.New, the benchmark harness, the CLI tools and
 // the examples. Its seven names are Hoard itself, the five rows of the
 // paper's taxonomy (serial, concurrent, private, ownership, threshold) and a
-// dlmalloc-style heap; each entry is the one definition of that allocator's
-// defaults.
+// dlmalloc-style heap. Serial, concurrent and ownership are three rules over
+// internal/lockedheap, private and threshold two over internal/privateheap;
+// each entry is the one definition of that allocator's defaults.
 package allocators
 
 import (
@@ -15,8 +16,7 @@ import (
 	"hoardgo/internal/dlheap"
 	"hoardgo/internal/env"
 	"hoardgo/internal/lockedheap"
-	"hoardgo/internal/private"
-	"hoardgo/internal/threshold"
+	"hoardgo/internal/privateheap"
 )
 
 // Maker constructs an allocator sized for procs processors, with locks from
@@ -43,18 +43,21 @@ var registry = map[string]Maker{
 	"dlheap": func(procs int, lf env.LockFactory) alloc.Allocator {
 		return dlheap.New(lf)
 	},
-	// Pure private heaps (Cilk/STL stand-in).
+	// Pure private heaps (Cilk/STL stand-in): refills carve the thread's
+	// own spans with no lock.
 	"private": func(procs int, lf env.LockFactory) alloc.Allocator {
-		return private.New(lf)
+		return privateheap.NewPrivate()
 	},
 	// Private heaps with ownership (Ptmalloc stand-in): two arenas per
 	// processor, with arena stealing.
 	"ownership": func(procs int, lf env.LockFactory) alloc.Allocator {
 		return lockedheap.NewOwnership(2*procs, lf)
 	},
-	// Private heaps with thresholds (DYNIX / Vee & Hsu stand-in).
+	// Private heaps with thresholds (DYNIX / Vee & Hsu stand-in): the same
+	// per-thread lists, moving 32 blocks at a time to and from per-class
+	// pools.
 	"threshold": func(procs int, lf env.LockFactory) alloc.Allocator {
-		return threshold.New(threshold.Config{}, lf)
+		return privateheap.NewThreshold(lf)
 	},
 }
 

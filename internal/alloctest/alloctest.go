@@ -2,7 +2,8 @@
 // allocator in the repository. Each allocator package's tests call Run with
 // a factory; the suite checks the alloc.Allocator contract: round-trips,
 // pointer distinctness, data integrity under random mixes, cross-thread
-// frees, the large-object path, and concurrent stress with full teardown.
+// frees, the large-object path, frees of pointers no Malloc returned, and
+// concurrent stress with full teardown.
 package alloctest
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
+	"hoardgo/internal/superblock"
 )
 
 // Factory creates a fresh allocator for one subtest.
@@ -27,6 +29,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("LargeObjects", func(t *testing.T) { large(t, f()) })
 	t.Run("CrossThreadFree", func(t *testing.T) { crossThread(t, f()) })
 	t.Run("FreeNil", func(t *testing.T) { freeNil(t, f()) })
+	t.Run("BadPointers", func(t *testing.T) { badPointers(t, f()) })
 	t.Run("UsableSizeCoversRequest", func(t *testing.T) { usable(t, f()) })
 	t.Run("Alignment", func(t *testing.T) { alignment(t, f()) })
 	t.Run("LiveBlocksDisjoint", func(t *testing.T) { disjoint(t, f()) })
@@ -185,6 +188,33 @@ func crossThread(t *testing.T, a alloc.Allocator) {
 func freeNil(t *testing.T, a alloc.Allocator) {
 	th := newThread(a, 0)
 	a.Free(th, 0)
+}
+
+// badPointers: a free of a pointer no Malloc returned panics. The span
+// tail is the aligned pointer just past the last whole 48-B block of the
+// S-aligned span holding a 48-B block: 48 does not divide S, so the pointer
+// names no block even though it lies on the span's block grid.
+func badPointers(t *testing.T, a alloc.Allocator) {
+	th := newThread(a, 0)
+	small := a.Malloc(th, 48)
+	large := a.Malloc(th, 64<<10)
+	const s = superblock.DefaultSize
+	tail := uint64(small)&^(s-1) + s - s%48
+	for what, p := range map[string]alloc.Ptr{
+		"unknown pointer":        8,
+		"small interior pointer": small + 8,
+		"large interior pointer": large + 16,
+		"span tail":              alloc.Ptr(tail),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Free of %s %#x did not panic", a.Name(), what, uint64(p))
+				}
+			}()
+			a.Free(th, p)
+		}()
+	}
 }
 
 func usable(t *testing.T, a alloc.Allocator) {
