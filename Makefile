@@ -38,12 +38,14 @@ race:
 race-arena:
 	HOARDGO_BACKEND=arena $(GO) test -race . ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/ ./internal/tcache/ ./internal/lockedheap/
 
-# race-bench runs the malloc/free microbenchmarks under the race detector for
-# 200 iterations each. The race suite runs no benchmarks, and
-# BenchmarkMallocFreeParallel is where several goroutines take the magazine
-# hit path at once.
+# race-bench runs the malloc/free microbenchmarks and the two lock-counting
+# benchmarks under the race detector for 200 iterations each. The race suite
+# runs no benchmarks. BenchmarkMallocFreeParallel is where several goroutines
+# take the magazine hit path at once; BenchmarkTCacheBatchLocks and
+# BenchmarkProducerConsumerContended count heap locks through a
+# metrics.Registry, the latter with 4 consumer goroutines on its counters.
 race-bench:
-	$(GO) test -race -run '^$$' -bench 'MallocFree' -benchtime 200x .
+	$(GO) test -race -run '^$$' -bench 'MallocFree|TCacheBatchLocks|ProducerConsumerContended' -benchtime 200x .
 
 # Figure benchmarks are full deterministic simulations; run each once. The
 # key batching benches run here: the threadtest/larson figures, the contended

@@ -27,6 +27,7 @@ import (
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
 	"hoardgo/internal/experiments"
+	"hoardgo/internal/metrics"
 	"hoardgo/internal/workload"
 )
 
@@ -350,8 +351,8 @@ func BenchmarkProducerConsumerReal(b *testing.B) {
 func BenchmarkTCacheBatchLocks(b *testing.B) {
 	const capacity = 32
 	b.Run("batch", func(b *testing.B) {
-		clf := &env.CountingLockFactory{Inner: env.RealLockFactory{}}
-		a := core.New(core.Config{Heaps: 2, Magazines: capacity}, clf)
+		reg := metrics.NewRegistry()
+		a := core.New(core.Config{Heaps: 2, Magazines: capacity}, reg.WrapFactory(env.RealLockFactory{}))
 		th := a.NewThread(&env.RealEnv{})
 		ptrs := make([]alloc.Ptr, 2*capacity)
 		b.ResetTimer()
@@ -367,7 +368,7 @@ func BenchmarkTCacheBatchLocks(b *testing.B) {
 		}
 		b.StopTimer()
 		ops := float64(b.N) * float64(len(ptrs))
-		b.ReportMetric(float64(clf.Acquires())/ops, "locks/op")
+		b.ReportMetric(float64(reg.TotalLockStats().Acquires)/ops, "locks/op")
 		st := a.Stats()
 		b.ReportMetric(float64(st.BatchedBlocks)/ops, "batched/op")
 	})
@@ -381,8 +382,8 @@ func BenchmarkTCacheBatchLocks(b *testing.B) {
 func BenchmarkProducerConsumerContended(b *testing.B) {
 	for _, consumers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {
-			clf := &env.CountingLockFactory{Inner: env.RealLockFactory{}}
-			h := core.New(core.Config{Heaps: 8}, clf)
+			reg := metrics.NewRegistry()
+			h := core.New(core.Config{Heaps: 8}, reg.WrapFactory(env.RealLockFactory{}))
 			ch := make(chan alloc.Ptr, 4096)
 			var wg sync.WaitGroup
 			for c := 0; c < consumers; c++ {
@@ -403,7 +404,7 @@ func BenchmarkProducerConsumerContended(b *testing.B) {
 			close(ch)
 			wg.Wait()
 			b.StopTimer()
-			b.ReportMetric(float64(clf.Acquires())/float64(b.N), "locks/op")
+			b.ReportMetric(float64(reg.TotalLockStats().Acquires)/float64(b.N), "locks/op")
 		})
 	}
 }

@@ -340,9 +340,16 @@ func (t *Thread) Realloc(p Ptr, size int) Ptr {
 // MallocAligned returns a block of at least size bytes whose address is a
 // multiple of align (a power of two). Only the Hoard policy implements
 // stronger-than-8-byte alignment natively; other policies, and Hoard under
-// Debug, fall back to the page-aligned large-object path for align > 8.
+// Debug, fall back to the large-object path for align > 8. That path is
+// page-aligned except under Debug (its front guard word) and on dlheap
+// (requests below 32 KiB stay in its boundary-tag arena), where alignments
+// above 8 are not yet honoured. An align that is not a power of two panics
+// on every policy.
 func (t *Thread) MallocAligned(size, align int) Ptr {
 	t.a.checkOpen("MallocAligned")
+	if align <= 0 || align&(align-1) != 0 {
+		panic(fmt.Sprintf("hoard: MallocAligned align %d not a power of two", align))
+	}
 	if h := t.a.hoard; h != nil {
 		return h.MallocAligned(t.inner, size, align)
 	}

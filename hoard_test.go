@@ -1,6 +1,7 @@
 package hoard
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -202,6 +203,9 @@ func TestFootprintTracksFragmentation(t *testing.T) {
 	}
 }
 
+// TestMallocAlignedPublic: Hoard and serial honour page-sized and smaller
+// alignments, and an align that is not a power of two panics on every
+// policy, with and without Debug.
 func TestMallocAlignedPublic(t *testing.T) {
 	for _, pol := range []Policy{PolicyHoard, PolicySerial} {
 		a := MustNew(Config{Policy: pol})
@@ -212,6 +216,17 @@ func TestMallocAlignedPublic(t *testing.T) {
 				t.Fatalf("%s: MallocAligned(100, %d) misaligned: %#x", pol, align, uint64(p))
 			}
 			th.Free(p)
+		}
+	}
+	for _, pol := range []Policy{PolicyHoard, PolicySerial, PolicyConcurrent, PolicyDLHeap, PolicyPrivate, PolicyOwnership, PolicyThreshold} {
+		for _, debug := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/debug=%v", pol, debug), func(t *testing.T) {
+				th := MustNew(Config{Policy: pol, Debug: debug}).NewThread()
+				for _, align := range []int{0, 3, 24} {
+					wantPanic(t, fmt.Sprintf("MallocAligned(16, %d)", align),
+						func() { th.MallocAligned(16, align) }, "not a power of two")
+				}
+			})
 		}
 	}
 	// Hoard handles oversized alignment natively.

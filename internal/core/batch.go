@@ -31,7 +31,7 @@ func (h *Hoard) mallocCached(ts *ThreadState, class, n int, out []alloc.Ptr, sbs
 	e := ts.e
 	blockSize := h.classes.Size(class)
 	hp := h.heaps[ts.heapIdx]
-	env.LockWith(hp.Lock, e, "batch-refill")
+	hp.Lock.Lock(e)
 	h.allocLocked(e, hp, class, blockSize, out[:n], sbs[:n])
 	hp.Lock.Unlock(e)
 	h.acct.OnMallocN(n, int64(n)*int64(blockSize))
@@ -83,7 +83,7 @@ func (h *Hoard) freeCached(ts *ThreadState, ps []alloc.Ptr, sbs []*superblock.Su
 // freed before it went back to.
 func (h *Hoard) freeOwnedLocked(e env.Env, hp *heap.Heap, myIdx int, ps []alloc.Ptr, sbs []*superblock.Superblock) int {
 	var freed heap.Freed
-	env.LockWith(hp.Lock, e, "batch-free")
+	hp.Lock.Lock(e)
 	defer func() {
 		hp.Lock.Unlock(e)
 		if freed.Blocks > 0 {

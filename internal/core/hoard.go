@@ -301,7 +301,7 @@ func (h *Hoard) mallocLocked(ts *ThreadState, size int) alloc.Ptr {
 	blockSize := h.classes.Size(class)
 	hp := h.heaps[ts.heapIdx]
 	var p [1]alloc.Ptr
-	env.LockWith(hp.Lock, e, "malloc")
+	hp.Lock.Lock(e)
 	h.allocLocked(e, hp, class, blockSize, p[:], nil)
 	hp.Lock.Unlock(e)
 	e.Charge(env.OpMallocFast, 1)
@@ -340,7 +340,7 @@ func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out 
 			continue
 		}
 		g := h.heaps[0]
-		env.LockWith(g.Lock, e, "global-take")
+		g.Lock.Lock(e)
 		sb := g.TakeSuper(e, class, blockSize)
 		if sb != nil {
 			// Insert (which transfers ownership) must happen before the
@@ -414,7 +414,7 @@ func (h *Hoard) freeSmall(ts *ThreadState, sb *superblock.Superblock, p alloc.Pt
 	for {
 		id := sb.OwnerID()
 		hp := h.heaps[id]
-		env.LockWith(hp.Lock, e, "free")
+		hp.Lock.Lock(e)
 		if sb.OwnerID() != id {
 			hp.Lock.Unlock(e)
 			e.Charge(env.OpListScan, 1)
@@ -459,7 +459,7 @@ func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 	h.sbMoves.Add(1)
 	h.movedLive.Add(int64(victim.InUse()))
 	g := h.heaps[0]
-	env.LockWith(g.Lock, e, "evict-insert")
+	g.Lock.Lock(e)
 	g.Insert(victim)
 	g.Lock.Unlock(e)
 	return true

@@ -24,7 +24,7 @@ import (
 // scans the audit performs.
 func (h *Hoard) Audit(e env.Env) error {
 	for _, hp := range h.heaps {
-		env.LockWith(hp.Lock, e, "audit")
+		hp.Lock.Lock(e)
 		err := hp.CheckIntegrityOnline()
 		if err == nil && hp.ID != 0 && hp.InvariantViolated() &&
 			hp.FindEvictable(e) == nil && hp.InvariantViolatedUsable() {

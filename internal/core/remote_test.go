@@ -9,6 +9,7 @@ import (
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
+	"hoardgo/internal/metrics"
 	"hoardgo/internal/superblock"
 )
 
@@ -17,8 +18,8 @@ import (
 // other heap's — counts in RemoteFrees, and puts the block back on its
 // superblock at once, with the owner's books exact.
 func TestCrossHeapFreeTakesOwnerLock(t *testing.T) {
-	clf := &env.CountingLockFactory{Inner: env.RealLockFactory{}}
-	h := New(Config{Heaps: 4}, clf)
+	reg := metrics.NewRegistry()
+	h := New(Config{Heaps: 4}, reg.WrapFactory(env.RealLockFactory{}))
 	producer := thread(h, 0) // heap 1
 	consumer := thread(h, 1) // heap 2
 	var ps []alloc.Ptr
@@ -30,21 +31,21 @@ func TestCrossHeapFreeTakesOwnerLock(t *testing.T) {
 	if !ok || sb.OwnerID() != 1 {
 		t.Fatalf("block not on a heap-1 superblock (ok=%v)", ok)
 	}
+	before := reg.LockStats()
+	if len(before) != 5 {
+		t.Fatalf("%d instrumented locks, want the global heap's and 4 heaps'", len(before))
+	}
 	for _, p := range ps {
 		h.Free(consumer, p)
 	}
-	var ownerLocks, otherFreeLocks int64
-	for _, s := range clf.SiteStats() {
-		switch {
-		case s.Lock == "hoard.heap1" && s.Label == "free":
-			ownerLocks += s.Acquires
-		case s.Label == "free":
-			otherFreeLocks += s.Acquires
+	for i, st := range reg.LockStats() {
+		want := int64(0)
+		if st.Name == "hoard.heap1" {
+			want = 50
 		}
-	}
-	if ownerLocks != 50 || otherFreeLocks != 0 {
-		t.Fatalf("frees took heap 1's lock %d times and other heaps' %d times, want 50 and 0",
-			ownerLocks, otherFreeLocks)
+		if got := st.Acquires - before[i].Acquires; got != want {
+			t.Errorf("the frees took %s %d times, want %d", st.Name, got, want)
+		}
 	}
 	st := h.Stats()
 	if st.RemoteFrees != 50 || st.LiveBytes != int64(h.UsableSize(keep)) {

@@ -14,7 +14,7 @@ import "hoardgo/internal/env"
 // This is the public API's ReleaseMemory.
 func (h *Hoard) ReleaseMemory(e env.Env) int64 {
 	g := h.heaps[0]
-	env.LockWith(g.Lock, e, "scavenge")
+	g.Lock.Lock(e)
 	released := g.ScavengeEmpties(e)
 	if released > 0 {
 		h.scavPasses.Add(1)

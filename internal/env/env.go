@@ -14,14 +14,13 @@
 //
 // Allocator code is written once against these interfaces; which environment
 // it observes is decided by the Thread handles passed into each operation and
-// the LockFactory passed at construction.
+// the LockFactory passed at construction. Every allocator takes its locks
+// through plain Lock, Unlock and TryLock calls. Counting them is the job of
+// a wrapping factory, metrics.Registry.WrapFactory, which works over either
+// environment's factory.
 package env
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // CostKind names an abstract unit of allocator or application work. The
 // simulator maps each kind to virtual nanoseconds via its cost model; the
@@ -178,188 +177,3 @@ func (l *realLock) Lock(Env)   { l.mu.Lock() }
 func (l *realLock) Unlock(Env) { l.mu.Unlock() }
 
 func (l *realLock) TryLock(Env) bool { return l.mu.TryLock() }
-
-// labeledLock is the optional interface a Lock may implement to receive a
-// per-call-site label (an op name like "malloc" or "batch-free")
-// alongside the acquisition. LockWith dispatches to it when present and
-// falls back to the plain Lock otherwise, so allocator code can label every
-// call site without caring which lock implementation is underneath.
-type labeledLock interface {
-	LockL(e Env, label string)
-}
-
-// LockWith acquires l, attributing the acquisition to the call-site label
-// when l supports labels (CountingLockFactory locks do). Equivalent to
-// l.Lock(e) otherwise.
-func LockWith(l Lock, e Env, label string) {
-	if ll, ok := l.(labeledLock); ok {
-		ll.LockL(e, label)
-		return
-	}
-	l.Lock(e)
-}
-
-// SiteStat is one (lock, call-site label) cell of a CountingLockFactory's
-// attribution table. Unlabeled acquisitions (plain Lock/TryLock calls) land
-// on the empty label.
-type SiteStat struct {
-	// Lock is the lock's name; Label is the call-site op label.
-	Lock, Label string
-	// Acquires counts successful acquisitions (Lock, and TryLock when it
-	// succeeded).
-	Acquires int64
-	// Contended counts Lock calls that found the lock held and had to
-	// wait (detected by a try-probe before blocking).
-	Contended int64
-	// TryMisses counts TryLock calls that gave up because the lock was
-	// held.
-	TryMisses int64
-}
-
-// CountingLockFactory wraps another factory and counts lock activity across
-// every lock it creates: total successful acquisitions, plus a per
-// (lock name × call-site label) breakdown distinguishing contended waits
-// from try-misses. Benchmarks use it to report lock acquisitions per
-// operation in the real environment, where the simulator's LockStats are
-// unavailable; the per-site table is what makes a before/after lock-traffic
-// comparison self-explanatory.
-type CountingLockFactory struct {
-	// Inner is the factory that creates the underlying locks.
-	Inner LockFactory
-
-	acquires atomic.Int64
-	mu       sync.Mutex
-	sites    map[siteKey]*siteCounters
-}
-
-type siteKey struct{ lock, label string }
-
-type siteCounters struct {
-	acquires  atomic.Int64
-	contended atomic.Int64
-	tryMisses atomic.Int64
-}
-
-// NewLock implements LockFactory.
-func (f *CountingLockFactory) NewLock(name string) Lock {
-	return &countingLock{inner: f.Inner.NewLock(name), name: name, f: f}
-}
-
-// Acquires returns the total successful acquisitions so far.
-func (f *CountingLockFactory) Acquires() int64 { return f.acquires.Load() }
-
-// SiteStats returns the per (lock × label) attribution table, sorted by
-// descending acquisitions (ties broken by lock name then label, for
-// deterministic output).
-func (f *CountingLockFactory) SiteStats() []SiteStat {
-	f.mu.Lock()
-	out := make([]SiteStat, 0, len(f.sites))
-	for k, c := range f.sites {
-		out = append(out, SiteStat{
-			Lock:      k.lock,
-			Label:     k.label,
-			Acquires:  c.acquires.Load(),
-			Contended: c.contended.Load(),
-			TryMisses: c.tryMisses.Load(),
-		})
-	}
-	f.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Acquires != b.Acquires {
-			return a.Acquires > b.Acquires
-		}
-		if a.Lock != b.Lock {
-			return a.Lock < b.Lock
-		}
-		return a.Label < b.Label
-	})
-	return out
-}
-
-func (f *CountingLockFactory) site(lock, label string) *siteCounters {
-	k := siteKey{lock, label}
-	f.mu.Lock()
-	if f.sites == nil {
-		f.sites = make(map[siteKey]*siteCounters)
-	}
-	c := f.sites[k]
-	if c == nil {
-		c = &siteCounters{}
-		f.sites[k] = c
-	}
-	f.mu.Unlock()
-	return c
-}
-
-type countingLock struct {
-	inner Lock
-	name  string
-	f     *CountingLockFactory
-
-	// sitesCache avoids the factory map lookup on the hot path: labels
-	// per lock are few and stable, so a small copy-on-write slice beats a
-	// locked map.
-	sitesCache atomic.Pointer[[]labelSite]
-}
-
-type labelSite struct {
-	label string
-	c     *siteCounters
-}
-
-func (l *countingLock) site(label string) *siteCounters {
-	if cached := l.sitesCache.Load(); cached != nil {
-		for _, s := range *cached {
-			if s.label == label {
-				return s.c
-			}
-		}
-	}
-	c := l.f.site(l.name, label)
-	for {
-		old := l.sitesCache.Load()
-		var next []labelSite
-		if old != nil {
-			for _, s := range *old {
-				if s.label == label {
-					// Another thread won the race to cache it.
-					return s.c
-				}
-			}
-			next = append(next, *old...)
-		}
-		next = append(next, labelSite{label, c})
-		if l.sitesCache.CompareAndSwap(old, &next) {
-			return c
-		}
-	}
-}
-
-func (l *countingLock) Lock(e Env) { l.LockL(e, "") }
-
-func (l *countingLock) LockL(e Env, label string) {
-	s := l.site(label)
-	// Try-probe to classify the acquisition: an immediate success was
-	// uncontended; otherwise we are about to wait.
-	if !l.inner.TryLock(e) {
-		s.contended.Add(1)
-		l.inner.Lock(e)
-	}
-	s.acquires.Add(1)
-	l.f.acquires.Add(1)
-}
-
-func (l *countingLock) Unlock(e Env) { l.inner.Unlock(e) }
-
-// TryLock is attributed to the unlabeled site.
-func (l *countingLock) TryLock(e Env) bool {
-	s := l.site("")
-	if !l.inner.TryLock(e) {
-		s.tryMisses.Add(1)
-		return false
-	}
-	s.acquires.Add(1)
-	l.f.acquires.Add(1)
-	return true
-}

@@ -10,10 +10,13 @@
 // the per-acquisition cost is two monotonic clock reads plus a handful of
 // uncontended atomic adds.
 //
+// Registry.WrapFactory is the tree's one lock-counting env.LockFactory: the
+// public package's Config.Metrics and the tests and benchmarks that count
+// lock acquisitions all read the same counters through it.
+//
 // Layering: metrics depends only on internal/env. The allocators never
-// import it — the public package (hoard.go) and the experiment harness wrap
-// lock factories and wire sampling callbacks, so the allocator code stays
-// observability-agnostic.
+// import it — the public package (hoard.go) wraps lock factories and wires
+// sampling callbacks, so the allocator code stays observability-agnostic.
 package metrics
 
 import (

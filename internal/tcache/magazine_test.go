@@ -11,6 +11,7 @@ import (
 	"hoardgo/internal/alloctest"
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
+	"hoardgo/internal/metrics"
 )
 
 var lf = env.RealLockFactory{}
@@ -100,8 +101,8 @@ func TestRefillUsesNativeBatch(t *testing.T) {
 // for 143 refills and 133 flushes, where one lock per block took 4,550.
 func TestBatchCutsHeapLocks(t *testing.T) {
 	const capacity, rounds = 32, 50
-	clf := &env.CountingLockFactory{Inner: lf}
-	a := core.New(core.Config{Heaps: 2, Magazines: capacity}, clf)
+	reg := metrics.NewRegistry()
+	a := core.New(core.Config{Heaps: 2, Magazines: capacity}, reg.WrapFactory(lf))
 	th := a.NewThread(&env.RealEnv{})
 	ptrs := make([]alloc.Ptr, 2*capacity)
 	for r := 0; r < rounds; r++ {
@@ -112,7 +113,7 @@ func TestBatchCutsHeapLocks(t *testing.T) {
 			a.Free(th, p)
 		}
 	}
-	locks, st := clf.Acquires(), a.Stats()
+	locks, st := reg.TotalLockStats().Acquires, a.Stats()
 	t.Logf("%d heap locks for %d refills and %d flushes", locks, st.BatchRefills, st.BatchFlushes)
 	if st.Mallocs != rounds*2*capacity || st.Frees != st.Mallocs {
 		t.Fatalf("%d mallocs and %d frees, want %d each", st.Mallocs, st.Frees, rounds*2*capacity)

@@ -124,8 +124,7 @@ func NewReal(allocName string, procs int) *Harness {
 }
 
 // NewRealMaker is NewReal with a custom allocator constructor (nil selects
-// the registry's). The maker receives the real lock factory; the
-// lock-attribution experiments wrap it in a counting one instead.
+// the registry's). The maker receives the real lock factory.
 func NewRealMaker(allocName string, procs int, mk allocators.Maker) *Harness {
 	var a alloc.Allocator
 	if mk != nil {

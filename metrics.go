@@ -129,14 +129,17 @@ func (a *Allocator) Audit() error {
 }
 
 // StartAuditor runs Audit every interval on a background goroutine until
-// StopAuditor. It errors if an auditor is already running or the interval is
-// not positive.
+// StopAuditor. It errors, starting nothing, if an auditor is already
+// running, the interval is not positive, or the allocator is closed.
 func (a *Allocator) StartAuditor(interval time.Duration) error {
 	if interval <= 0 {
 		return fmt.Errorf("hoard: auditor interval %v", interval)
 	}
 	a.auditorMu.Lock()
 	defer a.auditorMu.Unlock()
+	if a.closed {
+		return fmt.Errorf("hoard: StartAuditor after Close")
+	}
 	if a.auditor != nil {
 		return fmt.Errorf("hoard: auditor already running")
 	}
