@@ -34,9 +34,11 @@ race:
 # race-arena reruns the root package and the allocator protocol suites under
 # the race detector with the real-memory arena as the default backend
 # (HOARDGO_BACKEND flips the zero-config default; on a platform without the
-# arena the allocators fall back to sim and the suites still run).
+# arena the allocators fall back to sim and the suites still run), then the
+# audited workload stress tests, which drive the bare core on that backend.
 race-arena:
 	HOARDGO_BACKEND=arena $(GO) test -race . ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/ ./internal/tcache/ ./internal/lockedheap/
+	HOARDGO_BACKEND=arena $(GO) test -race -run 'Audit' ./internal/workload/
 
 # race-bench runs the malloc/free microbenchmarks and the two lock-counting
 # benchmarks under the race detector for 200 iterations each. The race suite

@@ -1,11 +1,13 @@
 // Metricsserver is a live Prometheus scrape target: a handful of worker
 // goroutines churn allocations in phased rounds while a 50 ms time.Ticker
-// calls ReleaseMemory to trim the global heap, and the allocator's metrics —
+// calls ReleaseMemory to trim the global heap and Audit to check the
+// allocator's invariants under load, and the allocator's metrics —
 // footprint vs reserved, decommitted bytes, release passes, per-heap
 // occupancy — are served on /metrics for `curl` or a real Prometheus to
 // watch. Point a scraper at it and graph hoard_footprint_bytes against
 // hoard_reserved_bytes to see the footprint breathe. At exit it prints how
-// many trims released memory and how many bytes they returned.
+// many trims released memory and how many bytes they returned, and how many
+// audits ran. A failed audit is printed when it happens and fails the run.
 //
 //	go run ./examples/metricsserver -addr :8080 &
 //	watch -n1 'curl -s localhost:8080/metrics | grep -E "footprint|decommitted"'
@@ -81,9 +83,12 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
-	// Periodic trimming: every 50 ms, return the empty superblocks parked
-	// on the global heap to the OS.
+	// Periodic trimming and auditing: every 50 ms, return the empty
+	// superblocks parked on the global heap to the OS, then check the
+	// invariants while the workers run.
 	trimDone := make(chan struct{})
+	audits := 0
+	var auditErr error
 	go func() {
 		defer close(trimDone)
 		tick := time.NewTicker(50 * time.Millisecond)
@@ -94,6 +99,11 @@ func run(args []string, out io.Writer) (err error) {
 				return
 			case <-tick.C:
 				a.ReleaseMemory()
+				audits++
+				if err := a.Audit(); err != nil {
+					fmt.Fprintf(out, "audit %d failed: %v\n", audits, err)
+					auditErr = err
+				}
 			}
 		}
 	}()
@@ -127,8 +137,12 @@ func run(args []string, out io.Writer) (err error) {
 
 	s := a.Stats()
 	fmt.Fprintf(out, "trims: %d released memory, %d bytes in all\n", s.ScavengeOps, s.ScavengedBytes)
+	fmt.Fprintf(out, "audits: %d\n", audits)
 	fmt.Fprintf(out, "final: footprint %d B, reserved %d B, decommitted %d B\n",
 		s.FootprintBytes, s.ReservedBytes, s.DecommittedBytes)
+	if auditErr != nil {
+		return fmt.Errorf("last failed audit: %w", auditErr)
+	}
 	if s.LiveBytes != 0 {
 		return fmt.Errorf("leak: %d live bytes after the workers stopped", s.LiveBytes)
 	}

@@ -14,7 +14,7 @@ func TestRun(t *testing.T) {
 	if err := run(args, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"serving metrics on http://127.0.0.1:", "trims: ", "final: footprint "} {
+	for _, want := range []string{"serving metrics on http://127.0.0.1:", "trims: ", "audits: ", "final: footprint "} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}

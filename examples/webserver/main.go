@@ -7,8 +7,8 @@
 //
 // The lifecycle here is the reference for real servers: every worker closes
 // its Thread on exit (flushing any magazine-cached blocks back to the
-// heaps), and the allocator itself is closed at the end (stopping the
-// auditor and unmapping the arena reservation when -backend arena).
+// heaps), and the allocator itself is closed at the end (unmapping the
+// arena reservation when -backend arena).
 // With -metrics ADDR the allocator's Prometheus endpoint is served live,
 // so the run can be scraped while it works. lifecycle_test.go runs this
 // same pattern as a regression test.
@@ -62,8 +62,8 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	// Close is the only way an arena reservation is unmapped; it also stops
-	// the background goroutines. Every exit path must run it.
+	// Close is the only way an arena reservation is unmapped. Every exit
+	// path must run it.
 	defer func() { err = errors.Join(err, a.Close()) }()
 
 	if *metricsAddr != "" {

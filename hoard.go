@@ -28,7 +28,6 @@ package hoard
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"hoardgo/internal/alloc"
@@ -133,8 +132,8 @@ type Config struct {
 	// and wait/hold-time counters, exported through WriteMetrics. Off by
 	// default: an uninstrumented allocator pays zero overhead (the wrappers
 	// are never created); with it on, each lock operation adds two clock
-	// reads and a few uncontended atomic adds. Occupancy sampling and the
-	// auditor work either way — this flag only controls lock counters.
+	// reads and a few uncontended atomic adds. Occupancy sampling and Audit
+	// work either way — this flag only controls lock counters.
 	Metrics bool
 }
 
@@ -153,11 +152,6 @@ type Allocator struct {
 	// reg holds the lock-metrics registry when Config.Metrics was set; nil
 	// otherwise (no instrumentation exists at all in that case).
 	reg *metrics.Registry
-
-	// auditorMu guards the background auditor handle (StartAuditor /
-	// StopAuditor).
-	auditorMu sync.Mutex
-	auditor   *metrics.Auditor
 }
 
 // New builds an allocator from cfg.
@@ -338,30 +332,28 @@ func (t *Thread) Realloc(p Ptr, size int) Ptr {
 }
 
 // MallocAligned returns a block of at least size bytes whose address is a
-// multiple of align (a power of two). Only the Hoard policy implements
-// stronger-than-8-byte alignment natively; other policies, and Hoard under
-// Debug, fall back to the large-object path for align > 8. That path is
-// page-aligned except under Debug (its front guard word) and on dlheap
-// (requests below 32 KiB stay in its boundary-tag arena), where alignments
-// above 8 are not yet honoured. An align that is not a power of two panics
-// on every policy.
+// multiple of align (a power of two). Hoard, dlheap and every policy under
+// Debug implement it themselves (Debug pads the block and puts its front
+// guard just below the aligned address; dlheap takes its large-object
+// path); the others serve align > 8 from their large-object path. Both
+// paths are page-aligned: above the page size only Hoard and Debug serve
+// the call, and the others panic naming the policy. An align that is not a
+// power of two panics on every policy.
 func (t *Thread) MallocAligned(size, align int) Ptr {
 	t.a.checkOpen("MallocAligned")
 	if align <= 0 || align&(align-1) != 0 {
 		panic(fmt.Sprintf("hoard: MallocAligned align %d not a power of two", align))
 	}
-	if h := t.a.hoard; h != nil {
-		return h.MallocAligned(t.inner, size, align)
-	}
-	if align <= 8 {
-		return t.Malloc(size)
+	if m, ok := t.a.impl.(interface {
+		MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr
+	}); ok {
+		return m.MallocAligned(t.inner, size, align)
 	}
 	if align > 4096 {
 		panic(fmt.Sprintf("hoard: policy %q supports MallocAligned up to page alignment, got %d", t.a.name, align))
 	}
-	// The large-object path of every policy is page-aligned.
-	if size < 4097 {
-		size = 4097
+	if align > 8 && size >= 0 { // a negative size still reaches Malloc's panic
+		size = max(size, 4097) // the large-object path is page-aligned
 	}
 	return t.Malloc(size)
 }
@@ -534,18 +526,6 @@ func (a *Allocator) CachedBytes() int64 {
 	return 0
 }
 
-// MagazineBytes is the under-load view of the same gauge: a sum of
-// magazine-fill counters published at transfer boundaries, safe to read
-// while worker threads allocate (CachedBytes is exact but requires
-// quiescence). It lags true fill by at most half a magazine per size class
-// per thread. Samplers and metrics scrapes use this form.
-func (a *Allocator) MagazineBytes() int64 {
-	if h := a.unwrap(); h != nil {
-		return h.MagazineBytes()
-	}
-	return 0
-}
-
 // Backend returns the name of the memory substrate in use: "sim" or
 // "arena". Non-Hoard policies always report "sim".
 func (a *Allocator) Backend() string { return a.impl.Space().Name() }
@@ -577,17 +557,16 @@ func (a *Allocator) ReleaseMemory() int64 {
 	return h.ReleaseMemory(&env.RealEnv{ID: -1})
 }
 
-// Close stops the background auditor (if running) and releases the memory
-// substrate: for the arena backend this unmaps its virtual reservation, for
-// the simulated backend it is a no-op.
+// Close releases the memory substrate: for the arena backend this unmaps its
+// virtual reservation, for the simulated backend it is a no-op.
 // The allocator must be quiescent when Close is called. Afterwards NewThread,
-// ReleaseMemory and every Thread operation that touches memory (Malloc,
-// Free, their batch forms, Bytes, UsableSize and the calls built on them)
-// panic with a message naming the call; Stats and Close itself keep working.
+// ReleaseMemory, CheckIntegrity and every Thread operation that touches
+// memory (Malloc, Free, their batch forms, Bytes, UsableSize and the calls
+// built on them) panic with a message naming the call; Stats and Close
+// itself keep working.
 // Close is the only way an arena's address space is returned to the OS — Go
 // finalizers cannot reclaim it.
 func (a *Allocator) Close() error {
-	a.StopAuditor()
 	a.closed = true
 	return a.impl.Space().Close()
 }
@@ -605,7 +584,10 @@ func (a *Allocator) checkOpen(op string) {
 // CheckIntegrity exhaustively validates the allocator's internal
 // invariants. It requires quiescence (no concurrent operations) and is
 // intended for tests.
-func (a *Allocator) CheckIntegrity() error { return a.impl.CheckIntegrity() }
+func (a *Allocator) CheckIntegrity() error {
+	a.checkOpen("CheckIntegrity")
+	return a.impl.CheckIntegrity()
+}
 
 // Describe writes a human-readable snapshot of the allocator's state (in
 // the spirit of malloc_stats). Its first line is the Stats books of every
@@ -613,7 +595,8 @@ func (a *Allocator) CheckIntegrity() error { return a.impl.CheckIntegrity() }
 // peak. The Hoard policy adds its configuration, transfer and superblock
 // counters and a per-heap breakdown, and a last line on the magazines: the
 // size classes whose cap the 32 KiB byte budget lowers below
-// ThreadCacheCapacity, the per-thread bound in bytes, and MagazineBytes.
+// ThreadCacheCapacity, the per-thread bound in bytes, and the bytes the
+// magazines hold.
 // Its books come from Stats, with the same contract: exact once every
 // counted operation happens-before the call, and a data race, which -race
 // reports, when called concurrently with allocation. Under load, use

@@ -203,25 +203,26 @@ func TestFootprintTracksFragmentation(t *testing.T) {
 	}
 }
 
-// TestMallocAlignedPublic: Hoard and serial honour page-sized and smaller
-// alignments, and an align that is not a power of two panics on every
-// policy, with and without Debug.
+// TestMallocAlignedPublic: every policy, with and without Debug, honours
+// page-sized and smaller alignments, and an align that is not a power of
+// two panics on every one.
 func TestMallocAlignedPublic(t *testing.T) {
-	for _, pol := range []Policy{PolicyHoard, PolicySerial} {
-		a := MustNew(Config{Policy: pol})
-		th := a.NewThread()
-		for _, align := range []int{8, 64, 1024, 4096} {
-			p := th.MallocAligned(100, align)
-			if uint64(p)%uint64(align) != 0 {
-				t.Fatalf("%s: MallocAligned(100, %d) misaligned: %#x", pol, align, uint64(p))
-			}
-			th.Free(p)
-		}
-	}
 	for _, pol := range []Policy{PolicyHoard, PolicySerial, PolicyConcurrent, PolicyDLHeap, PolicyPrivate, PolicyOwnership, PolicyThreshold} {
 		for _, debug := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/debug=%v", pol, debug), func(t *testing.T) {
-				th := MustNew(Config{Policy: pol, Debug: debug}).NewThread()
+				a := MustNew(Config{Policy: pol, Debug: debug})
+				th := a.NewThread()
+				for _, align := range []int{8, 16, 64, 256, 1024, 4096} {
+					p := th.MallocAligned(100, align)
+					if uint64(p)%uint64(align) != 0 {
+						t.Fatalf("MallocAligned(100, %d) misaligned: %#x", align, uint64(p))
+					}
+					clear(th.Bytes(p, 100))
+					th.Free(p)
+				}
+				if err := a.CheckIntegrity(); err != nil {
+					t.Fatal(err)
+				}
 				for _, align := range []int{0, 3, 24} {
 					wantPanic(t, fmt.Sprintf("MallocAligned(16, %d)", align),
 						func() { th.MallocAligned(16, align) }, "not a power of two")

@@ -555,19 +555,8 @@ func (h *Hoard) checkIntegrity(cached map[*superblock.Superblock]int) error {
 			return err
 		}
 		u += hp.U()
-		// The emptiness invariant is enforced at frees; mallocs may
-		// leave a heap transiently below it, but whenever it is
-		// violated an evictable superblock must exist — unless the byte
-		// shortfall is pure capacity waste: eviction candidacy is a
-		// block fraction, so superblocks ≥ (1-f) full by blocks can sit
-		// below (1-f)*a in bytes when their class's block size does not
-		// divide S, and the free path correctly finds no victim there
-		// (see Heap.InvariantViolatedUsable, which re-checks with the
-		// waste discounted).
-		if hp.ID != 0 && hp.InvariantViolated() &&
-			hp.FindEvictable(&env.RealEnv{}) == nil && hp.InvariantViolatedUsable() {
-			return fmt.Errorf("hoard: heap %d violates emptiness invariant with no evictable superblock (u=%d a=%d)",
-				hp.ID, hp.U(), hp.A())
+		if err := hp.CheckEmptiness(&env.RealEnv{}); err != nil {
+			return err
 		}
 	}
 	// Heap-resident in-use bytes plus large objects must equal the live

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"hoardgo/internal/env"
 	"hoardgo/internal/heap"
 )
@@ -26,10 +24,8 @@ func (h *Hoard) Audit(e env.Env) error {
 	for _, hp := range h.heaps {
 		hp.Lock.Lock(e)
 		err := hp.CheckIntegrityOnline()
-		if err == nil && hp.ID != 0 && hp.InvariantViolated() &&
-			hp.FindEvictable(e) == nil && hp.InvariantViolatedUsable() {
-			err = fmt.Errorf("hoard: heap %d violates emptiness invariant with no evictable superblock (u=%d a=%d)",
-				hp.ID, hp.U(), hp.A())
+		if err == nil {
+			err = hp.CheckEmptiness(e)
 		}
 		hp.Lock.Unlock(e)
 		if err != nil {

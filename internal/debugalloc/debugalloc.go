@@ -18,6 +18,7 @@ package debugalloc
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sync"
 
 	"hoardgo/internal/alloc"
@@ -54,14 +55,20 @@ type Allocator struct {
 	acct alloc.Accounting
 
 	mu         sync.Mutex
-	live       map[alloc.Ptr]int // user ptr -> requested size
+	live       map[alloc.Ptr]block // keyed by user ptr
 	quarantine []quarItem
+}
+
+// block records an allocation: its requested size, and pad, the user
+// pointer's offset into the inner block (front guard plus alignment).
+type block struct {
+	size, pad int
 }
 
 type quarItem struct {
 	user alloc.Ptr
-	size int
-	th   *alloc.Thread
+	block
+	th *alloc.Thread
 }
 
 // New wraps inner.
@@ -72,7 +79,7 @@ func New(inner alloc.Allocator, cfg Config) *Allocator {
 	case cfg.Quarantine < 0:
 		cfg.Quarantine = 0
 	}
-	return &Allocator{inner: inner, cfg: cfg, live: make(map[alloc.Ptr]int)}
+	return &Allocator{inner: inner, cfg: cfg, live: make(map[alloc.Ptr]block)}
 }
 
 // Name implements alloc.Allocator.
@@ -106,15 +113,27 @@ func (a *Allocator) checkCanary(addr uint64, what string, user alloc.Ptr) {
 // Malloc implements alloc.Allocator: the inner block is size + two guard
 // words; the returned pointer points past the front guard.
 func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
+	return a.MallocAligned(t, size, canarySize)
+}
+
+// MallocAligned is Malloc with the returned pointer a multiple of align, a
+// power of two. The inner block, 8-byte aligned on every allocator, is
+// padded by align-8 bytes, and the front guard sits just before the first
+// aligned address past its start.
+func (a *Allocator) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
 	if size < 0 {
 		panic(fmt.Sprintf("debugalloc: Malloc(%d)", size))
 	}
-	raw := a.inner.Malloc(t, size+2*canarySize)
-	user := raw + canarySize
-	a.writeCanary(uint64(raw))
+	if align <= 0 || align&(align-1) != 0 {
+		panic(fmt.Sprintf("debugalloc: MallocAligned align %d not a power of two", align))
+	}
+	align = max(align, canarySize)
+	raw := a.inner.Malloc(t, size+canarySize+align)
+	user := (raw + canarySize + alloc.Ptr(align-1)) &^ alloc.Ptr(align-1)
+	a.writeCanary(uint64(user) - canarySize)
 	a.writeCanary(uint64(user) + uint64(size))
 	a.mu.Lock()
-	a.live[user] = size
+	a.live[user] = block{size: size, pad: int(user - raw)}
 	a.mu.Unlock()
 	a.acct.OnMalloc(size)
 	return user
@@ -126,7 +145,7 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 		return
 	}
 	a.mu.Lock()
-	size, ok := a.live[p]
+	b, ok := a.live[p]
 	if !ok {
 		a.mu.Unlock()
 		panic(fmt.Sprintf("debugalloc: free of unknown or already-freed pointer %#x", uint64(p)))
@@ -134,18 +153,18 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	delete(a.live, p)
 	a.mu.Unlock()
 
-	a.acct.OnFree(size)
+	a.acct.OnFree(b.size)
 
 	a.checkCanary(uint64(p)-canarySize, "front", p)
-	a.checkCanary(uint64(p)+uint64(size), "rear", p)
-	poison(a.inner.Space().Bytes(uint64(p), size))
+	a.checkCanary(uint64(p)+uint64(b.size), "rear", p)
+	poison(a.inner.Space().Bytes(uint64(p), b.size))
 
 	if a.cfg.Quarantine == 0 {
-		a.inner.Free(t, p-canarySize)
+		a.inner.Free(t, p-alloc.Ptr(b.pad))
 		return
 	}
 	a.mu.Lock()
-	a.quarantine = append(a.quarantine, quarItem{user: p, size: size, th: t})
+	a.quarantine = append(a.quarantine, quarItem{user: p, block: b, th: t})
 	var out *quarItem
 	if len(a.quarantine) > a.cfg.Quarantine {
 		item := a.quarantine[0]
@@ -161,7 +180,7 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 // releaseFromQuarantine verifies the poison survived, then really frees.
 func (a *Allocator) releaseFromQuarantine(t *alloc.Thread, it quarItem) {
 	checkPoison(a.inner.Space().Bytes(uint64(it.user), it.size), it.user)
-	a.inner.Free(t, it.user-canarySize)
+	a.inner.Free(t, it.user-alloc.Ptr(it.pad))
 }
 
 // FlushThread implements alloc.ThreadFlusher: the quarantine's delayed
@@ -206,12 +225,12 @@ func checkPoison(b []byte, user alloc.Ptr) {
 // guards make any excess out of bounds.
 func (a *Allocator) UsableSize(p alloc.Ptr) int {
 	a.mu.Lock()
-	size, ok := a.live[p]
+	b, ok := a.live[p]
 	a.mu.Unlock()
 	if !ok {
 		panic(fmt.Sprintf("debugalloc: UsableSize of unknown pointer %#x", uint64(p)))
 	}
-	return size
+	return b.size
 }
 
 // Bytes implements alloc.Allocator, bounded by the requested size.
@@ -256,25 +275,18 @@ func (a *Allocator) LiveBlocks() int {
 // must pass its own check.
 func (a *Allocator) CheckIntegrity() error {
 	a.mu.Lock()
-	type rec struct {
-		p  alloc.Ptr
-		sz int
-	}
-	var blocks []rec
-	for p, sz := range a.live {
-		blocks = append(blocks, rec{p, sz})
-	}
+	live := maps.Clone(a.live)
 	q := append([]quarItem(nil), a.quarantine...)
 	a.mu.Unlock()
 
-	for _, b := range blocks {
-		front := binary.LittleEndian.Uint64(a.inner.Space().Bytes(uint64(b.p)-canarySize, canarySize))
-		if front != canaryAt(uint64(b.p)-canarySize) {
-			return fmt.Errorf("debugalloc: front canary smashed on %#x", uint64(b.p))
+	for p, b := range live {
+		front := binary.LittleEndian.Uint64(a.inner.Space().Bytes(uint64(p)-canarySize, canarySize))
+		if front != canaryAt(uint64(p)-canarySize) {
+			return fmt.Errorf("debugalloc: front canary smashed on %#x", uint64(p))
 		}
-		rear := binary.LittleEndian.Uint64(a.inner.Space().Bytes(uint64(b.p)+uint64(b.sz), canarySize))
-		if rear != canaryAt(uint64(b.p)+uint64(b.sz)) {
-			return fmt.Errorf("debugalloc: rear canary smashed on %#x", uint64(b.p))
+		rear := binary.LittleEndian.Uint64(a.inner.Space().Bytes(uint64(p)+uint64(b.size), canarySize))
+		if rear != canaryAt(uint64(p)+uint64(b.size)) {
+			return fmt.Errorf("debugalloc: rear canary smashed on %#x", uint64(p))
 		}
 	}
 	for _, it := range q {

@@ -178,3 +178,32 @@ func TestMallocZero(t *testing.T) {
 	}
 	a.Free(th, p)
 }
+
+// TestMallocAlignedGuards: an aligned block keeps both guards around its
+// aligned address, an overrun past it is caught, and the free, immediate
+// or out of quarantine, returns the inner block the padding came from.
+func TestMallocAlignedGuards(t *testing.T) {
+	for _, q := range []int{-1, 1} {
+		a := newDebug(q)
+		th := thread(a)
+		for _, align := range []int{8, 16, 64, 4096, 1 << 16} {
+			p := a.MallocAligned(th, 100, align)
+			if uint64(p)%uint64(align) != 0 {
+				t.Fatalf("quarantine %d: MallocAligned(100, %d) = %#x, misaligned", q, align, uint64(p))
+			}
+			clear(a.Bytes(p, 100))
+			if err := a.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+			a.Free(th, p)
+		}
+		a.FlushQuarantine(th)
+		if got := a.Inner().Stats().LiveBytes; got != 0 {
+			t.Fatalf("quarantine %d: inner LiveBytes = %d after freeing every aligned block", q, got)
+		}
+		p := a.MallocAligned(th, 100, 64)
+		a.Inner().Space().Bytes(uint64(p), 101)[100] = 0
+		mustPanic(t, "rear canary smashed", func() { a.Free(th, p) })
+	}
+	mustPanic(t, "not a power of two", func() { newDebug(-1).MallocAligned(nil, 16, 24) })
+}

@@ -190,6 +190,19 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	return alloc.Ptr(c + headerSize)
 }
 
+// MallocAligned is Malloc with the returned pointer a multiple of align, a
+// power of two up to the page size. Chunks are only 8-byte aligned, so a
+// stronger alignment takes the page-aligned large-object path at any size.
+func (a *Allocator) MallocAligned(t *alloc.Thread, size, align int) alloc.Ptr {
+	if align <= 0 || align&(align-1) != 0 || align > vm.PageSize {
+		panic(fmt.Sprintf("dlheap: MallocAligned align %d not a power of two up to the page size", align))
+	}
+	if align <= 8 || size < 0 {
+		return a.Malloc(t, size) // which panics on a negative size
+	}
+	return alloc.MallocLarge(a.space, &a.acct, t.Env, max(size, 1))
+}
+
 // takeChunk finds, splits, and marks a chunk of at least need bytes.
 // Called with the lock held.
 //

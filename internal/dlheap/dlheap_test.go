@@ -2,6 +2,7 @@ package dlheap
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -203,4 +204,31 @@ func BenchmarkMallocFreeSizeMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.Free(tt, a.Malloc(tt, 8+(i*131)%4000))
 	}
+}
+
+// TestMallocAligned: alignments above a chunk's 8 bytes come from the
+// page-aligned large-object path, whatever the size, and free back to it;
+// alignments above the page size panic naming the allocator.
+func TestMallocAligned(t *testing.T) {
+	a := newA()
+	tt := th(a, 0)
+	for _, align := range []int{8, 16, 64, 256, 4096} {
+		p := a.MallocAligned(tt, 100, align)
+		if uint64(p)%uint64(align) != 0 {
+			t.Fatalf("MallocAligned(100, %d) = %#x, misaligned", align, uint64(p))
+		}
+		a.Free(tt, p)
+	}
+	if err := a.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Stats().LiveBytes; got != 0 {
+		t.Fatalf("LiveBytes = %d after freeing every aligned block", got)
+	}
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "dlheap: MallocAligned align 8192") {
+			t.Fatalf("MallocAligned(100, 8192) panicked with %q, want one naming dlheap", r)
+		}
+	}()
+	a.MallocAligned(tt, 100, 8192)
 }

@@ -426,23 +426,6 @@ func (h *Heap) ScavengeEmpties(e env.Env) int64 {
 	return released
 }
 
-// AllFull reports whether every held superblock is completely full — the
-// one state where a violated emptiness invariant has no remedy: size
-// classes whose block size does not divide S waste the tail of each
-// superblock, so a heap of full superblocks can sit below (1-f)*a in byte
-// terms with nothing at all to evict (e.g. two 2960-byte blocks fill only
-// 72% of an 8 KiB superblock).
-func (h *Heap) AllFull() bool {
-	full := true
-	h.forEach(func(sb *superblock.Superblock) error {
-		if !sb.Full() {
-			full = false
-		}
-		return nil
-	})
-	return full
-}
-
 // CapacityWaste is the bytes of held superblocks unusable by construction:
 // the tail of each superblock left over when its class's block size does
 // not divide the superblock size. The caller must hold the heap lock.
@@ -460,14 +443,31 @@ func (h *Heap) CapacityWaste() int64 {
 // actually reclaim. The plain invariant (u, a against S per superblock) can
 // be violated with no evictable superblock: eviction candidacy is a *block*
 // fraction (AtLeastEmpty), so a superblock ≥ (1-f) full by blocks may still
-// sit below (1-f)·S in bytes purely from divisibility waste (AllFull is the
-// extreme point — e.g. two 2960-byte blocks filling 72% of 8 KiB). When
+// sit below (1-f)·S in bytes purely from divisibility waste (at the extreme,
+// a full superblock of two 2960-byte blocks fills 72% of 8 KiB). When
 // this discounted form holds, the byte shortfall is all waste and the state
 // is benign; when it is violated too, a free really did skip an eviction it
 // owed. The caller must hold the heap lock.
 func (h *Heap) InvariantViolatedUsable() bool {
 	a := h.a - h.CapacityWaste()
 	return h.u < a-h.k*int64(h.sbSize) && float64(h.u) < (1-h.fEmpty)*float64(a)
+}
+
+// CheckEmptiness reports a per-processor heap (the global heap is exempt)
+// that violates the emptiness invariant with no superblock to evict. The
+// invariant is enforced at frees; mallocs may leave a heap transiently
+// below it, but whenever it is violated an evictable superblock must exist
+// — unless the byte shortfall is pure capacity waste: eviction candidacy is
+// a block fraction, so superblocks ≥ (1-f) full by blocks can sit below
+// (1-f)*a in bytes when their class's block size does not divide S, and the
+// free path correctly finds no victim there (InvariantViolatedUsable
+// re-checks with the waste discounted). The caller must hold the heap lock.
+func (h *Heap) CheckEmptiness(e env.Env) error {
+	if h.ID == 0 || !h.InvariantViolated() || h.FindEvictable(e) != nil || !h.InvariantViolatedUsable() {
+		return nil
+	}
+	return fmt.Errorf("hoard: heap %d violates emptiness invariant with no evictable superblock (u=%d a=%d)",
+		h.ID, h.u, h.a)
 }
 
 // ClassOccupancy is one size class's occupancy within a heap: superblock
@@ -478,12 +478,8 @@ type ClassOccupancy struct {
 	Class       int
 	BlockSize   int
 	Superblocks int
-	// EmptySuperblocks counts held superblocks with zero blocks in use —
-	// reclaimable backlog rather than fragmented working memory. Samplers
-	// that estimate fragmentation subtract them from the denominator.
-	EmptySuperblocks int
-	InUseBytes       int64
-	Groups           [NumGroups + 1]int
+	InUseBytes  int64
+	Groups      [NumGroups + 1]int
 }
 
 // Occupancy is a heap's occupancy at one instant — the paper's u(i)/a(i)
@@ -526,11 +522,7 @@ func (h *Heap) SampleOccupancy(detail bool) Occupancy {
 				if detail {
 					cls.Groups[g]++
 					cls.Superblocks++
-					inUse := int64(sb.BytesInUse())
-					cls.InUseBytes += inUse
-					if inUse == 0 {
-						cls.EmptySuperblocks++
-					}
+					cls.InUseBytes += int64(sb.BytesInUse())
 					if cls.BlockSize == 0 {
 						cls.Class = c
 						cls.BlockSize = sb.BlockSize()

@@ -3,6 +3,7 @@ package heap
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hoardgo/internal/alloc"
@@ -243,11 +244,11 @@ func TestInvariantViolatedUsableDiscountsWaste(t *testing.T) {
 	if h.FindEvictable(e) != nil {
 		t.Fatal("no superblock should be evictable at 80% block fullness")
 	}
-	if h.AllFull() {
-		t.Fatal("heap is not AllFull")
-	}
 	if h.InvariantViolatedUsable() {
 		t.Fatal("usable-bytes invariant should hold: the shortfall is all waste")
+	}
+	if err := h.CheckEmptiness(e); err != nil {
+		t.Fatalf("CheckEmptiness on a shortfall of pure waste: %v", err)
 	}
 	// One more free crosses the real line: 3/5 blocks = 60% of usable
 	// bytes, below 75% — now both forms are violated and a victim exists.
@@ -729,5 +730,49 @@ func TestFreeBatchPanicKeepsHeapConsistent(t *testing.T) {
 	}
 	if a.Group != emptyGroup {
 		t.Fatalf("emptied superblock in list %d", a.Group)
+	}
+}
+
+// TestCheckEmptiness drives the emptiness check's failure path, which a
+// correct free path never reaches: a heap of full superblocks has nothing
+// to evict, so lowering its u by hand makes it a violation with no victim.
+func TestCheckEmptiness(t *testing.T) {
+	for _, id := range []int{1, 0} {
+		space := vmtest.NewSized(t, testS)
+		h := newHeap(id)
+		for i := 0; i < 2; i++ {
+			sb := newSuper(space, 2)
+			for !sb.Full() {
+				sb.AllocBlock(e)
+			}
+			h.Insert(sb)
+		}
+		if err := h.CheckEmptiness(e); err != nil {
+			t.Fatalf("heap %d, full with its true u: %v", id, err)
+		}
+		trueU := h.u
+		h.u = 0
+		err := h.CheckEmptiness(e)
+		h.u = trueU
+		if id == 0 {
+			if err != nil {
+				t.Fatalf("global heap reported %v; it is exempt", err)
+			}
+			continue
+		}
+		want := fmt.Sprintf("heap %d violates emptiness invariant with no evictable superblock (u=0 a=%d)", id, 2*testS)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("heap %d with u lowered to 0: %v, want %q", id, err, want)
+		}
+		if err := h.CheckEmptiness(e); err != nil {
+			t.Fatalf("heap %d, u restored: %v", id, err)
+		}
+		// A violation with a superblock to evict is the free path's
+		// transient state, not a failure.
+		h.Insert(newSuper(space, 2))
+		h.u = 0
+		if err := h.CheckEmptiness(e); err != nil {
+			t.Fatalf("heap %d with an empty superblock to evict: %v", id, err)
+		}
 	}
 }

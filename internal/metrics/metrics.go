@@ -1,6 +1,5 @@
 // Package metrics is the allocator observability layer: instrumented locks,
-// periodic occupancy snapshots, Prometheus/JSON export, and a continuous
-// invariant auditor.
+// occupancy snapshots, and Prometheus/JSON export with a linter for it.
 //
 // The paper argues Hoard's scalability by reasoning about lock acquisitions
 // and heap occupancy (u/a); this package makes those quantities directly

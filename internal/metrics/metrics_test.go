@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -137,45 +136,5 @@ func TestLintRejectsMalformed(t *testing.T) {
 	good := "# HELP foo Help text.\n# TYPE foo counter\nfoo{l=\"v\"} 1\nfoo{l=\"w\"} 2\n"
 	if err := LintPrometheus(good); err != nil {
 		t.Errorf("lint rejected valid text: %v", err)
-	}
-}
-
-func TestAuditor(t *testing.T) {
-	var fail bool
-	boom := errors.New("boom")
-	a := NewAuditor(func() error {
-		if fail {
-			return boom
-		}
-		return nil
-	})
-	if err := a.RunOnce(); err != nil {
-		t.Fatal(err)
-	}
-	fail = true
-	if err := a.RunOnce(); err != boom {
-		t.Fatalf("err %v, want boom", err)
-	}
-	fail = false
-	if got := a.Passes(); got != 1 {
-		t.Fatalf("passes %d, want 1", got)
-	}
-	if got := a.Failures(); got != 1 {
-		t.Fatalf("failures %d, want 1", got)
-	}
-	if err := a.Stop(); err != boom {
-		t.Fatalf("Stop returned %v, want first error", err)
-	}
-}
-
-func TestAuditorBackground(t *testing.T) {
-	a := NewAuditor(func() error { return nil })
-	a.Start(time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
-	if err := a.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Passes() < 2 {
-		t.Fatalf("background auditor ran %d checks, want >= 2", a.Passes())
 	}
 }

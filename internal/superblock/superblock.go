@@ -218,9 +218,6 @@ func (sb *Superblock) InUse() int { return sb.used }
 // BytesInUse returns the bytes out (blocks in use times block size).
 func (sb *Superblock) BytesInUse() int { return sb.used * sb.blockSize }
 
-// Capacity returns the total usable bytes (nBlocks times block size).
-func (sb *Superblock) Capacity() int { return sb.nBlocks * sb.blockSize }
-
 // Full reports whether every block is out.
 func (sb *Superblock) Full() bool { return sb.used == sb.nBlocks }
 

@@ -6,18 +6,19 @@ import (
 
 	"hoardgo/internal/core"
 	"hoardgo/internal/env"
-	"hoardgo/internal/metrics"
 )
 
-// These tests run the continuous invariant auditor concurrently with real
-// multi-threaded workloads — under -race they are the observability layer's
-// stress regression: the audit takes each heap's lock in turn while workers
+// These tests audit the invariants continuously while real multi-threaded
+// workloads run — under -race they are the observability layer's stress
+// regression: the audit takes each heap's lock in turn while workers
 // allocate, free remotely, and migrate superblocks, and any invariant
 // violation (or data race in the audit path itself) fails the test.
 
-// runAudited runs workload against a real-mode Hoard harness with a
-// background auditor at an aggressive interval, then checks that audits ran,
-// none failed, and the quiescent full integrity check still passes.
+// runAudited runs workload against a real-mode Hoard harness while a
+// goroutine calls the core's Audit from a 500 µs ticker, then audits once
+// more at quiescence, so at least one audit runs however short the
+// workload, and checks that none failed and the quiescent full integrity
+// check still passes.
 func runAudited(t *testing.T, procs int, workload func(h *Harness)) {
 	t.Helper()
 	h := NewReal("hoard", procs)
@@ -25,23 +26,44 @@ func runAudited(t *testing.T, procs int, workload func(h *Harness)) {
 	if !ok {
 		t.Fatalf("real harness built %T, want *core.Hoard", h.Allocator())
 	}
-	auditor := metrics.NewAuditor(func() error {
-		return hoard.Audit(&env.RealEnv{ID: -1})
-	})
-	auditor.Start(500 * time.Microsecond)
-	workload(h)
-	if err := auditor.Stop(); err != nil {
-		t.Fatalf("invariant audit failed under load: %v", err)
+	stop := make(chan struct{})
+	type result struct {
+		audits int
+		err    error
 	}
-	if auditor.Passes() == 0 {
-		t.Fatal("auditor never ran during the workload")
+	done := make(chan result)
+	go func() {
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
+		var r result
+		for r.err == nil {
+			select {
+			case <-stop:
+				done <- r
+				return
+			case <-tick.C:
+				r.err = hoard.Audit(&env.RealEnv{ID: -1})
+				r.audits++
+			}
+		}
+		<-stop
+		done <- r
+	}()
+	workload(h)
+	close(stop)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("invariant audit %d failed under load: %v", r.audits, r.err)
+	}
+	if err := hoard.Audit(&env.RealEnv{ID: -1}); err != nil {
+		t.Fatalf("invariant audit after %d under load failed: %v", r.audits, err)
 	}
 	if err := hoard.CheckIntegrity(); err != nil {
 		t.Fatalf("quiescent integrity after audited run: %v", err)
 	}
 }
 
-func TestAuditorDuringProdCons(t *testing.T) {
+func TestAuditDuringProdCons(t *testing.T) {
 	runAudited(t, 4, func(h *Harness) {
 		cfg := DefaultProdCons(4)
 		cfg.Rounds, cfg.Batch = 25, 400
@@ -49,7 +71,7 @@ func TestAuditorDuringProdCons(t *testing.T) {
 	})
 }
 
-func TestAuditorDuringThreadtest(t *testing.T) {
+func TestAuditDuringThreadtest(t *testing.T) {
 	runAudited(t, 4, func(h *Harness) {
 		cfg := DefaultThreadtest(4)
 		cfg.Objects = 8000

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"hoardgo/internal/core"
 	"hoardgo/internal/debugalloc"
@@ -14,8 +13,7 @@ import (
 
 // This file is the public face of the observability layer (internal/metrics):
 // Prometheus/JSON export of the allocator's counters, per-heap occupancy, and
-// lock contention, plus the on-demand and background invariant audit. See
-// DESIGN.md §9.
+// lock contention, plus the on-demand invariant audit. See DESIGN.md §9.
 
 // unwrap peels the debug layer off the allocator stack and returns the
 // Hoard core, or nil for other policies.
@@ -119,48 +117,14 @@ func (a *Allocator) LockStats() []metrics.LockStats {
 // Audit checks structural integrity and the emptiness invariant while the
 // allocator remains in service, taking each heap's lock briefly in turn. It
 // is the under-load subset of CheckIntegrity (which needs quiescence); for
-// non-Hoard policies, which expose no online check, it reports nil.
+// non-Hoard policies, which expose no online check, it reports nil. A
+// caller that wants a continuous audit calls it from a time.Ticker (see
+// examples/metricsserver).
 func (a *Allocator) Audit() error {
-	h := a.unwrap()
-	if h == nil {
-		return nil
+	if h := a.unwrap(); h != nil {
+		return h.Audit(&env.RealEnv{ID: -1})
 	}
-	return h.Audit(&env.RealEnv{ID: -1})
-}
-
-// StartAuditor runs Audit every interval on a background goroutine until
-// StopAuditor. It errors, starting nothing, if an auditor is already
-// running, the interval is not positive, or the allocator is closed.
-func (a *Allocator) StartAuditor(interval time.Duration) error {
-	if interval <= 0 {
-		return fmt.Errorf("hoard: auditor interval %v", interval)
-	}
-	a.auditorMu.Lock()
-	defer a.auditorMu.Unlock()
-	if a.closed {
-		return fmt.Errorf("hoard: StartAuditor after Close")
-	}
-	if a.auditor != nil {
-		return fmt.Errorf("hoard: auditor already running")
-	}
-	a.auditor = metrics.NewAuditor(a.Audit)
-	a.auditor.Start(interval)
 	return nil
-}
-
-// StopAuditor halts the background auditor, runs one final audit, and
-// reports how many checks passed and failed plus the first violation seen
-// (nil when every check passed). With no auditor running it returns zeros.
-func (a *Allocator) StopAuditor() (passes, failures int64, err error) {
-	a.auditorMu.Lock()
-	aud := a.auditor
-	a.auditor = nil
-	a.auditorMu.Unlock()
-	if aud == nil {
-		return 0, 0, nil
-	}
-	err = aud.Stop()
-	return aud.Passes(), aud.Failures(), err
 }
 
 // LintMetrics validates Prometheus exposition text (as produced by

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestWriteMetricsPrometheus(t *testing.T) {
@@ -367,50 +366,5 @@ func TestHandoffUnderAudit(t *testing.T) {
 				t.Fatal("no free crossed heaps")
 			}
 		})
-	}
-}
-
-func TestBackgroundAuditor(t *testing.T) {
-	a := MustNew(Config{Procs: 2})
-	if err := a.StartAuditor(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.StartAuditor(time.Millisecond); err == nil {
-		t.Fatal("second StartAuditor accepted")
-	}
-	th := a.NewThread()
-	var ps []Ptr
-	for i := 0; i < 2000; i++ {
-		ps = append(ps, th.Malloc(16+i%300))
-		if len(ps) > 100 {
-			for _, p := range ps {
-				th.Free(p)
-			}
-			ps = ps[:0]
-		}
-	}
-	time.Sleep(5 * time.Millisecond)
-	passes, failures, err := a.StopAuditor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 0 {
-		t.Fatalf("%d audit failures", failures)
-	}
-	if passes == 0 {
-		t.Fatal("auditor never ran")
-	}
-	// Stopped auditor: StopAuditor again is a zero no-op, restart works.
-	if p2, f2, err2 := a.StopAuditor(); p2 != 0 || f2 != 0 || err2 != nil {
-		t.Fatalf("second StopAuditor = %d, %d, %v", p2, f2, err2)
-	}
-	if err := a.StartAuditor(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a.StopAuditor(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range ps {
-		th.Free(p)
 	}
 }

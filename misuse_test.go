@@ -274,12 +274,7 @@ func TestMisuseAfterClose(t *testing.T) {
 			func() { th.MallocAligned(64, 8192) }, "MallocAligned after Close")
 		wantPanic(t, "NewThread after Close", func() { a.NewThread() }, "NewThread after Close")
 		wantPanic(t, "ReleaseMemory after Close", func() { a.ReleaseMemory() }, "ReleaseMemory after Close")
-		if err := a.StartAuditor(time.Millisecond); err == nil || !strings.Contains(err.Error(), "StartAuditor after Close") {
-			t.Fatalf("StartAuditor after Close = %v, want an error naming the call", err)
-		}
-		if a.auditor != nil {
-			t.Fatal("StartAuditor after Close started an auditor")
-		}
+		wantPanic(t, "CheckIntegrity after Close", func() { a.CheckIntegrity() }, "CheckIntegrity after Close")
 		if st := a.Stats(); st.Mallocs != 1 {
 			t.Fatalf("Stats after Close: %d mallocs, want 1", st.Mallocs)
 		}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // churn allocates count objects of size bytes and frees them all, pushing
@@ -82,8 +81,9 @@ func TestReleaseMemoryNonHoard(t *testing.T) {
 
 // TestReleaseMemoryUnderProdConsChurn is the race-suite stress test: a
 // producer-consumer churn (the workload that parks the most superblocks on
-// the global heap) runs against a goroutine calling ReleaseMemory in a loop
-// and the invariant auditor at full tilt. Every block is written through
+// the global heap) runs against one goroutine calling ReleaseMemory in a
+// loop and another calling Audit back to back, which stops at the first
+// audit error. Every block is written through
 // after allocation, so a superblock handed out while decommitted would
 // fault the vm guard.
 func TestReleaseMemoryUnderProdConsChurn(t *testing.T) {
@@ -91,11 +91,23 @@ func TestReleaseMemoryUnderProdConsChurn(t *testing.T) {
 	// empty out and move to the global heap each round.
 	const workers, batch = 4, 1000
 	a := MustNew(Config{Procs: workers})
-	if err := a.StartAuditor(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
 	stop := make(chan struct{})
 	released := make(chan int64)
+	audited := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				audited <- nil
+				return
+			default:
+				if err := a.Audit(); err != nil {
+					audited <- err
+					return
+				}
+			}
+		}
+	}()
 	go func() {
 		var total int64
 		for {
@@ -142,14 +154,14 @@ func TestReleaseMemoryUnderProdConsChurn(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	total := <-released
+	if err := <-audited; err != nil {
+		t.Fatalf("audit under release churn: %v", err)
+	}
 	close(ch)
 	for p := range ch {
 		a.NewThread().Free(p)
 	}
 
-	if _, failures, err := a.StopAuditor(); failures != 0 || err != nil {
-		t.Fatalf("%d audit failures under release churn: %v", failures, err)
-	}
 	t.Logf("ReleaseMemory under churn: %d bytes released, %+v", total, a.Stats())
 	if err := a.CheckIntegrity(); err != nil {
 		t.Fatal(err)
