@@ -18,6 +18,7 @@ package hoard_test
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -341,6 +342,44 @@ func BenchmarkProducerConsumerReal(b *testing.B) {
 			close(ch)
 			wg.Wait()
 		})
+	}
+}
+
+// BenchmarkLarsonReal runs Larson (remote-heavy malloc/free, every object
+// written) on P real goroutines over the bare Hoard core, on the simulated
+// space and on the arena, for P = 1..NumCPU, and reports wall-clock ops/ms.
+// The allocator code above the vm layer is the same on both backends, so the
+// gap between them is the cost of real memory. Each iteration is one Larson
+// run on a fresh core, checked with CheckIntegrity afterwards. The arena arms
+// are skipped where the arena is unavailable.
+func BenchmarkLarsonReal(b *testing.B) {
+	for _, backend := range []string{"sim", "arena"} {
+		for procs := 1; procs <= runtime.NumCPU(); procs++ {
+			b.Run(fmt.Sprintf("%s/P=%d", backend, procs), func(b *testing.B) {
+				var ops, ns int64
+				for i := 0; i < b.N; i++ {
+					var hh *core.Hoard
+					h := workload.NewRealMaker("hoard", procs, func(p int, lf env.LockFactory) alloc.Allocator {
+						hh = core.New(core.Config{Heaps: 2 * p, Backend: backend}, lf)
+						return hh
+					})
+					if hh.Backend() != backend {
+						b.Skipf("backend %s unavailable: %s", backend, hh.BackendFallbackReason())
+					}
+					cfg := workload.DefaultLarson(procs)
+					cfg.Rounds, cfg.OpsPerRound, cfg.SlotsPerWindow = 3, 3000, 500
+					res := workload.Larson(h, cfg)
+					err := hh.CheckIntegrity()
+					hh.Space().Close()
+					if err != nil {
+						b.Fatal(err)
+					}
+					ops += res.Ops
+					ns += res.ElapsedNS
+				}
+				b.ReportMetric(float64(ops)/(float64(ns)/1e6), "ops/ms")
+			})
+		}
 	}
 }
 

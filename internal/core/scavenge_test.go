@@ -1,10 +1,13 @@
 package core
 
 import (
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
+	"hoardgo/internal/vm"
 )
 
 var te = &env.RealEnv{}
@@ -141,5 +144,142 @@ func TestScavengeThenEviction(t *testing.T) {
 	st := h.Space().Stats()
 	if st.Reserved < st.Committed {
 		t.Fatalf("reserved %d < committed %d", st.Reserved, st.Committed)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// The RSS churn: each round rssWorkers goroutines each allocate rssBlocks
+// blocks of rssBlockSize bytes, write every byte, and free them all, parking
+// thousands of empty superblocks on the global heap.
+const (
+	rssWorkers   = 4
+	rssBlocks    = 4096
+	rssRounds    = 6
+	rssBlockSize = 1024
+)
+
+// rssArm is one release policy's process-RSS trajectory over the churn.
+type rssArm struct {
+	// peak is the highest RSS growth over the arm's baseline, read with the
+	// working set live and written; final is the growth after the last
+	// round's frees and release.
+	peak, final int64
+	// scavenges and scavenged count the release activity.
+	scavenges, scavenged int64
+}
+
+// churnRSS runs the RSS churn on a fresh arena-backed Hoard, calling
+// ReleaseMemory after every round's frees if release is set. It skips where
+// the arena is unavailable.
+func churnRSS(t *testing.T, release bool) rssArm {
+	// FreeOSMemory, not a bare GC: it returns the Go heap's free pages to
+	// the OS before the baseline read, so the runtime's background
+	// scavenger cannot shrink RSS during the arm and drive the deltas
+	// below zero.
+	debug.FreeOSMemory()
+	baseline, err := vm.ReadRSS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHoard(Config{Heaps: 2 * rssWorkers, Backend: "arena"})
+	if h.Backend() != "arena" {
+		t.Skipf("arena backend unavailable: %s", h.BackendFallbackReason())
+	}
+	defer h.Space().Close()
+
+	ths := make([]*alloc.Thread, rssWorkers)
+	ptrs := make([][]alloc.Ptr, rssWorkers)
+	for w := range ths {
+		ths[w] = thread(h, w)
+		ptrs[w] = make([]alloc.Ptr, rssBlocks)
+	}
+	parallel := func(fn func(th *alloc.Thread, ps []alloc.Ptr)) {
+		var wg sync.WaitGroup
+		for w := range ths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn(ths[w], ptrs[w])
+			}()
+		}
+		wg.Wait()
+	}
+	var arm rssArm
+	for r := 0; r < rssRounds; r++ {
+		parallel(func(th *alloc.Thread, ps []alloc.Ptr) {
+			for i := range ps {
+				ps[i] = h.Malloc(th, rssBlockSize)
+				buf := h.Bytes(ps[i], rssBlockSize)
+				for j := range buf {
+					buf[j] = byte(i)
+				}
+			}
+		})
+		if rss, err := vm.ReadRSS(); err == nil {
+			arm.peak = max(arm.peak, rss-baseline)
+		}
+		parallel(func(th *alloc.Thread, ps []alloc.Ptr) {
+			for _, p := range ps {
+				h.Free(th, p)
+			}
+		})
+		if release {
+			h.ReleaseMemory(te)
+		}
+		rss, err := vm.ReadRSS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		arm.final = rss - baseline
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Stats()
+	arm.scavenges, arm.scavenged = st.ScavengePasses, st.ScavengedBytes
+	return arm
+}
+
+// TestReleaseMemoryReturnsRSS is ReleaseMemory's end-to-end receipt on real
+// memory, the allocator-level companion of vm.TestArenaRSSReturn: the
+// churn's written pages show up in the process RSS (read from
+// /proc/self/statm), retaining everything keeps them, and releasing after
+// every round hands most of them back to the OS.
+func TestReleaseMemoryReturnsRSS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock measurement")
+	}
+	if _, err := vm.ReadRSS(); err != nil {
+		t.Skipf("no RSS source: %v", err)
+	}
+	off, forced := churnRSS(t, false), churnRSS(t, true)
+	t.Logf("off: peak %d B, final %d B; forced: peak %d B, final %d B, %d scavenges, %d B released",
+		off.peak, off.final, forced.peak, forced.final, forced.scavenges, forced.scavenged)
+	if off.scavenges != 0 {
+		t.Fatal("the retain arm scavenged")
+	}
+	if forced.scavenges == 0 || forced.scavenged == 0 {
+		t.Fatal("the release arm never scavenged")
+	}
+	if forced.peak > 0 && forced.final >= forced.peak {
+		t.Fatalf("release did not lower RSS: peak %d B, final %d B", forced.peak, forced.final)
+	}
+	if raceEnabled {
+		// The race detector's shadow memory is part of the process RSS,
+		// and the detector frees it on its own schedule (about 1 GB
+		// once left mid-arm), so the deltas would measure the
+		// detector, not the allocator.
+		t.Skip("RSS deltas include the race detector's shadow memory")
+	}
+	written := int64(rssWorkers * rssBlocks * rssBlockSize)
+	for mode, arm := range map[string]rssArm{"off": off, "forced": forced} {
+		if arm.peak < written {
+			t.Errorf("%s: RSS peak delta %d B, want >= the %d B written", mode, arm.peak, written)
+		}
+	}
+	if float64(forced.final) >= 0.8*float64(forced.peak) {
+		t.Errorf("release ended at %d B over a %d B peak, want < 0.8x", forced.final, forced.peak)
 	}
 }

@@ -1,9 +1,12 @@
 // Package experiments defines and runs every experiment of the paper's
 // evaluation: the seven speedup/throughput figures (F1-F7), the
 // fragmentation, uniprocessor-overhead, and blowup tables (T2-T4), and the
-// ablations (A1-A5) over Hoard's parameters and the simulator's cost model.
-// DESIGN.md carries the experiment index; cmd/hoardbench is the CLI front
-// end; bench_test.go exposes each experiment as a testing.B benchmark.
+// ablations and extensions (A1-A10) over Hoard's parameters and the
+// simulator's cost model. Every experiment runs on the deterministic
+// simulator, so its output is a pure function of its options: TestGolden
+// pins each one byte for byte. DESIGN.md carries the experiment index;
+// cmd/hoardbench is the CLI front end; bench_test.go exposes each experiment
+// as a testing.B benchmark.
 package experiments
 
 import (

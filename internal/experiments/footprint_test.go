@@ -46,21 +46,6 @@ func TestFootprintResults(t *testing.T) {
 	}
 }
 
-func TestFootprintTableShape(t *testing.T) {
-	tbl := Footprint(Defaults(Quick), nil)
-	if tbl.ID != "footprint" {
-		t.Fatalf("table ID %q", tbl.ID)
-	}
-	if len(tbl.Rows) != 2*len(footprintModes()) {
-		t.Fatalf("%d rows", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if len(row) != len(tbl.Header) {
-			t.Fatalf("row %v has %d cells, header has %d", row, len(row), len(tbl.Header))
-		}
-	}
-}
-
 func TestSteadyMean(t *testing.T) {
 	if got := steadyMean([]int64{100, 100, 100, 40}); got != 40 {
 		t.Fatalf("steadyMean tail-of-4 = %d, want 40", got)

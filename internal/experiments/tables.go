@@ -51,6 +51,36 @@ func (t Table) Format(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// TableDef is one table experiment.
+type TableDef struct {
+	// ID is the experiment id used on the command line; the table Run
+	// returns carries the same ID.
+	ID string
+	// Run runs the experiment; the progress callback (optional) is invoked
+	// before each simulation.
+	Run func(opts Options, progress func(what string, procs int)) Table
+}
+
+// Tables lists the table experiments in report order: the paper's tables
+// T2-T4b, then the ablations and extensions.
+func Tables() []TableDef {
+	return []TableDef{
+		{"frag", Fragmentation},
+		{"uniproc", Uniproc},
+		{"blowup", Blowup},
+		{"blowup-shift", BlowupShift},
+		{"footprint", Footprint},
+		{"ablate-f", AblateF},
+		{"ablate-s", AblateS},
+		{"ablate-k", AblateK},
+		{"ablate-heaps", AblateHeaps},
+		{"tcache", AblateTCache},
+		{"coherence", Coherence},
+		{"contention", Contention},
+		{"cost-sensitivity", CostSensitivity},
+	}
+}
+
 // fragProcs is the processor count used for table experiments (the paper's
 // full machine).
 const fragProcs = 14

@@ -11,8 +11,8 @@ import (
 
 // ReadRSS returns the process's resident set size in bytes, read from
 // /proc/self/statm. This is the ground truth the arena's decommit test and
-// the arena experiments compare the allocator's committed accounting
-// against: only pages the OS actually backs count.
+// core's ReleaseMemory RSS test compare the allocator's committed
+// accounting against: only pages the OS actually backs count.
 func ReadRSS() (int64, error) {
 	data, err := os.ReadFile("/proc/self/statm")
 	if err != nil {

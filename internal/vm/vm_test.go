@@ -250,21 +250,6 @@ func TestConcurrentReserveRelease(t *testing.T) {
 	}
 }
 
-func BenchmarkLookup(b *testing.B) {
-	s := New()
-	spans := make([]*Span, 128)
-	for i := range spans {
-		spans[i] = s.Reserve(8192, 8192, nil)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := spans[i&127]
-		if s.Lookup(sp.Base+64) != sp {
-			b.Fatal("bad lookup")
-		}
-	}
-}
-
 func BenchmarkReserveRelease(b *testing.B) {
 	s := New()
 	b.ResetTimer()
