@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt build test race race-arena race-bench vet perfbench-vet bench perfbench-smoke
+.PHONY: check fmt build inline test race race-arena race-bench vet perfbench-vet bench perfbench-smoke
 
 # check is the tier-1 gate: formatting, vet (of the benchmark module too),
-# build, the full suite under the race detector, the allocator protocol
-# suites under it again on the arena backend, and the public-API
-# microbenchmarks under it too.
-check: fmt vet perfbench-vet build race race-arena race-bench
+# build, the hit path's inlining, the full suite under the race detector,
+# the allocator protocol suites under it again on the arena backend, and the
+# public-API microbenchmarks under it too.
+check: fmt vet perfbench-vet build inline race race-arena race-bench
 
 # fmt fails when gofmt would reformat any file, and lists them.
 fmt:
@@ -24,6 +24,22 @@ perfbench-vet:
 
 build:
 	$(GO) build ./...
+
+# inline fails, naming each function, when a step of the allocation hit path
+# no longer compiles inline: the magazine's free-state flips (ClaimCached,
+# MarkCached, and FreeCached, a flush's per-block push), a refill's
+# per-block pop, the index check they share, the size-class lookup and the
+# arena's span lookup. Each is a few loads, compares and stores; a call
+# would cost about as much as the body (DESIGN.md §11).
+INLINE := '(*Superblock).ClaimCached' '(*Superblock).MarkCached' '(*Superblock).FreeCached' \
+	'(*Superblock).pop' '(*Superblock).blockIndex' '(*Table).ClassFor' '(*Slots).Lookup'
+
+inline:
+	@out="$$($(GO) build -gcflags=-m ./internal/superblock ./internal/sizeclass ./internal/vm 2>&1)" || { echo "$$out"; exit 1; }; \
+	fail=0; for f in $(INLINE); do \
+		echo "$$out" | awk -v f="$$f" '$$(NF-2) == "can" && $$NF == f { found = 1 } END { exit !found }' || \
+			{ echo "not inlined: $$f"; fail=1; }; \
+	done; exit $$fail
 
 test:
 	$(GO) test ./...

@@ -293,11 +293,13 @@ func BenchmarkMallocFreeSizeMix(b *testing.B) {
 
 // BenchmarkMallocFreeParallel measures contention with real goroutines
 // (on a multicore host this is where serial collapses; the simulated
-// figures capture the same effect machine-independently).
+// figures capture the same effect machine-independently). Its allocator
+// arms are BenchmarkMallocFree's, with 8 processors.
 func BenchmarkMallocFreeParallel(b *testing.B) {
-	for _, name := range allocators.Names() {
-		b.Run(name, func(b *testing.B) {
-			a := hoard.MustNew(hoard.Config{Policy: hoard.Policy(name), Procs: 8})
+	for _, arm := range singleArms() {
+		arm.cfg.Procs = 8
+		b.Run(arm.name, func(b *testing.B) {
+			a := newArm(b, arm.cfg)
 			b.RunParallel(func(pb *testing.PB) {
 				t := a.NewThread()
 				for pb.Next() {

@@ -259,7 +259,7 @@ func (h *Hoard) Classes() *sizeclass.Table { return h.classes }
 func (h *Hoard) NewThread(e env.Env) *alloc.Thread {
 	id := e.ThreadID()
 	ts := &ThreadState{h: h, e: e, heapIdx: 1 + hashTID(id, h.cfg.HashThreads)%h.cfg.Heaps}
-	if _, real := e.(*env.RealEnv); !real {
+	if env.Simulated(e) {
 		ts.sim = e
 	}
 	if h.caps != nil {

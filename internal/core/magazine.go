@@ -18,10 +18,11 @@ package core
 // free, a pop marks it held, and a free marks it free again, so a double
 // free panics at the call even when the first free went no further than a
 // cache. Only the thread holding a block touches its state, so each flip is
-// a plain load, compare and store; two frees of one block that the program
-// does not order are a data race (DESIGN.md §11). Refills and flushes hand
-// the state over inside the batch calls, and every cached block carries its
-// superblock, so no magazine operation looks a block up.
+// a plain load, compare and store, compiled inline into Malloc and Free
+// (make inline checks that it stays so); two frees of one block that the
+// program does not order are a data race (DESIGN.md §11). Refills and
+// flushes hand the state over inside the batch calls, and every cached
+// block carries its superblock, so no magazine operation looks a block up.
 //
 // A hit touches only the calling thread's own memory and the block's free
 // state, and runs no locked instruction. Each thread counts its hits per

@@ -165,6 +165,15 @@ func (*RealEnv) Touch(uint64, int, bool) {}
 // ThreadID returns the configured thread identifier.
 func (e *RealEnv) ThreadID() int { return e.ID }
 
+// Simulated reports whether e charges costs: false for the real
+// environment, whose Charge and Touch are no-ops. A per-block loop tests it
+// once and makes its Touch calls only when it is true, so on a real env the
+// loop runs without a call per block.
+func Simulated(e Env) bool {
+	_, real := e.(*RealEnv)
+	return !real
+}
+
 // RealLockFactory creates sync.Mutex-backed locks.
 type RealLockFactory struct{}
 

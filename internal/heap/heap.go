@@ -251,10 +251,12 @@ type Freed struct {
 // FreeBatch frees every block of ps whose superblock, sbs[i], this heap
 // owns, and compacts the rest — blocks whose ownership moved — to the front
 // of ps and sbs, returning their count. Each block costs one ownership
-// check and its superblock push; u is updated once, and each superblock the
-// batch touched is regrouped once (marked on first touch, an O(n) pass, not
-// a sort). The blocks come from a thread cache's flush, so they are already
-// marked free (superblock.FreeCached).
+// check and its superblock push, with no call on a real env: FreeCached
+// compiles inline, and the Touch of the push is charged only in a simulated
+// one. u is updated once, and each superblock the batch touched is
+// regrouped once (marked on first touch, an O(n) pass, not a sort). The
+// blocks come from a thread cache's flush, so they are already marked free
+// (superblock.FreeCached).
 //
 // freed receives the tally. When a free panics on a misused pointer, the
 // blocks freed before it stay freed, accounted in u and freed, and
@@ -269,6 +271,7 @@ func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock
 		}
 		h.touched = touched[:0]
 	}()
+	sim := env.Simulated(e)
 	for i, p := range ps {
 		sb := sbs[i]
 		if sb.OwnerID() != h.ID {
@@ -276,7 +279,12 @@ func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock
 			rest++
 			continue
 		}
-		sb.FreeCached(e, p)
+		sb.FreeCached(p)
+		if sim {
+			// The write of the block's link, as superblock.FreeBlock
+			// charges it.
+			e.Touch(uint64(p), 4, true)
+		}
 		freed.Blocks++
 		freed.Bytes += int64(sb.BlockSize())
 		if !sb.Touched {

@@ -243,38 +243,25 @@ func (sb *Superblock) SetOwnerID(id int) { sb.ownerID.Store(int32(id)) }
 func (sb *Superblock) Base() uint64 { return sb.base }
 
 // pop takes a block out of the superblock, preferring recently freed blocks
-// (LIFO) for locality, then carving never-used blocks. ok is false when the
-// superblock is full. The caller holds the owning heap's lock.
-func (sb *Superblock) pop(e env.Env) (idx int, ok bool) {
+// (LIFO) for locality, then carving never-used blocks. listed reports a
+// block taken off the free list, the pop that reads the block's link; the
+// caller charges that read as a Touch of the block in a simulated env. ok
+// is false when the superblock is full. The caller holds the owning heap's
+// lock.
+func (sb *Superblock) pop() (idx int, listed, ok bool) {
 	switch {
 	case sb.head != 0:
 		idx = sb.head - 1
 		sb.head = int(sb.links[idx])
-		// The Touch models reading the block's link — the access where an
-		// allocator picks up a cache line the freeing thread wrote
-		// (passive false sharing's mechanism).
-		e.Touch(sb.addrOf(idx), 4, false)
+		listed = true
 	case sb.carved < sb.nBlocks:
 		idx = sb.carved
 		sb.carved++
 	default:
-		return 0, false
+		return 0, false, false
 	}
 	sb.used++
-	return idx, true
-}
-
-// push returns block idx to the free list, overwriting its free state with
-// its link. The caller holds the owning heap's lock and has checked that the
-// block came back from its holder.
-func (sb *Superblock) push(e env.Env, idx int) {
-	// The Touch models writing the block's link, dirtying the block's
-	// cache line in the freeing thread's cache — the other half of the
-	// false-sharing mechanism.
-	e.Touch(sb.addrOf(idx), 4, true)
-	sb.links[idx] = uint32(sb.head)
-	sb.head = idx + 1
-	sb.used--
+	return idx, listed, true
 }
 
 // AllocBlock allocates a block to the application: a run of one. ok is
@@ -285,16 +272,18 @@ func (sb *Superblock) AllocBlock(e env.Env) (p alloc.Ptr, ok bool) {
 	return one[0], n == 1
 }
 
-// FreeBlock returns an application-held block to the free list. It panics
-// on misaligned pointers, pointers outside the superblock, and double frees
-// (a block already listed, uncarved, or thread-cached). The caller holds the
-// owning heap's lock.
+// FreeBlock returns an application-held block to the free list: a thread
+// cache's take-back (MarkCached) and flush (FreeCached) of the block in one
+// call. It panics on misaligned pointers, pointers outside the superblock,
+// and double frees (a block already listed, uncarved, or thread-cached). The
+// caller holds the owning heap's lock.
 func (sb *Superblock) FreeBlock(e env.Env, p alloc.Ptr) {
-	idx := sb.indexOf(p)
-	if sb.links[idx] != held {
-		panic(fmt.Sprintf("superblock %#x: double free of block %d (%#x)", sb.Base(), idx, uint64(p)))
-	}
-	sb.push(e, idx)
+	sb.MarkCached(p)
+	// The Touch models writing the block's link, dirtying the block's
+	// cache line in the freeing thread's cache — the other half of the
+	// false-sharing mechanism.
+	e.Touch(uint64(p), 4, true)
+	sb.FreeCached(p)
 }
 
 // AllocRun pops up to len(out) blocks into out, in the order single pops
@@ -306,10 +295,17 @@ func (sb *Superblock) FreeBlock(e env.Env, p alloc.Ptr) {
 // a block handed to the application. The caller holds the owning heap's
 // lock.
 func (sb *Superblock) AllocRun(e env.Env, out []alloc.Ptr, cached bool) int {
+	sim := env.Simulated(e)
 	for i := range out {
-		idx, ok := sb.pop(e)
+		idx, listed, ok := sb.pop()
 		if !ok {
 			return i
+		}
+		if listed && sim {
+			// The Touch models reading the block's link — the access
+			// where an allocator picks up a cache line the freeing
+			// thread wrote (passive false sharing's mechanism).
+			e.Touch(sb.addrOf(idx), 4, false)
 		}
 		if sb.links[idx] == held {
 			panic(fmt.Sprintf("superblock %#x: free-list/state mismatch at block %d", sb.Base(), idx))
@@ -324,13 +320,17 @@ func (sb *Superblock) AllocRun(e env.Env, out []alloc.Ptr, cached bool) int {
 
 // FreeCached returns a thread-cached block to the free list. A cached block
 // is free (MarkCached), so a held one means the block left the cache twice.
-// The caller holds the owning heap's lock.
-func (sb *Superblock) FreeCached(e env.Env, p alloc.Ptr) {
-	idx := sb.indexOf(p)
-	if sb.links[idx] == held {
-		panic(fmt.Sprintf("superblock %#x: cached block %d (%#x) is not marked free", sb.Base(), idx, uint64(p)))
+// The caller holds the owning heap's lock and, in a simulated env, charges
+// the write of the block's link after the call, as FreeBlock does. It
+// compiles inline, so a flush makes no call per block.
+func (sb *Superblock) FreeCached(p alloc.Ptr) {
+	idx, ok := sb.blockIndex(p)
+	if !ok || sb.links[idx] == held {
+		panic(misuse{sb, p, opFlush})
 	}
-	sb.push(e, idx)
+	sb.links[idx] = uint32(sb.head)
+	sb.head = idx + 1
+	sb.used--
 }
 
 // MarkCached marks an application-held block free as a thread cache takes
@@ -338,11 +338,12 @@ func (sb *Superblock) FreeCached(e env.Env, p alloc.Ptr) {
 // It panics on a bad pointer and on a double free — a block already listed,
 // uncarved, or in a cache — so a double free fails at the call even when the
 // first free went no further than a cache. Two frees of one block that are
-// not ordered by happens-before are a data race, as in any allocator.
+// not ordered by happens-before are a data race, as in any allocator. It
+// compiles inline into the magazine's free.
 func (sb *Superblock) MarkCached(p alloc.Ptr) {
-	idx := sb.indexOf(p)
-	if sb.links[idx] != held {
-		panic(misuse{"superblock %#x: double free of block %d (%#x)", sb.base, idx, p})
+	idx, ok := sb.blockIndex(p)
+	if !ok || sb.links[idx] != held {
+		panic(misuse{sb, p, opFree})
 	}
 	sb.links[idx] = 0
 }
@@ -350,11 +351,12 @@ func (sb *Superblock) MarkCached(p alloc.Ptr) {
 // ClaimCached marks a thread-cached block held as the cache hands it to the
 // application, with a plain load and store and without the owning heap's
 // lock. A held block is already in the application's hands, and it panics
-// rather than hand the block out twice.
+// rather than hand the block out twice. It compiles inline into the
+// magazine's malloc.
 func (sb *Superblock) ClaimCached(p alloc.Ptr) {
-	idx := sb.indexOf(p)
-	if sb.links[idx] == held {
-		panic(misuse{"superblock %#x: cached block %d (%#x) handed out twice", sb.base, idx, p})
+	idx, ok := sb.blockIndex(p)
+	if !ok || sb.links[idx] == held {
+		panic(misuse{sb, p, opClaim})
 	}
 	sb.links[idx] = held
 }
@@ -387,47 +389,63 @@ func (sb *Superblock) addrOf(idx int) uint64 {
 	return sb.base + uint64(idx*sb.blockSize)
 }
 
-// indexOf returns p's block index, panicking unless p is a block boundary
-// inside sb. It runs on every magazine operation.
-func (sb *Superblock) indexOf(p alloc.Ptr) int {
-	idx, ok := sb.blockIndex(p)
-	if !ok {
-		panic(misuse{"superblock %#x: bad block pointer %#[3]x", sb.base, idx, p})
-	}
-	return idx
+// op names the flip a misuse panicked in, which picks its message.
+type op uint8
+
+const (
+	opFree  op = iota // MarkCached (and FreeBlock): the block must be held
+	opClaim           // ClaimCached: the block must be free
+	opFlush           // FreeCached: the block must be free
+)
+
+// wrongState is the message of each op's misuse of a block in the wrong
+// state, from the superblock's base, the block index and the pointer.
+var wrongState = [...]string{
+	opFree:  "superblock %#x: double free of block %d (%#x)",
+	opClaim: "superblock %#x: cached block %d (%#x) handed out twice",
+	opFlush: "superblock %#x: cached block %d (%#x) is not marked free",
 }
 
-// misuse is the panic value of a misused block pointer. It formats its
-// message, from the superblock's base, the block index and the pointer,
-// only when the panic is printed, which leaves indexOf cheap enough to
-// inline into the magazine paths.
+// misuse is the panic value of a misused block pointer: p, passed to op on
+// sb. Building it costs two words and a byte, which leaves the flips cheap
+// enough to inline into the magazine paths. Error works out which misuse it
+// was, from sb as it is formatted then: a bad block pointer, or a block in
+// the wrong state for op.
 type misuse struct {
-	format string
-	base   uint64
-	idx    int
-	p      alloc.Ptr
+	sb *Superblock
+	p  alloc.Ptr
+	op op
 }
 
-func (m misuse) Error() string { return fmt.Sprintf(m.format, m.base, m.idx, uint64(m.p)) }
+func (m misuse) Error() string {
+	idx, ok := m.sb.blockIndex(m.p)
+	if !ok {
+		return fmt.Sprintf("superblock %#x: bad block pointer %#x", m.sb.base, uint64(m.p))
+	}
+	return fmt.Sprintf(wrongState[m.op], m.sb.base, idx, uint64(m.p))
+}
 
 // blockIndex returns p's block index, and whether p is a block boundary
-// inside sb. It divides without a divide instruction: for off < 2^32 (S is
-// far below 4 GiB), the high word of recip*off is exactly off/blockSize
-// (Lemire, Kaser & Kurz, "Faster remainder by direct computation", 2019).
-// The multiply-back is the boundary check.
+// inside sb; the index means nothing when it is not. It is the one index
+// check of every flip and free, and divides without a divide instruction
+// (Lemire, Kaser & Kurz, "Faster remainder by direct computation", 2019):
+// with recip = ceil(2^64/blockSize), for an off below 2^32 (S is far below
+// 4 GiB) the high word of recip*off is off/blockSize, and the low word is
+// below recip exactly when blockSize divides off. The high word is never
+// below off/blockSize, so an index below len(links) puts off below S, where
+// both hold, also for an off that wrapped below the base.
 func (sb *Superblock) blockIndex(p alloc.Ptr) (int, bool) {
-	off := uint64(p) - sb.base // wraps past size when p < base
-	if off >= uint64(sb.size) {
-		return 0, false
-	}
-	idx, _ := bits.Mul64(sb.recip, off)
-	return int(idx), idx*uint64(sb.blockSize) == off && idx < uint64(sb.nBlocks)
+	idx, rem := bits.Mul64(sb.recip, uint64(p)-sb.base)
+	return int(idx), rem < sb.recip && idx < uint64(len(sb.links))
 }
 
-// IsFreeBlock reports whether p is free: listed, uncarved, or thread-cached.
-// p must be a block of sb, and the caller must be ordered after p's last
+// IsFreeBlock reports whether p is a block of sb that is free: listed,
+// uncarved, or thread-cached. The caller must be ordered after p's last
 // holder (a quiescent check).
-func (sb *Superblock) IsFreeBlock(p alloc.Ptr) bool { return sb.links[sb.indexOf(p)] != held }
+func (sb *Superblock) IsFreeBlock(p alloc.Ptr) bool {
+	idx, ok := sb.blockIndex(p)
+	return ok && sb.links[idx] != held
+}
 
 // CheckIntegrity validates the free list, free states, and counters of a
 // superblock none of whose blocks is thread-cached. The superblock must be

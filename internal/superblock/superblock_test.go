@@ -1,6 +1,7 @@
 package superblock
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -273,7 +274,7 @@ func TestPropertyCachedHandover(t *testing.T) {
 				}
 			case 5:
 				if len(cache) > 0 {
-					sb.FreeCached(e, take(&cache))
+					sb.FreeCached(take(&cache))
 				}
 			}
 			if sb.InUse() != len(app)+len(cache) {
@@ -288,31 +289,35 @@ func TestPropertyCachedHandover(t *testing.T) {
 }
 
 // TestCachedMisusePanics: with the bit state handed over, a free of a block
-// already in a cache is a double free, and a cache cannot hand out a block
-// the application holds.
+// already in a cache is a double free, a cache cannot hand out a block the
+// application holds, and no flip takes a pointer that is not a block. Each
+// misuse panics with its own message.
 func TestCachedMisusePanics(t *testing.T) {
 	_, sb := newSB(t, 64)
 	var run [1]alloc.Ptr
 	sb.AllocRun(e, run[:], true)
 	cached := run[0]
 	held, _ := sb.AllocBlock(e)
+	base := sb.Base()
 	for _, c := range []struct {
 		name string
 		fn   func()
+		want string
 	}{
-		{"free of a cached block", func() { sb.FreeBlock(e, cached) }},
-		{"cache free of a cached block", func() { sb.MarkCached(cached) }},
-		{"cache pop of a held block", func() { sb.ClaimCached(held) }},
-		{"flush of a held block", func() { sb.FreeCached(e, held) }},
+		{"free of a cached block", func() { sb.FreeBlock(e, cached) },
+			fmt.Sprintf("superblock %#x: double free of block 0 (%#x)", base, base)},
+		{"cache free of a cached block", func() { sb.MarkCached(cached) },
+			fmt.Sprintf("superblock %#x: double free of block 0 (%#x)", base, base)},
+		{"cache pop of a held block", func() { sb.ClaimCached(held) },
+			fmt.Sprintf("superblock %#x: cached block 1 (%#x) handed out twice", base, base+64)},
+		{"flush of a held block", func() { sb.FreeCached(held) },
+			fmt.Sprintf("superblock %#x: cached block 1 (%#x) is not marked free", base, base+64)},
+		{"cache free of an interior pointer", func() { sb.MarkCached(held + 8) },
+			fmt.Sprintf("superblock %#x: bad block pointer %#x", base, base+72)},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", c.name)
-				}
-			}()
-			c.fn()
-		}()
+		if got := fmt.Sprint(recovered(c.fn)); got != c.want {
+			t.Errorf("%s: panic %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 
@@ -377,44 +382,100 @@ func BenchmarkClaimMark(b *testing.B) {
 // TestBlockIndexMatchesDivision checks blockIndex's reciprocal division
 // against integer division exhaustively: every class of the size-class table,
 // at the default S and at a larger one, every offset below S — same index,
-// same boundary verdict. Misaligned, interior and out-of-range pointers must
-// still panic in indexOf.
+// same boundary verdict. Then it runs the three flips, which share that
+// check, over the same offsets and a few pointers outside the span. Each
+// flip accepts exactly the block boundaries blockIndex accepts, in the state
+// it expects, and panics on every other pointer with the misuse that names
+// the flip and the pointer. Its message is checked at every block, and for
+// the pointers that are not blocks at those outside the span and at the
+// tail past the last whole block of a class whose size does not divide S
+// (2960 B at S = 8 KiB); at the others Error's verdict is blockIndex's,
+// checked above.
 func TestBlockIndexMatchesDivision(t *testing.T) {
+	flips := []struct {
+		op op
+		fn func(*Superblock, alloc.Ptr)
+	}{{opFree, (*Superblock).MarkCached}, {opClaim, (*Superblock).ClaimCached}, {opFlush, (*Superblock).FreeCached}}
 	for _, size := range []int{DefaultSize, 64 << 10} {
 		space := vmtest.NewSized(t, size)
 		classes := sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, size/2)
+		tails := 0
 		for class, blockSize := range classes.Sizes() {
 			sb := New(space, size, class, blockSize)
 			base := sb.Base()
-			for off := 0; off < size; off++ {
-				idx, ok := sb.blockIndex(alloc.Ptr(base + uint64(off)))
-				wantOK := off%blockSize == 0 && off/blockSize < sb.NBlocks()
-				if ok != wantOK || ok && idx != off/blockSize {
-					t.Fatalf("S=%d block %d offset %d: blockIndex = %d, %v; want %d, %v",
-						size, blockSize, off, idx, ok, off/blockSize, wantOK)
+			// misused checks that flips[i] panics on p with its misuse,
+			// and with the message format gives, unless format is "".
+			misused := func(i int, p alloc.Ptr, format string, idx int) {
+				f := flips[i]
+				r := recovered(func() { f.fn(sb, p) })
+				if r != (misuse{sb, p, f.op}) {
+					t.Fatalf("S=%d block %d: flip %d of %#x panicked %v (base %#x)", size, blockSize, i, uint64(p), r, base)
+				}
+				if format == "" {
+					return
+				}
+				if got, want := r.(error).Error(), fmt.Sprintf(format, base, idx, uint64(p)); got != want {
+					t.Fatalf("S=%d block %d: flip %d panicked %q, want %q", size, blockSize, i, got, want)
 				}
 			}
-			bad := []uint64{
-				base + 1,                              // misaligned
-				base + uint64(sb.NBlocks()*blockSize), // past the last block
-				base + uint64(size),                   // past the span
-				base - 8,                              // below the span
-				base + uint64(sb.NBlocks()-1)*uint64(blockSize) + 4, // misaligned, last block
+			// Every block starts cached: out of the superblock, marked free.
+			sb.AllocRun(e, make([]alloc.Ptr, sb.NBlocks()), true)
+			outside := []uint64{base - 8, base - uint64(blockSize), base + uint64(size), base + uint64(size+blockSize)}
+			for _, u := range outside {
+				for i := range flips {
+					misused(i, alloc.Ptr(u), "superblock %#x: bad block pointer %#[3]x", 0)
+				}
 			}
-			if blockSize > 8 {
-				bad = append(bad, base+uint64(blockSize)+8) // interior, 8-aligned
+			for off := 0; off < size; off++ {
+				p := alloc.Ptr(base + uint64(off))
+				block := off%blockSize == 0 && off/blockSize < sb.NBlocks()
+				idx, ok := sb.blockIndex(p)
+				if ok != block || ok && idx != off/blockSize {
+					t.Fatalf("S=%d block %d offset %d: blockIndex = %d, %v; want %d, %v",
+						size, blockSize, off, idx, ok, off/blockSize, block)
+				}
+				if !block {
+					format := ""
+					if off/blockSize >= sb.NBlocks() {
+						format = "superblock %#x: bad block pointer %#[3]x"
+						tails++
+					}
+					for i := range flips {
+						misused(i, p, format, 0)
+					}
+					continue
+				}
+				// Cached: a mark is a double free; a claim hands it out.
+				misused(0, p, "superblock %#x: double free of block %d (%#x)", idx)
+				sb.ClaimCached(p)
+				// Held: a claim or a flush is a misuse; a mark takes it back.
+				misused(1, p, "superblock %#x: cached block %d (%#x) handed out twice", idx)
+				misused(2, p, "superblock %#x: cached block %d (%#x) is not marked free", idx)
+				sb.MarkCached(p)
+				// Cached again: a flush lists it, and a refill takes it back.
+				sb.FreeCached(p)
+				var one [1]alloc.Ptr
+				if sb.AllocRun(e, one[:], true) != 1 || one[0] != p {
+					t.Fatalf("S=%d block %d: refill after flushing %#x took %#x", size, blockSize, uint64(p), uint64(one[0]))
+				}
 			}
-			for _, p := range bad {
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Fatalf("S=%d block %d: indexOf(%#x) did not panic (base %#x)", size, blockSize, p, base)
-						}
-					}()
-					sb.indexOf(alloc.Ptr(p))
-				}()
+			if err := sb.CheckIntegrityCached(sb.NBlocks()); err != nil {
+				t.Fatalf("S=%d block %d: %v", size, blockSize, err)
+			}
+			for i := 0; i < sb.NBlocks(); i++ {
+				sb.FreeCached(alloc.Ptr(base + uint64(i*blockSize)))
 			}
 			sb.Release(space)
 		}
+		if tails == 0 {
+			t.Fatalf("S=%d: no class leaves a tail past its last whole block", size)
+		}
 	}
+}
+
+// recovered calls fn and returns what it panicked with, or nil.
+func recovered(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
 }
