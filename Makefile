@@ -53,7 +53,7 @@ race:
 # arena the allocators fall back to sim and the suites still run), then the
 # audited workload stress tests, which drive the bare core on that backend.
 race-arena:
-	HOARDGO_BACKEND=arena $(GO) test -race . ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/ ./internal/tcache/ ./internal/lockedheap/
+	HOARDGO_BACKEND=arena $(GO) test -race . ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/ ./internal/lockedheap/
 	HOARDGO_BACKEND=arena $(GO) test -race -run 'Audit' ./internal/workload/
 
 # race-bench runs the malloc/free microbenchmarks and the two lock-counting

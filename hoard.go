@@ -99,8 +99,9 @@ type Config struct {
 	// HOARDGO_BACKEND environment variable, then defaults to sim. When the
 	// arena cannot be created the allocator degrades to sim instead of
 	// failing; Stats.BackendFallbacks and Allocator.BackendFallbackReason
-	// record that. Shorthand for Hoard.Backend; ignored by other policies,
-	// which always use the simulated space.
+	// record that. It is the only backend setting: New rejects a nonempty
+	// Hoard.Backend. Ignored by other policies, which always use the
+	// simulated space.
 	Backend string
 
 	// Debug wraps the allocator with memory-debugging machinery: guard
@@ -191,15 +192,16 @@ func New(cfg Config) (*Allocator, error) {
 		if hc.Magazines != 0 {
 			return nil, fmt.Errorf("hoard: Hoard.Magazines must be zero; the magazine capacity is ThreadCacheCapacity")
 		}
+		if hc.Backend != "" {
+			return nil, fmt.Errorf("hoard: Hoard.Backend must be empty; the backend is Backend")
+		}
+		hc.Backend = cfg.Backend
 		hc.Magazines = cfg.ThreadCacheCapacity
 		if hc.Magazines == 0 {
 			hc.Magazines = core.DefaultCapacity
 		}
 		if hc.Heaps == 0 {
 			hc.Heaps = 2 * procs
-		}
-		if hc.Backend == "" {
-			hc.Backend = cfg.Backend
 		}
 		if err := hc.Validate(); err != nil {
 			return nil, err

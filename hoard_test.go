@@ -169,6 +169,7 @@ func TestBadConfig(t *testing.T) {
 		{"thread cache of one", Config{ThreadCacheCapacity: 1}, "ThreadCacheCapacity"},
 		{"thread cache on a baseline", Config{Policy: PolicySerial, ThreadCacheCapacity: 16}, "ThreadCacheCapacity"},
 		{"negative thread cache", Config{ThreadCacheCapacity: -3}, "ThreadCacheCapacity"},
+		{"backend in the Hoard tuning", Config{Backend: "arena", Hoard: core.Config{Backend: "sim"}}, "Hoard.Backend"},
 	} {
 		var err error
 		if r := panicIn(func() { _, err = New(tc.cfg) }); r != nil {
@@ -255,6 +256,25 @@ func TestDescribePublic(t *testing.T) {
 			t.Fatalf("%s: magazines line present %v, want %v:\n%s", pol, got, want, sb.String())
 		}
 		th.Free(p)
+	}
+}
+
+// TestDescribeCachedIsExact: the magazines line prints the exact bytes the
+// magazines hold, CachedBytes, not the sampler's gauge, which is published
+// only at transfers. One 64 B malloc refills half the class's cap of 64
+// and hands out one block: 31 blocks, 1984 B, stay cached.
+func TestDescribeCachedIsExact(t *testing.T) {
+	a := MustNew(Config{})
+	th := a.NewThread()
+	th.Malloc(64)
+	var sb strings.Builder
+	a.Describe(&sb)
+	want := fmt.Sprintf("; cached %d B\n", a.CachedBytes())
+	if !strings.HasSuffix(sb.String(), want) {
+		t.Fatalf("Describe does not end with %q:\n%s", want, sb.String())
+	}
+	if got := a.CachedBytes(); got != 31*64 {
+		t.Fatalf("CachedBytes = %d, want %d", got, 31*64)
 	}
 }
 

@@ -67,9 +67,9 @@ const sizeclassQuantumAlign = 8
 // last line on the magazines when they are on — in the spirit of
 // malloc_stats(3). The application's books (operations, live
 // and peak bytes) belong to the layer that serves the application, which
-// prints them. Describe takes every heap lock briefly and may run
-// concurrently with allocation (numbers are per-heap consistent, not
-// globally atomic).
+// prints them. Describe has Stats' contract: it is exact once every
+// counted operation happens-before the call, and a data race when called
+// concurrently with allocation. Under load, use SampleStats.
 func (h *Hoard) Describe(w io.Writer, e env.Env) {
 	st := h.heldStats()
 	fmt.Fprintf(w, "hoard: S=%d f=%v K=%d heaps=%d classes=%d\n",

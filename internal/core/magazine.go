@@ -418,7 +418,7 @@ func (h *Hoard) ThreadBound() int64 {
 }
 
 // describeMagazines writes one line on the magazines: the class caps below
-// the capacity, the per-thread bound, and the current MagazineBytes.
+// the capacity, the per-thread bound, and the exact CachedBytes.
 func (h *Hoard) describeMagazines(w io.Writer) {
 	fmt.Fprintf(w, "magazines: %d blocks per class", h.cfg.Magazines)
 	sep := "; byte-capped"
@@ -428,7 +428,7 @@ func (h *Hoard) describeMagazines(w io.Writer) {
 			sep = ","
 		}
 	}
-	fmt.Fprintf(w, "; per-thread bound %d B; cached %d B\n", h.ThreadBound(), h.MagazineBytes())
+	fmt.Fprintf(w, "; per-thread bound %d B; cached %d B\n", h.ThreadBound(), h.CachedBytes())
 }
 
 // CachedBytes reports the bytes currently sitting in magazines and remote

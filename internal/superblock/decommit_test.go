@@ -13,7 +13,6 @@ import (
 // restored them).
 func TestDecommitRecommitWriteEveryBlock(t *testing.T) {
 	space, sb := newSB(t, 64)
-	space.SetPoison(true)
 
 	// First life: allocate everything, scribble, free everything.
 	ptrs := make([]alloc.Ptr, 0, sb.NBlocks())

@@ -70,9 +70,6 @@ type Superblock struct {
 
 	ownerID atomic.Int32
 
-	// decommitted is true while the span's pages are dropped (scavenged).
-	decommitted bool
-
 	// Next and Prev link the superblock into its heap's fullness-group
 	// list for its size class. Group is the list it is currently on, and
 	// Touched marks it during a batch free so it is regrouped once. All
@@ -103,7 +100,7 @@ func New(space vm.Backend, size, class, blockSize int) *Superblock {
 // format initializes block bookkeeping for a (possibly recycled) superblock
 // with no blocks out.
 func (sb *Superblock) format(class, blockSize int) {
-	if sb.decommitted {
+	if sb.span.Decommitted() {
 		panic(fmt.Sprintf("superblock %#x: format while decommitted (missing Recommit)", sb.base))
 	}
 	sb.class = class
@@ -143,7 +140,6 @@ func (sb *Superblock) Release(space vm.Backend) {
 	space.Release(sb.span)
 	sb.span = nil
 	sb.head, sb.carved = 0, 0
-	sb.decommitted = false
 }
 
 // Unseal is a no-op. The allocator has one protocol, under the owning
@@ -162,29 +158,27 @@ func (sb *Superblock) Decommit(e env.Env) {
 	if sb.used != 0 {
 		panic(fmt.Sprintf("superblock %#x: Decommit with %d blocks in use", sb.Base(), sb.used))
 	}
-	if sb.decommitted {
+	if sb.span.Decommitted() {
 		panic(fmt.Sprintf("superblock %#x: double Decommit", sb.Base()))
 	}
 	sb.head, sb.carved = 0, 0
-	sb.decommitted = true
 	e.Charge(env.OpOSAlloc, 1)
-	sb.span.Decommit(0, sb.size)
+	sb.span.Decommit()
 }
 
 // Recommit restores the superblock's backing pages after a Decommit so its
 // blocks can be handed out again; a no-op if the superblock is committed.
 // The caller holds the owning heap's lock.
 func (sb *Superblock) Recommit(e env.Env) {
-	if !sb.decommitted {
+	if !sb.span.Decommitted() {
 		return
 	}
 	e.Charge(env.OpOSAlloc, 1)
-	sb.span.Recommit(0, sb.size)
-	sb.decommitted = false
+	sb.span.Recommit()
 }
 
 // Decommitted reports whether the superblock's pages are currently dropped.
-func (sb *Superblock) Decommitted() bool { return sb.decommitted }
+func (sb *Superblock) Decommitted() bool { return sb.span.Decommitted() }
 
 // FromPtr resolves a block pointer to its superblock via the address space's
 // page map, the moral equivalent of the paper's per-block header. ok is
@@ -475,20 +469,14 @@ func (sb *Superblock) checkIntegrity(cached int, online bool) error {
 		return fmt.Errorf("superblock: released but still reachable")
 	}
 	head, used := sb.head, sb.used
-	if sb.decommitted {
+	if sb.span.Decommitted() {
 		// A decommitted superblock's only consistent shape is the pristine
 		// empty one.
 		if used != 0 || head != 0 || sb.carved != 0 {
 			return fmt.Errorf("superblock %#x: decommitted but used %d head %d carved %d",
 				sb.Base(), used, head, sb.carved)
 		}
-		if got := sb.span.DecommittedBytes(); got != int64(sb.size) {
-			return fmt.Errorf("superblock %#x: decommitted flag set but span has %d/%d bytes dropped", sb.Base(), got, sb.size)
-		}
 		return nil
-	}
-	if got := sb.span.DecommittedBytes(); got != 0 {
-		return fmt.Errorf("superblock %#x: committed flag but span has %d bytes dropped", sb.Base(), got)
 	}
 	if used < 0 || used > sb.nBlocks {
 		return fmt.Errorf("superblock %#x: used %d out of range", sb.Base(), used)

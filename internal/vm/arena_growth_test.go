@@ -86,16 +86,23 @@ func TestArenaLargeRegionGrows(t *testing.T) {
 		}
 	}
 
-	// Decommit/recommit inside an extension region: the physical-page hooks
-	// must resolve the extension mapping, and the OS zero-fills on return.
-	ext := spans[len(spans)-1]
-	ext.Decommit(0, PageSize)
-	ext.Recommit(0, PageSize)
+	// Decommit/recommit inside an extension region: the physical-page hook
+	// must resolve the extension mapping, the OS zero-fills on return, and
+	// the neighbouring span keeps its contents.
+	prev, ext := spans[len(spans)-2], spans[len(spans)-1]
+	if prev.End() != ext.Base {
+		t.Fatalf("extension spans not adjacent: %#x then %#x", prev.Base, ext.Base)
+	}
+	ext.Decommit()
+	ext.Recommit()
 	if got := ext.Bytes(0, 1)[0]; got != 0 {
 		t.Fatalf("recommitted extension byte = %#x, want 0", got)
 	}
-	if got := ext.Bytes(PageSize, 1)[0]; got != byte(len(spans)-1) {
-		t.Fatal("untouched extension page lost its contents")
+	if got := ext.Bytes(ext.Len-1, 1)[0]; got != 0 {
+		t.Fatalf("recommitted extension last byte = %#x, want 0", got)
+	}
+	if got := prev.Bytes(prev.Len-1, 1)[0]; got != byte(len(spans)-2) {
+		t.Fatal("neighbouring extension span lost its contents")
 	}
 
 	// An over-sized request gets an extension grown to fit it.

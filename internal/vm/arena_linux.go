@@ -153,11 +153,6 @@ func NewArena(opts ArenaOptions) (Backend, error) {
 // Name identifies the arena backend.
 func (a *Arena) Name() string { return "arena" }
 
-// SetPoison is a no-op on the arena: the OS guarantees decommitted pages
-// read back as zeros, which is the property the simulated backend's poison
-// patterns exist to emulate.
-func (a *Arena) SetPoison(on bool) {}
-
 // Reserve returns a committed span of size bytes aligned to align.
 // Reservations of exactly the arena's span size land in the slot region and
 // resolve by pure arithmetic; everything else goes to the large region.
@@ -459,8 +454,4 @@ func (a *Arena) Close() error {
 func (a *Arena) spanMu() *sync.Mutex { return &a.mu }
 func (a *Arena) counts() *counters   { return &a.counters }
 
-func (a *Arena) dropPages(sp *Span, off, n int) {
-	a.madvise(sp.Base+uint64(off), n)
-}
-
-func (a *Arena) backPages(sp *Span, off, n int) {}
+func (a *Arena) dropPages(sp *Span) { a.madvise(sp.Base, sp.Len) }

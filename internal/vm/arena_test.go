@@ -23,31 +23,39 @@ func testArena(t *testing.T, opts ArenaOptions) Backend {
 	return a
 }
 
-// TestArenaZeroFillAfterRecommit replaces the simulated backend's
-// PoisonRecommitted (0xDC) assumption: on real memory the OS guarantees a
-// decommitted-then-recommitted page reads back as zeros, even though
-// Recommit itself writes nothing. SetPoison must not change that — the
-// arena ignores it.
+// TestArenaZeroFillAfterRecommit: on real memory the OS guarantees that a
+// decommitted-then-recommitted span reads back as zeros, even though
+// Recommit itself writes nothing. The madvise covers exactly the span: the
+// neighbouring spans on either side keep their contents.
 func TestArenaZeroFillAfterRecommit(t *testing.T) {
-	a := testArena(t, ArenaOptions{})
-	a.SetPoison(true) // must be a no-op on the arena
+	const slot = 8192
+	a := testArena(t, ArenaOptions{SpanSize: slot})
 
-	sp := a.Reserve(4*PageSize, 0, "zf")
-	data := sp.Data()
-	for i := range data {
-		data[i] = 0xAB
+	var spans [3]*Span // consecutive slots: before, decommitted, after
+	for i := range spans {
+		spans[i] = a.Reserve(slot, slot, i)
+		data := spans[i].Data()
+		for j := range data {
+			data[j] = 0xAB
+		}
 	}
-	sp.Decommit(0, 2*PageSize)
-	sp.Recommit(0, 2*PageSize)
+	before, sp, after := spans[0], spans[1], spans[2]
+	if before.End() != sp.Base || sp.End() != after.Base {
+		t.Fatalf("slot spans not adjacent: %#x %#x %#x", before.Base, sp.Base, after.Base)
+	}
+	sp.Decommit()
+	sp.Recommit()
 
-	for _, off := range []int{0, 1, PageSize - 1, PageSize, 2*PageSize - 1} {
+	for _, off := range []int{0, 1, PageSize - 1, PageSize, sp.Len - 1} {
 		if got := sp.Bytes(off, 1)[0]; got != 0 {
 			t.Fatalf("recommitted byte %d = %#x, want 0 (OS zero-fill)", off, got)
 		}
 	}
-	// The untouched half keeps its contents.
-	if got := sp.Bytes(3*PageSize, 1)[0]; got != 0xAB {
-		t.Fatalf("never-decommitted byte = %#x, want 0xAB", got)
+	if got := before.Bytes(before.Len-1, 1)[0]; got != 0xAB {
+		t.Fatalf("last byte of the span before = %#x, want 0xAB", got)
+	}
+	if got := after.Bytes(0, 1)[0]; got != 0xAB {
+		t.Fatalf("first byte of the span after = %#x, want 0xAB", got)
 	}
 }
 
@@ -147,7 +155,7 @@ func TestArenaRSSReturn(t *testing.T) {
 	if grew := touched - before; grew < size/2 {
 		t.Fatalf("RSS grew only %d bytes after touching %d", grew, size)
 	}
-	sp.Decommit(0, size)
+	sp.Decommit()
 	after, err := ReadRSS()
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +163,7 @@ func TestArenaRSSReturn(t *testing.T) {
 	if dropped := touched - after; dropped < size/2 {
 		t.Fatalf("RSS dropped only %d bytes after decommitting %d", dropped, size)
 	}
-	sp.Recommit(0, size)
+	sp.Recommit()
 	if got := sp.Bytes(0, 8); got[0] != 0 {
 		t.Fatalf("page content survived decommit: %#x", got[0])
 	}

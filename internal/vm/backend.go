@@ -10,7 +10,7 @@ import (
 // exist:
 //
 //   - *Space, the deterministic simulated address space (New). Spans are
-//     Go-managed byte slices, decommit is accounting plus zero/poison fill,
+//     Go-managed byte slices, decommit is accounting plus a zero fill,
 //     and every platform behaves identically. This is the default and the
 //     substrate for all deterministic experiments.
 //   - *Arena (NewArena, linux/amd64 and linux/arm64 only), one large mmap'd
@@ -41,27 +41,14 @@ type Backend interface {
 	// if the range is not fully inside one live span.
 	Bytes(addr uint64, n int) []byte
 
-	// SetPoison controls debug poisoning of released/decommitted memory.
-	// The arena backend ignores it: the OS already guarantees that
-	// decommitted pages read back as zeros, which is what the poison
-	// patterns exist to emulate. Tests that assert poison bytes must pin
-	// the simulated backend.
-	SetPoison(on bool)
-
 	// Stats returns a snapshot of the backend's accounting.
 	Stats() Stats
 
-	// Reserved, PeakReserved, Committed, PeakCommitted, and
-	// DecommittedBytes expose the individual gauges behind Stats.
+	// Reserved, Committed, and DecommittedBytes expose the current gauges
+	// behind Stats, which also carries their peaks.
 	Reserved() int64
-	PeakReserved() int64
 	Committed() int64
-	PeakCommitted() int64
 	DecommittedBytes() int64
-
-	// ResetPeak lowers the peak-committed and peak-reserved marks to the
-	// current values.
-	ResetPeak()
 
 	// Close releases backend resources (the arena's virtual reservation).
 	// The backend and every span obtained from it are invalid afterwards;
@@ -187,41 +174,23 @@ func (c *counters) Stats() Stats {
 // Reserved returns the number of address-space bytes currently reserved.
 func (c *counters) Reserved() int64 { return c.reserved.Load() }
 
-// PeakReserved returns the high-water mark of reserved bytes.
-func (c *counters) PeakReserved() int64 { return c.peakReserved.Load() }
-
 // Committed returns the number of bytes currently committed.
 func (c *counters) Committed() int64 { return c.committed.Load() }
-
-// PeakCommitted returns the high-water mark of committed bytes.
-func (c *counters) PeakCommitted() int64 { return c.peak.Load() }
 
 // DecommittedBytes returns the reserved-but-unbacked byte total.
 func (c *counters) DecommittedBytes() int64 { return c.decommitted.Load() }
 
-// ResetPeak lowers the peak-committed and peak-reserved marks to the current
-// values, so an experiment can measure its own high-water marks in a reused
-// backend.
-func (c *counters) ResetPeak() {
-	c.peak.Store(c.committed.Load())
-	c.peakReserved.Store(c.reserved.Load())
-}
-
-// spanHost is the backend-internal face a Span talks to: the shared
-// Decommit/Recommit bookkeeping in span.go delegates the physical part
-// (dropping and restoring page backing) here. All hook methods except
-// counts are called with the host's span mutex held.
+// spanHost is the backend-internal face a Span talks to: Span.Decommit's
+// bookkeeping delegates the physical part, dropping the span's pages, here.
+// All hook methods except counts are called with the host's span mutex
+// held.
 type spanHost interface {
-	// spanMu returns the mutex guarding span decommit bitmaps.
+	// spanMu returns the mutex guarding span decommit state.
 	spanMu() *sync.Mutex
 	// counts returns the backend's accounting block.
 	counts() *counters
-	// dropPages physically drops the committed page range [off, off+n) of
-	// sp: zero/poison fill for the simulated space, madvise(MADV_DONTNEED)
-	// for the arena.
-	dropPages(sp *Span, off, n int)
-	// backPages physically restores the page range [off, off+n) of sp:
-	// zero/poison fill for the simulated space, a no-op for the arena
-	// (the kernel zero-fills on the next touch).
-	backPages(sp *Span, off, n int)
+	// dropPages physically drops the pages of sp: a zero fill for the
+	// simulated space, madvise(MADV_DONTNEED) for the arena. Recommit
+	// needs no hook: either way the pages read back as zeros.
+	dropPages(sp *Span)
 }

@@ -6,169 +6,161 @@ import (
 	"testing"
 )
 
+// forEachBackend runs fn as a subtest on the simulated space and, where the
+// platform has one, on a small arena.
+func forEachBackend(t *testing.T, fn func(t *testing.T, b Backend)) {
+	t.Run("sim", func(t *testing.T) { fn(t, New()) })
+	t.Run("arena", func(t *testing.T) { fn(t, testArena(t, ArenaOptions{})) })
+}
+
 func TestDecommitRecommitAccounting(t *testing.T) {
-	s := New()
-	sp := s.Reserve(4*PageSize, 0, nil)
-	if got := s.Reserved(); got != 4*PageSize {
-		t.Fatalf("Reserved = %d, want %d", got, 4*PageSize)
-	}
-	if got := s.Committed(); got != 4*PageSize {
-		t.Fatalf("Committed = %d, want %d", got, 4*PageSize)
-	}
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		sp := b.Reserve(2*PageSize, 0, nil)
+		other := b.Reserve(2*PageSize, 0, nil)
+		if got := b.Reserved(); got != 4*PageSize {
+			t.Fatalf("Reserved = %d, want %d", got, 4*PageSize)
+		}
+		if got := b.Committed(); got != 4*PageSize {
+			t.Fatalf("Committed = %d, want %d", got, 4*PageSize)
+		}
 
-	sp.Decommit(PageSize, 2*PageSize)
-	st := s.Stats()
-	if st.Reserved != 4*PageSize {
-		t.Fatalf("Reserved after decommit = %d, want unchanged %d", st.Reserved, 4*PageSize)
-	}
-	if st.Committed != 2*PageSize {
-		t.Fatalf("Committed after decommit = %d, want %d", st.Committed, 2*PageSize)
-	}
-	if st.DecommittedBytes != 2*PageSize {
-		t.Fatalf("DecommittedBytes = %d, want %d", st.DecommittedBytes, 2*PageSize)
-	}
-	if st.PeakCommitted != 4*PageSize {
-		t.Fatalf("PeakCommitted = %d, want %d", st.PeakCommitted, 4*PageSize)
-	}
-	if st.Decommits != 1 {
-		t.Fatalf("Decommits = %d, want 1", st.Decommits)
-	}
-	if sp.DecommittedBytes() != 2*PageSize {
-		t.Fatalf("span DecommittedBytes = %d, want %d", sp.DecommittedBytes(), 2*PageSize)
-	}
+		sp.Decommit()
+		st := b.Stats()
+		if st.Reserved != 4*PageSize {
+			t.Fatalf("Reserved after decommit = %d, want unchanged %d", st.Reserved, 4*PageSize)
+		}
+		if st.Committed != 2*PageSize {
+			t.Fatalf("Committed after decommit = %d, want %d", st.Committed, 2*PageSize)
+		}
+		if st.DecommittedBytes != 2*PageSize {
+			t.Fatalf("DecommittedBytes = %d, want %d", st.DecommittedBytes, 2*PageSize)
+		}
+		if st.PeakCommitted != 4*PageSize || st.PeakReserved != 4*PageSize {
+			t.Fatalf("PeakCommitted %d PeakReserved %d, want both %d", st.PeakCommitted, st.PeakReserved, 4*PageSize)
+		}
+		if st.Decommits != 1 || st.Recommits != 0 {
+			t.Fatalf("Decommits %d Recommits %d, want 1 and 0", st.Decommits, st.Recommits)
+		}
+		if !sp.Decommitted() || other.Decommitted() {
+			t.Fatalf("Decommitted: span %v, other span %v; want true, false", sp.Decommitted(), other.Decommitted())
+		}
 
-	sp.Recommit(PageSize, 2*PageSize)
-	st = s.Stats()
-	if st.Committed != 4*PageSize || st.DecommittedBytes != 0 {
-		t.Fatalf("after recommit: Committed %d DecommittedBytes %d", st.Committed, st.DecommittedBytes)
-	}
-	if st.Recommits != 1 {
-		t.Fatalf("Recommits = %d, want 1", st.Recommits)
-	}
-	if st.Reserved < st.Committed {
-		t.Fatalf("reserved %d < committed %d", st.Reserved, st.Committed)
-	}
+		sp.Recommit()
+		st = b.Stats()
+		if st.Committed != 4*PageSize || st.DecommittedBytes != 0 {
+			t.Fatalf("after recommit: Committed %d DecommittedBytes %d", st.Committed, st.DecommittedBytes)
+		}
+		if st.Decommits != 1 || st.Recommits != 1 {
+			t.Fatalf("Decommits %d Recommits %d, want 1 and 1", st.Decommits, st.Recommits)
+		}
+		if sp.Decommitted() {
+			t.Fatal("span still Decommitted after Recommit")
+		}
+		b.Release(sp)
+		b.Release(other)
+		st = b.Stats()
+		if st.Reserved != 0 || st.Committed != 0 || st.DecommittedBytes != 0 {
+			t.Fatalf("after release: Reserved %d Committed %d DecommittedBytes %d, want all 0",
+				st.Reserved, st.Committed, st.DecommittedBytes)
+		}
+	})
+}
+
+// TestDecommitRecommitIdempotent: decommitting a decommitted span and
+// recommitting a committed one change no byte count, and every call is
+// still counted.
+func TestDecommitRecommitIdempotent(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		sp := b.Reserve(2*PageSize, 0, nil)
+		sp.Recommit() // committed already
+		if st := b.Stats(); st.Committed != 2*PageSize || st.DecommittedBytes != 0 || st.Recommits != 1 {
+			t.Fatalf("recommit of a committed span: %+v", st)
+		}
+		sp.Decommit()
+		sp.Decommit()
+		if st := b.Stats(); st.Committed != 0 || st.DecommittedBytes != 2*PageSize || st.Decommits != 2 {
+			t.Fatalf("after two decommits: %+v", st)
+		}
+		sp.Recommit()
+		sp.Recommit()
+		if st := b.Stats(); st.Committed != 2*PageSize || st.DecommittedBytes != 0 || st.Recommits != 3 {
+			t.Fatalf("after two more recommits: %+v", st)
+		}
+		if sp.Decommitted() {
+			t.Fatal("span Decommitted after Recommit")
+		}
+	})
 }
 
 func TestDecommitDropsContentsAndGuardsAccess(t *testing.T) {
-	s := New()
-	sp := s.Reserve(2*PageSize, 0, nil)
-	for i, b := range sp.Data() {
-		_ = b
-		sp.Data()[i] = 0xAA
-	}
-	sp.Decommit(0, PageSize)
-
-	// Addresses stay reserved: Lookup still resolves into the span.
-	if s.Lookup(sp.Base) != sp {
-		t.Fatal("Lookup of decommitted page failed — address should stay reserved")
-	}
-
-	// Touching the decommitted page panics, span- and space-level.
-	mustPanic(t, "span Bytes on decommitted page", func() { sp.Bytes(8, 8) })
-	mustPanic(t, "space Bytes on decommitted page", func() { s.Bytes(sp.Base, 8) })
-	mustPanic(t, "Data with decommitted page", func() { sp.Data() })
-	mustPanic(t, "Bytes straddling into decommitted page", func() { sp.Bytes(PageSize-8, 16) })
-
-	// The still-committed page is untouched and accessible.
-	if got := sp.Bytes(PageSize, 8)[0]; got != 0xAA {
-		t.Fatalf("committed page byte = %#x, want 0xAA", got)
-	}
-
-	// Recommit restores zero pages (the old contents are gone).
-	sp.Recommit(0, PageSize)
-	buf := sp.Bytes(0, PageSize)
-	for i, b := range buf {
-		if b != 0 {
-			t.Fatalf("recommitted byte %d = %#x, want 0", i, b)
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		sp := b.Reserve(2*PageSize, 0, nil)
+		other := b.Reserve(PageSize, 0, nil)
+		for _, s := range []*Span{sp, other} {
+			data := s.Data()
+			for i := range data {
+				data[i] = 0xAA
+			}
 		}
-	}
+		sp.Decommit()
+
+		// Addresses stay reserved: Lookup still resolves into the span.
+		if b.Lookup(sp.Base) != sp || b.Lookup(sp.End()-1) != sp {
+			t.Fatal("Lookup of decommitted span failed — addresses should stay reserved")
+		}
+
+		// Touching the decommitted span panics, span- and backend-level,
+		// at its first and at its last byte.
+		mustPanic(t, "span Bytes at first byte", func() { sp.Bytes(0, 1) })
+		mustPanic(t, "span Bytes at last byte", func() { sp.Bytes(sp.Len-1, 1) })
+		mustPanic(t, "backend Bytes at first byte", func() { b.Bytes(sp.Base, 1) })
+		mustPanic(t, "backend Bytes at last byte", func() { b.Bytes(sp.End()-1, 1) })
+		mustPanic(t, "Data of decommitted span", func() { sp.Data() })
+
+		// Another span is untouched and accessible.
+		if got := other.Bytes(0, 1)[0]; got != 0xAA {
+			t.Fatalf("other span's byte = %#x, want 0xAA", got)
+		}
+
+		// Recommit restores zero pages (the old contents are gone).
+		sp.Recommit()
+		for i, v := range sp.Data() {
+			if v != 0 {
+				t.Fatalf("recommitted byte %d = %#x, want 0", i, v)
+			}
+		}
+	})
 }
 
-func TestRecommitPoison(t *testing.T) {
-	s := New()
-	s.SetPoison(true)
-	sp := s.Reserve(PageSize, 0, nil)
-	sp.Decommit(0, PageSize)
-	sp.Recommit(0, PageSize)
-	if got := sp.Bytes(0, 1)[0]; got != PoisonRecommitted {
-		t.Fatalf("poisoned recommit byte = %#x, want %#x", got, PoisonRecommitted)
-	}
-}
+// TestReleaseDecommitted: releasing a decommitted span un-commits nothing
+// twice, and the span comes back committed from the backend's reuse pool
+// (the sim's pool, the arena's free-slot list).
+func TestReleaseDecommitted(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		const size = 2 * PageSize // the arena's default slot size
+		sp := b.Reserve(size, size, nil)
+		sp.Decommit()
+		b.Release(sp)
 
-func TestReleasePartiallyDecommitted(t *testing.T) {
-	s := New()
-	sp := s.Reserve(4*PageSize, 0, nil)
-	sp.Decommit(0, 2*PageSize)
-	s.Release(sp)
+		st := b.Stats()
+		if st.Reserved != 0 || st.Committed != 0 || st.DecommittedBytes != 0 {
+			t.Fatalf("after release: Reserved %d Committed %d DecommittedBytes %d, want all 0",
+				st.Reserved, st.Committed, st.DecommittedBytes)
+		}
 
-	st := s.Stats()
-	if st.Reserved != 0 || st.Committed != 0 || st.DecommittedBytes != 0 {
-		t.Fatalf("after release: Reserved %d Committed %d DecommittedBytes %d, want all 0",
-			st.Reserved, st.Committed, st.DecommittedBytes)
-	}
-
-	// The recycled span must come back fully committed.
-	sp2 := s.Reserve(4*PageSize, 0, nil)
-	if s.Stats().Recycled != 1 {
-		t.Fatalf("Recycled = %d, want 1", s.Stats().Recycled)
-	}
-	if sp2.DecommittedBytes() != 0 {
-		t.Fatalf("recycled span has %d decommitted bytes", sp2.DecommittedBytes())
-	}
-	sp2.Bytes(0, 4*PageSize) // must not panic
-	if got := s.Committed(); got != 4*PageSize {
-		t.Fatalf("Committed = %d, want %d", got, 4*PageSize)
-	}
-}
-
-func TestDecommitRecommitIdempotent(t *testing.T) {
-	s := New()
-	sp := s.Reserve(2*PageSize, 0, nil)
-	sp.Decommit(0, PageSize)
-	sp.Decommit(0, 2*PageSize) // first page already gone: drops only the second
-	if got := s.Committed(); got != 0 {
-		t.Fatalf("Committed = %d, want 0", got)
-	}
-	if got := s.DecommittedBytes(); got != 2*PageSize {
-		t.Fatalf("DecommittedBytes = %d, want %d", got, 2*PageSize)
-	}
-	sp.Recommit(0, PageSize)
-	sp.Recommit(0, 2*PageSize) // first page already back: restores only the second
-	if got := s.Committed(); got != 2*PageSize {
-		t.Fatalf("Committed = %d, want %d", got, 2*PageSize)
-	}
-	if got := s.DecommittedBytes(); got != 0 {
-		t.Fatalf("DecommittedBytes = %d, want 0", got)
-	}
-	// Recommit of fully committed pages is a no-op.
-	sp.Recommit(0, 2*PageSize)
-	if got := s.Committed(); got != 2*PageSize {
-		t.Fatalf("Committed after no-op recommit = %d, want %d", got, 2*PageSize)
-	}
-}
-
-func TestDecommitBadRangesPanic(t *testing.T) {
-	s := New()
-	sp := s.Reserve(2*PageSize, 0, nil)
-	mustPanic(t, "unaligned offset", func() { sp.Decommit(8, PageSize) })
-	mustPanic(t, "unaligned length", func() { sp.Decommit(0, PageSize+8) })
-	mustPanic(t, "escaping range", func() { sp.Decommit(PageSize, 2*PageSize) })
-	mustPanic(t, "zero length", func() { sp.Decommit(0, 0) })
-	mustPanic(t, "recommit escaping", func() { sp.Recommit(0, 3*PageSize) })
-}
-
-func TestResetPeakResetsReservedPeak(t *testing.T) {
-	s := New()
-	sp := s.Reserve(4*PageSize, 0, nil)
-	s.Release(sp)
-	if got := s.PeakReserved(); got != 4*PageSize {
-		t.Fatalf("PeakReserved = %d, want %d", got, 4*PageSize)
-	}
-	s.ResetPeak()
-	if got := s.PeakReserved(); got != 0 {
-		t.Fatalf("PeakReserved after ResetPeak = %d, want 0", got)
-	}
+		sp2 := b.Reserve(size, size, nil)
+		if b.Stats().Recycled != 1 || sp2 != sp {
+			t.Fatalf("Recycled = %d, same span %v; want the released span back", b.Stats().Recycled, sp2 == sp)
+		}
+		if sp2.Decommitted() {
+			t.Fatal("recycled span is still decommitted")
+		}
+		data := sp2.Bytes(0, size) // must not panic
+		data[0], data[size-1] = 1, 1
+		if st := b.Stats(); st.Committed != size || st.DecommittedBytes != 0 {
+			t.Fatalf("Committed %d DecommittedBytes %d, want %d and 0", st.Committed, st.DecommittedBytes, size)
+		}
+	})
 }
 
 // TestConcurrentDecommitRecommit churns reserve/decommit/recommit/release
@@ -176,56 +168,54 @@ func TestResetPeakResetsReservedPeak(t *testing.T) {
 // with no live readers is decommitted) and checks the global invariants
 // reserved >= committed >= 0 throughout. Run under -race via make check.
 func TestConcurrentDecommitRecommit(t *testing.T) {
-	s := New()
-	var wg sync.WaitGroup
-	const workers = 8
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			var mine []*Span
-			for i := 0; i < 300; i++ {
-				switch {
-				case len(mine) == 0 || rng.Intn(4) == 0:
-					mine = append(mine, s.Reserve((1+rng.Intn(4))*PageSize, 0, w))
-				case rng.Intn(3) == 0:
-					i := rng.Intn(len(mine))
-					s.Release(mine[i])
-					mine[i] = mine[len(mine)-1]
-					mine = mine[:len(mine)-1]
-				default:
-					sp := mine[rng.Intn(len(mine))]
-					pages := sp.Len / PageSize
-					off := rng.Intn(pages) * PageSize
-					n := (1 + rng.Intn(pages-off/PageSize)) * PageSize
-					if rng.Intn(2) == 0 {
-						sp.Decommit(off, n)
-					} else {
-						sp.Recommit(off, n)
-						sp.Bytes(off, n) // recommitted memory must be accessible
+	forEachBackend(t, func(t *testing.T, s Backend) {
+		var wg sync.WaitGroup
+		const workers = 8
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				var mine []*Span
+				for i := 0; i < 300; i++ {
+					switch {
+					case len(mine) == 0 || rng.Intn(4) == 0:
+						mine = append(mine, s.Reserve((1+rng.Intn(4))*PageSize, 0, w))
+					case rng.Intn(3) == 0:
+						i := rng.Intn(len(mine))
+						s.Release(mine[i])
+						mine[i] = mine[len(mine)-1]
+						mine = mine[:len(mine)-1]
+					default:
+						sp := mine[rng.Intn(len(mine))]
+						if rng.Intn(2) == 0 {
+							sp.Decommit()
+						} else {
+							sp.Recommit()
+							sp.Data() // recommitted memory must be accessible
+						}
+					}
+					// reserved >= committed is checked exactly in the
+					// single-threaded fuzz test; across threads the two
+					// atomics cannot be read as one snapshot, so here only
+					// the sign invariants hold at every instant.
+					if c, r := s.Committed(), s.Reserved(); c < 0 || r < 0 {
+						t.Errorf("negative accounting: reserved %d committed %d", r, c)
+						return
 					}
 				}
-				// reserved >= committed is checked exactly in the
-				// single-threaded fuzz test; across threads the two
-				// atomics cannot be read as one snapshot, so here only
-				// the sign invariants hold at every instant.
-				if c, r := s.Committed(), s.Reserved(); c < 0 || r < 0 {
-					t.Errorf("negative accounting: reserved %d committed %d", r, c)
-					return
+				for _, sp := range mine {
+					s.Release(sp)
 				}
-			}
-			for _, sp := range mine {
-				s.Release(sp)
-			}
-		}(w)
-	}
-	wg.Wait()
-	st := s.Stats()
-	if st.Reserved != 0 || st.Committed != 0 || st.DecommittedBytes != 0 {
-		t.Fatalf("after teardown: Reserved %d Committed %d DecommittedBytes %d",
-			st.Reserved, st.Committed, st.DecommittedBytes)
-	}
+			}(w)
+		}
+		wg.Wait()
+		st := s.Stats()
+		if st.Reserved != 0 || st.Committed != 0 || st.DecommittedBytes != 0 {
+			t.Fatalf("after teardown: Reserved %d Committed %d DecommittedBytes %d",
+				st.Reserved, st.Committed, st.DecommittedBytes)
+		}
+	})
 }
 
 func mustPanic(t *testing.T, name string, fn func()) {

@@ -34,7 +34,7 @@ func FuzzReserveRelease(f *testing.F) {
 func driveBackend(t *testing.T, name string, s Backend, data []byte) {
 	type span struct {
 		sp    *Span
-		decom []bool // model: page i decommitted
+		decom bool // model: the span is decommitted
 	}
 	var live []*span
 	var wantReserved, wantCommitted int64
@@ -51,7 +51,11 @@ func driveBackend(t *testing.T, name string, s Backend, data []byte) {
 			if got := s.Lookup(sp.Base + uint64(sp.Len) - 1); got != sp {
 				t.Fatalf("%s: last byte lookup failed", name)
 			}
-			live = append(live, &span{sp: sp, decom: make([]bool, size/PageSize)})
+			data := sp.Data()
+			for j := range data {
+				data[j] = 0xFF
+			}
+			live = append(live, &span{sp: sp})
 			wantReserved += int64(sp.Len)
 			wantCommitted += int64(sp.Len)
 		case op%4 == 1: // release
@@ -59,10 +63,8 @@ func driveBackend(t *testing.T, name string, s Backend, data []byte) {
 			r := live[idx]
 			base := r.sp.Base
 			wantReserved -= int64(r.sp.Len)
-			for _, d := range r.decom {
-				if !d {
-					wantCommitted -= PageSize
-				}
+			if !r.decom {
+				wantCommitted -= int64(r.sp.Len)
 			}
 			s.Release(r.sp)
 			if s.Lookup(base) != nil {
@@ -72,43 +74,39 @@ func driveBackend(t *testing.T, name string, s Backend, data []byte) {
 			live = live[:len(live)-1]
 		default: // decommit (op%4==2) or recommit (op%4==3)
 			r := live[int(op>>4)%len(live)]
-			pages := len(r.decom)
-			p0 := int(arg) % pages
-			n := int(arg>>4)%(pages-p0) + 1
+			// The span's first, middle or last byte.
+			addr := r.sp.Base + uint64([...]int{0, r.sp.Len / 2, r.sp.Len - 1}[int(arg)%3])
 			if op%4 == 2 {
-				r.sp.Decommit(p0*PageSize, n*PageSize)
-				for p := p0; p < p0+n; p++ {
-					if !r.decom[p] {
-						r.decom[p] = true
-						wantCommitted -= PageSize
-					}
+				r.sp.Decommit()
+				if !r.decom {
+					r.decom = true
+					wantCommitted -= int64(r.sp.Len)
 				}
 				// The decommitted address must never be handed out...
 				func() {
 					defer func() {
 						if recover() == nil {
-							t.Fatalf("%s: Bytes on decommitted page did not panic", name)
+							t.Fatalf("%s: Bytes on decommitted span did not panic", name)
 						}
 					}()
-					s.Bytes(r.sp.Base+uint64(p0*PageSize), 4)
+					s.Bytes(addr, 1)
 				}()
 				// ...but the address itself stays reserved.
-				if s.Lookup(r.sp.Base+uint64(p0*PageSize)) != r.sp {
+				if s.Lookup(addr) != r.sp {
 					t.Fatalf("%s: decommitted address no longer resolves", name)
 				}
 			} else {
-				r.sp.Recommit(p0*PageSize, n*PageSize)
-				for p := p0; p < p0+n; p++ {
-					if r.decom[p] {
-						r.decom[p] = false
-						wantCommitted += PageSize
-					}
+				wasDecom := r.decom
+				r.sp.Recommit()
+				if r.decom {
+					r.decom = false
+					wantCommitted += int64(r.sp.Len)
 				}
 				// Recommitted memory is accessible and zeroed — the OS
 				// zero-fill guarantee on the arena, the simulated
 				// equivalent on sim.
-				if b := s.Bytes(r.sp.Base+uint64(p0*PageSize), 4); b[0]|b[1]|b[2]|b[3] != 0 {
-					t.Fatalf("%s: recommitted page not zeroed", name)
+				if b := s.Bytes(addr, 1); wasDecom && b[0] != 0 {
+					t.Fatalf("%s: recommitted span not zeroed", name)
 				}
 			}
 		}

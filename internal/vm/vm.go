@@ -19,8 +19,8 @@
 // Every backend distinguishes reserved bytes (address space handed to the
 // allocator) from committed bytes (pages currently backed), each with its
 // own high-water mark. Reserve commits the whole span; Span.Decommit drops
-// the backing of a page range madvise(DONTNEED)-style while keeping the
-// addresses reserved, and Recommit backs them again. Peak committed is what
+// the backing of the whole span madvise(DONTNEED)-style while keeping the
+// addresses reserved, and Recommit backs it again. Peak committed is what
 // the paper's fragmentation and blowup experiments measure; the
 // reserved/committed gap is what ReleaseMemory returns to the OS.
 package vm
@@ -54,21 +54,6 @@ const (
 	maxAddr = 1 << (l1Bits + l2Bits + PageShift)
 )
 
-// Poison patterns written over span memory in debug (poison) mode, chosen to
-// be distinct so a crash dump says which lifecycle edge produced the bytes.
-// Only the simulated backend poisons; the arena relies on the OS's
-// zero-fill guarantee instead.
-const (
-	// PoisonReleased marks memory of a released span awaiting reuse.
-	PoisonReleased = 0xDB
-	// PoisonDecommitted marks pages dropped by Decommit.
-	PoisonDecommitted = 0xDD
-	// PoisonRecommitted marks pages freshly backed by Recommit (a real OS
-	// would hand back zero pages; the poison flushes out code that assumes
-	// data survived a decommit/recommit cycle).
-	PoisonRecommitted = 0xDC
-)
-
 // Span is a contiguous page-aligned region of a backend's address space,
 // backed by real memory.
 type Span struct {
@@ -86,157 +71,77 @@ type Span struct {
 	data []byte
 	host spanHost
 
-	// decomPages is a bitmap of decommitted pages (bit i set = page i has
-	// no backing), allocated lazily on first Decommit and guarded by the
-	// host's mutex. decomBytes caches the decommitted byte total so the
-	// hot Bytes path can skip the bitmap with one atomic load.
-	decomPages []uint64
-	decomBytes atomic.Int64
+	// decommitted is set while the span's pages are dropped. It is written
+	// under the host's mutex and read lock-free by Bytes.
+	decommitted atomic.Bool
 }
 
 // Bytes returns a view of n bytes of the span's backing memory starting at
-// byte offset off. It panics if the range is out of bounds or overlaps a
-// decommitted page — touching decommitted memory is always an allocator bug.
+// byte offset off. It panics if the range is out of bounds or the span is
+// decommitted — touching decommitted memory is always an allocator bug.
 func (sp *Span) Bytes(off, n int) []byte {
-	if sp.decomBytes.Load() != 0 {
-		sp.checkCommitted(off, n)
+	if sp.decommitted.Load() {
+		sp.decommittedAccess(off, n)
 	}
 	return sp.data[off : off+n : off+n]
 }
 
-// checkCommitted panics if [off, off+n) overlaps a decommitted page. It
-// takes the host's mutex: this path is only reached on spans that currently
-// have decommitted pages, which legitimate code never touches.
-func (sp *Span) checkCommitted(off, n int) {
-	mu := sp.host.spanMu()
-	mu.Lock()
-	defer mu.Unlock()
-	if sp.decomPages == nil {
-		return
-	}
-	for pg := off >> PageShift; pg <= (off+n-1)>>PageShift; pg++ {
-		if sp.decomPages[pg/64]&(1<<(pg%64)) != 0 {
-			panic(fmt.Sprintf("vm: access to decommitted page %d of span %#x (Bytes(%d, %d))", pg, sp.Base, off, n))
-		}
-	}
+// decommittedAccess panics for an access to the decommitted span. It is
+// kept out of line so Bytes stays small; its committed path makes no call.
+//
+//go:noinline
+func (sp *Span) decommittedAccess(off, n int) {
+	panic(fmt.Sprintf("vm: access to decommitted span %#x (Bytes(%d, %d))", sp.Base, off, n))
 }
 
-// Data returns the span's entire backing memory. It panics if any page of
-// the span is decommitted.
-func (sp *Span) Data() []byte {
-	if sp.decomBytes.Load() != 0 {
-		sp.checkCommitted(0, sp.Len)
-	}
-	return sp.data
-}
+// Data returns the span's entire backing memory. It panics if the span is
+// decommitted.
+func (sp *Span) Data() []byte { return sp.Bytes(0, sp.Len) }
 
 // End returns the address one past the last byte of the span.
 func (sp *Span) End() uint64 { return sp.Base + uint64(sp.Len) }
 
-// DecommittedBytes returns the number of the span's bytes currently
-// decommitted.
-func (sp *Span) DecommittedBytes() int64 { return sp.decomBytes.Load() }
+// Decommitted reports whether the span's pages are currently dropped.
+func (sp *Span) Decommitted() bool { return sp.decommitted.Load() }
 
-// Decommit drops the backing of the page-aligned range [off, off+n), in the
-// style of madvise(MADV_DONTNEED): the addresses stay reserved and Lookup
-// still resolves them, but the pages stop counting as committed and any
-// access through Bytes panics until Recommit. On the simulated backend the
-// dropped memory is zeroed (poisoned in poison mode); on the arena it is a
-// real madvise and the OS reclaims the pages. Either way the previous
-// contents — e.g. a superblock's free-list links — are genuinely gone.
-// Already-decommitted pages are skipped. It panics if the range is not
-// page-aligned or escapes the span.
-func (sp *Span) Decommit(off, n int) {
-	sp.pageRange("Decommit", off, n)
+// Decommit drops the backing of the whole span, in the style of
+// madvise(MADV_DONTNEED): the addresses stay reserved and Lookup still
+// resolves them, but the span stops counting as committed and any access
+// through Bytes panics until Recommit. On the simulated backend the dropped
+// memory is zeroed; on the arena it is a real madvise and the OS reclaims
+// the pages. Either way the previous contents are genuinely gone.
+// Decommitting a decommitted span is a no-op, but still counted.
+func (sp *Span) Decommit() {
 	h := sp.host
 	mu := h.spanMu()
 	mu.Lock()
-	if sp.decomPages == nil {
-		sp.decomPages = make([]uint64, (sp.Len>>PageShift+63)/64)
-	}
-	dropped := 0
-	runOff, runLen := 0, 0
-	for pg := off >> PageShift; pg < (off+n)>>PageShift; pg++ {
-		w, b := pg/64, uint64(1)<<(pg%64)
-		if sp.decomPages[w]&b != 0 {
-			if runLen > 0 {
-				h.dropPages(sp, runOff, runLen)
-				runLen = 0
-			}
-			continue
-		}
-		sp.decomPages[w] |= b
-		if runLen == 0 {
-			runOff = pg << PageShift
-		}
-		runLen += PageSize
-		dropped += PageSize
-	}
-	if runLen > 0 {
-		h.dropPages(sp, runOff, runLen)
-	}
 	c := h.counts()
-	if dropped > 0 {
-		sp.decomBytes.Add(int64(dropped))
-		c.committed.Add(int64(-dropped))
-		c.decommitted.Add(int64(dropped))
+	if !sp.decommitted.Load() {
+		h.dropPages(sp)
+		sp.decommitted.Store(true)
+		c.committed.Add(int64(-sp.Len))
+		c.decommitted.Add(int64(sp.Len))
 	}
 	c.decommits.Add(1)
 	mu.Unlock()
 }
 
-// Recommit restores backing for the page-aligned range [off, off+n),
-// re-counting the pages as committed. A real OS hands back zero pages — the
-// arena backend does exactly that on the next touch; the simulated backend
-// zero-fills, or fills with PoisonRecommitted in poison mode to flush out
-// code that assumes data survived the decommit. Pages that are already
-// committed are skipped. It panics if the range is not page-aligned or
-// escapes the span.
-func (sp *Span) Recommit(off, n int) {
-	sp.pageRange("Recommit", off, n)
+// Recommit restores the backing of a decommitted span, re-counting it as
+// committed. The memory reads back as zeros, as from a real OS: Decommit
+// already erased it. Recommitting a committed span is a no-op, but still
+// counted.
+func (sp *Span) Recommit() {
 	h := sp.host
 	mu := h.spanMu()
 	mu.Lock()
-	restored := 0
-	if sp.decomPages != nil {
-		runOff, runLen := 0, 0
-		for pg := off >> PageShift; pg < (off+n)>>PageShift; pg++ {
-			w, b := pg/64, uint64(1)<<(pg%64)
-			if sp.decomPages[w]&b == 0 {
-				if runLen > 0 {
-					h.backPages(sp, runOff, runLen)
-					runLen = 0
-				}
-				continue
-			}
-			sp.decomPages[w] &^= b
-			if runLen == 0 {
-				runOff = pg << PageShift
-			}
-			runLen += PageSize
-			restored += PageSize
-		}
-		if runLen > 0 {
-			h.backPages(sp, runOff, runLen)
-		}
-	}
 	c := h.counts()
-	if restored > 0 {
-		sp.decomBytes.Add(int64(-restored))
-		c.decommitted.Add(int64(-restored))
-		c.addCommitted(int64(restored))
+	if sp.decommitted.Load() {
+		sp.decommitted.Store(false)
+		c.decommitted.Add(int64(-sp.Len))
+		c.addCommitted(int64(sp.Len))
 	}
 	c.recommits.Add(1)
 	mu.Unlock()
-}
-
-func (sp *Span) pageRange(op string, off, n int) {
-	if off < 0 || n <= 0 || off+n > sp.Len {
-		panic(fmt.Sprintf("vm: %s(%d, %d) escapes span of %d bytes", op, off, n, sp.Len))
-	}
-	if off&(PageSize-1) != 0 || n&(PageSize-1) != 0 {
-		panic(fmt.Sprintf("vm: %s(%d, %d) not page-aligned", op, off, n))
-	}
 }
 
 // Stats is a snapshot of a backend's accounting.
@@ -266,15 +171,13 @@ type Stats struct {
 }
 
 // Space is the simulated OS address space, the default Backend. All methods
-// are safe for concurrent use; Lookup and Bytes are lock-free (Bytes takes
-// the lock only for spans that currently have decommitted pages).
+// are safe for concurrent use; Lookup and Bytes are lock-free.
 type Space struct {
 	counters
 
-	mu      sync.Mutex
-	next    uint64
-	pool    map[int][]*Span // released spans by length, for reuse
-	poisons bool
+	mu   sync.Mutex
+	next uint64
+	pool map[int][]*Span // released spans by length, for reuse
 
 	l1 [l1Size]atomic.Pointer[l2node]
 }
@@ -291,15 +194,6 @@ func (s *Space) Name() string { return "sim" }
 
 // Close is a no-op: the simulated space is ordinary Go memory.
 func (s *Space) Close() error { return nil }
-
-// SetPoison controls whether span memory is overwritten with poison patterns
-// on release, decommit, and recommit, to flush out use-after-free and
-// use-after-decommit bugs in tests. It is off by default.
-func (s *Space) SetPoison(on bool) {
-	s.mu.Lock()
-	s.poisons = on
-	s.mu.Unlock()
-}
 
 // Reserve returns a new span of size bytes (rounded up to whole pages) whose
 // base address is a multiple of align. align must be zero or a power of two;
@@ -366,9 +260,8 @@ func (s *Space) takeFromPoolLocked(size, align int) *Span {
 
 // Release returns a span to the simulated OS. The span's addresses become
 // invalid: Lookup returns nil for them until the region is reserved again.
-// Releasing a partially decommitted span only un-commits the bytes that were
-// still backed; the decommitted remainder already left the committed count
-// when Decommit dropped it.
+// Releasing a decommitted span un-commits nothing: its bytes already left
+// the committed count when Decommit dropped them.
 func (s *Space) Release(sp *Span) {
 	if sp == nil {
 		panic("vm: Release(nil)")
@@ -377,11 +270,6 @@ func (s *Space) Release(sp *Span) {
 	s.unpublishLocked(sp)
 	sp.Owner = nil
 	backed := int64(sp.Len) - resetDecommitState(sp, &s.counters)
-	if s.poisons {
-		for i := range sp.data {
-			sp.data[i] = PoisonReleased
-		}
-	}
 	s.pool[sp.Len] = append(s.pool[sp.Len], sp)
 	s.mu.Unlock()
 
@@ -390,19 +278,16 @@ func (s *Space) Release(sp *Span) {
 	s.committed.Add(-backed)
 }
 
-// resetDecommitState clears a span's decommit bitmap and accounting so the
-// pooled span comes back fully committed from its next Reserve, returning
-// the byte total that was decommitted. Called with the host's mutex held.
+// resetDecommitState marks a released span committed so the pooled span
+// comes back committed from its next Reserve, returning the byte total that
+// was decommitted. Called with the host's mutex held.
 func resetDecommitState(sp *Span, c *counters) int64 {
-	decom := sp.decomBytes.Load()
-	if decom != 0 {
-		c.decommitted.Add(-decom)
-		sp.decomBytes.Store(0)
-		for i := range sp.decomPages {
-			sp.decomPages[i] = 0
-		}
+	if !sp.decommitted.Load() {
+		return 0
 	}
-	return decom
+	sp.decommitted.Store(false)
+	c.decommitted.Add(int64(-sp.Len))
+	return int64(sp.Len)
 }
 
 func (s *Space) publishLocked(sp *Span) {
@@ -454,8 +339,8 @@ func (s *Space) Lookup(addr uint64) *Span {
 }
 
 // Bytes returns a view of n bytes of backing memory at the simulated address
-// addr. It panics if the range is not fully inside one live span or touches
-// a decommitted page, which always indicates an allocator bug or a
+// addr. It panics if the range is not fully inside one live span or the
+// span is decommitted, which always indicates an allocator bug or a
 // use-after-free.
 func (s *Space) Bytes(addr uint64, n int) []byte {
 	return backendBytes(s, addr, n)
@@ -474,31 +359,10 @@ func backendBytes(b Backend, addr uint64, n int) []byte {
 	return sp.Bytes(off, n)
 }
 
-// spanHost hooks: the simulated space "drops" pages by erasing their
-// contents (zero, or poison in poison mode) and "backs" them the same way,
-// so data genuinely does not survive a decommit/recommit cycle.
+// spanHost hooks: the simulated space drops a span's pages by zeroing
+// them, so data genuinely does not survive a decommit/recommit cycle.
 
 func (s *Space) spanMu() *sync.Mutex { return &s.mu }
 func (s *Space) counts() *counters   { return &s.counters }
 
-func (s *Space) dropPages(sp *Span, off, n int) {
-	fill := byte(0)
-	if s.poisons {
-		fill = PoisonDecommitted
-	}
-	fillBytes(sp.data[off:off+n], fill)
-}
-
-func (s *Space) backPages(sp *Span, off, n int) {
-	fill := byte(0)
-	if s.poisons {
-		fill = PoisonRecommitted
-	}
-	fillBytes(sp.data[off:off+n], fill)
-}
-
-func fillBytes(b []byte, v byte) {
-	for i := range b {
-		b[i] = v
-	}
-}
+func (s *Space) dropPages(sp *Span) { clear(sp.data) }

@@ -113,16 +113,12 @@ func TestCommittedAccounting(t *testing.T) {
 	if got := s.Committed(); got != 3*PageSize {
 		t.Fatalf("Committed after release = %d, want %d", got, 3*PageSize)
 	}
-	if got := s.PeakCommitted(); got != 4*PageSize {
+	if got := s.Stats().PeakCommitted; got != 4*PageSize {
 		t.Fatalf("Peak = %d, want %d", got, 4*PageSize)
 	}
 	s.Release(b)
 	if got := s.Committed(); got != 0 {
 		t.Fatalf("Committed after all released = %d, want 0", got)
-	}
-	s.ResetPeak()
-	if got := s.PeakCommitted(); got != 0 {
-		t.Fatalf("Peak after ResetPeak = %d, want 0", got)
 	}
 }
 
@@ -150,18 +146,6 @@ func TestBytesOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	s.Bytes(sp.Base+PageSize-4, 8)
-}
-
-func TestPoison(t *testing.T) {
-	s := New()
-	s.SetPoison(true)
-	sp := s.Reserve(PageSize, 0, nil)
-	sp.Data()[0] = 42
-	s.Release(sp)
-	sp2 := s.Reserve(PageSize, 0, nil)
-	if sp2.Data()[0] != 0xDB {
-		t.Fatalf("poisoned byte = %#x, want 0xDB", sp2.Data()[0])
-	}
 }
 
 func TestLookupUnmappedRegions(t *testing.T) {
