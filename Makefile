@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt build inline test race race-arena race-bench vet perfbench-vet bench perfbench-smoke
+.PHONY: check fmt build inline portable test race race-arena race-bench vet perfbench-vet bench perfbench-smoke
 
 # check is the tier-1 gate: formatting, vet (of the benchmark module too),
-# build, the hit path's inlining, the full suite under the race detector,
-# the allocator protocol suites under it again on the arena backend, and the
-# public-API microbenchmarks under it too.
-check: fmt vet perfbench-vet build inline race race-arena race-bench
+# build, the hit path's inlining, the build on platforms without the arena,
+# the full suite under the race detector, the allocator protocol suites under
+# it again on the arena backend, and the public-API microbenchmarks under it
+# too.
+check: fmt vet perfbench-vet build inline portable race race-arena race-bench
 
 # fmt fails when gofmt would reformat any file, and lists them.
 fmt:
@@ -40,6 +41,14 @@ inline:
 		echo "$$out" | awk -v f="$$f" '$$(NF-2) == "can" && $$NF == f { found = 1 } END { exit !found }' || \
 			{ echo "not inlined: $$f"; fail=1; }; \
 	done; exit $$fail
+
+# portable vets and tests on a 32-bit target, which has no arena (so the
+# simulated memory and the arena's fallback stub are all that build, and an
+# int that overflows at 32 bits fails here), and builds for a non-Linux one.
+portable:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/vm/ ./internal/core/ ./internal/experiments/ .
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

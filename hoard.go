@@ -92,16 +92,16 @@ type Config struct {
 	// 2*Procs heaps).
 	Hoard core.Config
 
-	// Backend selects the Hoard policy's memory substrate: "sim" (the
-	// default — a deterministic simulated address space) or "arena" (one
-	// large mmap reservation with address-arithmetic span resolution and
-	// real madvise decommit; Linux amd64/arm64 only). Empty consults the
-	// HOARDGO_BACKEND environment variable, then defaults to sim. When the
-	// arena cannot be created the allocator degrades to sim instead of
-	// failing; Stats.BackendFallbacks and Allocator.BackendFallbackReason
-	// record that. It is the only backend setting: New rejects a nonempty
-	// Hoard.Backend. Ignored by other policies, which always use the
-	// simulated space.
+	// Backend selects the memory behind the Hoard policy's address space:
+	// "sim" (the default — deterministic simulated memory) or "arena"
+	// (mmap'd regions with real madvise decommit; Linux amd64/arm64 only).
+	// Either way a superblock pointer resolves by address arithmetic on
+	// one slot table. Empty consults the HOARDGO_BACKEND environment
+	// variable, then defaults to sim. When the arena cannot be created the
+	// allocator degrades to sim instead of failing; Stats.BackendFallbacks
+	// and Allocator.BackendFallbackReason record that. It is the only
+	// backend setting: New rejects a nonempty Hoard.Backend. Ignored by
+	// other policies, which always use simulated memory.
 	Backend string
 
 	// Debug wraps the allocator with memory-debugging machinery: guard
@@ -281,9 +281,11 @@ func (t *Thread) Close() {
 }
 
 // Malloc returns a block of at least size bytes. Malloc(0) returns a valid
-// minimal block.
+// minimal block; a negative size panics, as it does on every call that
+// takes a size.
 func (t *Thread) Malloc(size int) Ptr {
 	t.a.checkOpen("Malloc")
+	checkSize("Malloc", size)
 	if t.state != nil {
 		return t.state.Malloc(size)
 	}
@@ -293,6 +295,7 @@ func (t *Thread) Malloc(size int) Ptr {
 // Calloc returns a zeroed block of at least size bytes.
 func (t *Thread) Calloc(size int) Ptr {
 	t.a.checkOpen("Calloc")
+	checkSize("Calloc", size)
 	p := t.Malloc(size)
 	clear(t.Bytes(p, size))
 	return p
@@ -319,6 +322,7 @@ func (t *Thread) Free(p Ptr) {
 // p behaves as Malloc.
 func (t *Thread) Realloc(p Ptr, size int) Ptr {
 	t.a.checkOpen("Realloc")
+	checkSize("Realloc", size)
 	if p.IsNil() {
 		return t.Malloc(size)
 	}
@@ -343,6 +347,7 @@ func (t *Thread) Realloc(p Ptr, size int) Ptr {
 // power of two panics on every policy.
 func (t *Thread) MallocAligned(size, align int) Ptr {
 	t.a.checkOpen("MallocAligned")
+	checkSize("MallocAligned", size)
 	if align <= 0 || align&(align-1) != 0 {
 		panic(fmt.Sprintf("hoard: MallocAligned align %d not a power of two", align))
 	}
@@ -354,7 +359,7 @@ func (t *Thread) MallocAligned(size, align int) Ptr {
 	if align > 4096 {
 		panic(fmt.Sprintf("hoard: policy %q supports MallocAligned up to page alignment, got %d", t.a.name, align))
 	}
-	if align > 8 && size >= 0 { // a negative size still reaches Malloc's panic
+	if align > 8 {
 		size = max(size, 4097) // the large-object path is page-aligned
 	}
 	return t.Malloc(size)
@@ -367,6 +372,7 @@ func (t *Thread) MallocAligned(size, align int) Ptr {
 // heap lock.
 func (t *Thread) MallocBatch(size, n int, out []Ptr) int {
 	t.a.checkOpen("MallocBatch")
+	checkSize("MallocBatch", size)
 	n = max(0, min(n, len(out)))
 	for i := range out[:n] {
 		out[i] = t.Malloc(size)
@@ -388,6 +394,7 @@ func (t *Thread) FreeBatch(ps []Ptr) {
 // valid until the block is freed.
 func (t *Thread) Bytes(p Ptr, n int) []byte {
 	t.a.checkOpen("Bytes")
+	checkSize("Bytes", n)
 	if h := t.a.hoard; h != nil {
 		return h.Bytes(p, n)
 	}
@@ -560,7 +567,7 @@ func (a *Allocator) ReleaseMemory() int64 {
 }
 
 // Close releases the memory substrate: for the arena backend this unmaps its
-// virtual reservation, for the simulated backend it is a no-op.
+// regions; the simulated memory has nothing to return.
 // The allocator must be quiescent when Close is called. Afterwards NewThread,
 // ReleaseMemory, CheckIntegrity and every Thread operation that touches
 // memory (Malloc, Free, their batch forms, Bytes, UsableSize and the calls
@@ -580,6 +587,14 @@ func (a *Allocator) Close() error {
 func (a *Allocator) checkOpen(op string) {
 	if a.closed {
 		panic("hoard: " + op + " after Close")
+	}
+}
+
+// checkSize panics, naming op, on a negative size: the same message on
+// every policy, with and without Debug, before any layer below sees it.
+func checkSize(op string, size int) {
+	if size < 0 {
+		panic(fmt.Sprintf("hoard: %s of negative size %d", op, size))
 	}
 }
 

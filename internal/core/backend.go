@@ -19,26 +19,33 @@ var newArenaBackend = vm.NewArena
 // suite over the arena.
 var envBackend = sync.OnceValue(func() string { return os.Getenv("HOARDGO_BACKEND") })
 
-// openBackend resolves the configured backend name and builds it. The
-// simulated space is the default; a requested arena that cannot be created
-// (or an unrecognized HOARDGO_BACKEND value) degrades to the simulated
-// space with the reason recorded rather than panicking, so the same binary
-// runs on every platform.
+// openBackend resolves the configured backend name and builds a Space over
+// that memory, its slot size the superblock size. The simulated memory is
+// the default; a requested arena that cannot be created (or an unrecognized
+// HOARDGO_BACKEND value) degrades to the simulated memory with the reason
+// recorded rather than panicking, so the same binary runs on every
+// platform.
 func openBackend(cfg Config) (vm.Backend, string) {
 	name := cfg.Backend
 	if name == "" {
 		name = envBackend()
 	}
+	opts := vm.ArenaOptions{SpanSize: cfg.SuperblockSize}
+	reason := ""
 	switch name {
 	case "", "sim":
-		return vm.New(), ""
 	case "arena":
-		be, err := newArenaBackend(vm.ArenaOptions{SpanSize: cfg.SuperblockSize})
-		if err != nil {
-			return vm.New(), err.Error()
+		be, err := newArenaBackend(opts)
+		if err == nil {
+			return be, ""
 		}
-		return be, ""
+		reason = err.Error()
 	default:
-		return vm.New(), "unknown backend \"" + name + "\""
+		reason = "unknown backend \"" + name + "\""
 	}
+	be, err := vm.NewSim(opts)
+	if err != nil {
+		panic(err) // unreachable: validate checked the superblock size
+	}
+	return be, reason
 }

@@ -7,6 +7,7 @@ import (
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
+	"hoardgo/internal/superblock"
 	"hoardgo/internal/vm"
 )
 
@@ -121,5 +122,39 @@ func TestBackendArena(t *testing.T) {
 	}
 	if st := h.Space().Stats(); st.Reserves == 0 {
 		t.Fatal("arena served no reservations")
+	}
+}
+
+// TestSlotsResolveSuperblocks: on either memory a superblock pointer
+// resolves through the allocator's copy of the slot table, the hit paths'
+// call-free lookup, and a large object does not (it resolves through
+// resolve's page-table walk).
+func TestSlotsResolveSuperblocks(t *testing.T) {
+	for _, backend := range []string{"sim", "arena"} {
+		t.Run(backend, func(t *testing.T) {
+			h := New(Config{Backend: backend}, env.RealLockFactory{})
+			if h.Backend() != backend {
+				t.Skipf("backend %s unavailable: %s", backend, h.BackendFallbackReason())
+			}
+			defer h.Space().Close()
+			th := h.NewThread(&env.RealEnv{ID: 1})
+			p := h.Malloc(th, 64)
+			sp := h.slots.Lookup(uint64(p))
+			if sp == nil {
+				t.Fatalf("superblock pointer %#x missed the slot table", uint64(p))
+			}
+			if _, ok := sp.Owner.(*superblock.Superblock); !ok || sp != h.resolve("test", p) {
+				t.Fatalf("slot table resolved %#x to %v, not its superblock's span", uint64(p), sp.Owner)
+			}
+			big := h.Malloc(th, 64<<10)
+			if sp := h.slots.Lookup(uint64(big)); sp != nil {
+				t.Fatalf("large object %#x in the slot table", uint64(big))
+			}
+			if _, ok := h.resolve("test", big).Owner.(*alloc.LargeObj); !ok {
+				t.Fatal("large object did not resolve to its span")
+			}
+			h.Free(th, p)
+			h.Free(th, big)
+		})
 	}
 }

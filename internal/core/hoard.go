@@ -61,12 +61,13 @@ type Config struct {
 	// reason the released Hoard used 2P heaps). Off by default: the
 	// benchmarks' sequential ids then map round-robin.
 	HashThreads bool
-	// Backend selects the vm substrate: "sim" (the deterministic
-	// simulated space) or "arena" (one large mmap'd reservation with real
-	// madvise decommit; Linux amd64/arm64 only). Empty defers to the
-	// HOARDGO_BACKEND environment variable, then defaults to "sim". A
-	// requested arena that cannot be created degrades to the simulated
-	// space — see Stats.BackendFallbacks and BackendFallbackReason.
+	// Backend selects the memory behind the vm space: "sim" (the
+	// deterministic simulated memory) or "arena" (mmap'd regions with real
+	// madvise decommit; Linux amd64/arm64 only). Both resolve superblocks
+	// through the same slot table. Empty defers to the HOARDGO_BACKEND
+	// environment variable, then defaults to "sim". A requested arena that
+	// cannot be created degrades to the simulated memory — see
+	// Stats.BackendFallbacks and BackendFallbackReason.
 	Backend string
 	// Magazines turns on the per-thread magazines (magazine.go) and sets
 	// their capacity: the most blocks a thread caches per size class, and
@@ -147,8 +148,8 @@ func (c Config) validate() error {
 type Hoard struct {
 	cfg   Config
 	space vm.Backend
-	// slots is space's slot table: the arena's resolves a superblock
-	// pointer by address arithmetic, and the simulated space has none.
+	// slots is a copy of space's slot table, which resolves a superblock
+	// pointer by address arithmetic with no call.
 	slots   vm.Slots
 	classes *sizeclass.Table
 	// heaps[0] is the global heap; heaps[1..cfg.Heaps] are per-processor.
@@ -220,7 +221,7 @@ func New(cfg Config, lf env.LockFactory) *Hoard {
 	h := &Hoard{
 		cfg:     cfg,
 		space:   space,
-		slots:   vm.SlotsOf(space),
+		slots:   space.Slots,
 		classes: sizeclass.New(cfg.SizeClassBase, sizeclass.Quantum, cfg.SuperblockSize/2),
 	}
 	h.backendFallback = fallback
@@ -361,18 +362,16 @@ func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out 
 	}
 }
 
-// resolve is the one pointer→span resolution of an operation: the slot
-// table's address arithmetic for an arena superblock, otherwise a backend
-// Lookup (a page-table walk on sim, a large-object page on the arena).
-// Every consumer passes its result down instead of re-resolving.
-// BenchmarkResolveFree pins its cost per backend. The hit paths try the
-// slot table themselves first, since a call costs more than the arithmetic.
+// resolve is the one pointer→span resolution of an operation: the space's
+// Lookup, which is the slot table's address arithmetic for a superblock
+// and a page-table walk for a large object. Every consumer passes its
+// result down instead of re-resolving. BenchmarkResolveFree pins its cost
+// per backend. The hit paths try h.slots themselves first, since a call
+// costs more than the arithmetic.
 func (h *Hoard) resolve(op string, p alloc.Ptr) *vm.Span {
-	sp := h.slots.Lookup(uint64(p))
+	sp := h.space.Lookup(uint64(p))
 	if sp == nil {
-		if sp = h.space.Lookup(uint64(p)); sp == nil {
-			panic(fmt.Sprintf("hoard: %s of unknown pointer %#x", op, uint64(p)))
-		}
+		panic(fmt.Sprintf("hoard: %s of unknown pointer %#x", op, uint64(p)))
 	}
 	return sp
 }

@@ -20,11 +20,10 @@ func benchBackend(b *testing.B, name string) *Hoard {
 }
 
 // BenchmarkResolveFree pins the free path's pointer→superblock resolution
-// cost on both backends. "resolve" is the raw Lookup (the arena's address
-// arithmetic vs the simulated space's two-level page table); "mallocfree"
-// is the full operation pair, which performs exactly one resolution per
-// free (it used to do two — one for the span, one for the large-object
-// check).
+// cost on both backends. "resolve" is the raw Lookup (the slot table's
+// address arithmetic on either memory); "mallocfree" is the full operation
+// pair, which performs exactly one resolution per free (it used to do two —
+// one for the span, one for the large-object check).
 func BenchmarkResolveFree(b *testing.B) {
 	for _, backend := range []string{"sim", "arena"} {
 		b.Run(backend, func(b *testing.B) {

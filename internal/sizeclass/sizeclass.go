@@ -98,9 +98,10 @@ func (t *Table) MaxSize() int { return t.max }
 func (t *Table) Base() float64 { return t.base }
 
 // ClassFor returns the smallest class whose block size can hold a request of
-// size bytes, and ok=false if the request exceeds MaxSize. Requests of zero
-// or negative size map to class 0, matching malloc(0) returning a minimal
-// block.
+// size bytes, and ok=false if the request exceeds MaxSize. A request of zero
+// bytes maps to class 0, matching malloc(0) returning a minimal block. So
+// does a negative size, which never arrives from the public API: its calls
+// panic on one first.
 func (t *Table) ClassFor(size int) (class int, ok bool) {
 	if size <= 0 {
 		return 0, true

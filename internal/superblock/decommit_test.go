@@ -97,7 +97,7 @@ func TestDecommitRecommitWriteEveryBlock(t *testing.T) {
 	for _, p := range got {
 		sb.FreeBlock(e, p)
 	}
-	sb.Release(space)
+	space.Release(sb.span)
 	if space.Committed() != 0 || space.Reserved() != 0 {
 		t.Fatalf("space not empty after release: committed %d reserved %d",
 			space.Committed(), space.Reserved())
@@ -148,7 +148,7 @@ func TestDecommittedReleaseAccounting(t *testing.T) {
 	// bytes.
 	space, sb := newSB(t, 64)
 	sb.Decommit(e)
-	sb.Release(space)
+	space.Release(sb.span)
 	st := space.Stats()
 	if st.Committed != 0 || st.Reserved != 0 || st.DecommittedBytes != 0 {
 		t.Fatalf("accounting after releasing decommitted superblock: %+v", st)

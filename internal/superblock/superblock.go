@@ -131,17 +131,6 @@ func (sb *Superblock) Reinit(class, blockSize int) {
 	sb.format(class, blockSize)
 }
 
-// Release returns the superblock's span to the simulated OS. The superblock
-// must be empty and must no longer be reachable from any heap.
-func (sb *Superblock) Release(space vm.Backend) {
-	if sb.used != 0 {
-		panic("superblock: Release with blocks in use")
-	}
-	space.Release(sb.span)
-	sb.span = nil
-	sb.head, sb.carved = 0, 0
-}
-
 // Unseal is a no-op. The allocator has one protocol, under the owning
 // heap's lock, and nothing left to fence; the benchmark's superblock replay
 // (perfbench/layers.go) is its only caller.
@@ -465,9 +454,6 @@ func (sb *Superblock) CheckIntegrityOnline() error {
 }
 
 func (sb *Superblock) checkIntegrity(cached int, online bool) error {
-	if sb.span == nil {
-		return fmt.Errorf("superblock: released but still reachable")
-	}
 	head, used := sb.head, sb.used
 	if sb.span.Decommitted() {
 		// A decommitted superblock's only consistent shape is the pristine

@@ -161,7 +161,7 @@ func TestReinitNonEmptyPanics(t *testing.T) {
 func TestReleaseInvalidatesFromPtr(t *testing.T) {
 	space, sb := newSB(t, 64)
 	base := alloc.Ptr(sb.Base())
-	sb.Release(space)
+	space.Release(sb.span)
 	if _, ok := FromPtr(space, base); ok {
 		t.Fatal("FromPtr found released superblock")
 	}
@@ -465,7 +465,7 @@ func TestBlockIndexMatchesDivision(t *testing.T) {
 			for i := 0; i < sb.NBlocks(); i++ {
 				sb.FreeCached(alloc.Ptr(base + uint64(i*blockSize)))
 			}
-			sb.Release(space)
+			space.Release(sb.span)
 		}
 		if tails == 0 {
 			t.Fatalf("S=%d: no class leaves a tail past its last whole block", size)

@@ -1,9 +1,13 @@
 package vm
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
-// testArena builds a small arena, skipping on platforms without one.
-func testArena(t *testing.T, opts ArenaOptions) Backend {
+// testSpace builds a small Space with newSpace, skipping the test on a
+// platform without that memory. Cleanup closes it.
+func testSpace(t *testing.T, newSpace func(ArenaOptions) (Backend, error), opts ArenaOptions) Backend {
 	t.Helper()
 	if opts.SlotRegionBytes == 0 {
 		opts.SlotRegionBytes = 64 << 20
@@ -11,16 +15,26 @@ func testArena(t *testing.T, opts ArenaOptions) Backend {
 	if opts.LargeRegionBytes == 0 {
 		opts.LargeRegionBytes = 64 << 20
 	}
-	a, err := NewArena(opts)
+	s, err := newSpace(opts)
+	if errors.Is(err, ErrArenaUnsupported) {
+		t.Skipf("backend unavailable: %v", err)
+	}
 	if err != nil {
-		t.Skipf("arena backend unavailable: %v", err)
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := a.Close(); err != nil {
+		if err := s.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	})
-	return a
+	return s
+}
+
+// forEachBackend runs fn as a subtest on a small simulated Space and, where
+// the platform has one, on an arena of the same geometry.
+func forEachBackend(t *testing.T, opts ArenaOptions, fn func(t *testing.T, b Backend)) {
+	t.Run("sim", func(t *testing.T) { fn(t, testSpace(t, NewSim, opts)) })
+	t.Run("arena", func(t *testing.T) { fn(t, testSpace(t, NewArena, opts)) })
 }
 
 // TestArenaZeroFillAfterRecommit: on real memory the OS guarantees that a
@@ -29,7 +43,7 @@ func testArena(t *testing.T, opts ArenaOptions) Backend {
 // neighbouring spans on either side keep their contents.
 func TestArenaZeroFillAfterRecommit(t *testing.T) {
 	const slot = 8192
-	a := testArena(t, ArenaOptions{SpanSize: slot})
+	a := testSpace(t, NewArena, ArenaOptions{SpanSize: slot})
 
 	var spans [3]*Span // consecutive slots: before, decommitted, after
 	for i := range spans {
@@ -61,74 +75,196 @@ func TestArenaZeroFillAfterRecommit(t *testing.T) {
 
 // TestArenaArithmeticResolution exercises the slot region's address
 // arithmetic: every byte of a superblock-sized span resolves to its span
-// with no page table, neighbors stay nil, and releases are immediate.
+// through the slot table, neighbors stay nil, and releases are immediate.
 func TestArenaArithmeticResolution(t *testing.T) {
-	a := testArena(t, ArenaOptions{SpanSize: 8192})
-
-	sp1 := a.Reserve(8192, 8192, "sb1")
-	sp2 := a.Reserve(8192, 8192, "sb2")
-	if sp1.Base%8192 != 0 || sp2.Base%8192 != 0 {
-		t.Fatalf("slot spans misaligned: %#x %#x", sp1.Base, sp2.Base)
-	}
-	for off := uint64(0); off < 8192; off += 512 {
-		if got := a.Lookup(sp1.Base + off); got != sp1 {
-			t.Fatalf("Lookup(%#x) = %v, want sp1", sp1.Base+off, got)
+	forEachBackend(t, ArenaOptions{SpanSize: 8192}, func(t *testing.T, a Backend) {
+		sp1 := a.Reserve(8192, 8192, "sb1")
+		sp2 := a.Reserve(8192, 8192, "sb2")
+		if sp1.Base%8192 != 0 || sp2.Base%8192 != 0 {
+			t.Fatalf("slot spans misaligned: %#x %#x", sp1.Base, sp2.Base)
 		}
-	}
-	if got := a.Lookup(sp1.Base + 8191); got != sp1 {
-		t.Fatalf("last byte resolved to %v", got)
-	}
-	if got := a.Lookup(sp1.Base - 1); got != nil && got != sp2 {
-		t.Fatalf("byte before sp1 resolved to unrelated span %v", got)
-	}
-	a.Release(sp1)
-	if got := a.Lookup(sp1.Base); got != nil {
-		t.Fatalf("released slot still resolves to %v", got)
-	}
-	// The freed slot is reused by the next superblock-sized reserve.
-	sp3 := a.Reserve(8192, 8192, "sb3")
-	if sp3.Base != sp1.Base {
-		t.Fatalf("slot not recycled: got %#x, want %#x", sp3.Base, sp1.Base)
-	}
-	if a.Stats().Recycled != 1 {
-		t.Fatalf("Recycled = %d, want 1", a.Stats().Recycled)
-	}
-	a.Release(sp2)
-	a.Release(sp3)
-	if got := a.Reserved(); got != 0 {
-		t.Fatalf("Reserved = %d after releasing everything", got)
-	}
+		for off := uint64(0); off < 8192; off += 512 {
+			if got := a.Slots.Lookup(sp1.Base + off); got != sp1 {
+				t.Fatalf("Slots.Lookup(%#x) = %v, want sp1", sp1.Base+off, got)
+			}
+			if got := a.Lookup(sp1.Base + off); got != sp1 {
+				t.Fatalf("Lookup(%#x) = %v, want sp1", sp1.Base+off, got)
+			}
+		}
+		if got := a.Lookup(sp1.Base + 8191); got != sp1 {
+			t.Fatalf("last byte resolved to %v", got)
+		}
+		if got := a.Lookup(sp1.Base - 1); got != nil && got != sp2 {
+			t.Fatalf("byte before sp1 resolved to unrelated span %v", got)
+		}
+		a.Release(sp1)
+		if got := a.Lookup(sp1.Base); got != nil {
+			t.Fatalf("released slot still resolves to %v", got)
+		}
+		// The freed slot is reused by the next superblock-sized reserve.
+		sp3 := a.Reserve(8192, 8192, "sb3")
+		if sp3.Base != sp1.Base {
+			t.Fatalf("slot not recycled: got %#x, want %#x", sp3.Base, sp1.Base)
+		}
+		if a.Stats().Recycled != 1 {
+			t.Fatalf("Recycled = %d, want 1", a.Stats().Recycled)
+		}
+		a.Release(sp2)
+		a.Release(sp3)
+		if got := a.Reserved(); got != 0 {
+			t.Fatalf("Reserved = %d after releasing everything", got)
+		}
+	})
 }
 
-// TestArenaLargeSpans exercises the variable-size region: non-slot sizes,
+// TestArenaLargeSpans exercises the large region: non-slot sizes,
 // alignment beyond the slot size, interior-pointer resolution.
 func TestArenaLargeSpans(t *testing.T) {
-	a := testArena(t, ArenaOptions{SpanSize: 8192})
-
-	big := a.Reserve(5*PageSize, 0, "big")
-	if big.Len != 5*PageSize {
-		t.Fatalf("Len = %d", big.Len)
-	}
-	for off := 0; off < big.Len; off += PageSize {
-		if got := a.Lookup(big.Base + uint64(off)); got != big {
-			t.Fatalf("interior page %d resolved to %v", off/PageSize, got)
+	forEachBackend(t, ArenaOptions{SpanSize: 8192}, func(t *testing.T, a Backend) {
+		big := a.Reserve(5*PageSize, 0, "big")
+		if big.Len != 5*PageSize {
+			t.Fatalf("Len = %d", big.Len)
 		}
-	}
-	if got := a.Lookup(big.End()); got == big {
-		t.Fatal("one-past-end resolved to the span")
-	}
+		for off := 0; off < big.Len; off += PageSize {
+			if got := a.Lookup(big.Base + uint64(off)); got != big {
+				t.Fatalf("interior page %d resolved to %v", off/PageSize, got)
+			}
+		}
+		if got := a.Lookup(big.End()); got == big {
+			t.Fatal("one-past-end resolved to the span")
+		}
+		if got := a.Slots.Lookup(big.Base); got != nil {
+			t.Fatalf("large span in the slot table: %v", got)
+		}
 
-	// Superblock size but over-aligned: must still work, via the large
-	// region.
-	wide := a.Reserve(8192, 32768, "wide")
-	if wide.Base%32768 != 0 {
-		t.Fatalf("aligned reserve at %#x", wide.Base)
+		// Superblock size but over-aligned: must still work, via the large
+		// region.
+		wide := a.Reserve(8192, 32768, "wide")
+		if wide.Base%32768 != 0 {
+			t.Fatalf("aligned reserve at %#x", wide.Base)
+		}
+		if got := a.Lookup(wide.Base + 100); got != wide {
+			t.Fatalf("aligned span did not resolve: %v", got)
+		}
+		a.Release(big)
+		a.Release(wide)
+	})
+}
+
+// TestArenaSlotExhaustionDegrades drains a four-slot slot region and keeps
+// reserving superblock-sized spans: the overflow spans must come from the
+// large path (no panic), resolve through Lookup, hold data, and recycle.
+func TestArenaSlotExhaustionDegrades(t *testing.T) {
+	opts := ArenaOptions{SpanSize: 8192, SlotRegionBytes: 4 * 8192, LargeRegionBytes: 16 * 8192}
+	forEachBackend(t, opts, func(t *testing.T, a Backend) {
+		var spans []*Span
+		for i := 0; i < 12; i++ {
+			sp := a.Reserve(8192, 8192, i)
+			sp.Data()[0] = byte(i)
+			sp.Data()[8191] = byte(i)
+			spans = append(spans, sp)
+		}
+		for i, sp := range spans {
+			if got := a.Lookup(sp.Base + 4096); got != sp {
+				t.Fatalf("span %d interior lookup = %v, want %v", i, got, sp)
+			}
+			if inSlots := a.Slots.Lookup(sp.Base) == sp; inSlots != (i < 4) {
+				t.Fatalf("span %d in the slot table: %v, want %v", i, inSlots, i < 4)
+			}
+			if sp.Data()[0] != byte(i) || sp.Data()[8191] != byte(i) {
+				t.Fatalf("span %d lost its contents", i)
+			}
+		}
+		// Overflow spans sit outside the slot region but are first-class:
+		// they release cleanly and are recycled by the next same-size
+		// reserve.
+		last := spans[len(spans)-1]
+		a.Release(last)
+		if got := a.Lookup(last.Base); got != nil {
+			t.Fatalf("released overflow span still resolves to %v", got)
+		}
+		re := a.Reserve(8192, 8192, "re")
+		if re.Base != last.Base {
+			t.Fatalf("overflow span not recycled: got %#x, want %#x", re.Base, last.Base)
+		}
+		a.Release(re)
+		for _, sp := range spans[:len(spans)-1] {
+			a.Release(sp)
+		}
+		if got := a.Reserved(); got != 0 {
+			t.Fatalf("Reserved = %d after releasing everything", got)
+		}
+	})
+}
+
+// TestArenaLargeRegionGrows exhausts a tiny large region and verifies the
+// space adds large regions instead of panicking: spans in added regions
+// resolve via Lookup, support decommit/recommit, count in Stats.Grows, and
+// are released by Close (the cleanup checks its error).
+func TestArenaLargeRegionGrows(t *testing.T) {
+	opts := ArenaOptions{
+		SpanSize:         8192,
+		SlotRegionBytes:  4 * 8192,
+		LargeRegionBytes: 8 * 8192,
+		GrowBytes:        32 * 8192,
 	}
-	if got := a.Lookup(wide.Base + 100); got != wide {
-		t.Fatalf("aligned span did not resolve: %v", got)
-	}
-	a.Release(big)
-	a.Release(wide)
+	forEachBackend(t, opts, func(t *testing.T, a Backend) {
+		// Each span is a quarter of the first large region; the loop runs
+		// far past it and into several added ones.
+		const spanLen = 2 * 8192
+		var spans []*Span
+		for i := 0; i < 40; i++ {
+			sp := a.Reserve(spanLen, 0, i)
+			data := sp.Data()
+			for j := range data {
+				data[j] = byte(i)
+			}
+			spans = append(spans, sp)
+		}
+		if st := a.Stats(); st.Grows < 2 {
+			t.Fatalf("Grows = %d, want at least 2 added regions", st.Grows)
+		}
+		for i, sp := range spans {
+			if got := a.Lookup(sp.Base + spanLen - 1); got != sp {
+				t.Fatalf("span %d last-byte lookup = %v, want %v", i, got, sp)
+			}
+			if sp.Data()[0] != byte(i) {
+				t.Fatalf("span %d lost its contents", i)
+			}
+		}
+
+		// Decommit/recommit inside an added region zero-fills the span,
+		// and the neighbouring span keeps its contents.
+		prev, ext := spans[len(spans)-2], spans[len(spans)-1]
+		if prev.End() != ext.Base {
+			t.Fatalf("spans in an added region not adjacent: %#x then %#x", prev.Base, ext.Base)
+		}
+		ext.Decommit()
+		ext.Recommit()
+		if got := ext.Bytes(0, 1)[0]; got != 0 {
+			t.Fatalf("recommitted byte = %#x, want 0", got)
+		}
+		if got := ext.Bytes(ext.Len-1, 1)[0]; got != 0 {
+			t.Fatalf("recommitted last byte = %#x, want 0", got)
+		}
+		if got := prev.Bytes(prev.Len-1, 1)[0]; got != byte(len(spans)-2) {
+			t.Fatal("neighbouring span lost its contents")
+		}
+
+		// An over-sized request gets a region grown to fit it.
+		huge := a.Reserve(64*8192, 0, "huge")
+		if got := a.Lookup(huge.Base + uint64(huge.Len) - 1); got != huge {
+			t.Fatalf("over-sized span lookup = %v, want %v", got, huge)
+		}
+		a.Release(huge)
+
+		for _, sp := range spans {
+			a.Release(sp)
+		}
+		if got := a.Reserved(); got != 0 {
+			t.Fatalf("Reserved = %d after releasing everything", got)
+		}
+	})
 }
 
 // TestArenaRSSReturn is the backend-level ground truth for page release:
@@ -137,7 +273,7 @@ func TestArenaLargeSpans(t *testing.T) {
 // afterwards. Measured via /proc/self/statm, not simulated accounting.
 func TestArenaRSSReturn(t *testing.T) {
 	const size = 64 << 20
-	a := testArena(t, ArenaOptions{LargeRegionBytes: size})
+	a := testSpace(t, NewArena, ArenaOptions{LargeRegionBytes: size})
 
 	before, err := ReadRSS()
 	if err != nil {
@@ -170,34 +306,36 @@ func TestArenaRSSReturn(t *testing.T) {
 	a.Release(sp)
 }
 
-// TestArenaReserveAfterClose verifies Close is idempotent and that the
-// arena refuses to hand out spans afterwards.
+// TestArenaReserveAfterClose verifies Close is idempotent and that a
+// closed space refuses to hand out spans, on both memories.
 func TestArenaReserveAfterClose(t *testing.T) {
-	a, err := NewArena(ArenaOptions{SlotRegionBytes: 16 << 20, LargeRegionBytes: 16 << 20})
-	if err != nil {
-		t.Skipf("arena backend unavailable: %v", err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reserve on closed arena did not panic")
+	for _, mk := range []func(ArenaOptions) (Backend, error){NewSim, NewArena} {
+		a, err := mk(ArenaOptions{SlotRegionBytes: 16 << 20, LargeRegionBytes: 16 << 20})
+		if errors.Is(err, ErrArenaUnsupported) {
+			continue
 		}
-	}()
-	a.Reserve(PageSize, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatalf("%s: second close: %v", a.Name(), err)
+		}
+		mustPanic(t, a.Name()+": Reserve after Close", func() { a.Reserve(PageSize, 0, nil) })
+	}
 }
 
 // TestArenaBadOptions verifies option validation errors instead of
 // panicking, so callers can fall back.
 func TestArenaBadOptions(t *testing.T) {
-	if _, err := NewArena(ArenaOptions{SpanSize: 3000}); err == nil {
-		t.Fatal("non-power-of-two span size accepted")
-	}
-	if _, err := NewArena(ArenaOptions{SpanSize: 512}); err == nil {
-		t.Fatal("sub-page span size accepted")
+	for _, mk := range []func(ArenaOptions) (Backend, error){NewSim, NewArena} {
+		if _, err := mk(ArenaOptions{SpanSize: 3000}); err == nil {
+			t.Fatal("non-power-of-two span size accepted")
+		}
+		if _, err := mk(ArenaOptions{SpanSize: 512}); err == nil {
+			t.Fatal("sub-page span size accepted")
+		}
 	}
 }

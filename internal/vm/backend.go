@@ -2,66 +2,19 @@ package vm
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 )
 
-// Backend is the memory substrate an allocator runs on. Two implementations
-// exist:
-//
-//   - *Space, the deterministic simulated address space (New). Spans are
-//     Go-managed byte slices, decommit is accounting plus a zero fill,
-//     and every platform behaves identically. This is the default and the
-//     substrate for all deterministic experiments.
-//   - *Arena (NewArena, linux/amd64 and linux/arm64 only), one large mmap'd
-//     virtual reservation. Span addresses are real virtual addresses,
-//     pointer→span resolution is address arithmetic on the reservation base,
-//     and Decommit is a real madvise(MADV_DONTNEED), so footprint numbers
-//     are measurable as process RSS.
-//
-// All methods are safe for concurrent use; Lookup and Bytes are lock-free on
-// both implementations.
-type Backend interface {
-	// Name identifies the implementation: "sim" or "arena".
-	Name() string
+// Backend is the memory substrate an allocator runs on: a Space over the
+// simulated memory (New, NewSim), the default and the substrate for every
+// deterministic experiment, or over real mmap'd memory (NewArena), whose
+// footprint numbers are measurable as process RSS.
+type Backend = *Space
 
-	// Reserve returns a new span of size bytes (rounded up to whole pages)
-	// whose base address is a multiple of align (zero means page
-	// alignment). The span is fully committed.
-	Reserve(size, align int, owner any) *Span
-
-	// Release returns a span to the backend. Its addresses become invalid
-	// until the region is reserved again.
-	Release(sp *Span)
-
-	// Lookup returns the live span containing addr, or nil.
-	Lookup(addr uint64) *Span
-
-	// Bytes returns a view of n bytes of backing memory at addr, panicking
-	// if the range is not fully inside one live span.
-	Bytes(addr uint64, n int) []byte
-
-	// Stats returns a snapshot of the backend's accounting.
-	Stats() Stats
-
-	// Reserved, Committed, and DecommittedBytes expose the current gauges
-	// behind Stats, which also carries their peaks.
-	Reserved() int64
-	Committed() int64
-	DecommittedBytes() int64
-
-	// Close releases backend resources (the arena's virtual reservation).
-	// The backend and every span obtained from it are invalid afterwards;
-	// Close must only be called once the owning allocator is quiescent.
-	// Closing the simulated backend is a no-op.
-	Close() error
-}
-
-// Slots is a backend's superblock slot table: a region of equal,
+// Slots is a Space's superblock slot table: a region of equal,
 // SpanSize-aligned slots, each holding at most one span of exactly the slot
 // size. Lookup resolves an address in the region with one subtract, one
-// shift and one atomic load, and no interface call. The arena has one; the
-// zero Slots, which every other backend reports, resolves nothing.
+// shift and one atomic load, and no call.
 type Slots struct {
 	base      uint64 // start of the slot region
 	slotLen   uint64 // byte length of the slot region
@@ -71,7 +24,7 @@ type Slots struct {
 
 // Lookup returns the live span in addr's slot, or nil when addr lies outside
 // the slot region or its slot is empty. A nil result settles nothing: the
-// caller asks the backend's Lookup, which resolves every other span.
+// caller asks the Space's Lookup, which resolves every other span.
 func (s *Slots) Lookup(addr uint64) *Span {
 	if off := addr - s.base; off < s.slotLen {
 		return s.slots[off>>s.spanShift].Load()
@@ -79,21 +32,13 @@ func (s *Slots) Lookup(addr uint64) *Span {
 	return nil
 }
 
-// SlotsOf returns b's slot table, or the zero Slots if b has none. The
-// table stays valid until b is closed.
-func SlotsOf(b Backend) Slots {
-	if a, ok := b.(interface{ slotTable() Slots }); ok {
-		return a.slotTable()
-	}
-	return Slots{}
-}
-
 // ErrArenaUnsupported is returned by NewArena on platforms without the
-// mmap-based arena implementation (everything but linux/amd64 and
-// linux/arm64).
+// mmap-based memory (everything but linux/amd64 and linux/arm64).
 var ErrArenaUnsupported = errors.New("vm: arena backend requires linux/amd64 or linux/arm64")
 
-// ArenaOptions configures NewArena. The zero value selects the defaults.
+// ArenaOptions configures a Space's geometry, on either memory. The zero
+// value selects the defaults. The regions are virtual: nothing is committed
+// until reserved, so a big region costs its index tables, not memory.
 type ArenaOptions struct {
 	// SpanSize is the superblock size the slot region is carved into. It
 	// must be a power of two and at least one page. Reserves of exactly
@@ -103,21 +48,75 @@ type ArenaOptions struct {
 	// SlotRegionBytes is the virtual size of the superblock slot region.
 	// Default 1 GiB; rounded up to a SpanSize multiple.
 	SlotRegionBytes int64
-	// LargeRegionBytes is the virtual size of the variable-size region
-	// serving large objects. Default 512 MiB; rounded up to a SpanSize
-	// multiple.
+	// LargeRegionBytes is the virtual size of the first large region,
+	// which serves every other span. Default 512 MiB; rounded up to a
+	// SpanSize multiple.
 	LargeRegionBytes int64
-	// GrowBytes is the virtual size of each extension mapping the arena
-	// adds when its initial reservation is exhausted (exhaustion grows the
-	// arena rather than panicking; see Stats.Grows). A single over-sized
-	// Reserve gets an extension sized to fit it. Default 64 MiB; rounded up
-	// to a SpanSize multiple.
+	// GrowBytes is the virtual size of each large region added when the
+	// existing ones are exhausted (exhaustion grows the space rather than
+	// panicking; see Stats.Grows). A single over-sized Reserve gets a
+	// region sized to fit it. Default 64 MiB; rounded up to a SpanSize
+	// multiple.
 	GrowBytes int64
 }
 
-// counters is the reserved/committed accounting shared by every backend.
-// Embedding it provides the Stats and gauge accessor methods of the Backend
-// interface.
+// withDefaults fills the zero fields of o with the default geometry.
+func (o ArenaOptions) withDefaults() ArenaOptions {
+	if o.SpanSize == 0 {
+		o.SpanSize = 8192
+	}
+	if o.SlotRegionBytes == 0 {
+		o.SlotRegionBytes = 1 << 30
+	}
+	if o.LargeRegionBytes == 0 {
+		o.LargeRegionBytes = 512 << 20
+	}
+	if o.GrowBytes == 0 {
+		o.GrowBytes = 64 << 20
+	}
+	return o
+}
+
+// memory is what a Space's addresses are backed by. The Space calls every
+// method but name with its mutex held, or during construction.
+type memory interface {
+	// name identifies the memory: "sim" or "arena".
+	name() string
+	// mapRegion reserves n bytes of address space whose base is a multiple
+	// of align, returning the base and, for real memory, the mapping.
+	mapRegion(n int64, align int) (base uint64, mem []byte, err error)
+	// commit backs the n bytes at base, inside r, and returns them.
+	commit(r *region, base uint64, n int) []byte
+	// drop returns b's pages; they read back as zeros.
+	drop(b []byte)
+	// close releases every mapping.
+	close() error
+}
+
+// simBase is the first simulated address. Zero is never handed out, so
+// that 0 can serve as the allocator's nil.
+const simBase = 1 << 20
+
+// simMemory is the simulated memory: synthetic addresses from a cursor, and
+// a Go byte slice behind each span.
+type simMemory struct{ next uint64 }
+
+func (m *simMemory) name() string { return "sim" }
+
+func (m *simMemory) mapRegion(n int64, align int) (uint64, []byte, error) {
+	base := (m.next + uint64(align) - 1) &^ (uint64(align) - 1)
+	m.next = base + uint64(n)
+	return base, nil, nil
+}
+
+func (m *simMemory) commit(_ *region, _ uint64, n int) []byte { return make([]byte, n) }
+
+func (m *simMemory) drop(b []byte) { clear(b) }
+
+func (m *simMemory) close() error { return nil }
+
+// counters is a Space's reserved/committed accounting. Embedding it
+// provides the Stats and gauge accessor methods.
 type counters struct {
 	reserved     atomic.Int64
 	peakReserved atomic.Int64
@@ -179,18 +178,3 @@ func (c *counters) Committed() int64 { return c.committed.Load() }
 
 // DecommittedBytes returns the reserved-but-unbacked byte total.
 func (c *counters) DecommittedBytes() int64 { return c.decommitted.Load() }
-
-// spanHost is the backend-internal face a Span talks to: Span.Decommit's
-// bookkeeping delegates the physical part, dropping the span's pages, here.
-// All hook methods except counts are called with the host's span mutex
-// held.
-type spanHost interface {
-	// spanMu returns the mutex guarding span decommit state.
-	spanMu() *sync.Mutex
-	// counts returns the backend's accounting block.
-	counts() *counters
-	// dropPages physically drops the pages of sp: a zero fill for the
-	// simulated space, madvise(MADV_DONTNEED) for the arena. Recommit
-	// needs no hook: either way the pages read back as zeros.
-	dropPages(sp *Span)
-}

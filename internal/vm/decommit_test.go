@@ -6,15 +6,8 @@ import (
 	"testing"
 )
 
-// forEachBackend runs fn as a subtest on the simulated space and, where the
-// platform has one, on a small arena.
-func forEachBackend(t *testing.T, fn func(t *testing.T, b Backend)) {
-	t.Run("sim", func(t *testing.T) { fn(t, New()) })
-	t.Run("arena", func(t *testing.T) { fn(t, testArena(t, ArenaOptions{})) })
-}
-
 func TestDecommitRecommitAccounting(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, ArenaOptions{}, func(t *testing.T, b Backend) {
 		sp := b.Reserve(2*PageSize, 0, nil)
 		other := b.Reserve(2*PageSize, 0, nil)
 		if got := b.Reserved(); got != 4*PageSize {
@@ -70,7 +63,7 @@ func TestDecommitRecommitAccounting(t *testing.T) {
 // recommitting a committed one change no byte count, and every call is
 // still counted.
 func TestDecommitRecommitIdempotent(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, ArenaOptions{}, func(t *testing.T, b Backend) {
 		sp := b.Reserve(2*PageSize, 0, nil)
 		sp.Recommit() // committed already
 		if st := b.Stats(); st.Committed != 2*PageSize || st.DecommittedBytes != 0 || st.Recommits != 1 {
@@ -93,7 +86,7 @@ func TestDecommitRecommitIdempotent(t *testing.T) {
 }
 
 func TestDecommitDropsContentsAndGuardsAccess(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, ArenaOptions{}, func(t *testing.T, b Backend) {
 		sp := b.Reserve(2*PageSize, 0, nil)
 		other := b.Reserve(PageSize, 0, nil)
 		for _, s := range []*Span{sp, other} {
@@ -133,11 +126,10 @@ func TestDecommitDropsContentsAndGuardsAccess(t *testing.T) {
 }
 
 // TestReleaseDecommitted: releasing a decommitted span un-commits nothing
-// twice, and the span comes back committed from the backend's reuse pool
-// (the sim's pool, the arena's free-slot list).
+// twice, and the span comes back committed from the space's reuse pool.
 func TestReleaseDecommitted(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		const size = 2 * PageSize // the arena's default slot size
+	forEachBackend(t, ArenaOptions{}, func(t *testing.T, b Backend) {
+		const size = 2 * PageSize // the default slot size
 		sp := b.Reserve(size, size, nil)
 		sp.Decommit()
 		b.Release(sp)
@@ -168,7 +160,7 @@ func TestReleaseDecommitted(t *testing.T) {
 // with no live readers is decommitted) and checks the global invariants
 // reserved >= committed >= 0 throughout. Run under -race via make check.
 func TestConcurrentDecommitRecommit(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, s Backend) {
+	forEachBackend(t, ArenaOptions{}, func(t *testing.T, s Backend) {
 		var wg sync.WaitGroup
 		const workers = 8
 		for w := 0; w < workers; w++ {

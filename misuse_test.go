@@ -284,6 +284,44 @@ func TestMisuseAfterClose(t *testing.T) {
 	})
 }
 
+// TestMisuseNegativeSize: a negative size panics at the public call with
+// one message naming it, on every policy with and without Debug, and
+// leaves the allocator intact.
+func TestMisuseNegativeSize(t *testing.T) {
+	for _, pol := range []Policy{PolicyHoard, PolicySerial, PolicyConcurrent, PolicyDLHeap, PolicyPrivate, PolicyOwnership, PolicyThreshold} {
+		for _, debug := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/debug=%v", pol, debug), func(t *testing.T) {
+				a := MustNew(Config{Policy: pol, Debug: debug})
+				defer a.Close()
+				th := a.NewThread()
+				p := th.Malloc(64)
+				for _, c := range []struct {
+					op string
+					fn func()
+				}{
+					{"Malloc", func() { th.Malloc(-1) }},
+					{"Calloc", func() { th.Calloc(-1) }},
+					{"Realloc", func() { th.Realloc(p, -1) }},
+					{"Realloc", func() { th.Realloc(0, -1) }},
+					{"MallocAligned", func() { th.MallocAligned(-1, 64) }},
+					{"MallocBatch", func() { th.MallocBatch(-1, 2, make([]Ptr, 2)) }},
+					{"Bytes", func() { th.Bytes(p, -1) }},
+				} {
+					wantPanic(t, c.op+" of size -1", c.fn, "hoard: "+c.op+" of negative size -1")
+				}
+				th.Free(p)
+				th.Close()
+				if err := a.CheckIntegrity(); err != nil {
+					t.Fatal(err)
+				}
+				if st := a.Stats(); st.Mallocs != 1 || st.Frees != 1 {
+					t.Fatalf("%d mallocs and %d frees, want 1 and 1", st.Mallocs, st.Frees)
+				}
+			})
+		}
+	}
+}
+
 // TestLockedCrossThreadFreeStress is the handoff pattern on the default
 // configuration, on both backends: a producer mallocs batches, a consumer on
 // another heap frees them — per block and by FreeBatch. Every such free is
