@@ -29,14 +29,18 @@ build:
 # inline fails, naming each function, when a step of the allocation hit path
 # no longer compiles inline: the magazine's free-state flips (ClaimCached,
 # MarkCached, and FreeCached, a flush's per-block push), a refill's
-# per-block pop, the index check they share, the size-class lookup and the
-# arena's span lookup. Each is a few loads, compares and stores; a call
-# would cost about as much as the body (DESIGN.md §11).
+# per-block pop, the index check they share, the size-class lookup, the
+# arena's span lookup and a span's byte view. Each is a few loads, compares
+# and stores; a call would cost about as much as the body (DESIGN.md §11).
+# It pins too the heap helpers that keep the class masks in step with the
+# lists (link, unlink, the mask's set and clear) and the mask search, which
+# run on every regroup, so on every transfer.
 INLINE := '(*Superblock).ClaimCached' '(*Superblock).MarkCached' '(*Superblock).FreeCached' \
-	'(*Superblock).pop' '(*Superblock).blockIndex' '(*Table).ClassFor' '(*Slots).Lookup'
+	'(*Superblock).pop' '(*Superblock).blockIndex' '(*Table).ClassFor' '(*Slots).Lookup' \
+	'(*Span).Bytes' '(*Heap).link' '(*Heap).unlink' 'classMask.set' 'classMask.clear' 'classMask.next'
 
 inline:
-	@out="$$($(GO) build -gcflags=-m ./internal/superblock ./internal/sizeclass ./internal/vm 2>&1)" || { echo "$$out"; exit 1; }; \
+	@out="$$($(GO) build -gcflags=-m ./internal/superblock ./internal/sizeclass ./internal/vm ./internal/heap 2>&1)" || { echo "$$out"; exit 1; }; \
 	fail=0; for f in $(INLINE); do \
 		echo "$$out" | awk -v f="$$f" '$$(NF-2) == "can" && $$NF == f { found = 1 } END { exit !found }' || \
 			{ echo "not inlined: $$f"; fail=1; }; \

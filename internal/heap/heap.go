@@ -5,10 +5,13 @@
 // fraction) plus a list of completely empty superblocks. Allocation searches
 // a class's groups from mostly-full to mostly-empty, and takes an empty
 // superblock only after them, which both improves locality and lets
-// nearly-empty superblocks drain so they can be recycled. The empty list
-// makes every "find an empty superblock" step — eviction's first choice,
-// the global heap's take, local reuse, page release — one list head per
-// class. The heap tracks u(i), the bytes in use, and a(i), the bytes held
+// nearly-empty superblocks drain so they can be recycled. The heap keeps
+// one class bitmask per list kind (each fullness group, full, empty): bit c
+// is set exactly when class c's list of that kind is non-empty. So finding
+// an empty superblock of any class — eviction's first choice, the global
+// heap's cross-class take, local reuse — is a find-lowest-set-bit, and
+// eviction's walk of the partly used groups visits only non-empty lists.
+// The heap tracks u(i), the bytes in use, and a(i), the bytes held
 // in superblocks, and exposes the paper's emptiness invariant
 //
 //	u(i) >= a(i) - K*S  OR  u(i) >= (1-f)*a(i)
@@ -21,10 +24,17 @@
 // (including the re-check dance when superblock ownership changes while a
 // freeing thread waits). Blocks a thread cache holds count as in use, in u
 // and in their superblock's fullness.
+//
+// Costs (see internal/env): a search charges one OpListScan per list head
+// it consults plus one per superblock it visits. The mask searches replay
+// the charges the list-by-list scan they replace would make, the same
+// calls in the same order, so simulated runs are unchanged; on a real env,
+// whose charges are no-ops, they make none (env.Simulated).
 package heap
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
@@ -64,6 +74,9 @@ type Heap struct {
 	a       int64 // bytes held in superblocks
 	classes []classGroups
 	nSuper  int
+	// masks[g] has bit c set exactly when classes[c].groups[g] is
+	// non-empty; link and unlink keep it in step with the lists.
+	masks [NumGroups + 2]classMask
 
 	// touched is FreeBatch's scratch list of the superblocks a batch
 	// freed into, kept between batches so a batch allocates nothing.
@@ -90,16 +103,64 @@ func (l *sbList) pushFront(sb *superblock.Superblock) {
 	l.head = sb
 }
 
-func (l *sbList) remove(sb *superblock.Superblock) {
-	if sb.Prev != nil {
-		sb.Prev.Next = sb.Next
-	} else {
-		l.head = sb.Next
+// classMask is a set of size classes, bit c of word c/64 for class c: the
+// classes whose list of one kind is non-empty. It spans as many words as
+// the class count needs, since a small SizeClassBase makes more than 64.
+type classMask []uint64
+
+func (m classMask) set(c int)   { m[c>>6] |= 1 << (c & 63) }
+func (m classMask) clear(c int) { m[c>>6] &^= 1 << (c & 63) }
+
+// next returns the lowest class at or above c in the set, or -1.
+func (m classMask) next(c int) int {
+	w := c >> 6
+	if w >= len(m) {
+		return -1
 	}
-	if sb.Next != nil {
-		sb.Next.Prev = sb.Prev
+	word := m[w] &^ (1<<(c&63) - 1)
+	for word == 0 {
+		if w++; w == len(m) {
+			return -1
+		}
+		word = m[w]
+	}
+	return w<<6 | bits.TrailingZeros64(word)
+}
+
+// link pushes sb onto the front of its class's list g and marks the list
+// non-empty.
+func (h *Heap) link(sb *superblock.Superblock, g int) {
+	c := sb.Class()
+	sb.Group = g
+	h.classes[c].groups[g].pushFront(sb)
+	h.masks[g].set(c)
+}
+
+// unlink removes sb from its list, marking the list empty if sb was its
+// only superblock. It is the lists' one removal, written out in full so it
+// stays within the inlining budget and compiles into regroup.
+func (h *Heap) unlink(sb *superblock.Superblock) {
+	c, g := sb.Class(), sb.Group
+	prev, next := sb.Prev, sb.Next
+	if prev != nil {
+		prev.Next = next
+	} else if h.classes[c].groups[g].head = next; next == nil {
+		h.masks[g].clear(c)
+	}
+	if next != nil {
+		next.Prev = prev
 	}
 	sb.Next, sb.Prev = nil, nil
+}
+
+// chargeScans makes n OpListScan charges of one each, as a scan consulting
+// n list heads and superblocks one at a time makes them: each charge can be
+// a switch point of the simulator, so one charge of n would not schedule
+// the same. Callers call it only on a simulated env.
+func chargeScans(e env.Env, n int) {
+	for ; n > 0; n-- {
+		e.Charge(env.OpListScan, 1)
+	}
 }
 
 // New creates an empty heap. sbSize is S; fEmpty and k parameterize the
@@ -112,7 +173,7 @@ func New(id, sbSize int, fEmpty float64, k, numClasses int, lock env.Lock) *Heap
 	if k < 0 {
 		panic(fmt.Sprintf("heap: slack K %d negative", k))
 	}
-	return &Heap{
+	h := &Heap{
 		ID:      id,
 		Lock:    lock,
 		sbSize:  sbSize,
@@ -120,6 +181,10 @@ func New(id, sbSize int, fEmpty float64, k, numClasses int, lock env.Lock) *Heap
 		k:       int64(k),
 		classes: make([]classGroups, numClasses),
 	}
+	for g := range h.masks {
+		h.masks[g] = make(classMask, (numClasses+63)/64)
+	}
+	return h
 }
 
 // EmptyFraction returns the empty fraction f.
@@ -162,8 +227,7 @@ func (h *Heap) InvariantViolated() bool {
 // ownership. The superblock must not be on any other heap.
 func (h *Heap) Insert(sb *superblock.Superblock) {
 	sb.SetOwnerID(h.ID)
-	sb.Group = groupOf(sb)
-	h.classes[sb.Class()].groups[sb.Group].pushFront(sb)
+	h.link(sb, groupOf(sb))
 	h.a += int64(h.sbSize)
 	h.u += int64(sb.BytesInUse())
 	h.nSuper++
@@ -172,7 +236,7 @@ func (h *Heap) Insert(sb *superblock.Superblock) {
 // Remove detaches a superblock from the heap, releasing ownership of its
 // statistics. The caller becomes responsible for the superblock.
 func (h *Heap) Remove(sb *superblock.Superblock) {
-	h.classes[sb.Class()].groups[sb.Group].remove(sb)
+	h.unlink(sb)
 	h.a -= int64(h.sbSize)
 	h.u -= int64(sb.BytesInUse())
 	h.nSuper--
@@ -186,10 +250,8 @@ func (h *Heap) regroup(sb *superblock.Superblock) {
 	if g == sb.Group {
 		return
 	}
-	lists := &h.classes[sb.Class()].groups
-	lists[sb.Group].remove(sb)
-	sb.Group = g
-	lists[g].pushFront(sb)
+	h.unlink(sb)
+	h.link(sb, g)
 }
 
 // AllocBlock allocates one block of the given class to the application from
@@ -307,24 +369,34 @@ func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock
 // candidate would routinely evict a superblock still holding up to
 // (1-f) of its blocks — whose future frees then serialize on the global
 // heap. A fully drained superblock is the right victim whenever one
-// exists, and the empty lists find one with one list head per class.
+// exists, and the empty mask finds the lowest class that has one.
+//
+// Failing that, it walks the partly used groups, emptiest first, and in
+// each the classes in order, visiting only the lists the group's mask marks
+// non-empty. On a simulated env it charges what walking every class's list
+// would: one OpListScan per list head consulted, empty or not, plus one per
+// superblock visited, so long group lists cost what they cost.
 func (h *Heap) FindEvictable(e env.Env) *superblock.Superblock {
 	if sb := h.firstEmpty(e, -1); sb != nil {
 		return sb
 	}
-	// Cost discipline (see internal/env): one OpListScan per list head
-	// consulted plus one per superblock visited, so long group lists
-	// cost what they cost instead of a flat per-class charge.
+	visited := 0
 	for g := 0; g < NumGroups; g++ {
-		for c := range h.classes {
-			e.Charge(env.OpListScan, 1)
+		m := h.masks[g]
+		for c := m.next(0); c >= 0; c = m.next(c + 1) {
 			for sb := h.classes[c].groups[g].head; sb != nil; sb = sb.Next {
-				e.Charge(env.OpListScan, 1)
+				visited++
 				if sb.AtLeastEmpty(h.fEmpty) {
+					if env.Simulated(e) {
+						chargeScans(e, g*len(h.classes)+c+1+visited)
+					}
 					return sb
 				}
 			}
 		}
+	}
+	if env.Simulated(e) {
+		chargeScans(e, NumGroups*len(h.classes)+visited)
 	}
 	return nil
 }
@@ -400,19 +472,31 @@ func (h *Heap) takeEmpty(e env.Env, skip int) *superblock.Superblock {
 	return sb
 }
 
-// firstEmpty returns the head of the first class's empty list, skipping
-// class skip, or nil: one list head, one OpListScan, per class consulted.
+// firstEmpty returns the head of the empty list of the lowest class but
+// skip (-1 skips none) that has an empty superblock, or nil. The empty mask
+// finds the class with no scan. On a simulated env it charges what reading
+// each class's list head in turn would: one OpListScan per class up to the
+// one found, or per class if none is, skip excepted.
 func (h *Heap) firstEmpty(e env.Env, skip int) *superblock.Superblock {
-	for c := range h.classes {
-		if c == skip {
-			continue
-		}
-		e.Charge(env.OpListScan, 1)
-		if sb := h.classes[c].groups[emptyGroup].head; sb != nil {
-			return sb
-		}
+	m := h.masks[emptyGroup]
+	c := m.next(0)
+	if c >= 0 && c == skip {
+		c = m.next(c + 1)
 	}
-	return nil
+	if env.Simulated(e) {
+		n := c + 1
+		if c < 0 {
+			n = len(h.classes)
+		}
+		if 0 <= skip && skip < n {
+			n--
+		}
+		chargeScans(e, n)
+	}
+	if c < 0 {
+		return nil
+	}
+	return h.classes[c].groups[emptyGroup].head
 }
 
 // ScavengeEmpties decommits every completely empty, still-committed
@@ -584,6 +668,16 @@ func (h *Heap) CheckIntegrityOnline() error {
 }
 
 func (h *Heap) checkIntegrity(cached map[*superblock.Superblock]int, online bool) error {
+	for g, m := range h.masks {
+		for c := range len(m) * 64 {
+			set := m[c>>6]&(1<<(c&63)) != 0
+			nonEmpty := c < len(h.classes) && h.classes[c].groups[g].head != nil
+			if set != nonEmpty {
+				return fmt.Errorf("heap %d: class %d list %d has mask bit %v, non-empty %v",
+					h.ID, c, g, set, nonEmpty)
+			}
+		}
+	}
 	var u, a int64
 	n := 0
 	err := h.forEach(func(sb *superblock.Superblock) error {

@@ -82,17 +82,19 @@ type Span struct {
 // decommitted — touching decommitted memory is always an allocator bug.
 func (sp *Span) Bytes(off, n int) []byte {
 	if sp.decommitted.Load() {
-		sp.decommittedAccess(off, n)
+		sp.decommittedAccess(off)
 	}
-	return sp.data[off : off+n : off+n]
+	return sp.data[off:][:n:n]
 }
 
-// decommittedAccess panics for an access to the decommitted span. It is
-// kept out of line so Bytes stays small; its committed path makes no call.
+// decommittedAccess panics for an access at byte offset off of the
+// decommitted span. It is kept out of line, and takes only the span and the
+// offset, so Bytes stays within the inlining budget (make inline pins it);
+// its committed path makes no call.
 //
 //go:noinline
-func (sp *Span) decommittedAccess(off, n int) {
-	panic(fmt.Sprintf("vm: access to decommitted span %#x (Bytes(%d, %d))", sp.Base, off, n))
+func (sp *Span) decommittedAccess(off int) {
+	panic(fmt.Sprintf("vm: access to decommitted span %#x at offset %d", sp.Base, off))
 }
 
 // Data returns the span's entire backing memory. It panics if the span is
