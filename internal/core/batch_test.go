@@ -25,26 +25,26 @@ func (c *chargeEnv) ThreadID() int                  { return c.id }
 func (c *chargeEnv) reset()                         { c.counts = [env.NumCostKinds]int64{} }
 
 // refill is a thread cache's refill of n blocks of size: the blocks, their
-// free bits still set, and their superblocks.
-func refill(t *testing.T, h *Hoard, th *alloc.Thread, size, n int) ([]alloc.Ptr, []*superblock.Superblock) {
+// free bits still set, each with its superblock.
+func refill(t *testing.T, h *Hoard, th *alloc.Thread, size, n int) []superblock.Block {
 	t.Helper()
-	out, sbs := make([]alloc.Ptr, n), make([]*superblock.Superblock, n)
+	out := make([]superblock.Block, n)
 	class, _ := h.classes.ClassFor(size)
-	if got := h.mallocCached(th.State.(*ThreadState), class, n, out, sbs); got != n {
+	if got := h.mallocCached(th.State.(*ThreadState), class, n, out); got != n {
 		t.Fatalf("mallocCached = %d, want %d", got, n)
 	}
-	return out, sbs
+	return out
 }
 
 // checkCached is CheckIntegrity for a core whose caller holds the blocks
 // cached: each must be a block marked free, and each superblock's free
 // blocks must be exactly its listed, uncarved and cached ones.
-func checkCached(h *Hoard, cached []alloc.Ptr) error {
+func checkCached(h *Hoard, cached []superblock.Block) error {
 	counts := make(map[*superblock.Superblock]int)
-	for _, p := range cached {
-		sb, ok := superblock.FromPtr(h.space, p)
-		if !ok || !sb.Contains(p) || !sb.IsFreeBlock(p) {
-			return fmt.Errorf("cached block %#x is not a free superblock block", uint64(p))
+	for _, b := range cached {
+		sb, ok := superblock.FromPtr(h.space, b.P)
+		if !ok || sb != b.SB || !sb.Contains(b.P) || !sb.IsFreeBlock(b.P) {
+			return fmt.Errorf("cached block %#x is not a free block of its superblock", uint64(b.P))
 		}
 		counts[sb]++
 	}
@@ -52,14 +52,15 @@ func checkCached(h *Hoard, cached []alloc.Ptr) error {
 }
 
 // cache sets the free bit of every application-held block of ps, as a
-// thread cache's free does, and returns their superblocks.
-func cache(h *Hoard, ps []alloc.Ptr) []*superblock.Superblock {
-	sbs := make([]*superblock.Superblock, len(ps))
+// thread cache's free does, and returns them with their superblocks.
+func cache(h *Hoard, ps []alloc.Ptr) []superblock.Block {
+	bs := make([]superblock.Block, len(ps))
 	for i, p := range ps {
-		sbs[i], _ = superblock.FromPtr(h.space, p)
-		sbs[i].MarkCached(p)
+		sb, _ := superblock.FromPtr(h.space, p)
+		sb.MarkCached(p)
+		bs[i] = superblock.Block{P: p, SB: sb}
 	}
-	return sbs
+	return bs
 }
 
 // TestChargingDiscipline asserts the surcharge semantics: every small malloc
@@ -101,7 +102,7 @@ func TestChargingDiscipline(t *testing.T) {
 
 	// A batch keeps the per-block charges and adds one batch op per call.
 	ce.reset()
-	out, sbs := refill(t, h, th, 100, 8)
+	out := refill(t, h, th, 100, 8)
 	if got := ce.counts[env.OpMallocBatch]; got != 1 {
 		t.Fatalf("mallocCached charged OpMallocBatch %d times, want 1", got)
 	}
@@ -109,7 +110,7 @@ func TestChargingDiscipline(t *testing.T) {
 		t.Fatalf("mallocCached(8) charged OpMallocFast %d times, want 8", got)
 	}
 	ce.reset()
-	h.freeCached(th.State.(*ThreadState), out, sbs)
+	h.freeCached(th.State.(*ThreadState), out)
 	if got := ce.counts[env.OpFreeBatch]; got != 1 {
 		t.Fatalf("freeCached charged OpFreeBatch %d times, want 1", got)
 	}
@@ -129,22 +130,19 @@ func TestMallocBatchPartialAndSpanning(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	th := thread(h, 0)
 
-	small, smallSBs := refill(t, h, th, 64, 3)
-	h.freeCached(th.State.(*ThreadState), small, smallSBs)
+	h.freeCached(th.State.(*ThreadState), refill(t, h, th, 64, 3))
 
 	const want = 200
-	out, sbs := refill(t, h, th, 1000, want)
+	out := refill(t, h, th, 1000, want)
 	seen := make(map[alloc.Ptr]bool, want)
-	for i, p := range out {
+	for _, b := range out {
+		p := b.P
 		if p.IsNil() || seen[p] {
 			t.Fatalf("nil or duplicate pointer %#x in batch", uint64(p))
 		}
 		seen[p] = true
 		if us := h.UsableSize(p); us < 1000 {
 			t.Fatalf("UsableSize = %d, want >= 1000", us)
-		}
-		if sb, _ := superblock.FromPtr(h.space, p); sb != sbs[i] || !sb.IsFreeBlock(p) {
-			t.Fatalf("block %#x: superblock %p (got %p), free bit %v", uint64(p), sb, sbs[i], sb.IsFreeBlock(p))
 		}
 	}
 	if err := checkCached(h, out); err != nil {
@@ -162,7 +160,7 @@ func TestMallocBatchPartialAndSpanning(t *testing.T) {
 	// The batch free of all of them must leave the emptiness invariant
 	// restored even though it demands many evictions (the per-block path
 	// would have evicted one per free).
-	h.freeCached(th.State.(*ThreadState), out, sbs)
+	h.freeCached(th.State.(*ThreadState), out)
 	hp := h.heaps[th.State.(*ThreadState).heapIdx]
 	if hp.InvariantViolated() {
 		t.Fatalf("emptiness invariant violated after batch free: u=%d a=%d", hp.U(), hp.A())
@@ -197,7 +195,7 @@ func TestFreeBatchOwnerGroups(t *testing.T) {
 		foreign++
 	}
 
-	h.freeCached(t0.State.(*ThreadState), batch, cache(h, batch))
+	h.freeCached(t0.State.(*ThreadState), cache(h, batch))
 	st := h.Stats()
 	if st.Frees != int64(len(batch)) {
 		t.Fatalf("Frees = %d, want %d", st.Frees, len(batch))
@@ -252,8 +250,7 @@ func TestFreeBatchMixedOwners(t *testing.T) {
 		}
 	}
 	rand.New(rand.NewSource(3)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-	sbs := cache(h, batch)
-	h.freeCached(t0.State.(*ThreadState), batch, sbs)
+	h.freeCached(t0.State.(*ThreadState), cache(h, batch))
 	for sb := range parked {
 		if sb.OwnerID() != 0 {
 			t.Fatalf("parked superblock %#x: owner %d", sb.Base(), sb.OwnerID())
@@ -280,33 +277,29 @@ func TestFreeBatchRemoteConcurrent(t *testing.T) {
 
 	const rounds = 60
 	const batchSize = 24
-	type batch struct {
-		ps  []alloc.Ptr
-		sbs []*superblock.Superblock
-	}
-	ch := make(chan batch, 4)
+	ch := make(chan []superblock.Block, 4)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // owner: refills batches, hands them off, churns
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
-			out, sbs := make([]alloc.Ptr, batchSize), make([]*superblock.Superblock, batchSize)
-			h.mallocCached(t0.State.(*ThreadState), class128, batchSize, out, sbs)
-			ch <- batch{out, sbs}
+			out := make([]superblock.Block, batchSize)
+			h.mallocCached(t0.State.(*ThreadState), class128, batchSize, out)
+			ch <- out
 			// Churn forces AllocBlock misses and refills while the
 			// consumer's frees are in flight.
 			var local []alloc.Ptr
 			for i := 0; i < 40; i++ {
 				local = append(local, h.Malloc(t0, 128))
 			}
-			h.freeCached(t0.State.(*ThreadState), local, cache(h, local))
+			h.freeCached(t0.State.(*ThreadState), cache(h, local))
 		}
 		close(ch)
 	}()
 	go func() { // consumer: flushes foreign blocks, as a remote batch does
 		defer wg.Done()
 		for b := range ch {
-			h.freeCached(t1.State.(*ThreadState), b.ps, b.sbs)
+			h.freeCached(t1.State.(*ThreadState), b)
 		}
 	}()
 	wg.Wait()
@@ -331,7 +324,7 @@ func TestFreeBatchPanicSafety(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	th := thread(h, 0)
 	ps := []alloc.Ptr{h.Malloc(th, 64), h.Malloc(th, 64), h.Malloc(th, 64)}
-	sbs := cache(h, ps[:2])
+	bs := cache(h, ps[:2])
 	held, _ := superblock.FromPtr(h.space, ps[2])
 	func() {
 		defer func() {
@@ -339,7 +332,7 @@ func TestFreeBatchPanicSafety(t *testing.T) {
 				t.Fatal("flush of an application-held block did not panic")
 			}
 		}()
-		h.freeCached(th.State.(*ThreadState), ps, append(sbs, held))
+		h.freeCached(th.State.(*ThreadState), append(bs, superblock.Block{P: ps[2], SB: held}))
 	}()
 	if st := h.Stats(); st.Frees != 2 || st.LiveBytes != int64(held.BlockSize()) {
 		t.Fatalf("after the panic: %d frees, %d live bytes; want 2 and %d", st.Frees, st.LiveBytes, held.BlockSize())

@@ -97,129 +97,201 @@ func TestPeakBound(t *testing.T) {
 }
 
 // TestPublicationPoints pins when a thread's hits reach SampleStats. Each
-// class counts up to publishEvery-1 hits per direction unpublished; the
-// publishEvery-th hit, a refill, a magazine flush, a remote-batch flush and
-// FlushThread each publish them. Stats is exact at every step. Capacity 8:
-// refills bring 4 blocks, a flush leaves 4, and the remote batch flushes
-// at 8.
+// thread counts up to publishEvery-1 hits unpublished, of any classes and
+// in either direction; its publishEvery-th hit, a refill, a magazine flush,
+// a remote-batch flush and FlushThread each publish them all. Stats is exact
+// at every step, and SampleStats trails it by exactly each open thread's
+// unpublished mallocs, frees and live bytes. Capacity 8: refills bring 4
+// blocks, a flush leaves 4, and the remote batch flushes at 8.
 func TestPublicationPoints(t *testing.T) {
-	const capacity, size = 8, 64
+	const capacity = 8
 	a := newOverHoard(capacity)
 	ta := a.NewThread(&env.RealEnv{ID: 0}) // heap 1
 	tb := a.NewThread(&env.RealEnv{ID: 1}) // heap 2
-	class, _ := a.classFor(size)
-	mag := &ta.State.(*ThreadState).mags[class]
-	var mallocs, frees int64
-	var held []alloc.Ptr
-	malloc := func() {
-		held = append(held, a.Malloc(ta, size))
-		mallocs++
+	// lag is one thread's unpublished hits and the live bytes they moved.
+	type lag struct{ mallocs, frees, live int64 }
+	lags := map[*alloc.Thread]*lag{ta: {}, tb: {}}
+	retired := map[*alloc.Thread]bool{}
+	var mallocs, frees, live int64
+	held := map[int][]alloc.Ptr{} // ta's blocks by size
+	transfers := func() int64 {
+		st := a.heldStats()
+		return st.BatchRefills + st.BatchFlushes
 	}
-	free := func(th *alloc.Thread) {
-		p := held[len(held)-1]
-		held = held[:len(held)-1]
+	// count books an operation of th on a block of size in the driver's
+	// counts and, when it was a hit, in th's lag. It reports whether it was.
+	count := func(th *alloc.Thread, size int64, malloc bool, transfersBefore int64) bool {
+		sign := int64(1)
+		if malloc {
+			mallocs++
+		} else {
+			frees++
+			sign = -1
+		}
+		live += sign * size
+		l := lags[th]
+		if retired[th] || transfers() != transfersBefore {
+			*l = lag{}
+			return false
+		}
+		if malloc {
+			l.mallocs++
+		} else {
+			l.frees++
+		}
+		l.live += sign * size
+		if l.mallocs+l.frees == publishEvery {
+			*l = lag{}
+		}
+		return true
+	}
+	malloc := func(size int) bool {
+		before := transfers()
+		held[size] = append(held[size], a.Malloc(ta, size))
+		return count(ta, int64(size), true, before)
+	}
+	free := func(th *alloc.Thread, size int) bool {
+		p := held[size][len(held[size])-1]
+		held[size] = held[size][:len(held[size])-1]
+		before := transfers()
 		a.Free(th, p)
-		frees++
+		return count(th, int64(size), false, before)
+	}
+	magLen := func(size int) int {
+		class, _ := a.classFor(size)
+		return len(ta.State.(*ThreadState).mags[class])
 	}
 	// expect checks Stats against the driver's counts, and that SampleStats
-	// trails it by exactly mallocLag mallocs and freeLag frees.
-	expect := func(step string, mallocLag, freeLag int64) {
+	// trails it by exactly the threads' lags.
+	expect := func(step string) {
 		t.Helper()
 		st, sample := a.Stats(), a.SampleStats()
-		if st.Mallocs != mallocs || st.Frees != frees || st.LiveBytes != size*(mallocs-frees) {
+		if st.Mallocs != mallocs || st.Frees != frees || st.LiveBytes != live {
 			t.Fatalf("%s: Stats counts %d mallocs, %d frees, %d B live; the driver made %d, %d, %d B",
-				step, st.Mallocs, st.Frees, st.LiveBytes, mallocs, frees, size*(mallocs-frees))
+				step, st.Mallocs, st.Frees, st.LiveBytes, mallocs, frees, live)
 		}
-		if st.Mallocs-sample.Mallocs != mallocLag || st.Frees-sample.Frees != freeLag ||
-			st.LiveBytes-sample.LiveBytes != size*(mallocLag-freeLag) {
+		var want lag
+		for _, l := range lags {
+			want.mallocs += l.mallocs
+			want.frees += l.frees
+			want.live += l.live
+		}
+		if st.Mallocs-sample.Mallocs != want.mallocs || st.Frees-sample.Frees != want.frees ||
+			st.LiveBytes-sample.LiveBytes != want.live {
 			t.Fatalf("%s: SampleStats trails by %d mallocs, %d frees, %d B live; want %d, %d, %d B", step,
 				st.Mallocs-sample.Mallocs, st.Frees-sample.Frees, st.LiveBytes-sample.LiveBytes,
-				mallocLag, freeLag, size*(mallocLag-freeLag))
+				want.mallocs, want.frees, want.live)
 		}
 	}
-	transfers := func() (refills, flushes int64) {
-		st := a.heldStats()
-		return st.BatchRefills, st.BatchFlushes
+
+	// Two class sizes, so a block's usable size is the size asked for.
+	class256, _ := a.classFor(256)
+	sizes := []int{64, a.classes.Size(class256)}
+	for _, size := range sizes {
+		if malloc(size) {
+			t.Fatalf("the first malloc of %d B did not refill", size)
+		}
+		expect(fmt.Sprintf("first malloc of %d B, which refills", size))
 	}
 
-	malloc()
-	expect("first malloc, which refills", 0, 0)
-	// Hit pairs: each free pushes the block the next malloc pops. The
-	// publishEvery-th hit in either direction publishes both.
-	for i := int64(1); i < publishEvery; i++ {
-		free(ta)
-		malloc()
-		expect(fmt.Sprintf("%d free-malloc pairs", i), i, i)
+	// Mixed hits: each class keeps 4 blocks between ta's hands and its
+	// magazine, so a malloc of a non-empty magazine and a free into one
+	// below its cap are both hits. The publishEvery-th hit of any mix
+	// publishes them all.
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 4; round++ {
+		var mixed [2][2]int // hits by size index and direction
+		for k := int64(1); k <= publishEvery; k++ {
+			type op struct{ size, malloc int }
+			var ops []op
+			for i, size := range sizes {
+				if magLen(size) > 0 {
+					ops = append(ops, op{i, 1})
+				}
+				if len(held[size]) > 0 {
+					ops = append(ops, op{i, 0})
+				}
+			}
+			o := ops[rng.Intn(len(ops))]
+			mixed[o.size][o.malloc]++
+			hit := false
+			if o.malloc == 1 {
+				hit = malloc(sizes[o.size])
+			} else {
+				hit = free(ta, sizes[o.size])
+			}
+			if !hit {
+				t.Fatalf("round %d: mixed op %d refilled or flushed", round, k)
+			}
+			st, sample := a.Stats(), a.SampleStats()
+			if got, want := st.Mallocs+st.Frees-sample.Mallocs-sample.Frees, k%publishEvery; got != want {
+				t.Fatalf("round %d: %d mixed hits leave %d unpublished, want %d", round, k, got, want)
+			}
+			expect(fmt.Sprintf("round %d: %d mixed hits", round, k))
+		}
+		if min(mixed[0][0]+mixed[0][1], mixed[1][0]+mixed[1][1], mixed[0][0]+mixed[1][0], mixed[0][1]+mixed[1][1]) == 0 {
+			t.Fatalf("round %d: hits by size and direction %v do not mix classes and directions", round, mixed)
+		}
 	}
-	free(ta)
-	expect("the publishEvery-th free", 0, 0)
-	for i := int64(1); i < publishEvery; i++ {
-		malloc()
-		free(ta)
-		expect(fmt.Sprintf("%d malloc-free pairs", i), i, i)
-	}
-	malloc()
-	expect("the publishEvery-th malloc", 0, 0)
 
 	// Refills: empty the magazine with hits, then one more malloc refills.
 	for range 4 {
-		lag := int64(0)
-		for len(mag.ptrs) > 0 {
-			malloc()
-			lag++
-			expect("a malloc that empties the magazine", lag, 0)
+		for magLen(64) > 0 {
+			if !malloc(64) {
+				t.Fatal("a malloc of a non-empty magazine refilled")
+			}
+			expect("a malloc that empties the magazine")
 		}
-		r0, _ := transfers()
-		malloc()
-		if r1, _ := transfers(); r1 != r0+1 {
-			t.Fatalf("the malloc of an empty magazine made %d refills, want 1", r1-r0)
+		if malloc(64) {
+			t.Fatal("the malloc of an empty magazine made no refill")
 		}
-		expect("a refill", 0, 0)
+		expect("a refill")
 	}
 
 	// A magazine flush: fill the magazine to its cap, then push past it.
-	lag := int64(0)
-	for len(mag.ptrs) < capacity {
-		free(ta)
-		lag++
-		expect("a free into the magazine", 0, lag)
+	for magLen(64) < capacity {
+		if !free(ta, 64) {
+			t.Fatal("a free into a magazine below its cap flushed")
+		}
+		expect("a free into the magazine")
 	}
-	_, f0 := transfers()
-	free(ta)
-	if _, f1 := transfers(); f1 != f0+1 {
-		t.Fatalf("the free past the cap made %d flushes, want 1", f1-f0)
+	if free(ta, 64) {
+		t.Fatal("the free past the cap made no flush")
 	}
-	expect("a magazine flush", 0, 0)
+	expect("a magazine flush")
 
 	// A remote-batch flush: tb frees ta's blocks into its remote batch.
-	for len(held) < capacity || len(mag.ptrs) > 0 {
-		malloc()
+	for len(held[64]) < capacity {
+		malloc(64)
 	}
-	malloc()
-	expect("the refill before the remote frees", 0, 0)
-	for lag := int64(1); lag < capacity; lag++ {
-		free(tb)
-		expect("a remote free", 0, lag)
+	expect("ta's mallocs before the remote frees")
+	for i := 1; i < capacity; i++ {
+		if !free(tb, 64) {
+			t.Fatal("a remote free below the batch's limit flushed")
+		}
+		expect("a remote free")
 	}
-	_, f0 = transfers()
-	free(tb)
-	if _, f1 := transfers(); f1 != f0+1 {
-		t.Fatalf("the remote free that fills the batch made %d flushes, want 1", f1-f0)
+	if free(tb, 64) {
+		t.Fatal("the remote free that fills the batch made no flush")
 	}
-	expect("a remote-batch flush", 0, 0)
+	expect("a remote-batch flush")
 
 	// FlushThread publishes whatever its thread still counts.
-	malloc()
-	free(ta)
-	malloc()
-	expect("before FlushThread", 2, 1)
+	malloc(64)
+	free(ta, 64)
+	malloc(sizes[1])
+	expect("before FlushThread")
 	a.FlushThread(ta)
-	expect("FlushThread", 0, 0)
-	for len(held) > 0 {
-		free(ta) // a retired thread's frees bypass the magazines
+	*lags[ta], retired[ta] = lag{}, true
+	expect("FlushThread")
+	for _, size := range sizes {
+		for len(held[size]) > 0 {
+			free(ta, size) // a retired thread's frees bypass the magazines
+		}
 	}
 	a.FlushThread(tb)
-	expect("every thread flushed", 0, 0)
+	*lags[tb], retired[tb] = lag{}, true
+	expect("every thread flushed")
 	if sample, exact := a.SampleStats(), a.Stats(); sample != exact {
 		t.Fatalf("every thread flushed: SampleStats %+v != Stats %+v", sample, exact)
 	}

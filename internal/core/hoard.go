@@ -301,37 +301,31 @@ func (h *Hoard) mallocLocked(ts *ThreadState, size int) alloc.Ptr {
 	}
 	blockSize := h.classes.Size(class)
 	hp := h.heaps[ts.heapIdx]
-	var p [1]alloc.Ptr
+	var b [1]superblock.Block
 	hp.Lock.Lock(e)
-	h.allocLocked(e, hp, class, blockSize, p[:], nil)
+	h.allocLocked(e, hp, class, blockSize, b[:], false)
 	hp.Lock.Unlock(e)
 	e.Charge(env.OpMallocFast, 1)
 	h.acct.OnMalloc(blockSize)
 	if h.caps != nil {
 		h.bypass.OnMalloc(blockSize)
 	}
-	return p[0]
+	return b[0].P
 }
 
 // allocLocked fills out with blocks of class from hp, whose lock the caller
 // holds, a superblock's run at a time (heap.AllocRun): the same blocks, in
-// the same order, as len(out) single pops. A non-nil sbs selects a thread
-// cache's refill: the blocks stay marked free, and sbs[i] receives
-// out[i]'s superblock.
+// the same order, as len(out) single pops. cached selects a thread cache's
+// refill, which leaves the blocks marked free.
 //
 // When hp has no free block of the class, the slow path first recycles one
 // of hp's own empty superblocks into the class: it stays off the global
 // lock and, because a(i) does not change, triggers no eviction (where a
 // global take grows a(i) and routinely starts an evict/take cycle).
 // Otherwise it pulls a superblock from the global heap, or the OS.
-func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out []alloc.Ptr, sbs []*superblock.Superblock) {
+func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out []superblock.Block, cached bool) {
 	for i := 0; i < len(out); {
-		if n, sb := hp.AllocRun(e, class, out[i:], sbs != nil); n > 0 {
-			if sbs != nil {
-				for j := i; j < i+n; j++ {
-					sbs[j] = sb
-				}
-			}
+		if n := hp.AllocRun(e, class, out[i:], cached); n > 0 {
 			i += n
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
 	"hoardgo/internal/simproc"
+	"hoardgo/internal/superblock"
 )
 
 // TestInterleavedScenario runs three simulated threads over magazines on a
@@ -23,8 +24,9 @@ import (
 // that leaves the block in the thread's own magazine or remote batch is
 // followed by a second free of it, which must panic at the call. A fourth
 // thread samples SampleStats at each of its switch points: its Mallocs and
-// Frees must never decrease and never exceed the operations the threads have
-// completed. Thread 0 never retires and ends holding unpublished hits. After
+// Frees must never decrease, never exceed the operations the threads have
+// completed, and trail them by at most publishEvery-1 hits per thread not
+// yet flushed. Thread 0 never retires and ends holding unpublished hits. After
 // each schedule no block may have been live twice, and at quiescence, with
 // those threads still open, CheckIntegrity must pass and Stats must count
 // exactly the operations performed.
@@ -61,9 +63,9 @@ type scenario struct {
 	mallocs, frees int64
 	// probes counts the double frees that panicked at the call.
 	probes int
-	// running counts the threads still performing operations; samples
-	// counts the sampler's samples.
-	running, samples int
+	// running counts the threads still performing operations, open those
+	// not yet flushed; samples counts the sampler's samples.
+	running, open, samples int
 }
 
 // runScenario runs one schedule and returns its final state.
@@ -74,6 +76,7 @@ func runScenario(seed int64) (_ *scenario, err error) {
 		a:       New(Config{Heaps: 2, Backend: "sim", Magazines: 4}, w),
 		live:    make(map[alloc.Ptr]bool),
 		running: 3,
+		open:    3,
 	}
 	end := w.NewBarrier(3)
 	for id := int64(0); id < 3; id++ {
@@ -118,6 +121,10 @@ func (s *scenario) sample(e env.Env) {
 			panic(fmt.Sprintf("sampled %d mallocs and %d frees; the threads have completed %d and %d",
 				st.Mallocs, st.Frees, s.mallocs, s.frees))
 		}
+		if lag := s.mallocs + s.frees - st.Mallocs - st.Frees; lag > int64(s.open*(publishEvery-1)) {
+			panic(fmt.Sprintf("sampled %d mallocs and %d frees, %d behind the %d and %d completed; %d open threads may lag by %d",
+				st.Mallocs, st.Frees, lag, s.mallocs, s.frees, s.open, s.open*(publishEvery-1)))
+		}
 		last = st
 		s.samples++
 		e.Charge(env.OpListScan, 1)
@@ -158,6 +165,7 @@ func (s *scenario) thread(e env.Env, rng *rand.Rand, end *simproc.Barrier) {
 		}
 		if op == flushAt {
 			s.a.FlushThread(th)
+			s.open--
 		}
 	}
 	for _, p := range mine {
@@ -176,13 +184,7 @@ func (s *scenario) thread(e env.Env, rng *rand.Rand, end *simproc.Barrier) {
 }
 
 // unpublished returns the hits ts has not yet published.
-func unpublished(ts *ThreadState) int {
-	n := 0
-	for _, m := range ts.mags {
-		n += m.mallocs + m.frees
-	}
-	return n
-}
+func unpublished(ts *ThreadState) int { return ts.mallocs + ts.frees }
 
 func (s *scenario) malloc(th *alloc.Thread, size int) alloc.Ptr {
 	p := s.a.Malloc(th, size)
@@ -223,12 +225,13 @@ func (s *scenario) probeDoubleFree(th *alloc.Thread, p alloc.Ptr) {
 
 // cachedBy reports whether p is in ts's magazines or remote batch.
 func cachedBy(ts *ThreadState, p alloc.Ptr) bool {
+	has := func(b superblock.Block) bool { return b.P == p }
 	for _, m := range ts.mags {
-		if slices.Contains(m.ptrs, p) {
+		if slices.ContainsFunc(m, has) {
 			return true
 		}
 	}
-	return slices.Contains(ts.remote, p)
+	return slices.ContainsFunc(ts.remote, has)
 }
 
 // take removes and returns a random element of *xs.

@@ -25,17 +25,19 @@ package core
 // block carries its superblock, so no magazine operation looks a block up.
 //
 // A hit touches only the calling thread's own memory and the block's free
-// state, and runs no locked instruction. Each thread counts its hits per
-// class in plain fields that only it writes, and adds them to its published
-// books (atomics a sampler may read) at each refill or flush of the class
-// and after every publishEvery hits. So Stats, which adds every live
-// thread's unpublished counts to the published ones, is exact once every
-// counted operation happens-before the call, and running it concurrently
-// with a thread's operations is a data race. SampleStats reads the published
-// books only: safe under load, never decreasing, and trailing each live
-// thread by fewer than publishEvery hits per class and direction. The shared
-// counters change only at refills, flushes and bypass operations, which take
-// a heap lock anyway.
+// state, and runs no locked instruction. Each thread counts its hits, and
+// the live bytes they moved, in plain fields that only it writes, and adds
+// them to its one set of published books (atomics a sampler may read) at
+// every refill and flush and once publishEvery hits have gathered, whatever
+// their classes and directions. So Stats, which adds every live thread's
+// unpublished counts to the published ones, is exact once every counted
+// operation happens-before the call, and running it concurrently with a
+// thread's operations is a data race. SampleStats reads the published books
+// only: safe under load, never decreasing, and trailing each live thread by
+// fewer than publishEvery hits in all. The shared counters change only at
+// refills, flushes and bypass operations, which take a heap lock anyway.
+// The sampler's cache-fill gauge (MagazineBytes) is derived from the books:
+// the core's exact held bytes less the sampled live bytes.
 //
 // The cache trades bounded extra memory for its lock-free fast paths. The
 // size classes up to maxCachedSize are cached; larger blocks bypass the
@@ -51,7 +53,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"unsafe"
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
@@ -81,10 +82,11 @@ const classBudget = 32 << 10
 // larger SuperblockSize) bypass the magazines.
 const maxCachedSize = 4096
 
-// publishEvery is how many hits in one direction a thread's class may count
-// before it publishes them; refills and flushes publish sooner. Between
-// publications a live thread's published books trail its true counts by
-// fewer than publishEvery mallocs and publishEvery frees per class.
+// publishEvery is how many hits, of any classes and in either direction, a
+// thread counts before it publishes them; refills and flushes publish
+// sooner. Between publications a live thread's published books trail its
+// true counts by fewer than publishEvery hits, and its live bytes by less
+// than publishEvery × maxCachedSize.
 const publishEvery = 32
 
 // classCaps returns each cached class's magazine cap at the given capacity.
@@ -96,20 +98,18 @@ func classCaps(classes *sizeclass.Table, capacity int) []int {
 	return caps
 }
 
-// counts is a pair of published operation counters. Only the owning thread
-// writes them, at publications; SampleStats reads them concurrently.
-type counts struct{ mallocs, frees atomic.Int64 }
-
-// booksPad is the padding, in counts, on each side of a thread's books: 128
-// bytes, two cache lines, so no other thread's data shares a line with them
-// even under adjacent-line prefetch.
-const booksPad = 128 / int(unsafe.Sizeof(counts{}))
-
-// newBooks returns a thread's per-class hit counters and its miss counters,
-// carved from one padded allocation.
-func newBooks(classes int) (hits []counts, misses *counts) {
-	b := make([]counts, booksPad+classes+1+booksPad)
-	return b[booksPad : booksPad+classes], &b[booksPad+classes]
+// books is a thread's published counts: the mallocs and frees its
+// magazines and remote batch served, the live bytes they moved, and the
+// misses among them — the hits that refilled or flushed in the same call,
+// one Add per such call. Only the owning thread writes them, at
+// publications (publish); SampleStats reads them concurrently. The padding,
+// two cache lines on each side, keeps every other thread's data off their
+// lines even under adjacent-line prefetch.
+type books struct {
+	_                        [128]byte
+	mallocs, frees, live     atomic.Int64
+	mallocMisses, freeMisses atomic.Int64
+	_                        [128]byte
 }
 
 // totals is a sum of thread books.
@@ -121,82 +121,58 @@ type totals struct {
 // add adds ts's published books to t and, when unpublished is set, its
 // unpublished hits too. Only the owning thread, or a caller every counted
 // operation of ts happens-before, may ask for the unpublished hits.
-func (t *totals) add(ts *ThreadState, classes *sizeclass.Table, unpublished bool) {
+func (t *totals) add(ts *ThreadState, unpublished bool) {
+	b := ts.books
 	// Misses first: each is published after its hit, so the hits read
 	// after them are at least as many.
-	t.mallocMisses += ts.misses.mallocs.Load()
-	t.freeMisses += ts.misses.frees.Load()
-	for c := range ts.hits {
-		m, f := ts.hits[c].mallocs.Load(), ts.hits[c].frees.Load()
-		if unpublished {
-			m += int64(ts.mags[c].mallocs)
-			f += int64(ts.mags[c].frees)
-		}
-		t.mallocs += m
-		t.frees += f
-		t.live += int64(classes.Size(c)) * (m - f)
+	t.mallocMisses += b.mallocMisses.Load()
+	t.freeMisses += b.freeMisses.Load()
+	t.mallocs += b.mallocs.Load()
+	t.frees += b.frees.Load()
+	t.live += b.live.Load()
+	if unpublished {
+		t.mallocs += int64(ts.mallocs)
+		t.frees += int64(ts.frees)
+		t.live += int64(ts.live)
 	}
 }
 
-// magazine is one size class's cache in one thread, and its hits since the
-// last publication. Only the owning thread touches it.
-type magazine struct {
-	ptrs []alloc.Ptr
-	// sbs parallels ptrs: sbs[i] is the superblock of ptrs[i].
-	sbs []*superblock.Superblock
-	// mallocs and frees count the class's hits not yet published to the
-	// thread's books.
-	mallocs, frees int
-}
-
-// magazines is a thread's magazine state, part of its ThreadState.
+// magazines is a thread's magazine state, part of its ThreadState. Only the
+// owning thread touches it, apart from books.
 type magazines struct {
-	// mags holds one magazine per cached class. It is nil on the bare
-	// core and once FlushThread has retired the thread, whose operations
-	// then all bypass the magazines.
-	mags []magazine
+	// mags[c] is class c's magazine: its cached blocks, the most recently
+	// freed last. It is nil on the bare core and once FlushThread has
+	// retired the thread, whose operations then all bypass the magazines.
+	mags [][]superblock.Block
 
-	// remote and remoteSBs are the remote batch: freed blocks whose
-	// superblock another heap owns, and their superblocks, waiting to be
-	// flushed to their owners.
-	remote    []alloc.Ptr
-	remoteSBs []*superblock.Superblock
-	// remoteBytes is the byte total of the remote batch. Only the owning
-	// thread reads or writes it.
+	// remote is the remote batch: freed blocks whose superblock another
+	// heap owns, waiting to be flushed to their owners. remoteBytes is its
+	// byte total.
+	remote      []superblock.Block
 	remoteBytes int
 
-	// hits[c] is the published count of the mallocs and frees of class c
-	// the magazines and the remote batch served (publish); misses counts
-	// those among them that refilled or flushed in the same call, one Add
-	// per such call. Only this thread writes them (newBooks).
-	hits   []counts
-	misses *counts
+	// mallocs and frees count the hits not yet published to books, and
+	// live the live bytes they moved.
+	mallocs, frees, live int
 
-	// magBytes is the sampler-visible cache-fill gauge. Only the owning
-	// thread writes it, and only at transfer boundaries (refill, flush,
-	// thread retirement) — a per-op atomic update would tax every cached
-	// push and pop — so a concurrent sampler sees a value that lags the
-	// true fill by at most half a class's cap per class, plus the remote
-	// batch. CachedBytes is the exact quiescent equivalent.
-	magBytes atomic.Int64
+	books *books
 }
 
-// addMagazines gives ts its magazines and registers it. Each magazine is
-// sized once, to its class's cap + 1 (a free pushes before it flushes),
-// from one backing array per thread, so neither a push nor a refill ever
-// grows it.
+// addMagazines gives ts its magazines and books and registers it. Each
+// magazine is sized once, to its class's cap + 1 (a free pushes before it
+// flushes), from one backing array per thread, so neither a push nor a
+// refill ever grows it.
 func (h *Hoard) addMagazines(ts *ThreadState) {
-	ts.mags = make([]magazine, len(h.caps))
+	ts.mags = make([][]superblock.Block, len(h.caps))
 	slots := 0
 	for _, n := range h.caps {
 		slots += n + 1
 	}
-	ptrs, sbs := make([]alloc.Ptr, slots), make([]*superblock.Superblock, slots)
+	blocks := make([]superblock.Block, slots)
 	for c, n := range h.caps {
-		ts.mags[c].ptrs, ptrs = ptrs[:0:n+1], ptrs[n+1:]
-		ts.mags[c].sbs, sbs = sbs[:0:n+1], sbs[n+1:]
+		ts.mags[c], blocks = blocks[:0:n+1], blocks[n+1:]
 	}
-	ts.hits, ts.misses = newBooks(len(h.caps))
+	ts.books = new(books)
 	h.mu.Lock()
 	h.threads = append(h.threads, ts)
 	h.mu.Unlock()
@@ -212,29 +188,33 @@ func (ts *ThreadState) Malloc(size int) alloc.Ptr {
 		return h.mallocLocked(ts, size)
 	}
 	m := &ts.mags[class]
-	n := len(m.ptrs)
+	n := len(*m)
 	refilled := n == 0
 	if refilled {
 		h.refill(ts, class)
-		n = len(m.ptrs)
+		n = len(*m)
 	}
+	// The shorter magazine is stored after the claim: stored ahead of the
+	// superblock's loads, it made a hit about 5 ns slower on a 2-vCPU Xeon
+	// (BenchmarkCachedMallocFree).
 	n--
-	p, sb := m.ptrs[n], m.sbs[n]
-	m.ptrs, m.sbs = m.ptrs[:n], m.sbs[:n]
-	sb.ClaimCached(p)
+	b := (*m)[n]
+	b.SB.ClaimCached(b.P)
+	*m = (*m)[:n]
 	if ts.sim != nil {
 		ts.sim.Charge(env.OpMallocFast, 1)
 	}
 	// Counted after the call's last switch point, so a published malloc
 	// has returned.
-	m.mallocs++
+	ts.mallocs++
+	ts.live += b.SB.BlockSize()
 	if refilled {
-		ts.publish(class)
-		ts.misses.mallocs.Add(1)
-	} else if m.mallocs >= publishEvery {
-		ts.publish(class)
+		ts.publish()
+		ts.books.mallocMisses.Add(1)
+	} else if ts.mallocs+ts.frees >= publishEvery {
+		ts.publish()
 	}
-	return p
+	return b.P
 }
 
 // Free releases p. A block of a cached class lands in the freeing thread's
@@ -268,51 +248,49 @@ func (ts *ThreadState) Free(p alloc.Ptr) {
 	}
 	// A flush below publishes after its own last switch point, so a
 	// published free has returned.
-	m := &ts.mags[class]
-	m.frees++
-	if !local {
-		ts.remote = append(ts.remote, p)
-		ts.remoteSBs = append(ts.remoteSBs, sb)
-		ts.remoteBytes += sb.BlockSize()
+	size := sb.BlockSize()
+	ts.frees++
+	ts.live -= size
+	if local {
+		m := &ts.mags[class]
+		*m = append(*m, superblock.Block{P: p, SB: sb})
+		if len(*m) > h.caps[class] {
+			h.flush(ts, class)
+			ts.books.freeMisses.Add(1)
+			return
+		}
+	} else {
+		ts.remote = append(ts.remote, superblock.Block{P: p, SB: sb})
+		ts.remoteBytes += size
 		if len(ts.remote) >= h.cfg.Magazines || ts.remoteBytes >= classBudget {
 			h.flushRemote(ts)
-			ts.misses.frees.Add(1)
-		} else if m.frees >= publishEvery {
-			ts.publish(class)
+			ts.books.freeMisses.Add(1)
+			return
 		}
-		return
 	}
-	m.ptrs = append(m.ptrs, p)
-	m.sbs = append(m.sbs, sb)
-	if len(m.ptrs) > h.caps[class] {
-		h.flush(ts, class)
-		ts.misses.frees.Add(1)
-	} else if m.frees >= publishEvery {
-		ts.publish(class)
+	if ts.mallocs+ts.frees >= publishEvery {
+		ts.publish()
 	}
 }
 
-// publish adds class's unpublished hits to ts's books. Only the owning
-// thread calls it. It stays out of line so the hit path carries no locked
-// instruction.
+// publish adds ts's unpublished hits and their live bytes to its books.
+// Only the owning thread calls it. It stays out of line so the hit path
+// carries no locked instruction.
 //
 //go:noinline
-func (ts *ThreadState) publish(class int) {
-	m := &ts.mags[class]
-	if m.mallocs != 0 {
-		ts.hits[class].mallocs.Add(int64(m.mallocs))
-		m.mallocs = 0
+func (ts *ThreadState) publish() {
+	b := ts.books
+	if ts.mallocs != 0 {
+		b.mallocs.Add(int64(ts.mallocs))
+		ts.mallocs = 0
 	}
-	if m.frees != 0 {
-		ts.hits[class].frees.Add(int64(m.frees))
-		m.frees = 0
+	if ts.frees != 0 {
+		b.frees.Add(int64(ts.frees))
+		ts.frees = 0
 	}
-}
-
-// publishAll publishes every class's unpublished hits.
-func (ts *ThreadState) publishAll() {
-	for class := range ts.mags {
-		ts.publish(class)
+	if ts.live != 0 {
+		b.live.Add(int64(ts.live))
+		ts.live = 0
 	}
 }
 
@@ -321,18 +299,7 @@ func (ts *ThreadState) publishAll() {
 // magazine.
 func (h *Hoard) refill(ts *ThreadState, class int) {
 	m := &ts.mags[class]
-	got := h.mallocCached(ts, class, h.caps[class]/2, m.ptrs[:cap(m.ptrs)], m.sbs[:cap(m.sbs)])
-	m.ptrs, m.sbs = m.ptrs[:got], m.sbs[:got]
-	h.publishMagBytes(ts)
-}
-
-// publishMagBytes recomputes ts's cache fill from the magazine lengths and
-// the remote batch and publishes it for concurrent samplers. Called only at
-// transfer boundaries, which keeps the malloc/free fast paths free of extra
-// atomics; between boundaries the published value is stale by whatever the
-// fast paths have pushed or popped since.
-func (h *Hoard) publishMagBytes(ts *ThreadState) {
-	ts.magBytes.Store(h.cachedBytes(ts))
+	*m = (*m)[:h.mallocCached(ts, class, h.caps[class]/2, (*m)[:cap(*m)])]
 }
 
 // cachedBytes is the exact byte total of ts's magazines and remote batch.
@@ -340,37 +307,35 @@ func (h *Hoard) publishMagBytes(ts *ThreadState) {
 // call it.
 func (h *Hoard) cachedBytes(ts *ThreadState) int64 {
 	var total int64
-	for class := range ts.mags {
-		total += int64(len(ts.mags[class].ptrs)) * int64(h.classes.Size(class))
+	for class, m := range ts.mags {
+		total += int64(len(m)) * int64(h.classes.Size(class))
 	}
 	return total + int64(ts.remoteBytes)
 }
 
 // flush returns the magazine to half its class's cap with one batch call (a
-// single heap-lock acquisition per owner heap), then publishes the class's
+// single heap-lock acquisition per owner heap), then publishes the thread's
 // hits.
 func (h *Hoard) flush(ts *ThreadState, class int) {
 	h.flushMagazine(ts, class, h.caps[class]/2)
-	ts.publish(class)
-	h.publishMagBytes(ts)
+	ts.publish()
 }
 
 // flushMagazine returns the blocks of class's magazine past keep to the
 // heaps (freeCached).
 func (h *Hoard) flushMagazine(ts *ThreadState, class, keep int) {
 	m := &ts.mags[class]
-	h.freeCached(ts, m.ptrs[keep:], m.sbs[keep:])
-	m.ptrs, m.sbs = m.ptrs[:keep], m.sbs[:keep]
+	h.freeCached(ts, (*m)[keep:])
+	*m = (*m)[:keep]
 }
 
 // flushRemote returns the whole remote batch to the blocks' owners, then
-// publishes every class's hits, since the batch mixes classes.
+// publishes the thread's hits.
 func (h *Hoard) flushRemote(ts *ThreadState) {
-	h.freeCached(ts, ts.remote, ts.remoteSBs)
-	ts.remote, ts.remoteSBs = ts.remote[:0], ts.remoteSBs[:0]
+	h.freeCached(ts, ts.remote)
+	ts.remote = ts.remote[:0]
 	ts.remoteBytes = 0
-	ts.publishAll()
-	h.publishMagBytes(ts)
+	ts.publish()
 }
 
 // FlushThread implements alloc.ThreadFlusher: it returns every magazine and
@@ -383,22 +348,21 @@ func (h *Hoard) flushRemote(ts *ThreadState) {
 // nothing.
 func (h *Hoard) FlushThread(t *alloc.Thread) {
 	ts := t.State.(*ThreadState)
-	for class := range ts.mags {
-		if len(ts.mags[class].ptrs) > 0 {
+	for class, m := range ts.mags {
+		if len(m) > 0 {
 			h.flushMagazine(ts, class, 0)
 		}
 	}
 	if len(ts.remote) > 0 {
 		h.flushRemote(ts)
 	}
-	ts.publishAll()
-	ts.mags, ts.remote, ts.remoteSBs = nil, nil, nil
-	ts.magBytes.Store(0)
+	ts.publish()
+	ts.mags, ts.remote = nil, nil
 	h.mu.Lock()
 	for i, s := range h.threads {
 		if s == ts {
 			h.threads = append(h.threads[:i], h.threads[i+1:]...)
-			h.retired.add(ts, h.classes, false)
+			h.retired.add(ts, false)
 			break
 		}
 	}
@@ -443,20 +407,15 @@ func (h *Hoard) CachedBytes() int64 {
 	return total
 }
 
-// MagazineBytes is the metrics-sampler view of cache fill: a sum of every
-// registered thread's cache-byte gauge, safe to read while owner threads
-// keep pushing and popping. Each gauge is published at transfer boundaries
-// only, so the sum lags true fill by at most half a class's cap per class,
-// plus the remote batch, per thread; CachedBytes is the exact (quiescent)
-// equivalent.
+// MagazineBytes is the metrics-sampler view of cache fill, safe to read
+// while threads keep pushing and popping: the core's exact held bytes, the
+// application's live bytes plus the cached ones, less SampleStats'
+// LiveBytes, clamped at 0. Each open thread's unpublished hits move it off
+// CachedBytes by their live-byte change, less than publishEvery ×
+// maxCachedSize either way; once every thread has published, it equals
+// CachedBytes.
 func (h *Hoard) MagazineBytes() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var total int64
-	for _, ts := range h.threads {
-		total += ts.magBytes.Load()
-	}
-	return total
+	return max(h.acct.Live()-h.SampleStats().LiveBytes, 0)
 }
 
 // Stats implements alloc.Allocator. On the bare core it is the core's own
@@ -475,11 +434,10 @@ func (h *Hoard) Stats() alloc.Stats { return h.stats(true) }
 
 // SampleStats implements alloc.StatsSampler: Stats from the published books
 // only, safe to call while threads allocate. Mallocs and Frees never
-// decrease between calls. Each live thread's counts trail its true counts by
-// fewer than publishEvery hits per class and direction, so Mallocs and
-// Frees each trail by fewer than publishEvery × classes hits per thread and
-// LiveBytes by less than publishEvery × the sum of the cached class sizes
-// per thread either way. Once every thread has flushed, it equals Stats.
+// decrease between calls. Each open thread's books trail its true counts by
+// at most publishEvery-1 = 31 hits in all, mallocs and frees together, so
+// its LiveBytes trails by at most 31 × 4096 = 126,976 B either way. Once
+// every thread has flushed, it equals Stats.
 func (h *Hoard) SampleStats() alloc.Stats { return h.stats(false) }
 
 // stats is Stats, with the live threads' unpublished hits when unpublished
@@ -494,7 +452,7 @@ func (h *Hoard) stats(unpublished bool) alloc.Stats {
 	h.mu.Lock()
 	t := h.retired
 	for _, ts := range h.threads {
-		t.add(ts, h.classes, unpublished)
+		t.add(ts, unpublished)
 	}
 	h.mu.Unlock()
 	st.Mallocs = bypass.Mallocs + t.mallocs
@@ -515,7 +473,8 @@ func (h *Hoard) cachedBlocks() (map[*superblock.Superblock]int, int64, error) {
 	seen := make(map[alloc.Ptr]bool)
 	cached := make(map[*superblock.Superblock]int)
 	var bytes int64
-	add := func(p alloc.Ptr, sb *superblock.Superblock) error {
+	add := func(b superblock.Block) error {
+		p, sb := b.P, b.SB
 		if seen[p] {
 			return fmt.Errorf("hoard: block %#x cached twice", uint64(p))
 		}
@@ -533,31 +492,28 @@ func (h *Hoard) cachedBlocks() (map[*superblock.Superblock]int, int64, error) {
 	for ti, ts := range h.threads {
 		for class, m := range ts.mags {
 			want := h.classes.Size(class)
-			if len(m.ptrs) > h.caps[class] {
-				return nil, 0, fmt.Errorf("hoard: thread %d class %d magazine over its cap of %d: %d", ti, class, h.caps[class], len(m.ptrs))
+			if len(m) > h.caps[class] {
+				return nil, 0, fmt.Errorf("hoard: thread %d class %d magazine over its cap of %d: %d", ti, class, h.caps[class], len(m))
 			}
-			if len(m.sbs) != len(m.ptrs) {
-				return nil, 0, fmt.Errorf("hoard: thread %d class %d: %d blocks but %d superblocks", ti, class, len(m.ptrs), len(m.sbs))
-			}
-			for i, p := range m.ptrs {
-				if err := add(p, m.sbs[i]); err != nil {
+			for _, b := range m {
+				if err := add(b); err != nil {
 					return nil, 0, err
 				}
-				if got := m.sbs[i].BlockSize(); got != want {
-					return nil, 0, fmt.Errorf("hoard: cached block %#x usable %d on class-%d magazine (%d)", uint64(p), got, class, want)
+				if got := b.SB.BlockSize(); got != want {
+					return nil, 0, fmt.Errorf("hoard: cached block %#x usable %d on class-%d magazine (%d)", uint64(b.P), got, class, want)
 				}
 			}
 		}
-		if len(ts.remote) >= h.cfg.Magazines || len(ts.remoteSBs) != len(ts.remote) || ts.remoteBytes >= classBudget {
-			return nil, 0, fmt.Errorf("hoard: thread %d remote batch holds %d blocks, %d superblocks and %d B (limits %d blocks, %d B)",
-				ti, len(ts.remote), len(ts.remoteSBs), ts.remoteBytes, h.cfg.Magazines, classBudget)
+		if len(ts.remote) >= h.cfg.Magazines || ts.remoteBytes >= classBudget {
+			return nil, 0, fmt.Errorf("hoard: thread %d remote batch holds %d blocks and %d B (limits %d blocks, %d B)",
+				ti, len(ts.remote), ts.remoteBytes, h.cfg.Magazines, classBudget)
 		}
 		remoteBytes := 0
-		for i, p := range ts.remote {
-			if err := add(p, ts.remoteSBs[i]); err != nil {
+		for _, b := range ts.remote {
+			if err := add(b); err != nil {
 				return nil, 0, err
 			}
-			remoteBytes += ts.remoteSBs[i].BlockSize()
+			remoteBytes += b.SB.BlockSize()
 		}
 		if remoteBytes != ts.remoteBytes {
 			return nil, 0, fmt.Errorf("hoard: thread %d remote batch holds %d B, its count says %d", ti, remoteBytes, ts.remoteBytes)

@@ -131,38 +131,60 @@ func TestBatchCutsHeapLocks(t *testing.T) {
 	}
 }
 
-// TestMagazineBytesTracksCachedBytes pins the gauge's boundary-publication
-// contract: after balanced churn each magazine sits at exactly its
-// post-refill fill, so the published gauge matches CachedBytes; between
-// boundaries the fast paths leave it stale by the unpublished pops.
+// TestMagazineBytesTracksCachedBytes pins the gauge's contract: the core's
+// held bytes less SampleStats' live bytes. A hit moves no byte the core
+// holds and is published only at the thread's publishEvery-th hit (32) or
+// its next transfer, so the gauge trails CachedBytes by exactly the live
+// bytes of the open threads' unpublished hits, and equals it once each
+// thread has published or closed. Capacity 16: a refill brings 8 blocks.
 func TestMagazineBytesTracksCachedBytes(t *testing.T) {
 	a := newOverHoard(16)
 	t0 := a.NewThread(&env.RealEnv{ID: 0})
 	t1 := a.NewThread(&env.RealEnv{ID: 1})
-	for i := 0; i < 10; i++ {
-		a.Free(t0, a.Malloc(t0, 64))
-		a.Free(t1, a.Malloc(t1, 256))
+	gaugeIs := func(step string, unpublished int64) {
+		t.Helper()
+		if gauge, exact := a.MagazineBytes(), a.CachedBytes(); gauge != exact+unpublished {
+			t.Fatalf("%s: gauge %d, want CachedBytes %d + unpublished %d", step, gauge, exact, unpublished)
+		}
 	}
-	if a.MagazineBytes() == 0 {
-		t.Fatal("gauge empty after cached frees")
+	gaugeIs("no thread has cached", 0)
+
+	// t1: a refill, then 3 malloc hits of 256 B, unpublished.
+	class256, _ := a.Classes().ClassFor(256)
+	size := int64(a.Classes().Size(class256))
+	a.Malloc(t1, 256)
+	gaugeIs("t1's refill", 0)
+	for i := int64(1); i <= 3; i++ {
+		a.Malloc(t1, 256)
+		gaugeIs("t1's malloc hits", i*size)
 	}
-	if gauge, exact := a.MagazineBytes(), a.CachedBytes(); gauge != exact {
-		t.Fatalf("boundary gauge %d != CachedBytes %d", gauge, exact)
+	t1Lag := 3 * size
+
+	// t0: a refill, 7 malloc hits that empty its 64 B magazine, 12
+	// free-malloc pairs: 31 hits, 448 B unpublished. The 32nd publishes.
+	var held []alloc.Ptr
+	held = append(held, a.Malloc(t0, 64))
+	gaugeIs("t0's refill", t1Lag)
+	for i := int64(1); i <= 7; i++ {
+		held = append(held, a.Malloc(t0, 64))
+		gaugeIs("t0's malloc hits", t1Lag+64*i)
 	}
-	// A cache-hit pop is not a transfer boundary: the gauge must hold the
-	// last published value, now stale by exactly the popped block.
-	p := a.Malloc(t0, 64)
-	if gauge, exact := a.MagazineBytes(), a.CachedBytes(); gauge != exact+64 {
-		t.Fatalf("mid-burst gauge %d, want published %d (exact %d + popped 64)",
-			gauge, exact+64, exact)
+	for range 12 {
+		a.Free(t0, held[len(held)-1])
+		held[len(held)-1] = a.Malloc(t0, 64)
 	}
-	a.Free(t0, p)
-	a.FlushThread(t0)
-	if gauge, exact := a.MagazineBytes(), a.CachedBytes(); gauge != exact {
-		t.Fatalf("after FlushThread gauge %d != CachedBytes %d", gauge, exact)
-	}
+	gaugeIs("t0's 31st hit", t1Lag+448)
+	a.Free(t0, held[len(held)-1])
+	held = held[:len(held)-1]
+	gaugeIs("t0's 32nd hit, which publishes", t1Lag)
+
 	a.FlushThread(t1)
-	if got := a.MagazineBytes(); got != 0 {
-		t.Fatalf("gauge %d after flushing every thread", got)
+	gaugeIs("t1 closed", 0)
+	a.Free(t0, held[len(held)-1])
+	held = held[:len(held)-1]
+	gaugeIs("t0's free hit", -64)
+	a.FlushThread(t0)
+	if gauge, exact := a.MagazineBytes(), a.CachedBytes(); gauge != 0 || exact != 0 {
+		t.Fatalf("gauge %d, CachedBytes %d after every thread closed", gauge, exact)
 	}
 }

@@ -74,7 +74,7 @@ func TestFlushAtCapacity(t *testing.T) {
 	}
 	ts := th.State.(*ThreadState)
 	class, _ := a.classFor(64)
-	if got := len(ts.mags[class].ptrs); got > capacity {
+	if got := len(ts.mags[class]); got > capacity {
 		t.Fatalf("magazine holds %d > capacity %d", got, capacity)
 	}
 	if innerFrees := a.heldStats().Frees; innerFrees == 0 {
@@ -142,7 +142,7 @@ func TestOwnerAwareFreeSkipsMagazine(t *testing.T) {
 	}
 	a.Free(tb, ps[0])
 	tbs := tb.State.(*ThreadState)
-	if len(tbs.remote) != 1 || tbs.remote[0] != ps[0] {
+	if len(tbs.remote) != 1 || tbs.remote[0].P != ps[0] {
 		t.Fatalf("remote batch holds %v, want A's block", tbs.remote)
 	}
 	for i := 0; i < 4*capacity; i++ {
@@ -172,7 +172,7 @@ func TestIntegrityCatchesDoubleCache(t *testing.T) {
 	class, _ := a.classFor(64)
 	m := &ts.mags[class]
 	sb, _ := superblock.FromPtr(a.Space(), p)
-	m.ptrs, m.sbs = append(m.ptrs, p, p), append(m.sbs, sb, sb) // corrupt deliberately
+	*m = append(*m, superblock.Block{P: p, SB: sb}, superblock.Block{P: p, SB: sb}) // corrupt deliberately
 	if err := a.CheckIntegrity(); err == nil {
 		t.Fatal("integrity missed a double-cached block")
 	}

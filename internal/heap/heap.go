@@ -259,22 +259,22 @@ func (h *Heap) regroup(sb *superblock.Superblock) {
 // mostly-empty as the paper prescribes. ok is false if no owned superblock
 // of the class has a free block.
 func (h *Heap) AllocBlock(e env.Env, class int) (alloc.Ptr, bool) {
-	var one [1]alloc.Ptr
-	n, _ := h.AllocRun(e, class, one[:], false)
-	return one[0], n == 1
+	var one [1]superblock.Block
+	n := h.AllocRun(e, class, one[:], false)
+	return one[0].P, n == 1
 }
 
 // AllocRun pops a run of up to len(out) blocks of the given class into out
 // from one superblock — the head of the fullest non-empty group, else the
 // class's first empty superblock — with one group scan, one u update and
-// one regroup. It returns the count and the superblock (0 and nil if no
-// owned superblock of the class has a free block); the count is short only
-// when the superblock fills. Calling it until out is full hands out exactly
-// the blocks, in exactly the order, that as many AllocBlock calls would:
-// the superblock a pop came from stays the head of the fullest non-empty
-// group until it fills. cached selects a thread cache's refill, which
-// leaves the blocks marked free (superblock.AllocRun).
-func (h *Heap) AllocRun(e env.Env, class int, out []alloc.Ptr, cached bool) (int, *superblock.Superblock) {
+// one regroup. It returns the count (0 if no owned superblock of the class
+// has a free block), which is short only when the superblock fills. Calling
+// it until out is full hands out exactly the blocks, in exactly the order,
+// that as many AllocBlock calls would: the superblock a pop came from stays
+// the head of the fullest non-empty group until it fills. cached selects a
+// thread cache's refill, which leaves the blocks marked free
+// (superblock.AllocRun).
+func (h *Heap) AllocRun(e env.Env, class int, out []superblock.Block, cached bool) int {
 	lists := &h.classes[class].groups
 	for _, g := range allocOrder {
 		e.Charge(env.OpListScan, 1)
@@ -288,9 +288,9 @@ func (h *Heap) AllocRun(e env.Env, class int, out []alloc.Ptr, cached bool) (int
 		}
 		h.u += int64(n) * int64(sb.BlockSize())
 		h.regroup(sb)
-		return n, sb
+		return n
 	}
-	return 0, nil
+	return 0
 }
 
 // FreeBlock returns an application-held block to its superblock, which must
@@ -310,12 +310,11 @@ type Freed struct {
 	Bytes  int64
 }
 
-// FreeBatch frees every block of ps whose superblock, sbs[i], this heap
-// owns, and compacts the rest — blocks whose ownership moved — to the front
-// of ps and sbs, returning their count. Each block costs one ownership
-// check and its superblock push, with no call on a real env: FreeCached
-// compiles inline, and the Touch of the push is charged only in a simulated
-// one. u is updated once, and each superblock the batch touched is
+// FreeBatch frees every block of bs whose superblock this heap owns, and
+// compacts the rest — blocks whose ownership moved — to the front of bs,
+// returning their count. Each block costs one ownership check and its
+// superblock push, with no call on a real env: FreeCached compiles inline,
+// and the Touch of the push is charged only in a simulated one. u is updated once, and each superblock the batch touched is
 // regrouped once (marked on first touch, an O(n) pass, not a sort). The
 // blocks come from a thread cache's flush, so they are already marked free
 // (superblock.FreeCached).
@@ -323,7 +322,7 @@ type Freed struct {
 // freed receives the tally. When a free panics on a misused pointer, the
 // blocks freed before it stay freed, accounted in u and freed, and
 // regrouped before the panic propagates, so the heap stays consistent.
-func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock, freed *Freed) (rest int) {
+func (h *Heap) FreeBatch(e env.Env, bs []superblock.Block, freed *Freed) (rest int) {
 	touched := h.touched
 	defer func() {
 		h.u -= freed.Bytes
@@ -334,10 +333,10 @@ func (h *Heap) FreeBatch(e env.Env, ps []alloc.Ptr, sbs []*superblock.Superblock
 		h.touched = touched[:0]
 	}()
 	sim := env.Simulated(e)
-	for i, p := range ps {
-		sb := sbs[i]
+	for _, b := range bs {
+		p, sb := b.P, b.SB
 		if sb.OwnerID() != h.ID {
-			ps[rest], sbs[rest] = p, sb
+			bs[rest] = b
 			rest++
 			continue
 		}

@@ -412,14 +412,19 @@ func TestCachedBlocksCountAsInUse(t *testing.T) {
 	h := newHeap(1)
 	sb := newSuper(space, 2)
 	h.Insert(sb)
-	ps := make([]alloc.Ptr, 200)
-	if n, got := h.AllocRun(e, 2, ps, true); n != len(ps) || got != sb {
-		t.Fatalf("cached run took %d blocks from %v, want %d from the one superblock", n, got, len(ps))
+	bs := make([]superblock.Block, 200)
+	if n := h.AllocRun(e, 2, bs, true); n != len(bs) {
+		t.Fatalf("cached run took %d blocks, want %d", n, len(bs))
+	}
+	for _, b := range bs {
+		if b.SB != sb {
+			t.Fatalf("cached block %#x filed under %v, want the one superblock", uint64(b.P), b.SB)
+		}
 	}
 	if h.U() != int64(200*sb.BlockSize()) || sb.Group != groupOf(sb) {
 		t.Fatalf("u = %d, group %d after 200 cached allocs", h.U(), sb.Group)
 	}
-	if !sb.IsFreeBlock(ps[0]) {
+	if !sb.IsFreeBlock(bs[0].P) {
 		t.Fatal("a cached block lost its free bit")
 	}
 	if err := h.CheckIntegrity(); err == nil {
@@ -429,12 +434,8 @@ func TestCachedBlocksCountAsInUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	var freed Freed
-	sbs := make([]*superblock.Superblock, len(ps))
-	for i := range sbs {
-		sbs[i] = sb
-	}
-	if rest := h.FreeBatch(e, ps, sbs, &freed); rest != 0 || freed.Blocks != len(ps) {
-		t.Fatalf("flush left %d blocks and freed %d, want 0 and %d", rest, freed.Blocks, len(ps))
+	if rest := h.FreeBatch(e, bs, &freed); rest != 0 || freed.Blocks != len(bs) {
+		t.Fatalf("flush left %d blocks and freed %d, want 0 and %d", rest, freed.Blocks, len(bs))
 	}
 	if h.U() != 0 || sb.InUse() != 0 {
 		t.Fatalf("u = %d, %d in use after flushing every cached block", h.U(), sb.InUse())
@@ -539,15 +540,15 @@ func TestAllocRunMatchesSinglePops(t *testing.T) {
 	for _, n := range []int{1, 37, 600, 1100} {
 		runHeap, runSBs := buildGroupedHeap(t, 5)
 		popHeap, popSBs := buildGroupedHeap(t, 5)
-		out := make([]alloc.Ptr, n)
+		out := make([]superblock.Block, n)
 		for got := 0; got < n; {
-			k, sb := runHeap.AllocRun(e, 2, out[got:], true)
+			k := runHeap.AllocRun(e, 2, out[got:], true)
 			if k == 0 {
 				t.Fatalf("n=%d: run refill ran dry after %d blocks", n, got)
 			}
-			for _, p := range out[got : got+k] {
-				if !sb.Contains(p) {
-					t.Fatalf("n=%d: AllocRun reported superblock %#x for block %#x", n, sb.Base(), uint64(p))
+			for _, b := range out[got : got+k] {
+				if b.SB != out[got].SB || !b.SB.Contains(b.P) {
+					t.Fatalf("n=%d: AllocRun reported superblock %#x for block %#x", n, b.SB.Base(), uint64(b.P))
 				}
 			}
 			got += k
@@ -557,7 +558,7 @@ func TestAllocRunMatchesSinglePops(t *testing.T) {
 			if !ok {
 				t.Fatalf("n=%d: single pops ran dry after %d blocks", n, i)
 			}
-			if run, pop := refOf(t, runSBs, out[i]), refOf(t, popSBs, p); run != pop {
+			if run, pop := refOf(t, runSBs, out[i].P), refOf(t, popSBs, p); run != pop {
 				t.Fatalf("n=%d: block %d: run gave %+v, single pops %+v", n, i, run, pop)
 			}
 		}
@@ -642,8 +643,7 @@ func TestEmptySearchCostIndependentOfPartials(t *testing.T) {
 func TestFreeBatchRegroupsTouchedOnce(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h, other := newHeap(0), newHeap(2)
-	var ps []alloc.Ptr
-	var sbs []*superblock.Superblock
+	var bs []superblock.Block
 	for i := 0; i < 12; i++ {
 		sb := newSuper(space, 2)
 		hp := h
@@ -657,30 +657,26 @@ func TestFreeBatchRegroupsTouchedOnce(t *testing.T) {
 			p, _ := sb.AllocBlock(e)
 			if j < n-(i%2)*5 {
 				sb.MarkCached(p) // a thread cache takes it back
-				ps = append(ps, p)
-				sbs = append(sbs, sb)
+				bs = append(bs, superblock.Block{P: p, SB: sb})
 			}
 		}
 		hp.Insert(sb)
 	}
-	rand.New(rand.NewSource(9)).Shuffle(len(ps), func(i, j int) {
-		ps[i], ps[j] = ps[j], ps[i]
-		sbs[i], sbs[j] = sbs[j], sbs[i]
-	})
+	rand.New(rand.NewSource(9)).Shuffle(len(bs), func(i, j int) { bs[i], bs[j] = bs[j], bs[i] })
 	foreign := 0
-	for _, sb := range sbs {
-		if sb.OwnerID() != h.ID {
+	for _, b := range bs {
+		if b.SB.OwnerID() != h.ID {
 			foreign++
 		}
 	}
 	var freed Freed
-	rest := h.FreeBatch(e, ps, sbs, &freed)
-	if rest != foreign || freed.Blocks != len(ps)-foreign {
-		t.Fatalf("FreeBatch left %d and freed %d, want %d and %d", rest, freed.Blocks, foreign, len(ps)-foreign)
+	rest := h.FreeBatch(e, bs, &freed)
+	if rest != foreign || freed.Blocks != len(bs)-foreign {
+		t.Fatalf("FreeBatch left %d and freed %d, want %d and %d", rest, freed.Blocks, foreign, len(bs)-foreign)
 	}
-	for i := 0; i < rest; i++ {
-		if sbs[i].OwnerID() != other.ID {
-			t.Fatalf("compacted block %d belongs to heap %d", i, sbs[i].OwnerID())
+	for i, b := range bs[:rest] {
+		if b.SB.OwnerID() != other.ID {
+			t.Fatalf("compacted block %d belongs to heap %d", i, b.SB.OwnerID())
 		}
 	}
 	if err := h.CheckIntegrity(); err != nil {
@@ -718,8 +714,7 @@ func TestFreeBatchPanicKeepsHeapConsistent(t *testing.T) {
 				t.Fatal("a held block in FreeBatch did not panic")
 			}
 		}()
-		h.FreeBatch(e, []alloc.Ptr{p, q, held, r},
-			[]*superblock.Superblock{a, b, b, b}, &freed)
+		h.FreeBatch(e, []superblock.Block{{P: p, SB: a}, {P: q, SB: b}, {P: held, SB: b}, {P: r, SB: b}}, &freed)
 	}()
 	if freed.Blocks != 2 || freed.Bytes != int64(blockSizeFor(2)+blockSizeFor(3)) {
 		t.Fatalf("freed %+v before the panic, want p and q", freed)

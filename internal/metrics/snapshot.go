@@ -58,8 +58,9 @@ type Snapshot struct {
 	Counters map[string]int64 `json:"counters"`
 	// Heaps is the per-heap occupancy (Hoard policy only).
 	Heaps []HeapSample `json:"heaps,omitempty"`
-	// MagazineBytes is the bytes parked in thread-cache magazines; -1
-	// when no thread cache is layered.
+	// MagazineBytes is the bytes parked in thread-cache magazines and
+	// remote batches, as sampled under load (core.Hoard.MagazineBytes);
+	// -1 when no thread cache is layered.
 	MagazineBytes int64 `json:"magazine_bytes"`
 	// Locks are the instrumented-lock counters.
 	Locks []LockStats `json:"locks,omitempty"`
@@ -149,7 +150,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	}
 
 	if s.MagazineBytes >= 0 {
-		fmt.Fprintf(&b, "# HELP hoard_tcache_magazine_bytes Bytes parked in per-thread magazines.\n")
+		fmt.Fprintf(&b, "# HELP hoard_tcache_magazine_bytes Bytes parked in per-thread magazines and remote batches: bytes handed out by the heaps less sampled live bytes, off by open threads' unpublished hits.\n")
 		fmt.Fprintf(&b, "# TYPE hoard_tcache_magazine_bytes gauge\n")
 		fmt.Fprintf(&b, "hoard_tcache_magazine_bytes{allocator=%q} %d\n", s.Allocator, s.MagazineBytes)
 	}

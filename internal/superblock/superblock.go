@@ -79,6 +79,14 @@ type Superblock struct {
 	Touched    bool
 }
 
+// Block is one block out of a superblock together with that superblock: the
+// record a thread cache keeps per cached block and a batch transfer moves, so
+// neither ever looks a block up.
+type Block struct {
+	P  alloc.Ptr
+	SB *Superblock
+}
+
 // held is the links entry of a block in the application's hands; no link
 // (an idx+1 at most nBlocks) takes this value.
 const held = ^uint32(0)
@@ -250,9 +258,9 @@ func (sb *Superblock) pop() (idx int, listed, ok bool) {
 // AllocBlock allocates a block to the application: a run of one. ok is
 // false when the superblock is full. The caller holds the owning heap's lock.
 func (sb *Superblock) AllocBlock(e env.Env) (p alloc.Ptr, ok bool) {
-	var one [1]alloc.Ptr
+	var one [1]Block
 	n := sb.AllocRun(e, one[:], false)
-	return one[0], n == 1
+	return one[0].P, n == 1
 }
 
 // FreeBlock returns an application-held block to the free list: a thread
@@ -269,15 +277,15 @@ func (sb *Superblock) FreeBlock(e env.Env, p alloc.Ptr) {
 	sb.FreeCached(p)
 }
 
-// AllocRun pops up to len(out) blocks into out, in the order single pops
-// would take them, and returns how many it took (fewer only when the
-// superblock fills). cached selects a thread cache's refill: the blocks stay
+// AllocRun pops up to len(out) blocks into out, each with sb, in the order
+// single pops would take them, and returns how many it took (fewer only when
+// the superblock fills). cached selects a thread cache's refill: the blocks stay
 // free, since they move from the free list to the cache without ever being
 // in the application's hands, and the cache marks each one held when it
 // hands the block out (ClaimCached). Otherwise each block is marked held, as
 // a block handed to the application. The caller holds the owning heap's
 // lock.
-func (sb *Superblock) AllocRun(e env.Env, out []alloc.Ptr, cached bool) int {
+func (sb *Superblock) AllocRun(e env.Env, out []Block, cached bool) int {
 	sim := env.Simulated(e)
 	for i := range out {
 		idx, listed, ok := sb.pop()
@@ -296,7 +304,7 @@ func (sb *Superblock) AllocRun(e env.Env, out []alloc.Ptr, cached bool) int {
 		if !cached {
 			sb.links[idx] = held
 		}
-		out[i] = alloc.Ptr(sb.addrOf(idx))
+		out[i] = Block{alloc.Ptr(sb.addrOf(idx)), sb}
 	}
 	return len(out)
 }

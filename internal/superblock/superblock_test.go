@@ -251,15 +251,19 @@ func TestPropertyCachedHandover(t *testing.T) {
 					app = append(app, p)
 				}
 			case 6:
-				run := make([]alloc.Ptr, 1+rng.Intn(4))
-				app = append(app, run[:sb.AllocRun(e, run, false)]...)
+				run := make([]Block, 1+rng.Intn(4))
+				for _, b := range run[:sb.AllocRun(e, run, false)] {
+					app = append(app, b.P)
+				}
 			case 1:
 				if len(app) > 0 {
 					sb.FreeBlock(e, take(&app))
 				}
 			case 2:
-				run := make([]alloc.Ptr, 1+rng.Intn(4))
-				cache = append(cache, run[:sb.AllocRun(e, run, true)]...)
+				run := make([]Block, 1+rng.Intn(4))
+				for _, b := range run[:sb.AllocRun(e, run, true)] {
+					cache = append(cache, b.P)
+				}
 			case 3:
 				if len(cache) > 0 {
 					p := take(&cache)
@@ -294,9 +298,9 @@ func TestPropertyCachedHandover(t *testing.T) {
 // misuse panics with its own message.
 func TestCachedMisusePanics(t *testing.T) {
 	_, sb := newSB(t, 64)
-	var run [1]alloc.Ptr
+	var run [1]Block
 	sb.AllocRun(e, run[:], true)
-	cached := run[0]
+	cached := run[0].P
 	held, _ := sb.AllocBlock(e)
 	base := sb.Base()
 	for _, c := range []struct {
@@ -369,9 +373,9 @@ func BenchmarkAllocFreePair(b *testing.B) {
 // MarkCached pair on one cached block.
 func BenchmarkClaimMark(b *testing.B) {
 	_, sb := newSB(b, 64)
-	var run [1]alloc.Ptr
+	var run [1]Block
 	sb.AllocRun(e, run[:], true)
-	p := run[0]
+	p := run[0].P
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sb.ClaimCached(p)
@@ -419,7 +423,7 @@ func TestBlockIndexMatchesDivision(t *testing.T) {
 				}
 			}
 			// Every block starts cached: out of the superblock, marked free.
-			sb.AllocRun(e, make([]alloc.Ptr, sb.NBlocks()), true)
+			sb.AllocRun(e, make([]Block, sb.NBlocks()), true)
 			outside := []uint64{base - 8, base - uint64(blockSize), base + uint64(size), base + uint64(size+blockSize)}
 			for _, u := range outside {
 				for i := range flips {
@@ -454,9 +458,9 @@ func TestBlockIndexMatchesDivision(t *testing.T) {
 				sb.MarkCached(p)
 				// Cached again: a flush lists it, and a refill takes it back.
 				sb.FreeCached(p)
-				var one [1]alloc.Ptr
-				if sb.AllocRun(e, one[:], true) != 1 || one[0] != p {
-					t.Fatalf("S=%d block %d: refill after flushing %#x took %#x", size, blockSize, uint64(p), uint64(one[0]))
+				var one [1]Block
+				if sb.AllocRun(e, one[:], true) != 1 || one[0] != (Block{p, sb}) {
+					t.Fatalf("S=%d block %d: refill after flushing %#x took %#x", size, blockSize, uint64(p), uint64(one[0].P))
 				}
 			}
 			if err := sb.CheckIntegrityCached(sb.NBlocks()); err != nil {

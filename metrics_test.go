@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,9 +190,28 @@ func TestMetricsHandler(t *testing.T) {
 // TestAuditUnderLoad audits and scrapes the allocator while goroutines churn
 // through the public API, on both backends. Every audit must pass, every
 // mid-churn scrape of MetricsHandler must lint as Prometheus text while heap
-// occupancy and lock counters change underfoot, and the final scrape must
-// count every malloc exactly.
+// occupancy and lock counters change underfoot, and its magazine gauge must
+// lie within what the workers can cache plus their unpublished hits. The
+// final scrape, after every worker closed its thread, must count every
+// malloc exactly and show no cached byte.
 func TestAuditUnderLoad(t *testing.T) {
+	const workers = 4
+	// gauge returns a scrape's hoard_tcache_magazine_bytes.
+	gauge := func(t *testing.T, body string) int64 {
+		t.Helper()
+		const prefix = "hoard_tcache_magazine_bytes{allocator=\"hoard\"} "
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("magazine gauge %q: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("scrape lacks the magazine gauge:\n%s", body)
+		return 0
+	}
 	for _, backend := range []string{"sim", "arena"} {
 		t.Run(backend, func(t *testing.T) {
 			a := MustNew(Config{Procs: 4, Metrics: true, Backend: backend})
@@ -225,7 +245,7 @@ func TestAuditUnderLoad(t *testing.T) {
 			halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
 			defer halt() // runs before a.Close if a check fails mid-churn
 			var mallocs atomic.Int64
-			for w := 0; w < 4; w++ {
+			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -255,12 +275,18 @@ func TestAuditUnderLoad(t *testing.T) {
 			for mallocs.Load() < 1000 {
 				runtime.Gosched() // let the churn get going
 			}
+			// Each open thread caches at most ThreadBound bytes, and its
+			// sampled live bytes trail by at most 31 unpublished hits of
+			// at most 4096 B.
+			bound := workers * (a.unwrap().ThreadBound() + 31*4096)
 			for i := 0; i < 20; i++ {
 				if err := a.Audit(); err != nil {
 					t.Fatalf("audit %d under load: %v", i, err)
 				}
 				if i%5 == 0 {
-					scrape()
+					if g := gauge(t, scrape()); g < 0 || g > bound {
+						t.Fatalf("mid-churn magazine gauge %d outside [0, %d]", g, bound)
+					}
 				}
 			}
 			halt()
@@ -268,8 +294,12 @@ func TestAuditUnderLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := fmt.Sprintf("hoard_mallocs_total{allocator=\"hoard\"} %d\n", mallocs.Load())
-			if body := scrape(); !strings.Contains(body, want) {
+			body := scrape()
+			if !strings.Contains(body, want) {
 				t.Fatalf("final scrape lacks %q:\n%s", want, body)
+			}
+			if g := gauge(t, body); g != 0 {
+				t.Fatalf("magazine gauge %d after every worker closed its thread", g)
 			}
 		})
 	}
