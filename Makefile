@@ -51,7 +51,7 @@ inline:
 # int that overflows at 32 bits fails here), and builds for a non-Linux one.
 portable:
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/ ./internal/experiments/ .
+	GOARCH=386 $(GO) test ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/lockedheap/ ./internal/core/ ./internal/experiments/ .
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 test:

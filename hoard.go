@@ -276,10 +276,11 @@ func (t *Thread) ID() int { return t.inner.ID }
 // without Close stays registered, magazines and all. 1,000 Threads that
 // each allocate and free one block of every 16-byte step from 16 to 2048 B
 // end, dropped, with 249,544,000 B cached and 266,756,096 B reserved, and
-// closed, with 401,408 B reserved. The handle remains usable afterwards (stray late operations bypass
-// the caches), so Close is safe to call before the last cross-thread free of
-// this thread's blocks has happened. For stacks with no per-thread caching
-// Close is a no-op, and so it is once the Allocator is closed.
+// closed, with 401,408 B reserved. The handle remains usable afterwards
+// (stray late operations bypass the caches), so Close is safe to call
+// before the last cross-thread free of this thread's blocks has happened.
+// For stacks with no per-thread caching Close is a no-op, and so it is once
+// the Allocator is closed.
 func (t *Thread) Close() {
 	if !t.a.closed {
 		alloc.FlushThread(t.a.impl, t.inner)

@@ -14,10 +14,10 @@ import (
 // one acquisition of that heap's lock.
 
 // mallocCached fills out[:n] with blocks of class for a magazine refill,
-// under one acquisition of ts's heap lock, and returns n. The blocks stay
-// marked free, since they go to a magazine and not to the application, and
-// each carries its superblock, so the magazine never looks a block up. n
-// must not exceed cap(out).
+// under one acquisition of ts's heap lock (allocRun), and returns n. The
+// blocks stay marked free until the magazine hands each one out, and each
+// carries its superblock, so the magazine never looks a block up. n must
+// not exceed cap(out).
 //
 // Superblock searches and pulls from the global heap (or the OS) happen in
 // the same critical section, exactly as n back-to-back Mallocs would do —
@@ -29,10 +29,7 @@ func (h *Hoard) mallocCached(ts *ThreadState, class, n int, out []superblock.Blo
 	}
 	e := ts.e
 	blockSize := h.classes.Size(class)
-	hp := h.heaps[ts.heapIdx]
-	hp.Lock.Lock(e)
-	h.allocLocked(e, hp, class, blockSize, out[:n], true)
-	hp.Lock.Unlock(e)
+	h.allocRun(ts, class, blockSize, out[:n])
 	h.acct.OnMallocN(n, int64(n)*int64(blockSize))
 	// Per-block bookkeeping really happened; the batch op is a surcharge
 	// for marshalling (see the charging discipline in internal/env).
@@ -51,8 +48,8 @@ func (h *Hoard) mallocCached(ts *ThreadState, class, n int, out []superblock.Blo
 // block's owner once, frees every block that heap still owns, and goes
 // around again for blocks whose ownership moved while it waited — the batch
 // form of the per-block free protocol's re-check dance. Each pass restores
-// the emptiness invariant once, at the end (looping: a batch of B frees can
-// demand up to B evictions where a single free demands at most one).
+// the emptiness invariant at its end, with at most one eviction per block it
+// freed, the rule of a single free.
 func (h *Hoard) freeCached(ts *ThreadState, bs []superblock.Block) {
 	e, myIdx := ts.e, ts.heapIdx
 	e.Charge(env.OpFreeBatch, 1)
@@ -92,11 +89,12 @@ func (h *Hoard) freeOwnedLocked(e env.Env, hp *heap.Heap, myIdx int, bs []superb
 	}()
 	rest := hp.FreeBatch(e, bs, &freed)
 	e.Charge(env.OpFree, int64(freed.Blocks))
-	if hp.ID != 0 && freed.Blocks > 0 {
-		// A batch of B frees can push the heap up to B blocks past the
-		// invariant; keep evicting until it holds (or no superblock
-		// qualifies — the benign all-full capacity-waste state).
-		for hp.InvariantViolated() && h.restoreInvariant(e, hp) {
+	if hp.ID != 0 {
+		// Evict until the invariant holds, no superblock qualifies (the
+		// benign all-full capacity-waste state), or every freed block has
+		// paid for one move: the single free's rule, so a heap a malloc
+		// left far below the invariant is not drained by one flush.
+		for i := 0; i < freed.Blocks && hp.InvariantViolated() && h.restoreInvariant(e, hp); i++ {
 		}
 	}
 	return rest

@@ -300,11 +300,11 @@ func (h *Hoard) mallocLocked(ts *ThreadState, size int) alloc.Ptr {
 		return p
 	}
 	blockSize := h.classes.Size(class)
-	hp := h.heaps[ts.heapIdx]
 	var b [1]superblock.Block
-	hp.Lock.Lock(e)
-	h.allocLocked(e, hp, class, blockSize, b[:], false)
-	hp.Lock.Unlock(e)
+	h.allocRun(ts, class, blockSize, b[:])
+	b[0].SB.ClaimCached(b[0].P)
+	// The books follow the charge, a switch point of the simulator, or the
+	// simulated peaks move.
 	e.Charge(env.OpMallocFast, 1)
 	h.acct.OnMalloc(blockSize)
 	if h.caps != nil {
@@ -313,19 +313,28 @@ func (h *Hoard) mallocLocked(ts *ThreadState, size int) alloc.Ptr {
 	return b[0].P
 }
 
+// allocRun fills out with blocks of class under one acquisition of ts's heap
+// lock (allocLocked). The blocks stay marked free; the caller claims each
+// one it hands to the application.
+func (h *Hoard) allocRun(ts *ThreadState, class, blockSize int, out []superblock.Block) {
+	hp := h.heaps[ts.heapIdx]
+	hp.Lock.Lock(ts.e)
+	h.allocLocked(ts.e, hp, class, blockSize, out)
+	hp.Lock.Unlock(ts.e)
+}
+
 // allocLocked fills out with blocks of class from hp, whose lock the caller
 // holds, a superblock's run at a time (heap.AllocRun): the same blocks, in
-// the same order, as len(out) single pops. cached selects a thread cache's
-// refill, which leaves the blocks marked free.
+// the same order, as len(out) single pops, all still marked free.
 //
 // When hp has no free block of the class, the slow path first recycles one
 // of hp's own empty superblocks into the class: it stays off the global
 // lock and, because a(i) does not change, triggers no eviction (where a
 // global take grows a(i) and routinely starts an evict/take cycle).
 // Otherwise it pulls a superblock from the global heap, or the OS.
-func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out []superblock.Block, cached bool) {
+func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int, out []superblock.Block) {
 	for i := 0; i < len(out); {
-		if n := hp.AllocRun(e, class, out[i:], cached); n > 0 {
+		if n := hp.AllocRun(e, class, out[i:]); n > 0 {
 			i += n
 			continue
 		}
@@ -394,16 +403,19 @@ func (h *Hoard) freeLarge(ts *ThreadState, sp *vm.Span, p alloc.Ptr) {
 }
 
 // freeSmall is the paper's free protocol, the same for every owner — this
-// thread's heap, another thread's, or the global heap: lock the owner,
-// re-check that it still owns the superblock (ownership can change while we
-// wait), free, and restore the emptiness invariant. Under the magazines it
-// serves the frees they do not, which it books as bypass operations.
+// thread's heap, another thread's, or the global heap: mark the block free,
+// which panics on misuse before any lock is taken, lock the owner, re-check
+// that it still owns the superblock (ownership can change while we wait),
+// push the block, and restore the emptiness invariant (the global heap
+// never evicts). Under the magazines it serves the frees they do not, which
+// it books as bypass operations.
 func (h *Hoard) freeSmall(ts *ThreadState, sb *superblock.Superblock, p alloc.Ptr) {
 	e := ts.e
 	// Read the block size while our still-live block pins the superblock's
 	// format: once the free retires the block and the lock drops, the
 	// superblock may empty and be reformatted to another class.
 	blockSize := sb.BlockSize()
+	sb.MarkCached(p)
 	for {
 		id := sb.OwnerID()
 		hp := h.heaps[id]
@@ -416,7 +428,12 @@ func (h *Hoard) freeSmall(ts *ThreadState, sb *superblock.Superblock, p alloc.Pt
 		if id != ts.heapIdx {
 			h.remote.Add(1)
 		}
-		h.freeLocked(e, hp, sb, p)
+		hp.FreeBlock(e, sb, p)
+		e.Charge(env.OpFree, 1)
+		if id != 0 && hp.InvariantViolated() {
+			h.restoreInvariant(e, hp)
+		}
+		hp.Lock.Unlock(e)
 		h.acct.OnFree(blockSize)
 		if h.caps != nil {
 			h.bypass.OnFree(blockSize)
@@ -425,23 +442,13 @@ func (h *Hoard) freeSmall(ts *ThreadState, sb *superblock.Superblock, p alloc.Pt
 	}
 }
 
-// freeLocked performs a free while holding hp's lock (which it releases,
-// also when the free panics on a misused pointer, so the heap stays usable),
-// then restores the emptiness invariant. The global heap never evicts.
-func (h *Hoard) freeLocked(e env.Env, hp *heap.Heap, sb *superblock.Superblock, p alloc.Ptr) {
-	defer hp.Lock.Unlock(e)
-	hp.FreeBlock(e, sb, p)
-	e.Charge(env.OpFree, 1)
-	if hp.ID != 0 && hp.InvariantViolated() {
-		h.restoreInvariant(e, hp)
-	}
-}
-
 // restoreInvariant moves one at-least-f-empty superblock from hp (whose lock
-// the caller holds) to the global heap, as the paper's free path prescribes.
-// It reports whether a victim was found; a single free can violate the
-// invariant by at most one block, so one move always suffices there, but the
-// batch free path loops until the invariant holds or no victim remains.
+// the caller holds) to the global heap, as the paper's free path prescribes,
+// and reports whether a victim was found. Each freed block pays for at most
+// one move, on a single free and on a flush alike. One move need not restore
+// the invariant: a malloc that takes a superblock raises a(i) by S but u(i)
+// only by the blocks it takes, so a heap can enter a free already below it
+// (DESIGN.md §1).
 func (h *Hoard) restoreInvariant(e env.Env, hp *heap.Heap) bool {
 	victim := hp.FindEvictable(e)
 	if victim == nil {

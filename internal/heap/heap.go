@@ -22,8 +22,12 @@
 // Locking: a Heap performs no locking itself. Every method must be called
 // with the heap's Lock held; internal/core owns the locking protocol
 // (including the re-check dance when superblock ownership changes while a
-// freeing thread waits). Blocks a thread cache holds count as in use, in u
-// and in their superblock's fullness.
+// freeing thread waits). Every caller keeps one block-state contract
+// (package superblock): AllocRun's blocks leave marked free, for the caller
+// to claim as it hands each one to the application, and FreeBlock and
+// FreeBatch take blocks back already marked free. Blocks out of the heap
+// count as in use, in u and in their superblock's fullness, whether the
+// application or a thread cache holds them.
 //
 // Costs (see internal/env): a search charges one OpListScan per list head
 // it consults plus one per superblock it visits. The mask searches replay
@@ -254,27 +258,17 @@ func (h *Heap) regroup(sb *superblock.Superblock) {
 	h.link(sb, g)
 }
 
-// AllocBlock allocates one block of the given class to the application from
-// the heap's superblocks, searching fullness groups from mostly-full down to
-// mostly-empty as the paper prescribes. ok is false if no owned superblock
-// of the class has a free block.
-func (h *Heap) AllocBlock(e env.Env, class int) (alloc.Ptr, bool) {
-	var one [1]superblock.Block
-	n := h.AllocRun(e, class, one[:], false)
-	return one[0].P, n == 1
-}
-
 // AllocRun pops a run of up to len(out) blocks of the given class into out
 // from one superblock — the head of the fullest non-empty group, else the
-// class's first empty superblock — with one group scan, one u update and
-// one regroup. It returns the count (0 if no owned superblock of the class
-// has a free block), which is short only when the superblock fills. Calling
-// it until out is full hands out exactly the blocks, in exactly the order,
-// that as many AllocBlock calls would: the superblock a pop came from stays
-// the head of the fullest non-empty group until it fills. cached selects a
-// thread cache's refill, which leaves the blocks marked free
-// (superblock.AllocRun).
-func (h *Heap) AllocRun(e env.Env, class int, out []superblock.Block, cached bool) int {
+// class's first empty superblock, so fullness groups are searched from
+// mostly-full down to mostly-empty as the paper prescribes — with one group
+// scan, one u update and one regroup. It returns the count (0 if no owned
+// superblock of the class has a free block), which is short only when the
+// superblock fills. Calling it until out is full hands out exactly the
+// blocks, in exactly the order, that as many runs of one would: the
+// superblock a pop came from stays the head of the fullest non-empty group
+// until it fills. The blocks stay marked free (superblock.AllocRun).
+func (h *Heap) AllocRun(e env.Env, class int, out []superblock.Block) int {
 	lists := &h.classes[class].groups
 	for _, g := range allocOrder {
 		e.Charge(env.OpListScan, 1)
@@ -282,7 +276,7 @@ func (h *Heap) AllocRun(e env.Env, class int, out []superblock.Block, cached boo
 		if sb == nil {
 			continue
 		}
-		n := sb.AllocRun(e, out, cached)
+		n := sb.AllocRun(e, out)
 		if n == 0 {
 			panic(fmt.Sprintf("heap %d: superblock %#x in group %d is full", h.ID, sb.Base(), g))
 		}
@@ -293,13 +287,14 @@ func (h *Heap) AllocRun(e env.Env, class int, out []superblock.Block, cached boo
 	return 0
 }
 
-// FreeBlock returns an application-held block to its superblock, which must
-// be owned by this heap.
+// FreeBlock returns a block already marked free (superblock.MarkCached) to
+// its superblock, which must be owned by this heap: FreeBatch for one block.
 func (h *Heap) FreeBlock(e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
 	if sb.OwnerID() != h.ID {
 		panic(fmt.Sprintf("heap %d: FreeBlock on superblock owned by heap %d", h.ID, sb.OwnerID()))
 	}
-	sb.FreeBlock(e, p)
+	sb.FreeCached(p)
+	e.Touch(uint64(p), 4, true)
 	h.u -= int64(sb.BlockSize())
 	h.regroup(sb)
 }
@@ -314,10 +309,10 @@ type Freed struct {
 // compacts the rest — blocks whose ownership moved — to the front of bs,
 // returning their count. Each block costs one ownership check and its
 // superblock push, with no call on a real env: FreeCached compiles inline,
-// and the Touch of the push is charged only in a simulated one. u is updated once, and each superblock the batch touched is
-// regrouped once (marked on first touch, an O(n) pass, not a sort). The
-// blocks come from a thread cache's flush, so they are already marked free
-// (superblock.FreeCached).
+// and the Touch of the push is charged only in a simulated one. u is
+// updated once, and each superblock the batch touched is regrouped once
+// (marked on first touch, an O(n) pass, not a sort). The blocks come back
+// already marked free (superblock.FreeCached).
 //
 // freed receives the tally. When a free panics on a misused pointer, the
 // blocks freed before it stay freed, accounted in u and freed, and
@@ -342,8 +337,7 @@ func (h *Heap) FreeBatch(e env.Env, bs []superblock.Block, freed *Freed) (rest i
 		}
 		sb.FreeCached(p)
 		if sim {
-			// The write of the block's link, as superblock.FreeBlock
-			// charges it.
+			// The write of the block's link (superblock.FreeCached).
 			e.Touch(uint64(p), 4, true)
 		}
 		freed.Blocks++
@@ -448,7 +442,7 @@ func (h *Heap) TakeSuper(e env.Env, class, blockSize int) *superblock.Superblock
 // superblock and setting up the next take. Cutting that cycle is what keeps
 // the slow path off the global lock in steady state.
 func (h *Heap) ReuseEmpty(e env.Env, class, blockSize int) *superblock.Superblock {
-	// An empty same-class superblock already serves AllocBlock; reformatting
+	// An empty same-class superblock already serves AllocRun; reformatting
 	// it would buy nothing, so skip the class.
 	sb := h.takeEmpty(e, class)
 	if sb == nil {

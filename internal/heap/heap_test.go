@@ -34,6 +34,25 @@ func newSuper(space vm.Backend, class int) *superblock.Superblock {
 	return superblock.New(space, testS, class, blockSizeFor(class))
 }
 
+// allocBlock allocates one block of class to the application: a run of
+// one, claimed. ok is false if no owned superblock of the class has a free
+// block.
+func allocBlock(h *Heap, class int) (alloc.Ptr, bool) {
+	var one [1]superblock.Block
+	if h.AllocRun(e, class, one[:]) == 0 {
+		return 0, false
+	}
+	one[0].SB.ClaimCached(one[0].P)
+	return one[0].P, true
+}
+
+// freeBlock frees an application-held block the way every free path does:
+// the block comes back marked free, and h pushes it.
+func freeBlock(h *Heap, sb *superblock.Superblock, p alloc.Ptr) {
+	sb.MarkCached(p)
+	h.FreeBlock(e, sb, p)
+}
+
 func TestInsertRemoveAccounting(t *testing.T) {
 	space := vmtest.NewSized(t, testS)
 	h := newHeap(1)
@@ -49,7 +68,7 @@ func TestInsertRemoveAccounting(t *testing.T) {
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	h.FreeBlock(e, sb, p)
+	freeBlock(h, sb, p)
 	h.Remove(sb)
 	if h.A() != 0 || h.U() != 0 || h.Superblocks() != 0 {
 		t.Fatalf("after remove: u=%d a=%d n=%d", h.U(), h.A(), h.Superblocks())
@@ -68,9 +87,9 @@ func TestAllocPrefersFullestGroup(t *testing.T) {
 	empty.AllocBlock(e)
 	h.Insert(full)
 	h.Insert(empty)
-	p, ok := h.AllocBlock(e, 2)
+	p, ok := allocBlock(h, 2)
 	if !ok {
-		t.Fatal("AllocBlock failed")
+		t.Fatal("allocBlock failed")
 	}
 	if !full.Contains(p) {
 		t.Fatalf("allocated from emptier superblock; want fullest-first")
@@ -88,7 +107,7 @@ func TestAllocSkipsFullSuperblocks(t *testing.T) {
 		sb.AllocBlock(e)
 	}
 	h.Insert(sb)
-	if _, ok := h.AllocBlock(e, 0); ok {
+	if _, ok := allocBlock(h, 0); ok {
 		t.Fatal("allocated from a heap with only full superblocks")
 	}
 	if err := h.CheckIntegrity(); err != nil {
@@ -103,7 +122,7 @@ func TestRegroupOnFreeAndAlloc(t *testing.T) {
 	h.Insert(sb)
 	var ps []alloc.Ptr
 	for !sb.Full() {
-		p, ok := h.AllocBlock(e, 2)
+		p, ok := allocBlock(h, 2)
 		if !ok {
 			t.Fatal("alloc failed before full")
 		}
@@ -113,7 +132,7 @@ func TestRegroupOnFreeAndAlloc(t *testing.T) {
 		t.Fatalf("full superblock in group %d", sb.Group)
 	}
 	for _, p := range ps {
-		h.FreeBlock(e, sb, p)
+		freeBlock(h, sb, p)
 	}
 	if sb.Group != emptyGroup {
 		t.Fatalf("empty superblock in group %d, want the empty list", sb.Group)
@@ -138,7 +157,7 @@ func TestInvariant(t *testing.T) {
 	}
 	// Fill it past (1-f): violation clears.
 	for sb.Fullness() < 0.80 {
-		h.AllocBlock(e, 2)
+		allocBlock(h, 2)
 	}
 	if h.InvariantViolated() {
 		t.Fatalf("invariant violated at fullness %v", sb.Fullness())
@@ -252,7 +271,7 @@ func TestInvariantViolatedUsableDiscountsWaste(t *testing.T) {
 	}
 	// One more free crosses the real line: 3/5 blocks = 60% of usable
 	// bytes, below 75% — now both forms are violated and a victim exists.
-	h.FreeBlock(e, sb, last)
+	freeBlock(h, sb, last)
 	if !h.InvariantViolatedUsable() {
 		t.Fatal("usable-bytes invariant should be violated at 60% of usable")
 	}
@@ -313,7 +332,7 @@ func TestRandomizedHeapModel(t *testing.T) {
 			h.Insert(newSuper(space, rng.Intn(testClasses)))
 		case rng.Intn(2) == 0: // alloc
 			class := rng.Intn(testClasses)
-			if p, ok := h.AllocBlock(e, class); ok {
+			if p, ok := allocBlock(h, class); ok {
 				if _, dup := live[p]; dup {
 					t.Fatalf("double hand-out of %#x", uint64(p))
 				}
@@ -325,7 +344,7 @@ func TestRandomizedHeapModel(t *testing.T) {
 				if !ok {
 					t.Fatalf("lost superblock for %#x", uint64(p))
 				}
-				h.FreeBlock(e, sb, p)
+				freeBlock(h, sb, p)
 				delete(live, p)
 				break
 			}
@@ -355,7 +374,7 @@ func TestBadFreePanics(t *testing.T) {
 			t.Fatal("FreeBlock on foreign-owned superblock did not panic")
 		}
 	}()
-	h.FreeBlock(e, sb, p)
+	freeBlock(h, sb, p)
 }
 
 // TestFindEvictablePrefersEmptyOverGroupHead pins a subtle policy bug:
@@ -413,7 +432,7 @@ func TestCachedBlocksCountAsInUse(t *testing.T) {
 	sb := newSuper(space, 2)
 	h.Insert(sb)
 	bs := make([]superblock.Block, 200)
-	if n := h.AllocRun(e, 2, bs, true); n != len(bs) {
+	if n := h.AllocRun(e, 2, bs); n != len(bs) {
 		t.Fatalf("cached run took %d blocks, want %d", n, len(bs))
 	}
 	for _, b := range bs {
@@ -469,7 +488,7 @@ func TestReuseEmpty(t *testing.T) {
 	if sb.OwnerID() != 1 || h.A() != aBefore || h.Superblocks() != 2 {
 		t.Fatalf("ownership/accounting moved: owner=%d a=%d n=%d", sb.OwnerID(), h.A(), h.Superblocks())
 	}
-	if _, ok := h.AllocBlock(e, 2); !ok {
+	if _, ok := allocBlock(h, 2); !ok {
 		t.Fatal("reused superblock cannot serve its new class")
 	}
 	if err := h.CheckIntegrity(); err != nil {
@@ -482,12 +501,12 @@ func TestReuseEmpty(t *testing.T) {
 		t.Fatalf("second reuse returned %v, want nil", got)
 	}
 	var p alloc.Ptr
-	if q, ok := h.AllocBlock(e, 3); !ok {
+	if q, ok := allocBlock(h, 3); !ok {
 		t.Fatal("partial class-3 superblock lost its blocks")
 	} else {
 		p = q
 	}
-	h.FreeBlock(e, partial, p)
+	freeBlock(h, partial, p)
 }
 
 // --- Superblock-granular transfers ---
@@ -510,7 +529,8 @@ func buildGroupedHeap(t *testing.T, seed int64) (*Heap, []*superblock.Superblock
 		}
 		rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
 		for _, p := range ps[live:] {
-			sb.FreeBlock(e, p)
+			sb.MarkCached(p)
+			sb.FreeCached(p)
 		}
 		h.Insert(sb)
 		sbs = append(sbs, sb)
@@ -542,7 +562,7 @@ func TestAllocRunMatchesSinglePops(t *testing.T) {
 		popHeap, popSBs := buildGroupedHeap(t, 5)
 		out := make([]superblock.Block, n)
 		for got := 0; got < n; {
-			k := runHeap.AllocRun(e, 2, out[got:], true)
+			k := runHeap.AllocRun(e, 2, out[got:])
 			if k == 0 {
 				t.Fatalf("n=%d: run refill ran dry after %d blocks", n, got)
 			}
@@ -554,7 +574,7 @@ func TestAllocRunMatchesSinglePops(t *testing.T) {
 			got += k
 		}
 		for i := 0; i < n; i++ {
-			p, ok := popHeap.AllocBlock(e, 2)
+			p, ok := allocBlock(popHeap, 2)
 			if !ok {
 				t.Fatalf("n=%d: single pops ran dry after %d blocks", n, i)
 			}
@@ -697,10 +717,10 @@ func TestFreeBatchPanicKeepsHeapConsistent(t *testing.T) {
 	a, b := newSuper(space, 2), newSuper(space, 3)
 	h.Insert(a)
 	h.Insert(b)
-	p, _ := h.AllocBlock(e, 2)
-	q, _ := h.AllocBlock(e, 3)
-	r, _ := h.AllocBlock(e, 3)
-	held, _ := h.AllocBlock(e, 3)
+	p, _ := allocBlock(h, 2)
+	q, _ := allocBlock(h, 3)
+	r, _ := allocBlock(h, 3)
+	held, _ := allocBlock(h, 3)
 	for _, c := range []struct {
 		sb *superblock.Superblock
 		p  alloc.Ptr

@@ -104,7 +104,7 @@ func (m *maskHeap) free(sb *superblock.Superblock) {
 	ps := m.live[sb]
 	for n := m.rng.Intn(len(ps) + 1); n > 0; n-- {
 		i := m.rng.Intn(len(ps))
-		m.h.FreeBlock(e, sb, ps[i])
+		freeBlock(m.h, sb, ps[i])
 		ps[i] = ps[len(ps)-1]
 		ps = ps[:len(ps)-1]
 	}
@@ -214,7 +214,7 @@ func (m *maskHeap) step(classes []int, pEmpty float64, step int) {
 		}
 	case 5:
 		for range 1 + m.rng.Intn(64) {
-			p, ok := h.AllocBlock(e, class)
+			p, ok := allocBlock(h, class)
 			if !ok {
 				break
 			}

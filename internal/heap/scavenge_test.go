@@ -56,8 +56,8 @@ func TestScavengeSkipsNonEmpty(t *testing.T) {
 	h := newHeap(0)
 	sb := newSuper(space, 2)
 	h.Insert(sb)
-	if _, ok := h.AllocBlock(e, 2); !ok {
-		t.Fatal("AllocBlock failed")
+	if _, ok := allocBlock(h, 2); !ok {
+		t.Fatal("allocBlock failed")
 	}
 	if rel := h.ScavengeEmpties(e); rel != 0 {
 		t.Fatalf("scavenged a non-empty superblock (%d bytes)", rel)

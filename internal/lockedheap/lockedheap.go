@@ -157,17 +157,18 @@ func (a *Allocator) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	class, _ := a.classes.ClassFor(size)
 	blockSize := a.classes.Size(class)
 	h := a.lockHeap(e, t.State.(*threadState).home, class)
-	p, ok := h.AllocBlock(e, class)
-	if !ok {
+	var b [1]superblock.Block
+	if h.AllocRun(e, class, b[:]) == 0 {
 		e.Charge(env.OpMallocSlow, 1)
 		e.Charge(env.OpOSAlloc, 1)
 		h.Insert(superblock.New(a.space, superblock.DefaultSize, class, blockSize))
-		p, _ = h.AllocBlock(e, class)
+		h.AllocRun(e, class, b[:])
 	}
 	h.Lock.Unlock(e)
+	b[0].SB.ClaimCached(b[0].P)
 	e.Charge(env.OpMallocFast, 1)
 	a.acct.OnMalloc(blockSize)
-	return p
+	return b[0].P
 }
 
 // Free implements alloc.Allocator: the block returns to the heap owning its
@@ -193,17 +194,17 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 	}
 }
 
-// freeSmall frees one block under its owning heap's lock, which it
-// releases also when the free panics on a misused pointer, so the heap
-// stays usable.
+// freeSmall marks the block free, which panics on misuse before any lock
+// is taken, then pushes it under its owning heap's lock.
 func (a *Allocator) freeSmall(e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
+	sb.MarkCached(p)
 	h := a.heaps[sb.OwnerID()]
 	h.Lock.Lock(e)
-	defer h.Lock.Unlock(e)
 	h.FreeBlock(e, sb, p)
 	if a.freeScans != 0 {
 		e.Charge(env.OpListScan, a.freeScans)
 	}
+	h.Lock.Unlock(e)
 }
 
 // UsableSize implements alloc.Allocator.

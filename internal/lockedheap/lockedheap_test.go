@@ -7,6 +7,7 @@ import (
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/alloctest"
 	"hoardgo/internal/env"
+	"hoardgo/internal/metrics"
 )
 
 var lf = env.RealLockFactory{}
@@ -253,5 +254,42 @@ func TestHomeArenaAssignment(t *testing.T) {
 	neg := a.NewThread(&env.RealEnv{ID: -3})
 	if h := neg.State.(*threadState).home; h < 0 || h >= 4 {
 		t.Fatalf("negative id mapped to arena %d", h)
+	}
+}
+
+// TestMisuseFailsBeforeAnyLock: a free marks its block free before it takes
+// the owning heap's lock, so a double free and an interior-pointer free
+// panic without taking any lock, on all three heap-choice rules.
+func TestMisuseFailsBeforeAnyLock(t *testing.T) {
+	for name, mk := range map[string]func(env.LockFactory) *Allocator{
+		"serial":     NewSerial,
+		"concurrent": NewConcurrent,
+		"ownership":  func(lf env.LockFactory) *Allocator { return NewOwnership(4, lf) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			a := mk(reg.WrapFactory(lf))
+			th := a.NewThread(&env.RealEnv{})
+			p, q := a.Malloc(th, 64), a.Malloc(th, 64)
+			a.Free(th, p)
+			for _, bad := range []alloc.Ptr{p, q + 8} {
+				before := reg.TotalLockStats().Acquires
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("free of %#x did not panic", uint64(bad))
+						}
+					}()
+					a.Free(th, bad)
+				}()
+				if got := reg.TotalLockStats().Acquires - before; got != 0 {
+					t.Errorf("free of %#x took %d locks before panicking, want 0", uint64(bad), got)
+				}
+			}
+			a.Free(th, q)
+			if err := a.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

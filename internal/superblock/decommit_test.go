@@ -30,7 +30,7 @@ func TestDecommitRecommitWriteEveryBlock(t *testing.T) {
 		}
 	}
 	for _, p := range ptrs {
-		sb.FreeBlock(e, p)
+		freeBlock(sb, p)
 	}
 
 	sb.Decommit(e)
@@ -95,7 +95,7 @@ func TestDecommitRecommitWriteEveryBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range got {
-		sb.FreeBlock(e, p)
+		freeBlock(sb, p)
 	}
 	space.Release(sb.span)
 	if space.Committed() != 0 || space.Reserved() != 0 {
@@ -115,7 +115,7 @@ func TestDecommitGuards(t *testing.T) {
 		}()
 		sb.Decommit(e)
 	}()
-	sb.FreeBlock(e, p)
+	freeBlock(sb, p)
 	sb.Decommit(e)
 	func() {
 		defer func() {

@@ -16,9 +16,13 @@
 // same array holds each block's free state, which detects double frees and
 // supports integrity checking: a block's entry is the reserved value held
 // while the application holds it, and anything else while it is free —
-// listed, uncarved, or in a thread cache (DESIGN.md §11), which is how a
-// double free into a cache still fails at the call. Only a block's holder
-// writes its entry, with plain loads and stores.
+// listed, uncarved, or out of the superblock on its way to or from the
+// application (DESIGN.md §11), which is how a double free into a thread
+// cache still fails at the call. Every path keeps one contract: a run taken
+// from the superblock stays marked free until whoever hands a block to the
+// application claims it (ClaimCached), and a block comes back already
+// marked free (MarkCached) for the owner heap to push (FreeCached). Only a
+// block's holder writes its entry, with plain loads and stores.
 package superblock
 
 import (
@@ -39,12 +43,13 @@ const DefaultSize = 8192
 // Locking: everything except the free states of blocks out of the
 // superblock, ownerID and the format fields read by a freeing thread is
 // protected by the owning heap's lock. A block out of the superblock has one
-// holder, the application or a thread cache, and only it reads or writes
-// the block's state, without that lock (MarkCached, ClaimCached); every
-// hand-off of a block, to or from the heap or between threads, already
-// carries a happens-before edge. ownerID is atomic because the free path
-// must read it before taking that lock (and re-check it after, since
-// ownership can change while waiting).
+// holder — the application, a thread cache, or the thread carrying it
+// between a heap and the application — and only it reads or writes the
+// block's state, without that lock (MarkCached, ClaimCached); every hand-off
+// of a block, to or from the heap or between threads, already carries a
+// happens-before edge. ownerID is atomic because the free path must read it
+// before taking that lock (and re-check it after, since ownership can
+// change while waiting).
 type Superblock struct {
 	span      *vm.Span
 	base      uint64 // span.Base, cached for blockIndex
@@ -56,16 +61,16 @@ type Superblock struct {
 	recip uint64
 
 	head   int // idx+1 of the free list's top block, 0 = empty list
-	used   int // blocks out of the superblock: allocated or thread-cached
+	used   int // blocks out of the superblock: held or marked free
 	carved int // blocks at index >= carved have never been allocated
 
 	// links holds each block's free state: held while the application
 	// holds block i, and any other value while it is free. For a listed
 	// block that value is the idx+1 of the block after it (0 = end of
-	// list); an uncarved or thread-cached block keeps a stale one. No entry
-	// is held while used is 0, so a reformat need not rewrite the array.
-	// Keeping the links out of block memory leaves every byte of a block to
-	// the application.
+	// list); an uncarved block, or a free one out of the superblock, keeps
+	// a stale one. No entry is held while used is 0, so a reformat need not
+	// rewrite the array. Keeping the links out of block memory leaves every
+	// byte of a block to the application.
 	links []uint32
 
 	ownerID atomic.Int32
@@ -255,37 +260,25 @@ func (sb *Superblock) pop() (idx int, listed, ok bool) {
 	return idx, listed, true
 }
 
-// AllocBlock allocates a block to the application: a run of one. ok is
-// false when the superblock is full. The caller holds the owning heap's lock.
+// AllocBlock allocates a block to the application: a run of one, claimed.
+// ok is false when the superblock is full. The caller holds the owning
+// heap's lock.
 func (sb *Superblock) AllocBlock(e env.Env) (p alloc.Ptr, ok bool) {
 	var one [1]Block
-	n := sb.AllocRun(e, one[:], false)
-	return one[0].P, n == 1
-}
-
-// FreeBlock returns an application-held block to the free list: a thread
-// cache's take-back (MarkCached) and flush (FreeCached) of the block in one
-// call. It panics on misaligned pointers, pointers outside the superblock,
-// and double frees (a block already listed, uncarved, or thread-cached). The
-// caller holds the owning heap's lock.
-func (sb *Superblock) FreeBlock(e env.Env, p alloc.Ptr) {
-	sb.MarkCached(p)
-	// The Touch models writing the block's link, dirtying the block's
-	// cache line in the freeing thread's cache — the other half of the
-	// false-sharing mechanism.
-	e.Touch(uint64(p), 4, true)
-	sb.FreeCached(p)
+	if sb.AllocRun(e, one[:]) == 0 {
+		return 0, false
+	}
+	sb.ClaimCached(one[0].P)
+	return one[0].P, true
 }
 
 // AllocRun pops up to len(out) blocks into out, each with sb, in the order
 // single pops would take them, and returns how many it took (fewer only when
-// the superblock fills). cached selects a thread cache's refill: the blocks stay
-// free, since they move from the free list to the cache without ever being
-// in the application's hands, and the cache marks each one held when it
-// hands the block out (ClaimCached). Otherwise each block is marked held, as
-// a block handed to the application. The caller holds the owning heap's
+// the superblock fills). The blocks stay marked free: whoever hands one to
+// the application claims it then (ClaimCached), so a run can go to a thread
+// cache or straight to the caller alike. The caller holds the owning heap's
 // lock.
-func (sb *Superblock) AllocRun(e env.Env, out []Block, cached bool) int {
+func (sb *Superblock) AllocRun(e env.Env, out []Block) int {
 	sim := env.Simulated(e)
 	for i := range out {
 		idx, listed, ok := sb.pop()
@@ -301,19 +294,18 @@ func (sb *Superblock) AllocRun(e env.Env, out []Block, cached bool) int {
 		if sb.links[idx] == held {
 			panic(fmt.Sprintf("superblock %#x: free-list/state mismatch at block %d", sb.Base(), idx))
 		}
-		if !cached {
-			sb.links[idx] = held
-		}
 		out[i] = Block{alloc.Ptr(sb.addrOf(idx)), sb}
 	}
 	return len(out)
 }
 
-// FreeCached returns a thread-cached block to the free list. A cached block
-// is free (MarkCached), so a held one means the block left the cache twice.
-// The caller holds the owning heap's lock and, in a simulated env, charges
-// the write of the block's link after the call, as FreeBlock does. It
-// compiles inline, so a flush makes no call per block.
+// FreeCached pushes a block that came back marked free (MarkCached) onto the
+// free list, so a held one means the block came back twice. The caller
+// holds the owning heap's lock and, in a simulated env, charges a Touch of
+// the block after the call: the write of its link, which dirties the
+// block's cache line in the freeing thread's cache — the other half of the
+// false-sharing mechanism. It compiles inline, so a flush makes no call per
+// block.
 func (sb *Superblock) FreeCached(p alloc.Ptr) {
 	idx, ok := sb.blockIndex(p)
 	if !ok || sb.links[idx] == held {
@@ -324,13 +316,13 @@ func (sb *Superblock) FreeCached(p alloc.Ptr) {
 	sb.used--
 }
 
-// MarkCached marks an application-held block free as a thread cache takes
-// it back, with a plain load and store and without the owning heap's lock.
-// It panics on a bad pointer and on a double free — a block already listed,
-// uncarved, or in a cache — so a double free fails at the call even when the
-// first free went no further than a cache. Two frees of one block that are
-// not ordered by happens-before are a data race, as in any allocator. It
-// compiles inline into the magazine's free.
+// MarkCached marks an application-held block free as the application frees
+// it, with a plain load and store and before any lock is taken. It panics on
+// a bad pointer and on a double free — a block already listed, uncarved, or
+// out of the superblock marked free — so a double free fails at the call
+// even when the first free went no further than a thread cache. Two frees of
+// one block that are not ordered by happens-before are a data race, as in
+// any allocator. It compiles inline into the magazine's free.
 func (sb *Superblock) MarkCached(p alloc.Ptr) {
 	idx, ok := sb.blockIndex(p)
 	if !ok || sb.links[idx] != held {
@@ -339,11 +331,11 @@ func (sb *Superblock) MarkCached(p alloc.Ptr) {
 	sb.links[idx] = 0
 }
 
-// ClaimCached marks a thread-cached block held as the cache hands it to the
-// application, with a plain load and store and without the owning heap's
-// lock. A held block is already in the application's hands, and it panics
-// rather than hand the block out twice. It compiles inline into the
-// magazine's malloc.
+// ClaimCached marks a block out of the superblock (AllocRun) held as it is
+// handed to the application, with a plain load and store and without the
+// owning heap's lock. A held block is already in the application's hands,
+// and it panics rather than hand the block out twice. It compiles inline
+// into the magazine's malloc.
 func (sb *Superblock) ClaimCached(p alloc.Ptr) {
 	idx, ok := sb.blockIndex(p)
 	if !ok || sb.links[idx] == held {
@@ -360,13 +352,15 @@ func (sb *Superblock) TryPop(e env.Env) (p alloc.Ptr, ok bool, retries int) {
 	return p, ok, 0
 }
 
-// FastFree is FreeBlock behind the signature the benchmark's superblock
-// replay times: ok is always true, wasEmpty reports whether the free list
-// was empty before the push, and retries is always zero. The caller holds
-// the owning heap's lock.
+// FastFree frees an application-held block (MarkCached, then FreeCached)
+// behind the signature the benchmark's superblock replay times: ok is always
+// true, wasEmpty reports whether the free list was empty before the push,
+// and retries is always zero. The caller holds the owning heap's lock.
 func (sb *Superblock) FastFree(e env.Env, p alloc.Ptr) (ok, wasEmpty bool, retries int) {
 	wasEmpty = sb.head == 0
-	sb.FreeBlock(e, p)
+	sb.MarkCached(p)
+	e.Touch(uint64(p), 4, true)
+	sb.FreeCached(p)
 	return true, wasEmpty, 0
 }
 
@@ -384,7 +378,7 @@ func (sb *Superblock) addrOf(idx int) uint64 {
 type op uint8
 
 const (
-	opFree  op = iota // MarkCached (and FreeBlock): the block must be held
+	opFree  op = iota // MarkCached: the block must be held
 	opClaim           // ClaimCached: the block must be free
 	opFlush           // FreeCached: the block must be free
 )

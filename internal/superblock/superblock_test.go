@@ -15,6 +15,13 @@ import (
 
 var e = &env.RealEnv{}
 
+// freeBlock frees an application-held block the way every free path does:
+// the block comes back marked free, and its owner pushes it.
+func freeBlock(sb *Superblock, p alloc.Ptr) {
+	sb.MarkCached(p)
+	sb.FreeCached(p)
+}
+
 func newSB(t testing.TB, blockSize int) (vm.Backend, *Superblock) {
 	t.Helper()
 	space := vmtest.NewSized(t, DefaultSize)
@@ -55,8 +62,8 @@ func TestFreeAndReuseLIFO(t *testing.T) {
 	_, sb := newSB(t, 128)
 	a, _ := sb.AllocBlock(e)
 	b, _ := sb.AllocBlock(e)
-	sb.FreeBlock(e, a)
-	sb.FreeBlock(e, b)
+	freeBlock(sb, a)
+	freeBlock(sb, b)
 	// LIFO: most recently freed comes back first.
 	p, _ := sb.AllocBlock(e)
 	if p != b {
@@ -74,13 +81,13 @@ func TestFreeAndReuseLIFO(t *testing.T) {
 func TestDoubleFreePanics(t *testing.T) {
 	_, sb := newSB(t, 64)
 	p, _ := sb.AllocBlock(e)
-	sb.FreeBlock(e, p)
+	freeBlock(sb, p)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double free did not panic")
 		}
 	}()
-	sb.FreeBlock(e, p)
+	freeBlock(sb, p)
 }
 
 func TestBadPointerPanics(t *testing.T) {
@@ -90,10 +97,10 @@ func TestBadPointerPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("FreeBlock(%#x) did not panic", uint64(bad))
+					t.Errorf("free of %#x did not panic", uint64(bad))
 				}
 			}()
-			sb.FreeBlock(e, bad)
+			freeBlock(sb, bad)
 		}()
 	}
 }
@@ -117,7 +124,7 @@ func TestFullnessAndEmptiness(t *testing.T) {
 		t.Fatal("7/8 full should NOT be at least 1/4 empty")
 	}
 	for _, p := range ps {
-		sb.FreeBlock(e, p)
+		freeBlock(sb, p)
 	}
 	if sb.InUse() != 0 {
 		t.Fatal("blocks still in use after freeing all")
@@ -127,7 +134,7 @@ func TestFullnessAndEmptiness(t *testing.T) {
 func TestReinitAcrossClasses(t *testing.T) {
 	space, sb := newSB(t, 64)
 	p, _ := sb.AllocBlock(e)
-	sb.FreeBlock(e, p)
+	freeBlock(sb, p)
 	sb.Reinit(7, 512)
 	if sb.BlockSize() != 512 || sb.Class() != 7 || sb.InUse() != 0 {
 		t.Fatalf("Reinit state: class=%d bs=%d inUse=%d", sb.Class(), sb.BlockSize(), sb.InUse())
@@ -210,7 +217,7 @@ func TestPropertyRandomAllocFree(t *testing.T) {
 				live[p] = true
 			} else {
 				for p := range live {
-					sb.FreeBlock(e, p)
+					freeBlock(sb, p)
 					delete(live, p)
 					break
 				}
@@ -228,10 +235,11 @@ func TestPropertyRandomAllocFree(t *testing.T) {
 
 // TestPropertyCachedHandover drives one superblock through random
 // interleavings of every block transition the allocator performs — the
-// application's alloc (one block or a run) and free, and a thread cache's
-// run refill, pop, free and flush — against a model of where each block is, checking after every
-// step that the in-use count covers the application's and the cache's
-// blocks and that the free bitmap balances with the cached count.
+// application's alloc (one block, or a run claimed block by block) and
+// free, and a thread cache's run refill, pop, free and flush — against a
+// model of where each block is, checking after every step that the in-use
+// count covers the application's and the cache's blocks and that the free
+// states balance with the cached count.
 func TestPropertyCachedHandover(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 10; iter++ {
@@ -252,16 +260,17 @@ func TestPropertyCachedHandover(t *testing.T) {
 				}
 			case 6:
 				run := make([]Block, 1+rng.Intn(4))
-				for _, b := range run[:sb.AllocRun(e, run, false)] {
+				for _, b := range run[:sb.AllocRun(e, run)] {
+					sb.ClaimCached(b.P)
 					app = append(app, b.P)
 				}
 			case 1:
 				if len(app) > 0 {
-					sb.FreeBlock(e, take(&app))
+					freeBlock(sb, take(&app))
 				}
 			case 2:
 				run := make([]Block, 1+rng.Intn(4))
-				for _, b := range run[:sb.AllocRun(e, run, true)] {
+				for _, b := range run[:sb.AllocRun(e, run)] {
 					cache = append(cache, b.P)
 				}
 			case 3:
@@ -299,7 +308,7 @@ func TestPropertyCachedHandover(t *testing.T) {
 func TestCachedMisusePanics(t *testing.T) {
 	_, sb := newSB(t, 64)
 	var run [1]Block
-	sb.AllocRun(e, run[:], true)
+	sb.AllocRun(e, run[:])
 	cached := run[0].P
 	held, _ := sb.AllocBlock(e)
 	base := sb.Base()
@@ -308,7 +317,7 @@ func TestCachedMisusePanics(t *testing.T) {
 		fn   func()
 		want string
 	}{
-		{"free of a cached block", func() { sb.FreeBlock(e, cached) },
+		{"free of a cached block", func() { freeBlock(sb, cached) },
 			fmt.Sprintf("superblock %#x: double free of block 0 (%#x)", base, base)},
 		{"cache free of a cached block", func() { sb.MarkCached(cached) },
 			fmt.Sprintf("superblock %#x: double free of block 0 (%#x)", base, base)},
@@ -353,7 +362,7 @@ func TestDataIntegrity(t *testing.T) {
 					t.Fatalf("block %#x byte %d corrupted: %d != %d", uint64(live[i].p), j, b, live[i].tag)
 				}
 			}
-			sb.FreeBlock(e, live[i].p)
+			freeBlock(sb, live[i].p)
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
@@ -365,7 +374,7 @@ func BenchmarkAllocFreePair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, _ := sb.AllocBlock(e)
-		sb.FreeBlock(e, p)
+		freeBlock(sb, p)
 	}
 }
 
@@ -374,7 +383,7 @@ func BenchmarkAllocFreePair(b *testing.B) {
 func BenchmarkClaimMark(b *testing.B) {
 	_, sb := newSB(b, 64)
 	var run [1]Block
-	sb.AllocRun(e, run[:], true)
+	sb.AllocRun(e, run[:])
 	p := run[0].P
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -423,7 +432,7 @@ func TestBlockIndexMatchesDivision(t *testing.T) {
 				}
 			}
 			// Every block starts cached: out of the superblock, marked free.
-			sb.AllocRun(e, make([]Block, sb.NBlocks()), true)
+			sb.AllocRun(e, make([]Block, sb.NBlocks()))
 			outside := []uint64{base - 8, base - uint64(blockSize), base + uint64(size), base + uint64(size+blockSize)}
 			for _, u := range outside {
 				for i := range flips {
@@ -459,7 +468,7 @@ func TestBlockIndexMatchesDivision(t *testing.T) {
 				// Cached again: a flush lists it, and a refill takes it back.
 				sb.FreeCached(p)
 				var one [1]Block
-				if sb.AllocRun(e, one[:], true) != 1 || one[0] != (Block{p, sb}) {
+				if sb.AllocRun(e, one[:]) != 1 || one[0] != (Block{p, sb}) {
 					t.Fatalf("S=%d block %d: refill after flushing %#x took %#x", size, blockSize, uint64(p), uint64(one[0].P))
 				}
 			}
