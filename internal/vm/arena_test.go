@@ -2,6 +2,11 @@ package vm
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -270,40 +275,154 @@ func TestArenaLargeRegionGrows(t *testing.T) {
 // TestArenaRSSReturn is the backend-level ground truth for page release:
 // touching committed pages raises the process RSS, Decommit's madvise
 // genuinely gives the pages back to the OS, and the freed range reads zero
-// afterwards. Measured via /proc/self/statm, not simulated accounting.
+// afterwards. Measured via /proc/self/statm, not simulated accounting. The
+// large case decommits one 64 MiB span; the slots case decommits 4 MiB of
+// 8 KiB superblock slots one by one, each madvise splitting the huge page
+// that holds it.
 func TestArenaRSSReturn(t *testing.T) {
-	const size = 64 << 20
-	a := testSpace(t, NewArena, ArenaOptions{LargeRegionBytes: size})
-
-	before, err := ReadRSS()
-	if err != nil {
+	if _, err := ReadRSS(); err != nil {
 		t.Skipf("no RSS source: %v", err)
 	}
-	sp := a.Reserve(size, 0, "rss")
-	data := sp.Data()
-	for i := 0; i < len(data); i += PageSize {
-		data[i] = 1
+	t.Run("large", func(t *testing.T) {
+		const size = 64 << 20
+		a := testSpace(t, NewArena, ArenaOptions{LargeRegionBytes: size})
+		checkRSSReturn(t, a, []*Span{a.Reserve(size, 0, "rss")})
+	})
+	t.Run("slots", func(t *testing.T) {
+		const slot, size = 8192, 4 << 20
+		a := testSpace(t, NewArena, ArenaOptions{SpanSize: slot})
+		spans := make([]*Span, size/slot)
+		for i := range spans {
+			spans[i] = a.Reserve(slot, slot, i)
+		}
+		checkRSSReturn(t, a, spans)
+	})
+}
+
+// checkRSSReturn writes every page of spans, decommits them all, and checks
+// that the process RSS rose and then fell by at least half their bytes and
+// that a recommitted span reads zero. It releases the spans to a.
+func checkRSSReturn(t *testing.T, a Backend, spans []*Span) {
+	t.Helper()
+	size := 0
+	for _, sp := range spans {
+		size += sp.Len
 	}
-	touched, err := ReadRSS()
-	if err != nil {
-		t.Fatal(err)
+	before := mustReadRSS(t)
+	for _, sp := range spans {
+		data := sp.Data()
+		for i := 0; i < len(data); i += PageSize {
+			data[i] = 1
+		}
 	}
-	if grew := touched - before; grew < size/2 {
+	touched := mustReadRSS(t)
+	if grew := touched - before; grew < int64(size/2) {
 		t.Fatalf("RSS grew only %d bytes after touching %d", grew, size)
 	}
-	sp.Decommit()
-	after, err := ReadRSS()
-	if err != nil {
-		t.Fatal(err)
+	for _, sp := range spans {
+		sp.Decommit()
 	}
-	if dropped := touched - after; dropped < size/2 {
+	if dropped := touched - mustReadRSS(t); dropped < int64(size/2) {
 		t.Fatalf("RSS dropped only %d bytes after decommitting %d", dropped, size)
 	}
+	sp := spans[len(spans)-1]
 	sp.Recommit()
 	if got := sp.Bytes(0, 8); got[0] != 0 {
 		t.Fatalf("page content survived decommit: %#x", got[0])
 	}
-	a.Release(sp)
+	for _, sp := range spans {
+		a.Release(sp)
+	}
+}
+
+func mustReadRSS(t *testing.T) int64 {
+	t.Helper()
+	rss, err := ReadRSS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rss
+}
+
+// TestArenaHugePageCommit pins how the arena asks for transparent huge
+// pages: a touched slot span starts on a 2 MiB boundary and lies in a
+// read-write mapping that covers the whole 2 MiB chunk and is advised
+// MADV_HUGEPAGE (VmFlags "hg"), while the accounting counts only the span.
+// Whether the kernel found a free huge page for it is only logged.
+func TestArenaHugePageCommit(t *testing.T) {
+	const slot, chunk = 8192, 2 << 20
+	a := testSpace(t, NewArena, ArenaOptions{SpanSize: slot})
+	sp := a.Reserve(slot, slot, "sb")
+	sp.Data()[0] = 1
+
+	vma, err := readSmaps(sp.Base)
+	if err != nil {
+		t.Skipf("no /proc/self/smaps: %v", err)
+	}
+	t.Logf("%#x-%#x %s AnonHugePages: %s VmFlags: %s", vma.start, vma.end, vma.perms,
+		vma.fields["AnonHugePages"], vma.fields["VmFlags"])
+	// The first slot is the region's base. The kernel may merge the
+	// read-write mapping with a neighbour, so check that it covers the
+	// whole chunk, not that it starts there.
+	if sp.Base%chunk != 0 || vma.start > sp.Base || vma.end < sp.Base+chunk {
+		t.Errorf("span %#x lies in [%#x, %#x), want a mapping over the whole 2 MiB chunk it starts",
+			sp.Base, vma.start, vma.end)
+	}
+	if !strings.HasPrefix(vma.perms, "rw") {
+		t.Errorf("span's mapping is %s, want rw", vma.perms)
+	}
+	if _, err := os.Stat("/sys/kernel/mm/transparent_hugepage"); err != nil {
+		t.Logf("kernel without transparent huge pages: %v", err)
+	} else if !slices.Contains(strings.Fields(vma.fields["VmFlags"]), "hg") {
+		t.Errorf("VmFlags %q lack hg (MADV_HUGEPAGE)", vma.fields["VmFlags"])
+	}
+	if st := a.Stats(); st.Committed != slot || st.PeakCommitted != slot {
+		t.Errorf("Committed %d, PeakCommitted %d, want the span's %d", st.Committed, st.PeakCommitted, slot)
+	}
+}
+
+// smapsEntry is one mapping of /proc/self/smaps: its range, permissions
+// and "Key: value" fields.
+type smapsEntry struct {
+	start, end uint64
+	perms      string
+	fields     map[string]string
+}
+
+// readSmaps returns the mapping of /proc/self/smaps that contains addr.
+func readSmaps(addr uint64) (smapsEntry, error) {
+	data, err := os.ReadFile("/proc/self/smaps")
+	if err != nil {
+		return smapsEntry{}, err
+	}
+	var cur *smapsEntry
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		if lo, hi, ok := strings.Cut(f[0], "-"); ok && len(f) > 1 {
+			start, err1 := strconv.ParseUint(lo, 16, 64)
+			end, err2 := strconv.ParseUint(hi, 16, 64)
+			if err1 == nil && err2 == nil {
+				if cur != nil {
+					break
+				}
+				if start <= addr && addr < end {
+					cur = &smapsEntry{start: start, end: end, perms: f[1], fields: map[string]string{}}
+				}
+				continue
+			}
+		}
+		if cur != nil {
+			key, val, _ := strings.Cut(line, ":")
+			cur.fields[key] = strings.TrimSpace(val)
+		}
+	}
+	if cur == nil {
+		return smapsEntry{}, fmt.Errorf("no mapping holds %#x", addr)
+	}
+	return *cur, nil
 }
 
 // TestArenaReserveAfterClose verifies Close is idempotent and that a

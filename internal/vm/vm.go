@@ -19,8 +19,12 @@
 //     share a simulated cache line also share physical memory and every
 //     platform behaves identically;
 //   - real memory (NewArena, linux/amd64 and linux/arm64 only): each region
-//     is an mmap'd PROT_NONE reservation, so span addresses are real
-//     virtual addresses and dropped pages leave the process RSS.
+//     is an mmap'd PROT_NONE reservation, aligned to 2 MiB and advised
+//     MADV_HUGEPAGE, so span addresses are real virtual addresses and
+//     dropped pages leave the process RSS. Commits make whole 2 MiB chunks
+//     read-write, the uncarved tail of the current chunk included, so the
+//     kernel can back them with transparent huge pages and RSS may exceed
+//     the committed bytes by less than 2 MiB per region.
 //
 // Every Space distinguishes reserved bytes (address space handed to the
 // allocator) from committed bytes (pages currently backed), each with its
@@ -197,6 +201,7 @@ type region struct {
 	base, end uint64
 	mem       []byte // the mapping behind [base, end); nil on the simulated memory
 	next      uint64 // bump cursor, guarded by Space.mu
+	rw        uint64 // arena: end of the read-write prefix, guarded by Space.mu
 	l1        []atomic.Pointer[l2node]
 }
 
@@ -270,7 +275,7 @@ func (s *Space) mapRegion(n int64) (*region, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &region{base: base, end: base + uint64(n), mem: mem, next: base}, nil
+	return &region{base: base, end: base + uint64(n), mem: mem, next: base, rw: base}, nil
 }
 
 // mapLarge maps a large region of n bytes with an empty page table.
