@@ -48,12 +48,13 @@ inline:
 
 # portable vets and tests on a 32-bit target, which has no arena (so the
 # simulated memory and the arena's fallback stub are all that build, and an
-# int that overflows at 32 bits fails here), vets the arena's second
-# platform, linux/arm64, and builds for a non-Linux one.
+# int that overflows at 32 bits fails here), the simulator's scheduler
+# included, vets the arena's second platform, linux/arm64, and builds for a
+# non-Linux one.
 portable:
 	GOARCH=386 $(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/lockedheap/ ./internal/core/ ./internal/experiments/ .
+	GOARCH=386 $(GO) test ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/lockedheap/ ./internal/core/ ./internal/simproc/ ./internal/experiments/ .
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 test:

@@ -11,7 +11,7 @@ import (
 // dominant per-operation cost — the per-processor heap lock — over a
 // magazine's worth of blocks: mallocCached carves up to n blocks under ONE
 // heap-lock acquisition, and freeCached frees each owner heap's blocks under
-// one acquisition of that heap's lock.
+// one acquisition of that heap's lock (freeOwned, which every free runs).
 
 // mallocCached fills out[:n] with blocks of class for a magazine refill,
 // under one acquisition of ts's heap lock (allocRun), and returns n. The
@@ -40,29 +40,29 @@ func (h *Hoard) mallocCached(ts *ThreadState, class, n int, out []superblock.Blo
 	return n
 }
 
-// freeCached frees a magazine's or remote batch's flush (DESIGN.md §11):
-// every block is already marked free (superblock.MarkCached) and carries its
-// superblock, so the flush looks nothing up. bs is used as scratch space.
-//
-// It frees the blocks owner by owner: it takes the lock of the first
-// block's owner once, frees every block that heap still owns, and goes
-// around again for blocks whose ownership moved while it waited — the batch
-// form of the per-block free protocol's re-check dance. Each pass restores
-// the emptiness invariant at its end, with at most one eviction per block it
-// freed, the rule of a single free.
+// freeCached frees a magazine's or remote batch's flush (DESIGN.md §11)
+// through freeOwned, with the batch surcharge and counters. Each block
+// carries its superblock, so the flush looks nothing up.
 func (h *Hoard) freeCached(ts *ThreadState, bs []superblock.Block) {
-	e, myIdx := ts.e, ts.heapIdx
-	e.Charge(env.OpFreeBatch, 1)
+	ts.e.Charge(env.OpFreeBatch, 1)
 	h.batchFlushes.Add(1)
 	h.batchedBlocks.Add(int64(len(bs)))
+	h.freeOwned(ts, bs)
+}
+
+// freeOwned is the paper's free protocol (§3), the one ownership re-check
+// of every small free, a single free being a flush of one. It locks the
+// first block's owner once, frees every block that heap still owns
+// (freeOwnedLocked), and goes around again for blocks whose owner moved
+// while it waited. Every block is already marked free (MarkCached); bs is
+// used as scratch space.
+func (h *Hoard) freeOwned(ts *ThreadState, bs []superblock.Block) {
+	e := ts.e
 	for len(bs) > 0 {
 		n := len(bs)
-		rest := h.freeOwnedLocked(e, h.heaps[bs[0].SB.OwnerID()], myIdx, bs)
-		bs = bs[:rest]
-		if rest == n {
-			// The lock bought us nothing (ownership raced away before we
-			// acquired it); account the wasted pass like the per-block
-			// retry does.
+		bs = bs[:h.freeOwnedLocked(e, h.heaps[bs[0].SB.OwnerID()], ts.heapIdx, bs)]
+		if len(bs) == n {
+			// Ownership moved before we acquired the lock.
 			e.Charge(env.OpListScan, 1)
 		}
 	}

@@ -210,8 +210,9 @@ type ThreadState struct {
 	magazines
 }
 
-// New creates a Hoard allocator over its own simulated address space, with
-// locks created from lf. It panics on an invalid configuration.
+// New creates a Hoard allocator over its own address space, on the memory
+// cfg.Backend selects (the simulated memory or the arena), with locks
+// created from lf. It panics on an invalid configuration.
 func New(cfg Config, lf env.LockFactory) *Hoard {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -402,43 +403,20 @@ func (h *Hoard) freeLarge(ts *ThreadState, sp *vm.Span, p alloc.Ptr) {
 	}
 }
 
-// freeSmall is the paper's free protocol, the same for every owner — this
-// thread's heap, another thread's, or the global heap: mark the block free,
-// which panics on misuse before any lock is taken, lock the owner, re-check
-// that it still owns the superblock (ownership can change while we wait),
-// push the block, and restore the emptiness invariant (the global heap
-// never evicts). Under the magazines it serves the frees they do not, which
-// it books as bypass operations.
+// freeSmall is the paper's free of one block, to any owner: mark the block
+// free, which panics on misuse before any lock is taken, then free it as a
+// flush of one (freeOwned). Under the magazines it serves the frees they do
+// not, which it books as bypass operations.
 func (h *Hoard) freeSmall(ts *ThreadState, sb *superblock.Superblock, p alloc.Ptr) {
-	e := ts.e
 	// Read the block size while our still-live block pins the superblock's
 	// format: once the free retires the block and the lock drops, the
 	// superblock may empty and be reformatted to another class.
 	blockSize := sb.BlockSize()
 	sb.MarkCached(p)
-	for {
-		id := sb.OwnerID()
-		hp := h.heaps[id]
-		hp.Lock.Lock(e)
-		if sb.OwnerID() != id {
-			hp.Lock.Unlock(e)
-			e.Charge(env.OpListScan, 1)
-			continue
-		}
-		if id != ts.heapIdx {
-			h.remote.Add(1)
-		}
-		hp.FreeBlock(e, sb, p)
-		e.Charge(env.OpFree, 1)
-		if id != 0 && hp.InvariantViolated() {
-			h.restoreInvariant(e, hp)
-		}
-		hp.Lock.Unlock(e)
-		h.acct.OnFree(blockSize)
-		if h.caps != nil {
-			h.bypass.OnFree(blockSize)
-		}
-		return
+	b := [1]superblock.Block{{P: p, SB: sb}}
+	h.freeOwned(ts, b[:])
+	if h.caps != nil {
+		h.bypass.OnFree(blockSize)
 	}
 }
 

@@ -21,11 +21,14 @@
 //
 // Locking: a Heap performs no locking itself. Every method must be called
 // with the heap's Lock held; internal/core owns the locking protocol
-// (including the re-check dance when superblock ownership changes while a
-// freeing thread waits). Every caller keeps one block-state contract
-// (package superblock): AllocRun's blocks leave marked free, for the caller
-// to claim as it hands each one to the application, and FreeBlock and
-// FreeBatch take blocks back already marked free. Blocks out of the heap
+// (including the re-check when superblock ownership changes while a freeing
+// thread waits). AllocRun and FreeBatch are a heap's only ways out and in
+// for blocks, and every caller keeps one block-state contract (package
+// superblock): AllocRun's blocks leave marked free, for the caller to claim
+// as it hands each one to the application, and FreeBatch takes blocks back
+// already marked free, a single free as a batch of one. FreeBatch frees
+// only the blocks whose superblocks the heap owns and hands the rest back,
+// so the caller's re-check is its return value. Blocks out of the heap
 // count as in use, in u and in their superblock's fullness, whether the
 // application or a thread cache holds them.
 //
@@ -40,7 +43,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
 	"hoardgo/internal/superblock"
 )
@@ -285,18 +287,6 @@ func (h *Heap) AllocRun(e env.Env, class int, out []superblock.Block) int {
 		return n
 	}
 	return 0
-}
-
-// FreeBlock returns a block already marked free (superblock.MarkCached) to
-// its superblock, which must be owned by this heap: FreeBatch for one block.
-func (h *Heap) FreeBlock(e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
-	if sb.OwnerID() != h.ID {
-		panic(fmt.Sprintf("heap %d: FreeBlock on superblock owned by heap %d", h.ID, sb.OwnerID()))
-	}
-	sb.FreeCached(p)
-	e.Touch(uint64(p), 4, true)
-	h.u -= int64(sb.BlockSize())
-	h.regroup(sb)
 }
 
 // Freed tallies the blocks and bytes a FreeBatch returned to the heap.

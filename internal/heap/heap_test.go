@@ -47,10 +47,14 @@ func allocBlock(h *Heap, class int) (alloc.Ptr, bool) {
 }
 
 // freeBlock frees an application-held block the way every free path does:
-// the block comes back marked free, and h pushes it.
+// the block comes back marked free, and h pushes it as a batch of one. It
+// panics if h does not own the block.
 func freeBlock(h *Heap, sb *superblock.Superblock, p alloc.Ptr) {
 	sb.MarkCached(p)
-	h.FreeBlock(e, sb, p)
+	var freed Freed
+	if h.FreeBatch(e, []superblock.Block{{P: p, SB: sb}}, &freed) != 0 {
+		panic(fmt.Sprintf("heap %d does not own %#x", h.ID, uint64(p)))
+	}
 }
 
 func TestInsertRemoveAccounting(t *testing.T) {
@@ -361,20 +365,6 @@ func TestRandomizedHeapModel(t *testing.T) {
 	if h.U() != want {
 		t.Fatalf("u = %d, model says %d", h.U(), want)
 	}
-}
-
-func TestBadFreePanics(t *testing.T) {
-	space := vmtest.NewSized(t, testS)
-	h := newHeap(1)
-	sb := newSuper(space, 2)
-	sb.SetOwnerID(9) // owned elsewhere
-	p, _ := sb.AllocBlock(e)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FreeBlock on foreign-owned superblock did not panic")
-		}
-	}()
-	freeBlock(h, sb, p)
 }
 
 // TestFindEvictablePrefersEmptyOverGroupHead pins a subtle policy bug:

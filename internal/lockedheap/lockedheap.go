@@ -195,12 +195,17 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 }
 
 // freeSmall marks the block free, which panics on misuse before any lock
-// is taken, then pushes it under its owning heap's lock.
+// is taken, then pushes it under its owning heap's lock as a batch of one.
+// The heaps never shed superblocks, so a heap that does not own it is a bug.
 func (a *Allocator) freeSmall(e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
 	sb.MarkCached(p)
 	h := a.heaps[sb.OwnerID()]
+	b := [1]superblock.Block{{P: p, SB: sb}}
+	var freed heap.Freed
 	h.Lock.Lock(e)
-	h.FreeBlock(e, sb, p)
+	if h.FreeBatch(e, b[:], &freed) != 0 {
+		panic(fmt.Sprintf("%s: free of %#x into heap %d, but heap %d owns its superblock", a.name, uint64(p), h.ID, sb.OwnerID()))
+	}
 	if a.freeScans != 0 {
 		e.Charge(env.OpListScan, a.freeScans)
 	}

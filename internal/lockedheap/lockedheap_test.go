@@ -1,6 +1,7 @@
 package lockedheap
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -292,4 +293,22 @@ func TestMisuseFailsBeforeAnyLock(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBadFreePanics: a small free pushes its block through the owner id's
+// heap as a batch of one, and panics when that heap does not own the
+// superblock. The heaps never shed superblocks, so only a broken heap table
+// reaches the check; swapping two arenas builds one.
+func TestBadFreePanics(t *testing.T) {
+	a := NewOwnership(2, lf)
+	th := a.NewThread(&env.RealEnv{})
+	p := a.Malloc(th, 64)
+	a.heaps[0], a.heaps[1] = a.heaps[1], a.heaps[0]
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "heap 0 owns its superblock") {
+			t.Fatalf("free into a heap that does not own the block: recovered %q", msg)
+		}
+	}()
+	a.Free(th, p)
 }

@@ -22,6 +22,12 @@
 // order determined solely by virtual time and thread ids: the same program
 // produces bit-identical schedules, times, and statistics on every run.
 //
+// There is no scheduler goroutine. The thread that yields runs the
+// scheduling step itself: it settles its CPU's clock, picks the next thread
+// and resumes it directly, or keeps running when it picked itself. Run
+// starts the first thread and then waits until no thread can run or one
+// panicked.
+//
 // # Interleaving exploration
 //
 // SetChooser replaces the time-ordered pick with a Chooser and makes every
@@ -146,11 +152,12 @@ type World struct {
 	cache *cachesim.Model
 	procs int
 
-	threads  []*thread
-	cpus     []int64 // busyUntil per CPU
-	parked   chan *thread
-	running  *thread
-	started  bool
+	threads []*thread
+	cpus    []int64 // busyUntil per CPU
+	running *thread
+	started bool
+	// wake resumes Run when no thread can run or one panicked (panicVal).
+	wake     chan struct{}
 	panicVal any
 
 	locks []*simLock
@@ -198,11 +205,11 @@ func NewWorld(procs int, cost CostModel) *World {
 		panic("simproc: at most 64 processors (cache model sharer mask)")
 	}
 	return &World{
-		cost:   cost,
-		cache:  cachesim.New(cost.Cache),
-		procs:  procs,
-		cpus:   make([]int64, procs),
-		parked: make(chan *thread),
+		cost:  cost,
+		cache: cachesim.New(cost.Cache),
+		procs: procs,
+		cpus:  make([]int64, procs),
+		wake:  make(chan struct{}),
 	}
 }
 
@@ -244,20 +251,22 @@ func (w *World) SpawnOn(cpu int, fn func(e env.Env)) int {
 
 func (t *thread) main() {
 	<-t.resume
+	w := t.w
 	defer func() {
-		if r := recover(); r != nil && t.w.panicVal == nil {
-			// Propagate to the Run caller: the scheduler re-panics
-			// on its own goroutine, where tests can recover.
-			t.w.panicVal = r
+		if r := recover(); r != nil {
+			// Propagate to the Run caller, which re-panics on its own
+			// goroutine, where tests can recover.
+			w.panicVal = r
+			w.wake <- struct{}{}
 		}
-		t.state = stateDone
-		t.w.parked <- t
 	}()
 	t.fn(&Env{t: t})
+	t.state = stateDone
+	w.step(t) <- struct{}{}
 }
 
-// charge advances the thread's clock and yields to the scheduler if the
-// clock reached another runnable thread's.
+// charge advances the thread's clock and parks the thread once the clock
+// reaches another runnable thread's.
 func (t *thread) charge(d int64) {
 	if d < 0 {
 		panic("simproc: negative charge")
@@ -269,10 +278,37 @@ func (t *thread) charge(d int64) {
 	}
 }
 
-// park hands control to the scheduler and blocks until rescheduled.
+// park runs the scheduling step in t's goroutine. t keeps running when the
+// step picks it again; otherwise t hands control straight to the next
+// thread and blocks until a later step resumes it.
 func (t *thread) park() {
-	t.w.parked <- t
-	<-t.resume
+	if next := t.w.step(t); next != t.resume {
+		next <- struct{}{}
+		<-t.resume
+	}
+}
+
+// step is the scheduler, run by the thread t that stops running (by Run,
+// with t nil, to start): it settles t's CPU clock, picks the next thread and
+// makes it the running one, from its effective time until its deadline,
+// which under a Chooser is every hook. It returns the channel that resumes
+// the next thread, or wake when no thread can run.
+func (w *World) step(t *thread) chan struct{} {
+	if t != nil && t.time > w.cpus[t.cpu] {
+		w.cpus[t.cpu] = t.time
+	}
+	next := w.pick()
+	w.running = next
+	if next == nil {
+		return w.wake
+	}
+	next.time = w.effTime(next)
+	next.deadline = math.MinInt64
+	if w.chooser == nil {
+		next.deadline = w.nextDeadline(next)
+	}
+	next.state = stateRunning
+	return next.resume
 }
 
 // observe lowers the running thread's deadline when another thread becomes
@@ -300,28 +336,12 @@ func (w *World) Run() int64 {
 		panic("simproc: Run called twice")
 	}
 	w.started = true
-	for {
-		t := w.pick()
-		if t == nil {
-			break
-		}
-		t.time = w.effTime(t)
-		if w.chooser != nil {
-			t.deadline = math.MinInt64 // every hook yields
-		} else {
-			t.deadline = w.nextDeadline(t)
-		}
-		t.state = stateRunning
-		w.running = t
-		t.resume <- struct{}{}
-		parked := <-w.parked
-		if b := parked.time; b > w.cpus[parked.cpu] {
-			w.cpus[parked.cpu] = b
-		}
-		w.running = nil
-		if w.panicVal != nil {
-			panic(w.panicVal)
-		}
+	if next := w.step(nil); next != w.wake {
+		next <- struct{}{}
+		<-w.wake
+	}
+	if w.panicVal != nil {
+		panic(w.panicVal)
 	}
 	var blocked int
 	var makespan int64
