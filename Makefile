@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build inline portable test race race-arena race-bench vet perfbench-vet bench perfbench-smoke
+.PHONY: check fmt build inline portable test race race-arena race-bench vet perfbench-vet bench perfbench-smoke fuzz
 
 # check is the tier-1 gate: formatting, vet (of the benchmark module too),
 # build, the hit path's inlining, the build on platforms without the arena,
@@ -80,6 +80,12 @@ race-arena:
 # metrics.Registry, the latter with 4 consumer goroutines on its counters.
 race-bench:
 	$(GO) test -race -run '^$$' -bench 'MallocFree|TCacheBatchLocks|ProducerConsumerContended' -benchtime 200x .
+
+# fuzz runs the public-API fuzz target for 30 s: op sequences on every
+# policy over the simulated memory, and on Hoard over the arena. It is not
+# part of check, whose race run already executes the target's seed corpus.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzPublicOps$$' -fuzztime 30s .
 
 # Figure benchmarks are full deterministic simulations; run each once. The
 # key batching benches run here: the threadtest/larson figures, the contended

@@ -348,13 +348,34 @@ func BenchmarkProducerConsumerReal(b *testing.B) {
 }
 
 // BenchmarkLarsonReal runs Larson (remote-heavy malloc/free, every object
-// written) on P real goroutines over the bare Hoard core, on the simulated
-// space and on the arena, for P = 1..NumCPU, and reports wall-clock ops/ms.
-// The allocator code above the vm layer is the same on both backends, so the
-// gap between them is the cost of real memory. Each iteration is one Larson
-// run on a fresh core, checked with CheckIntegrity afterwards. The arena arms
-// are skipped where the arena is unavailable.
+// written) on real goroutines over the bare Hoard core (benchRealCore).
 func BenchmarkLarsonReal(b *testing.B) {
+	benchRealCore(b, func(h *workload.Harness, procs int) workload.Result {
+		cfg := workload.DefaultLarson(procs)
+		cfg.Rounds, cfg.OpsPerRound, cfg.SlotsPerWindow = 3, 3000, 500
+		return workload.Larson(h, cfg)
+	})
+}
+
+// BenchmarkThreadtestReal runs threadtest (each goroutine mallocs and frees
+// its own 8-byte objects, nothing shared: the paper's scalability case) the
+// same way as BenchmarkLarsonReal. Both arms keep the harness's own books of
+// requested bytes (Harness.OnAlloc), shared by every goroutine, so its
+// P=2/P=1 ratio is this harness's ceiling, not the allocator's.
+func BenchmarkThreadtestReal(b *testing.B) {
+	benchRealCore(b, func(h *workload.Harness, procs int) workload.Result {
+		return workload.Threadtest(h, workload.DefaultThreadtest(procs))
+	})
+}
+
+// benchRealCore runs a workload on P real goroutines over the bare Hoard
+// core, on the simulated space and on the arena, for P = 1..NumCPU, and
+// reports wall-clock ops/ms. The allocator code above the vm layer is the
+// same on both backends, so the gap between them is the cost of real
+// memory. Each iteration is one run on a fresh core, checked with
+// CheckIntegrity afterwards. The arena arms are skipped where the arena is
+// unavailable.
+func benchRealCore(b *testing.B, run func(h *workload.Harness, procs int) workload.Result) {
 	for _, backend := range []string{"sim", "arena"} {
 		for procs := 1; procs <= runtime.NumCPU(); procs++ {
 			b.Run(fmt.Sprintf("%s/P=%d", backend, procs), func(b *testing.B) {
@@ -368,9 +389,7 @@ func BenchmarkLarsonReal(b *testing.B) {
 					if hh.Backend() != backend {
 						b.Skipf("backend %s unavailable: %s", backend, hh.BackendFallbackReason())
 					}
-					cfg := workload.DefaultLarson(procs)
-					cfg.Rounds, cfg.OpsPerRound, cfg.SlotsPerWindow = 3, 3000, 500
-					res := workload.Larson(h, cfg)
+					res := run(h, procs)
 					err := hh.CheckIntegrity()
 					hh.Space().Close()
 					if err != nil {

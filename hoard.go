@@ -73,11 +73,12 @@ const (
 	PolicyThreshold Policy = "threshold"
 )
 
-// Config configures an Allocator. The zero value builds a Hoard allocator
-// with the paper's parameters. Every other policy is built exactly as the
-// benchmarks build it, with its fixed parameters (8 KiB superblocks, two
-// ownership arenas per processor, arena stealing on): of the tuning fields
-// only Procs, Debug and Metrics apply to it.
+// Config configures an Allocator. Every policy runs the paper's fixed
+// parameters, exactly as the benchmarks and figures build it: Hoard with
+// S = 8 KiB, f = 1/4, K = 1, b = 1.2 and 2*Procs heaps, the others with
+// 8 KiB superblocks and two ownership arenas per processor, arena stealing
+// on. The zero value builds a Hoard allocator. Backend and
+// ThreadCacheCapacity apply to the Hoard policy only.
 type Config struct {
 	// Policy selects the allocator architecture; empty means PolicyHoard.
 	Policy Policy
@@ -86,12 +87,6 @@ type Config struct {
 	// ownership's arena count). Zero means 8.
 	Procs int
 
-	// Hoard tunes the Hoard policy in detail; ignored by other policies,
-	// though New rejects an invalid SuperblockSize under any policy. Zero
-	// fields select the paper's parameters (S=8 KiB, f=1/4, K=1, b=1.2,
-	// 2*Procs heaps).
-	Hoard core.Config
-
 	// Backend selects the memory behind the Hoard policy's address space:
 	// "sim" (the default — deterministic simulated memory) or "arena"
 	// (mmap'd regions with real madvise decommit; Linux amd64/arm64 only).
@@ -99,9 +94,8 @@ type Config struct {
 	// one slot table. Empty consults the HOARDGO_BACKEND environment
 	// variable, then defaults to sim. When the arena cannot be created the
 	// allocator degrades to sim instead of failing; Stats.BackendFallbacks
-	// and Allocator.BackendFallbackReason record that. It is the only
-	// backend setting: New rejects a nonempty Hoard.Backend. Ignored by
-	// other policies, which always use simulated memory.
+	// and Allocator.BackendFallbackReason record that. Ignored by other
+	// policies, which always use simulated memory.
 	Backend string
 
 	// Debug wraps the allocator with memory-debugging machinery: guard
@@ -175,38 +169,18 @@ func New(cfg Config) (*Allocator, error) {
 	default:
 		return nil, fmt.Errorf("hoard: unknown backend %q (want \"sim\" or \"arena\")", cfg.Backend)
 	}
-	// Only the Hoard policy uses Hoard.SuperblockSize, but a bad size is an
-	// error under every policy, so a config's validity does not hang on its
-	// policy.
-	if err := (core.Config{SuperblockSize: cfg.Hoard.SuperblockSize}).Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.ThreadCacheCapacity != 0 && cfg.ThreadCacheCapacity < core.MinCapacity {
 		return nil, fmt.Errorf("hoard: ThreadCacheCapacity %d below the minimum of %d", cfg.ThreadCacheCapacity, core.MinCapacity)
 	}
 	a := &Allocator{reg: reg}
 	if cfg.Policy == PolicyHoard || cfg.Policy == "" {
-		// The magazines are part of the Hoard policy's protocol, sized by
-		// ThreadCacheCapacity alone.
-		hc := cfg.Hoard
-		if hc.Magazines != 0 {
-			return nil, fmt.Errorf("hoard: Hoard.Magazines must be zero; the magazine capacity is ThreadCacheCapacity")
+		// The paper's parameters, with the magazines that are part of the
+		// Hoard policy's protocol, sized by ThreadCacheCapacity alone.
+		capacity := cfg.ThreadCacheCapacity
+		if capacity == 0 {
+			capacity = core.DefaultCapacity
 		}
-		if hc.Backend != "" {
-			return nil, fmt.Errorf("hoard: Hoard.Backend must be empty; the backend is Backend")
-		}
-		hc.Backend = cfg.Backend
-		hc.Magazines = cfg.ThreadCacheCapacity
-		if hc.Magazines == 0 {
-			hc.Magazines = core.DefaultCapacity
-		}
-		if hc.Heaps == 0 {
-			hc.Heaps = 2 * procs
-		}
-		if err := hc.Validate(); err != nil {
-			return nil, err
-		}
-		a.hoard = core.New(hc, lf)
+		a.hoard = core.New(core.Config{Heaps: 2 * procs, Backend: cfg.Backend, Magazines: capacity}, lf)
 		a.impl = a.hoard
 	} else {
 		if cfg.ThreadCacheCapacity != 0 {

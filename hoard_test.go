@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"hoardgo/internal/core"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -159,17 +157,9 @@ func TestBadConfig(t *testing.T) {
 	}{
 		{"unknown policy", Config{Policy: "bogus"}, "policy"},
 		{"negative procs", Config{Procs: -1}, "Procs"},
-		{"empty fraction above 1", Config{Hoard: core.Config{EmptyFraction: 1.5}}, "empty fraction"},
-		{"negative empty fraction", Config{Hoard: core.Config{EmptyFraction: -0.5}}, "empty fraction"},
-		{"superblock size not a power of two", Config{Hoard: core.Config{SuperblockSize: 3000}}, "superblock size"},
-		{"baseline superblock size not a power of two", Config{Policy: PolicySerial, Hoard: core.Config{SuperblockSize: 3000}}, "superblock size"},
-		{"negative heaps", Config{Hoard: core.Config{Heaps: -1}}, "heap"},
-		{"negative K", Config{Hoard: core.Config{K: -2}}, "K"},
-		{"shrinking size classes", Config{Hoard: core.Config{SizeClassBase: 0.9}}, "size classes"},
 		{"thread cache of one", Config{ThreadCacheCapacity: 1}, "ThreadCacheCapacity"},
 		{"thread cache on a baseline", Config{Policy: PolicySerial, ThreadCacheCapacity: 16}, "ThreadCacheCapacity"},
 		{"negative thread cache", Config{ThreadCacheCapacity: -3}, "ThreadCacheCapacity"},
-		{"backend in the Hoard tuning", Config{Backend: "arena", Hoard: core.Config{Backend: "sim"}}, "Hoard.Backend"},
 	} {
 		var err error
 		if r := panicIn(func() { _, err = New(tc.cfg) }); r != nil {

@@ -30,7 +30,9 @@ import (
 )
 
 // Config parameterizes a Hoard allocator. The zero value selects the
-// paper implementation's parameters via Default.
+// paper implementation's parameters via Default, the ones the public Hoard
+// policy always runs; the experiments' ablations vary them here. The size
+// classes are always the paper's (b = 1.2, sizeclass.DefaultBase).
 type Config struct {
 	// SuperblockSize is S in bytes; must be a power of two and a multiple
 	// of the page size. Default 8192.
@@ -49,9 +51,6 @@ type Config struct {
 	// superblock while preserving the paper's O(1) blowup bound, whose
 	// constant already accounts for K.
 	K int
-	// SizeClassBase is b, the growth factor between size classes.
-	// Default 1.2.
-	SizeClassBase float64
 	// Heaps is the number of per-processor heaps (excluding the global
 	// heap). The paper uses one (implementation: two) per processor.
 	// Default 16.
@@ -85,7 +84,6 @@ var Default = Config{
 	SuperblockSize: superblock.DefaultSize,
 	EmptyFraction:  0.25,
 	K:              1,
-	SizeClassBase:  sizeclass.DefaultBase,
 	Heaps:          16,
 }
 
@@ -96,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EmptyFraction == 0 {
 		c.EmptyFraction = d.EmptyFraction
-	}
-	if c.SizeClassBase == 0 {
-		c.SizeClassBase = d.SizeClassBase
 	}
 	switch {
 	case c.K == 0:
@@ -112,16 +107,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports the error New would panic with on c, after filling its
-// zero fields with the defaults; nil means New accepts it.
-func (c Config) Validate() error { return c.withDefaults().validate() }
-
 func (c Config) validate() error {
 	if c.SuperblockSize < vm.PageSize || c.SuperblockSize&(c.SuperblockSize-1) != 0 {
 		return fmt.Errorf("hoard: superblock size %d must be a power-of-two multiple of the %d-byte page", c.SuperblockSize, vm.PageSize)
-	}
-	if err := sizeclass.Check(c.SizeClassBase, sizeclass.Quantum, c.SuperblockSize/2); err != nil {
-		return fmt.Errorf("hoard: size classes: %w", err)
 	}
 	if c.EmptyFraction <= 0 || c.EmptyFraction >= 1 {
 		return fmt.Errorf("hoard: empty fraction %v out of (0,1)", c.EmptyFraction)
@@ -223,7 +211,7 @@ func New(cfg Config, lf env.LockFactory) *Hoard {
 		cfg:     cfg,
 		space:   space,
 		slots:   space.Slots,
-		classes: sizeclass.New(cfg.SizeClassBase, sizeclass.Quantum, cfg.SuperblockSize/2),
+		classes: sizeclass.New(sizeclass.DefaultBase, sizeclass.Quantum, cfg.SuperblockSize/2),
 	}
 	h.backendFallback = fallback
 	if cfg.Magazines != 0 {

@@ -30,31 +30,16 @@ type Table struct {
 
 // New builds a table of geometric size classes with the given growth factor,
 // minimum class size min, and maximum class size max. It panics on invalid
-// parameters (base <= 1, min < Quantum, max < min, or more than 255 classes);
-// Check reports the same conditions as an error.
+// parameters (base <= 1, min < Quantum, max < min, or more than 255 classes).
 func New(base float64, min, max int) *Table {
-	t, err := build(base, min, max)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Check returns the error New would panic with for these parameters, or nil.
-func Check(base float64, min, max int) error {
-	_, err := build(base, min, max)
-	return err
-}
-
-func build(base float64, min, max int) (*Table, error) {
 	if base <= 1.0 {
-		return nil, fmt.Errorf("sizeclass: base %v must exceed 1", base)
+		panic(fmt.Errorf("sizeclass: base %v must exceed 1", base))
 	}
 	if min < Quantum || min%Quantum != 0 {
-		return nil, fmt.Errorf("sizeclass: min %d must be a positive multiple of %d", min, Quantum)
+		panic(fmt.Errorf("sizeclass: min %d must be a positive multiple of %d", min, Quantum))
 	}
 	if max < min {
-		return nil, fmt.Errorf("sizeclass: max %d < min %d", max, min)
+		panic(fmt.Errorf("sizeclass: max %d < min %d", max, min))
 	}
 	t := &Table{base: base, max: max}
 	for s := min; ; {
@@ -72,7 +57,7 @@ func build(base float64, min, max int) (*Table, error) {
 		s = next
 	}
 	if len(t.sizes) > 255 {
-		return nil, fmt.Errorf("sizeclass: %d classes exceed 255; base too close to 1", len(t.sizes))
+		panic(fmt.Errorf("sizeclass: %d classes exceed 255; base too close to 1", len(t.sizes)))
 	}
 	t.lookup = make([]uint8, max/Quantum+1)
 	class := 0
@@ -82,7 +67,7 @@ func build(base float64, min, max int) (*Table, error) {
 		}
 		t.lookup[q] = uint8(class)
 	}
-	return t, nil
+	return t
 }
 
 func roundUp(n, q int) int { return (n + q - 1) / q * q }
