@@ -111,7 +111,8 @@ func (l *sbList) pushFront(sb *superblock.Superblock) {
 
 // classMask is a set of size classes, bit c of word c/64 for class c: the
 // classes whose list of one kind is non-empty. It spans as many words as
-// the class count needs, since a small SizeClassBase makes more than 64.
+// the class count needs, since a size-class base b close to 1 makes more
+// than 64.
 type classMask []uint64
 
 func (m classMask) set(c int)   { m[c>>6] |= 1 << (c & 63) }

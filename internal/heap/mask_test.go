@@ -129,7 +129,8 @@ func (m *maskHeap) check(step string) {
 // allocations, frees, takes, reuses and evictions, and checks every search
 // against the linear scan: the same superblock, and on a simulated env the
 // same OpListScan charge. It runs on the default table (29 classes, one
-// mask word) and on SizeClassBase 1.05 (more than 64 classes, two words).
+// mask word) and on the size-class base b = 1.05 (more than 64 classes,
+// two words).
 func TestMaskSearchMatchesLinearScan(t *testing.T) {
 	tables := []struct {
 		name string
