@@ -30,8 +30,10 @@ build:
 # no longer compiles inline: the magazine's free-state flips (ClaimCached,
 # MarkCached, and FreeCached, a flush's per-block push), a refill's
 # per-block pop, the index check they share, the size-class lookup, the
-# arena's span lookup and a span's byte view. Each is a few loads, compares
-# and stores; a call would cost about as much as the body (DESIGN.md §11).
+# arena's span lookup and a span's byte view, which is also all a refill's
+# warm loop (superblock.Warm, one call per refill) calls per block. Each is a
+# few loads, compares and stores; a call would cost about as much as the body
+# (DESIGN.md §11).
 # It pins too the heap helpers that keep the class masks in step with the
 # lists (link, unlink, the mask's set and clear) and the mask search, which
 # run on every regroup, so on every transfer.

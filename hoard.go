@@ -263,7 +263,9 @@ func (t *Thread) Close() {
 
 // Malloc returns a block of at least size bytes. Malloc(0) returns a valid
 // minimal block; a negative size panics, as it does on every call that
-// takes a size.
+// takes a size. The block's contents are unspecified: it may hold what an
+// earlier holder wrote, or zeros where the allocator warmed it. Calloc
+// returns a zeroed block.
 func (t *Thread) Malloc(size int) Ptr {
 	t.a.checkOpen("Malloc")
 	checkSize("Malloc", size)

@@ -82,6 +82,11 @@ const classBudget = 32 << 10
 // larger SuperblockSize) bypass the magazines.
 const maxCachedSize = 4096
 
+// warmMaxSize is the largest block size a refill warms: a 64-byte cache
+// line's. Warming the first line of larger blocks made a workload's p99
+// worse (DESIGN.md §11).
+const warmMaxSize = 64
+
 // publishEvery is how many hits, of any classes and in either direction, a
 // thread counts before it publishes them; refills and flushes publish
 // sooner. Between publications a live thread's published books trail its
@@ -296,10 +301,17 @@ func (ts *ThreadState) publish() {
 
 // refill fills class's empty magazine to half its cap under one heap-lock
 // acquisition (mallocCached), which writes the blocks straight into the
-// magazine.
+// magazine. On a real-time env it then warms each block of a class one cache
+// line holds (superblock.Warm), so the refill's line fills overlap where the
+// program would take them one per malloc (DESIGN.md §11). A simulated env
+// charges its own cache model, so it runs no warm and its figures stay the
+// same.
 func (h *Hoard) refill(ts *ThreadState, class int) {
 	m := &ts.mags[class]
 	*m = (*m)[:h.mallocCached(ts, class, h.caps[class]/2, (*m)[:cap(*m)])]
+	if ts.sim == nil && h.classes.Size(class) <= warmMaxSize {
+		superblock.Warm(*m)
+	}
 }
 
 // cachedBytes is the exact byte total of ts's magazines and remote batch.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -303,5 +304,68 @@ func BenchmarkRefillCycle(b *testing.B) {
 			sb, _ := superblock.FromPtr(a.Space(), p)
 			a.freeSmall(ts, sb, p)
 		}
+	}
+}
+
+// TestRefillWarm pins the refill's warm: on a real-time env a refill zeroes
+// the first word of each block of a class one cache line holds and leaves
+// every other byte as the program last wrote it, and a larger class keeps
+// every byte. A simulated env's refill changes no byte. Each case stamps a
+// magazine's worth of blocks through Bytes, frees and flushes them, and
+// forces a refill that takes them back.
+func TestRefillWarm(t *testing.T) {
+	for _, tc := range []struct {
+		sim  bool
+		size int
+		warm bool
+	}{
+		{false, 8, true}, {false, 48, true}, {false, 64, true}, {false, 80, false}, {false, 4096, false},
+		{true, 8, false}, {true, 64, false}, {true, 80, false},
+	} {
+		name := fmt.Sprintf("real/%dB", tc.size)
+		var e env.Env = &env.RealEnv{}
+		if tc.sim {
+			name, e = fmt.Sprintf("sim/%dB", tc.size), &chargeEnv{}
+		}
+		t.Run(name, func(t *testing.T) {
+			a := newOverHoard(DefaultCapacity)
+			th := a.NewThread(e)
+			ts := th.State.(*ThreadState)
+			class, _ := a.classFor(tc.size)
+			stamped := make(map[alloc.Ptr]bool)
+			for range a.caps[class] {
+				p := a.Malloc(th, tc.size)
+				for i, bs := 0, a.Bytes(p, tc.size); i < len(bs); i++ {
+					bs[i] = 0xAA
+				}
+				stamped[p] = true
+			}
+			for p := range stamped {
+				a.Free(th, p)
+			}
+			a.flushMagazine(ts, class, 0)
+
+			refilled := []alloc.Ptr{a.Malloc(th, tc.size)}
+			for _, b := range ts.mags[class] {
+				refilled = append(refilled, b.P)
+			}
+			if len(refilled) != a.caps[class]/2 {
+				t.Fatalf("refill took %d blocks, want %d", len(refilled), a.caps[class]/2)
+			}
+			for _, p := range refilled {
+				if !stamped[p] {
+					t.Fatalf("refill took block %#x, not one of the stamped blocks", uint64(p))
+				}
+				for i, c := range a.Bytes(p, tc.size) {
+					want := byte(0xAA)
+					if tc.warm && i < 8 {
+						want = 0
+					}
+					if c != want {
+						t.Fatalf("block %#x byte %d is %#x, want %#x", uint64(p), i, c, want)
+					}
+				}
+			}
+		})
 	}
 }

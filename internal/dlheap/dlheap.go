@@ -291,7 +291,8 @@ func (a *Allocator) Free(t *alloc.Thread, p alloc.Ptr) {
 
 // freeChunk coalesces chunk c with its free neighbors and rebins it under
 // the heap lock, which it releases also when the free panics on a double
-// free, so the heap stays usable.
+// free or a pointer that names no chunk, so the heap stays usable. Both
+// panic before anything changes.
 func (a *Allocator) freeChunk(e env.Env, sp *vm.Span, c uint64, p alloc.Ptr) {
 	a.lock.Lock(e)
 	defer a.lock.Unlock(e)
@@ -299,8 +300,11 @@ func (a *Allocator) freeChunk(e env.Env, sp *vm.Span, c uint64, p alloc.Ptr) {
 		panic(fmt.Sprintf("dlheap: double free of %#x", uint64(p)))
 	}
 	size := a.chunkSize(c)
-	a.acct.OnFree(int(size) - headerSize)
 	base, end := sp.Base, sp.End()
+	if !a.isChunk(c, size, base, end) {
+		panic(fmt.Sprintf("dlheap: free of %#x, which names no chunk (an interior pointer)", uint64(p)))
+	}
+	a.acct.OnFree(int(size) - headerSize)
 
 	// Coalesce with the next chunk.
 	if n := c + size; n < end && !a.chunkInUse(n) {
@@ -314,6 +318,9 @@ func (a *Allocator) freeChunk(e env.Env, sp *vm.Span, c uint64, p alloc.Ptr) {
 		if !a.chunkInUse(pc) {
 			e.Touch(pc, headerSize, false)
 			a.unlinkBin(e, pc)
+			// c's header is now inside pc's body. Marked free, a second
+			// free of c fails as a double free.
+			a.setHeader(c, a.chunkSize(c), false)
 			c = pc
 			size += prev
 		}
@@ -321,6 +328,26 @@ func (a *Allocator) freeChunk(e env.Env, sp *vm.Span, c uint64, p alloc.Ptr) {
 	a.setHeader(c, size, false)
 	a.fixNextPrev(e, c, size)
 	a.pushBin(e, c)
+}
+
+// isChunk reports whether c, whose header says size, is a chunk of the
+// segment [base, end): the size fits the segment, and the boundary tags on
+// both sides agree with it, the checks glibc's free makes before it trusts
+// a header ("invalid size", "invalid next size"). A pointer inside a chunk
+// finds user data where the header would be, which fails them unless it
+// forges all three tags.
+func (a *Allocator) isChunk(c, size, base, end uint64) bool {
+	if size < minChunk || size%8 != 0 || size > end-c {
+		return false
+	}
+	if n := c + size; n < end && a.prevSize(n) != size {
+		return false
+	}
+	prev := a.prevSize(c)
+	if c == base {
+		return prev == 0
+	}
+	return prev != 0 && prev <= c-base && a.chunkSize(c-prev) == prev
 }
 
 // UsableSize implements alloc.Allocator.

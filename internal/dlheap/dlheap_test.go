@@ -78,17 +78,63 @@ func TestSplitAndReuse(t *testing.T) {
 	}
 }
 
+// TestDoubleFreePanics frees a chunk twice: alone, and after the first
+// free coalesced it into the free chunk before it. Each second free must
+// panic naming a double free and leave the heap intact.
 func TestDoubleFreePanics(t *testing.T) {
+	for _, mergePrev := range []bool{false, true} {
+		a := newA()
+		tt := th(a, 0)
+		prev, p, next := a.Malloc(tt, 64), a.Malloc(tt, 64), a.Malloc(tt, 64)
+		if mergePrev {
+			a.Free(tt, prev)
+		}
+		a.Free(tt, p)
+		wantMisfree(t, a, func() { a.Free(tt, p) }, "double free")
+		a.Free(tt, next)
+		if !mergePrev {
+			a.Free(tt, prev)
+		}
+	}
+}
+
+// TestInteriorFreePanics frees pointers inside a live chunk whose bytes
+// the program wrote: each must panic before anything changes.
+func TestInteriorFreePanics(t *testing.T) {
 	a := newA()
 	tt := th(a, 0)
-	p := a.Malloc(tt, 64)
-	a.Free(tt, p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double free did not panic")
+	p := a.Malloc(tt, 100)
+	for _, fill := range []byte{0x00, 0x01, 0xff} {
+		b := a.Bytes(p, 100)
+		for i := range b {
+			b[i] = fill
 		}
-	}()
+		for off := 8; off < 100; off += 8 {
+			wantMisfree(t, a, func() { a.Free(tt, p+alloc.Ptr(off)) }, "dlheap")
+		}
+	}
 	a.Free(tt, p)
+}
+
+// wantMisfree fails unless free panics with a message containing want,
+// leaving Stats unchanged and the heap intact.
+func wantMisfree(t *testing.T, a *Allocator, free func(), want string) {
+	t.Helper()
+	before := a.Stats()
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		free()
+		return nil
+	}()
+	if msg, _ := r.(string); !strings.Contains(msg, want) {
+		t.Fatalf("free panicked with %v, want a message naming %q", r, want)
+	}
+	if after := a.Stats(); after != before {
+		t.Fatalf("a free that panicked changed Stats from %+v to %+v", before, after)
+	}
+	if err := a.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestUsableSizeIncludesSplitSlack(t *testing.T) {

@@ -24,6 +24,12 @@ func NewSized(tb testing.TB, spanSize int) vm.Backend {
 	if os.Getenv("HOARDGO_BACKEND") == "arena" {
 		return NewArena(tb, spanSize)
 	}
+	return NewSim(tb, spanSize)
+}
+
+// NewSim returns a small Space over the simulated memory regardless of
+// HOARDGO_BACKEND. Cleanup closes it.
+func NewSim(tb testing.TB, spanSize int) vm.Backend {
 	return open(tb, vm.NewSim, spanSize)
 }
 
